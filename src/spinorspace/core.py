@@ -60,11 +60,17 @@ class DoubleCoverAngle:
         return DoubleCoverAngle(self.value + TWO_PI)
 
 
-def angle_value(phi) -> float:
-    """Canonical float value of a double-cover angle given as float or DoubleCoverAngle."""
+def angle_value(phi, name: str = "angle") -> float:
+    """Canonical float value of a double-cover angle given as float or DoubleCoverAngle.
+
+    A non-finite float raises ValueError naming the angle, as DoubleCoverAngle does.
+    """
     if isinstance(phi, DoubleCoverAngle):
         return phi.value
-    return wrap_4pi(float(phi))
+    value = float(phi)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return wrap_4pi(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,10 +202,17 @@ def scaled_residual(lhs, rhs) -> float:
     """
     left = np.asarray(lhs, dtype=float)
     right = np.asarray(rhs, dtype=float)
-    diff = float(np.max(np.abs(left - right))) if left.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(left))) if left.size else 0.0,
-                float(np.max(np.abs(right))) if right.size else 0.0)
-    return diff / scale
+    if not left.size:
+        return 0.0
+    if left.shape != right.shape:
+        left, right = np.broadcast_arrays(left, right)
+    # Python floats: callers pass a handful of entries, where numpy's
+    # per-reduction overhead would dominate.
+    a, b = left.ravel().tolist(), right.ravel().tolist()
+    gaps = [abs(x - y) for x, y in zip(a, b)]
+    if math.isnan(sum(gaps)):
+        return math.nan
+    return max(gaps) / max(1.0, max(map(abs, a)), max(map(abs, b)))
 
 
 def spinor_from_quadruple(q: KSQuadruple) -> Spinor:

@@ -93,21 +93,23 @@ def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
     }
 
 
+def _numeric_fields(record: dict) -> list:
+    """The computed numbers of a record, flattened in a fixed order."""
+    projection = record["projection"]
+    return ([v for pair in record["spinor"] for v in pair]
+            + list(record["quadruple"])
+            + [projection["r"]]
+            + list(projection["x"])
+            + list(projection.get("a", [])))
+
+
 def replay_residual(record: dict) -> float:
     """Worst scaled disagreement between a record and its fresh recomputation."""
     fresh = fixture_record(record["system"], record["values"], record["model"],
                            record.get("sheet", 1),
                            record["meta"]["seed"], record["meta"]["tolerance"])
-    stored = ([v for pair in record["spinor"] for v in pair]
-              + list(record["quadruple"])
-              + [record["projection"]["r"]]
-              + list(record["projection"]["x"])
-              + list(record["projection"].get("a", [])))
-    recomputed = ([v for pair in fresh["spinor"] for v in pair]
-                  + list(fresh["quadruple"])
-                  + [fresh["projection"]["r"]]
-                  + list(fresh["projection"]["x"])
-                  + list(fresh["projection"].get("a", [])))
+    stored = _numeric_fields(record)
+    recomputed = _numeric_fields(fresh)
     if len(stored) != len(recomputed):
         raise ValueError("record field shapes do not match the recomputation")
     worst = 0.0

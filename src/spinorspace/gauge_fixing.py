@@ -59,14 +59,16 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
     Psi = (sqrt((1+n3)/2) e^{-i gamma/2}, sqrt((1-n3)/2) e^{+i gamma/2}).
     Off the third axis the azimuth of n fixes gamma modulo 2pi; the argument
     only selects between the two 4pi-cover lifts (the closer one wins). On
-    the axis the phase is free and the argument is used verbatim.
+    the axis the phase is free and the argument is used verbatim. The smaller
+    magnitude is taken in the quotient form rho sqrt(1 / (2 (1 +- n3))),
+    which does not cancel near the poles as sqrt((1 -+ n3)/2) does.
     """
     v = np.asarray(n, dtype=float)
     norm = float(np.linalg.norm(v))
     if not math.isfinite(norm) or abs(norm - 1.0) >= NORM_SLACK:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
     n1, n2, n3 = v / norm
-    requested = angle_value(gamma)
+    requested = angle_value(gamma, "phase gamma")
     if n1 == 0.0 and n2 == 0.0:
         lift = requested
     else:
@@ -75,10 +77,16 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
         lift = principal
         if _cover_distance(partner, requested) < _cover_distance(principal, requested):
             lift = partner
+    rho = math.hypot(n1, n2)
+    if n3 >= 0.0:
+        upper = math.sqrt(0.5 * (1.0 + n3))
+        lower = rho * math.sqrt(0.5 / (1.0 + n3))
+    else:
+        lower = math.sqrt(0.5 * (1.0 - n3))
+        upper = rho * math.sqrt(0.5 / (1.0 - n3))
     h = 0.5 * lift
     phase = complex(math.cos(h), -math.sin(h))
-    return Spinor(math.sqrt(max(0.0, 0.5 * (1.0 + n3))) * phase,
-                  math.sqrt(max(0.0, 0.5 * (1.0 - n3))) * phase.conjugate())
+    return Spinor(upper * phase, lower * phase.conjugate())
 
 
 def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:

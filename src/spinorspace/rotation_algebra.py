@@ -42,8 +42,13 @@ def so3_from_rotation(rot: SpinorRotation) -> np.ndarray:
 
     Satisfies project(B(c) xi).x = O @ project(xi).x for every spinor.
     """
-    k = _cross_matrix(rot.vec)
-    return np.eye(3) + 2.0 * (rot.c4 * k + k @ k)
+    c4, c1, c2, c3 = rot.c4, rot.c1, rot.c2, rot.c3
+    # K^2 = c c^T - |c|^2 I, written out entry by entry.
+    return np.array([
+        [1.0 - 2.0 * (c2 * c2 + c3 * c3), 2.0 * (c1 * c2 - c4 * c3), 2.0 * (c1 * c3 + c4 * c2)],
+        [2.0 * (c1 * c2 + c4 * c3), 1.0 - 2.0 * (c1 * c1 + c3 * c3), 2.0 * (c2 * c3 - c4 * c1)],
+        [2.0 * (c1 * c3 - c4 * c2), 2.0 * (c2 * c3 + c4 * c1), 1.0 - 2.0 * (c1 * c1 + c2 * c2)],
+    ])
 
 
 def vector_parameter(rot: SpinorRotation) -> np.ndarray:
@@ -71,13 +76,8 @@ def so3_from_vector_parameter(C) -> np.ndarray:
 def extract_so3(matrix: np.ndarray) -> np.ndarray:
     """Recover the orthogonal matrix of a 2x2 unitary: O_kl = Re tr(sigma^k B sigma^l B^dag) / 2."""
     b = np.asarray(matrix, dtype=complex)
-    bdag = b.conj().T
-    out = np.empty((3, 3))
-    for l in range(3):
-        xl = b @ PAULI[l] @ bdag
-        for k in range(3):
-            out[k, l] = 0.5 * float(np.real(np.sum(PAULI[k] * xl.T)))
-    return out
+    # sigma^k_ab B_bc sigma^l_cd (B^dag)_da, with (B^dag)_da = conj(B)_ad.
+    return 0.5 * np.einsum("kab,bc,lcd,ad->kl", PAULI, b, PAULI, b.conj()).real
 
 
 def rotate_spinor(rot: SpinorRotation, s: Spinor) -> Spinor:

@@ -58,7 +58,7 @@ class SphericalPoint:
             raise ValueError(f"polar angle must lie in [0, pi], got {theta!r}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", angle_value(self.phi))
+        object.__setattr__(self, "phi", angle_value(self.phi, "azimuth phi"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +75,7 @@ class ParabolicPoint:
             raise ValueError("parabolic parameters must be finite and nonnegative")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "phi", angle_value(self.phi))
+        object.__setattr__(self, "phi", angle_value(self.phi, "azimuth phi"))
 
 
 def _cartesian_phi(x1: float, x2: float, sheet: int) -> float:

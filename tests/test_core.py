@@ -11,6 +11,7 @@ from spinorspace import (
     Spinor,
     SpinorRotation,
     Tolerance,
+    angle_value,
     compose,
     conjugate,
     quadruple_from_spinor,
@@ -137,6 +138,15 @@ def test_constructors_reject_nonfinite():
         SpinorRotation(float("nan"), 0.0, 0.0, 0.0)
 
 
+def test_angle_value_rejects_nonfinite():
+    # wrap_4pi(inf) is NaN; angle_value must reject it rather than pass it on.
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="sweep angle"):
+            angle_value(bad, "sweep angle")
+    assert angle_value(5.0 * math.pi) == wrap_4pi(5.0 * math.pi)
+    assert angle_value(DoubleCoverAngle(5.0 * math.pi)) == DoubleCoverAngle(math.pi).value
+
+
 def test_rotation_norm_gate():
     with pytest.raises(ValueError):
         SpinorRotation(1.0, 1.0, 0.0, 0.0)
@@ -165,3 +175,7 @@ def test_tolerance_and_scaled_residual():
     # normalization kicks in only above unit magnitude
     assert scaled_residual(2e6, 1e6) == 0.5
     assert scaled_residual(np.zeros(3), np.zeros(3)) == 0.0
+    assert scaled_residual(np.zeros(0), np.zeros(0)) == 0.0
+    assert scaled_residual(np.array([1.0, 2.0]), 1.0) == 0.5
+    assert math.isnan(scaled_residual([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(scaled_residual([math.inf, 0.0], [1.0, 0.0]))

@@ -71,6 +71,27 @@ def test_psi_from_direction_recovers_direction():
         assert scaled_residual(direction_of(psi), n) <= 1e-13
 
 
+def test_psi_from_direction_near_the_poles():
+    # sqrt((1 -+ n3)/2) cancels next to a pole (7e-11 off at 1e-6 rad, 1e-8
+    # at 1e-8 rad); the quotient form for the small component does not.
+    for pole in (1.0, -1.0):
+        for eps in (1e-4, 1e-6, 1e-8):
+            for phi in (-2.5, 0.3, 1.9):
+                n = np.array([math.sin(eps) * math.cos(phi), math.sin(eps) * math.sin(phi),
+                              pole * math.cos(eps)])
+                psi = psi_from_direction(tuple(n), 0.7)
+                assert abs(psi.norm_sq - 1.0) <= 1e-15
+                assert scaled_residual(direction_of(psi), n) <= 1e-12
+                r, x = oracles.xi_bilinears(psi)
+                assert scaled_residual(x / r, n) <= 1e-12
+
+
+def test_psi_from_direction_rejects_nonfinite_phase():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="phase gamma"):
+            psi_from_direction((0.0, 0.0, 1.0), bad)
+
+
 def test_psi_from_direction_lift_selection():
     # off the axis, gamma only picks between the two cover lifts
     near_zero = psi_from_direction((1.0, 0.0, 0.0), 0.0)

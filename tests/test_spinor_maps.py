@@ -132,6 +132,15 @@ def test_point_validation():
         cartan_reflect(Spinor(1.0 + 0.0j, 0.0j), delta=2)
 
 
+def test_points_reject_nonfinite_azimuth():
+    # wrap_4pi(inf) is NaN, so a non-finite azimuth must be caught before wrapping.
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="azimuth phi"):
+            SphericalPoint(1.0, 0.5, bad)
+        with pytest.raises(ValueError, match="azimuth phi"):
+            ParabolicPoint(1.0, 0.5, bad)
+
+
 def test_sheet_flag_negates():
     rng = np.random.default_rng(21)
     for _ in range(100):

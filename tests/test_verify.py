@@ -1,0 +1,86 @@
+import math
+
+import numpy as np
+import pytest
+
+from spinorspace import run_suite, scaled_residual
+from spinorspace.verify import SUITE_NAMES, _worst
+
+# (suite, check, samples at 10^4, samples at 10^3); every threshold is the
+# tolerance run_suite was given.
+CHECK_TABLE = [
+    ("hopf", "construct_project_round_trip", 10000, 1000),
+    ("hopf", "hopf_norms_any_spinor", 1000, 100),
+    ("hopf", "eta_projection_dual_route", 1000, 100),
+    ("hopf", "coordinate_agreement", 1000, 100),
+    ("hopf", "projection_phase_invariance", 1000, 100),
+    ("covariance", "xi_commuting_square", 10000, 1000),
+    ("covariance", "eta_commuting_square", 10000, 1000),
+    ("covariance", "so3_extraction_orthogonality", 10000, 1000),
+    ("covariance", "vector_parameter_chart", 5000, 500),
+    ("covariance", "rotation_homomorphisms", 10000, 1000),
+    ("covariance", "so4_spinor_conjugacy", 10000, 1000),
+    ("so4", "bridge_involution", 10000, 1000),
+    ("so4", "bridge_quadruple_route", 10000, 1000),
+    ("so4", "s_orthogonal_factorization", 500, 50),
+    ("so4", "s_no_su2_preimage", 200, 20),
+    ("so4", "double_cover_sign", 2000, 200),
+    ("so4", "cartan_reflection_parity", 5000, 500),
+    ("ks", "direction_vs_matrix_hat", 10000, 1000),
+    ("ks", "left_transport_routes", 3000, 300),
+    ("ks", "frame_defining_identities", 1000, 100),
+    ("ks", "frame_symmetry_transport", 1000, 100),
+    ("ks", "phase_residual_law", 500, 50),
+    ("ks", "singular_error_paths", 3, 3),
+    ("gauge", "gauge_postconditions", 10000, 1000),
+    ("gauge", "canonical_gauges", 3000, 300),
+    ("gauge", "rotation_between_planted", 3000, 300),
+    ("gauge", "stabilizer_exact_identity", 1000, 100),
+    ("gauge", "stabilizer_circle_contrast", 16, 16),
+    ("gauge", "singular_gauge_paths", 2, 2),
+]
+
+
+@pytest.mark.parametrize("samples, column", [(10000, 0), (1000, 1)])
+def test_suites_keep_every_check(samples, column):
+    want = [(suite, name, counts[column], 1e-12) for suite, name, *counts in CHECK_TABLE]
+    got = [(report.suite, c.name, c.samples, c.threshold)
+           for report in (run_suite(s, samples) for s in SUITE_NAMES) for c in report.checks]
+    assert got == want
+
+
+def _batch(rng, shape):
+    # Magnitudes on both sides of the unit floor of the scale.
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+
+
+@pytest.mark.parametrize("shape, axis", [((50, 3), 1), ((50, 3, 3), (1, 2)),
+                                         ((50, 4), None), ((0, 3), 1), ((0,), None)])
+def test_worst_matches_scaled_residual_per_sample(shape, axis):
+    rng = np.random.default_rng(11)
+    lhs = _batch(rng, shape)
+    rhs = lhs + _batch(rng, shape) * 1e-3
+    if axis is None:
+        # Each entry is its own sample.
+        rows = [scaled_residual(a, b) for a, b in zip(lhs.ravel(), rhs.ravel())]
+    else:
+        rows = [scaled_residual(a, b) for a, b in zip(lhs, rhs)]
+    assert _worst(lhs, rhs, axis) == max(rows, default=0.0)
+
+
+def test_worst_granularity_is_not_coarser():
+    # One sample's large entry must not dilute another sample's scale.
+    lhs = np.array([[1e6, 0.0], [0.0, 0.5]])
+    rhs = np.array([[1e6, 0.0], [0.0, 0.0]])
+    assert _worst(lhs, rhs, 1) == 0.5
+    assert _worst(lhs, rhs) == 0.5
+
+
+def test_worst_fails_on_nan():
+    assert _worst(np.array([0.0, math.nan]), 0.0) == math.inf
+
+
+def test_suite_runs_repeat_exactly():
+    first = run_suite("ks", 40, seed=5)
+    again = run_suite("ks", 40, seed=5)
+    assert [c.max_residual for c in first.checks] == [c.max_residual for c in again.checks]
