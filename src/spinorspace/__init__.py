@@ -8,14 +8,12 @@ golden-fixture tooling.
 """
 
 from .core import (
-    DEFAULT_TOLERANCE,
     IDENTITY_ROTATION,
     DoubleCoverAngle,
     EtaProjection,
     KSQuadruple,
     Spinor,
     SpinorRotation,
-    Tolerance,
     angle_value,
     compose,
     conjugate,
@@ -37,9 +35,7 @@ from .spinor_maps import (
     phase_rotate,
     project_eta,
     project_xi,
-    spinor_pair_for_point,
     u_to_v,
-    v_constraint_residual,
     xi_constraint_residual,
     xi_from_cartesian,
     xi_from_eta,
@@ -67,7 +63,6 @@ from .rotation_algebra import (
 )
 from .ks_covariance import (
     KSFrame,
-    NormalizedKS,
     build_frame,
     direction_from_ks,
     frame_symmetry,

@@ -13,6 +13,8 @@ import numpy as np
 
 from .core import SpinorRotation, quadruple_from_spinor, scaled_residual
 from .fixtures import (
+    MODELS,
+    SYSTEMS,
     construct,
     dumps_record,
     fixture_record,
@@ -33,6 +35,12 @@ from .spinor_maps import project_eta, project_xi
 from .verify import SUITE_NAMES, replay_fixtures, run_all, run_suite
 
 
+# convert and rotate take three point values; the direction system and its
+# psi model take four.
+_POINT_SYSTEMS = tuple(s for s in SYSTEMS if s != "direction")
+_POINT_MODELS = tuple(m for m in MODELS if m != "psi")
+
+
 def _fmt(values) -> str:
     return "(" + ", ".join(repr(float(v)) for v in values) + ")"
 
@@ -46,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser(
         "convert", help="build a spinor record from coordinates and print it")
-    convert.add_argument("system", choices=["cartesian", "spherical", "parabolic"])
+    convert.add_argument("system", choices=_POINT_SYSTEMS)
     convert.add_argument("values", nargs=3, type=float, metavar="V")
-    convert.add_argument("--model", choices=["xi", "eta"], default="xi")
+    convert.add_argument("--model", choices=_POINT_MODELS, default="xi")
     convert.add_argument("--sheet", type=int, choices=[1, -1], default=1)
     convert.add_argument("--tolerance", type=float, default=1e-12)
     convert.add_argument("--seed", type=int, default=0)
@@ -78,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     rotate = sub.add_parser(
         "rotate", help="apply a rotation along both the spinor and vector paths")
     rotate.add_argument("rotation", nargs=4, type=float, metavar="C")
-    rotate.add_argument("system", choices=["cartesian", "spherical", "parabolic"])
+    rotate.add_argument("system", choices=_POINT_SYSTEMS)
     rotate.add_argument("values", nargs=3, type=float, metavar="V")
-    rotate.add_argument("--model", choices=["xi", "eta"], default="xi")
+    rotate.add_argument("--model", choices=_POINT_MODELS, default="xi")
     rotate.add_argument("--sheet", type=int, choices=[1, -1], default=1)
     rotate.add_argument("--tolerance", type=float, default=1e-12)
     return parser

@@ -60,6 +60,14 @@ class DoubleCoverAngle:
         return DoubleCoverAngle(self.value + TWO_PI)
 
 
+def finite_angle(phi, name: str) -> float:
+    """float(phi), unwrapped; a non-finite value raises ValueError naming the angle."""
+    value = float(phi)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def angle_value(phi, name: str = "angle") -> float:
     """Canonical float value of a double-cover angle given as float or DoubleCoverAngle.
 
@@ -67,10 +75,7 @@ def angle_value(phi, name: str = "angle") -> float:
     """
     if isinstance(phi, DoubleCoverAngle):
         return phi.value
-    value = float(phi)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return wrap_4pi(value)
+    return wrap_4pi(finite_angle(phi, name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,29 +181,10 @@ class EtaProjection:
             raise ValueError("projection parts must be 3-vectors")
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
-    """Scale-aware comparison policy: |lhs - rhs| <= absolute + relative * max(|lhs|, |rhs|)."""
-
-    absolute: float = 1e-12
-    relative: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.absolute > 0 and self.relative > 0):
-            raise ValueError("tolerance parts must be positive")
-
-    def ok(self, lhs: float, rhs: float) -> bool:
-        return abs(lhs - rhs) <= self.absolute + self.relative * max(abs(lhs), abs(rhs))
-
-
-DEFAULT_TOLERANCE = Tolerance()
-
-
 def scaled_residual(lhs, rhs) -> float:
     """Magnitude-scaled disagreement: max|lhs - rhs| / max(1, |lhs|, |rhs|).
 
-    Accepts scalars or array-likes; a value <= tol implies the Tolerance rule
-    with absolute = relative = tol.
+    Accepts scalars or array-likes.
     """
     left = np.asarray(lhs, dtype=float)
     right = np.asarray(rhs, dtype=float)

@@ -16,19 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCE,
     NORM_SLACK,
     Spinor,
     SpinorRotation,
-    Tolerance,
     angle_value,
     compose,
     conjugate,
+    finite_angle,
     quadruple_from_spinor,
     scaled_residual,
     wrap_4pi,
 )
 from .rotation_algebra import linear_system_matrix
+
+# A canonical phase whose chart's component weight is at most this is singular.
+SINGULAR_WEIGHT = 1e-12
 
 
 class SingularGaugeError(ValueError):
@@ -37,6 +39,7 @@ class SingularGaugeError(ValueError):
 
 def axis_phase(delta: float) -> SpinorRotation:
     """The rotation (cos delta, 0, 0, sin delta), i.e. B = exp(-i delta sigma^3)."""
+    delta = finite_angle(delta, "axis phase delta")
     return SpinorRotation(math.cos(delta), 0.0, 0.0, math.sin(delta))
 
 
@@ -97,14 +100,14 @@ def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     """
     u1, u2, u3, u4 = _unit_components(psi, "gauge_plus")
     a = SpinorRotation(u1, u4, -u3, u2)
-    return compose(axis_phase(0.5 * phase), a)
+    return compose(axis_phase(0.5 * finite_angle(phase, "gauge phase")), a)
 
 
 def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     """Closed-form rotation sending psi to (0, e^{+i phase/2})."""
     u1, u2, u3, u4 = _unit_components(psi, "gauge_minus")
     a = SpinorRotation(u3, u2, u1, -u4)
-    return compose(axis_phase(0.5 * phase), a)
+    return compose(axis_phase(0.5 * finite_angle(phase, "gauge phase")), a)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +123,7 @@ class CanonicalGauge:
     rotation: SpinorRotation
 
 
-def canonical_phase_plus(psi: Spinor,
-                         tolerance: Tolerance = DEFAULT_TOLERANCE) -> CanonicalGauge:
+def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:
     """The unique phase making the (+)-gauge rotation planar (c3 = 0).
 
     gamma = 2 atan2(-u2, u1) and C = ((u1 u4 - u2 u3)/s, -(u1 u3 + u2 u4)/s, 0)
@@ -130,7 +132,7 @@ def canonical_phase_plus(psi: Spinor,
     """
     u1, u2, u3, u4 = _unit_components(psi, "canonical_phase_plus")
     s = u1 * u1 + u2 * u2
-    if s <= tolerance.absolute:
+    if s <= SINGULAR_WEIGHT:
         raise SingularGaugeError(
             f"(+)-gauge canonical phase undefined: first component weight {s!r}")
     gamma = 2.0 * math.atan2(-u2, u1)
@@ -139,8 +141,7 @@ def canonical_phase_plus(psi: Spinor,
                           rotation=gauge_plus(psi, gamma))
 
 
-def canonical_phase_minus(psi: Spinor,
-                          tolerance: Tolerance = DEFAULT_TOLERANCE) -> CanonicalGauge:
+def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
     """The unique phase making the (-)-gauge rotation planar (c3 = 0).
 
     gamma = 2 atan2(u4, u3) and C = (-(u1 u4 - u2 u3)/s, (u1 u3 + u2 u4)/s, 0)
@@ -148,7 +149,7 @@ def canonical_phase_minus(psi: Spinor,
     """
     u1, u2, u3, u4 = _unit_components(psi, "canonical_phase_minus")
     s = u3 * u3 + u4 * u4
-    if s <= tolerance.absolute:
+    if s <= SINGULAR_WEIGHT:
         raise SingularGaugeError(
             f"(-)-gauge canonical phase undefined: second component weight {s!r}")
     gamma = 2.0 * math.atan2(u4, u3)
@@ -193,7 +194,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
 
 
 __all__ = [
-    "SingularGaugeError", "axis_phase", "psi_from_direction",
+    "SINGULAR_WEIGHT", "SingularGaugeError", "axis_phase", "psi_from_direction",
     "gauge_plus", "gauge_minus", "CanonicalGauge",
     "canonical_phase_plus", "canonical_phase_minus",
     "rotation_between", "stabilizer_check",

@@ -14,34 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KSQuadruple, SpinorRotation, compose, conjugate, scaled_residual
+from .core import KSQuadruple, SpinorRotation, compose, conjugate, finite_angle, scaled_residual
 from .gauge_fixing import axis_phase, canonical_phase_plus, psi_from_direction
 from .rotation_algebra import so3_from_rotation, su2_real4
 
 DIRECTION_MATCH_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedKS:
-    """Unit quadruple plus the squared norm it was extracted from.
-
-    scale equals twice the radius of the projected point, so the original
-    quadruple is unit * sqrt(scale).
-    """
-
-    unit: KSQuadruple
-    scale: float
-
-
-def normalize_ks(q: KSQuadruple) -> NormalizedKS:
-    """Split a nonzero quadruple into a unit quadruple and its squared norm."""
+def normalize_ks(q: KSQuadruple) -> KSQuadruple:
+    """The unit quadruple of a nonzero quadruple; q is it times sqrt(q.norm_sq)."""
     s = q.norm_sq
     if s == 0.0:
         raise ValueError("cannot normalize the zero quadruple")
     inv = 1.0 / math.sqrt(s)
-    return NormalizedKS(
-        unit=KSQuadruple(q.q4 * inv, q.q1 * inv, q.q2 * inv, q.q3 * inv),
-        scale=s)
+    return KSQuadruple(q.q4 * inv, q.q1 * inv, q.q2 * inv, q.q3 * inv)
 
 
 def hat(q: KSQuadruple) -> KSQuadruple:
@@ -66,7 +52,7 @@ def direction_from_ks(q: KSQuadruple) -> np.ndarray:
     the normalized components; equals minus the third column of the
     orthogonal matrix of hat(q).
     """
-    u = normalize_ks(q).unit
+    u = normalize_ks(q)
     q4, q1, q2, q3 = u.as_tuple()
     return np.array([
         2.0 * (q1 * q3 + q2 * q4),
@@ -108,7 +94,8 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     planar rotation for the axis spinor. The axis (0, 0, -1) sits in the
     singular gauge and raises SingularGaugeError.
     """
-    u = normalize_ks(q).unit
+    delta = finite_angle(delta, "frame delta")
+    u = normalize_ks(q)
     a_vec = np.asarray(axis, dtype=float)
     align = canonical_phase_plus(psi_from_direction(a_vec, 0.0)).rotation
     u_rot = rotation_from_unit_ks(hat(u))
@@ -117,24 +104,24 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
         w=hat(ks_from_rotation(w_rot)),
         direction=direction_from_ks(u),
         axis=a_vec,
-        delta=float(delta),
+        delta=delta,
         align=align,
     )
 
 
-def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0,
-                   direction_tolerance: float = DIRECTION_MATCH_TOLERANCE) -> SpinorRotation:
+def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> SpinorRotation:
     """The rotation carrying the frame of u to the frame of w.
 
     Both quadruples must lie over the same direction (it is the axis the
-    returned rotation stabilizes); a mismatch beyond direction_tolerance is
-    an error. Satisfies B(c) B(hat u) D(delta) = B(hat w) with D the axis
+    returned rotation stabilizes); a mismatch beyond DIRECTION_MATCH_TOLERANCE
+    is an error. Satisfies B(c) B(hat u) D(delta) = B(hat w) with D the axis
     phase, exactly by construction.
     """
-    un = normalize_ks(u).unit
-    wn = normalize_ks(w).unit
+    delta = finite_angle(delta, "frame delta")
+    un = normalize_ks(u)
+    wn = normalize_ks(w)
     mismatch = scaled_residual(direction_from_ks(un), direction_from_ks(wn))
-    if mismatch > direction_tolerance:
+    if mismatch > DIRECTION_MATCH_TOLERANCE:
         raise ValueError(
             f"quadruples lie over different directions (mismatch {mismatch:.3e})")
     u_rot = rotation_from_unit_ks(hat(un))
@@ -148,13 +135,13 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
     n' = O(hat w) O(rot) O(hat w)^T n. With rot the frame's align rotation
     and n the frame direction, this lands on the direction of w itself.
     """
-    w_rot = rotation_from_unit_ks(hat(normalize_ks(w).unit))
+    w_rot = rotation_from_unit_ks(hat(normalize_ks(w)))
     ow = so3_from_rotation(w_rot)
     return ow @ (so3_from_rotation(rot) @ (ow.T @ np.asarray(n, dtype=float)))
 
 
 __all__ = [
-    "DIRECTION_MATCH_TOLERANCE", "NormalizedKS", "normalize_ks", "hat",
+    "DIRECTION_MATCH_TOLERANCE", "normalize_ks", "hat",
     "rotation_from_unit_ks", "ks_from_rotation", "direction_from_ks",
     "left_transport", "KSFrame", "build_frame", "frame_symmetry",
     "rotated_direction",

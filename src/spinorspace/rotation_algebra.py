@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KSQuadruple, Spinor, SpinorRotation
+from .core import KSQuadruple, Spinor, SpinorRotation, finite_angle
 from .spinor_maps import S_BRIDGE
 
 PAULI = np.array([
@@ -148,6 +148,7 @@ def elementary_so4(label: str, angle: float) -> np.ndarray:
             f"unknown plane label {label!r}; valid labels: {sorted(ELEMENTARY_PLANES)}")
     i, j = ELEMENTARY_PLANES[label]
     pi, pj = _STORAGE_POSITION[i], _STORAGE_POSITION[j]
+    angle = finite_angle(angle, "plane angle")
     c, s = math.cos(angle), math.sin(angle)
     out = np.eye(4)
     out[pi, pi] = c
@@ -164,34 +165,29 @@ def s_matrix() -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class FactorizationScan:
-    """Result of scanning S_{4-2}(b1) S_{3-1}(b2) products against a target."""
+    """Result of scanning S_{4-2}(b1) S_{3-1}(b2) products against the bridge matrix."""
 
     best_angles: tuple
     best_residual: float
     residuals: tuple
 
 
-def s_factorization_check(target: np.ndarray | None = None,
-                          angles=None) -> FactorizationScan:
+def s_factorization_check() -> FactorizationScan:
     """Scan elementary-rotation products for the bridge matrix.
 
-    Tries S_{4-2}(b1) @ S_{3-1}(b2) over a grid of angle pairs (multiples of
-    pi/4 by default) and reports every residual. The two factors act on
-    disjoint coordinate pairs, so they commute and the order scanned is the
-    only order needed. The winner is (pi/4, pi/4) with residual at rounding
-    level.
+    Tries S_{4-2}(b1) @ S_{3-1}(b2) over the 64 pairs of multiples of pi/4 in
+    (-pi, pi] and reports every residual. The two factors act on disjoint
+    coordinate pairs, so they commute and the order scanned is the only order
+    needed. The winner is (pi/4, pi/4) with residual at rounding level.
     """
-    if target is None:
-        target = S_BRIDGE
-    if angles is None:
-        angles = [k * math.pi / 4.0 for k in range(-3, 5)]
+    angles = [k * math.pi / 4.0 for k in range(-3, 5)]
     scanned = []
     best = None
     for b1 in angles:
         left = elementary_so4("4-2", b1)
         for b2 in angles:
             product = left @ elementary_so4("3-1", b2)
-            residual = float(np.max(np.abs(product - target)))
+            residual = float(np.max(np.abs(product - S_BRIDGE)))
             scanned.append((b1, b2, residual))
             if best is None or residual < best[2]:
                 best = (b1, b2, residual)
@@ -253,7 +249,7 @@ def rotation_from_axis_angle(axis, angle: float) -> SpinorRotation:
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         raise ValueError("rotation axis must be nonzero")
-    h = 0.5 * float(angle)
+    h = 0.5 * finite_angle(angle, "rotation angle")
     s = math.sin(h) / norm
     return SpinorRotation(math.cos(h), s * a[0], s * a[1], s * a[2])
 

@@ -19,6 +19,7 @@ from .core import (
     KSQuadruple,
     Spinor,
     angle_value,
+    finite_angle,
     quadruple_from_spinor,
     spinor_from_quadruple,
     wrap_4pi,
@@ -154,13 +155,14 @@ def project_xi(xi: Spinor):
 
 
 def xi_constraint_residual(q: KSQuadruple) -> float:
-    """U1 U4 + U2 U3; identically zero on constructor outputs."""
+    """The Hopf constraint of both models: U1 U4 + U2 U3 on a U (xi) quadruple,
+    V1 V4 + V2 V3 = -a3 on a V (eta) one; identically zero on constructor outputs."""
     return q.q1 * q.q4 + q.q2 * q.q3
 
 
 def phase_rotate(s: Spinor, alpha: float) -> Spinor:
     """Multiply by the global phase e^{i alpha}; projections are unchanged."""
-    w = cmath.exp(complex(0.0, float(alpha)))
+    w = cmath.exp(complex(0.0, finite_angle(alpha, "phase alpha")))
     return Spinor(w * s.c1, w * s.c2)
 
 
@@ -277,21 +279,11 @@ def cartan_reflect(s: Spinor, delta: int = 1) -> Spinor:
     return Spinor(w * s.c1, w * s.c2)
 
 
-def spinor_pair_for_point(v, sheet: int = 1):
-    """Convenience: (xi, eta) of the same Cartesian point and sheet."""
-    return xi_from_cartesian(v, sheet), eta_from_cartesian(v, sheet)
-
-
-def v_constraint_residual(q: KSQuadruple) -> float:
-    """V1 V4 + V2 V3, the vector-model Hopf constraint (equals -a3)."""
-    return q.q1 * q.q4 + q.q2 * q.q3
-
-
 __all__ = [
     "INV_SQRT2", "S_BRIDGE", "SphericalPoint", "ParabolicPoint",
     "xi_from_cartesian", "xi_from_spherical", "xi_from_parabolic",
     "project_xi", "xi_constraint_residual", "phase_rotate",
     "eta_from_cartesian", "eta_from_spherical", "eta_from_parabolic",
     "project_eta", "eta_quadruple_projection", "eta_from_xi", "xi_from_eta",
-    "u_to_v", "cartan_reflect", "spinor_pair_for_point", "v_constraint_residual",
+    "u_to_v", "cartan_reflect",
 ]

@@ -53,6 +53,7 @@ from .ks_covariance import (
     rotation_from_unit_ks,
 )
 from .rotation_algebra import (
+    ELEMENTARY_PLANES,
     PAULI,
     elementary_so4,
     extract_so3,
@@ -79,15 +80,12 @@ from .spinor_maps import (
     project_eta,
     project_xi,
     u_to_v,
-    v_constraint_residual,
     xi_constraint_residual,
     xi_from_cartesian,
     xi_from_eta,
     xi_from_parabolic,
     xi_from_spherical,
 )
-
-SUITE_NAMES = ("hopf", "covariance", "so4", "ks", "gauge")
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,11 +167,13 @@ def _chunked(body, inputs) -> float:
 
 def _check(name, draw):
     """Make a check from a batch body: draw(rng, n) returns the inputs of all
-    n samples as arrays, and the body maps a chunk of them to its worst residual."""
+    samples as arrays (n of them, or a fixed set of cases), and the body maps a
+    chunk of them to its worst residual."""
     def decorate(body):
         def check(seed, samples, tol):
-            worst = _chunked(body, draw(np.random.default_rng(seed), samples))
-            return CheckResult(name, samples, worst, tol, worst <= tol)
+            inputs = draw(np.random.default_rng(seed), samples)
+            worst = _chunked(body, inputs)
+            return CheckResult(name, len(inputs[0]), worst, tol, worst <= tol)
         check.__name__ = body.__name__
         return check
     return decorate
@@ -253,7 +253,7 @@ def _check_construct_project(v, sheets):
         row[0], row[1:4] = project_xi(xi)
         row[4] = xi_constraint_residual(quadruple_from_spinor(xi))
         row[5:8], row[8:11] = p.x, p.a
-        row[11], row[12] = v_constraint_residual(qe), qe.norm_sq
+        row[11], row[12] = xi_constraint_residual(qe), qe.norm_sq
     r, x, px, pa = out[:, 0], out[:, 1:4], out[:, 5:8], out[:, 8:11]
     half, pxx = 0.5 * out[:, 12], _dot(px, px)
     return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))), _worst(out[:, [4, 11]], 0.0),
@@ -419,43 +419,35 @@ def _check_bridge_quadruple_route(s):
     return _worst(out[:, 0], out[:, 1], 1)
 
 
-_PLANE_LABELS = ("2-3", "3-1", "1-2", "4-1", "4-2", "4-3")
+_PLANE_LABELS = tuple(ELEMENTARY_PLANES)
 
 
-def _elementary_worst(u):
+# The fixed S properties are the same in every chunk, so the max is unchanged.
+@_check("s_orthogonal_factorization", lambda rng, n: (rng.random((n, 2)),))
+def _check_s_properties(u):
+    s = s_matrix()
+    scan = s_factorization_check()
     e = np.empty((len(u), 4, 4))
     for i, (ua, ub) in _rows(u[:, 0], u[:, 1]):
         e[i] = elementary_so4(_PLANE_LABELS[min(int(6.0 * ub), 5)], 2.0 * math.pi * ua - math.pi)
-    return max(_worst(np.einsum("nki,nkj->nij", e, e), np.eye(4), (1, 2)),
+    return max(_worst((s.T @ s)[None], np.eye(4), (1, 2)), _worst(np.linalg.det(s), 1.0),
+               scan.best_residual, _worst(scan.best_angles, math.pi / 4.0),
+               _worst(np.einsum("nki,nkj->nij", e, e), np.eye(4), (1, 2)),
                _worst(np.linalg.det(e), 1.0))
 
 
-def _check_s_properties(seed, samples, tol):
-    s = s_matrix()
-    scan = s_factorization_check()
-    worst = max(_worst((s.T @ s)[None], np.eye(4), (1, 2)), _worst(np.linalg.det(s), 1.0),
-                scan.best_residual, _worst(scan.best_angles, math.pi / 4.0),
-                _chunked(_elementary_worst, (np.random.default_rng(seed).random((samples, 2)),)))
-    return CheckResult("s_orthogonal_factorization", samples, worst, tol, worst <= tol)
-
-
-def _refit_worst(c):
+@_check("s_no_su2_preimage", _units)
+def _check_s_non_membership(c):
+    cert = s_outside_su2_image()
     out = np.empty((len(c), 5))  # fitted parameters, fit residual
     for i, (crow,) in _rows(c):
         refit = s_outside_su2_image(su2_real4(SpinorRotation(*crow)))
         out[i, :4], out[i, 4] = refit.best_fit, refit.residual
-    return max(_worst(out[:, :4], c, 1), _worst(out[:, 4], 0.0))
-
-
-def _check_s_non_membership(seed, samples, tol):
-    cert = s_outside_su2_image()
     # The fit gap has a closed-form value sqrt(2); landing there implies the
-    # certificate's ">0.1" margin with room to spare.
-    worst = max(_worst(cert.residual, math.sqrt(2.0)),
-                _worst(cert.implied_values[0], -cert.implied_values[1]),
-                _chunked(_refit_worst, _units(np.random.default_rng(seed), samples)))
-    passed = worst <= tol and cert.residual > 0.1
-    return CheckResult("s_no_su2_preimage", samples, worst, tol, passed)
+    # certificate's ">0.1" margin with room to spare, which a fail reports as inf.
+    gap = _worst(cert.residual, math.sqrt(2.0)) if cert.residual > 0.1 else math.inf
+    return max(gap, _worst(cert.implied_values[0], -cert.implied_values[1]),
+               _worst(out[:, :4], c, 1), _worst(out[:, 4], 0.0))
 
 
 _BUILDERS = ((xi_from_spherical, 0), (eta_from_spherical, 0),
@@ -612,14 +604,19 @@ def _raises(error, func, *args) -> bool:
     return False
 
 
-def _check_frame_error_paths(seed, samples, tol):
-    raised = [_raises(SingularGaugeError, build_frame, KSQuadruple(0.3, 0.5, -0.4, 0.2),
-                      (0.0, 0.0, -1.0)),
-              _raises(ValueError, normalize_ks, KSQuadruple(0.0, 0.0, 0.0, 0.0)),
-              _raises(ValueError, frame_symmetry, KSQuadruple(1.0, 0.0, 0.0, 0.0),
-                      KSQuadruple(0.0, 1.0, 0.0, 0.0))]
-    worst = 0.0 if all(raised) else math.inf
-    return CheckResult("singular_error_paths", 3, worst, tol, worst <= tol)
+def _error_paths(name, *cases):
+    """A check that each case (error, func, *args) raises its error; each case is a sample."""
+    @_check(name, lambda rng, n: (cases,))
+    def _check_error_paths(chunk):
+        return 0.0 if all(_raises(*case) for case in chunk) else math.inf
+    return _check_error_paths
+
+
+_check_frame_error_paths = _error_paths(
+    "singular_error_paths",
+    (SingularGaugeError, build_frame, KSQuadruple(0.3, 0.5, -0.4, 0.2), (0.0, 0.0, -1.0)),
+    (ValueError, normalize_ks, KSQuadruple(0.0, 0.0, 0.0, 0.0)),
+    (ValueError, frame_symmetry, KSQuadruple(1.0, 0.0, 0.0, 0.0), KSQuadruple(0.0, 1.0, 0.0, 0.0)))
 
 
 # --------------------------------------------------------------- gauge suite
@@ -698,29 +695,26 @@ def _check_stabilizer(psi):
     return 0.0 if (got == [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]).all() else 1.0
 
 
-def _check_circle_contrast(seed, samples, tol):
+@_check("stabilizer_circle_contrast", lambda rng, n: (2.0 * math.pi * np.arange(16) / 16.0,))
+def _check_circle_contrast(sweep):
     # The vector-level small group of the pole is a full circle, the
     # spinor-level one a single point of the sweep.
     psi = Spinor(1.0 + 0.0j, 0.0 + 0.0j)
-    o = np.empty((16, 3, 3))
-    moved = np.empty((16, 2), dtype=complex)
-    for k in range(16):
-        rot = axis_phase(2.0 * math.pi * k / 16.0)
+    o = np.empty((len(sweep), 3, 3))
+    moved = np.empty((len(sweep), 2), dtype=complex)
+    for k, (angle,) in _rows(sweep):
+        rot = axis_phase(angle)
         o[k] = extract_so3(su2_matrix(rot))
         image = rotate_spinor(rot, psi)
         moved[k] = image.c1, image.c2
     fixing = np.count_nonzero(np.all(np.abs(moved - [psi.c1, psi.c2]) <= 1e-12, axis=1))
-    worst = _worst(o[:, :, 2], np.array([0.0, 0.0, 1.0]), 1) if fixing == 1 else math.inf
-    return CheckResult("stabilizer_circle_contrast", 16, worst, tol, worst <= tol)
+    return _worst(o[:, :, 2], np.array([0.0, 0.0, 1.0]), 1) if fixing == 1 else math.inf
 
 
-def _check_gauge_error_paths(seed, samples, tol):
-    raised = [_raises(SingularGaugeError, canonical_phase_plus,
-                      psi_from_direction((0.0, 0.0, -1.0))),
-              _raises(SingularGaugeError, canonical_phase_minus,
-                      psi_from_direction((0.0, 0.0, 1.0)))]
-    worst = 0.0 if all(raised) else math.inf
-    return CheckResult("singular_gauge_paths", 2, worst, tol, worst <= tol)
+_check_gauge_error_paths = _error_paths(
+    "singular_gauge_paths",
+    (SingularGaugeError, canonical_phase_plus, psi_from_direction((0.0, 0.0, -1.0))),
+    (SingularGaugeError, canonical_phase_minus, psi_from_direction((0.0, 0.0, 1.0))))
 
 
 _SUITE_CHECKS = {
@@ -765,10 +759,12 @@ _SUITE_CHECKS = {
     ),
 }
 
+SUITE_NAMES = tuple(_SUITE_CHECKS)
+
 
 def run_suite(suite: str, samples: int = 1000, seed: int = 42,
               tolerance: float = 1e-12) -> VerificationReport:
-    """Run one named suite; checks not named by a workload factor still run once."""
+    """Run one named suite; each check draws its fraction of samples, at least one."""
     if suite not in _SUITE_CHECKS:
         raise ValueError(f"unknown suite {suite!r}; valid: {', '.join(SUITE_NAMES)}")
     if samples < 1:
@@ -776,7 +772,7 @@ def run_suite(suite: str, samples: int = 1000, seed: int = 42,
     start = time.perf_counter()
     checks = []
     for index, (func, fraction) in enumerate(_SUITE_CHECKS[suite]):
-        n = max(1, int(samples * fraction)) if fraction > 0.0 else 1
+        n = max(1, int(samples * fraction))
         checks.append(func([seed, index], n, tolerance))
     return VerificationReport(suite=suite, seed=seed, samples=samples,
                               tolerance=tolerance, checks=tuple(checks),

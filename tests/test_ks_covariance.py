@@ -49,19 +49,16 @@ def sigma_dot(v):
 # ------------------------------------------------------------- normalization
 
 def test_normalize_ks_frozen():
-    n = normalize_ks(KSQuadruple(0.0, 2.0, 0.0, 0.0))
-    assert n.unit.as_tuple() == (0.0, 1.0, 0.0, 0.0)
-    assert n.scale == 4.0
-    n = normalize_ks(KSQuadruple(0.0, 1.0, 0.0, 0.0))
-    assert n.unit.as_tuple() == (0.0, 1.0, 0.0, 0.0) and n.scale == 1.0
+    assert normalize_ks(KSQuadruple(0.0, 2.0, 0.0, 0.0)).as_tuple() == (0.0, 1.0, 0.0, 0.0)
+    assert normalize_ks(KSQuadruple(0.0, 1.0, 0.0, 0.0)).as_tuple() == (0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         normalize_ks(KSQuadruple(0.0, 0.0, 0.0, 0.0))
     rng = np.random.default_rng(50)
     for _ in range(200):
         q = KSQuadruple(*rng.uniform(-3.0, 3.0, size=4))
         n = normalize_ks(q)
-        assert abs(n.unit.norm_sq - 1.0) <= 1e-15
-        back = math.sqrt(n.scale) * n.unit.as_array()
+        assert abs(n.norm_sq - 1.0) <= 1e-15
+        back = math.sqrt(q.norm_sq) * n.as_array()
         assert scaled_residual(back, q.as_array()) <= 1e-15
 
 

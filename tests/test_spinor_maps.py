@@ -20,9 +20,7 @@ from spinorspace import (
     project_xi,
     quadruple_from_spinor,
     scaled_residual,
-    spinor_pair_for_point,
     u_to_v,
-    v_constraint_residual,
     xi_constraint_residual,
     xi_from_cartesian,
     xi_from_eta,
@@ -230,10 +228,10 @@ def test_constraint_residuals_frozen():
         qe = quadruple_from_spinor(eta_from_cartesian(v))
         scale = max(1.0, qx.norm_sq)
         assert abs(xi_constraint_residual(qx)) <= 1e-13 * scale
-        assert abs(v_constraint_residual(qe)) <= 1e-13 * scale
+        assert abs(xi_constraint_residual(qe)) <= 1e-13 * scale
         # the V-constraint is exactly -a3 of the bilinear decomposition
         p = eta_quadruple_projection(qe)
-        assert abs(v_constraint_residual(qe) + p.a[2]) <= 1e-13 * scale
+        assert abs(xi_constraint_residual(qe) + p.a[2]) <= 1e-13 * scale
 
 
 def test_phase_rotate_invariance_and_residual_law():
@@ -376,7 +374,7 @@ def test_bridge_consistency_with_projections():
     rng = np.random.default_rng(22)
     for _ in range(200):
         v = tuple(rng.uniform(-2.0, 2.0, size=3))
-        xi, eta = spinor_pair_for_point(v)
+        xi, eta = xi_from_cartesian(v), eta_from_cartesian(v)
         bridged = eta_from_xi(xi)
         p_direct = project_eta(eta)
         p_bridged = project_eta(bridged)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from spinorspace import run_suite, scaled_residual
+from spinorspace import KSQuadruple, normalize_ks, run_suite, scaled_residual, verify
 from spinorspace.verify import SUITE_NAMES, _worst
 
 # (suite, check, samples at 10^4, samples at 10^3); every threshold is the
@@ -84,3 +85,24 @@ def test_suite_runs_repeat_exactly():
     first = run_suite("ks", 40, seed=5)
     again = run_suite("ks", 40, seed=5)
     assert [c.max_residual for c in first.checks] == [c.max_residual for c in again.checks]
+
+
+def test_error_path_check_fails_when_a_case_does_not_raise():
+    check = verify._error_paths(
+        "error_paths", (ValueError, normalize_ks, KSQuadruple(0.0, 0.0, 0.0, 0.0)),
+        (ValueError, normalize_ks, KSQuadruple(1.0, 0.0, 0.0, 0.0)))
+    result = check([0, 0], 1, 0.0)
+    assert (result.samples, result.passed, result.max_residual) == (2, False, math.inf)
+
+
+def test_s_no_su2_preimage_needs_the_certificate_margin(monkeypatch):
+    real = verify.s_outside_su2_image
+
+    def no_margin(*target):
+        # Only the certificate of S itself loses its margin; the refits stay real.
+        cert = real(*target)
+        return cert if target else dataclasses.replace(cert, residual=0.1)
+
+    monkeypatch.setattr(verify, "s_outside_su2_image", no_margin)
+    result = verify._check_s_non_membership([0, 3], 20, 1e-12)
+    assert not result.passed and result.max_residual == math.inf
