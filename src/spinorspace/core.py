@@ -68,6 +68,14 @@ def finite_angle(phi, name: str) -> float:
     return value
 
 
+def finite_vector(v, name: str) -> np.ndarray:
+    """v as a float array; a non-finite entry raises ValueError naming the vector."""
+    a = np.asarray(v, dtype=float)
+    if not all(map(math.isfinite, a.flat)):
+        raise ValueError(f"{name} must be finite, got {a.tolist()!r}")
+    return a
+
+
 def angle_value(phi, name: str = "angle") -> float:
     """Canonical float value of a double-cover angle given as float or DoubleCoverAngle.
 

@@ -10,6 +10,7 @@ Frames over a common direction are related by an explicit stabilizer element.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,14 @@ DIRECTION_MATCH_TOLERANCE = 1e-9
 def normalize_ks(q: KSQuadruple) -> KSQuadruple:
     """The unit quadruple of a nonzero quadruple; q is it times sqrt(q.norm_sq)."""
     s = q.norm_sq
-    if s == 0.0:
-        raise ValueError("cannot normalize the zero quadruple")
+    if not sys.float_info.min <= s < math.inf:
+        # The squares overflowed or left the normal range: scale by the power
+        # of two that brings the largest entry into [0.5, 1).
+        big = max(map(abs, q.as_tuple()))
+        if big == 0.0:
+            raise ValueError("cannot normalize the zero quadruple")
+        q = KSQuadruple(*(math.ldexp(v, -math.frexp(big)[1]) for v in q.as_tuple()))
+        s = q.norm_sq
     inv = 1.0 / math.sqrt(s)
     return KSQuadruple(q.q4 * inv, q.q1 * inv, q.q2 * inv, q.q3 * inv)
 
@@ -67,8 +74,7 @@ def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
     Acts by the 4x4 orthogonal realization, equivalently by conjugating the
     hat of q with the rotation on the quaternion side.
     """
-    out = su2_real4(rot) @ q.as_array()
-    return KSQuadruple(out[0], out[1], out[2], out[3])
+    return KSQuadruple(*(su2_real4(rot) @ q.as_array()).tolist())
 
 
 @dataclass(frozen=True, slots=True)

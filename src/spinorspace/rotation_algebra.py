@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KSQuadruple, Spinor, SpinorRotation, finite_angle
+from .core import KSQuadruple, Spinor, SpinorRotation, finite_angle, finite_vector
 from .spinor_maps import S_BRIDGE
 
 PAULI = np.array([
@@ -61,14 +61,14 @@ def vector_parameter(rot: SpinorRotation) -> np.ndarray:
 
 def rotation_from_vector_parameter(C) -> SpinorRotation:
     """Inverse chart, fixing the c4 > 0 representative."""
-    c = np.asarray(C, dtype=float)
+    c = finite_vector(C, "vector parameter")
     c4 = 1.0 / math.sqrt(1.0 + float(c @ c))
     return SpinorRotation(c4, c4 * c[0], c4 * c[1], c4 * c[2])
 
 
 def so3_from_vector_parameter(C) -> np.ndarray:
     """O = I + 2 (K_C + K_C^2) / (1 + |C|^2), bypassing the unit quadruple."""
-    c = np.asarray(C, dtype=float)
+    c = finite_vector(C, "vector parameter")
     k = _cross_matrix(c)
     return np.eye(3) + 2.0 * (k + k @ k) / (1.0 + float(c @ c))
 
@@ -245,7 +245,7 @@ def s_outside_su2_image(target: np.ndarray | None = None) -> NonMembershipCertif
 
 def rotation_from_axis_angle(axis, angle: float) -> SpinorRotation:
     """Unit quadruple (cos(angle/2), sin(angle/2) axis_hat)."""
-    a = np.asarray(axis, dtype=float)
+    a = finite_vector(axis, "rotation axis")
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         raise ValueError("rotation axis must be nonzero")

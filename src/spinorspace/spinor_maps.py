@@ -264,8 +264,7 @@ def u_to_v(q: KSQuadruple) -> KSQuadruple:
 
     Norm-preserving; agrees with eta_from_xi through the quadruple bijection.
     """
-    out = S_BRIDGE @ q.as_array()
-    return KSQuadruple(out[0], out[1], out[2], out[3])
+    return KSQuadruple(*(S_BRIDGE @ q.as_array()).tolist())
 
 
 def cartan_reflect(s: Spinor, delta: int = 1) -> Spinor:

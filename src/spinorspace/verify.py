@@ -3,10 +3,10 @@
 Five suites (hopf, covariance, so4, ks, gauge) draw reproducible random
 samples and measure the worst scaled residual of each identity they cover.
 Each check draws all its inputs at once, calls the library's scalar functions
-once per sample into arrays, and reduces a chunk of samples at once. A report
-passes when every check lands under its threshold. The fixture replay path
-reruns stored golden records through the constructors and holds them to the
-tolerance each record carries.
+once per sample, stacks what each sample observes into arrays (`_each`), and
+reduces a chunk of samples at once. A report passes when every check lands
+under its threshold. The fixture replay path reruns stored golden records
+through the constructors and holds them to the tolerance each record carries.
 """
 
 from __future__ import annotations
@@ -179,15 +179,22 @@ def _check(name, draw):
     return decorate
 
 
-def _rows(*arrays):
-    """(index, rows) over a chunk, the rows as Python values."""
-    return enumerate(zip(*(a.tolist() for a in arrays)))
+def _each(fn, *inputs):
+    """Call fn on each sample of a chunk and stack each of its outputs into one array.
+
+    Array inputs give their rows as Python values; lists pass as they are.
+    """
+    rows = zip(*(a.tolist() if isinstance(a, np.ndarray) else a for a in inputs))
+    return tuple(map(np.array, zip(*itertools.starmap(fn, rows))))
 
 
-def _spinor_rows(s, *arrays):
-    """As _rows, with the first array's (n, 4) storage as Spinors."""
-    spinors = itertools.starmap(Spinor, s.view(complex).tolist())
-    return enumerate(zip(spinors, *(a.tolist() for a in arrays)))
+def _as_spinors(s):
+    """The Spinors of (n, 4) storage (c1.real, c1.imag, c2.real, c2.imag)."""
+    return list(itertools.starmap(Spinor, s.view(complex).tolist()))
+
+
+def _pair(s):
+    return s.c1, s.c2
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -244,31 +251,28 @@ def _points(rng, n):
 
 @_check("construct_project_round_trip", _points)
 def _check_construct_project(v, sheets):
-    out = np.empty((len(v), 13))  # xi: r, x, constraint | eta: x, a, constraint, |q|^2
-    for i, (point, sheet) in _rows(v, sheets):
+    def round_trip(point, sheet):
         xi = xi_from_cartesian(point, sheet)
         eta = eta_from_cartesian(point, sheet)
         p, qe = project_eta(eta), quadruple_from_spinor(eta)
-        row = out[i]
-        row[0], row[1:4] = project_xi(xi)
-        row[4] = xi_constraint_residual(quadruple_from_spinor(xi))
-        row[5:8], row[8:11] = p.x, p.a
-        row[11], row[12] = xi_constraint_residual(qe), qe.norm_sq
-    r, x, px, pa = out[:, 0], out[:, 1:4], out[:, 5:8], out[:, 8:11]
-    half, pxx = 0.5 * out[:, 12], _dot(px, px)
-    return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))), _worst(out[:, [4, 11]], 0.0),
+        return (*project_xi(xi), xi_constraint_residual(quadruple_from_spinor(xi)),
+                p.x, p.a, xi_constraint_residual(qe), qe.norm_sq)
+    r, x, xi_res, px, pa, eta_res, norm_sq = _each(round_trip, v, sheets)
+    half, pxx = 0.5 * norm_sq, _dot(px, px)
+    return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))), _worst([xi_res, eta_res], 0.0),
                _worst(_dot(x, x), r * r), _worst(px, v, 1), _worst(pxx, half * half),
                _worst(_dot(pa, px), 0.0), _worst(_dot(pa, pa), pxx))
 
 
+def _xi_eta(spinor):
+    """r, x of the xi projection and x, a of the eta projection of one spinor."""
+    p = project_eta(spinor)
+    return (*project_xi(spinor), p.x, p.a)
+
+
 @_check("hopf_norms_any_spinor", _spinors)
 def _check_hopf_norm_general(s):
-    out = np.empty((len(s), 10))  # r, xi x, eta x, eta a
-    for i, (spinor,) in _spinor_rows(s):
-        p = project_eta(spinor)
-        out[i, 0], out[i, 1:4] = project_xi(spinor)
-        out[i, 4:7], out[i, 7:] = p.x, p.a
-    r, x, px, pa = out[:, 0], out[:, 1:4], out[:, 4:7], out[:, 7:]
+    r, x, px, pa = _each(_xi_eta, _as_spinors(s))
     half, pxx = 0.5 * _dot(s, s), _dot(px, px)
     return max(_worst(_dot(x, x), r * r), _worst(pxx, half * half),
                _worst(_dot(pa, px), 0.0), _worst(_dot(pa, pa), pxx))
@@ -276,12 +280,12 @@ def _check_hopf_norm_general(s):
 
 @_check("eta_projection_dual_route", _spinors)
 def _check_projection_dual_route(s):
-    out = np.empty((len(s), 4, 3))  # complex route a, x | quadruple route a, x
-    for i, (spinor,) in _spinor_rows(s):
+    def routes(spinor):
         p = project_eta(spinor)
         q = eta_quadruple_projection(quadruple_from_spinor(spinor))
-        out[i] = p.a, p.x, q.a, q.x
-    return max(_worst(out[:, 0], out[:, 2], 1), _worst(out[:, 1], out[:, 3], 1))
+        return p.a, p.x, q.a, q.x
+    a, x, qa, qx = _each(routes, _as_spinors(s))
+    return max(_worst(a, qa, 1), _worst(x, qx, 1))
 
 
 def _spherical_draw(rng, n):
@@ -297,105 +301,88 @@ def _spherical_draw(rng, n):
 def _check_coordinate_agreement(r, theta, phi):
     st, ct = np.sin(theta), np.cos(theta)
     cart = np.column_stack([r * st * np.cos(phi), r * st * np.sin(phi), r * ct])
-    par = np.column_stack([np.sqrt(r * (1.0 + ct)), np.sqrt(r * (1.0 - ct))])
     # The principal atan2 lift covers (-pi, pi]; anything else is sheet -1.
     sheets = np.where((phi > -math.pi) & (phi <= math.pi), 1, -1)
-    # xi from spherical, cartesian, parabolic | eta from the same three
-    out = np.empty((len(r), 6, 2), dtype=complex)
-    for i, (ri, ti, pi_, xyz, (big_n, big_m), sheet) in _rows(r, theta, phi, cart, par, sheets):
-        sp = SphericalPoint(ri, ti, pi_)
-        pp = ParabolicPoint(big_n, big_m, pi_)
-        for k, spinor in enumerate((xi_from_spherical(sp), xi_from_cartesian(xyz, sheet),
-                                    xi_from_parabolic(pp), eta_from_spherical(sp),
-                                    eta_from_cartesian(xyz, sheet), eta_from_parabolic(pp))):
-            out[i, k] = spinor.c1, spinor.c2
-    parts = out.view(float)
-    return _worst(parts[:, [1, 2, 4, 5]], parts[:, [0, 0, 3, 3]])
+
+    def constructors(ri, ti, pi_, xyz, big_n, big_m, sheet):
+        sp, pp = SphericalPoint(ri, ti, pi_), ParabolicPoint(big_n, big_m, pi_)
+        return tuple(_pair(spinor) for spinor in (
+            xi_from_spherical(sp), xi_from_cartesian(xyz, sheet), xi_from_parabolic(pp),
+            eta_from_spherical(sp), eta_from_cartesian(xyz, sheet), eta_from_parabolic(pp)))
+    xs, xc, xp, es, ec, ep = (a.view(float) for a in _each(
+        constructors, r, theta, phi, cart, np.sqrt(r * (1.0 + ct)), np.sqrt(r * (1.0 - ct)), sheets))
+    return _worst([xc, xp, ec, ep], [xs, xs, es, es])
 
 
 @_check("projection_phase_invariance",
         lambda rng, n: (rng.normal(size=(n, 4)), rng.uniform(-8.0, 8.0, size=n)))
 def _check_phase_invariance(s, alpha):
-    out = np.empty((len(s), 2, 4))  # (r, x) before and after the phase
-    for i, (spinor, a) in _spinor_rows(s, alpha):
-        out[i, 0, 0], out[i, 0, 1:] = project_xi(spinor)
-        out[i, 1, 0], out[i, 1, 1:] = project_xi(phase_rotate(spinor, a))
-    return max(_worst(out[:, 0, 0], out[:, 1, 0]), _worst(out[:, 0, 1:], out[:, 1, 1:], 1))
+    def before_after(spinor, a):
+        return (*project_xi(spinor), *project_xi(phase_rotate(spinor, a)))
+    r0, x0, r1, x1 = _each(before_after, _as_spinors(s), alpha)
+    return max(_worst(r0, r1), _worst(x0, x1, 1))
 
 
 # ---------------------------------------------------------- covariance suite
 
 @_check("xi_commuting_square", _unit_and_gaussian)
 def _check_xi_commuting_square(c, s):
-    out = np.empty((len(c), 2, 4))  # (r, x) of s and of B(c) s
-    o = np.empty((len(c), 3, 3))
-    for i, (spinor, crow) in _spinor_rows(s, c):
+    def square(spinor, crow):
         rot = SpinorRotation(*crow)
-        out[i, 0, 0], out[i, 0, 1:] = project_xi(spinor)
-        out[i, 1, 0], out[i, 1, 1:] = project_xi(rotate_spinor(rot, spinor))
-        o[i] = so3_from_rotation(rot)
-    return max(_worst(out[:, 0, 0], out[:, 1, 0]),
-               _worst(out[:, 1, 1:], _apply(o, out[:, 0, 1:]), 1))
+        return (so3_from_rotation(rot), *project_xi(spinor),
+                *project_xi(rotate_spinor(rot, spinor)))
+    o, r0, x0, r1, x1 = _each(square, _as_spinors(s), c)
+    return max(_worst(r0, r1), _worst(x1, _apply(o, x0), 1))
 
 
 @_check("eta_commuting_square", _unit_and_gaussian)
 def _check_eta_commuting_square(c, s):
-    out = np.empty((len(c), 4, 3))  # x, a of s | x, a of B(c) s
-    o = np.empty((len(c), 3, 3))
-    for i, (spinor, crow) in _spinor_rows(s, c):
+    def square(spinor, crow):
         rot = SpinorRotation(*crow)
-        o[i] = so3_from_rotation(rot)
         p0, p1 = project_eta(spinor), project_eta(rotate_spinor(rot, spinor))
-        out[i] = p0.x, p0.a, p1.x, p1.a
-    return max(_worst(out[:, 2], _apply(o, out[:, 0]), 1),
-               _worst(out[:, 3], _apply(o, out[:, 1]), 1))
+        return so3_from_rotation(rot), p0.x, p0.a, p1.x, p1.a
+    o, x0, a0, x1, a1 = _each(square, _as_spinors(s), c)
+    return max(_worst(x1, _apply(o, x0), 1), _worst(a1, _apply(o, a0), 1))
 
 
 @_check("so3_extraction_orthogonality", _units)
 def _check_so3_extraction(c):
-    m = np.empty((len(c), 2, 3, 3))  # closed form, trace extraction
-    for i, (crow,) in _rows(c):
+    def both_routes(crow):  # closed form, trace extraction
         rot = SpinorRotation(*crow)
-        m[i] = so3_from_rotation(rot), extract_so3(su2_matrix(rot))
-    o = m[:, 0]
-    return max(_worst(m[:, 1], o, (1, 2)), _worst(np.linalg.det(o), 1.0),
+        return so3_from_rotation(rot), extract_so3(su2_matrix(rot))
+    o, extracted = _each(both_routes, c)
+    return max(_worst(extracted, o, (1, 2)), _worst(np.linalg.det(o), 1.0),
                _worst(np.einsum("nki,nkj->nij", o, o), np.eye(3), (1, 2)))
 
 
 @_check("vector_parameter_chart", lambda rng, n: (rng.normal(size=(n, 3)) * 1.5,))
 def _check_vector_parameter_chart(c_vec):
-    back = np.empty((len(c_vec), 3))
-    m = np.empty((len(c_vec), 2, 3, 3))  # from C directly, through the quadruple
-    for i, (row,) in _rows(c_vec):
+    def chart(row):  # C back, O from C directly, O through the quadruple
         rot = rotation_from_vector_parameter(row)
-        back[i] = vector_parameter(rot)
-        m[i] = so3_from_vector_parameter(row), so3_from_rotation(rot)
-    return max(_worst(back, c_vec, 1), _worst(m[:, 0], m[:, 1], (1, 2)))
+        return vector_parameter(rot), so3_from_vector_parameter(row), so3_from_rotation(rot)
+    back, direct, via = _each(chart, c_vec)
+    return max(_worst(back, c_vec, 1), _worst(direct, via, (1, 2)))
 
 
 @_check("rotation_homomorphisms", _two_units)
 def _check_so4_homomorphism(c1, c2):
-    m = np.empty((len(c1), 3, 4, 4))  # su2_real4 of c1, c2, c1 c2
-    o = np.empty((len(c1), 3, 3, 3))  # so3_from_rotation of the same
-    for i, (row1, row2) in _rows(c1, c2):
+    def images(row1, row2):  # su2_real4, then so3_from_rotation, of c1, c2, c1 c2
         r1, r2 = SpinorRotation(*row1), SpinorRotation(*row2)
-        for k, rot in enumerate((r1, r2, compose(r1, r2))):
-            m[i, k] = su2_real4(rot)
-            o[i, k] = so3_from_rotation(rot)
-    return max(_worst(m[:, 2], m[:, 0] @ m[:, 1], (1, 2)),
-               _worst(np.einsum("nki,nkj->nij", m[:, 0], m[:, 0]), np.eye(4), (1, 2)),
-               _worst(o[:, 2], o[:, 0] @ o[:, 1], (1, 2)))
+        rots = (r1, r2, compose(r1, r2))
+        return (*map(su2_real4, rots), *map(so3_from_rotation, rots))
+    m1, m2, m12, o1, o2, o12 = _each(images, c1, c2)
+    return max(_worst(m12, m1 @ m2, (1, 2)),
+               _worst(np.einsum("nki,nkj->nij", m1, m1), np.eye(4), (1, 2)),
+               _worst(o12, o1 @ o2, (1, 2)))
 
 
 @_check("so4_spinor_conjugacy", _unit_and_gaussian)
 def _check_quadruple_spinor_conjugacy(c, q):
-    m = np.empty((len(c), 4, 4))
-    via_spinor = np.empty((len(c), 4))
-    for i, (crow, qrow) in _rows(c, q):
+    def conjugacy(crow, qrow):
         rot = SpinorRotation(*crow)
-        m[i] = su2_real4(rot)
         moved = rotate_spinor(rot, spinor_from_quadruple(KSQuadruple(*qrow)))
-        via_spinor[i] = quadruple_from_spinor(moved).as_tuple()
+        return su2_real4(rot), quadruple_from_spinor(moved).as_tuple()
+    m, via_spinor = _each(conjugacy, c, q)
     return _worst(_apply(m, q), via_spinor, 1)
 
 
@@ -403,20 +390,18 @@ def _check_quadruple_spinor_conjugacy(c, q):
 
 @_check("bridge_involution", _spinors)
 def _check_bridge_involution(s):
-    out = np.empty((len(s), 2, 2), dtype=complex)  # xi(eta(s)), eta(xi(s))
-    for i, (spinor,) in _spinor_rows(s):
-        t, u = xi_from_eta(eta_from_xi(spinor)), eta_from_xi(xi_from_eta(spinor))
-        out[i] = (t.c1, t.c2), (u.c1, u.c2)
+    out = np.array([(_pair(xi_from_eta(eta_from_xi(t))), _pair(eta_from_xi(xi_from_eta(t))))
+                    for t in _as_spinors(s)])
     return _worst(out.view(float), s[:, None, :])
 
 
 @_check("bridge_quadruple_route", _spinors)
 def _check_bridge_quadruple_route(s):
-    out = np.empty((len(s), 2, 4))  # S U, quadruple of eta_from_xi
-    for i, (spinor,) in _spinor_rows(s):
-        out[i] = (u_to_v(quadruple_from_spinor(spinor)).as_tuple(),
-                  quadruple_from_spinor(eta_from_xi(spinor)).as_tuple())
-    return _worst(out[:, 0], out[:, 1], 1)
+    def routes(spinor):  # S U, quadruple of eta_from_xi
+        return (u_to_v(quadruple_from_spinor(spinor)).as_tuple(),
+                quadruple_from_spinor(eta_from_xi(spinor)).as_tuple())
+    bridged, direct = _each(routes, _as_spinors(s))
+    return _worst(bridged, direct, 1)
 
 
 _PLANE_LABELS = tuple(ELEMENTARY_PLANES)
@@ -427,9 +412,8 @@ _PLANE_LABELS = tuple(ELEMENTARY_PLANES)
 def _check_s_properties(u):
     s = s_matrix()
     scan = s_factorization_check()
-    e = np.empty((len(u), 4, 4))
-    for i, (ua, ub) in _rows(u[:, 0], u[:, 1]):
-        e[i] = elementary_so4(_PLANE_LABELS[min(int(6.0 * ub), 5)], 2.0 * math.pi * ua - math.pi)
+    e = np.array([elementary_so4(_PLANE_LABELS[min(int(6.0 * ub), 5)], 2.0 * math.pi * ua - math.pi)
+                  for ua, ub in u.tolist()])
     return max(_worst((s.T @ s)[None], np.eye(4), (1, 2)), _worst(np.linalg.det(s), 1.0),
                scan.best_residual, _worst(scan.best_angles, math.pi / 4.0),
                _worst(np.einsum("nki,nkj->nij", e, e), np.eye(4), (1, 2)),
@@ -439,15 +423,16 @@ def _check_s_properties(u):
 @_check("s_no_su2_preimage", _units)
 def _check_s_non_membership(c):
     cert = s_outside_su2_image()
-    out = np.empty((len(c), 5))  # fitted parameters, fit residual
-    for i, (crow,) in _rows(c):
-        refit = s_outside_su2_image(su2_real4(SpinorRotation(*crow)))
-        out[i, :4], out[i, 4] = refit.best_fit, refit.residual
+
+    def refit(crow):
+        fit = s_outside_su2_image(su2_real4(SpinorRotation(*crow)))
+        return fit.best_fit, fit.residual
+    fitted, residual = _each(refit, c)
     # The fit gap has a closed-form value sqrt(2); landing there implies the
     # certificate's ">0.1" margin with room to spare, which a fail reports as inf.
     gap = _worst(cert.residual, math.sqrt(2.0)) if cert.residual > 0.1 else math.inf
     return max(gap, _worst(cert.implied_values[0], -cert.implied_values[1]),
-               _worst(out[:, :4], c, 1), _worst(out[:, 4], 0.0))
+               _worst(fitted, c, 1), _worst(residual, 0.0))
 
 
 _BUILDERS = ((xi_from_spherical, 0), (eta_from_spherical, 0),
@@ -458,26 +443,23 @@ _MINUS_ONE = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
 @_check("double_cover_sign", lambda rng, n: (rng.random((n, 6)), rng.normal(size=(n, 4))))
 def _check_double_cover(u, s):
     r, theta, phi = 0.1 + 2.9 * u[:, 0], math.pi * u[:, 1], 4.0 * math.pi * u[:, 2] - 2.0 * math.pi
-    inputs = np.column_stack([r, theta, phi, np.sqrt(r * (1.0 + np.cos(theta))),
-                              np.sqrt(r * (1.0 - np.cos(theta)))])
-    lifts = np.empty((len(u), 4, 3, 2), dtype=complex)  # each constructor at phi + 0, 2pi, 4pi
-    proj = np.empty((len(u), 4, 2, 4))  # (r, x) at phi and phi + 2pi
-    flips = np.empty((len(u), 2, 2), dtype=complex)  # xi of a point on sheets +1, -1
-    turned = np.empty((len(u), 2), dtype=complex)  # B(-1) s
-    cart = 4.0 * u[:, 3:] - 2.0
-    for i, (spinor, (rr, th, phi, n_par, m_par), point) in _spinor_rows(s, inputs, cart):
+
+    def sheets(spinor, rr, th, phi, n_par, m_par, point):
         angles = (phi, phi + 2.0 * math.pi, phi + 4.0 * math.pi)
         points = ([SphericalPoint(rr, th, a) for a in angles],
                   [ParabolicPoint(n_par, m_par, a) for a in angles])
-        for b, (build, kind) in enumerate(_BUILDERS):
-            for k, where in enumerate(points[kind]):
-                lift = build(where)
-                lifts[i, b, k] = lift.c1, lift.c2
-                if k < 2:
-                    proj[i, b, k, 0], proj[i, b, k, 1:] = project_xi(lift)
-        flips[i] = [(f.c1, f.c2) for f in (xi_from_cartesian(point, sheet) for sheet in (1, -1))]
-        moved = rotate_spinor(_MINUS_ONE, spinor)
-        turned[i] = moved.c1, moved.c2
+        lifts = [[build(where) for where in points[kind]] for build, kind in _BUILDERS]
+        # each constructor at phi + 0, 2pi, 4pi | (r, x) at phi and phi + 2pi |
+        # xi of a point on sheets +1, -1 | B(-1) s. The first two are packed
+        # per sample: as Python values a chunk of them would hold about 1 MB.
+        return (np.array([list(map(_pair, row)) for row in lifts]),
+                np.array([[(radius, *x) for radius, x in map(project_xi, row[:2])]
+                          for row in lifts]),
+                [_pair(xi_from_cartesian(point, sheet)) for sheet in (1, -1)],
+                _pair(rotate_spinor(_MINUS_ONE, spinor)))
+    lifts, proj, flips, turned = _each(
+        sheets, _as_spinors(s), r, theta, phi, np.sqrt(r * (1.0 + np.cos(theta))),
+        np.sqrt(r * (1.0 - np.cos(theta))), 4.0 * u[:, 3:] - 2.0)
     parts, flips, turned = lifts.view(float), flips.view(float), turned.view(float)
     return max(_worst(parts[:, :, 1], -parts[:, :, 0]), _worst(parts[:, :, 2], parts[:, :, 0]),
                _worst(proj[:, :, 0, 0], proj[:, :, 1, 0]),
@@ -489,46 +471,36 @@ def _check_double_cover(u, s):
 
 @_check("cartan_reflection_parity", lambda rng, n: (rng.normal(size=(n, 5)),))
 def _check_cartan_reflection(g):
-    out = np.empty((len(g), 2, 10))  # r, x, eta x, eta a of s and of its reflection
-    for i, (spinor, delta) in _spinor_rows(g[:, :4], np.where(g[:, 4] < 0.0, -1, 1)):
-        for k, image in enumerate((spinor, cartan_reflect(spinor, delta))):
-            p = project_eta(image)
-            out[i, k, 0], out[i, k, 1:4] = project_xi(image)
-            out[i, k, 4:7], out[i, k, 7:] = p.x, p.a
-    before, after = out[:, 0], out[:, 1]
-    return max(_worst(before[:, 0], after[:, 0]), _worst(before[:, 1:4], after[:, 1:4], 1),
-               _worst(after[:, 4:7], -before[:, 4:7], 1), _worst(after[:, 7:], -before[:, 7:], 1))
+    spinors = _as_spinors(g[:, :4])
+    reflected = list(map(cartan_reflect, spinors, np.where(g[:, 4] < 0.0, -1, 1).tolist()))
+    r0, x0, px0, pa0 = _each(_xi_eta, spinors)
+    r1, x1, px1, pa1 = _each(_xi_eta, reflected)
+    return max(_worst(r0, r1), _worst(x0, x1, 1), _worst(px1, -px0, 1), _worst(pa1, -pa0, 1))
 
 
 # ------------------------------------------------------------------ ks suite
 
 @_check("direction_vs_matrix_hat", _units)
 def _check_direction_matrix(u):
-    out = np.empty((len(u), 3, 4))  # direction, third column of O(hat u), hat(hat(u))
-    for i, (row,) in _rows(u):
+    def directions(row):  # direction, third column of O(hat u), hat(hat(u))
         q = KSQuadruple(*row)
-        out[i, 0, :3] = direction_from_ks(q)
-        out[i, 1, :3] = so3_from_rotation(rotation_from_unit_ks(hat(q)))[:, 2]
-        out[i, 2] = hat(hat(q)).as_tuple()
-    n = out[:, 0, :3]
-    return max(_worst(n, -out[:, 1, :3], 1), _worst(_dot(n, n), 1.0), _worst(out[:, 2], u, 1))
+        return (direction_from_ks(q), so3_from_rotation(rotation_from_unit_ks(hat(q)))[:, 2],
+                hat(hat(q)).as_tuple())
+    n, column, back = _each(directions, u)
+    return max(_worst(n, -column, 1), _worst(_dot(n, n), 1.0), _worst(back, u, 1))
 
 
 @_check("left_transport_routes", _two_units)
 def _check_left_transport(c, u):
-    quads = np.empty((len(c), 2, 4))  # transported, via the quaternion product
-    dirs = np.empty((len(c), 2, 3))  # direction of the transported and of u
-    o = np.empty((len(c), 3, 3))
-    for i, (crow, urow) in _rows(c, u):
+    def routes(crow, urow):
         rot, q = SpinorRotation(*crow), KSQuadruple(*urow)
         moved = left_transport(rot, q)
-        quads[i] = (moved.as_tuple(),
-                    hat(ks_from_rotation(compose(rot, rotation_from_unit_ks(hat(q))))).as_tuple())
-        dirs[i] = direction_from_ks(moved), direction_from_ks(q)
-        o[i] = so3_from_rotation(rot)
-    moved = quads[:, 0]
-    return max(_worst(moved, quads[:, 1], 1), _worst(_dot(moved, moved), _dot(u, u)),
-               _worst(dirs[:, 0], _apply(o, dirs[:, 1]), 1))
+        product = hat(ks_from_rotation(compose(rot, rotation_from_unit_ks(hat(q)))))
+        return (moved.as_tuple(), product.as_tuple(), direction_from_ks(moved),
+                direction_from_ks(q), so3_from_rotation(rot))
+    moved, product, n_moved, n, o = _each(routes, c, u)
+    return max(_worst(moved, product, 1), _worst(_dot(moved, moved), _dot(u, u)),
+               _worst(n_moved, _apply(o, n), 1))
 
 
 def _frame_draw(rng, n):
@@ -544,39 +516,34 @@ def _frame_draw(rng, n):
 
 @_check("frame_defining_identities", _frame_draw)
 def _check_frame_identities(u, axes, delta):
-    dirs = np.empty((len(u), 3, 3))  # frame direction n, rotated n', direction of w
-    o_w = np.empty((len(u), 3, 3))
-    b_w = np.empty((len(u), 2, 2), dtype=complex)
-    for i, (urow, axis, turn) in _rows(u, axes, delta):
+    def frame_of(urow, axis, turn):  # B(hat w), O(hat w), n, rotated n', direction of w
         frame = build_frame(KSQuadruple(*urow), axis, turn)
         w_rot = rotation_from_unit_ks(hat(frame.w))
-        b_w[i], o_w[i] = su2_matrix(w_rot), so3_from_rotation(w_rot)
-        dirs[i] = (frame.direction, rotated_direction(frame.w, frame.align, frame.direction),
-                   direction_from_ks(frame.w))
-    n, n_prime = dirs[:, 0], dirs[:, 1]
+        return (su2_matrix(w_rot), so3_from_rotation(w_rot), frame.direction,
+                rotated_direction(frame.w, frame.align, frame.direction),
+                direction_from_ks(frame.w))
+    b_w, o_w, n, n_prime, n_w = _each(frame_of, u, axes, delta)
     third = np.broadcast_to(PAULI[2], b_w.shape)
     return max(_worst(_conjugate(b_w, _sigma(axes)), (-_sigma(n)).view(float), (1, 2)),
                _worst(axes, -np.einsum("nkl,nk->nl", o_w, n), 1),
                _worst(_conjugate(b_w, third), (-_sigma(n_prime)).view(float), (1, 2)),
-               _worst(n_prime, dirs[:, 2], 1))
+               _worst(n_prime, n_w, 1))
 
 
 @_check("frame_symmetry_transport",
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-math.pi, math.pi, size=(n, 2))))
 def _check_frame_symmetry(u, angles):  # angles: the partner's turn beta, the frame's delta
-    n = np.empty((len(u), 3))
-    o = np.empty((len(u), 3, 3))
-    b = np.empty((len(u), 4, 2, 2), dtype=complex)  # B(c), B(hat u), D(delta), B(hat w)
-    for i, (urow, (beta, delta)) in _rows(u, angles):
+    def symmetry(urow, beta, delta):  # n, O(c), B(c), B(hat u), D(delta), B(hat w)
         q = KSQuadruple(*urow)
         u_rot = rotation_from_unit_ks(hat(q))
         partner = hat(ks_from_rotation(compose(u_rot, axis_phase(beta))))
         c = frame_symmetry(q, partner, delta)
-        n[i], o[i] = direction_from_ks(q), so3_from_rotation(c)
-        b[i] = [su2_matrix(rot) for rot in (c, u_rot, axis_phase(delta),
-                                            rotation_from_unit_ks(hat(partner)))]
-    lhs = b[:, 0] @ b[:, 1] @ b[:, 2]
-    return max(_worst(_apply(o, n), n, 1), _worst(lhs.view(float), b[:, 3].view(float), (1, 2)))
+        return (direction_from_ks(q), so3_from_rotation(c),
+                *(su2_matrix(rot) for rot in (c, u_rot, axis_phase(delta),
+                                              rotation_from_unit_ks(hat(partner)))))
+    n, o, b_c, b_u, b_d, b_w = _each(symmetry, u, angles[:, 0], angles[:, 1])
+    lhs = b_c @ b_u @ b_d
+    return max(_worst(_apply(o, n), n, 1), _worst(lhs.view(float), b_w.view(float), (1, 2)))
 
 
 _SWEEP = np.arange(16) * (math.pi / 8.0)
@@ -584,15 +551,14 @@ _SWEEP = np.arange(16) * (math.pi / 8.0)
 
 @_check("phase_residual_law", _points)
 def _check_phase_residual_law(v, sheets):
-    q = np.empty((len(v), 5))  # quadruple of xi, its constraint residual
-    moved = np.empty((len(v), len(_SWEEP)))  # residual after each phase
-    for i, (point, sheet) in _rows(v, sheets):
+    def sweep(point, sheet):  # quadruple of xi, its constraint residual, after each phase
         xi = xi_from_cartesian(point, sheet)
         quad = quadruple_from_spinor(xi)
-        q[i, :4], q[i, 4] = quad.as_tuple(), xi_constraint_residual(quad)
-        for k, alpha in enumerate(_SWEEP.tolist()):
-            moved[i, k] = xi_constraint_residual(quadruple_from_spinor(phase_rotate(xi, alpha)))
-    q4, q1, q2, q3, base = q.T[:, :, None]
+        return (*quad.as_tuple(), xi_constraint_residual(quad),
+                [xi_constraint_residual(quadruple_from_spinor(phase_rotate(xi, alpha)))
+                 for alpha in _SWEEP.tolist()])
+    *quad, moved = _each(sweep, v, sheets)
+    q4, q1, q2, q3, base = (a[:, None] for a in quad)
     return _worst(moved, np.sin(2.0 * _SWEEP) * (q1 * q3 - q2 * q4) + np.cos(2.0 * _SWEEP) * base)
 
 
@@ -624,11 +590,8 @@ _check_frame_error_paths = _error_paths(
 @_check("gauge_postconditions",
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n)))
 def _check_gauge_postconditions(psi, phase):
-    out = np.empty((len(psi), 2, 2), dtype=complex)  # gauge_plus, gauge_minus image
-    for i, (spinor, p) in _spinor_rows(psi, phase):
-        for k, gauge in enumerate((gauge_plus, gauge_minus)):
-            image = rotate_spinor(gauge(spinor, p), spinor)
-            out[i, k] = image.c1, image.c2
+    out = np.array([[_pair(rotate_spinor(gauge(t, p), t)) for gauge in (gauge_plus, gauge_minus)]
+                    for t, p in zip(_as_spinors(psi), phase.tolist())])
     want = np.zeros_like(out)
     want[:, 0, 0] = np.exp(-0.5j * phase)
     want[:, 1, 1] = np.exp(0.5j * phase)
@@ -640,58 +603,52 @@ def _check_canonical_gauges(psi):
     s_plus, s_minus = _dot(psi[:, :2], psi[:, :2]), _dot(psi[:, 2:], psi[:, 2:])
     # Inside the constructors' own singular guard either gauge may raise.
     keep = np.minimum(s_plus, s_minus) >= 1e-9
+    if not keep.any():
+        return 0.0
     psi, s_plus, s_minus = psi[keep], s_plus[keep], s_minus[keep]
-    x = np.empty((len(psi), 4))  # r, x
-    gauges = np.empty((len(psi), 2, 7))  # per gauge: c3, C, vector_parameter(rotation)
-    o = np.empty((len(psi), 2, 3, 3))
-    for i, (spinor,) in _spinor_rows(psi):
-        x[i, 0], x[i, 1:] = project_xi(spinor)
-        for k, gauge in enumerate((canonical_phase_plus(spinor), canonical_phase_minus(spinor))):
-            gauges[i, k] = (gauge.rotation.c3, *gauge.vector_parameter,
-                            *vector_parameter(gauge.rotation))
-            o[i, k] = so3_from_vector_parameter(gauge.vector_parameter)
-    n = x[:, 1:] / x[:, :1]
+
+    def gauges(spinor):  # r, x; per gauge: c3, C, vector_parameter(rotation), O(C)
+        both = canonical_phase_plus(spinor), canonical_phase_minus(spinor)
+        return (*project_xi(spinor), [g.rotation.c3 for g in both],
+                [g.vector_parameter for g in both], [vector_parameter(g.rotation) for g in both],
+                [so3_from_vector_parameter(g.vector_parameter) for g in both])
+    r, x, c3, c_vec, back, o = _each(gauges, _as_spinors(psi))
+    n = x / r[:, None]
     pole = np.array([0.0, 0.0, 1.0])
-    cp, cm = _dot(gauges[:, 0, 1:4], gauges[:, 0, 1:4]), _dot(gauges[:, 1, 1:4], gauges[:, 1, 1:4])
+    cp, cm = _dot(c_vec[:, 0], c_vec[:, 0]), _dot(c_vec[:, 1], c_vec[:, 1])
     # |C|^2 weighted by the component masses is pole-safe where the raw
     # tan(theta/2) magnitude check is not, and covers the full sphere.
-    worst = max(_worst(gauges[:, :, 0], 0.0),
+    worst = max(_worst(c3, 0.0),
                 _worst(_apply(o[:, 0], n), pole, 1), _worst(_apply(o[:, 1], n), -pole, 1),
                 _worst(cp * s_plus, s_minus), _worst(cm * s_minus, s_plus))
     theta = np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2])
     # tan grows like 1/(pi - theta): by theta ~ pi - 0.04 a last-place angle
     # error already costs ~1e-14 scaled, so stop there.
     win = (theta >= 0.04) & (theta <= math.pi - 0.04)
-    theta, g = theta[win], gauges[win]
+    theta = theta[win]
     return max(worst, _worst(np.sqrt(cp[win]), np.tan(0.5 * theta)),
                _worst(np.sqrt(cm[win]), np.tan(0.5 * (math.pi - theta))),
-               _worst(g[:, :, 4:], g[:, :, 1:4], 2))
+               _worst(back[win], c_vec[win], 2))
 
 
 @_check("rotation_between_planted", _two_units)
 def _check_rotation_between(psi, c):
-    out = np.empty((len(psi), 2, 4))  # recovered rotation, planted rotation
-    images = np.empty((len(psi), 2, 2), dtype=complex)  # target, recovered image
-    for i, (spinor, crow) in _spinor_rows(psi, c):
+    def planted(spinor, crow):  # recovered, planted rotation; target, recovered image
         rot = SpinorRotation(*crow)
         target = rotate_spinor(rot, spinor)
         rec = rotation_between(spinor, target)
-        back = rotate_spinor(rec, spinor)
-        out[i] = rec.as_tuple(), rot.as_tuple()
-        images[i] = (target.c1, target.c2), (back.c1, back.c2)
-    got, want = out[:, 0], out[:, 1]
+        return rec.as_tuple(), rot.as_tuple(), _pair(target), _pair(rotate_spinor(rec, spinor))
+    got, want, target, back = _each(planted, _as_spinors(psi), c)
     # Either sign of the planted parameters is the same rotation. Take the one
     # with positive overlap: in a pass it is the nearer sign; a fail can only grow.
     want = want * np.where(_dot(got, want) < 0.0, -1.0, 1.0)[:, None]
-    parts = images.view(float)
-    return max(_worst(got, want, 1), _worst(parts[:, 1], parts[:, 0]))
+    return max(_worst(got, want, 1), _worst(back.view(float), target.view(float)))
 
 
 @_check("stabilizer_exact_identity", _units)
 def _check_stabilizer(psi):
-    got = np.empty((len(psi), 2, 4))
-    for i, (spinor,) in _spinor_rows(psi):
-        got[i] = stabilizer_check(spinor, 1).as_tuple(), stabilizer_check(spinor, -1).as_tuple()
+    got = np.array([(stabilizer_check(t, 1).as_tuple(), stabilizer_check(t, -1).as_tuple())
+                    for t in _as_spinors(psi)])
     return 0.0 if (got == [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]).all() else 1.0
 
 
@@ -700,13 +657,11 @@ def _check_circle_contrast(sweep):
     # The vector-level small group of the pole is a full circle, the
     # spinor-level one a single point of the sweep.
     psi = Spinor(1.0 + 0.0j, 0.0 + 0.0j)
-    o = np.empty((len(sweep), 3, 3))
-    moved = np.empty((len(sweep), 2), dtype=complex)
-    for k, (angle,) in _rows(sweep):
+
+    def turn(angle):
         rot = axis_phase(angle)
-        o[k] = extract_so3(su2_matrix(rot))
-        image = rotate_spinor(rot, psi)
-        moved[k] = image.c1, image.c2
+        return extract_so3(su2_matrix(rot)), _pair(rotate_spinor(rot, psi))
+    o, moved = _each(turn, sweep)
     fixing = np.count_nonzero(np.all(np.abs(moved - [psi.c1, psi.c2]) <= 1e-12, axis=1))
     return _worst(o[:, :, 2], np.array([0.0, 0.0, 1.0]), 1) if fixing == 1 else math.inf
 

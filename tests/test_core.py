@@ -170,6 +170,18 @@ def test_angle_parameters_reject_nonfinite(call, name, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: spinorspace.rotation_from_axis_angle(v, 1.0), "rotation axis"),
+    (spinorspace.rotation_from_vector_parameter, "vector parameter"),
+    (spinorspace.so3_from_vector_parameter, "vector parameter"),
+], ids=["rotation_from_axis_angle", "rotation_from_vector_parameter",
+        "so3_from_vector_parameter"])
+def test_vector_parameters_reject_nonfinite(call, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call((bad, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("module", sorted(
     m.name for m in pkgutil.iter_modules(spinorspace.__path__) if m.name != "__main__"))
 def test_all_names_resolve(module):

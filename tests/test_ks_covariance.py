@@ -62,6 +62,23 @@ def test_normalize_ks_frozen():
         assert scaled_residual(back, q.as_array()) <= 1e-15
 
 
+def test_normalize_ks_extreme_magnitudes():
+    # The squares of these entries overflow, underflow or go subnormal.
+    assert direction_from_ks(KSQuadruple(1e200, 0.0, 0.0, 0.0)).tolist() == [0.0, 0.0, -1.0]
+    assert normalize_ks(KSQuadruple(1e-170, 0.0, 0.0, 0.0)).as_tuple() == (1.0, 0.0, 0.0, 0.0)
+    tiny = normalize_ks(KSQuadruple(1e-160, 1e-160, 0.0, 0.0)).as_tuple()
+    assert scaled_residual(tiny, (INV_SQRT2, INV_SQRT2, 0.0, 0.0)) <= 1e-15
+    rng = np.random.default_rng(52)
+    for _ in range(50):
+        v = rng.normal(size=4)
+        unit = normalize_ks(KSQuadruple(*v)).as_tuple()
+        for k in (1000, -1000):
+            scaled = normalize_ks(KSQuadruple(*(math.ldexp(x, k) for x in v))).as_tuple()
+            assert scaled_residual(scaled, unit) <= 1e-15
+    with pytest.raises(ValueError, match="zero quadruple"):
+        normalize_ks(KSQuadruple(0.0, 0.0, 0.0, 0.0))
+
+
 def test_hat_involution_exact():
     q = KSQuadruple(0.3, -0.7, 1.1, -2.5)
     assert hat(q).as_tuple() == (0.3, -0.7, -1.1, 2.5)
