@@ -69,8 +69,8 @@ def finite_angle(phi, name: str) -> float:
 
 
 def finite_vector(v, name: str) -> np.ndarray:
-    """v as a float array; a non-finite entry raises ValueError naming the vector."""
-    a = np.asarray(v, dtype=float)
+    """v as a fresh float array; a non-finite entry raises ValueError naming the vector."""
+    a = np.array(v, dtype=float)
     if not all(map(math.isfinite, a.flat)):
         raise ValueError(f"{name} must be finite, got {a.tolist()!r}")
     return a
@@ -121,13 +121,14 @@ class KSQuadruple:
     q3: float
 
     def __post_init__(self):
-        vals = (float(self.q4), float(self.q1), float(self.q2), float(self.q3))
-        if not all(math.isfinite(v) for v in vals):
+        q4, q1, q2, q3 = float(self.q4), float(self.q1), float(self.q2), float(self.q3)
+        if not (math.isfinite(q4) and math.isfinite(q1)
+                and math.isfinite(q2) and math.isfinite(q3)):
             raise ValueError("quadruple entries must be finite")
-        object.__setattr__(self, "q4", vals[0])
-        object.__setattr__(self, "q1", vals[1])
-        object.__setattr__(self, "q2", vals[2])
-        object.__setattr__(self, "q3", vals[3])
+        object.__setattr__(self, "q4", q4)
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "q2", q2)
+        object.__setattr__(self, "q3", q3)
 
     def as_tuple(self) -> tuple:
         return (self.q4, self.q1, self.q2, self.q3)
@@ -138,6 +139,45 @@ class KSQuadruple:
     @property
     def norm_sq(self) -> float:
         return self.q4 * self.q4 + self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3
+
+
+def unit4(c4: float, c1: float, c2: float, c3: float) -> tuple:
+    """The normalization of SpinorRotation on floats: (c4, c1, c2, c3) / norm.
+
+    A norm off 1 by 1e-6 or more raises ValueError. Gauges and frames chain
+    quaternion products through this and qmul on plain tuples, and build a
+    SpinorRotation only for the rotation they return.
+    """
+    norm = math.sqrt(c4 * c4 + c1 * c1 + c2 * c2 + c3 * c3)
+    if not math.isfinite(norm) or abs(norm - 1.0) >= NORM_SLACK:
+        raise ValueError(f"rotation parameters must be unit norm, got norm {norm!r}")
+    return (c4 / norm, c1 / norm, c2 / norm, c3 / norm)
+
+
+def qmul(a: tuple, b: tuple) -> tuple:
+    """Raw quaternion product of (c4, c1, c2, c3) tuples, as su2_matrix(a) @ su2_matrix(b)."""
+    a4, a1, a2, a3 = a
+    b4, b1, b2, b3 = b
+    return (
+        a4 * b4 - a1 * b1 - a2 * b2 - a3 * b3,
+        a4 * b1 + b4 * a1 + a2 * b3 - a3 * b2,
+        a4 * b2 + b4 * a2 + a3 * b1 - a1 * b3,
+        a4 * b3 + b4 * a3 + a1 * b2 - a2 * b1,
+    )
+
+
+def pow2_scaled(values: tuple) -> tuple:
+    """values times the power of two that brings the largest magnitude into [0.5, 1).
+
+    Exact, so sums of squares of the result neither overflow nor leave the
+    normal range unless the entries span more than the double range. All
+    zeros come back as they are.
+    """
+    big = max(map(abs, values))
+    if big == 0.0:
+        return values
+    shift = -math.frexp(big)[1]
+    return tuple(math.ldexp(v, shift) for v in values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,14 +195,11 @@ class SpinorRotation:
     c3: float
 
     def __post_init__(self):
-        c4, c1, c2, c3 = (float(self.c4), float(self.c1), float(self.c2), float(self.c3))
-        norm = math.sqrt(c4 * c4 + c1 * c1 + c2 * c2 + c3 * c3)
-        if not math.isfinite(norm) or abs(norm - 1.0) >= NORM_SLACK:
-            raise ValueError(f"rotation parameters must be unit norm, got norm {norm!r}")
-        object.__setattr__(self, "c4", c4 / norm)
-        object.__setattr__(self, "c1", c1 / norm)
-        object.__setattr__(self, "c2", c2 / norm)
-        object.__setattr__(self, "c3", c3 / norm)
+        c4, c1, c2, c3 = unit4(float(self.c4), float(self.c1), float(self.c2), float(self.c3))
+        object.__setattr__(self, "c4", c4)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
 
     def as_tuple(self) -> tuple:
         return (self.c4, self.c1, self.c2, self.c3)
@@ -232,14 +269,7 @@ def su2_matrix(rot: SpinorRotation) -> np.ndarray:
 
 def compose(r1: SpinorRotation, r2: SpinorRotation) -> SpinorRotation:
     """Quaternion product matching su2_matrix(r1) @ su2_matrix(r2)."""
-    a4, a1, a2, a3 = r1.as_tuple()
-    b4, b1, b2, b3 = r2.as_tuple()
-    return SpinorRotation(
-        a4 * b4 - a1 * b1 - a2 * b2 - a3 * b3,
-        a4 * b1 + b4 * a1 + a2 * b3 - a3 * b2,
-        a4 * b2 + b4 * a2 + a3 * b1 - a1 * b3,
-        a4 * b3 + b4 * a3 + a1 * b2 - a2 * b1,
-    )
+    return SpinorRotation(*qmul(r1.as_tuple(), r2.as_tuple()))
 
 
 def conjugate(rot: SpinorRotation) -> SpinorRotation:

@@ -16,15 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    IDENTITY_ROTATION,
     NORM_SLACK,
     Spinor,
     SpinorRotation,
     angle_value,
-    compose,
-    conjugate,
     finite_angle,
+    finite_vector,
+    qmul,
     quadruple_from_spinor,
     scaled_residual,
+    unit4,
     wrap_4pi,
 )
 from .rotation_algebra import linear_system_matrix
@@ -32,9 +34,24 @@ from .rotation_algebra import linear_system_matrix
 # A canonical phase whose chart's component weight is at most this is singular.
 SINGULAR_WEIGHT = 1e-12
 
+_MINUS_IDENTITY = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
+
 
 class SingularGaugeError(ValueError):
     """Raised when a requested gauge is undefined at the given direction."""
+
+
+# Each function builds a value type only for the result it returns. Its
+# intermediate rotations are unit4 tuples, normalized wherever the
+# value-type chain it replaces constructed a SpinorRotation, so the bits
+# are those of that chain.
+
+def _axis4(delta: float) -> tuple:
+    return unit4(math.cos(delta), 0.0, 0.0, math.sin(delta))
+
+
+def _conjugate4(r: tuple) -> tuple:
+    return unit4(r[0], -r[1], -r[2], -r[3])
 
 
 def axis_phase(delta: float) -> SpinorRotation:
@@ -43,9 +60,10 @@ def axis_phase(delta: float) -> SpinorRotation:
     return SpinorRotation(math.cos(delta), 0.0, 0.0, math.sin(delta))
 
 
-def _unit_components(psi: Spinor, who: str) -> tuple:
-    u1, u2 = psi.c1.real, psi.c1.imag
-    u3, u4 = psi.c2.real, psi.c2.imag
+def _unit_pair(c1: complex, c2: complex, who: str) -> tuple:
+    """(u1, u2, u3, u4) of the spinor (c1, c2), divided by its norm."""
+    u1, u2 = c1.real, c1.imag
+    u3, u4 = c2.real, c2.imag
     norm = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4)
     if abs(norm - 1.0) >= NORM_SLACK:
         raise ValueError(f"{who} requires a unit spinor, got norm {norm!r}")
@@ -66,11 +84,15 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
     magnitude is taken in the quotient form rho sqrt(1 / (2 (1 +- n3))),
     which does not cancel near the poles as sqrt((1 -+ n3)/2) does.
     """
-    v = np.asarray(n, dtype=float)
+    return Spinor(*_psi_pair(finite_vector(n, "direction"), gamma))
+
+
+def _psi_pair(v: np.ndarray, gamma) -> tuple:
+    """The components (c1, c2) of psi_from_direction for a finite float 3-vector."""
     norm = float(np.linalg.norm(v))
-    if not math.isfinite(norm) or abs(norm - 1.0) >= NORM_SLACK:
+    if abs(norm - 1.0) >= NORM_SLACK:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-    n1, n2, n3 = v / norm
+    n1, n2, n3 = (v / norm).tolist()
     requested = angle_value(gamma, "phase gamma")
     if n1 == 0.0 and n2 == 0.0:
         lift = requested
@@ -89,7 +111,7 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
         upper = rho * math.sqrt(0.5 / (1.0 - n3))
     h = 0.5 * lift
     phase = complex(math.cos(h), -math.sin(h))
-    return Spinor(upper * phase, lower * phase.conjugate())
+    return upper * phase, lower * phase.conjugate()
 
 
 def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
@@ -98,16 +120,24 @@ def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     The underlying aligner a = (u1, u4, -u3, u2) satisfies B(a) psi = (1, 0)
     with both entries exact in float arithmetic; the phase is applied on top.
     """
-    u1, u2, u3, u4 = _unit_components(psi, "gauge_plus")
-    a = SpinorRotation(u1, u4, -u3, u2)
-    return compose(axis_phase(0.5 * finite_angle(phase, "gauge phase")), a)
+    u = _unit_pair(psi.c1, psi.c2, "gauge_plus")
+    return SpinorRotation(*_gauge_plus4(u, finite_angle(phase, "gauge phase")))
 
 
 def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     """Closed-form rotation sending psi to (0, e^{+i phase/2})."""
-    u1, u2, u3, u4 = _unit_components(psi, "gauge_minus")
-    a = SpinorRotation(u3, u2, u1, -u4)
-    return compose(axis_phase(0.5 * finite_angle(phase, "gauge phase")), a)
+    u = _unit_pair(psi.c1, psi.c2, "gauge_minus")
+    return SpinorRotation(*_gauge_minus4(u, finite_angle(phase, "gauge phase")))
+
+
+def _gauge_plus4(u: tuple, phase: float) -> tuple:
+    u1, u2, u3, u4 = u
+    return qmul(_axis4(0.5 * phase), unit4(u1, u4, -u3, u2))
+
+
+def _gauge_minus4(u: tuple, phase: float) -> tuple:
+    u1, u2, u3, u4 = u
+    return qmul(_axis4(0.5 * phase), unit4(u3, u2, u1, -u4))
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,15 +160,21 @@ def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:
     with s = u1^2 + u2^2. Undefined when psi's first component vanishes
     (direction at the south pole): SingularGaugeError.
     """
-    u1, u2, u3, u4 = _unit_components(psi, "canonical_phase_plus")
+    u = u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "canonical_phase_plus")
+    s, gamma = _canonical_plus(u)
+    c_vec = np.array([(u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0])
+    return CanonicalGauge(gamma=gamma, vector_parameter=c_vec,
+                          rotation=SpinorRotation(*_gauge_plus4(u, gamma)))
+
+
+def _canonical_plus(u: tuple) -> tuple:
+    """The (+) chart weight s and canonical phase gamma of unit components u."""
+    u1, u2 = u[0], u[1]
     s = u1 * u1 + u2 * u2
     if s <= SINGULAR_WEIGHT:
         raise SingularGaugeError(
             f"(+)-gauge canonical phase undefined: first component weight {s!r}")
-    gamma = 2.0 * math.atan2(-u2, u1)
-    c_vec = np.array([(u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0])
-    return CanonicalGauge(gamma=gamma, vector_parameter=c_vec,
-                          rotation=gauge_plus(psi, gamma))
+    return s, 2.0 * math.atan2(-u2, u1)
 
 
 def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
@@ -147,7 +183,7 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
     gamma = 2 atan2(u4, u3) and C = (-(u1 u4 - u2 u3)/s, (u1 u3 + u2 u4)/s, 0)
     with s = u3^2 + u4^2; singular when the direction sits at the north pole.
     """
-    u1, u2, u3, u4 = _unit_components(psi, "canonical_phase_minus")
+    u = u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "canonical_phase_minus")
     s = u3 * u3 + u4 * u4
     if s <= SINGULAR_WEIGHT:
         raise SingularGaugeError(
@@ -155,7 +191,7 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
     gamma = 2.0 * math.atan2(u4, u3)
     c_vec = np.array([-(u1 * u4 - u2 * u3) / s, (u1 * u3 + u2 * u4) / s, 0.0])
     return CanonicalGauge(gamma=gamma, vector_parameter=c_vec,
-                          rotation=gauge_minus(psi, gamma))
+                          rotation=SpinorRotation(*_gauge_minus4(u, gamma)))
 
 
 def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
@@ -165,11 +201,11 @@ def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
     parameter quadruple m = (u1, -u4, u3, -u2); the answer is the quaternion
     ratio m' m^{-1}. Equal inputs give the identity exactly.
     """
-    u1, u2, u3, u4 = _unit_components(psi, "rotation_between")
-    v1, v2, v3, v4 = _unit_components(psi_prime, "rotation_between")
-    m = SpinorRotation(u1, -u4, u3, -u2)
-    m_prime = SpinorRotation(v1, -v4, v3, -v2)
-    return compose(m_prime, conjugate(m))
+    u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "rotation_between")
+    v1, v2, v3, v4 = _unit_pair(psi_prime.c1, psi_prime.c2, "rotation_between")
+    m = unit4(u1, -u4, u3, -u2)
+    m_prime = unit4(v1, -v4, v3, -v2)
+    return SpinorRotation(*qmul(m_prime, _conjugate4(m)))
 
 
 def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
@@ -177,7 +213,8 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
 
     Resolves the rotation action along the parameter: G c = sign * q is a
     square nonsingular linear system, solved without using the known answer,
-    then checked against it. Returns the exact +-identity rotation.
+    then checked against it. Returns the exact +-identity rotation, one
+    shared constant per sign.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -190,7 +227,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     if scaled_residual(solved, expected) > 1e-9:
         raise ArithmeticError(
             f"stabilizer solve did not land on {sign} * identity: {solved!r}")
-    return SpinorRotation(float(sign), 0.0, 0.0, 0.0)
+    return IDENTITY_ROTATION if sign == 1 else _MINUS_IDENTITY
 
 
 __all__ = [

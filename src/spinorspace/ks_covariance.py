@@ -15,31 +15,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KSQuadruple, SpinorRotation, compose, conjugate, finite_angle, scaled_residual
-from .gauge_fixing import axis_phase, canonical_phase_plus, psi_from_direction
-from .rotation_algebra import so3_from_rotation, su2_real4
+from .core import (
+    KSQuadruple,
+    SpinorRotation,
+    finite_angle,
+    finite_vector,
+    pow2_scaled,
+    qmul,
+    scaled_residual,
+    unit4,
+)
+from .gauge_fixing import (
+    _axis4,
+    _canonical_plus,
+    _conjugate4,
+    _gauge_plus4,
+    _psi_pair,
+    _unit_pair,
+)
+from .rotation_algebra import _so3, so3_from_rotation, su2_real4
 
 DIRECTION_MATCH_TOLERANCE = 1e-9
 
 
-def normalize_ks(q: KSQuadruple) -> KSQuadruple:
-    """The unit quadruple of a nonzero quadruple; q is it times sqrt(q.norm_sq)."""
-    s = q.norm_sq
+# Internals run on (q4, q1, q2, q3) tuples. A value type is built only for a
+# returned result, and a unit4 stands wherever the value-type chain built a
+# SpinorRotation. A direction is taken from a unit quadruple normalized once
+# more, as direction_from_ks(normalize_ks(q)) did.
+
+def _unit_ks(q: tuple) -> tuple:
+    q4, q1, q2, q3 = q
+    s = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3
     if not sys.float_info.min <= s < math.inf:
         # The squares overflowed or left the normal range: scale by the power
         # of two that brings the largest entry into [0.5, 1).
-        big = max(map(abs, q.as_tuple()))
-        if big == 0.0:
+        q4, q1, q2, q3 = pow2_scaled(q)
+        s = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3
+        if s == 0.0:
             raise ValueError("cannot normalize the zero quadruple")
-        q = KSQuadruple(*(math.ldexp(v, -math.frexp(big)[1]) for v in q.as_tuple()))
-        s = q.norm_sq
     inv = 1.0 / math.sqrt(s)
-    return KSQuadruple(q.q4 * inv, q.q1 * inv, q.q2 * inv, q.q3 * inv)
+    return (q4 * inv, q1 * inv, q2 * inv, q3 * inv)
+
+
+def _hat4(q: tuple) -> tuple:
+    return (q[0], q[1], -q[2], -q[3])
+
+
+def _direction4(u: tuple) -> tuple:
+    q4, q1, q2, q3 = u
+    return (
+        2.0 * (q1 * q3 + q2 * q4),
+        2.0 * (q1 * q4 - q2 * q3),
+        q1 * q1 + q2 * q2 - q3 * q3 - q4 * q4,
+    )
+
+
+def normalize_ks(q: KSQuadruple) -> KSQuadruple:
+    """The unit quadruple of a nonzero quadruple; q is it times sqrt(q.norm_sq)."""
+    return KSQuadruple(*_unit_ks(q.as_tuple()))
 
 
 def hat(q: KSQuadruple) -> KSQuadruple:
     """The involution (q4, q1, -q2, -q3); its own inverse."""
-    return KSQuadruple(q.q4, q.q1, -q.q2, -q.q3)
+    return KSQuadruple(*_hat4(q.as_tuple()))
 
 
 def rotation_from_unit_ks(q: KSQuadruple) -> SpinorRotation:
@@ -59,13 +97,7 @@ def direction_from_ks(q: KSQuadruple) -> np.ndarray:
     the normalized components; equals minus the third column of the
     orthogonal matrix of hat(q).
     """
-    u = normalize_ks(q)
-    q4, q1, q2, q3 = u.as_tuple()
-    return np.array([
-        2.0 * (q1 * q3 + q2 * q4),
-        2.0 * (q1 * q4 - q2 * q3),
-        q1 * q1 + q2 * q2 - q3 * q3 - q4 * q4,
-    ])
+    return np.array(_direction4(_unit_ks(q.as_tuple())))
 
 
 def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
@@ -101,14 +133,16 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     singular gauge and raises SingularGaugeError.
     """
     delta = finite_angle(delta, "frame delta")
-    u = normalize_ks(q)
-    a_vec = np.asarray(axis, dtype=float)
-    align = canonical_phase_plus(psi_from_direction(a_vec, 0.0)).rotation
-    u_rot = rotation_from_unit_ks(hat(u))
-    w_rot = compose(compose(u_rot, axis_phase(delta)), align)
+    u = _unit_ks(q.as_tuple())
+    a_vec = finite_vector(axis, "frame axis")
+    # canonical_phase_plus(psi_from_direction(axis)).rotation
+    a = _unit_pair(*_psi_pair(a_vec, 0.0), "build_frame")
+    align = SpinorRotation(*_gauge_plus4(a, _canonical_plus(a)[1]))
+    turned = unit4(*qmul(unit4(*_hat4(u)), _axis4(delta)))
+    w_rot = unit4(*qmul(turned, align.as_tuple()))
     return KSFrame(
-        w=hat(ks_from_rotation(w_rot)),
-        direction=direction_from_ks(u),
+        w=KSQuadruple(*_hat4(w_rot)),
+        direction=np.array(_direction4(_unit_ks(u))),
         axis=a_vec,
         delta=delta,
         align=align,
@@ -124,15 +158,16 @@ def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> Spinor
     phase, exactly by construction.
     """
     delta = finite_angle(delta, "frame delta")
-    un = normalize_ks(u)
-    wn = normalize_ks(w)
-    mismatch = scaled_residual(direction_from_ks(un), direction_from_ks(wn))
+    un = _unit_ks(u.as_tuple())
+    wn = _unit_ks(w.as_tuple())
+    mismatch = scaled_residual(_direction4(_unit_ks(un)), _direction4(_unit_ks(wn)))
     if mismatch > DIRECTION_MATCH_TOLERANCE:
         raise ValueError(
             f"quadruples lie over different directions (mismatch {mismatch:.3e})")
-    u_rot = rotation_from_unit_ks(hat(un))
-    w_rot = rotation_from_unit_ks(hat(wn))
-    return compose(compose(w_rot, axis_phase(-delta)), conjugate(u_rot))
+    u_rot = unit4(*_hat4(un))
+    w_rot = unit4(*_hat4(wn))
+    turned = unit4(*qmul(w_rot, _axis4(-delta)))
+    return SpinorRotation(*qmul(turned, _conjugate4(u_rot)))
 
 
 def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
@@ -141,9 +176,8 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
     n' = O(hat w) O(rot) O(hat w)^T n. With rot the frame's align rotation
     and n the frame direction, this lands on the direction of w itself.
     """
-    w_rot = rotation_from_unit_ks(hat(normalize_ks(w)))
-    ow = so3_from_rotation(w_rot)
-    return ow @ (so3_from_rotation(rot) @ (ow.T @ np.asarray(n, dtype=float)))
+    ow = _so3(*unit4(*_hat4(_unit_ks(w.as_tuple()))))
+    return ow @ (so3_from_rotation(rot) @ (ow.T @ finite_vector(n, "direction")))
 
 
 __all__ = [

@@ -96,6 +96,13 @@ def _halves(phi: float) -> tuple:
     return minus, minus.conjugate()
 
 
+def _cartesian(v) -> tuple:
+    x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        raise ValueError(f"cartesian point must be finite, got {[x1, x2, x3]!r}")
+    return x1, x2, x3
+
+
 def xi_from_cartesian(v, sheet: int = 1) -> Spinor:
     """Pseudovector-model spinor of a Cartesian point.
 
@@ -104,7 +111,7 @@ def xi_from_cartesian(v, sheet: int = 1) -> Spinor:
     which flips the overall sign. The zero vector yields the zero spinor.
     """
     sheet = _check_sign_flag(sheet, "sheet")
-    x1, x2, x3 = (float(v[0]), float(v[1]), float(v[2]))
+    x1, x2, x3 = _cartesian(v)
     rho_sq = x1 * x1 + x2 * x2
     r = math.sqrt(rho_sq + x3 * x3)
     if r == 0.0:
@@ -173,7 +180,7 @@ def eta_from_cartesian(v, sheet: int = 1) -> Spinor:
     rho = sqrt(x1^2 + x2^2) and sigma = sign(x3), taken +1 at x3 = 0.
     """
     sheet = _check_sign_flag(sheet, "sheet")
-    x1, x2, x3 = (float(v[0]), float(v[1]), float(v[2]))
+    x1, x2, x3 = _cartesian(v)
     rho_sq = x1 * x1 + x2 * x2
     r = math.sqrt(rho_sq + x3 * x3)
     if r == 0.0:

@@ -105,3 +105,22 @@ def action_matrix(s):
 def haar_quadruple(rng):
     v = rng.normal(size=4)
     return v / np.linalg.norm(v)
+
+
+def hard_directions(rng, n):
+    """n unit directions in thirds: Gaussian, within 1e-16..1e-4 of a pole,
+    and at a chart weight sin^2(theta/2) of 1e-13..1e-11 from either pole."""
+    out = []
+    for i in range(n):
+        if i % 3 == 0:
+            v = rng.normal(size=3)
+        elif i % 3 == 1:
+            eps = 10.0 ** rng.uniform(-16.0, -4.0)
+            v = np.array([eps * rng.normal(), eps * rng.normal(), rng.choice([-1.0, 1.0])])
+        else:
+            half = math.asin(math.sqrt(10.0 ** rng.uniform(-13.0, -11.0)))
+            phi = rng.uniform(-math.pi, math.pi)
+            v = np.array([math.sin(2.0 * half) * math.cos(phi), math.sin(2.0 * half) * math.sin(phi),
+                          rng.choice([-1.0, 1.0]) * math.cos(2.0 * half)])
+        out.append(v / np.linalg.norm(v))
+    return out

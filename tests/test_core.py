@@ -22,6 +22,7 @@ from spinorspace import (
     su2_matrix,
     wrap_4pi,
 )
+from spinorspace.core import pow2_scaled, qmul, unit4
 
 SQRT2 = math.sqrt(2.0)
 
@@ -175,8 +176,14 @@ def test_angle_parameters_reject_nonfinite(call, name, bad):
     (lambda v: spinorspace.rotation_from_axis_angle(v, 1.0), "rotation axis"),
     (spinorspace.rotation_from_vector_parameter, "vector parameter"),
     (spinorspace.so3_from_vector_parameter, "vector parameter"),
+    (spinorspace.psi_from_direction, "direction"),
+    (lambda v: spinorspace.build_frame(_Q, v), "frame axis"),
+    (spinorspace.xi_from_cartesian, "cartesian point"),
+    (spinorspace.eta_from_cartesian, "cartesian point"),
+    (lambda v: spinorspace.rotated_direction(_Q, IDENTITY_ROTATION, v), "direction"),
 ], ids=["rotation_from_axis_angle", "rotation_from_vector_parameter",
-        "so3_from_vector_parameter"])
+        "so3_from_vector_parameter", "psi_from_direction", "build_frame",
+        "xi_from_cartesian", "eta_from_cartesian", "rotated_direction"])
 def test_vector_parameters_reject_nonfinite(call, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         call((bad, 0.0, 0.0))
@@ -197,6 +204,33 @@ def test_rotation_norm_gate():
     assert abs(r.c4 - 1.0) <= 1e-15
     norm = math.sqrt(sum(v * v for v in r.as_tuple()))
     assert abs(norm - 1.0) <= 1e-15
+
+
+def test_unit4_is_the_rotation_normalization():
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        v = rng.normal(size=4)
+        v = (v / np.linalg.norm(v) * (1.0 + rng.uniform(-9e-7, 9e-7))).tolist()
+        assert unit4(*v) == SpinorRotation(*v).as_tuple()
+        w = oracles.haar_quadruple(rng).tolist()
+        assert compose(SpinorRotation(*v), SpinorRotation(*w)) == SpinorRotation(
+            *qmul(unit4(*v), unit4(*w)))
+    with pytest.raises(ValueError, match="unit norm, got norm 2.0"):
+        unit4(2.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="unit norm, got norm nan"):
+        unit4(math.nan, 0.0, 0.0, 0.0)
+
+
+def test_pow2_scaled_is_exact():
+    assert pow2_scaled((0.0, -0.0)) == (0.0, -0.0)
+    assert pow2_scaled((3.0, -1.0, 0.0)) == (0.75, -0.25, 0.0)
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        v = tuple((rng.normal(size=4) * 10.0 ** rng.uniform(-300.0, 300.0)).tolist())
+        scaled = pow2_scaled(v)
+        assert 0.5 <= max(map(abs, scaled)) < 1.0
+        shift = math.frexp(max(map(abs, v)))[1]
+        assert tuple(math.ldexp(x, shift) for x in scaled) == v
 
 
 def test_norm_sq_accessors():

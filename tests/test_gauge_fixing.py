@@ -11,6 +11,8 @@ from spinorspace import (
     axis_phase,
     canonical_phase_minus,
     canonical_phase_plus,
+    compose,
+    conjugate,
     extract_so3,
     gauge_minus,
     gauge_plus,
@@ -25,6 +27,7 @@ from spinorspace import (
     su2_matrix,
     vector_parameter,
 )
+from spinorspace.gauge_fixing import SINGULAR_WEIGHT
 
 INV_SQRT2 = math.sqrt(0.5)
 POLE = np.array([0.0, 0.0, 1.0])
@@ -270,3 +273,76 @@ def test_circle_contrast_at_the_pole():
         if abs(moved.c1 - psi.c1) <= 1e-12 and abs(moved.c2 - psi.c2) <= 1e-12:
             fixing += 1
     assert fixing == 1
+
+
+# ------------------------------------- kernels against the value-type chains
+
+def _unit_components(psi):
+    u = (psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag)
+    norm = math.sqrt(sum(v * v for v in u))
+    return tuple(v / norm for v in u)
+
+
+def _composed_gauge_plus(psi, phase):
+    u1, u2, u3, u4 = _unit_components(psi)
+    return compose(axis_phase(0.5 * phase), SpinorRotation(u1, u4, -u3, u2))
+
+
+def _composed_gauge_minus(psi, phase):
+    u1, u2, u3, u4 = _unit_components(psi)
+    return compose(axis_phase(0.5 * phase), SpinorRotation(u3, u2, u1, -u4))
+
+
+def _composed_canonical(psi, sign):
+    u1, u2, u3, u4 = _unit_components(psi)
+    s = u1 * u1 + u2 * u2 if sign > 0 else u3 * u3 + u4 * u4
+    if s <= SINGULAR_WEIGHT:
+        return SingularGaugeError
+    if sign > 0:
+        gamma = 2.0 * math.atan2(-u2, u1)
+        c = [(u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0]
+        return gamma, c, _composed_gauge_plus(psi, gamma)
+    gamma = 2.0 * math.atan2(u4, u3)
+    c = [-(u1 * u4 - u2 * u3) / s, (u1 * u3 + u2 * u4) / s, 0.0]
+    return gamma, c, _composed_gauge_minus(psi, gamma)
+
+
+def _composed_between(psi, psi_prime):
+    u1, u2, u3, u4 = _unit_components(psi)
+    v1, v2, v3, v4 = _unit_components(psi_prime)
+    return compose(SpinorRotation(v1, -v4, v3, -v2), conjugate(SpinorRotation(u1, -u4, u3, -u2)))
+
+
+def test_gauges_equal_their_value_type_compositions():
+    # Bit for bit: every intermediate SpinorRotation of the chains below is a
+    # normalized tuple inside the library.
+    rng = np.random.default_rng(70)
+    singular = 0
+    for n in oracles.hard_directions(rng, 1000):
+        psi = psi_from_direction(n, float(rng.uniform(-20.0, 20.0)))
+        other = random_unit_spinor(rng)
+        phase = float(rng.uniform(-20.0, 20.0))
+        assert gauge_plus(psi, phase) == _composed_gauge_plus(psi, phase)
+        assert gauge_minus(psi, phase) == _composed_gauge_minus(psi, phase)
+        for sign, canonical in ((1, canonical_phase_plus), (-1, canonical_phase_minus)):
+            want = _composed_canonical(psi, sign)
+            if want is SingularGaugeError:
+                singular += 1
+                with pytest.raises(SingularGaugeError):
+                    canonical(psi)
+                continue
+            got = canonical(psi)
+            assert (got.gamma, got.vector_parameter.tolist(), got.rotation) == want
+        assert rotation_between(psi, other) == _composed_between(psi, other)
+        assert rotation_between(other, psi) == _composed_between(other, psi)
+        assert rotation_between(psi, psi) == _composed_between(psi, psi)
+        for sign in (1, -1):
+            assert stabilizer_check(psi, sign) == SpinorRotation(float(sign), 0.0, 0.0, 0.0)
+    # the chart-weight third straddles the 1e-12 guard
+    assert 50 < singular < 500
+
+
+def test_stabilizer_returns_one_constant_per_sign():
+    north, south = Spinor(1.0 + 0.0j, 0.0j), Spinor(0.0j, 1.0j)
+    assert stabilizer_check(north, 1) is stabilizer_check(south, 1)
+    assert stabilizer_check(north, -1) is stabilizer_check(south, -1)

@@ -1,0 +1,70 @@
+"""Byte pins: sha256 of the fixture file and of CLI output.
+
+The digests were taken from the library before its gauges and frames moved
+onto float-tuple kernels, so they hold every later change to the same bytes.
+A change that moves an output bit on purpose re-pins here and says why in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from spinorspace import generate_fixtures, write_fixtures
+from spinorspace.cli import main
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_fixture_file_bytes(tmp_path):
+    path = tmp_path / "golden.jsonl"
+    write_fixtures(generate_fixtures(100, seed=1), path)
+    assert _sha(path.read_bytes()) == (
+        "bd3827fa2dbb9832c42f6ae95d6ce381aa24f6bf7936cf0042befe9e4aa011a2")
+
+
+# argv, exit code, sha256 of stdout, sha256 of stderr.
+CLI_PINS = [
+    (("gauge", "1", "2", "3", "--sign", "plus"), 0,
+     "dda173e74b966f7a8880b3017dd5827460846f70e6e1aebc382684b11730e3c7", EMPTY),
+    (("gauge", "-0.3", "0.5", "-2", "--sign", "minus", "--gamma", "0.7"), 0,
+     "df5f5a336d30bf63e6295e05bf6bf5ce5338e97a6eab2f907089d8001addee8a", EMPTY),
+    # near the south pole: the (+) chart weight is 1.25e-10, above the guard
+    (("gauge", "2e-5", "-0.00001", "-1", "--sign", "plus"), 0,
+     "a51f3d010224a902944ed7f15431666c2ea4d8c6faefcafaca2897100ef427b5", EMPTY),
+    # near the north pole in the (-) chart
+    (("gauge", "3e-6", "1e-6", "1", "--sign", "minus", "--gamma", "-2.5"), 0,
+     "43f1d75617349b0fc290c2117d53563c899c32d878846ed095a774ff5bc7173d", EMPTY),
+    # singular: a weight of 2.5e-19 and the pole itself
+    (("gauge", "1e-9", "0", "-1", "--sign", "plus"), 1, EMPTY,
+     "997b50467b3907abdb159ec27103b346d060300fa2ec02773051a3bcbb57f564"),
+    (("gauge", "0", "0", "-1", "--sign", "plus"), 1, EMPTY,
+     "0ad293143ae7adc86f66cabac18649475ec8c7fe7c3e9ebaa8a3569095c92fbe"),
+    (("rotate", "0.5", "0.5", "0.5", "0.5", "cartesian", "1", "2", "-3"), 0,
+     "a2be0dffa35afbfbf6692128887aa04d4ffb200a5633f5f207acd74e3ed6e638", EMPTY),
+    (("rotate", "0.6", "0", "0.8", "0", "spherical", "2", "0.75", "2.25",
+      "--model", "eta", "--sheet", "-1"), 0,
+     "62c1826ee687966d8edeac81251af8f49745fe31735771eb06f4924332e08e80", EMPTY),
+    (("convert", "cartesian", "0.3", "-1.2", "2.5"), 0,
+     "175ddb9cf752e6ec3d1653062e5e578e1485442bba8dfa0c1ddd57dbcab03376", EMPTY),
+    (("convert", "spherical", "1", "0.75", "2.25", "--model", "eta", "--sheet", "-1"), 0,
+     "3b95202e719d05e4c5f61d31d03a05aa19e0523c84b4bc0a76cf6af570f961fc", EMPTY),
+    (("convert", "parabolic", "1.5", "0.5", "-2"), 0,
+     "d1a5d433e7a471a165331e9627e0838a73d790c0617f29418e2989299b779062", EMPTY),
+    # range error: colatitude outside [0, pi]
+    (("convert", "spherical", "1", "9.42477796", "0"), 2, EMPTY,
+     "d603719194a11601fd029a2aa93a40eb31a9055455359ab48651cfa91bfd70db"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", CLI_PINS,
+                         ids=[" ".join(p[0][:2]) + f"-{i}" for i, p in enumerate(CLI_PINS)])
+def test_cli_output_bytes(capsys, argv, code, out_sha, err_sha):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert _sha(captured.out.encode()) == out_sha
+    assert _sha(captured.err.encode()) == err_sha

@@ -11,13 +11,16 @@ from spinorspace import (
     SpinorRotation,
     axis_phase,
     build_frame,
+    canonical_phase_plus,
     compose,
+    conjugate,
     direction_from_ks,
     frame_symmetry,
     hat,
     ks_from_rotation,
     left_transport,
     normalize_ks,
+    psi_from_direction,
     quadruple_from_spinor,
     rotated_direction,
     rotation_from_unit_ks,
@@ -262,3 +265,74 @@ def test_frame_of_spinor_round_trip():
         q = quadruple_from_spinor(xi_from_cartesian(tuple(v)))
         f = build_frame(q)
         assert scaled_residual(f.direction, v / np.linalg.norm(v)) <= 1e-12
+
+
+# ------------------------------------- kernels against the value-type chains
+
+def _composed_normalize(q):
+    inv = 1.0 / math.sqrt(q.norm_sq)
+    return KSQuadruple(q.q4 * inv, q.q1 * inv, q.q2 * inv, q.q3 * inv)
+
+
+def _composed_direction(q):
+    q4, q1, q2, q3 = _composed_normalize(q).as_tuple()
+    return [2.0 * (q1 * q3 + q2 * q4), 2.0 * (q1 * q4 - q2 * q3),
+            q1 * q1 + q2 * q2 - q3 * q3 - q4 * q4]
+
+
+def _composed_frame(q, axis, delta):
+    u = _composed_normalize(q)
+    align = canonical_phase_plus(psi_from_direction(axis, 0.0)).rotation
+    w_rot = compose(compose(rotation_from_unit_ks(hat(u)), axis_phase(delta)), align)
+    return hat(ks_from_rotation(w_rot)), _composed_direction(u), align
+
+
+def _composed_symmetry(u, w, delta):
+    u_rot = rotation_from_unit_ks(hat(_composed_normalize(u)))
+    w_rot = rotation_from_unit_ks(hat(_composed_normalize(w)))
+    return compose(compose(w_rot, axis_phase(-delta)), conjugate(u_rot))
+
+
+def _composed_rotated(w, rot, n):
+    ow = so3_from_rotation(rotation_from_unit_ks(hat(_composed_normalize(w))))
+    return ow @ (so3_from_rotation(rot) @ (ow.T @ np.asarray(n, dtype=float)))
+
+
+def test_frames_equal_their_value_type_compositions():
+    # Bit for bit: every intermediate value of the chains below is a tuple
+    # inside the library, normalized where a SpinorRotation was built.
+    rng = np.random.default_rng(71)
+    singular = 0
+    for n in oracles.hard_directions(rng, 1000):
+        q = KSQuadruple(*(10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=4)))
+        delta = float(rng.uniform(-20.0, 20.0))
+        assert normalize_ks(q) == _composed_normalize(q)
+        assert direction_from_ks(q).tolist() == _composed_direction(q)
+        try:
+            want = _composed_frame(q, n, delta)
+        except SingularGaugeError:
+            singular += 1
+            with pytest.raises(SingularGaugeError):
+                build_frame(q, n, delta)
+            continue
+        f = build_frame(q, n, delta)
+        assert (f.w, f.direction.tolist(), f.align) == want
+        # a partner over the direction of q, at another scale
+        turned = compose(rotation_from_unit_ks(hat(normalize_ks(q))),
+                         axis_phase(float(rng.uniform(-math.pi, math.pi))))
+        partner = KSQuadruple(*(10.0 ** rng.uniform(-3.0, 3.0)
+                                * hat(ks_from_rotation(turned)).as_array()))
+        assert frame_symmetry(q, partner, delta) == _composed_symmetry(q, partner, delta)
+        rot = SpinorRotation(*oracles.haar_quadruple(rng))
+        assert np.array_equal(rotated_direction(f.w, rot, n), _composed_rotated(f.w, rot, n))
+        assert np.array_equal(rotated_direction(q, f.align, f.direction),
+                              _composed_rotated(q, f.align, f.direction))
+    # axes at the (+) chart's singular weight: about a sixth of the draws
+    assert 50 < singular < 300
+
+
+def test_frame_axis_is_a_copy():
+    axis = np.array([0.0, 0.0, 1.0])
+    f = build_frame(KSQuadruple(0.3, 0.5, -0.4, 0.2), axis)
+    axis[2] = 5.0
+    assert f.axis.tolist() == [0.0, 0.0, 1.0]

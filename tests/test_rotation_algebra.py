@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinorspace import (
     quadruple_from_spinor,
     rotate_spinor,
     rotation_from_axis_angle,
+    rotation_from_vector_parameter,
     s_factorization_check,
     s_matrix,
     s_outside_su2_image,
@@ -78,6 +80,37 @@ def test_rotation_from_axis_angle():
         got = so3_from_rotation(rotation_from_axis_angle(tuple(axis), angle))
         want = oracles.rodrigues(axis / np.linalg.norm(axis), angle)
         assert scaled_residual(got, want) <= 1e-13
+
+
+def test_extreme_magnitudes():
+    # The squares of these entries overflow, underflow or go subnormal; no
+    # numpy overflow warning may escape either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for axis, plain in (((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                            ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                            ((1e-170, 1e-170, 0.0), (1.0, 1.0, 0.0))):
+            got = rotation_from_axis_angle(axis, 1.0).as_tuple()
+            assert scaled_residual(got, rotation_from_axis_angle(plain, 1.0).as_tuple()) <= 1e-15
+        half_turn = rotation_from_vector_parameter((1e200, 0.0, 0.0)).as_tuple()
+        assert scaled_residual(half_turn, (0.0, 1.0, 0.0, 0.0)) <= 1e-15
+        o = so3_from_vector_parameter((1e200, 0.0, 0.0))
+        assert scaled_residual(o, np.diag([1.0, -1.0, -1.0])) <= 1e-15
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            v = rng.normal(size=3)
+            angle = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
+            want = np.array(rotation_from_axis_angle(v, angle).as_tuple())
+            for k in (1000, -1000):
+                got = rotation_from_axis_angle(np.ldexp(v, k), angle).as_tuple()
+                assert scaled_residual(got, want) <= 1e-15
+            # a huge vector parameter is a half turn about its direction
+            n = v / np.linalg.norm(v)
+            c = rotation_from_vector_parameter(np.ldexp(v, 1000))
+            assert scaled_residual(c.as_tuple(), (0.0, *n)) <= 1e-15
+            o = so3_from_vector_parameter(np.ldexp(v, 1000))
+            assert scaled_residual(o, 2.0 * np.outer(n, n) - np.eye(3)) <= 1e-15
+            assert scaled_residual(o, so3_from_rotation(c)) <= 1e-15
 
 
 def test_so3_from_vector_parameter_frozen():
