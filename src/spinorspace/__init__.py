@@ -9,7 +9,6 @@ golden-fixture tooling.
 
 from .core import (
     IDENTITY_ROTATION,
-    DoubleCoverAngle,
     EtaProjection,
     KSQuadruple,
     Spinor,

@@ -11,7 +11,13 @@ import sys
 
 import numpy as np
 
-from .core import SpinorRotation, quadruple_from_spinor, scaled_residual
+from .core import (
+    SpinorRotation,
+    finite_vector,
+    pow2_scaled,
+    quadruple_from_spinor,
+    scaled_residual,
+)
 from .fixtures import (
     MODELS,
     SYSTEMS,
@@ -119,10 +125,12 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_gauge(args) -> int:
-    n = np.asarray(args.values, dtype=float)
+    # Scaling by a power of two is exact, so the normalized n is the same at
+    # every magnitude of the input.
+    n = np.array(pow2_scaled(finite_vector(args.values, "direction").tolist()))
     norm = float(np.linalg.norm(n))
-    if norm == 0.0 or not np.all(np.isfinite(n)):
-        raise ValueError("direction must be a finite nonzero vector")
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
     n /= norm
     psi = psi_from_direction(n, args.gamma)
     if args.sign == "plus":

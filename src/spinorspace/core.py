@@ -1,9 +1,10 @@
 """Scalar, spinor, quadruple and rotation-parameter types.
 
-Everything downstream is built from the four value types here: two-component
-complex spinors, real KS quadruples stored in index-4-first order, unit
-quaternion rotation parameters for SU(2), and the angle type for the 4pi
-double cover. All values are immutable; all operations are pure functions.
+Everything downstream is built from the value types here: two-component
+complex spinors, real KS quadruples stored in index-4-first order and unit
+quaternion rotation parameters for SU(2). Angles on the 4pi double cover are
+plain floats in the canonical window of wrap_4pi. All values are immutable;
+all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -33,33 +34,6 @@ def wrap_4pi(angle: float) -> float:
     return a
 
 
-@dataclass(frozen=True, slots=True)
-class DoubleCoverAngle:
-    """Angle on the 4pi double cover, canonical range (-2pi, 2pi].
-
-    value and value + 2pi are distinct points; value and value + 4pi are the
-    same point. Construction canonicalizes.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("double-cover angle must be finite")
-        object.__setattr__(self, "value", wrap_4pi(self.value))
-
-    def __add__(self, other) -> "DoubleCoverAngle":
-        shift = other.value if isinstance(other, DoubleCoverAngle) else float(other)
-        return DoubleCoverAngle(self.value + shift)
-
-    def __neg__(self) -> "DoubleCoverAngle":
-        return DoubleCoverAngle(-self.value)
-
-    def sheet_partner(self) -> "DoubleCoverAngle":
-        """The same base point on the opposite sheet (value + 2pi)."""
-        return DoubleCoverAngle(self.value + TWO_PI)
-
-
 def finite_angle(phi, name: str) -> float:
     """float(phi), unwrapped; a non-finite value raises ValueError naming the angle."""
     value = float(phi)
@@ -77,12 +51,7 @@ def finite_vector(v, name: str) -> np.ndarray:
 
 
 def angle_value(phi, name: str = "angle") -> float:
-    """Canonical float value of a double-cover angle given as float or DoubleCoverAngle.
-
-    A non-finite float raises ValueError naming the angle, as DoubleCoverAngle does.
-    """
-    if isinstance(phi, DoubleCoverAngle):
-        return phi.value
+    """Canonical value of a double-cover angle; a non-finite one raises ValueError naming it."""
     return wrap_4pi(finite_angle(phi, name))
 
 
@@ -166,17 +135,20 @@ def qmul(a: tuple, b: tuple) -> tuple:
     )
 
 
-def pow2_scaled(values: tuple) -> tuple:
-    """values times the power of two that brings the largest magnitude into [0.5, 1).
+def pow2_shift(values) -> int:
+    """The k for which 2^k times the largest magnitude lies in [0.5, 1); 0 for all zeros."""
+    return -math.frexp(max(map(abs, values)))[1]
+
+
+def pow2_scaled(values) -> tuple:
+    """values times 2^pow2_shift(values), the library's one rescale for extreme magnitudes.
 
     Exact, so sums of squares of the result neither overflow nor leave the
-    normal range unless the entries span more than the double range. All
-    zeros come back as they are.
+    normal range unless the entries span more than the double range, and a
+    closed form homogeneous in the entries keeps every bit. All zeros come
+    back as they are.
     """
-    big = max(map(abs, values))
-    if big == 0.0:
-        return values
-    shift = -math.frexp(big)[1]
+    shift = pow2_shift(values)
     return tuple(math.ldexp(v, shift) for v in values)
 
 
@@ -218,12 +190,6 @@ class EtaProjection:
 
     a: np.ndarray
     x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.a.shape != (3,) or self.x.shape != (3,):
-            raise ValueError("projection parts must be 3-vectors")
 
 
 def scaled_residual(lhs, rhs) -> float:

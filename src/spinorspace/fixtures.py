@@ -104,7 +104,8 @@ def _numeric_fields(record: dict) -> list:
 
 
 def replay_residual(record: dict) -> float:
-    """Worst scaled disagreement between a record and its fresh recomputation."""
+    """Worst scaled disagreement between a record and its fresh recomputation;
+    inf, as for a malformed record, where a stored field is NaN or infinite."""
     fresh = fixture_record(record["system"], record["values"], record["model"],
                            record.get("sheet", 1),
                            record["meta"]["seed"], record["meta"]["tolerance"])
@@ -115,7 +116,10 @@ def replay_residual(record: dict) -> float:
     worst = 0.0
     for s, f in zip(stored, recomputed):
         s, f = float(s), float(f)
-        worst = max(worst, abs(s - f) / max(1.0, abs(s), abs(f)))
+        gap = abs(s - f) / max(1.0, abs(s), abs(f))
+        if gap != gap:  # a NaN or infinite field, which max() would skip
+            return math.inf
+        worst = max(worst, gap)
     return worst
 
 

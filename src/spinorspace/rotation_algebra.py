@@ -11,7 +11,6 @@ fixed bridge matrix S, and the certificate showing S is not itself of the
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +28,8 @@ PAULI = np.array([
 # rather than return an exploding quotient.
 VECTOR_PARAMETER_LIMIT = 1e-9
 
-# sqrt of the smallest normal double: a 2-norm below it came from squares
-# that left the normal range.
-_SQRT_MIN_NORMAL = math.sqrt(sys.float_info.min)
 
-
-def _cross_matrix(v: np.ndarray) -> np.ndarray:
+def _cross_matrix(v) -> np.ndarray:
     return np.array([
         [0.0, -v[2], v[1]],
         [v[2], 0.0, -v[0]],
@@ -67,40 +62,29 @@ def vector_parameter(rot: SpinorRotation) -> np.ndarray:
     return rot.vec / rot.c4
 
 
-def _square_sum(c: np.ndarray) -> float:
-    """float(c @ c), inf where it overflows, without numpy's overflow warning."""
-    if math.hypot(*c.tolist()) < 2.0 ** 511:  # the sum stays below 2^1022
-        return float(c @ c)
-    with np.errstate(over="ignore"):
-        return float(c @ c)
-
-
 def rotation_from_vector_parameter(C) -> SpinorRotation:
-    """Inverse chart, fixing the c4 > 0 representative."""
+    """Inverse chart, fixing the c4 > 0 representative: c4 = 1 / sqrt(1 + |C|^2), c = c4 C.
+
+    c4 is evaluated as t / sqrt(t^2 + |C'|^2), with (t, C') the pow2_scaled
+    (1, C): the same number, from a sum of squares that cannot overflow.
+    """
     c = finite_vector(C, "vector parameter")
-    s = _square_sum(c)
-    if s == math.inf:
-        # Past |C| ~ 1e154: the unit quadruple of (1, C), scaled by a power of two.
-        c4, c1, c2, c3 = pow2_scaled((1.0, *c.tolist()))
-        norm = math.sqrt(c4 * c4 + c1 * c1 + c2 * c2 + c3 * c3)
-        return SpinorRotation(c4 / norm, c1 / norm, c2 / norm, c3 / norm)
-    c4 = 1.0 / math.sqrt(1.0 + s)
+    t, *scaled = pow2_scaled((1.0, *c.tolist()))
+    scaled = np.array(scaled)
+    c4 = t / math.sqrt(t * t + float(scaled @ scaled))
     return SpinorRotation(c4, c4 * c[0], c4 * c[1], c4 * c[2])
 
 
 def so3_from_vector_parameter(C) -> np.ndarray:
-    """O = I + 2 (K_C + K_C^2) / (1 + |C|^2), bypassing the unit quadruple."""
-    c = finite_vector(C, "vector parameter")
-    s = _square_sum(c)
-    if s == math.inf:
-        # Past |C| ~ 1e154: with (t, C') = (1, C) scaled by a power of two,
-        # O = I + 2 (t K_C' + K_C'^2) / (t^2 + |C'|^2).
-        t, *scaled = pow2_scaled((1.0, *c.tolist()))
-        c = np.array(scaled)
-        k = _cross_matrix(c)
-        return np.eye(3) + 2.0 * (t * k + k @ k) / (t * t + float(c @ c))
-    k = _cross_matrix(c)
-    return np.eye(3) + 2.0 * (k + k @ k) / (1.0 + s)
+    """O = I + 2 (K_C + K_C^2) / (1 + |C|^2), bypassing the unit quadruple.
+
+    Evaluated as I + 2 (t K_C' + K_C'^2) / (t^2 + |C'|^2), with (t, C') the
+    pow2_scaled (1, C): the same matrix at every magnitude of C.
+    """
+    t, *scaled = pow2_scaled((1.0, *finite_vector(C, "vector parameter").tolist()))
+    c = np.array(scaled)
+    k = _cross_matrix(scaled)  # from floats: indexing an array costs more
+    return np.eye(3) + 2.0 * (t * k + k @ k) / (t * t + float(c @ c))
 
 
 def extract_so3(matrix: np.ndarray) -> np.ndarray:
@@ -275,15 +259,11 @@ def s_outside_su2_image(target: np.ndarray | None = None) -> NonMembershipCertif
 
 def rotation_from_axis_angle(axis, angle: float) -> SpinorRotation:
     """Unit quadruple (cos(angle/2), sin(angle/2) axis_hat)."""
-    a = finite_vector(axis, "rotation axis")
-    norm = math.sqrt(_square_sum(a))  # np.linalg.norm(a), bit for bit
-    if not _SQRT_MIN_NORMAL <= norm < math.inf:
-        # The squares overflowed or left the normal range: scale by the power
-        # of two that brings the largest entry into [0.5, 1).
-        a = np.array(pow2_scaled(a.tolist()))
-        norm = math.sqrt(float(a @ a))
-        if norm == 0.0:
-            raise ValueError("rotation axis must be nonzero")
+    # sin(h) / |a| times a is unchanged when a is scaled by a power of two.
+    a = np.array(pow2_scaled(finite_vector(axis, "rotation axis").tolist()))
+    norm = math.sqrt(float(a @ a))
+    if norm == 0.0:
+        raise ValueError("rotation axis must be nonzero")
     h = 0.5 * finite_angle(angle, "rotation angle")
     s = math.sin(h) / norm
     return SpinorRotation(math.cos(h), s * a[0], s * a[1], s * a[2])

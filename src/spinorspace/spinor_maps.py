@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,15 @@ from .core import (
     Spinor,
     angle_value,
     finite_angle,
+    pow2_shift,
     quadruple_from_spinor,
     spinor_from_quadruple,
     wrap_4pi,
 )
 
 INV_SQRT2 = math.sqrt(0.5)
+
+_MIN_NORMAL = sys.float_info.min
 
 # Fixed orthogonal bridge (V4,V1,V2,V3) = S (U4,U1,U2,U3); shared with
 # rotation_algebra.s_matrix so both views use identical entries.
@@ -96,11 +100,50 @@ def _halves(phi: float) -> tuple:
     return minus, minus.conjugate()
 
 
-def _cartesian(v) -> tuple:
+def _from_cartesian(v, sheet: int, magnitudes) -> Spinor:
+    """Spinor (m1 e^{-i phi/2}, m2 e^{+i phi/2}) of a Cartesian point, with
+    (m1, m2) = magnitudes(x3, rho^2, r). The zero vector yields the zero spinor.
+
+    Where r^2 leaves the normal range, the magnitudes are built for the point
+    times 4^k, which makes them 2^k times the true ones, and unscaled exactly.
+    """
+    sheet = _check_sign_flag(sheet, "sheet")
     x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise ValueError(f"cartesian point must be finite, got {[x1, x2, x3]!r}")
-    return x1, x2, x3
+    rho_sq = x1 * x1 + x2 * x2
+    r_sq = rho_sq + x3 * x3
+    if _MIN_NORMAL <= r_sq < math.inf:
+        m1, m2 = magnitudes(x3, rho_sq, math.sqrt(r_sq))
+    else:
+        k = pow2_shift((x1, x2, x3)) // 2
+        e = 2 * k
+        y1, y2, y3 = math.ldexp(x1, e), math.ldexp(x2, e), math.ldexp(x3, e)
+        rho_sq = y1 * y1 + y2 * y2
+        r_sq = rho_sq + y3 * y3
+        if r_sq == 0.0:
+            return Spinor(0.0j, 0.0j)
+        m1, m2 = magnitudes(y3, rho_sq, math.sqrt(r_sq))
+        m1, m2 = math.ldexp(m1, -k), math.ldexp(m2, -k)
+    em, ep = _halves(_cartesian_phi(x1, x2, sheet))
+    return Spinor(m1 * em, m2 * ep)
+
+
+def _xi_magnitudes(x3: float, rho_sq: float, r: float) -> tuple:
+    # r - |x3| cancels near the axis; the quotient form rho^2 / (r + |x3|)
+    # is the same number without the cancellation.
+    if x3 >= 0.0:
+        plus = r + x3
+        return math.sqrt(plus), math.sqrt(rho_sq / plus)
+    minus = r - x3
+    return math.sqrt(rho_sq / minus), math.sqrt(minus)
+
+
+def _eta_magnitudes(x3: float, rho_sq: float, r: float) -> tuple:
+    # sigma sqrt(r - rho) = x3 / sqrt(r + rho): same value, sign included,
+    # no cancellation near the equator plane.
+    outer = math.sqrt(r + math.sqrt(rho_sq))
+    return x3 / outer, outer
 
 
 def xi_from_cartesian(v, sheet: int = 1) -> Spinor:
@@ -110,22 +153,7 @@ def xi_from_cartesian(v, sheet: int = 1) -> Spinor:
     and e^{i phi} = (x1 + i x2)/rho. sheet = -1 selects the phi + 2pi lift,
     which flips the overall sign. The zero vector yields the zero spinor.
     """
-    sheet = _check_sign_flag(sheet, "sheet")
-    x1, x2, x3 = _cartesian(v)
-    rho_sq = x1 * x1 + x2 * x2
-    r = math.sqrt(rho_sq + x3 * x3)
-    if r == 0.0:
-        return Spinor(0.0j, 0.0j)
-    # r - |x3| cancels near the axis; the quotient form rho^2 / (r + |x3|)
-    # is the same number without the cancellation.
-    if x3 >= 0.0:
-        plus = r + x3
-        minus = rho_sq / plus
-    else:
-        minus = r - x3
-        plus = rho_sq / minus
-    em, ep = _halves(_cartesian_phi(x1, x2, sheet))
-    return Spinor(math.sqrt(plus) * em, math.sqrt(minus) * ep)
+    return _from_cartesian(v, sheet, _xi_magnitudes)
 
 
 def xi_from_spherical(p: SphericalPoint) -> Spinor:
@@ -179,17 +207,7 @@ def eta_from_cartesian(v, sheet: int = 1) -> Spinor:
     eta = (sigma sqrt(r - rho) e^{-i phi/2}, sqrt(r + rho) e^{+i phi/2}) with
     rho = sqrt(x1^2 + x2^2) and sigma = sign(x3), taken +1 at x3 = 0.
     """
-    sheet = _check_sign_flag(sheet, "sheet")
-    x1, x2, x3 = _cartesian(v)
-    rho_sq = x1 * x1 + x2 * x2
-    r = math.sqrt(rho_sq + x3 * x3)
-    if r == 0.0:
-        return Spinor(0.0j, 0.0j)
-    # sigma sqrt(r - rho) = x3 / sqrt(r + rho): same value, sign included,
-    # no cancellation near the equator plane.
-    outer = math.sqrt(r + math.sqrt(rho_sq))
-    em, ep = _halves(_cartesian_phi(x1, x2, sheet))
-    return Spinor((x3 / outer) * em, outer * ep)
+    return _from_cartesian(v, sheet, _eta_magnitudes)
 
 
 def eta_from_spherical(p: SphericalPoint) -> Spinor:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -160,6 +161,19 @@ def test_fixtures_replay_catches_tampering(tmp_path, capsys):
     code, out, _ = run_main(capsys, "verify", "--fixtures", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_fixtures_replay_fails_a_nan_field(tmp_path, capsys):
+    path = tmp_path / "golden.jsonl"
+    run_main(capsys, "fixtures", "--count", "8", "--seed", "3", "--out", str(path))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["quadruple"][1] = math.nan
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_main(capsys, "verify", "--fixtures", str(path))
+    assert code == 1
+    assert "FAIL" in out and "max residual inf" in out
 
 
 def test_fixtures_missing_file(capsys):

@@ -8,7 +8,6 @@ import pytest
 import oracles
 import spinorspace
 from spinorspace import (
-    DoubleCoverAngle,
     IDENTITY_ROTATION,
     KSQuadruple,
     Spinor,
@@ -22,7 +21,7 @@ from spinorspace import (
     su2_matrix,
     wrap_4pi,
 )
-from spinorspace.core import pow2_scaled, qmul, unit4
+from spinorspace.core import pow2_scaled, pow2_shift, qmul, unit4
 
 SQRT2 = math.sqrt(2.0)
 
@@ -121,17 +120,6 @@ def test_wrap_4pi_window():
         assert -2.0 * math.pi < v <= 2.0 * math.pi
 
 
-def test_double_cover_angle_sheets():
-    a = DoubleCoverAngle(math.pi)
-    partner = a.sheet_partner()
-    assert abs(partner.value + math.pi) <= 1e-15
-    assert abs(partner.sheet_partner().value - a.value) <= 1e-15
-    assert abs((-a).value + math.pi) <= 1e-14
-    assert abs((a + 4.0 * math.pi).value - a.value) <= 1e-14
-    with pytest.raises(ValueError):
-        DoubleCoverAngle(float("inf"))
-
-
 def test_constructors_reject_nonfinite():
     with pytest.raises(ValueError):
         Spinor(complex(float("nan"), 0.0), 0.0j)
@@ -147,7 +135,6 @@ def test_angle_value_rejects_nonfinite():
         with pytest.raises(ValueError, match="sweep angle"):
             angle_value(bad, "sweep angle")
     assert angle_value(5.0 * math.pi) == wrap_4pi(5.0 * math.pi)
-    assert angle_value(DoubleCoverAngle(5.0 * math.pi)) == DoubleCoverAngle(math.pi).value
 
 
 _PSI = Spinor(1.0 + 0.0j, 0.0j)
@@ -223,6 +210,8 @@ def test_unit4_is_the_rotation_normalization():
 
 def test_pow2_scaled_is_exact():
     assert pow2_scaled((0.0, -0.0)) == (0.0, -0.0)
+    assert math.copysign(1.0, pow2_scaled((0.0, -0.0))[1]) == -1.0
+    assert pow2_shift((0.0, -0.0)) == 0
     assert pow2_scaled((3.0, -1.0, 0.0)) == (0.75, -0.25, 0.0)
     rng = np.random.default_rng(13)
     for _ in range(200):
@@ -230,6 +219,7 @@ def test_pow2_scaled_is_exact():
         scaled = pow2_scaled(v)
         assert 0.5 <= max(map(abs, scaled)) < 1.0
         shift = math.frexp(max(map(abs, v)))[1]
+        assert pow2_shift(v) == -shift
         assert tuple(math.ldexp(x, shift) for x in scaled) == v
 
 

@@ -7,6 +7,7 @@ CHANGES.md.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -27,10 +28,11 @@ def test_fixture_file_bytes(tmp_path):
         "bd3827fa2dbb9832c42f6ae95d6ce381aa24f6bf7936cf0042befe9e4aa011a2")
 
 
+GAUGE_123 = "dda173e74b966f7a8880b3017dd5827460846f70e6e1aebc382684b11730e3c7"
+
 # argv, exit code, sha256 of stdout, sha256 of stderr.
 CLI_PINS = [
-    (("gauge", "1", "2", "3", "--sign", "plus"), 0,
-     "dda173e74b966f7a8880b3017dd5827460846f70e6e1aebc382684b11730e3c7", EMPTY),
+    (("gauge", "1", "2", "3", "--sign", "plus"), 0, GAUGE_123, EMPTY),
     (("gauge", "-0.3", "0.5", "-2", "--sign", "minus", "--gamma", "0.7"), 0,
      "df5f5a336d30bf63e6295e05bf6bf5ce5338e97a6eab2f907089d8001addee8a", EMPTY),
     # near the south pole: the (+) chart weight is 1.25e-10, above the guard
@@ -58,6 +60,9 @@ CLI_PINS = [
     # range error: colatitude outside [0, pi]
     (("convert", "spherical", "1", "9.42477796", "0"), 2, EMPTY,
      "d603719194a11601fd029a2aa93a40eb31a9055455359ab48651cfa91bfd70db"),
+    # 2^k (1, 2, 3), whose squares overflow or underflow, prints the bytes of (1, 2, 3)
+    *[(("gauge", *(repr(math.ldexp(x, k)) for x in (1.0, 2.0, 3.0)), "--sign", "plus"), 0,
+       GAUGE_123, EMPTY) for k in (600, -600, 1000, -1070)],
 ]
 
 

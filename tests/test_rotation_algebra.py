@@ -96,6 +96,16 @@ def test_extreme_magnitudes():
         assert scaled_residual(half_turn, (0.0, 1.0, 0.0, 0.0)) <= 1e-15
         o = so3_from_vector_parameter((1e200, 0.0, 0.0))
         assert scaled_residual(o, np.diag([1.0, -1.0, -1.0])) <= 1e-15
+        # From |C| ~ 9.5e153 to 1.34e154, 2 (K + K^2) overflows but |C|^2 does not.
+        rng = np.random.default_rng(35)
+        band = [np.array(v) for v in ((1e154, 0.0, 0.0), (3e150, 1e154, 0.0))]
+        for _ in range(50):
+            v = rng.normal(size=3)
+            band.append(v / np.linalg.norm(v) * float(rng.uniform(7e153, 1.2e154)))
+        for v in band:
+            n = v / np.linalg.norm(v)
+            o = so3_from_vector_parameter(v)
+            assert scaled_residual(o, 2.0 * np.outer(n, n) - np.eye(3)) <= 1e-15
         rng = np.random.default_rng(34)
         for _ in range(50):
             v = rng.normal(size=3)

@@ -318,6 +318,27 @@ def test_coordinate_agreement_off_poles():
             assert close(a.c1, b.c1, 1e-13) and close(a.c2, b.c2, 1e-13)
 
 
+def test_round_trip_over_the_double_range():
+    # At most of these magnitudes the squares overflow, underflow or go subnormal.
+    rng = np.random.default_rng(21)
+    units = [d / np.linalg.norm(d) for d in rng.normal(size=(24, 3))]
+    units += [np.array(d) for d in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+                                    (0.6, -0.8, 0.0), (0.0, -0.0, 1e-20))]
+    for k in range(-1000, 1001, 40):
+        for n in units:
+            v = tuple(np.ldexp(n, k).tolist())
+            for sheet in (1, -1):
+                r, x = project_xi(xi_from_cartesian(v, sheet))
+                eta = project_eta(eta_from_cartesian(v, sheet))
+                assert abs(math.ldexp(r, -k) - float(np.linalg.norm(n))) <= 1e-14
+                assert np.max(np.abs(np.ldexp(x, -k) - n)) <= 1e-14
+                assert np.max(np.abs(np.ldexp(eta.x, -k) - n)) <= 1e-14
+    tiny = (5e-324, 0.0, 0.0)
+    for sheet in (1, -1):
+        assert tuple(project_xi(xi_from_cartesian(tiny, sheet))[1]) == tiny
+        assert tuple(project_eta(eta_from_cartesian(tiny, sheet)).x) == tiny
+
+
 def test_double_cover_of_constructors():
     rng = np.random.default_rng(19)
     for _ in range(200):
