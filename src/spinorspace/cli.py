@@ -21,6 +21,7 @@ from .core import (
 from .fixtures import (
     MODELS,
     SYSTEMS,
+    bilinears,
     construct,
     dumps_record,
     fixture_record,
@@ -37,7 +38,6 @@ from .gauge_fixing import (
     psi_from_direction,
 )
 from .rotation_algebra import rotate_spinor, so3_from_rotation
-from .spinor_maps import project_eta, project_xi
 from .verify import SUITE_NAMES, replay_fixtures, run_all, run_suite
 
 
@@ -166,16 +166,8 @@ def _cmd_rotate(args) -> int:
     spinor = construct(args.system, args.values, args.model, args.sheet)
     moved = rotate_spinor(rot, spinor)
     o = so3_from_rotation(rot)
-    if args.model == "eta":
-        before = project_eta(spinor)
-        after = project_eta(moved)
-        spinor_path = np.concatenate([after.x, after.a])
-        vector_path = np.concatenate([o @ before.x, o @ before.a])
-    else:
-        _, x_before = project_xi(spinor)
-        _, x_after = project_xi(moved)
-        spinor_path = x_after
-        vector_path = o @ x_before
+    spinor_path = np.concatenate(bilinears(moved, args.model))
+    vector_path = np.concatenate([o @ v for v in bilinears(spinor, args.model)])
     residual = float(scaled_residual(spinor_path, vector_path))
     print(f"rotation c = {_fmt(rot.as_tuple())}")
     print(f"rotated spinor = ({moved.c1!r}, {moved.c2!r})")

@@ -135,6 +135,35 @@ def qmul(a: tuple, b: tuple) -> tuple:
     )
 
 
+def axis4(delta: float) -> tuple:
+    """The rotation about the third axis, unit4(cos delta, 0, 0, sin delta)."""
+    return unit4(math.cos(delta), 0.0, 0.0, math.sin(delta))
+
+
+def conjugate4(r: tuple) -> tuple:
+    """The inverse rotation of a (c4, c1, c2, c3) tuple, unit4(c4, -c1, -c2, -c3)."""
+    return unit4(r[0], -r[1], -r[2], -r[3])
+
+
+def sign_flag(value, name: str) -> int:
+    """int(value) for a +1/-1 flag such as a sheet; anything else raises ValueError naming it."""
+    if value not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+    return int(value)
+
+
+def sheet_lift(phi: float, sheet: int) -> float:
+    """The azimuth phi on a sheet of the double cover: sheet -1 is the phi + 2pi lift."""
+    return wrap_4pi(phi + TWO_PI) if sheet == -1 else phi
+
+
+def half_phases(phi: float) -> tuple:
+    """The half-angle phases (e^{-i phi/2}, e^{+i phi/2}) of the spinor components."""
+    h = 0.5 * phi
+    minus = complex(math.cos(h), -math.sin(h))
+    return minus, minus.conjugate()
+
+
 def pow2_shift(values) -> int:
     """The k for which 2^k times the largest magnitude lies in [0.5, 1); 0 for all zeros."""
     return -math.frexp(max(map(abs, values)))[1]
@@ -241,3 +270,11 @@ def compose(r1: SpinorRotation, r2: SpinorRotation) -> SpinorRotation:
 def conjugate(rot: SpinorRotation) -> SpinorRotation:
     """Inverse rotation (c4, -c)."""
     return SpinorRotation(rot.c4, -rot.c1, -rot.c2, -rot.c3)
+
+
+__all__ = [
+    "wrap_4pi", "angle_value", "Spinor", "KSQuadruple", "SpinorRotation",
+    "IDENTITY_ROTATION", "EtaProjection", "scaled_residual",
+    "spinor_from_quadruple", "quadruple_from_spinor", "su2_matrix",
+    "compose", "conjugate",
+]

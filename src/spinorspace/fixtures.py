@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Spinor, quadruple_from_spinor, wrap_4pi
+from .core import Spinor, quadruple_from_spinor, sheet_lift, wrap_4pi
 from .gauge_fixing import psi_from_direction
 from .spinor_maps import (
     ParabolicPoint,
@@ -33,11 +33,6 @@ FIXTURE_VERSION = "0.1.0"
 
 SYSTEMS = ("cartesian", "spherical", "parabolic", "direction")
 MODELS = ("xi", "eta", "psi")
-
-
-def _cover_shift(phi: float, sheet: int) -> float:
-    # The sheet flag is the phi + 2pi lift for the angle-bearing systems.
-    return wrap_4pi(phi + 2.0 * math.pi) if sheet == -1 else phi
 
 
 def construct(system: str, values, model: str, sheet: int = 1) -> Spinor:
@@ -61,10 +56,18 @@ def construct(system: str, values, model: str, sheet: int = 1) -> Spinor:
         maker = xi_from_cartesian if model == "xi" else eta_from_cartesian
         return maker(vals, sheet)
     if system == "spherical":
-        point = SphericalPoint(vals[0], vals[1], _cover_shift(vals[2], sheet))
+        point = SphericalPoint(vals[0], vals[1], sheet_lift(vals[2], sheet))
         return xi_from_spherical(point) if model == "xi" else eta_from_spherical(point)
-    point = ParabolicPoint(vals[0], vals[1], _cover_shift(vals[2], sheet))
+    point = ParabolicPoint(vals[0], vals[1], sheet_lift(vals[2], sheet))
     return xi_from_parabolic(point) if model == "xi" else eta_from_parabolic(point)
+
+
+def bilinears(spinor: Spinor, model: str) -> tuple:
+    """The projection vectors a record keeps: (x,), or (x, a) for the eta model."""
+    if model == "eta":
+        p = project_eta(spinor)
+        return p.x, p.a
+    return (project_xi(spinor)[1],)
 
 
 def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
@@ -73,13 +76,8 @@ def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
     spinor = construct(system, values, model, sheet)
     q = quadruple_from_spinor(spinor)
     projection = {"r": 0.5 * spinor.norm_sq}
-    if model == "eta":
-        p = project_eta(spinor)
-        projection["x"] = [float(v) for v in p.x]
-        projection["a"] = [float(v) for v in p.a]
-    else:
-        _, x = project_xi(spinor)
-        projection["x"] = [float(v) for v in x]
+    for key, vector in zip(("x", "a"), bilinears(spinor, model)):
+        projection[key] = vector.tolist()
     return {
         "system": system,
         "values": [float(v) for v in values],
@@ -130,32 +128,26 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
     rng = np.random.default_rng(seed)
     records = []
     for index in range(count):
+        # Kinds 0-5 take each point system with xi, then eta; kind 6 is a direction.
         kind = index % 7
-        if kind in (0, 1):
+        system = SYSTEMS[kind // 2]
+        sheet = 1
+        if system == "cartesian":
             values = [float(v) for v in rng.uniform(-2.0, 2.0, size=3)]
             sheet = 1 if rng.integers(0, 2) == 0 else -1
-            records.append(fixture_record("cartesian", values,
-                                          "xi" if kind == 0 else "eta",
-                                          sheet, seed, tolerance))
-        elif kind in (2, 3):
-            values = [float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, math.pi)),
-                      wrap_4pi(float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi)))]
-            records.append(fixture_record("spherical", values,
-                                          "xi" if kind == 2 else "eta",
-                                          1, seed, tolerance))
-        elif kind in (4, 5):
-            values = [float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)),
-                      wrap_4pi(float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi)))]
-            records.append(fixture_record("parabolic", values,
-                                          "xi" if kind == 4 else "eta",
-                                          1, seed, tolerance))
         else:
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            values = [float(n[0]), float(n[1]), float(n[2]),
-                      wrap_4pi(float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi)))]
-            records.append(fixture_record("direction", values, "psi",
-                                          1, seed, tolerance))
+            if system == "spherical":
+                values = [float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, math.pi))]
+            elif system == "parabolic":
+                values = [float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0))]
+            else:
+                n = rng.normal(size=3)
+                n /= np.linalg.norm(n)
+                values = [float(n[0]), float(n[1]), float(n[2])]
+            # The last value is the last draw: the azimuth, or a direction's phase.
+            values.append(wrap_4pi(float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))))
+        model = "psi" if system == "direction" else MODELS[kind % 2]
+        records.append(fixture_record(system, values, model, sheet, seed, tolerance))
     return records
 
 
@@ -205,7 +197,6 @@ def load_fixtures(path) -> list:
 
 
 __all__ = [
-    "FIXTURE_VERSION", "SYSTEMS", "MODELS",
-    "construct", "fixture_record", "replay_residual",
-    "generate_fixtures", "dumps_record", "write_fixtures", "load_fixtures",
+    "fixture_record", "replay_residual",
+    "generate_fixtures", "write_fixtures", "load_fixtures",
 ]

@@ -21,11 +21,16 @@ from .core import (
     Spinor,
     SpinorRotation,
     angle_value,
+    axis4,
+    conjugate4,
     finite_angle,
     finite_vector,
+    half_phases,
     qmul,
     quadruple_from_spinor,
     scaled_residual,
+    sheet_lift,
+    sign_flag,
     unit4,
     wrap_4pi,
 )
@@ -42,17 +47,9 @@ class SingularGaugeError(ValueError):
 
 
 # Each function builds a value type only for the result it returns. Its
-# intermediate rotations are unit4 tuples, normalized wherever the
-# value-type chain it replaces constructed a SpinorRotation, so the bits
-# are those of that chain.
-
-def _axis4(delta: float) -> tuple:
-    return unit4(math.cos(delta), 0.0, 0.0, math.sin(delta))
-
-
-def _conjugate4(r: tuple) -> tuple:
-    return unit4(r[0], -r[1], -r[2], -r[3])
-
+# intermediate rotations are unit4 tuples, such as core.axis4 and
+# core.conjugate4, normalized wherever the value-type chain it replaces
+# constructed a SpinorRotation, so the bits are those of that chain.
 
 def axis_phase(delta: float) -> SpinorRotation:
     """The rotation (cos delta, 0, 0, sin delta), i.e. B = exp(-i delta sigma^3)."""
@@ -98,7 +95,7 @@ def _psi_pair(v: np.ndarray, gamma) -> tuple:
         lift = requested
     else:
         principal = math.atan2(n2, n1)
-        partner = wrap_4pi(principal + 2.0 * math.pi)
+        partner = sheet_lift(principal, -1)
         lift = principal
         if _cover_distance(partner, requested) < _cover_distance(principal, requested):
             lift = partner
@@ -109,9 +106,8 @@ def _psi_pair(v: np.ndarray, gamma) -> tuple:
     else:
         lower = math.sqrt(0.5 * (1.0 - n3))
         upper = rho * math.sqrt(0.5 / (1.0 - n3))
-    h = 0.5 * lift
-    phase = complex(math.cos(h), -math.sin(h))
-    return upper * phase, lower * phase.conjugate()
+    minus, plus = half_phases(lift)
+    return upper * minus, lower * plus
 
 
 def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
@@ -132,12 +128,12 @@ def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
 
 def _gauge_plus4(u: tuple, phase: float) -> tuple:
     u1, u2, u3, u4 = u
-    return qmul(_axis4(0.5 * phase), unit4(u1, u4, -u3, u2))
+    return qmul(axis4(0.5 * phase), unit4(u1, u4, -u3, u2))
 
 
 def _gauge_minus4(u: tuple, phase: float) -> tuple:
     u1, u2, u3, u4 = u
-    return qmul(_axis4(0.5 * phase), unit4(u3, u2, u1, -u4))
+    return qmul(axis4(0.5 * phase), unit4(u3, u2, u1, -u4))
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +201,7 @@ def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
     v1, v2, v3, v4 = _unit_pair(psi_prime.c1, psi_prime.c2, "rotation_between")
     m = unit4(u1, -u4, u3, -u2)
     m_prime = unit4(v1, -v4, v3, -v2)
-    return SpinorRotation(*qmul(m_prime, _conjugate4(m)))
+    return SpinorRotation(*qmul(m_prime, conjugate4(m)))
 
 
 def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
@@ -216,8 +212,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     then checked against it. Returns the exact +-identity rotation, one
     shared constant per sign.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    sign = sign_flag(sign, "sign")
     q = quadruple_from_spinor(psi)
     if q.norm_sq == 0.0:
         raise ValueError("stabilizer is undefined for the zero spinor")
@@ -231,7 +226,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
 
 
 __all__ = [
-    "SINGULAR_WEIGHT", "SingularGaugeError", "axis_phase", "psi_from_direction",
+    "SingularGaugeError", "axis_phase", "psi_from_direction",
     "gauge_plus", "gauge_minus", "CanonicalGauge",
     "canonical_phase_plus", "canonical_phase_minus",
     "rotation_between", "stabilizer_check",

@@ -18,6 +18,8 @@ import numpy as np
 from .core import (
     KSQuadruple,
     SpinorRotation,
+    axis4,
+    conjugate4,
     finite_angle,
     finite_vector,
     pow2_scaled,
@@ -25,23 +27,17 @@ from .core import (
     scaled_residual,
     unit4,
 )
-from .gauge_fixing import (
-    _axis4,
-    _canonical_plus,
-    _conjugate4,
-    _gauge_plus4,
-    _psi_pair,
-    _unit_pair,
-)
+from .gauge_fixing import _canonical_plus, _gauge_plus4, _psi_pair, _unit_pair
 from .rotation_algebra import _so3, so3_from_rotation, su2_real4
 
 DIRECTION_MATCH_TOLERANCE = 1e-9
 
 
 # Internals run on (q4, q1, q2, q3) tuples. A value type is built only for a
-# returned result, and a unit4 stands wherever the value-type chain built a
-# SpinorRotation. A direction is taken from a unit quadruple normalized once
-# more, as direction_from_ks(normalize_ks(q)) did.
+# returned result, and a unit4 (core.axis4 and core.conjugate4 among them)
+# stands wherever the value-type chain built a SpinorRotation. A direction
+# is taken from a unit quadruple normalized once more, as
+# direction_from_ks(normalize_ks(q)) did.
 
 def _unit_ks(q: tuple) -> tuple:
     q4, q1, q2, q3 = q
@@ -138,7 +134,7 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     # canonical_phase_plus(psi_from_direction(axis)).rotation
     a = _unit_pair(*_psi_pair(a_vec, 0.0), "build_frame")
     align = SpinorRotation(*_gauge_plus4(a, _canonical_plus(a)[1]))
-    turned = unit4(*qmul(unit4(*_hat4(u)), _axis4(delta)))
+    turned = unit4(*qmul(unit4(*_hat4(u)), axis4(delta)))
     w_rot = unit4(*qmul(turned, align.as_tuple()))
     return KSFrame(
         w=KSQuadruple(*_hat4(w_rot)),
@@ -166,8 +162,8 @@ def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> Spinor
             f"quadruples lie over different directions (mismatch {mismatch:.3e})")
     u_rot = unit4(*_hat4(un))
     w_rot = unit4(*_hat4(wn))
-    turned = unit4(*qmul(w_rot, _axis4(-delta)))
-    return SpinorRotation(*qmul(turned, _conjugate4(u_rot)))
+    turned = unit4(*qmul(w_rot, axis4(-delta)))
+    return SpinorRotation(*qmul(turned, conjugate4(u_rot)))
 
 
 def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
@@ -181,7 +177,7 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
 
 
 __all__ = [
-    "DIRECTION_MATCH_TOLERANCE", "normalize_ks", "hat",
+    "normalize_ks", "hat",
     "rotation_from_unit_ks", "ks_from_rotation", "direction_from_ks",
     "left_transport", "KSFrame", "build_frame", "frame_symmetry",
     "rotated_direction",

@@ -270,7 +270,7 @@ def rotation_from_axis_angle(axis, angle: float) -> SpinorRotation:
 
 
 __all__ = [
-    "PAULI", "VECTOR_PARAMETER_LIMIT", "ELEMENTARY_PLANES",
+    "VECTOR_PARAMETER_LIMIT", "ELEMENTARY_PLANES",
     "so3_from_rotation", "vector_parameter", "rotation_from_vector_parameter",
     "so3_from_vector_parameter", "extract_so3", "rotate_spinor", "su2_real4",
     "linear_system_matrix", "elementary_so4", "s_matrix",

@@ -21,10 +21,13 @@ from .core import (
     Spinor,
     angle_value,
     finite_angle,
+    half_phases,
+    pow2_scaled,
     pow2_shift,
     quadruple_from_spinor,
+    sheet_lift,
+    sign_flag,
     spinor_from_quadruple,
-    wrap_4pi,
 )
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -39,12 +42,6 @@ S_BRIDGE = INV_SQRT2 * np.array([
     [1.0, 0.0, 1.0, 0.0],
     [0.0, 1.0, 0.0, 1.0],
 ])
-
-
-def _check_sign_flag(value: int, name: str) -> int:
-    if value not in (1, -1):
-        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,23 +80,6 @@ class ParabolicPoint:
         object.__setattr__(self, "phi", angle_value(self.phi, "azimuth phi"))
 
 
-def _cartesian_phi(x1: float, x2: float, sheet: int) -> float:
-    """Azimuth lift for a Cartesian point: principal sheet from atan2, the
-    other sheet shifted by 2pi. On the axis (rho = 0) phi is defined as 0."""
-    rho = math.hypot(x1, x2)
-    phi = math.atan2(x2, x1) if rho > 0.0 else 0.0
-    if sheet == -1:
-        phi = wrap_4pi(phi + 2.0 * math.pi)
-    return phi
-
-
-def _halves(phi: float) -> tuple:
-    """(e^{-i phi/2}, e^{+i phi/2})."""
-    h = 0.5 * phi
-    minus = complex(math.cos(h), -math.sin(h))
-    return minus, minus.conjugate()
-
-
 def _from_cartesian(v, sheet: int, magnitudes) -> Spinor:
     """Spinor (m1 e^{-i phi/2}, m2 e^{+i phi/2}) of a Cartesian point, with
     (m1, m2) = magnitudes(x3, rho^2, r). The zero vector yields the zero spinor.
@@ -107,7 +87,7 @@ def _from_cartesian(v, sheet: int, magnitudes) -> Spinor:
     Where r^2 leaves the normal range, the magnitudes are built for the point
     times 4^k, which makes them 2^k times the true ones, and unscaled exactly.
     """
-    sheet = _check_sign_flag(sheet, "sheet")
+    sheet = sign_flag(sheet, "sheet")
     x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise ValueError(f"cartesian point must be finite, got {[x1, x2, x3]!r}")
@@ -125,7 +105,9 @@ def _from_cartesian(v, sheet: int, magnitudes) -> Spinor:
             return Spinor(0.0j, 0.0j)
         m1, m2 = magnitudes(y3, rho_sq, math.sqrt(r_sq))
         m1, m2 = math.ldexp(m1, -k), math.ldexp(m2, -k)
-    em, ep = _halves(_cartesian_phi(x1, x2, sheet))
+    # The principal azimuth, which is defined as 0 on the axis (rho = 0).
+    phi = math.atan2(x2, x1) if math.hypot(x1, x2) > 0.0 else 0.0
+    em, ep = half_phases(sheet_lift(phi, sheet))
     return Spinor(m1 * em, m2 * ep)
 
 
@@ -164,13 +146,13 @@ def xi_from_spherical(p: SphericalPoint) -> Spinor:
     """
     root = math.sqrt(2.0 * p.r)
     half = 0.5 * p.theta
-    em, ep = _halves(p.phi)
+    em, ep = half_phases(p.phi)
     return Spinor(root * math.cos(half) * em, root * math.sin(half) * ep)
 
 
 def xi_from_parabolic(p: ParabolicPoint) -> Spinor:
     """xi = (N e^{-i phi/2}, M e^{+i phi/2})."""
-    em, ep = _halves(p.phi)
+    em, ep = half_phases(p.phi)
     return Spinor(p.N * em, p.M * ep)
 
 
@@ -185,8 +167,22 @@ def project_xi(xi: Spinor):
     n2 = z2.real * z2.real + z2.imag * z2.imag
     cross = z1.conjugate() * z2
     r = 0.5 * (n1 + n2)
+    if not math.isfinite(r):
+        e, (r, x) = _rescaled(project_xi, xi)
+        return math.ldexp(r, e), np.ldexp(x, e)
     x = np.array([cross.real, cross.imag, 0.5 * (n1 - n2)])
     return r, x
+
+
+def _rescaled(project, s: Spinor) -> tuple:
+    """(e, project(s 2^k)), where the exact scale 2^k takes the largest part
+    of s into [0.5, 1) and e = -2k unscales the bilinears.
+
+    For a spinor at the top of the double range, whose squares (about 2r)
+    overflow.
+    """
+    q = quadruple_from_spinor(s).as_tuple()
+    return -2 * pow2_shift(q), project(spinor_from_quadruple(KSQuadruple(*pow2_scaled(q))))
 
 
 def xi_constraint_residual(q: KSQuadruple) -> float:
@@ -219,7 +215,7 @@ def eta_from_spherical(p: SphericalPoint) -> Spinor:
     """
     root = math.sqrt(p.r)
     c, s = math.cos(0.5 * p.theta), math.sin(0.5 * p.theta)
-    em, ep = _halves(p.phi)
+    em, ep = half_phases(p.phi)
     return Spinor(root * (c - s) * em, root * (c + s) * ep)
 
 
@@ -228,7 +224,7 @@ def eta_from_parabolic(p: ParabolicPoint) -> Spinor:
 
     The half-space sign is absorbed by the sign of N - M.
     """
-    em, ep = _halves(p.phi)
+    em, ep = half_phases(p.phi)
     return Spinor((p.N - p.M) * INV_SQRT2 * em, (p.N + p.M) * INV_SQRT2 * ep)
 
 
@@ -246,6 +242,9 @@ def project_eta(eta: Spinor) -> EtaProjection:
     w1 = complex(0.0, -0.5) * (sq1 - sq2)
     w2 = 0.5 * (sq1 + sq2)
     w3 = complex(0.0, 1.0) * (h1 * h2)
+    if not (cmath.isfinite(w1) and cmath.isfinite(w2) and cmath.isfinite(w3)):
+        e, p = _rescaled(project_eta, eta)
+        return EtaProjection(a=np.ldexp(p.a, e), x=np.ldexp(p.x, e))
     return EtaProjection(a=np.array([w1.real, w2.real, w3.real]),
                          x=np.array([w1.imag, w2.imag, w3.imag]))
 
@@ -298,13 +297,13 @@ def cartan_reflect(s: Spinor, delta: int = 1) -> Spinor:
     The xi projection is invariant (pseudovector); the eta projection flips
     sign in both parts (vector).
     """
-    delta = _check_sign_flag(delta, "delta")
+    delta = sign_flag(delta, "delta")
     w = complex(0.0, float(delta))
     return Spinor(w * s.c1, w * s.c2)
 
 
 __all__ = [
-    "INV_SQRT2", "S_BRIDGE", "SphericalPoint", "ParabolicPoint",
+    "SphericalPoint", "ParabolicPoint",
     "xi_from_cartesian", "xi_from_spherical", "xi_from_parabolic",
     "project_xi", "xi_constraint_residual", "phase_rotate",
     "eta_from_cartesian", "eta_from_spherical", "eta_from_parabolic",

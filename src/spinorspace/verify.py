@@ -767,6 +767,6 @@ def replay_fixtures(records, tolerance: float | None = None) -> VerificationRepo
 
 
 __all__ = [
-    "SUITE_NAMES", "CheckResult", "VerificationReport",
+    "CheckResult", "VerificationReport",
     "run_suite", "run_all", "replay_fixtures",
 ]

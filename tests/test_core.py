@@ -1,6 +1,8 @@
 import importlib
+import inspect
 import math
 import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -181,6 +183,31 @@ def test_vector_parameters_reject_nonfinite(call, name, bad):
 def test_all_names_resolve(module):
     mod = importlib.import_module(f"spinorspace.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_module_exports_make_up_the_package():
+    # The package star-imports its modules, so their __all__ lists must not
+    # overlap, and together they are its public names.
+    modules = [importlib.import_module(f"spinorspace.{m.name}")
+               for m in pkgutil.iter_modules(spinorspace.__path__) if m.name != "__main__"]
+    declared = Counter(name for mod in modules for name in getattr(mod, "__all__", ()))
+    assert [name for name, count in declared.items() if count > 1] == []
+    public = {name for name, value in vars(spinorspace).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert set(declared) == public
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert getattr(spinorspace, name) is getattr(mod, name), name
+
+
+@pytest.mark.parametrize("call, flag", [
+    (lambda: spinorspace.xi_from_cartesian((1.0, 2.0, 3.0), 0), "sheet"),
+    (lambda: spinorspace.cartan_reflect(Spinor(1.0, 0.0), 2), "delta"),
+    (lambda: spinorspace.stabilizer_check(Spinor(1.0, 0.0), 0), "sign"),
+], ids=["sheet", "delta", "sign"])
+def test_sign_flags_name_the_flag(call, flag):
+    with pytest.raises(ValueError, match=rf"^{flag} must be \+1 or -1, got "):
+        call()
 
 
 def test_rotation_norm_gate():

@@ -324,7 +324,7 @@ def test_round_trip_over_the_double_range():
     units = [d / np.linalg.norm(d) for d in rng.normal(size=(24, 3))]
     units += [np.array(d) for d in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
                                     (0.6, -0.8, 0.0), (0.0, -0.0, 1e-20))]
-    for k in range(-1000, 1001, 40):
+    for k in [*range(-1000, 1001, 40), 1023]:
         for n in units:
             v = tuple(np.ldexp(n, k).tolist())
             for sheet in (1, -1):
@@ -337,6 +337,15 @@ def test_round_trip_over_the_double_range():
     for sheet in (1, -1):
         assert tuple(project_xi(xi_from_cartesian(tiny, sheet))[1]) == tiny
         assert tuple(project_eta(eta_from_cartesian(tiny, sheet)).x) == tiny
+    # The spinor squares of these points overflow; compare with the points times 2^-100.
+    for v in ((1.7e308, 0.0, 0.0), (1e308, 1e308, 0.0)):
+        low = tuple(math.ldexp(c, -100) for c in v)
+        r, x = project_xi(xi_from_cartesian(v))
+        assert scaled_residual(r, math.ldexp(project_xi(xi_from_cartesian(low))[0], 100)) <= 1e-15
+        assert scaled_residual(x, v) <= 1e-15
+        p = project_eta(eta_from_cartesian(v))
+        assert scaled_residual(p.x, v) <= 1e-15
+        assert scaled_residual(p.a, np.ldexp(project_eta(eta_from_cartesian(low)).a, 100)) <= 1e-15
 
 
 def test_double_cover_of_constructors():
