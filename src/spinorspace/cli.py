@@ -51,6 +51,15 @@ def _fmt(values) -> str:
     return "(" + ", ".join(repr(float(v)) for v in values) + ")"
 
 
+def _add_point_arguments(command: argparse.ArgumentParser) -> None:
+    """The point that convert and rotate both take: system, values, model, sheet, tolerance."""
+    command.add_argument("system", choices=_POINT_SYSTEMS)
+    command.add_argument("values", nargs=3, type=float, metavar="V")
+    command.add_argument("--model", choices=_POINT_MODELS, default="xi")
+    command.add_argument("--sheet", type=int, choices=[1, -1], default=1)
+    command.add_argument("--tolerance", type=float, default=1e-12)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinorspace",
@@ -60,11 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser(
         "convert", help="build a spinor record from coordinates and print it")
-    convert.add_argument("system", choices=_POINT_SYSTEMS)
-    convert.add_argument("values", nargs=3, type=float, metavar="V")
-    convert.add_argument("--model", choices=_POINT_MODELS, default="xi")
-    convert.add_argument("--sheet", type=int, choices=[1, -1], default=1)
-    convert.add_argument("--tolerance", type=float, default=1e-12)
+    _add_point_arguments(convert)
     convert.add_argument("--seed", type=int, default=0)
 
     verify = sub.add_parser(
@@ -92,11 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     rotate = sub.add_parser(
         "rotate", help="apply a rotation along both the spinor and vector paths")
     rotate.add_argument("rotation", nargs=4, type=float, metavar="C")
-    rotate.add_argument("system", choices=_POINT_SYSTEMS)
-    rotate.add_argument("values", nargs=3, type=float, metavar="V")
-    rotate.add_argument("--model", choices=_POINT_MODELS, default="xi")
-    rotate.add_argument("--sheet", type=int, choices=[1, -1], default=1)
-    rotate.add_argument("--tolerance", type=float, default=1e-12)
+    _add_point_arguments(rotate)
     return parser
 
 

@@ -211,6 +211,7 @@ class SpinorRotation:
 
 
 IDENTITY_ROTATION = SpinorRotation(1.0, 0.0, 0.0, 0.0)
+MINUS_IDENTITY = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Spinor, quadruple_from_spinor, sheet_lift, wrap_4pi
+from .core import Spinor, quadruple_from_spinor, sheet_lift, sign_flag, wrap_4pi
 from .gauge_fixing import psi_from_direction
 from .spinor_maps import (
     ParabolicPoint,
@@ -41,6 +41,7 @@ def construct(system: str, values, model: str, sheet: int = 1) -> Spinor:
         raise ValueError(f"unknown system {system!r}; valid: {', '.join(SYSTEMS)}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
+    sheet = sign_flag(sheet, "sheet")
     vals = [float(v) for v in values]
     if system == "direction":
         if model != "psi":
@@ -133,7 +134,7 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
         system = SYSTEMS[kind // 2]
         sheet = 1
         if system == "cartesian":
-            values = [float(v) for v in rng.uniform(-2.0, 2.0, size=3)]
+            values = rng.uniform(-2.0, 2.0, size=3).tolist()
             sheet = 1 if rng.integers(0, 2) == 0 else -1
         else:
             if system == "spherical":
@@ -143,7 +144,7 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
             else:
                 n = rng.normal(size=3)
                 n /= np.linalg.norm(n)
-                values = [float(n[0]), float(n[1]), float(n[2])]
+                values = n.tolist()
             # The last value is the last draw: the azimuth, or a direction's phase.
             values.append(wrap_4pi(float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))))
         model = "psi" if system == "direction" else MODELS[kind % 2]
@@ -151,7 +152,7 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
     return records
 
 
-def _encode(value) -> str:
+def dumps_record(value) -> str:
     # Hand-rolled emitter: the stdlib serializer offers no float-format hook,
     # and byte determinism needs one fixed 17-significant-digit rendering.
     if isinstance(value, bool):
@@ -166,20 +167,16 @@ def _encode(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_encode(v) for v in value) + "]"
+        return "[" + ",".join(dumps_record(v) for v in value) + "]"
     if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_encode(v)}"
+        return "{" + ",".join(f"{json.dumps(str(k))}:{dumps_record(v)}"
                               for k, v in value.items()) + "}"
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
-def dumps_record(record: dict) -> str:
-    return _encode(record)
-
-
 def write_fixtures(records, path) -> int:
     """Write records as newline-delimited JSON; returns the record count."""
-    text = "".join(_encode(r) + "\n" for r in records)
+    text = "".join(dumps_record(r) + "\n" for r in records)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
     return len(records)

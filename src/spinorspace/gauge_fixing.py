@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     IDENTITY_ROTATION,
+    MINUS_IDENTITY,
     NORM_SLACK,
     Spinor,
     SpinorRotation,
@@ -39,7 +40,7 @@ from .rotation_algebra import linear_system_matrix
 # A canonical phase whose chart's component weight is at most this is singular.
 SINGULAR_WEIGHT = 1e-12
 
-_MINUS_IDENTITY = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
+_PLUS_UNDEFINED = "(+)-gauge canonical phase undefined: first component weight"
 
 
 class SingularGaugeError(ValueError):
@@ -121,9 +122,9 @@ def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
 
 
 def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
-    """Closed-form rotation sending psi to (0, e^{+i phase/2})."""
+    """Closed-form rotation sending psi to (0, e^{+i phase/2}): the (+) gauge of i sigma^2 psi*."""
     u = _unit_pair(psi.c1, psi.c2, "gauge_minus")
-    return SpinorRotation(*_gauge_minus4(u, finite_angle(phase, "gauge phase")))
+    return SpinorRotation(*_gauge_plus4(_swap(u), finite_angle(phase, "gauge phase")))
 
 
 def _gauge_plus4(u: tuple, phase: float) -> tuple:
@@ -131,9 +132,11 @@ def _gauge_plus4(u: tuple, phase: float) -> tuple:
     return qmul(axis4(0.5 * phase), unit4(u1, u4, -u3, u2))
 
 
-def _gauge_minus4(u: tuple, phase: float) -> tuple:
+def _swap(u: tuple) -> tuple:
+    """The components of i sigma^2 psi* = (psi2*, -psi1*), whose (+) chart is the (-)
+    chart of psi: negation is exact, so the (+) kernels give the (-) chart's bits."""
     u1, u2, u3, u4 = u
-    return qmul(axis4(0.5 * phase), unit4(u3, u2, u1, -u4))
+    return u3, -u4, -u1, u2
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,19 +160,19 @@ def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:
     (direction at the south pole): SingularGaugeError.
     """
     u = u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "canonical_phase_plus")
-    s, gamma = _canonical_plus(u)
+    s, gamma = _canonical_plus(u, _PLUS_UNDEFINED)
     c_vec = np.array([(u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0])
     return CanonicalGauge(gamma=gamma, vector_parameter=c_vec,
                           rotation=SpinorRotation(*_gauge_plus4(u, gamma)))
 
 
-def _canonical_plus(u: tuple) -> tuple:
-    """The (+) chart weight s and canonical phase gamma of unit components u."""
+def _canonical_plus(u: tuple, undefined: str) -> tuple:
+    """The (+) chart weight s and canonical phase gamma of unit components u; a
+    singular weight raises SingularGaugeError, its message `undefined` and s."""
     u1, u2 = u[0], u[1]
     s = u1 * u1 + u2 * u2
     if s <= SINGULAR_WEIGHT:
-        raise SingularGaugeError(
-            f"(+)-gauge canonical phase undefined: first component weight {s!r}")
+        raise SingularGaugeError(f"{undefined} {s!r}")
     return s, 2.0 * math.atan2(-u2, u1)
 
 
@@ -178,16 +181,16 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
 
     gamma = 2 atan2(u4, u3) and C = (-(u1 u4 - u2 u3)/s, (u1 u3 + u2 u4)/s, 0)
     with s = u3^2 + u4^2; singular when the direction sits at the north pole.
+    This is the (+) construction on i sigma^2 psi*.
     """
     u = u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "canonical_phase_minus")
-    s = u3 * u3 + u4 * u4
-    if s <= SINGULAR_WEIGHT:
-        raise SingularGaugeError(
-            f"(-)-gauge canonical phase undefined: second component weight {s!r}")
-    gamma = 2.0 * math.atan2(u4, u3)
+    w = _swap(u)
+    s, gamma = _canonical_plus(w, "(-)-gauge canonical phase undefined: second component weight")
+    # The (+) formula on w has these values, but gives +0.0 where this gives
+    # -0.0, as for the direction (1, 0, 0), whose C the CLI prints.
     c_vec = np.array([-(u1 * u4 - u2 * u3) / s, (u1 * u3 + u2 * u4) / s, 0.0])
     return CanonicalGauge(gamma=gamma, vector_parameter=c_vec,
-                          rotation=SpinorRotation(*_gauge_minus4(u, gamma)))
+                          rotation=SpinorRotation(*_gauge_plus4(w, gamma)))
 
 
 def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
@@ -222,7 +225,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     if scaled_residual(solved, expected) > 1e-9:
         raise ArithmeticError(
             f"stabilizer solve did not land on {sign} * identity: {solved!r}")
-    return IDENTITY_ROTATION if sign == 1 else _MINUS_IDENTITY
+    return IDENTITY_ROTATION if sign == 1 else MINUS_IDENTITY
 
 
 __all__ = [

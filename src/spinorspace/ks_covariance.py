@@ -27,7 +27,7 @@ from .core import (
     scaled_residual,
     unit4,
 )
-from .gauge_fixing import _canonical_plus, _gauge_plus4, _psi_pair, _unit_pair
+from .gauge_fixing import _PLUS_UNDEFINED, _canonical_plus, _gauge_plus4, _psi_pair, _unit_pair
 from .rotation_algebra import _so3, so3_from_rotation, su2_real4
 
 DIRECTION_MATCH_TOLERANCE = 1e-9
@@ -133,7 +133,7 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     a_vec = finite_vector(axis, "frame axis")
     # canonical_phase_plus(psi_from_direction(axis)).rotation
     a = _unit_pair(*_psi_pair(a_vec, 0.0), "build_frame")
-    align = SpinorRotation(*_gauge_plus4(a, _canonical_plus(a)[1]))
+    align = SpinorRotation(*_gauge_plus4(a, _canonical_plus(a, _PLUS_UNDEFINED)[1]))
     turned = unit4(*qmul(unit4(*_hat4(u)), axis4(delta)))
     w_rot = unit4(*qmul(turned, align.as_tuple()))
     return KSFrame(

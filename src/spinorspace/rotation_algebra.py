@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KSQuadruple, Spinor, SpinorRotation, finite_angle, finite_vector, pow2_scaled
+from .core import (
+    KSQuadruple,
+    Spinor,
+    SpinorRotation,
+    finite_angle,
+    finite_vector,
+    pow2_scaled,
+    pow2_shift,
+)
 from .spinor_maps import S_BRIDGE
 
 PAULI = np.array([
@@ -62,29 +70,39 @@ def vector_parameter(rot: SpinorRotation) -> np.ndarray:
     return rot.vec / rot.c4
 
 
+def _chart_scaled(c: list) -> tuple:
+    """(t, C', t^2 + |C'|^2) for (t, C') = 2^k (1, C), the one scale of both charts.
+
+    k is 0 while every |C_i| < 2, so small C keeps every bit; otherwise 2^k
+    takes the largest entry into [1, 2), and the sum of squares cannot
+    overflow. Both charts are homogeneous in (1, C), so they are unchanged.
+    """
+    shift = pow2_shift((1.0, *c)) + 1
+    t, *scaled = (math.ldexp(v, shift) for v in (1.0, *c))
+    v = np.array(scaled)
+    return t, scaled, t * t + float(v @ v)
+
+
 def rotation_from_vector_parameter(C) -> SpinorRotation:
     """Inverse chart, fixing the c4 > 0 representative: c4 = 1 / sqrt(1 + |C|^2), c = c4 C.
 
-    c4 is evaluated as t / sqrt(t^2 + |C'|^2), with (t, C') the pow2_scaled
-    (1, C): the same number, from a sum of squares that cannot overflow.
+    c4 is evaluated as t / sqrt(t^2 + |C'|^2) on the (t, C') of _chart_scaled.
     """
-    c = finite_vector(C, "vector parameter")
-    t, *scaled = pow2_scaled((1.0, *c.tolist()))
-    scaled = np.array(scaled)
-    c4 = t / math.sqrt(t * t + float(scaled @ scaled))
+    c = finite_vector(C, "vector parameter").tolist()
+    t, _, norm_sq = _chart_scaled(c)
+    c4 = t / math.sqrt(norm_sq)
     return SpinorRotation(c4, c4 * c[0], c4 * c[1], c4 * c[2])
 
 
 def so3_from_vector_parameter(C) -> np.ndarray:
     """O = I + 2 (K_C + K_C^2) / (1 + |C|^2), bypassing the unit quadruple.
 
-    Evaluated as I + 2 (t K_C' + K_C'^2) / (t^2 + |C'|^2), with (t, C') the
-    pow2_scaled (1, C): the same matrix at every magnitude of C.
+    Evaluated as I + 2 (t K_C' + K_C'^2) / (t^2 + |C'|^2) on the (t, C') of
+    _chart_scaled: the same matrix at every magnitude of C.
     """
-    t, *scaled = pow2_scaled((1.0, *finite_vector(C, "vector parameter").tolist()))
-    c = np.array(scaled)
+    t, scaled, norm_sq = _chart_scaled(finite_vector(C, "vector parameter").tolist())
     k = _cross_matrix(scaled)  # from floats: indexing an array costs more
-    return np.eye(3) + 2.0 * (t * k + k @ k) / (t * t + float(c @ c))
+    return np.eye(3) + 2.0 * (t * k + k @ k) / norm_sq
 
 
 def extract_so3(matrix: np.ndarray) -> np.ndarray:
@@ -147,9 +165,6 @@ ELEMENTARY_PLANES = {
     "4-3": (4, 3),
 }
 
-# Position of index digit d in the (q4, q1, q2, q3) storage order.
-_STORAGE_POSITION = {4: 0, 1: 1, 2: 2, 3: 3}
-
 
 def elementary_so4(label: str, angle: float) -> np.ndarray:
     """Plane rotation S_{i-j}(angle) of the quadruple space.
@@ -161,7 +176,7 @@ def elementary_so4(label: str, angle: float) -> np.ndarray:
         raise ValueError(
             f"unknown plane label {label!r}; valid labels: {sorted(ELEMENTARY_PLANES)}")
     i, j = ELEMENTARY_PLANES[label]
-    pi, pj = _STORAGE_POSITION[i], _STORAGE_POSITION[j]
+    pi, pj = i % 4, j % 4  # positions in the (q4, q1, q2, q3) storage order
     angle = finite_angle(angle, "plane angle")
     c, s = math.cos(angle), math.sin(angle)
     out = np.eye(4)
@@ -196,15 +211,12 @@ def s_factorization_check() -> FactorizationScan:
     """
     angles = [k * math.pi / 4.0 for k in range(-3, 5)]
     scanned = []
-    best = None
     for b1 in angles:
         left = elementary_so4("4-2", b1)
         for b2 in angles:
             product = left @ elementary_so4("3-1", b2)
-            residual = float(np.max(np.abs(product - S_BRIDGE)))
-            scanned.append((b1, b2, residual))
-            if best is None or residual < best[2]:
-                best = (b1, b2, residual)
+            scanned.append((b1, b2, float(np.max(np.abs(product - S_BRIDGE)))))
+    best = min(scanned, key=lambda row: row[2])  # the first of equal residuals
     return FactorizationScan(best_angles=(best[0], best[1]),
                              best_residual=best[2],
                              residuals=tuple(scanned))
@@ -238,12 +250,7 @@ def s_outside_su2_image(target: np.ndarray | None = None) -> NonMembershipCertif
     if target is None:
         target = S_BRIDGE
     target = np.asarray(target, dtype=float)
-    basis = np.column_stack([
-        _real4_pattern(1.0, 0.0, 0.0, 0.0).ravel(),
-        _real4_pattern(0.0, 1.0, 0.0, 0.0).ravel(),
-        _real4_pattern(0.0, 0.0, 1.0, 0.0).ravel(),
-        _real4_pattern(0.0, 0.0, 0.0, 1.0).ravel(),
-    ])
+    basis = np.column_stack([_real4_pattern(*row).ravel() for row in np.eye(4)])
     fit, _, _, _ = np.linalg.lstsq(basis, target.ravel(), rcond=None)
     residual = float(np.linalg.norm(basis @ fit - target.ravel()))
     # Pattern entry (0, 2) reads +c2, entry (1, 3) reads -c2.

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     FOUR_PI,
+    MINUS_IDENTITY,
     TWO_PI,
     KSQuadruple,
     Spinor,
@@ -258,9 +259,15 @@ def _check_construct_project(v, sheets):
         return (*project_xi(xi), xi_constraint_residual(quadruple_from_spinor(xi)),
                 p.x, p.a, xi_constraint_residual(qe), qe.norm_sq)
     r, x, xi_res, px, pa, eta_res, norm_sq = _each(round_trip, v, sheets)
-    half, pxx = 0.5 * norm_sq, _dot(px, px)
     return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))), _worst([xi_res, eta_res], 0.0),
-               _worst(_dot(x, x), r * r), _worst(px, v, 1), _worst(pxx, half * half),
+               _worst(px, v, 1), _hopf_norms(r, x, px, pa, norm_sq))
+
+
+def _hopf_norms(r, x, px, pa, norm_sq):
+    """Worst of the Hopf-norm identities x.x = r^2 on xi projections (r, x), and
+    |px|^2 = (norm_sq / 2)^2, pa.px = 0, |pa| = |px| on eta projections (px, pa)."""
+    half, pxx = 0.5 * norm_sq, _dot(px, px)
+    return max(_worst(_dot(x, x), r * r), _worst(pxx, half * half),
                _worst(_dot(pa, px), 0.0), _worst(_dot(pa, pa), pxx))
 
 
@@ -273,9 +280,7 @@ def _xi_eta(spinor):
 @_check("hopf_norms_any_spinor", _spinors)
 def _check_hopf_norm_general(s):
     r, x, px, pa = _each(_xi_eta, _as_spinors(s))
-    half, pxx = 0.5 * _dot(s, s), _dot(px, px)
-    return max(_worst(_dot(x, x), r * r), _worst(pxx, half * half),
-               _worst(_dot(pa, px), 0.0), _worst(_dot(pa, pa), pxx))
+    return _hopf_norms(r, x, px, pa, _dot(s, s))
 
 
 @_check("eta_projection_dual_route", _spinors)
@@ -437,7 +442,6 @@ def _check_s_non_membership(c):
 
 _BUILDERS = ((xi_from_spherical, 0), (eta_from_spherical, 0),
              (xi_from_parabolic, 1), (eta_from_parabolic, 1))
-_MINUS_ONE = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
 
 
 @_check("double_cover_sign", lambda rng, n: (rng.random((n, 6)), rng.normal(size=(n, 4))))
@@ -456,7 +460,7 @@ def _check_double_cover(u, s):
                 np.array([[(radius, *x) for radius, x in map(project_xi, row[:2])]
                           for row in lifts]),
                 [_pair(xi_from_cartesian(point, sheet)) for sheet in (1, -1)],
-                _pair(rotate_spinor(_MINUS_ONE, spinor)))
+                _pair(rotate_spinor(MINUS_IDENTITY, spinor)))
     lifts, proj, flips, turned = _each(
         sheets, _as_spinors(s), r, theta, phi, np.sqrt(r * (1.0 + np.cos(theta))),
         np.sqrt(r * (1.0 - np.cos(theta))), 4.0 * u[:, 3:] - 2.0)
@@ -466,7 +470,7 @@ def _check_double_cover(u, s):
                _worst(proj[:, :, 0, 1:], proj[:, :, 1, 1:], 2),
                _worst(flips[:, 1, [0, 3]], -flips[:, 0, [0, 3]]),
                _worst(turned[:, [0, 2]], -s[:, [0, 2]]),
-               _worst(so3_from_rotation(_MINUS_ONE)[None], np.eye(3), (1, 2)))
+               _worst(so3_from_rotation(MINUS_IDENTITY)[None], np.eye(3), (1, 2)))
 
 
 @_check("cartan_reflection_parity", lambda rng, n: (rng.normal(size=(n, 5)),))
@@ -743,21 +747,24 @@ def replay_fixtures(records, tolerance: float | None = None) -> VerificationRepo
     """Recompute every stored record and compare against its stored fields.
 
     Each record is held to its own stored tolerance unless an override is
-    given. Malformed records count as categorical failures.
+    given. Malformed records, a non-finite tolerance among them, count as
+    categorical failures.
     """
     start = time.perf_counter()
     worst = 0.0
     threshold = 0.0
     ok = True
     for record in records:
-        tol = tolerance if tolerance is not None else float(record["meta"]["tolerance"])
-        threshold = max(threshold, tol)
         try:
+            tol = tolerance if tolerance is not None else float(record["meta"]["tolerance"])
+            if not math.isfinite(tol):
+                raise ValueError(f"tolerance must be finite, got {tol!r}")
+            threshold = max(threshold, tol)
             residual = fixture_io.replay_residual(record)
+            ok = ok and residual <= tol
         except (KeyError, ValueError, TypeError):
-            residual = math.inf
+            residual, ok = math.inf, False
         worst = max(worst, residual)
-        ok = ok and residual <= tol
     count = len(records)
     threshold = threshold if count else (tolerance if tolerance is not None else 1e-12)
     check = CheckResult("fixture_replay", count, worst, threshold, ok)

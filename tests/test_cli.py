@@ -176,6 +176,23 @@ def test_fixtures_replay_fails_a_nan_field(tmp_path, capsys):
     assert "FAIL" in out and "max residual inf" in out
 
 
+@pytest.mark.parametrize("line", [
+    lambda record: {k: v for k, v in record.items() if k != "meta"},
+    lambda record: [1, 2, 3],
+    lambda record: {**record, "meta": {**record["meta"], "tolerance": "abc"}},
+    lambda record: {**record, "meta": {**record["meta"], "tolerance": math.nan}},
+], ids=["no-meta", "list", "text-tolerance", "nan-tolerance"])
+def test_fixtures_replay_fails_a_malformed_line(tmp_path, capsys, line):
+    path = tmp_path / "golden.jsonl"
+    run_main(capsys, "fixtures", "--count", "8", "--seed", "3", "--out", str(path))
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps(line(json.loads(lines[2])))
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_main(capsys, "verify", "--fixtures", str(path))
+    assert code == 1 and err == ""
+    assert "FAIL" in out and "max residual inf" in out
+
+
 def test_fixtures_missing_file(capsys):
     code, _, err = run_main(capsys, "verify", "--fixtures", "/no/such/file.jsonl")
     assert code == 2 and "error:" in err

@@ -148,6 +148,45 @@ def test_replay_malformed_record_is_categorical():
     assert math.isinf(report.max_residual)
 
 
+@pytest.mark.parametrize("system, values, model", [
+    ("spherical", [1.0, 1.0, 0.5], "xi"),
+    ("parabolic", [1.0, 0.5, 0.25], "eta"),
+    ("direction", [0.0, 0.6, 0.8, 0.5], "psi"),
+])
+def test_records_validate_their_sheet(system, values, model):
+    with pytest.raises(ValueError, match="sheet must be [+]1 or -1"):
+        fixture_record(system, values, model, sheet=7)
+    record = fixture_record(system, values, model, sheet=-1)
+    record["sheet"] = 7
+    report = replay_fixtures([record])
+    assert not report.passed and math.isinf(report.max_residual)
+
+
+def _without_meta(record):
+    del record["meta"]
+    return record
+
+
+def _with_tolerance(value):
+    def tamper(record):
+        record["meta"]["tolerance"] = value
+        return record
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [
+    _without_meta, lambda record: [1, 2, 3], lambda record: "record",
+    _with_tolerance("abc"), _with_tolerance(math.nan), _with_tolerance(math.inf),
+], ids=["no-meta", "list", "string", "text-tolerance", "nan-tolerance", "inf-tolerance"])
+def test_replay_fails_a_malformed_record(tamper):
+    records = generate_fixtures(3, seed=19)
+    records[1] = tamper(records[1])
+    report = replay_fixtures(records)
+    assert not report.passed
+    assert math.isinf(report.max_residual)
+    assert report.samples == 3 and report.checks[0].threshold == 1e-12
+
+
 def test_replay_missing_sheet_defaults():
     rec = fixture_record("cartesian", (0.3, -0.4, 0.5), "eta", sheet=1)
     del rec["sheet"]

@@ -1,4 +1,5 @@
-"""Byte pins: sha256 of the fixture file and of CLI output.
+"""Byte and bit pins: sha256 of the fixture file and of CLI output, and the
+float.hex of every check's worst residual in run_all(1000, 42).
 
 The digests were taken from the library before its gauges and frames moved
 onto float-tuple kernels, so they hold every later change to the same bytes.
@@ -11,7 +12,7 @@ import math
 
 import pytest
 
-from spinorspace import generate_fixtures, write_fixtures
+from spinorspace import generate_fixtures, run_all, write_fixtures
 from spinorspace.cli import main
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -73,3 +74,52 @@ def test_cli_output_bytes(capsys, argv, code, out_sha, err_sha):
     captured = capsys.readouterr()
     assert _sha(captured.out.encode()) == out_sha
     assert _sha(captured.err.encode()) == err_sha
+
+
+# float.hex of each check's max_residual in run_all(1000, 42), in suite order.
+RESIDUAL_PINS = [
+    ("construct_project_round_trip", "0x1.c86b54a9ee21fp-50"),
+    ("hopf_norms_any_spinor", "0x1.0000000000000p-48"),
+    ("eta_projection_dual_route", "0x1.f804fe17ebd91p-53"),
+    ("coordinate_agreement", "0x1.2c00000000000p-51"),
+    ("projection_phase_invariance", "0x1.1affe5b6e89dcp-51"),
+    ("xi_commuting_square", "0x1.d6d07d959fd36p-51"),
+    ("eta_commuting_square", "0x1.2220bc3ef14bbp-50"),
+    ("so3_extraction_orthogonality", "0x1.7fffffffffff7p-50"),
+    ("vector_parameter_chart", "0x1.8000000000000p-51"),
+    ("rotation_homomorphisms", "0x1.0000000000000p-50"),
+    ("so4_spinor_conjugacy", "0x1.4ffa022bf0970p-52"),
+    ("bridge_involution", "0x1.ff56f298e4f31p-52"),
+    ("bridge_quadruple_route", "0x1.43eaaf6438254p-52"),
+    ("s_orthogonal_factorization", "0x1.0000000000000p-52"),
+    ("s_no_su2_preimage", "0x1.0000000000000p-50"),
+    ("double_cover_sign", "0x1.0000000000000p-49"),
+    ("cartan_reflection_parity", "0x0.0p+0"),
+    ("direction_vs_matrix_hat", "0x1.7fffffffffff7p-50"),
+    ("left_transport_routes", "0x1.c000000000000p-51"),
+    ("frame_defining_identities", "0x1.2000000000000p-50"),
+    ("frame_symmetry_transport", "0x1.0000000000000p-51"),
+    ("phase_residual_law", "0x1.f22f0c0b89864p-52"),
+    ("singular_error_paths", "0x0.0p+0"),
+    ("gauge_postconditions", "0x1.8000000000000p-52"),
+    ("canonical_gauges", "0x1.53c4c9c8bfd46p-50"),
+    ("rotation_between_planted", "0x1.8000000000000p-52"),
+    ("stabilizer_exact_identity", "0x0.0p+0"),
+    ("stabilizer_circle_contrast", "0x1.ffffffffffffep-53"),
+    ("singular_gauge_paths", "0x0.0p+0"),
+]
+
+
+@pytest.fixture(scope="module")
+def suite_residuals():
+    return [(c.name, c.max_residual.hex()) for report in run_all(1000, 42)
+            for c in report.checks]
+
+
+def test_residual_pins_cover_every_check(suite_residuals):
+    assert [name for name, _ in suite_residuals] == [name for name, _ in RESIDUAL_PINS]
+
+
+@pytest.mark.parametrize("name, bits", RESIDUAL_PINS, ids=[p[0] for p in RESIDUAL_PINS])
+def test_worst_residual_bits(suite_residuals, name, bits):
+    assert dict(suite_residuals)[name] == bits

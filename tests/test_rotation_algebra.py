@@ -129,6 +129,16 @@ def test_so3_from_vector_parameter_frozen():
     assert scaled_residual(quarter, oracles.rz(0.5 * math.pi)) <= 1e-15
 
 
+def test_so3_from_vector_parameter_exact_for_tiny_c():
+    # Below |C| = 1e-300 the K^2 terms round to zero, so O is I + 2 K(C) exactly.
+    rng = np.random.default_rng(36)
+    for _ in range(2000):
+        c = rng.normal(size=3)
+        c *= 10.0 ** rng.uniform(-320.0, -300.0) / np.linalg.norm(c)
+        k = np.array([[0.0, -c[2], c[1]], [c[2], 0.0, -c[0]], [-c[1], c[0], 0.0]])
+        assert np.array_equal(so3_from_vector_parameter(c), np.eye(3) + 2.0 * k), c.tolist()
+
+
 def test_vector_parameter_chart():
     rng = np.random.default_rng(33)
     for _ in range(300):
