@@ -1,7 +1,7 @@
 """Command-line interface: convert, rotate, gauge, verify, fixtures.
 
 Exit codes: 0 success or pass, 1 verification failure or singular gauge,
-2 usage or range errors.
+2 usage or range errors, an unreadable or unwritable file among them.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import (
     SpinorRotation,
+    finite_angle,
     finite_vector,
     pow2_scaled,
     quadruple_from_spinor,
@@ -152,17 +153,13 @@ def _cmd_gauge(args) -> int:
 def _cmd_fixtures(args, parser) -> int:
     if args.count < 0:
         parser.error("--count must be >= 0")
-    records = generate_fixtures(args.count, args.seed, args.tolerance)
-    try:
-        written = write_fixtures(records, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    written = write_fixtures(generate_fixtures(args.count, args.seed, args.tolerance), args.out)
     print(f"wrote {written} records to {args.out}")
     return 0
 
 
 def _cmd_rotate(args) -> int:
+    finite_angle(args.tolerance, "tolerance")
     rot = SpinorRotation(*args.rotation)
     spinor = construct(args.system, args.values, args.model, args.sheet)
     moved = rotate_spinor(rot, spinor)

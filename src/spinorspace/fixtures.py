@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Spinor, quadruple_from_spinor, sheet_lift, sign_flag, wrap_4pi
+from .core import Spinor, finite_angle, quadruple_from_spinor, sheet_lift, sign_flag, wrap_4pi
 from .gauge_fixing import psi_from_direction
 from .spinor_maps import (
     ParabolicPoint,
@@ -87,7 +87,7 @@ def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
         "spinor": [[spinor.c1.real, spinor.c1.imag], [spinor.c2.real, spinor.c2.imag]],
         "quadruple": list(q.as_tuple()),
         "projection": projection,
-        "meta": {"seed": int(seed), "tolerance": float(tolerance),
+        "meta": {"seed": int(seed), "tolerance": finite_angle(tolerance, "tolerance"),
                  "version": FIXTURE_VERSION},
     }
 

@@ -2,11 +2,13 @@
 
 Five suites (hopf, covariance, so4, ks, gauge) draw reproducible random
 samples and measure the worst scaled residual of each identity they cover.
-Each check draws all its inputs at once, calls the library's scalar functions
-once per sample, stacks what each sample observes into arrays (`_each`), and
-reduces a chunk of samples at once. A report passes when every check lands
-under its threshold. The fixture replay path reruns stored golden records
-through the constructors and holds them to the tolerance each record carries.
+Each check is declared once, by its decorator `_check(suite, name, share,
+draw)`, and a suite runs its checks in that order. Each check draws all its
+inputs at once, calls the library's scalar functions once per sample, stacks
+what each sample observes into arrays (`_each`), and reduces a chunk of
+samples at once. A report passes when every check lands under its threshold.
+The fixture replay path reruns stored golden records through the
+constructors and holds them to the tolerance each record carries.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .core import (
     Spinor,
     SpinorRotation,
     compose,
+    finite_angle,
     quadruple_from_spinor,
     spinor_from_quadruple,
     su2_matrix,
@@ -166,18 +169,19 @@ def _chunked(body, inputs) -> float:
                 for i in range(0, len(inputs[0]), _CHUNK)), default=0.0)
 
 
-def _check(name, draw):
-    """Make a check from a batch body: draw(rng, n) returns the inputs of all
-    samples as arrays (n of them, or a fixed set of cases), and the body maps a
-    chunk of them to its worst residual."""
-    def decorate(body):
-        def check(seed, samples, tol):
-            inputs = draw(np.random.default_rng(seed), samples)
-            worst = _chunked(body, inputs)
-            return CheckResult(name, len(inputs[0]), worst, tol, worst <= tol)
-        check.__name__ = body.__name__
-        return check
-    return decorate
+# suite -> its checks (name, share, draw, body), in the order they are declared.
+_SUITES = {}
+
+
+def _check(suite, name, share, draw):
+    """Declare a check of `suite` that runs on `share` of the suite's samples:
+    draw(rng, n) returns the inputs of all samples as arrays (n of them, or a
+    fixed set of cases), and the body maps a chunk of them to its worst residual.
+    Returns the body unchanged."""
+    def register(body):
+        _SUITES.setdefault(suite, []).append((name, share, draw, body))
+        return body
+    return register
 
 
 def _each(fn, *inputs):
@@ -250,7 +254,7 @@ def _points(rng, n):
 
 # ---------------------------------------------------------------- hopf suite
 
-@_check("construct_project_round_trip", _points)
+@_check("hopf", "construct_project_round_trip", 1.0, _points)
 def _check_construct_project(v, sheets):
     def round_trip(point, sheet):
         xi = xi_from_cartesian(point, sheet)
@@ -277,13 +281,13 @@ def _xi_eta(spinor):
     return (*project_xi(spinor), p.x, p.a)
 
 
-@_check("hopf_norms_any_spinor", _spinors)
+@_check("hopf", "hopf_norms_any_spinor", 0.1, _spinors)
 def _check_hopf_norm_general(s):
     r, x, px, pa = _each(_xi_eta, _as_spinors(s))
     return _hopf_norms(r, x, px, pa, _dot(s, s))
 
 
-@_check("eta_projection_dual_route", _spinors)
+@_check("hopf", "eta_projection_dual_route", 0.1, _spinors)
 def _check_projection_dual_route(s):
     def routes(spinor):
         p = project_eta(spinor)
@@ -302,7 +306,7 @@ def _spherical_draw(rng, n):
     return 0.1 + 2.9 * u[:, 0], theta, np.where(phi > TWO_PI, phi - FOUR_PI, phi)
 
 
-@_check("coordinate_agreement", _spherical_draw)
+@_check("hopf", "coordinate_agreement", 0.1, _spherical_draw)
 def _check_coordinate_agreement(r, theta, phi):
     st, ct = np.sin(theta), np.cos(theta)
     cart = np.column_stack([r * st * np.cos(phi), r * st * np.sin(phi), r * ct])
@@ -319,7 +323,7 @@ def _check_coordinate_agreement(r, theta, phi):
     return _worst([xc, xp, ec, ep], [xs, xs, es, es])
 
 
-@_check("projection_phase_invariance",
+@_check("hopf", "projection_phase_invariance", 0.1,
         lambda rng, n: (rng.normal(size=(n, 4)), rng.uniform(-8.0, 8.0, size=n)))
 def _check_phase_invariance(s, alpha):
     def before_after(spinor, a):
@@ -330,7 +334,7 @@ def _check_phase_invariance(s, alpha):
 
 # ---------------------------------------------------------- covariance suite
 
-@_check("xi_commuting_square", _unit_and_gaussian)
+@_check("covariance", "xi_commuting_square", 1.0, _unit_and_gaussian)
 def _check_xi_commuting_square(c, s):
     def square(spinor, crow):
         rot = SpinorRotation(*crow)
@@ -340,7 +344,7 @@ def _check_xi_commuting_square(c, s):
     return max(_worst(r0, r1), _worst(x1, _apply(o, x0), 1))
 
 
-@_check("eta_commuting_square", _unit_and_gaussian)
+@_check("covariance", "eta_commuting_square", 1.0, _unit_and_gaussian)
 def _check_eta_commuting_square(c, s):
     def square(spinor, crow):
         rot = SpinorRotation(*crow)
@@ -350,7 +354,7 @@ def _check_eta_commuting_square(c, s):
     return max(_worst(x1, _apply(o, x0), 1), _worst(a1, _apply(o, a0), 1))
 
 
-@_check("so3_extraction_orthogonality", _units)
+@_check("covariance", "so3_extraction_orthogonality", 1.0, _units)
 def _check_so3_extraction(c):
     def both_routes(crow):  # closed form, trace extraction
         rot = SpinorRotation(*crow)
@@ -360,7 +364,8 @@ def _check_so3_extraction(c):
                _worst(np.einsum("nki,nkj->nij", o, o), np.eye(3), (1, 2)))
 
 
-@_check("vector_parameter_chart", lambda rng, n: (rng.normal(size=(n, 3)) * 1.5,))
+@_check("covariance", "vector_parameter_chart", 0.5,
+        lambda rng, n: (rng.normal(size=(n, 3)) * 1.5,))
 def _check_vector_parameter_chart(c_vec):
     def chart(row):  # C back, O from C directly, O through the quadruple
         rot = rotation_from_vector_parameter(row)
@@ -369,7 +374,7 @@ def _check_vector_parameter_chart(c_vec):
     return max(_worst(back, c_vec, 1), _worst(direct, via, (1, 2)))
 
 
-@_check("rotation_homomorphisms", _two_units)
+@_check("covariance", "rotation_homomorphisms", 1.0, _two_units)
 def _check_so4_homomorphism(c1, c2):
     def images(row1, row2):  # su2_real4, then so3_from_rotation, of c1, c2, c1 c2
         r1, r2 = SpinorRotation(*row1), SpinorRotation(*row2)
@@ -381,7 +386,7 @@ def _check_so4_homomorphism(c1, c2):
                _worst(o12, o1 @ o2, (1, 2)))
 
 
-@_check("so4_spinor_conjugacy", _unit_and_gaussian)
+@_check("covariance", "so4_spinor_conjugacy", 1.0, _unit_and_gaussian)
 def _check_quadruple_spinor_conjugacy(c, q):
     def conjugacy(crow, qrow):
         rot = SpinorRotation(*crow)
@@ -393,14 +398,14 @@ def _check_quadruple_spinor_conjugacy(c, q):
 
 # ----------------------------------------------------------------- so4 suite
 
-@_check("bridge_involution", _spinors)
+@_check("so4", "bridge_involution", 1.0, _spinors)
 def _check_bridge_involution(s):
     out = np.array([(_pair(xi_from_eta(eta_from_xi(t))), _pair(eta_from_xi(xi_from_eta(t))))
                     for t in _as_spinors(s)])
     return _worst(out.view(float), s[:, None, :])
 
 
-@_check("bridge_quadruple_route", _spinors)
+@_check("so4", "bridge_quadruple_route", 1.0, _spinors)
 def _check_bridge_quadruple_route(s):
     def routes(spinor):  # S U, quadruple of eta_from_xi
         return (u_to_v(quadruple_from_spinor(spinor)).as_tuple(),
@@ -413,7 +418,7 @@ _PLANE_LABELS = tuple(ELEMENTARY_PLANES)
 
 
 # The fixed S properties are the same in every chunk, so the max is unchanged.
-@_check("s_orthogonal_factorization", lambda rng, n: (rng.random((n, 2)),))
+@_check("so4", "s_orthogonal_factorization", 0.05, lambda rng, n: (rng.random((n, 2)),))
 def _check_s_properties(u):
     s = s_matrix()
     scan = s_factorization_check()
@@ -425,7 +430,7 @@ def _check_s_properties(u):
                _worst(np.linalg.det(e), 1.0))
 
 
-@_check("s_no_su2_preimage", _units)
+@_check("so4", "s_no_su2_preimage", 0.02, _units)
 def _check_s_non_membership(c):
     cert = s_outside_su2_image()
 
@@ -444,7 +449,8 @@ _BUILDERS = ((xi_from_spherical, 0), (eta_from_spherical, 0),
              (xi_from_parabolic, 1), (eta_from_parabolic, 1))
 
 
-@_check("double_cover_sign", lambda rng, n: (rng.random((n, 6)), rng.normal(size=(n, 4))))
+@_check("so4", "double_cover_sign", 0.2,
+        lambda rng, n: (rng.random((n, 6)), rng.normal(size=(n, 4))))
 def _check_double_cover(u, s):
     r, theta, phi = 0.1 + 2.9 * u[:, 0], math.pi * u[:, 1], 4.0 * math.pi * u[:, 2] - 2.0 * math.pi
 
@@ -473,7 +479,7 @@ def _check_double_cover(u, s):
                _worst(so3_from_rotation(MINUS_IDENTITY)[None], np.eye(3), (1, 2)))
 
 
-@_check("cartan_reflection_parity", lambda rng, n: (rng.normal(size=(n, 5)),))
+@_check("so4", "cartan_reflection_parity", 0.5, lambda rng, n: (rng.normal(size=(n, 5)),))
 def _check_cartan_reflection(g):
     spinors = _as_spinors(g[:, :4])
     reflected = list(map(cartan_reflect, spinors, np.where(g[:, 4] < 0.0, -1, 1).tolist()))
@@ -484,7 +490,7 @@ def _check_cartan_reflection(g):
 
 # ------------------------------------------------------------------ ks suite
 
-@_check("direction_vs_matrix_hat", _units)
+@_check("ks", "direction_vs_matrix_hat", 1.0, _units)
 def _check_direction_matrix(u):
     def directions(row):  # direction, third column of O(hat u), hat(hat(u))
         q = KSQuadruple(*row)
@@ -494,7 +500,7 @@ def _check_direction_matrix(u):
     return max(_worst(n, -column, 1), _worst(_dot(n, n), 1.0), _worst(back, u, 1))
 
 
-@_check("left_transport_routes", _two_units)
+@_check("ks", "left_transport_routes", 0.3, _two_units)
 def _check_left_transport(c, u):
     def routes(crow, urow):
         rot, q = SpinorRotation(*crow), KSQuadruple(*urow)
@@ -518,7 +524,7 @@ def _frame_draw(rng, n):
     return u, axes, rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n)
 
 
-@_check("frame_defining_identities", _frame_draw)
+@_check("ks", "frame_defining_identities", 0.1, _frame_draw)
 def _check_frame_identities(u, axes, delta):
     def frame_of(urow, axis, turn):  # B(hat w), O(hat w), n, rotated n', direction of w
         frame = build_frame(KSQuadruple(*urow), axis, turn)
@@ -534,7 +540,7 @@ def _check_frame_identities(u, axes, delta):
                _worst(n_prime, n_w, 1))
 
 
-@_check("frame_symmetry_transport",
+@_check("ks", "frame_symmetry_transport", 0.1,
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-math.pi, math.pi, size=(n, 2))))
 def _check_frame_symmetry(u, angles):  # angles: the partner's turn beta, the frame's delta
     def symmetry(urow, beta, delta):  # n, O(c), B(c), B(hat u), D(delta), B(hat w)
@@ -553,7 +559,7 @@ def _check_frame_symmetry(u, angles):  # angles: the partner's turn beta, the fr
 _SWEEP = np.arange(16) * (math.pi / 8.0)
 
 
-@_check("phase_residual_law", _points)
+@_check("ks", "phase_residual_law", 0.05, _points)
 def _check_phase_residual_law(v, sheets):
     def sweep(point, sheet):  # quadruple of xi, its constraint residual, after each phase
         xi = xi_from_cartesian(point, sheet)
@@ -566,32 +572,27 @@ def _check_phase_residual_law(v, sheets):
     return _worst(moved, np.sin(2.0 * _SWEEP) * (q1 * q3 - q2 * q4) + np.cos(2.0 * _SWEEP) * base)
 
 
-def _raises(error, func, *args) -> bool:
-    try:
-        func(*args)
-    except error:
-        return True
-    return False
+def _all_raise(chunk):
+    """0 if every case (error, func, *args) raises its error, else inf; each case is a sample."""
+    for error, func, *args in chunk:
+        try:
+            func(*args)
+        except error:
+            continue
+        return math.inf
+    return 0.0
 
 
-def _error_paths(name, *cases):
-    """A check that each case (error, func, *args) raises its error; each case is a sample."""
-    @_check(name, lambda rng, n: (cases,))
-    def _check_error_paths(chunk):
-        return 0.0 if all(_raises(*case) for case in chunk) else math.inf
-    return _check_error_paths
-
-
-_check_frame_error_paths = _error_paths(
-    "singular_error_paths",
+_FRAME_ERRORS = (
     (SingularGaugeError, build_frame, KSQuadruple(0.3, 0.5, -0.4, 0.2), (0.0, 0.0, -1.0)),
     (ValueError, normalize_ks, KSQuadruple(0.0, 0.0, 0.0, 0.0)),
     (ValueError, frame_symmetry, KSQuadruple(1.0, 0.0, 0.0, 0.0), KSQuadruple(0.0, 1.0, 0.0, 0.0)))
+_check("ks", "singular_error_paths", 0.0, lambda rng, n: (_FRAME_ERRORS,))(_all_raise)
 
 
 # --------------------------------------------------------------- gauge suite
 
-@_check("gauge_postconditions",
+@_check("gauge", "gauge_postconditions", 1.0,
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n)))
 def _check_gauge_postconditions(psi, phase):
     out = np.array([[_pair(rotate_spinor(gauge(t, p), t)) for gauge in (gauge_plus, gauge_minus)]
@@ -602,7 +603,7 @@ def _check_gauge_postconditions(psi, phase):
     return _worst(out.view(float), want.view(float))
 
 
-@_check("canonical_gauges", _units)
+@_check("gauge", "canonical_gauges", 0.3, _units)
 def _check_canonical_gauges(psi):
     s_plus, s_minus = _dot(psi[:, :2], psi[:, :2]), _dot(psi[:, 2:], psi[:, 2:])
     # Inside the constructors' own singular guard either gauge may raise.
@@ -635,7 +636,7 @@ def _check_canonical_gauges(psi):
                _worst(back[win], c_vec[win], 2))
 
 
-@_check("rotation_between_planted", _two_units)
+@_check("gauge", "rotation_between_planted", 0.3, _two_units)
 def _check_rotation_between(psi, c):
     def planted(spinor, crow):  # recovered, planted rotation; target, recovered image
         rot = SpinorRotation(*crow)
@@ -649,14 +650,15 @@ def _check_rotation_between(psi, c):
     return max(_worst(got, want, 1), _worst(back.view(float), target.view(float)))
 
 
-@_check("stabilizer_exact_identity", _units)
+@_check("gauge", "stabilizer_exact_identity", 0.1, _units)
 def _check_stabilizer(psi):
     got = np.array([(stabilizer_check(t, 1).as_tuple(), stabilizer_check(t, -1).as_tuple())
                     for t in _as_spinors(psi)])
     return 0.0 if (got == [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]).all() else 1.0
 
 
-@_check("stabilizer_circle_contrast", lambda rng, n: (2.0 * math.pi * np.arange(16) / 16.0,))
+@_check("gauge", "stabilizer_circle_contrast", 0.0,
+        lambda rng, n: (2.0 * math.pi * np.arange(16) / 16.0,))
 def _check_circle_contrast(sweep):
     # The vector-level small group of the pole is a full circle, the
     # spinor-level one a single point of the sweep.
@@ -670,69 +672,28 @@ def _check_circle_contrast(sweep):
     return _worst(o[:, :, 2], np.array([0.0, 0.0, 1.0]), 1) if fixing == 1 else math.inf
 
 
-_check_gauge_error_paths = _error_paths(
-    "singular_gauge_paths",
+_GAUGE_ERRORS = (
     (SingularGaugeError, canonical_phase_plus, psi_from_direction((0.0, 0.0, -1.0))),
     (SingularGaugeError, canonical_phase_minus, psi_from_direction((0.0, 0.0, 1.0))))
+_check("gauge", "singular_gauge_paths", 0.0, lambda rng, n: (_GAUGE_ERRORS,))(_all_raise)
 
-
-_SUITE_CHECKS = {
-    "hopf": (
-        (_check_construct_project, 1.0),
-        (_check_hopf_norm_general, 0.1),
-        (_check_projection_dual_route, 0.1),
-        (_check_coordinate_agreement, 0.1),
-        (_check_phase_invariance, 0.1),
-    ),
-    "covariance": (
-        (_check_xi_commuting_square, 1.0),
-        (_check_eta_commuting_square, 1.0),
-        (_check_so3_extraction, 1.0),
-        (_check_vector_parameter_chart, 0.5),
-        (_check_so4_homomorphism, 1.0),
-        (_check_quadruple_spinor_conjugacy, 1.0),
-    ),
-    "so4": (
-        (_check_bridge_involution, 1.0),
-        (_check_bridge_quadruple_route, 1.0),
-        (_check_s_properties, 0.05),
-        (_check_s_non_membership, 0.02),
-        (_check_double_cover, 0.2),
-        (_check_cartan_reflection, 0.5),
-    ),
-    "ks": (
-        (_check_direction_matrix, 1.0),
-        (_check_left_transport, 0.3),
-        (_check_frame_identities, 0.1),
-        (_check_frame_symmetry, 0.1),
-        (_check_phase_residual_law, 0.05),
-        (_check_frame_error_paths, 0.0),
-    ),
-    "gauge": (
-        (_check_gauge_postconditions, 1.0),
-        (_check_canonical_gauges, 0.3),
-        (_check_rotation_between, 0.3),
-        (_check_stabilizer, 0.1),
-        (_check_circle_contrast, 0.0),
-        (_check_gauge_error_paths, 0.0),
-    ),
-}
-
-SUITE_NAMES = tuple(_SUITE_CHECKS)
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(suite: str, samples: int = 1000, seed: int = 42,
               tolerance: float = 1e-12) -> VerificationReport:
-    """Run one named suite; each check draws its fraction of samples, at least one."""
-    if suite not in _SUITE_CHECKS:
+    """Run one named suite; check i draws its share of samples, at least one, from [seed, i]."""
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; valid: {', '.join(SUITE_NAMES)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    finite_angle(tolerance, "tolerance")
     start = time.perf_counter()
     checks = []
-    for index, (func, fraction) in enumerate(_SUITE_CHECKS[suite]):
-        n = max(1, int(samples * fraction))
-        checks.append(func([seed, index], n, tolerance))
+    for index, (name, share, draw, body) in enumerate(_SUITES[suite]):
+        inputs = draw(np.random.default_rng([seed, index]), max(1, int(samples * share)))
+        worst = _chunked(body, inputs)
+        checks.append(CheckResult(name, len(inputs[0]), worst, tolerance, worst <= tolerance))
     return VerificationReport(suite=suite, seed=seed, samples=samples,
                               tolerance=tolerance, checks=tuple(checks),
                               elapsed=time.perf_counter() - start)
@@ -747,26 +708,29 @@ def replay_fixtures(records, tolerance: float | None = None) -> VerificationRepo
     """Recompute every stored record and compare against its stored fields.
 
     Each record is held to its own stored tolerance unless an override is
-    given. Malformed records, a non-finite tolerance among them, count as
-    categorical failures.
+    given; a non-finite override raises ValueError. Malformed records, a
+    non-finite stored tolerance among them, count as categorical failures.
+    The report's threshold is the override, or else the largest usable stored
+    tolerance, or 1e-12 where there is none.
     """
+    if tolerance is not None:
+        finite_angle(tolerance, "tolerance")
     start = time.perf_counter()
     worst = 0.0
-    threshold = 0.0
+    usable = []
     ok = True
     for record in records:
         try:
-            tol = tolerance if tolerance is not None else float(record["meta"]["tolerance"])
-            if not math.isfinite(tol):
-                raise ValueError(f"tolerance must be finite, got {tol!r}")
-            threshold = max(threshold, tol)
+            tol = tolerance if tolerance is not None else finite_angle(
+                record["meta"]["tolerance"], "tolerance")
+            usable.append(tol)
             residual = fixture_io.replay_residual(record)
             ok = ok and residual <= tol
         except (KeyError, ValueError, TypeError):
             residual, ok = math.inf, False
         worst = max(worst, residual)
     count = len(records)
-    threshold = threshold if count else (tolerance if tolerance is not None else 1e-12)
+    threshold = tolerance if tolerance is not None else max(usable, default=1e-12)
     check = CheckResult("fixture_replay", count, worst, threshold, ok)
     return VerificationReport(suite="replay", seed=0, samples=count,
                               tolerance=threshold, checks=(check,),

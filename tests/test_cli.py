@@ -135,6 +135,13 @@ def test_fixtures_empty_file(tmp_path, capsys):
     assert path.read_bytes() == b""
 
 
+def test_fixtures_unwritable_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "f.jsonl"
+    code, out, err = run_main(capsys, "fixtures", "--count", "3", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_fixtures_negative_count(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fixtures", "--count", "-3", "--out", str(tmp_path / "x.jsonl")])
@@ -219,6 +226,23 @@ def test_rotate_rejects_non_unit_rotation(capsys):
     code, _, err = run_main(capsys, "rotate", "2", "0", "0", "0",
                             "cartesian", "1", "0", "0")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "1", "--tolerance", "inf"],
+    ["verify", "--suite", "hopf", "--samples", "1", "--tolerance", "nan"],
+    ["verify", "--fixtures", "FILE", "--tolerance", "inf"],
+    ["rotate", "1", "0", "0", "0", "cartesian", "0.3", "-0.4", "0.5", "--tolerance", "inf"],
+    ["convert", "cartesian", "0", "0", "1", "--tolerance", "nan"],
+    ["fixtures", "--count", "2", "--out", "FILE", "--tolerance=-inf"],
+], ids=["verify", "verify-suite", "verify-fixtures", "rotate", "convert", "fixtures"])
+def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "golden.jsonl"
+    run_main(capsys, "fixtures", "--count", "4", "--out", str(path))
+    value = argv[-1].rpartition("=")[2]
+    code, out, err = run_main(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: tolerance must be finite, got {float(value)!r}\n"
 
 
 def test_missing_subcommand():

@@ -187,6 +187,27 @@ def test_replay_fails_a_malformed_record(tamper):
     assert report.samples == 3 and report.checks[0].threshold == 1e-12
 
 
+@pytest.mark.parametrize("tolerances, threshold", [
+    ([math.nan], 1e-12), (["abc", 1e-10, math.inf], 1e-10), ([], 1e-12),
+], ids=["only-nan", "largest-usable", "empty"])
+def test_replay_threshold_is_the_largest_usable_tolerance(tolerances, threshold):
+    records = generate_fixtures(len(tolerances), seed=19)
+    for record, tol in zip(records, tolerances):
+        record["meta"]["tolerance"] = tol
+    report = replay_fixtures(records)
+    assert report.tolerance == report.checks[0].threshold == threshold
+    assert f"threshold {threshold:.1e}" in report.lines()[1]
+
+
+def test_replay_fails_a_record_of_the_wrong_shape():
+    record = fixture_record("cartesian", (0.3, -0.4, 0.5), "xi")
+    record["projection"]["x"] = record["projection"]["x"][:2]
+    with pytest.raises(ValueError, match="field shapes"):
+        replay_residual(record)
+    report = replay_fixtures([record])
+    assert not report.passed and report.max_residual == math.inf
+
+
 def test_replay_missing_sheet_defaults():
     rec = fixture_record("cartesian", (0.3, -0.4, 0.5), "eta", sheet=1)
     del rec["sheet"]
@@ -207,6 +228,19 @@ def test_run_suite_arguments():
         run_suite("sympletic")
     with pytest.raises(ValueError):
         run_suite("hopf", samples=0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_tolerances_are_rejected(value):
+    records = generate_fixtures(2, seed=19)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        run_suite("hopf", samples=1, tolerance=value)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        replay_fixtures(records, tolerance=value)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        fixture_record("cartesian", (0.3, -0.4, 0.5), tolerance=value)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        generate_fixtures(1, tolerance=value)
 
 
 def test_run_suite_small_smoke():

@@ -125,11 +125,13 @@ def test_suite_runs_repeat_exactly():
     assert [c.max_residual for c in first.checks] == [c.max_residual for c in again.checks]
 
 
-def test_error_path_check_fails_when_a_case_does_not_raise():
-    check = verify._error_paths(
-        "error_paths", (ValueError, normalize_ks, KSQuadruple(0.0, 0.0, 0.0, 0.0)),
-        (ValueError, normalize_ks, KSQuadruple(1.0, 0.0, 0.0, 0.0)))
-    result = check([0, 0], 1, 0.0)
+def test_error_path_check_fails_when_a_case_does_not_raise(monkeypatch):
+    # Declared like the two error-path checks, in a suite of its own.
+    monkeypatch.setattr(verify, "_SUITES", {})
+    cases = ((ValueError, normalize_ks, KSQuadruple(0.0, 0.0, 0.0, 0.0)),
+             (ValueError, normalize_ks, KSQuadruple(1.0, 0.0, 0.0, 0.0)))
+    verify._check("paths", "error_paths", 0.0, lambda rng, n: (cases,))(verify._all_raise)
+    result = run_suite("paths", 1, seed=0, tolerance=0.0).result("error_paths")
     assert (result.samples, result.passed, result.max_residual) == (2, False, math.inf)
 
 
@@ -142,5 +144,7 @@ def test_s_no_su2_preimage_needs_the_certificate_margin(monkeypatch):
         return cert if target else dataclasses.replace(cert, residual=0.1)
 
     monkeypatch.setattr(verify, "s_outside_su2_image", no_margin)
-    result = verify._check_s_non_membership([0, 3], 20, 1e-12)
+    # Check 3 of so4 at 1000 samples: seed [0, 3] and 20 samples.
+    result = run_suite("so4", 1000, seed=0).result("s_no_su2_preimage")
+    assert result.samples == 20
     assert not result.passed and result.max_residual == math.inf
