@@ -22,16 +22,14 @@ FOUR_PI = 4.0 * math.pi
 NORM_SLACK = 1e-6
 
 
-def wrap_4pi(angle: float) -> float:
-    """Reduce an angle modulo 4pi into the canonical window (-2pi, 2pi].
+def wrap_4pi(angle):
+    """Reduce an angle, or each entry of a float64 array, modulo 4pi into (-2pi, 2pi].
 
     The double cover identifies angle with angle + 4pi but keeps angle and
     angle + 2pi distinct (opposite spinor sheet).
     """
     a = angle % FOUR_PI
-    if a > TWO_PI:
-        a -= FOUR_PI
-    return a
+    return a - FOUR_PI * (a > TWO_PI)
 
 
 def finite_angle(phi, name: str) -> float:

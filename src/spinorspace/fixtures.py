@@ -126,6 +126,7 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
     """Seeded batch of records cycling through systems and models."""
     if count < 0:
         raise ValueError("count must be >= 0")
+    tolerance = finite_angle(tolerance, "tolerance")
     rng = np.random.default_rng(seed)
     records = []
     for index in range(count):

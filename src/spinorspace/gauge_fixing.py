@@ -160,20 +160,27 @@ def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:
     (direction at the south pole): SingularGaugeError.
     """
     u = u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "canonical_phase_plus")
-    s, gamma = _canonical_plus(u, _PLUS_UNDEFINED)
+    s, gamma, rotation = _canonical_plus(u, _PLUS_UNDEFINED)
     c_vec = np.array([(u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0])
-    return CanonicalGauge(gamma=gamma, vector_parameter=c_vec,
-                          rotation=SpinorRotation(*_gauge_plus4(u, gamma)))
+    return CanonicalGauge(gamma=gamma, vector_parameter=c_vec, rotation=rotation)
 
 
 def _canonical_plus(u: tuple, undefined: str) -> tuple:
-    """The (+) chart weight s and canonical phase gamma of unit components u; a
-    singular weight raises SingularGaugeError, its message `undefined` and s."""
+    """The (+) chart weight s, canonical phase gamma and planar rotation of unit u;
+    a singular weight raises SingularGaugeError, its message `undefined` and s."""
     u1, u2 = u[0], u[1]
     s = u1 * u1 + u2 * u2
     if s <= SINGULAR_WEIGHT:
         raise SingularGaugeError(f"{undefined} {s!r}")
-    return s, 2.0 * math.atan2(-u2, u1)
+    gamma = 2.0 * math.atan2(-u2, u1)
+    return s, gamma, SpinorRotation(*_gauge_plus4(u, gamma))
+
+
+def canonical_plus_rotation(n: np.ndarray) -> SpinorRotation:
+    """canonical_phase_plus(psi_from_direction(n)).rotation for a finite float
+    3-vector n, built without a Spinor or a CanonicalGauge on the way."""
+    u = _unit_pair(*_psi_pair(n, 0.0), "canonical_phase_plus")
+    return _canonical_plus(u, _PLUS_UNDEFINED)[2]
 
 
 def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
@@ -185,12 +192,12 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
     """
     u = u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "canonical_phase_minus")
     w = _swap(u)
-    s, gamma = _canonical_plus(w, "(-)-gauge canonical phase undefined: second component weight")
+    s, gamma, rotation = _canonical_plus(
+        w, "(-)-gauge canonical phase undefined: second component weight")
     # The (+) formula on w has these values, but gives +0.0 where this gives
     # -0.0, as for the direction (1, 0, 0), whose C the CLI prints.
     c_vec = np.array([-(u1 * u4 - u2 * u3) / s, (u1 * u3 + u2 * u4) / s, 0.0])
-    return CanonicalGauge(gamma=gamma, vector_parameter=c_vec,
-                          rotation=SpinorRotation(*_gauge_plus4(w, gamma)))
+    return CanonicalGauge(gamma=gamma, vector_parameter=c_vec, rotation=rotation)
 
 
 def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:

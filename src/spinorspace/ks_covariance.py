@@ -27,8 +27,8 @@ from .core import (
     scaled_residual,
     unit4,
 )
-from .gauge_fixing import _PLUS_UNDEFINED, _canonical_plus, _gauge_plus4, _psi_pair, _unit_pair
-from .rotation_algebra import _so3, so3_from_rotation, su2_real4
+from .gauge_fixing import canonical_plus_rotation
+from .rotation_algebra import so3_from_floats, so3_from_rotation, su2_real4
 
 DIRECTION_MATCH_TOLERANCE = 1e-9
 
@@ -43,12 +43,11 @@ def _unit_ks(q: tuple) -> tuple:
     q4, q1, q2, q3 = q
     s = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3
     if not sys.float_info.min <= s < math.inf:
-        # The squares overflowed or left the normal range: scale by the power
-        # of two that brings the largest entry into [0.5, 1).
-        q4, q1, q2, q3 = pow2_scaled(q)
-        s = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3
-        if s == 0.0:
+        # The squares overflowed or left the normal range: rerun on q scaled
+        # by the power of two that brings the largest entry into [0.5, 1).
+        if not any(q):
             raise ValueError("cannot normalize the zero quadruple")
+        return _unit_ks(pow2_scaled(q))
     inv = 1.0 / math.sqrt(s)
     return (q4 * inv, q1 * inv, q2 * inv, q3 * inv)
 
@@ -131,9 +130,7 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     delta = finite_angle(delta, "frame delta")
     u = _unit_ks(q.as_tuple())
     a_vec = finite_vector(axis, "frame axis")
-    # canonical_phase_plus(psi_from_direction(axis)).rotation
-    a = _unit_pair(*_psi_pair(a_vec, 0.0), "build_frame")
-    align = SpinorRotation(*_gauge_plus4(a, _canonical_plus(a, _PLUS_UNDEFINED)[1]))
+    align = canonical_plus_rotation(a_vec)
     turned = unit4(*qmul(unit4(*_hat4(u)), axis4(delta)))
     w_rot = unit4(*qmul(turned, align.as_tuple()))
     return KSFrame(
@@ -172,7 +169,7 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
     n' = O(hat w) O(rot) O(hat w)^T n. With rot the frame's align rotation
     and n the frame direction, this lands on the direction of w itself.
     """
-    ow = _so3(*unit4(*_hat4(_unit_ks(w.as_tuple()))))
+    ow = so3_from_floats(*unit4(*_hat4(_unit_ks(w.as_tuple()))))
     return ow @ (so3_from_rotation(rot) @ (ow.T @ finite_vector(n, "direction")))
 
 

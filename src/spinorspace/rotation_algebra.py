@@ -50,11 +50,11 @@ def so3_from_rotation(rot: SpinorRotation) -> np.ndarray:
 
     Satisfies project(B(c) xi).x = O @ project(xi).x for every spinor.
     """
-    return _so3(rot.c4, rot.c1, rot.c2, rot.c3)
+    return so3_from_floats(rot.c4, rot.c1, rot.c2, rot.c3)
 
 
-def _so3(c4: float, c1: float, c2: float, c3: float) -> np.ndarray:
-    # K^2 = c c^T - |c|^2 I, written out entry by entry.
+def so3_from_floats(c4: float, c1: float, c2: float, c3: float) -> np.ndarray:
+    """so3_from_rotation on floats, with K^2 = c c^T - |c|^2 I written out entry by entry."""
     return np.array([
         [1.0 - 2.0 * (c2 * c2 + c3 * c3), 2.0 * (c1 * c2 - c4 * c3), 2.0 * (c1 * c3 + c4 * c2)],
         [2.0 * (c1 * c2 + c4 * c3), 1.0 - 2.0 * (c1 * c1 + c3 * c3), 2.0 * (c2 * c3 - c4 * c1)],
@@ -102,7 +102,8 @@ def so3_from_vector_parameter(C) -> np.ndarray:
     """
     t, scaled, norm_sq = _chart_scaled(finite_vector(C, "vector parameter").tolist())
     k = _cross_matrix(scaled)  # from floats: indexing an array costs more
-    return np.eye(3) + 2.0 * (t * k + k @ k) / norm_sq
+    # 2 K' K', not 2 (K' K'): a subnormal C_i C_j keeps its last bit.
+    return np.eye(3) + (2.0 * t * k + (2.0 * k) @ k) / norm_sq
 
 
 def extract_so3(matrix: np.ndarray) -> np.ndarray:

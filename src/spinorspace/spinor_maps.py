@@ -82,33 +82,31 @@ class ParabolicPoint:
 
 def _from_cartesian(v, sheet: int, magnitudes) -> Spinor:
     """Spinor (m1 e^{-i phi/2}, m2 e^{+i phi/2}) of a Cartesian point, with
-    (m1, m2) = magnitudes(x3, rho^2, r). The zero vector yields the zero spinor.
-
-    Where r^2 leaves the normal range, the magnitudes are built for the point
-    times 4^k, which makes them 2^k times the true ones, and unscaled exactly.
-    """
+    (m1, m2) = magnitudes(x3, rho^2, r). The zero vector yields the zero spinor."""
     sheet = sign_flag(sheet, "sheet")
     x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise ValueError(f"cartesian point must be finite, got {[x1, x2, x3]!r}")
-    rho_sq = x1 * x1 + x2 * x2
-    r_sq = rho_sq + x3 * x3
-    if _MIN_NORMAL <= r_sq < math.inf:
-        m1, m2 = magnitudes(x3, rho_sq, math.sqrt(r_sq))
-    else:
-        k = pow2_shift((x1, x2, x3)) // 2
-        e = 2 * k
-        y1, y2, y3 = math.ldexp(x1, e), math.ldexp(x2, e), math.ldexp(x3, e)
-        rho_sq = y1 * y1 + y2 * y2
-        r_sq = rho_sq + y3 * y3
-        if r_sq == 0.0:
-            return Spinor(0.0j, 0.0j)
-        m1, m2 = magnitudes(y3, rho_sq, math.sqrt(r_sq))
-        m1, m2 = math.ldexp(m1, -k), math.ldexp(m2, -k)
+    if x1 == x2 == x3 == 0.0:
+        return Spinor(0.0j, 0.0j)
+    m1, m2 = _point_magnitudes(x1, x2, x3, magnitudes)
     # The principal azimuth, which is defined as 0 on the axis (rho = 0).
     phi = math.atan2(x2, x1) if math.hypot(x1, x2) > 0.0 else 0.0
     em, ep = half_phases(sheet_lift(phi, sheet))
     return Spinor(m1 * em, m2 * ep)
+
+
+def _point_magnitudes(x1: float, x2: float, x3: float, magnitudes) -> tuple:
+    """magnitudes(x3, rho^2, r) of a nonzero point. Where r^2 leaves the normal range
+    they are rerun on the point times 4^k, 2^k times the true ones, and unscaled."""
+    rho_sq = x1 * x1 + x2 * x2
+    r_sq = rho_sq + x3 * x3
+    if _MIN_NORMAL <= r_sq < math.inf:
+        return magnitudes(x3, rho_sq, math.sqrt(r_sq))
+    k = pow2_shift((x1, x2, x3)) // 2
+    e = 2 * k
+    m1, m2 = _point_magnitudes(math.ldexp(x1, e), math.ldexp(x2, e), math.ldexp(x3, e), magnitudes)
+    return math.ldexp(m1, -k), math.ldexp(m2, -k)
 
 
 def _xi_magnitudes(x3: float, rho_sq: float, r: float) -> tuple:

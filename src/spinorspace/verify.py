@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FOUR_PI,
     MINUS_IDENTITY,
-    TWO_PI,
     KSQuadruple,
     Spinor,
     SpinorRotation,
@@ -32,6 +30,7 @@ from .core import (
     quadruple_from_spinor,
     spinor_from_quadruple,
     su2_matrix,
+    wrap_4pi,
 )
 from . import fixtures as fixture_io
 from .gauge_fixing import (
@@ -302,8 +301,7 @@ def _spherical_draw(rng, n):
     # Componentwise constructor agreement loses digits at the poles where
     # r - |x3| cancels; the round-trip checks cover that region instead.
     theta = 0.05 + (math.pi - 0.1) * u[:, 1]
-    phi = np.mod(4.0 * math.pi * u[:, 2] - 2.0 * math.pi, FOUR_PI)
-    return 0.1 + 2.9 * u[:, 0], theta, np.where(phi > TWO_PI, phi - FOUR_PI, phi)
+    return 0.1 + 2.9 * u[:, 0], theta, wrap_4pi(4.0 * math.pi * u[:, 2] - 2.0 * math.pi)
 
 
 @_check("hopf", "coordinate_agreement", 0.1, _spherical_draw)
@@ -474,8 +472,7 @@ def _check_double_cover(u, s):
     return max(_worst(parts[:, :, 1], -parts[:, :, 0]), _worst(parts[:, :, 2], parts[:, :, 0]),
                _worst(proj[:, :, 0, 0], proj[:, :, 1, 0]),
                _worst(proj[:, :, 0, 1:], proj[:, :, 1, 1:], 2),
-               _worst(flips[:, 1, [0, 3]], -flips[:, 0, [0, 3]]),
-               _worst(turned[:, [0, 2]], -s[:, [0, 2]]),
+               _worst(flips[:, 1], -flips[:, 0]), _worst(turned, -s),
                _worst(so3_from_rotation(MINUS_IDENTITY)[None], np.eye(3), (1, 2)))
 
 

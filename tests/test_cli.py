@@ -235,7 +235,9 @@ def test_rotate_rejects_non_unit_rotation(capsys):
     ["rotate", "1", "0", "0", "0", "cartesian", "0.3", "-0.4", "0.5", "--tolerance", "inf"],
     ["convert", "cartesian", "0", "0", "1", "--tolerance", "nan"],
     ["fixtures", "--count", "2", "--out", "FILE", "--tolerance=-inf"],
-], ids=["verify", "verify-suite", "verify-fixtures", "rotate", "convert", "fixtures"])
+    ["fixtures", "--count", "0", "--out", "FILE", "--tolerance", "inf"],
+], ids=["verify", "verify-suite", "verify-fixtures", "rotate", "convert", "fixtures",
+        "fixtures-empty"])
 def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, argv):
     path = tmp_path / "golden.jsonl"
     run_main(capsys, "fixtures", "--count", "4", "--out", str(path))

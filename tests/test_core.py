@@ -1,8 +1,10 @@
+import ast
 import importlib
 import inspect
 import math
 import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,19 @@ def test_wrap_4pi_window():
         assert -2.0 * math.pi < v <= 2.0 * math.pi
 
 
+def test_wrap_4pi_on_arrays_matches_each_entry():
+    rng = np.random.default_rng(47)
+    edges = [0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, -4.0 * math.pi,
+             1e300, -1e300, 1.7e308, -1.7e308, 5e-324, -5e-324]
+    angles = np.concatenate([rng.uniform(-50.0, 50.0, 2000), edges,
+                             rng.normal(size=500) * 10.0 ** rng.uniform(-300.0, 300.0, 500)])
+    got = wrap_4pi(angles)
+    want = [wrap_4pi(a) for a in angles.tolist()]
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == [math.copysign(1.0, a) < 0.0 for a in want]
+
+
 def test_constructors_reject_nonfinite():
     with pytest.raises(ValueError):
         Spinor(complex(float("nan"), 0.0), 0.0j)
@@ -183,6 +198,17 @@ def test_vector_parameters_reject_nonfinite(call, name, bad):
 def test_all_names_resolve(module):
     mod = importlib.import_module(f"spinorspace.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(spinorspace.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_module_imports_private_names(path):
+    # Each step has one owner: a module reaches another only through its
+    # non-underscore names.
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_module_exports_make_up_the_package():

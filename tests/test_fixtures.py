@@ -241,6 +241,8 @@ def test_non_finite_tolerances_are_rejected(value):
         fixture_record("cartesian", (0.3, -0.4, 0.5), tolerance=value)
     with pytest.raises(ValueError, match="tolerance must be finite"):
         generate_fixtures(1, tolerance=value)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        generate_fixtures(0, tolerance=value)
 
 
 def test_run_suite_small_smoke():

@@ -260,6 +260,14 @@ def test_stabilizer_exact_identity():
         stabilizer_check(Spinor(0.0j, 0.0j))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_stabilizer_check_rejects_a_solve_off_identity(monkeypatch, sign):
+    # The check must compare the solve with +-identity, not return its constant.
+    monkeypatch.setattr(np.linalg, "solve", lambda g, b: 0.5 * b)
+    with pytest.raises(ArithmeticError, match=rf"did not land on {sign} \* identity"):
+        stabilizer_check(Spinor(0.6 + 0.0j, 0.8j), sign)
+
+
 def test_circle_contrast_at_the_pole():
     # every phase rotation fixes the pole direction; only the trivial one
     # fixes the spinor itself

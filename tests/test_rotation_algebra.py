@@ -139,6 +139,32 @@ def test_so3_from_vector_parameter_exact_for_tiny_c():
         assert np.array_equal(so3_from_vector_parameter(c), np.eye(3) + 2.0 * k), c.tolist()
 
 
+def _so3_exact(c: list) -> list:
+    """I + 2 (K + K^2) / (1 + |C|^2) for tiny C, correctly rounded entry by entry.
+
+    With C = m 2^-1074 for integers m, each entry is a ratio of integers, and
+    Python's integer division rounds it correctly, subnormals included.
+    """
+    m = [int(math.ldexp(v, 1074)) for v in c]
+    unit, sq = 1 << 1074, sum(v * v for v in m)
+    den = (1 << 2148) + sq
+    k = [[0, -m[2], m[1]], [m[2], 0, -m[0]], [-m[1], m[0], 0]]
+    return [[((i == j) * (den - 2 * sq) + 2 * (k[i][j] * unit + m[i] * m[j])) / den
+             for j in range(3)] for i in range(3)]
+
+
+def test_so3_from_vector_parameter_exact_where_products_are_subnormal():
+    # |C_i| log-uniform in 1e-300..1e-150, a quarter with one zero entry: the
+    # products C_i C_j fall into the subnormal range, where 2 (C_i C_j) loses
+    # the last bit that (2 C_i) C_j keeps.
+    rng = np.random.default_rng(13)
+    c = rng.choice([-1.0, 1.0], size=(1500, 3)) * 10.0 ** rng.uniform(-300.0, -150.0, (1500, 3))
+    zero = rng.random(1500) < 0.25
+    c[zero, rng.integers(0, 3, size=zero.sum())] = 0.0
+    off = [v for v in c.tolist() if so3_from_vector_parameter(v).tolist() != _so3_exact(v)]
+    assert off == []
+
+
 def test_vector_parameter_chart():
     rng = np.random.default_rng(33)
     for _ in range(300):

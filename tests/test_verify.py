@@ -135,6 +135,25 @@ def test_error_path_check_fails_when_a_case_does_not_raise(monkeypatch):
     assert (result.samples, result.passed, result.max_residual) == (2, False, math.inf)
 
 
+def test_double_cover_sign_compares_whole_spinors(monkeypatch):
+    real = verify.rotate_spinor
+
+    def half_turn_keeps_imaginary_parts(rot, s):
+        if rot.as_tuple() != (-1.0, 0.0, 0.0, 0.0):
+            return real(rot, s)
+        return Spinor(complex(-s.c1.real, s.c1.imag), complex(-s.c2.real, s.c2.imag))
+
+    monkeypatch.setattr(verify, "rotate_spinor", half_turn_keeps_imaginary_parts)
+    result = run_suite("so4", 1000, seed=42).result("double_cover_sign")
+    assert not result.passed and result.max_residual == 2.0
+
+
+def test_canonical_gauges_with_every_sample_singular():
+    # Both spinors lie inside the constructors' singular guard: nothing to compare.
+    psi = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    assert verify._check_canonical_gauges(psi) == 0.0
+
+
 def test_s_no_su2_preimage_needs_the_certificate_margin(monkeypatch):
     real = verify.s_outside_su2_image
 
