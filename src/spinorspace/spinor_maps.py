@@ -4,14 +4,25 @@ xi parameterizes the pseudovector model and eta the vector model of 3-space
 on the 4pi double cover. Cartesian, spherical and parabolic constructors are
 provided for both, together with the bilinear projections back to 3-space,
 the two quadratic (Hopf) constraints, and the xi <-> eta / U <-> V bridges.
+
+Each closed form is written once, in real components, as a kernel that runs
+on Python floats or on float64 columns. A spinor is its real parts
+(c1.real, c1.imag, c2.real, c2.imag). Kernels that need more than arithmetic
+take a namespace first: _FLOATS behind the public functions, or COLUMNS,
+which gives a row of columns the same bits as the public function on that
+row. Every complex product is written out as CPython forms it,
+(ar br - ai bi, ar bi + ai br), with a real factor m taken as (m, 0.0), so
+signs of zeros match too. On columns numpy supplies only arithmetic, sqrt,
+frexp/ldexp and sin/cos, whose rows tests/test_spinor_maps.py holds equal to
+math's; atan2 is math's, element by element.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,27 +32,49 @@ from .core import (
     Spinor,
     angle_value,
     finite_angle,
-    half_phases,
-    pow2_scaled,
     pow2_shift,
-    quadruple_from_spinor,
     sheet_lift,
     sign_flag,
-    spinor_from_quadruple,
 )
 
 INV_SQRT2 = math.sqrt(0.5)
 
 _MIN_NORMAL = sys.float_info.min
 
-# Fixed orthogonal bridge (V4,V1,V2,V3) = S (U4,U1,U2,U3); shared with
-# rotation_algebra.s_matrix so both views use identical entries.
+# Fixed orthogonal bridge (V4,V1,V2,V3) = S (U4,U1,U2,U3); rotation_algebra.s_matrix
+# reads it, and u_to_v writes out the same entries.
 S_BRIDGE = INV_SQRT2 * np.array([
     [1.0, 0.0, -1.0, 0.0],
     [0.0, 1.0, 0.0, -1.0],
     [1.0, 0.0, 1.0, 0.0],
     [0.0, 1.0, 0.0, 1.0],
 ])
+
+
+def _pick(cond, a, b):
+    return a if cond else b
+
+
+def _lift_columns(phi, sheet):
+    """sheet_lift row by row."""
+    return np.where(sheet == -1, sheet_lift(phi, -1), phi)
+
+
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+# The kernels' namespaces. A branch is a `where` between two values that are
+# safe on both sides. np.arctan2 differs from math.atan2 in the last bit, so
+# COLUMNS calls math.atan2 per element. On columns, a row whose squares
+# overflow raises numpy's overflow warning before it is rescaled.
+_FLOATS = SimpleNamespace(
+    sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, isfinite=math.isfinite,
+    ldexp=math.ldexp, all=bool, where=_pick, sheet_lift=sheet_lift,
+    pow2_shift=lambda *values: pow2_shift(values))
+
+COLUMNS = SimpleNamespace(
+    sqrt=np.sqrt, sin=np.sin, cos=np.cos, atan2=lambda y, x: _atan2(y, x).astype(float),
+    isfinite=np.isfinite, ldexp=np.ldexp, all=np.all, where=np.where, sheet_lift=_lift_columns,
+    pow2_shift=lambda *values: -np.frexp(np.max(np.abs(values), axis=0))[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,50 +113,86 @@ class ParabolicPoint:
         object.__setattr__(self, "phi", angle_value(self.phi, "azimuth phi"))
 
 
-def _from_cartesian(v, sheet: int, magnitudes) -> Spinor:
-    """Spinor (m1 e^{-i phi/2}, m2 e^{+i phi/2}) of a Cartesian point, with
-    (m1, m2) = magnitudes(x3, rho^2, r). The zero vector yields the zero spinor."""
+def _spinor(parts) -> Spinor:
+    c1r, c1i, c2r, c2i = parts
+    return Spinor(complex(c1r, c1i), complex(c2r, c2i))
+
+
+def polar(xp, m1, m2, phi) -> tuple:
+    """Real parts of (m1 e^{-i phi/2}, m2 e^{+i phi/2}), the half-angle phases taken as
+    (cos, -+sin): xi_from_parabolic at (N, M) = (m1, m2), and the last step of
+    every constructor."""
+    h = 0.5 * phi
+    c, s = xp.cos(h), xp.sin(h)
+    return m1 * c - 0.0 * -s, m1 * -s + 0.0 * c, m2 * c - 0.0 * s, m2 * s + 0.0 * c
+
+
+def _cartesian(xp, x1, x2, x3, sheet, magnitudes) -> tuple:
+    """(m1 e^{-i phi/2}, m2 e^{+i phi/2}) of a Cartesian point other than the
+    origin, on a sheet, with (m1, m2) = magnitudes(xp, x3, rho^2, r)."""
+    m1, m2 = _point_magnitudes(xp, x1, x2, x3, magnitudes)
+    # The principal azimuth, which is defined as 0 on the axis (rho = 0).
+    phi = xp.where((x1 != 0.0) | (x2 != 0.0), xp.atan2(x2, x1), 0.0)
+    return polar(xp, m1, m2, xp.sheet_lift(phi, sheet))
+
+
+def cartesian_columns(kernel, x1, x2, x3, sheet) -> np.ndarray:
+    """kernel (xi_cartesian or eta_cartesian) on float64 columns, as a (4, n)
+    array of real parts. Rows at the origin are the zero spinor, as in the
+    public constructors."""
+    origin = (x1 == 0.0) & (x2 == 0.0) & (x3 == 0.0)
+    # The origin's rows are computed at (0, 0, 1), and then dropped.
+    parts = kernel(COLUMNS, x1, x2, np.where(origin, 1.0, x3), sheet)
+    return np.where(origin, 0.0, parts)
+
+
+def _point_magnitudes(xp, x1, x2, x3, magnitudes) -> tuple:
+    """magnitudes(xp, x3, rho^2, r) of a nonzero point. Where r^2 leaves the normal
+    range they are rerun on the point times 4^k, 2^k times the true ones, and unscaled."""
+    rho_sq = x1 * x1 + x2 * x2
+    r_sq = rho_sq + x3 * x3
+    normal = (_MIN_NORMAL <= r_sq) & (r_sq < math.inf)
+    if xp.all(normal):
+        return magnitudes(xp, x3, rho_sq, xp.sqrt(r_sq))
+    k = xp.where(normal, 0, xp.pow2_shift(x1, x2, x3) // 2)
+    e = 2 * k
+    m1, m2 = _point_magnitudes(xp, xp.ldexp(x1, e), xp.ldexp(x2, e), xp.ldexp(x3, e), magnitudes)
+    return xp.ldexp(m1, -k), xp.ldexp(m2, -k)
+
+
+def _xi_magnitudes(xp, x3, rho_sq, r) -> tuple:
+    # r - |x3| cancels near the axis; the quotient form rho^2 / (r + |x3|)
+    # is the same number without the cancellation.
+    big = r + abs(x3)
+    root, quotient = xp.sqrt(big), xp.sqrt(rho_sq / big)
+    return xp.where(x3 >= 0.0, (root, quotient), (quotient, root))
+
+
+def _eta_magnitudes(xp, x3, rho_sq, r) -> tuple:
+    # sigma sqrt(r - rho) = x3 / sqrt(r + rho): same value, sign included,
+    # no cancellation near the equator plane.
+    outer = xp.sqrt(r + xp.sqrt(rho_sq))
+    return x3 / outer, outer
+
+
+def xi_cartesian(xp, x1, x2, x3, sheet) -> tuple:
+    """Real parts of xi_from_cartesian((x1, x2, x3), sheet) away from the origin, unvalidated."""
+    return _cartesian(xp, x1, x2, x3, sheet, _xi_magnitudes)
+
+
+def eta_cartesian(xp, x1, x2, x3, sheet) -> tuple:
+    """Real parts of eta_from_cartesian((x1, x2, x3), sheet) away from the origin, unvalidated."""
+    return _cartesian(xp, x1, x2, x3, sheet, _eta_magnitudes)
+
+
+def _from_cartesian(v, sheet: int, kernel) -> Spinor:
     sheet = sign_flag(sheet, "sheet")
     x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise ValueError(f"cartesian point must be finite, got {[x1, x2, x3]!r}")
     if x1 == x2 == x3 == 0.0:
         return Spinor(0.0j, 0.0j)
-    m1, m2 = _point_magnitudes(x1, x2, x3, magnitudes)
-    # The principal azimuth, which is defined as 0 on the axis (rho = 0).
-    phi = math.atan2(x2, x1) if math.hypot(x1, x2) > 0.0 else 0.0
-    em, ep = half_phases(sheet_lift(phi, sheet))
-    return Spinor(m1 * em, m2 * ep)
-
-
-def _point_magnitudes(x1: float, x2: float, x3: float, magnitudes) -> tuple:
-    """magnitudes(x3, rho^2, r) of a nonzero point. Where r^2 leaves the normal range
-    they are rerun on the point times 4^k, 2^k times the true ones, and unscaled."""
-    rho_sq = x1 * x1 + x2 * x2
-    r_sq = rho_sq + x3 * x3
-    if _MIN_NORMAL <= r_sq < math.inf:
-        return magnitudes(x3, rho_sq, math.sqrt(r_sq))
-    k = pow2_shift((x1, x2, x3)) // 2
-    e = 2 * k
-    m1, m2 = _point_magnitudes(math.ldexp(x1, e), math.ldexp(x2, e), math.ldexp(x3, e), magnitudes)
-    return math.ldexp(m1, -k), math.ldexp(m2, -k)
-
-
-def _xi_magnitudes(x3: float, rho_sq: float, r: float) -> tuple:
-    # r - |x3| cancels near the axis; the quotient form rho^2 / (r + |x3|)
-    # is the same number without the cancellation.
-    if x3 >= 0.0:
-        plus = r + x3
-        return math.sqrt(plus), math.sqrt(rho_sq / plus)
-    minus = r - x3
-    return math.sqrt(rho_sq / minus), math.sqrt(minus)
-
-
-def _eta_magnitudes(x3: float, rho_sq: float, r: float) -> tuple:
-    # sigma sqrt(r - rho) = x3 / sqrt(r + rho): same value, sign included,
-    # no cancellation near the equator plane.
-    outer = math.sqrt(r + math.sqrt(rho_sq))
-    return x3 / outer, outer
+    return _spinor(kernel(_FLOATS, x1, x2, x3, sheet))
 
 
 def xi_from_cartesian(v, sheet: int = 1) -> Spinor:
@@ -133,7 +202,14 @@ def xi_from_cartesian(v, sheet: int = 1) -> Spinor:
     and e^{i phi} = (x1 + i x2)/rho. sheet = -1 selects the phi + 2pi lift,
     which flips the overall sign. The zero vector yields the zero spinor.
     """
-    return _from_cartesian(v, sheet, _xi_magnitudes)
+    return _from_cartesian(v, sheet, xi_cartesian)
+
+
+def xi_spherical(xp, r, theta, phi) -> tuple:
+    """Real parts of xi_from_spherical at (r, theta) and the canonical azimuth phi."""
+    root = xp.sqrt(2.0 * r)
+    half = 0.5 * theta
+    return polar(xp, root * xp.cos(half), root * xp.sin(half), phi)
 
 
 def xi_from_spherical(p: SphericalPoint) -> Spinor:
@@ -142,16 +218,32 @@ def xi_from_spherical(p: SphericalPoint) -> Spinor:
     Evaluated through half angles (1 +- cos theta = 2 cos^2/sin^2 (theta/2)),
     which is exact at the poles instead of cancelling there.
     """
-    root = math.sqrt(2.0 * p.r)
-    half = 0.5 * p.theta
-    em, ep = half_phases(p.phi)
-    return Spinor(root * math.cos(half) * em, root * math.sin(half) * ep)
+    return _spinor(xi_spherical(_FLOATS, p.r, p.theta, p.phi))
 
 
 def xi_from_parabolic(p: ParabolicPoint) -> Spinor:
     """xi = (N e^{-i phi/2}, M e^{+i phi/2})."""
-    em, ep = half_phases(p.phi)
-    return Spinor(p.N * em, p.M * ep)
+    return _spinor(polar(_FLOATS, p.N, p.M, p.phi))
+
+
+def xi_bilinears(xp, c1r, c1i, c2r, c2i) -> tuple:
+    """(r, x1, x2, x3) of project_xi on a spinor's real parts."""
+    n1 = c1r * c1r + c1i * c1i
+    n2 = c2r * c2r + c2i * c2i
+    r = 0.5 * (n1 + n2)
+    finite = xp.isfinite(r)
+    if not xp.all(finite):
+        return _rescaled(xp, xi_bilinears, finite, (c1r, c1i, c2r, c2i))
+    # x1 + i x2 = conj(c1) c2
+    return r, c1r * c2r - -c1i * c2i, c1r * c2i + -c1i * c2r, 0.5 * (n1 - n2)
+
+
+def _rescaled(xp, bilinears, finite, parts) -> tuple:
+    """bilinears of parts, rerun on parts times 2^k and unscaled by 2^-2k where
+    not finite, with k the exact scale that takes a row's largest part into
+    [0.5, 1): the spinors at the top of the double range, whose squares overflow."""
+    k = xp.where(finite, 0, xp.pow2_shift(*parts))
+    return tuple(xp.ldexp(b, -2 * k) for b in bilinears(xp, *(xp.ldexp(p, k) for p in parts)))
 
 
 def project_xi(xi: Spinor):
@@ -160,39 +252,31 @@ def project_xi(xi: Spinor):
     Independent of the global phase; x.x = r^2 holds for every spinor (the
     Hopf norm), so the image lies on the cone over the 2-sphere.
     """
-    z1, z2 = xi.c1, xi.c2
-    n1 = z1.real * z1.real + z1.imag * z1.imag
-    n2 = z2.real * z2.real + z2.imag * z2.imag
-    cross = z1.conjugate() * z2
-    r = 0.5 * (n1 + n2)
-    if not math.isfinite(r):
-        e, (r, x) = _rescaled(project_xi, xi)
-        return math.ldexp(r, e), np.ldexp(x, e)
-    x = np.array([cross.real, cross.imag, 0.5 * (n1 - n2)])
-    return r, x
+    r, *x = xi_bilinears(_FLOATS, xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag)
+    return r, np.array(x)
 
 
-def _rescaled(project, s: Spinor) -> tuple:
-    """(e, project(s 2^k)), where the exact scale 2^k takes the largest part
-    of s into [0.5, 1) and e = -2k unscales the bilinears.
-
-    For a spinor at the top of the double range, whose squares (about 2r)
-    overflow.
-    """
-    q = quadruple_from_spinor(s).as_tuple()
-    return -2 * pow2_shift(q), project(spinor_from_quadruple(KSQuadruple(*pow2_scaled(q))))
+def hopf_constraint(q4, q1, q2, q3):
+    """xi_constraint_residual on the entries (q4, q1, q2, q3), floats or columns."""
+    return q1 * q4 + q2 * q3
 
 
 def xi_constraint_residual(q: KSQuadruple) -> float:
     """The Hopf constraint of both models: U1 U4 + U2 U3 on a U (xi) quadruple,
     V1 V4 + V2 V3 = -a3 on a V (eta) one; identically zero on constructor outputs."""
-    return q.q1 * q.q4 + q.q2 * q.q3
+    return hopf_constraint(q.q4, q.q1, q.q2, q.q3)
+
+
+def phase_rotated(xp, alpha, c1r, c1i, c2r, c2i) -> tuple:
+    """Real parts of phase_rotate: each component times e^{i alpha} = (cos alpha, sin alpha)."""
+    wr, wi = xp.cos(alpha), xp.sin(alpha)
+    return wr * c1r - wi * c1i, wr * c1i + wi * c1r, wr * c2r - wi * c2i, wr * c2i + wi * c2r
 
 
 def phase_rotate(s: Spinor, alpha: float) -> Spinor:
     """Multiply by the global phase e^{i alpha}; projections are unchanged."""
-    w = cmath.exp(complex(0.0, finite_angle(alpha, "phase alpha")))
-    return Spinor(w * s.c1, w * s.c2)
+    alpha = finite_angle(alpha, "phase alpha")
+    return _spinor(phase_rotated(_FLOATS, alpha, s.c1.real, s.c1.imag, s.c2.real, s.c2.imag))
 
 
 def eta_from_cartesian(v, sheet: int = 1) -> Spinor:
@@ -201,7 +285,14 @@ def eta_from_cartesian(v, sheet: int = 1) -> Spinor:
     eta = (sigma sqrt(r - rho) e^{-i phi/2}, sqrt(r + rho) e^{+i phi/2}) with
     rho = sqrt(x1^2 + x2^2) and sigma = sign(x3), taken +1 at x3 = 0.
     """
-    return _from_cartesian(v, sheet, _eta_magnitudes)
+    return _from_cartesian(v, sheet, eta_cartesian)
+
+
+def eta_spherical(xp, r, theta, phi) -> tuple:
+    """Real parts of eta_from_spherical at (r, theta) and the canonical azimuth phi."""
+    root = xp.sqrt(r)
+    c, s = xp.cos(0.5 * theta), xp.sin(0.5 * theta)
+    return polar(xp, root * (c - s), root * (c + s), phi)
 
 
 def eta_from_spherical(p: SphericalPoint) -> Spinor:
@@ -211,10 +302,12 @@ def eta_from_spherical(p: SphericalPoint) -> Spinor:
     with their sign in one stroke: sigma sqrt(1-sin) = cos(theta/2)-sin(theta/2)
     and sqrt(1+sin) = cos(theta/2)+sin(theta/2) on [0, pi].
     """
-    root = math.sqrt(p.r)
-    c, s = math.cos(0.5 * p.theta), math.sin(0.5 * p.theta)
-    em, ep = half_phases(p.phi)
-    return Spinor(root * (c - s) * em, root * (c + s) * ep)
+    return _spinor(eta_spherical(_FLOATS, p.r, p.theta, p.phi))
+
+
+def eta_parabolic(xp, n, m, phi) -> tuple:
+    """Real parts of eta_from_parabolic at (N, M) and the canonical azimuth phi."""
+    return polar(xp, (n - m) * INV_SQRT2, (n + m) * INV_SQRT2, phi)
 
 
 def eta_from_parabolic(p: ParabolicPoint) -> Spinor:
@@ -222,8 +315,26 @@ def eta_from_parabolic(p: ParabolicPoint) -> Spinor:
 
     The half-space sign is absorbed by the sign of N - M.
     """
-    em, ep = half_phases(p.phi)
-    return Spinor((p.N - p.M) * INV_SQRT2 * em, (p.N + p.M) * INV_SQRT2 * ep)
+    return _spinor(eta_parabolic(_FLOATS, p.N, p.M, p.phi))
+
+
+def eta_bilinears(xp, h1r, h1i, h2r, h2i) -> tuple:
+    """(a1, a2, a3, x1, x2, x3) of project_eta on a spinor's real parts."""
+    sq1r, sq1i = h1r * h1r - h1i * h1i, h1r * h1i + h1i * h1r
+    sq2r, sq2i = h2r * h2r - h2i * h2i, h2r * h2i + h2i * h2r
+    dr, di = sq1r - sq2r, sq1i - sq2i
+    sr, si = sq1r + sq2r, sq1i + sq2i
+    pr, pi = h1r * h2r - h1i * h2i, h1r * h2i + h1i * h2r
+    # w1 = (-i/2)(h1^2 - h2^2), w2 = (1/2)(h1^2 + h2^2), w3 = i h1 h2
+    w1r, w1i = 0.0 * dr - -0.5 * di, 0.0 * di + -0.5 * dr
+    w2r, w2i = 0.5 * sr - 0.0 * si, 0.5 * si + 0.0 * sr
+    w3r, w3i = 0.0 * pr - 1.0 * pi, 0.0 * pi + 1.0 * pr
+    # 0 w is +-0 for a finite w and NaN for any other, so the sum is finite
+    # exactly where all six are.
+    finite = xp.isfinite(0.0 * w1r + 0.0 * w1i + 0.0 * w2r + 0.0 * w2i + 0.0 * w3r + 0.0 * w3i)
+    if not xp.all(finite):
+        return _rescaled(xp, eta_bilinears, finite, (h1r, h1i, h2r, h2i))
+    return w1r, w2r, w3r, w1i, w2i, w3i
 
 
 def project_eta(eta: Spinor) -> EtaProjection:
@@ -234,17 +345,18 @@ def project_eta(eta: Spinor) -> EtaProjection:
     a3 + i x3 = i h1 h2. a3 vanishes exactly when the V-constraint does, in
     particular on every constructor output.
     """
-    h1, h2 = eta.c1, eta.c2
-    sq1 = h1 * h1
-    sq2 = h2 * h2
-    w1 = complex(0.0, -0.5) * (sq1 - sq2)
-    w2 = 0.5 * (sq1 + sq2)
-    w3 = complex(0.0, 1.0) * (h1 * h2)
-    if not (cmath.isfinite(w1) and cmath.isfinite(w2) and cmath.isfinite(w3)):
-        e, p = _rescaled(project_eta, eta)
-        return EtaProjection(a=np.ldexp(p.a, e), x=np.ldexp(p.x, e))
-    return EtaProjection(a=np.array([w1.real, w2.real, w3.real]),
-                         x=np.array([w1.imag, w2.imag, w3.imag]))
+    out = eta_bilinears(_FLOATS, eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag)
+    return EtaProjection(a=np.array(out[:3]), x=np.array(out[3:]))
+
+
+def eta_quadruple_bilinears(v4, v1, v2, v3) -> tuple:
+    """(a1, a2, a3, x1, x2, x3) of eta_quadruple_projection on the entries (V4, V1, V2, V3)."""
+    return (v1 * v2 - v3 * v4,
+            0.5 * (v1 * v1 - v2 * v2 + v3 * v3 - v4 * v4),
+            -(v1 * v4 + v2 * v3),
+            0.5 * (v2 * v2 + v3 * v3 - v1 * v1 - v4 * v4),
+            v1 * v2 + v3 * v4,
+            v1 * v3 - v2 * v4)
 
 
 def eta_quadruple_projection(q: KSQuadruple) -> EtaProjection:
@@ -254,31 +366,41 @@ def eta_quadruple_projection(q: KSQuadruple) -> EtaProjection:
     a = (V1 V2 - V3 V4, (V1^2 - V2^2 + V3^2 - V4^2)/2, -(V1 V4 + V2 V3)),
     an arithmetic route independent of project_eta's complex products.
     """
-    v4, v1, v2, v3 = q.as_tuple()
-    a = np.array([
-        v1 * v2 - v3 * v4,
-        0.5 * (v1 * v1 - v2 * v2 + v3 * v3 - v4 * v4),
-        -(v1 * v4 + v2 * v3),
-    ])
-    x = np.array([
-        0.5 * (v2 * v2 + v3 * v3 - v1 * v1 - v4 * v4),
-        v1 * v2 + v3 * v4,
-        v1 * v3 - v2 * v4,
-    ])
-    return EtaProjection(a=a, x=x)
+    out = eta_quadruple_bilinears(q.q4, q.q1, q.q2, q.q3)
+    return EtaProjection(a=np.array(out[:3]), x=np.array(out[3:]))
+
+
+def eta_of_xi(c1r, c1i, c2r, c2i) -> tuple:
+    """Real parts of eta_from_xi, floats or columns."""
+    return _over_sqrt2(c1r - c2r, c1i + c2i, c2r + c1r, c2i - c1i)
+
+
+def _over_sqrt2(ar, ai, br, bi) -> tuple:
+    """(a, b) times the real INV_SQRT2, that is times (INV_SQRT2, 0.0)."""
+    k = INV_SQRT2
+    return ar * k - ai * 0.0, ar * 0.0 + ai * k, br * k - bi * 0.0, br * 0.0 + bi * k
 
 
 def eta_from_xi(xi: Spinor) -> Spinor:
     """eta = (xi - i sigma^2 xi*) / sqrt(2), componentwise
     ((xi1 - xi2*)/sqrt(2), (xi2 + xi1*)/sqrt(2))."""
-    return Spinor((xi.c1 - xi.c2.conjugate()) * INV_SQRT2,
-                  (xi.c2 + xi.c1.conjugate()) * INV_SQRT2)
+    return _spinor(eta_of_xi(xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag))
+
+
+def xi_of_eta(h1r, h1i, h2r, h2i) -> tuple:
+    """Real parts of xi_from_eta, floats or columns."""
+    return _over_sqrt2(h1r + h2r, h1i - h2i, h2r - h1r, h2i + h1i)
 
 
 def xi_from_eta(eta: Spinor) -> Spinor:
     """Inverse of eta_from_xi: xi = ((eta1 + eta2*)/sqrt(2), (eta2 - eta1*)/sqrt(2))."""
-    return Spinor((eta.c1 + eta.c2.conjugate()) * INV_SQRT2,
-                  (eta.c2 - eta.c1.conjugate()) * INV_SQRT2)
+    return _spinor(xi_of_eta(eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag))
+
+
+def u_to_v_entries(q4, q1, q2, q3) -> tuple:
+    """S_BRIDGE applied to (q4, q1, q2, q3), written out; floats or columns."""
+    s = INV_SQRT2
+    return s * q4 - s * q2, s * q1 - s * q3, s * q4 + s * q2, s * q1 + s * q3
 
 
 def u_to_v(q: KSQuadruple) -> KSQuadruple:
@@ -286,7 +408,13 @@ def u_to_v(q: KSQuadruple) -> KSQuadruple:
 
     Norm-preserving; agrees with eta_from_xi through the quadruple bijection.
     """
-    return KSQuadruple(*(S_BRIDGE @ q.as_array()).tolist())
+    return KSQuadruple(*u_to_v_entries(q.q4, q.q1, q.q2, q.q3))
+
+
+def cartan_reflected(delta, c1r, c1i, c2r, c2i) -> tuple:
+    """Real parts of cartan_reflect: (0.0, delta) times each component, delta +-1.0."""
+    return (0.0 * c1r - delta * c1i, 0.0 * c1i + delta * c1r,
+            0.0 * c2r - delta * c2i, 0.0 * c2i + delta * c2r)
 
 
 def cartan_reflect(s: Spinor, delta: int = 1) -> Spinor:
@@ -295,9 +423,8 @@ def cartan_reflect(s: Spinor, delta: int = 1) -> Spinor:
     The xi projection is invariant (pseudovector); the eta projection flips
     sign in both parts (vector).
     """
-    delta = sign_flag(delta, "delta")
-    w = complex(0.0, float(delta))
-    return Spinor(w * s.c1, w * s.c2)
+    delta = float(sign_flag(delta, "delta"))
+    return _spinor(cartan_reflected(delta, s.c1.real, s.c1.imag, s.c2.real, s.c2.imag))
 
 
 __all__ = [

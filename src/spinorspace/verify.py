@@ -4,9 +4,12 @@ Five suites (hopf, covariance, so4, ks, gauge) draw reproducible random
 samples and measure the worst scaled residual of each identity they cover.
 Each check is declared once, by its decorator `_check(suite, name, share,
 draw)`, and a suite runs its checks in that order. Each check draws all its
-inputs at once, calls the library's scalar functions once per sample, stacks
-what each sample observes into arrays (`_each`), and reduces a chunk of
-samples at once. A report passes when every check lands under its threshold.
+inputs at once and reduces a chunk of samples at once. The checks of the
+spinor_maps closed forms call its kernels on float64 columns
+(spinor_maps.COLUMNS), which give every row the bits of the scalar function.
+The other checks call the library's scalar functions once per sample and
+stack what each sample observes into arrays (`_each`). A report passes when
+every check lands under its threshold, and each check result carries its time.
 The fixture replay path reruns stored golden records through the
 constructors and holds them to the tolerance each record carries.
 """
@@ -71,23 +74,25 @@ from .rotation_algebra import (
     vector_parameter,
 )
 from .spinor_maps import (
-    ParabolicPoint,
-    SphericalPoint,
-    cartan_reflect,
-    eta_from_cartesian,
-    eta_from_parabolic,
-    eta_from_spherical,
-    eta_from_xi,
-    eta_quadruple_projection,
-    phase_rotate,
+    COLUMNS,
+    cartan_reflected,
+    cartesian_columns,
+    eta_bilinears,
+    eta_cartesian,
+    eta_of_xi,
+    eta_parabolic,
+    eta_quadruple_bilinears,
+    eta_spherical,
+    hopf_constraint,
+    phase_rotated,
+    polar,
     project_eta,
     project_xi,
-    u_to_v,
-    xi_constraint_residual,
-    xi_from_cartesian,
-    xi_from_eta,
-    xi_from_parabolic,
-    xi_from_spherical,
+    u_to_v_entries,
+    xi_bilinears,
+    xi_cartesian,
+    xi_of_eta,
+    xi_spherical,
 )
 
 
@@ -100,6 +105,7 @@ class CheckResult:
     max_residual: float
     threshold: float
     passed: bool
+    elapsed: float  # seconds, its draw included; line() leaves it out
 
     def line(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -201,6 +207,21 @@ def _pair(s):
     return s.c1, s.c2
 
 
+def _quadruple(c1r, c1i, c2r, c2i) -> tuple:
+    """quadruple_from_spinor on real parts: (q4, q1, q2, q3)."""
+    return c2i, c1r, c1i, c2r
+
+
+def _rows(columns) -> np.ndarray:
+    """k columns of n entries as n rows of k; xi's x, for one."""
+    return np.stack(columns, axis=-1)
+
+
+def _eta_rows(bilinears) -> np.ndarray:
+    """The (a, x) columns of an eta projection as n rows of two 3-vectors, shape (n, 2, 3)."""
+    return _rows(bilinears).reshape(-1, 2, 3)
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     # In place: callers pass fresh draws.
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -255,15 +276,16 @@ def _points(rng, n):
 
 @_check("hopf", "construct_project_round_trip", 1.0, _points)
 def _check_construct_project(v, sheets):
-    def round_trip(point, sheet):
-        xi = xi_from_cartesian(point, sheet)
-        eta = eta_from_cartesian(point, sheet)
-        p, qe = project_eta(eta), quadruple_from_spinor(eta)
-        return (*project_xi(xi), xi_constraint_residual(quadruple_from_spinor(xi)),
-                p.x, p.a, xi_constraint_residual(qe), qe.norm_sq)
-    r, x, xi_res, px, pa, eta_res, norm_sq = _each(round_trip, v, sheets)
-    return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))), _worst([xi_res, eta_res], 0.0),
-               _worst(px, v, 1), _hopf_norms(r, x, px, pa, norm_sq))
+    xi = cartesian_columns(xi_cartesian, *v.T, sheets)
+    eta = cartesian_columns(eta_cartesian, *v.T, sheets)
+    r, *x = xi_bilinears(COLUMNS, *xi)
+    p = _eta_rows(eta_bilinears(COLUMNS, *eta))
+    q4, q1, q2, q3 = _quadruple(*eta)
+    norm_sq = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3  # as KSQuadruple.norm_sq adds them
+    x = _rows(x)
+    return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))),
+               _worst([hopf_constraint(*_quadruple(*xi)), hopf_constraint(q4, q1, q2, q3)], 0.0),
+               _worst(p[:, 1], v, 1), _hopf_norms(r, x, p[:, 1], p[:, 0], norm_sq))
 
 
 def _hopf_norms(r, x, px, pa, norm_sq):
@@ -274,26 +296,17 @@ def _hopf_norms(r, x, px, pa, norm_sq):
                _worst(_dot(pa, px), 0.0), _worst(_dot(pa, pa), pxx))
 
 
-def _xi_eta(spinor):
-    """r, x of the xi projection and x, a of the eta projection of one spinor."""
-    p = project_eta(spinor)
-    return (*project_xi(spinor), p.x, p.a)
-
-
 @_check("hopf", "hopf_norms_any_spinor", 0.1, _spinors)
 def _check_hopf_norm_general(s):
-    r, x, px, pa = _each(_xi_eta, _as_spinors(s))
-    return _hopf_norms(r, x, px, pa, _dot(s, s))
+    r, *x = xi_bilinears(COLUMNS, *s.T)
+    p = _eta_rows(eta_bilinears(COLUMNS, *s.T))
+    return _hopf_norms(r, _rows(x), p[:, 1], p[:, 0], _dot(s, s))
 
 
 @_check("hopf", "eta_projection_dual_route", 0.1, _spinors)
 def _check_projection_dual_route(s):
-    def routes(spinor):
-        p = project_eta(spinor)
-        q = eta_quadruple_projection(quadruple_from_spinor(spinor))
-        return p.a, p.x, q.a, q.x
-    a, x, qa, qx = _each(routes, _as_spinors(s))
-    return max(_worst(a, qa, 1), _worst(x, qx, 1))
+    return _worst(_eta_rows(eta_bilinears(COLUMNS, *s.T)),
+                  _eta_rows(eta_quadruple_bilinears(*_quadruple(*s.T))), 2)
 
 
 def _spherical_draw(rng, n):
@@ -307,27 +320,24 @@ def _spherical_draw(rng, n):
 @_check("hopf", "coordinate_agreement", 0.1, _spherical_draw)
 def _check_coordinate_agreement(r, theta, phi):
     st, ct = np.sin(theta), np.cos(theta)
-    cart = np.column_stack([r * st * np.cos(phi), r * st * np.sin(phi), r * ct])
+    cart = (r * st * np.cos(phi), r * st * np.sin(phi), r * ct)
     # The principal atan2 lift covers (-pi, pi]; anything else is sheet -1.
     sheets = np.where((phi > -math.pi) & (phi <= math.pi), 1, -1)
-
-    def constructors(ri, ti, pi_, xyz, big_n, big_m, sheet):
-        sp, pp = SphericalPoint(ri, ti, pi_), ParabolicPoint(big_n, big_m, pi_)
-        return tuple(_pair(spinor) for spinor in (
-            xi_from_spherical(sp), xi_from_cartesian(xyz, sheet), xi_from_parabolic(pp),
-            eta_from_spherical(sp), eta_from_cartesian(xyz, sheet), eta_from_parabolic(pp)))
-    xs, xc, xp, es, ec, ep = (a.view(float) for a in _each(
-        constructors, r, theta, phi, cart, np.sqrt(r * (1.0 + ct)), np.sqrt(r * (1.0 - ct)), sheets))
-    return _worst([xc, xp, ec, ep], [xs, xs, es, es])
+    big_n, big_m = np.sqrt(r * (1.0 + ct)), np.sqrt(r * (1.0 - ct))
+    phi = wrap_4pi(phi)  # the azimuth that SphericalPoint and ParabolicPoint store
+    xs, es = xi_spherical(COLUMNS, r, theta, phi), eta_spherical(COLUMNS, r, theta, phi)
+    return _worst([cartesian_columns(xi_cartesian, *cart, sheets),
+                   polar(COLUMNS, big_n, big_m, phi),
+                   cartesian_columns(eta_cartesian, *cart, sheets),
+                   eta_parabolic(COLUMNS, big_n, big_m, phi)], [xs, xs, es, es])
 
 
 @_check("hopf", "projection_phase_invariance", 0.1,
         lambda rng, n: (rng.normal(size=(n, 4)), rng.uniform(-8.0, 8.0, size=n)))
 def _check_phase_invariance(s, alpha):
-    def before_after(spinor, a):
-        return (*project_xi(spinor), *project_xi(phase_rotate(spinor, a)))
-    r0, x0, r1, x1 = _each(before_after, _as_spinors(s), alpha)
-    return max(_worst(r0, r1), _worst(x0, x1, 1))
+    r0, *x0 = xi_bilinears(COLUMNS, *s.T)
+    r1, *x1 = xi_bilinears(COLUMNS, *phase_rotated(COLUMNS, alpha, *s.T))
+    return max(_worst(r0, r1), _worst(_rows(x0), _rows(x1), 1))
 
 
 # ---------------------------------------------------------- covariance suite
@@ -398,18 +408,13 @@ def _check_quadruple_spinor_conjugacy(c, q):
 
 @_check("so4", "bridge_involution", 1.0, _spinors)
 def _check_bridge_involution(s):
-    out = np.array([(_pair(xi_from_eta(eta_from_xi(t))), _pair(eta_from_xi(xi_from_eta(t))))
-                    for t in _as_spinors(s)])
-    return _worst(out.view(float), s[:, None, :])
+    return _worst([xi_of_eta(*eta_of_xi(*s.T)), eta_of_xi(*xi_of_eta(*s.T))], [s.T, s.T])
 
 
 @_check("so4", "bridge_quadruple_route", 1.0, _spinors)
-def _check_bridge_quadruple_route(s):
-    def routes(spinor):  # S U, quadruple of eta_from_xi
-        return (u_to_v(quadruple_from_spinor(spinor)).as_tuple(),
-                quadruple_from_spinor(eta_from_xi(spinor)).as_tuple())
-    bridged, direct = _each(routes, _as_spinors(s))
-    return _worst(bridged, direct, 1)
+def _check_bridge_quadruple_route(s):  # S U against the quadruple of eta_from_xi
+    return _worst(_rows(u_to_v_entries(*_quadruple(*s.T))),
+                  _rows(_quadruple(*eta_of_xi(*s.T))), 1)
 
 
 _PLANE_LABELS = tuple(ELEMENTARY_PLANES)
@@ -443,46 +448,35 @@ def _check_s_non_membership(c):
                _worst(fitted, c, 1), _worst(residual, 0.0))
 
 
-_BUILDERS = ((xi_from_spherical, 0), (eta_from_spherical, 0),
-             (xi_from_parabolic, 1), (eta_from_parabolic, 1))
-
-
 @_check("so4", "double_cover_sign", 0.2,
         lambda rng, n: (rng.random((n, 6)), rng.normal(size=(n, 4))))
 def _check_double_cover(u, s):
     r, theta, phi = 0.1 + 2.9 * u[:, 0], math.pi * u[:, 1], 4.0 * math.pi * u[:, 2] - 2.0 * math.pi
-
-    def sheets(spinor, rr, th, phi, n_par, m_par, point):
-        angles = (phi, phi + 2.0 * math.pi, phi + 4.0 * math.pi)
-        points = ([SphericalPoint(rr, th, a) for a in angles],
-                  [ParabolicPoint(n_par, m_par, a) for a in angles])
-        lifts = [[build(where) for where in points[kind]] for build, kind in _BUILDERS]
-        # each constructor at phi + 0, 2pi, 4pi | (r, x) at phi and phi + 2pi |
-        # xi of a point on sheets +1, -1 | B(-1) s. The first two are packed
-        # per sample: as Python values a chunk of them would hold about 1 MB.
-        return (np.array([list(map(_pair, row)) for row in lifts]),
-                np.array([[(radius, *x) for radius, x in map(project_xi, row[:2])]
-                          for row in lifts]),
-                [_pair(xi_from_cartesian(point, sheet)) for sheet in (1, -1)],
-                _pair(rotate_spinor(MINUS_IDENTITY, spinor)))
-    lifts, proj, flips, turned = _each(
-        sheets, _as_spinors(s), r, theta, phi, np.sqrt(r * (1.0 + np.cos(theta))),
-        np.sqrt(r * (1.0 - np.cos(theta))), 4.0 * u[:, 3:] - 2.0)
-    parts, flips, turned = lifts.view(float), flips.view(float), turned.view(float)
-    return max(_worst(parts[:, :, 1], -parts[:, :, 0]), _worst(parts[:, :, 2], parts[:, :, 0]),
-               _worst(proj[:, :, 0, 0], proj[:, :, 1, 0]),
-               _worst(proj[:, :, 0, 1:], proj[:, :, 1, 1:], 2),
-               _worst(flips[:, 1], -flips[:, 0]), _worst(turned, -s),
+    spherical = (r, theta)
+    parabolic = (np.sqrt(r * (1.0 + np.cos(theta))), np.sqrt(r * (1.0 - np.cos(theta))))
+    # Each constructor at phi, phi + 2pi and phi + 4pi, as the stored azimuths
+    # of the point types: (builder, lift, part, sample).
+    angles = [wrap_4pi(a) for a in (phi, phi + 2.0 * math.pi, phi + 4.0 * math.pi)]
+    lifts = np.array([[build(COLUMNS, *where, a) for a in angles]
+                      for build, where in ((xi_spherical, spherical), (eta_spherical, spherical),
+                                           (polar, parabolic), (eta_parabolic, parabolic))])
+    # (r, x) at phi and phi + 2pi: (builder, lift, r x1 x2 x3, sample).
+    proj = np.array([[xi_bilinears(COLUMNS, *row) for row in lift[:2]] for lift in lifts])
+    flips = [cartesian_columns(xi_cartesian, *(4.0 * u[:, 3:] - 2.0).T, sheet) for sheet in (1, -1)]
+    turned = np.array([_pair(rotate_spinor(MINUS_IDENTITY, t)) for t in _as_spinors(s)])
+    return max(_worst(lifts[:, 1], -lifts[:, 0]), _worst(lifts[:, 2], lifts[:, 0]),
+               _worst(proj[:, 0, 0], proj[:, 1, 0]), _worst(proj[:, 0, 1:], proj[:, 1, 1:], 1),
+               _worst(flips[1], -flips[0]), _worst(turned.view(float), -s),
                _worst(so3_from_rotation(MINUS_IDENTITY)[None], np.eye(3), (1, 2)))
 
 
 @_check("so4", "cartan_reflection_parity", 0.5, lambda rng, n: (rng.normal(size=(n, 5)),))
 def _check_cartan_reflection(g):
-    spinors = _as_spinors(g[:, :4])
-    reflected = list(map(cartan_reflect, spinors, np.where(g[:, 4] < 0.0, -1, 1).tolist()))
-    r0, x0, px0, pa0 = _each(_xi_eta, spinors)
-    r1, x1, px1, pa1 = _each(_xi_eta, reflected)
-    return max(_worst(r0, r1), _worst(x0, x1, 1), _worst(px1, -px0, 1), _worst(pa1, -pa0, 1))
+    s = g[:, :4].T
+    reflected = cartan_reflected(np.where(g[:, 4] < 0.0, -1.0, 1.0), *s)
+    (r0, *x0), (r1, *x1) = xi_bilinears(COLUMNS, *s), xi_bilinears(COLUMNS, *reflected)
+    p0, p1 = _eta_rows(eta_bilinears(COLUMNS, *s)), _eta_rows(eta_bilinears(COLUMNS, *reflected))
+    return max(_worst(r0, r1), _worst(_rows(x0), _rows(x1), 1), _worst(p1, -p0, 2))
 
 
 # ------------------------------------------------------------------ ks suite
@@ -558,15 +552,12 @@ _SWEEP = np.arange(16) * (math.pi / 8.0)
 
 @_check("ks", "phase_residual_law", 0.05, _points)
 def _check_phase_residual_law(v, sheets):
-    def sweep(point, sheet):  # quadruple of xi, its constraint residual, after each phase
-        xi = xi_from_cartesian(point, sheet)
-        quad = quadruple_from_spinor(xi)
-        return (*quad.as_tuple(), xi_constraint_residual(quad),
-                [xi_constraint_residual(quadruple_from_spinor(phase_rotate(xi, alpha)))
-                 for alpha in _SWEEP.tolist()])
-    *quad, moved = _each(sweep, v, sheets)
-    q4, q1, q2, q3, base = (a[:, None] for a in quad)
-    return _worst(moved, np.sin(2.0 * _SWEEP) * (q1 * q3 - q2 * q4) + np.cos(2.0 * _SWEEP) * base)
+    xi = cartesian_columns(xi_cartesian, *v.T, sheets)[:, :, None]
+    # The constraint after each phase of the sweep, one column per phase.
+    moved = hopf_constraint(*_quadruple(*phase_rotated(COLUMNS, _SWEEP, *xi)))
+    q4, q1, q2, q3 = _quadruple(*xi)
+    return _worst(moved, np.sin(2.0 * _SWEEP) * (q1 * q3 - q2 * q4)
+                  + np.cos(2.0 * _SWEEP) * hopf_constraint(q4, q1, q2, q3))
 
 
 def _all_raise(chunk):
@@ -688,9 +679,11 @@ def run_suite(suite: str, samples: int = 1000, seed: int = 42,
     start = time.perf_counter()
     checks = []
     for index, (name, share, draw, body) in enumerate(_SUITES[suite]):
+        begin = time.perf_counter()
         inputs = draw(np.random.default_rng([seed, index]), max(1, int(samples * share)))
         worst = _chunked(body, inputs)
-        checks.append(CheckResult(name, len(inputs[0]), worst, tolerance, worst <= tolerance))
+        checks.append(CheckResult(name, len(inputs[0]), worst, tolerance, worst <= tolerance,
+                                  time.perf_counter() - begin))
     return VerificationReport(suite=suite, seed=seed, samples=samples,
                               tolerance=tolerance, checks=tuple(checks),
                               elapsed=time.perf_counter() - start)
@@ -728,10 +721,10 @@ def replay_fixtures(records, tolerance: float | None = None) -> VerificationRepo
         worst = max(worst, residual)
     count = len(records)
     threshold = tolerance if tolerance is not None else max(usable, default=1e-12)
-    check = CheckResult("fixture_replay", count, worst, threshold, ok)
+    elapsed = time.perf_counter() - start
+    check = CheckResult("fixture_replay", count, worst, threshold, ok, elapsed)
     return VerificationReport(suite="replay", seed=0, samples=count,
-                              tolerance=threshold, checks=(check,),
-                              elapsed=time.perf_counter() - start)
+                              tolerance=threshold, checks=(check,), elapsed=elapsed)
 
 
 __all__ = [

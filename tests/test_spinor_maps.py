@@ -1,9 +1,14 @@
+import ast
+import cmath
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from spinorspace import spinor_maps as sm
 from spinorspace import (
     KSQuadruple,
     ParabolicPoint,
@@ -323,7 +328,8 @@ def test_round_trip_over_the_double_range():
     rng = np.random.default_rng(21)
     units = [d / np.linalg.norm(d) for d in rng.normal(size=(24, 3))]
     units += [np.array(d) for d in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
-                                    (0.6, -0.8, 0.0), (0.0, -0.0, 1e-20))]
+                                    (0.6, -0.8, 0.0), (0.0, -0.0, 1e-20), (0.0, 1.0, 0.0),
+                                    (-0.0, -0.6, 0.8))]
     for k in [*range(-1000, 1001, 40), 1023]:
         for n in units:
             v = tuple(np.ldexp(n, k).tolist())
@@ -425,3 +431,198 @@ def test_u_to_v_matches_componentwise_bridge():
         via_matrix = u_to_v(q).as_array()
         via_complex = quadruple_from_spinor(eta_from_xi(s)).as_array()
         assert scaled_residual(via_matrix, via_complex) <= 1e-14
+
+
+# ----------------------------------------------------------- column kernels
+
+def _parts(s):
+    return s.c1.real, s.c1.imag, s.c2.real, s.c2.imag
+
+
+def _assert_rows_equal(columns, rows):
+    # Bit patterns, so a zero of the other sign is a mismatch too.
+    got = np.ascontiguousarray(np.asarray(columns, dtype=float).T).view(np.uint64)
+    want = np.array(rows, dtype=float).reshape(got.shape).view(np.uint64)
+    bad = np.flatnonzero((got != want).any(axis=1))
+    assert bad.size == 0, f"{bad.size} of {len(got)} rows differ, first at {bad[:5].tolist()}"
+
+
+def _hard_points(rng):
+    """Uniform draws, oracles.hard_directions, axis points with signed zeros,
+    the origin, and log-uniform magnitudes 2^-1074 .. 2^1023."""
+    points = list(rng.uniform(-2.0, 2.0, size=(400, 3)))
+    points += oracles.hard_directions(rng, 300)
+    zeros = (0.0, -0.0)
+    points += [np.array([a, b, c]) for a in zeros for b in zeros
+               for c in (*zeros, 1.5, -1.5, 5e-324, -5e-324, 1e300, -1e-300)]
+    d = rng.normal(size=(600, 3))
+    d /= np.max(np.abs(d), axis=1, keepdims=True)
+    points += list(np.ldexp(d, rng.integers(-1074, 1024, size=(600, 1))))
+    points += [np.array(v) for v in ((1.7e308, 0.0, 0.0), (1e308, 1e308, 0.0),
+                                     (-1e308, 0.0, -1e308))]
+    return np.array(points)
+
+
+def _hard_spinors(rng):
+    """Gaussian spinors, log-uniform magnitudes, spinors whose squares overflow
+    (project_xi and project_eta rescale them), and signed zeros."""
+    unit = rng.normal(size=(200, 4))
+    unit /= np.sqrt(np.sum(unit * unit, axis=1, keepdims=True))
+    signed = [[a, b, c, d] for a in (0.0, -0.0) for b in (0.0, -0.0, 1.0)
+              for c in (0.0, -0.0) for d in (0.0, -0.0, -2.0)]
+    return np.concatenate([rng.normal(size=(400, 4)),
+                           np.ldexp(rng.normal(size=(400, 4)), rng.integers(-1074, 500, (400, 1))),
+                           1.85e154 * unit, signed])
+
+
+@pytest.mark.parametrize("kernel, scalar", [(sm.xi_cartesian, xi_from_cartesian),
+                                            (sm.eta_cartesian, eta_from_cartesian)],
+                         ids=["xi", "eta"])
+def test_cartesian_columns_match_the_scalar_rows(kernel, scalar):
+    points = _hard_points(np.random.default_rng(31))
+    points = np.concatenate([points, points])
+    sheets = np.repeat([1, -1], len(points) // 2)
+    rows = [_parts(scalar(v, sheet)) for v, sheet in zip(points.tolist(), sheets.tolist())]
+    with np.errstate(over="ignore"):  # the squares of the largest points, rescaled after
+        columns = sm.cartesian_columns(kernel, *points.T, sheets)
+    _assert_rows_equal(columns, rows)
+
+
+@pytest.mark.parametrize("point_type, kernel, scalar", [
+    (SphericalPoint, sm.xi_spherical, xi_from_spherical),
+    (SphericalPoint, sm.eta_spherical, eta_from_spherical),
+    (ParabolicPoint, sm.polar, xi_from_parabolic),
+    (ParabolicPoint, sm.eta_parabolic, eta_from_parabolic),
+], ids=["xi-spherical", "eta-spherical", "xi-parabolic", "eta-parabolic"])
+def test_polar_columns_match_the_scalar_rows(point_type, kernel, scalar):
+    rng = np.random.default_rng(32)
+    n = 600
+    size = np.concatenate([rng.uniform(0.0, 3.0, n),
+                           np.ldexp(rng.random(n), rng.integers(-1074, 1023, n))])
+    second = rng.uniform(0.0, math.pi, 2 * n) if point_type is SphericalPoint else size[::-1]
+    phi = rng.uniform(-20.0, 20.0, 2 * n)
+    phi[:8] = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, 1e-300)
+    points = [point_type(*row) for row in zip(size.tolist(), second.tolist(), phi.tolist())]
+    stored = np.array([[getattr(p, f) for f in p.__slots__] for p in points]).T
+    _assert_rows_equal(kernel(sm.COLUMNS, *stored), [_parts(scalar(p)) for p in points])
+
+
+def test_spinor_columns_match_the_scalar_rows():
+    s = _hard_spinors(np.random.default_rng(33))
+    spinors = [Spinor(complex(a, b), complex(c, d)) for a, b, c, d in s.tolist()]
+    quads = [quadruple_from_spinor(t) for t in spinors]
+    alpha = np.random.default_rng(34).uniform(-8.0, 8.0, len(s))
+    alpha[:3] = (0.0, -0.0, math.pi)
+    delta = np.where(np.arange(len(s)) % 2 == 0, 1.0, -1.0)
+    # The spinors near 1.85e154 overflow their squares: the projections rescale
+    # them, and the quadruple route and the constraint overflow as the scalars do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cases = _spinor_cases(s, spinors, quads, alpha, delta)
+    for columns, rows in cases:
+        _assert_rows_equal(columns, rows)
+
+
+def _spinor_cases(s, spinors, quads, alpha, delta):
+    q = (s[:, 3], s[:, 0], s[:, 1], s[:, 2])
+    return [
+        (sm.xi_bilinears(sm.COLUMNS, *s.T), [(r, *x) for r, x in map(project_xi, spinors)]),
+        (sm.eta_bilinears(sm.COLUMNS, *s.T), [(*p.a, *p.x) for p in map(project_eta, spinors)]),
+        (sm.eta_quadruple_bilinears(*q),
+         [(*p.a, *p.x) for p in map(eta_quadruple_projection, quads)]),
+        (sm.eta_of_xi(*s.T), [_parts(eta_from_xi(t)) for t in spinors]),
+        (sm.xi_of_eta(*s.T), [_parts(xi_from_eta(t)) for t in spinors]),
+        (sm.u_to_v_entries(*q), [u_to_v(t).as_tuple() for t in quads]),
+        (sm.phase_rotated(sm.COLUMNS, alpha, *s.T),
+         [_parts(phase_rotate(t, a)) for t, a in zip(spinors, alpha.tolist())]),
+        (sm.cartan_reflected(delta, *s.T),
+         [_parts(cartan_reflect(t, int(d))) for t, d in zip(spinors, delta.tolist())]),
+        ([sm.hopf_constraint(*q)], [(xi_constraint_residual(t),) for t in quads]),
+    ]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_kernels_keep_the_bits_of_complex_arithmetic():
+    # The closed forms again in Python's complex arithmetic, on components full
+    # of signed zeros, where a product that is not written out as CPython forms
+    # it shows in the sign of a zero.
+    values = (0.0, -0.0, 1.5, -2.0)
+    for a, b, c, d in itertools.product(values, repeat=4):
+        h1, h2 = complex(a, b), complex(c, d)
+        s = Spinor(h1, h2)
+        w = (complex(0.0, -0.5) * (h1 * h1 - h2 * h2), 0.5 * (h1 * h1 + h2 * h2),
+             complex(0.0, 1.0) * (h1 * h2))
+        p = project_eta(s)
+        assert _hex([*p.a, *p.x]) == _hex([z.real for z in w] + [z.imag for z in w])
+        cross = h1.conjugate() * h2
+        assert _hex(project_xi(s)[1][:2]) == _hex([cross.real, cross.imag])
+        k = INV_SQRT2
+        pairs = [(eta_from_xi(s), (h1 - h2.conjugate()) * k, (h2 + h1.conjugate()) * k),
+                 (xi_from_eta(s), (h1 + h2.conjugate()) * k, (h2 - h1.conjugate()) * k)]
+        pairs += [(cartan_reflect(s, delta), complex(0.0, delta) * h1, complex(0.0, delta) * h2)
+                  for delta in (1, -1)]
+        for alpha in (0.0, -0.0, 0.5 * math.pi, math.pi, -1.0):
+            phase = cmath.exp(complex(0.0, alpha))
+            pairs.append((phase_rotate(s, alpha), phase * h1, phase * h2))
+        for got, z1, z2 in pairs:
+            assert _hex(_parts(got)) == _hex([z1.real, z1.imag, z2.real, z2.imag])
+    for n, m, phi in itertools.product((0.0, -0.0, 1.5), (0.0, 2.0), (0.0, -0.0, 2.0, -3.0, 7.0)):
+        p = ParabolicPoint(n, m, phi)
+        h = 0.5 * p.phi
+        em, ep = complex(math.cos(h), -math.sin(h)), complex(math.cos(h), math.sin(h))
+        assert _hex(_parts(xi_from_parabolic(p))) == _hex(_parts(Spinor(p.N * em, p.M * ep)))
+
+
+def test_projections_raise_past_the_double_range():
+    # Bilinears of about 5e599 have no double; both projections say so alike.
+    big = Spinor(complex(1e300, 0.0), 0.0j)
+    for project in (project_xi, project_eta):
+        with pytest.raises(OverflowError):
+            project(big)
+
+
+_INEXACT = {"np.arctan2", "np.hypot", "np.exp", "np.linalg.norm", "np.matmul"}
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _is_complex_dtype(node):
+    # complex, np.complex128 and the like, a complex literal, or a dtype string such as "c16".
+    name = _dotted(node)
+    if name is not None:
+        value = complex if name == "complex" else None
+        if name.startswith("np."):
+            value = getattr(np, name[3:], None)
+        return isinstance(value, type) and issubclass(value, (complex, np.complexfloating))
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, str) and node.value.isidentifier():
+            try:
+                return np.dtype(node.value).kind == "c"
+            except TypeError:
+                return False
+        return isinstance(node.value, complex)
+    return False
+
+
+def test_column_code_keeps_to_exact_operations():
+    # numpy's atan2, hypot, exp, norm, matmul and complex products differ from
+    # Python's in the last bits, so columns would not keep the scalar API's bits.
+    tree = ast.parse(Path(sm.__file__).read_text())
+    assert sorted({_dotted(n) for n in ast.walk(tree)} & _INEXACT) == []
+    assert [ast.unparse(n) for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)] == []
+    # Complex values are built only where a Spinor is returned, never on columns.
+    spinor_api = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and _dotted(f.returns) == "Spinor"
+                  for n in ast.walk(f)}
+    assert [ast.unparse(n) for n in ast.walk(tree)
+            if id(n) not in spinor_api and _is_complex_dtype(n)] == []

@@ -167,3 +167,14 @@ def test_s_no_su2_preimage_needs_the_certificate_margin(monkeypatch):
     result = run_suite("so4", 1000, seed=0).result("s_no_su2_preimage")
     assert result.samples == 20
     assert not result.passed and result.max_residual == math.inf
+
+
+def test_check_times_fit_in_the_report_time():
+    report = run_suite("so4", 300, seed=4)
+    assert all(c.elapsed > 0.0 for c in report.checks)
+    assert sum(c.elapsed for c in report.checks) <= report.elapsed
+    # The printed line leaves the time out, so the CLI's bytes do not depend on it.
+    assert ([c.line() for c in report.checks]
+            == [dataclasses.replace(c, elapsed=0.0).line() for c in report.checks])
+    replay = verify.replay_fixtures([])
+    assert replay.checks[0].elapsed == replay.elapsed
