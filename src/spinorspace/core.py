@@ -74,6 +74,12 @@ class Spinor:
                 + self.c2.real * self.c2.real + self.c2.imag * self.c2.imag)
 
 
+def spinor_of(parts) -> Spinor:
+    """The Spinor with the real parts (c1.real, c1.imag, c2.real, c2.imag)."""
+    c1r, c1i, c2r, c2i = parts
+    return Spinor(complex(c1r, c1i), complex(c2r, c2i))
+
+
 @dataclass(frozen=True, slots=True)
 class KSQuadruple:
     """Real 4-tuple (q4, q1, q2, q3), the paper-order column layout.
@@ -153,13 +159,6 @@ def sign_flag(value, name: str) -> int:
 def sheet_lift(phi: float, sheet: int) -> float:
     """The azimuth phi on a sheet of the double cover: sheet -1 is the phi + 2pi lift."""
     return wrap_4pi(phi + TWO_PI) if sheet == -1 else phi
-
-
-def half_phases(phi: float) -> tuple:
-    """The half-angle phases (e^{-i phi/2}, e^{+i phi/2}) of the spinor components."""
-    h = 0.5 * phi
-    minus = complex(math.cos(h), -math.sin(h))
-    return minus, minus.conjugate()
 
 
 def pow2_shift(values) -> int:

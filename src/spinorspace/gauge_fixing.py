@@ -26,16 +26,17 @@ from .core import (
     conjugate4,
     finite_angle,
     finite_vector,
-    half_phases,
     qmul,
     quadruple_from_spinor,
     scaled_residual,
     sheet_lift,
     sign_flag,
+    spinor_of,
     unit4,
     wrap_4pi,
 )
 from .rotation_algebra import linear_system_matrix
+from .spinor_maps import FLOATS, polar
 
 # A canonical phase whose chart's component weight is at most this is singular.
 SINGULAR_WEIGHT = 1e-12
@@ -58,10 +59,13 @@ def axis_phase(delta: float) -> SpinorRotation:
     return SpinorRotation(math.cos(delta), 0.0, 0.0, math.sin(delta))
 
 
-def _unit_pair(c1: complex, c2: complex, who: str) -> tuple:
-    """(u1, u2, u3, u4) of the spinor (c1, c2), divided by its norm."""
-    u1, u2 = c1.real, c1.imag
-    u3, u4 = c2.real, c2.imag
+def _unit_spinor(psi: Spinor, who: str) -> tuple:
+    """The real parts (u1, u2, u3, u4) of psi, divided by its norm."""
+    return _unit_parts(psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag, who)
+
+
+def _unit_parts(u1: float, u2: float, u3: float, u4: float, who: str) -> tuple:
+    """The real parts (u1, u2, u3, u4) of a spinor, divided by its norm."""
     norm = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4)
     if abs(norm - 1.0) >= NORM_SLACK:
         raise ValueError(f"{who} requires a unit spinor, got norm {norm!r}")
@@ -82,11 +86,11 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
     magnitude is taken in the quotient form rho sqrt(1 / (2 (1 +- n3))),
     which does not cancel near the poles as sqrt((1 -+ n3)/2) does.
     """
-    return Spinor(*_psi_pair(finite_vector(n, "direction"), gamma))
+    return spinor_of(_psi_parts(finite_vector(n, "direction"), gamma))
 
 
-def _psi_pair(v: np.ndarray, gamma) -> tuple:
-    """The components (c1, c2) of psi_from_direction for a finite float 3-vector."""
+def _psi_parts(v: np.ndarray, gamma) -> tuple:
+    """The real parts of psi_from_direction for a finite float 3-vector."""
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) >= NORM_SLACK:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
@@ -107,8 +111,7 @@ def _psi_pair(v: np.ndarray, gamma) -> tuple:
     else:
         lower = math.sqrt(0.5 * (1.0 - n3))
         upper = rho * math.sqrt(0.5 / (1.0 - n3))
-    minus, plus = half_phases(lift)
-    return upper * minus, lower * plus
+    return polar(FLOATS, upper, lower, lift)
 
 
 def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
@@ -117,13 +120,13 @@ def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     The underlying aligner a = (u1, u4, -u3, u2) satisfies B(a) psi = (1, 0)
     with both entries exact in float arithmetic; the phase is applied on top.
     """
-    u = _unit_pair(psi.c1, psi.c2, "gauge_plus")
+    u = _unit_spinor(psi, "gauge_plus")
     return SpinorRotation(*_gauge_plus4(u, finite_angle(phase, "gauge phase")))
 
 
 def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     """Closed-form rotation sending psi to (0, e^{+i phase/2}): the (+) gauge of i sigma^2 psi*."""
-    u = _unit_pair(psi.c1, psi.c2, "gauge_minus")
+    u = _unit_spinor(psi, "gauge_minus")
     return SpinorRotation(*_gauge_plus4(_swap(u), finite_angle(phase, "gauge phase")))
 
 
@@ -159,7 +162,7 @@ def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:
     with s = u1^2 + u2^2. Undefined when psi's first component vanishes
     (direction at the south pole): SingularGaugeError.
     """
-    u = u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "canonical_phase_plus")
+    u = u1, u2, u3, u4 = _unit_spinor(psi, "canonical_phase_plus")
     s, gamma, rotation = _canonical_plus(u, _PLUS_UNDEFINED)
     c_vec = np.array([(u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0])
     return CanonicalGauge(gamma=gamma, vector_parameter=c_vec, rotation=rotation)
@@ -179,7 +182,7 @@ def _canonical_plus(u: tuple, undefined: str) -> tuple:
 def canonical_plus_rotation(n: np.ndarray) -> SpinorRotation:
     """canonical_phase_plus(psi_from_direction(n)).rotation for a finite float
     3-vector n, built without a Spinor or a CanonicalGauge on the way."""
-    u = _unit_pair(*_psi_pair(n, 0.0), "canonical_phase_plus")
+    u = _unit_parts(*_psi_parts(n, 0.0), "canonical_phase_plus")
     return _canonical_plus(u, _PLUS_UNDEFINED)[2]
 
 
@@ -190,7 +193,7 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
     with s = u3^2 + u4^2; singular when the direction sits at the north pole.
     This is the (+) construction on i sigma^2 psi*.
     """
-    u = u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "canonical_phase_minus")
+    u = u1, u2, u3, u4 = _unit_spinor(psi, "canonical_phase_minus")
     w = _swap(u)
     s, gamma, rotation = _canonical_plus(
         w, "(-)-gauge canonical phase undefined: second component weight")
@@ -207,8 +210,8 @@ def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
     parameter quadruple m = (u1, -u4, u3, -u2); the answer is the quaternion
     ratio m' m^{-1}. Equal inputs give the identity exactly.
     """
-    u1, u2, u3, u4 = _unit_pair(psi.c1, psi.c2, "rotation_between")
-    v1, v2, v3, v4 = _unit_pair(psi_prime.c1, psi_prime.c2, "rotation_between")
+    u1, u2, u3, u4 = _unit_spinor(psi, "rotation_between")
+    v1, v2, v3, v4 = _unit_spinor(psi_prime, "rotation_between")
     m = unit4(u1, -u4, u3, -u2)
     m_prime = unit4(v1, -v4, v3, -v2)
     return SpinorRotation(*qmul(m_prime, conjugate4(m)))

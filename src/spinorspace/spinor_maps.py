@@ -8,7 +8,7 @@ the two quadratic (Hopf) constraints, and the xi <-> eta / U <-> V bridges.
 Each closed form is written once, in real components, as a kernel that runs
 on Python floats or on float64 columns. A spinor is its real parts
 (c1.real, c1.imag, c2.real, c2.imag). Kernels that need more than arithmetic
-take a namespace first: _FLOATS behind the public functions, or COLUMNS,
+take a namespace first: FLOATS behind the public functions, or COLUMNS,
 which gives a row of columns the same bits as the public function on that
 row. Every complex product is written out as CPython forms it,
 (ar br - ai bi, ar bi + ai br), with a real factor m taken as (m, 0.0), so
@@ -35,20 +35,14 @@ from .core import (
     pow2_shift,
     sheet_lift,
     sign_flag,
+    spinor_of,
 )
 
 INV_SQRT2 = math.sqrt(0.5)
 
 _MIN_NORMAL = sys.float_info.min
 
-# Fixed orthogonal bridge (V4,V1,V2,V3) = S (U4,U1,U2,U3); rotation_algebra.s_matrix
-# reads it, and u_to_v writes out the same entries.
-S_BRIDGE = INV_SQRT2 * np.array([
-    [1.0, 0.0, -1.0, 0.0],
-    [0.0, 1.0, 0.0, -1.0],
-    [1.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 1.0],
-])
+_PAST_RANGE = "{}({!r}): the bilinears leave the double range, past 1.8e308"
 
 
 def _pick(cond, a, b):
@@ -64,9 +58,9 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 # The kernels' namespaces. A branch is a `where` between two values that are
 # safe on both sides. np.arctan2 differs from math.atan2 in the last bit, so
-# COLUMNS calls math.atan2 per element. On columns, a row whose squares
-# overflow raises numpy's overflow warning before it is rescaled.
-_FLOATS = SimpleNamespace(
+# COLUMNS calls math.atan2 per element. On columns, a row whose squares, 2 r
+# or N + M overflow raises numpy's overflow warning before it is rescaled.
+FLOATS = SimpleNamespace(
     sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, isfinite=math.isfinite,
     ldexp=math.ldexp, all=bool, where=_pick, sheet_lift=sheet_lift,
     pow2_shift=lambda *values: pow2_shift(values))
@@ -113,15 +107,10 @@ class ParabolicPoint:
         object.__setattr__(self, "phi", angle_value(self.phi, "azimuth phi"))
 
 
-def _spinor(parts) -> Spinor:
-    c1r, c1i, c2r, c2i = parts
-    return Spinor(complex(c1r, c1i), complex(c2r, c2i))
-
-
 def polar(xp, m1, m2, phi) -> tuple:
     """Real parts of (m1 e^{-i phi/2}, m2 e^{+i phi/2}), the half-angle phases taken as
     (cos, -+sin): xi_from_parabolic at (N, M) = (m1, m2), and the last step of
-    every constructor."""
+    every constructor and of gauge_fixing.psi_from_direction."""
     h = 0.5 * phi
     c, s = xp.cos(h), xp.sin(h)
     return m1 * c - 0.0 * -s, m1 * -s + 0.0 * c, m2 * c - 0.0 * s, m2 * s + 0.0 * c
@@ -192,7 +181,7 @@ def _from_cartesian(v, sheet: int, kernel) -> Spinor:
         raise ValueError(f"cartesian point must be finite, got {[x1, x2, x3]!r}")
     if x1 == x2 == x3 == 0.0:
         return Spinor(0.0j, 0.0j)
-    return _spinor(kernel(_FLOATS, x1, x2, x3, sheet))
+    return spinor_of(kernel(FLOATS, x1, x2, x3, sheet))
 
 
 def xi_from_cartesian(v, sheet: int = 1) -> Spinor:
@@ -208,6 +197,9 @@ def xi_from_cartesian(v, sheet: int = 1) -> Spinor:
 def xi_spherical(xp, r, theta, phi) -> tuple:
     """Real parts of xi_from_spherical at (r, theta) and the canonical azimuth phi."""
     root = xp.sqrt(2.0 * r)
+    # 2 r overflows from r = 2^1023 on, where r / 2 is exact and 2 sqrt(r / 2) the root.
+    if not xp.all(root < math.inf):
+        root = xp.where(root < math.inf, root, 2.0 * xp.sqrt(0.5 * r))
     half = 0.5 * theta
     return polar(xp, root * xp.cos(half), root * xp.sin(half), phi)
 
@@ -218,12 +210,12 @@ def xi_from_spherical(p: SphericalPoint) -> Spinor:
     Evaluated through half angles (1 +- cos theta = 2 cos^2/sin^2 (theta/2)),
     which is exact at the poles instead of cancelling there.
     """
-    return _spinor(xi_spherical(_FLOATS, p.r, p.theta, p.phi))
+    return spinor_of(xi_spherical(FLOATS, p.r, p.theta, p.phi))
 
 
 def xi_from_parabolic(p: ParabolicPoint) -> Spinor:
     """xi = (N e^{-i phi/2}, M e^{+i phi/2})."""
-    return _spinor(polar(_FLOATS, p.N, p.M, p.phi))
+    return spinor_of(polar(FLOATS, p.N, p.M, p.phi))
 
 
 def xi_bilinears(xp, c1r, c1i, c2r, c2i) -> tuple:
@@ -252,7 +244,10 @@ def project_xi(xi: Spinor):
     Independent of the global phase; x.x = r^2 holds for every spinor (the
     Hopf norm), so the image lies on the cone over the 2-sphere.
     """
-    r, *x = xi_bilinears(_FLOATS, xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag)
+    try:
+        r, *x = xi_bilinears(FLOATS, xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag)
+    except OverflowError:
+        raise OverflowError(_PAST_RANGE.format("project_xi", xi)) from None
     return r, np.array(x)
 
 
@@ -276,7 +271,7 @@ def phase_rotated(xp, alpha, c1r, c1i, c2r, c2i) -> tuple:
 def phase_rotate(s: Spinor, alpha: float) -> Spinor:
     """Multiply by the global phase e^{i alpha}; projections are unchanged."""
     alpha = finite_angle(alpha, "phase alpha")
-    return _spinor(phase_rotated(_FLOATS, alpha, s.c1.real, s.c1.imag, s.c2.real, s.c2.imag))
+    return spinor_of(phase_rotated(FLOATS, alpha, s.c1.real, s.c1.imag, s.c2.real, s.c2.imag))
 
 
 def eta_from_cartesian(v, sheet: int = 1) -> Spinor:
@@ -302,12 +297,16 @@ def eta_from_spherical(p: SphericalPoint) -> Spinor:
     with their sign in one stroke: sigma sqrt(1-sin) = cos(theta/2)-sin(theta/2)
     and sqrt(1+sin) = cos(theta/2)+sin(theta/2) on [0, pi].
     """
-    return _spinor(eta_spherical(_FLOATS, p.r, p.theta, p.phi))
+    return spinor_of(eta_spherical(FLOATS, p.r, p.theta, p.phi))
 
 
 def eta_parabolic(xp, n, m, phi) -> tuple:
     """Real parts of eta_from_parabolic at (N, M) and the canonical azimuth phi."""
-    return polar(xp, (n - m) * INV_SQRT2, (n + m) * INV_SQRT2, phi)
+    outer = (n + m) * INV_SQRT2
+    # N + M can overflow where (N + M) / sqrt(2) does not; the halves are exact there.
+    if not xp.all(outer < math.inf):
+        outer = xp.where(outer < math.inf, outer, 2.0 * ((0.5 * n + 0.5 * m) * INV_SQRT2))
+    return polar(xp, (n - m) * INV_SQRT2, outer, phi)
 
 
 def eta_from_parabolic(p: ParabolicPoint) -> Spinor:
@@ -315,7 +314,7 @@ def eta_from_parabolic(p: ParabolicPoint) -> Spinor:
 
     The half-space sign is absorbed by the sign of N - M.
     """
-    return _spinor(eta_parabolic(_FLOATS, p.N, p.M, p.phi))
+    return spinor_of(eta_parabolic(FLOATS, p.N, p.M, p.phi))
 
 
 def eta_bilinears(xp, h1r, h1i, h2r, h2i) -> tuple:
@@ -345,7 +344,10 @@ def project_eta(eta: Spinor) -> EtaProjection:
     a3 + i x3 = i h1 h2. a3 vanishes exactly when the V-constraint does, in
     particular on every constructor output.
     """
-    out = eta_bilinears(_FLOATS, eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag)
+    try:
+        out = eta_bilinears(FLOATS, eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag)
+    except OverflowError:
+        raise OverflowError(_PAST_RANGE.format("project_eta", eta)) from None
     return EtaProjection(a=np.array(out[:3]), x=np.array(out[3:]))
 
 
@@ -384,7 +386,7 @@ def _over_sqrt2(ar, ai, br, bi) -> tuple:
 def eta_from_xi(xi: Spinor) -> Spinor:
     """eta = (xi - i sigma^2 xi*) / sqrt(2), componentwise
     ((xi1 - xi2*)/sqrt(2), (xi2 + xi1*)/sqrt(2))."""
-    return _spinor(eta_of_xi(xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag))
+    return spinor_of(eta_of_xi(xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag))
 
 
 def xi_of_eta(h1r, h1i, h2r, h2i) -> tuple:
@@ -394,13 +396,18 @@ def xi_of_eta(h1r, h1i, h2r, h2i) -> tuple:
 
 def xi_from_eta(eta: Spinor) -> Spinor:
     """Inverse of eta_from_xi: xi = ((eta1 + eta2*)/sqrt(2), (eta2 - eta1*)/sqrt(2))."""
-    return _spinor(xi_of_eta(eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag))
+    return spinor_of(xi_of_eta(eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag))
 
 
 def u_to_v_entries(q4, q1, q2, q3) -> tuple:
-    """S_BRIDGE applied to (q4, q1, q2, q3), written out; floats or columns."""
+    """The bridge S applied to (q4, q1, q2, q3), written out; floats or columns."""
     s = INV_SQRT2
     return s * q4 - s * q2, s * q1 - s * q3, s * q4 + s * q2, s * q1 + s * q3
+
+
+# The fixed orthogonal bridge (V4,V1,V2,V3) = S (U4,U1,U2,U3) as a matrix, for
+# rotation_algebra.s_matrix: the entries of u_to_v on the unit quadruples.
+S_BRIDGE = np.array(u_to_v_entries(*np.eye(4)))
 
 
 def u_to_v(q: KSQuadruple) -> KSQuadruple:
@@ -424,7 +431,7 @@ def cartan_reflect(s: Spinor, delta: int = 1) -> Spinor:
     sign in both parts (vector).
     """
     delta = float(sign_flag(delta, "delta"))
-    return _spinor(cartan_reflected(delta, s.c1.real, s.c1.imag, s.c2.real, s.c2.imag))
+    return spinor_of(cartan_reflected(delta, s.c1.real, s.c1.imag, s.c2.real, s.c2.imag))
 
 
 __all__ = [

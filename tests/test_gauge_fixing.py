@@ -27,7 +27,8 @@ from spinorspace import (
     su2_matrix,
     vector_parameter,
 )
-from spinorspace.gauge_fixing import SINGULAR_WEIGHT
+from spinorspace import gauge_fixing
+from spinorspace.gauge_fixing import SINGULAR_WEIGHT, canonical_plus_rotation
 
 INV_SQRT2 = math.sqrt(0.5)
 POLE = np.array([0.0, 0.0, 1.0])
@@ -105,6 +106,42 @@ def test_psi_from_direction_lift_selection():
     # on the axis the requested phase applies verbatim
     spun = psi_from_direction((0.0, 0.0, 1.0), math.pi)
     assert abs(spun.c1 + 1.0j) <= 1e-15
+
+
+def _complex_polar(xp, m1, m2, phi):
+    """The direction spinor's phase step as it was written before it shared the
+    constructors' polar: half-angle phases and float-by-complex products."""
+    h = 0.5 * phi
+    minus = complex(math.cos(h), -math.sin(h))
+    z1, z2 = m1 * minus, m2 * minus.conjugate()
+    return z1.real, z1.imag, z2.real, z2.imag
+
+
+def _direction_bits(directions, gammas):
+    out = []
+    for n in directions:
+        try:
+            out.append([v.hex() for v in canonical_plus_rotation(n).as_tuple()])
+        except SingularGaugeError as error:
+            out.append(str(error))
+        for gamma in gammas:
+            p = psi_from_direction(n, gamma)
+            out.append([v.hex() for v in (p.c1.real, p.c1.imag, p.c2.real, p.c2.imag)])
+    return out
+
+
+def test_direction_spinor_keeps_the_bits_of_the_complex_product(monkeypatch):
+    rng = np.random.default_rng(62)
+    zeros = (0.0, -0.0)
+    directions = oracles.hard_directions(rng, 1500)
+    directions += [np.array([a, b, c]) for a in zeros for b in zeros for c in (1.0, -1.0)]
+    turn = 2.0 * math.pi
+    gammas = [0.0, -0.0, turn, -turn, *rng.uniform(-2.0 * turn, 2.0 * turn, 6).tolist()]
+    got = _direction_bits(directions, gammas)
+    monkeypatch.setattr(gauge_fixing, "polar", _complex_polar)
+    want = _direction_bits(directions, gammas)
+    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == 1508 * 11 and bad == [], f"{len(bad)} outputs differ, first at {bad[:5]}"
 
 
 # ------------------------------------------------------------ gauge rotations

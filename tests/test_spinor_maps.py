@@ -2,6 +2,7 @@ import ast
 import cmath
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from spinorspace import (
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = math.sqrt(0.5)
+DBL_MAX = sys.float_info.max
 
 
 def close(z, w, tol=1e-15):
@@ -418,6 +420,18 @@ def test_bridge_consistency_with_projections():
         assert scaled_residual(p_direct.a, p_bridged.a) <= 1e-13
 
 
+def test_s_bridge_is_the_literal_bridge_matrix():
+    # The matrix rotation_algebra reads, built from u_to_v_entries, bit for bit.
+    literal = INV_SQRT2 * np.array([
+        [1.0, 0.0, -1.0, 0.0],
+        [0.0, 1.0, 0.0, -1.0],
+        [1.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, 1.0],
+    ])
+    assert sm.S_BRIDGE.shape == (4, 4) and sm.S_BRIDGE.dtype == np.float64
+    assert sm.S_BRIDGE.view(np.uint64).tolist() == literal.view(np.uint64).tolist()
+
+
 def test_u_to_v_matches_componentwise_bridge():
     assert scaled_residual(u_to_v(KSQuadruple(0.0, 1.0, 0.0, 1.0)).as_array(),
                            np.array([0.0, 0.0, 0.0, SQRT2])) <= 1e-15
@@ -498,13 +512,32 @@ def test_polar_columns_match_the_scalar_rows(point_type, kernel, scalar):
     rng = np.random.default_rng(32)
     n = 600
     size = np.concatenate([rng.uniform(0.0, 3.0, n),
-                           np.ldexp(rng.random(n), rng.integers(-1074, 1023, n))])
+                           np.ldexp(rng.random(n), rng.integers(-1074, 1025, n))])
+    # The top of the range, where 2 r and N + M overflow: parabolic rows pair
+    # size with size[::-1], so these give (1e308, 1e308), (DBL_MAX, 0) and the like.
+    size[[0, 1, 2, -3, -2, -1]] = (1e308, DBL_MAX, 2.0 ** 1023, 1e308, 0.0, 1e308)
     second = rng.uniform(0.0, math.pi, 2 * n) if point_type is SphericalPoint else size[::-1]
     phi = rng.uniform(-20.0, 20.0, 2 * n)
     phi[:8] = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi, 1e-300)
     points = [point_type(*row) for row in zip(size.tolist(), second.tolist(), phi.tolist())]
     stored = np.array([[getattr(p, f) for f in p.__slots__] for p in points]).T
-    _assert_rows_equal(kernel(sm.COLUMNS, *stored), [_parts(scalar(p)) for p in points])
+    with np.errstate(over="ignore"):  # 2 r and N + M of the top rows, taken in halves after
+        columns = kernel(sm.COLUMNS, *stored)
+    _assert_rows_equal(columns, [_parts(scalar(p)) for p in points])
+
+
+def test_top_of_range_spherical_and_parabolic_points():
+    # 2 r and N + M overflow here, though each spinor lies inside the double range.
+    for r in (1e308, 2.0 ** 1023, DBL_MAX):
+        xi = xi_from_spherical(SphericalPoint(r, 1.0, 0.0))
+        root = 2.0 * math.sqrt(0.5 * r)
+        assert close(xi.c1.real / root, math.cos(0.5), 1e-15)
+        assert close(xi.c2.real / root, math.sin(0.5), 1e-15)
+        assert project_xi(xi)[0] == pytest.approx(r, rel=1e-15)
+    for n, m in ((1e308, 1e308), (2.0 ** 1023, 1e308)):
+        eta = eta_from_parabolic(ParabolicPoint(n, m, 0.0))
+        assert eta.c2.real == pytest.approx((0.5 * n + 0.5 * m) / INV_SQRT2, rel=1e-15)
+        assert eta.c1.real == pytest.approx((n - m) * INV_SQRT2, rel=1e-15)
 
 
 def test_spinor_columns_match_the_scalar_rows():
@@ -581,6 +614,16 @@ def test_projections_raise_past_the_double_range():
     for project in (project_xi, project_eta):
         with pytest.raises(OverflowError):
             project(big)
+
+
+def test_projections_past_the_double_range_name_input_and_limit():
+    big = Spinor(complex(1e300, 0.0), 0.0j)
+    for project in (project_xi, project_eta):
+        with pytest.raises(OverflowError) as raised:
+            project(big)
+        message = str(raised.value)
+        assert message.startswith(f"{project.__name__}({big!r})")
+        assert "double range" in message and "1.8e308" in message
 
 
 _INEXACT = {"np.arctan2", "np.hypot", "np.exp", "np.linalg.norm", "np.matmul"}
