@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -161,6 +162,15 @@ def sheet_lift(phi: float, sheet: int) -> float:
     return wrap_4pi(phi + TWO_PI) if sheet == -1 else phi
 
 
+def polar(xp, m1, m2, phi) -> tuple:
+    """Real parts of (m1 e^{-i phi/2}, m2 e^{+i phi/2}), the half-angle phases taken as
+    (cos, -+sin): xi_from_parabolic at (N, M) = (m1, m2), and the last step of
+    every spinor_maps constructor and of gauge_fixing.psi_from_direction."""
+    h = 0.5 * phi
+    c, s = xp.cos(h), xp.sin(h)
+    return m1 * c - 0.0 * -s, m1 * -s + 0.0 * c, m2 * c - 0.0 * s, m2 * s + 0.0 * c
+
+
 def pow2_shift(values) -> int:
     """The k for which 2^k times the largest magnitude lies in [0.5, 1); 0 for all zeros."""
     return -math.frexp(max(map(abs, values)))[1]
@@ -176,6 +186,13 @@ def pow2_scaled(values) -> tuple:
     """
     shift = pow2_shift(values)
     return tuple(math.ldexp(v, shift) for v in values)
+
+
+# The real-component kernels' namespace on floats; spinor_maps.COLUMNS runs them on columns.
+FLOATS = SimpleNamespace(
+    sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, isfinite=math.isfinite,
+    ldexp=math.ldexp, all=bool, where=lambda cond, a, b: a if cond else b,
+    sheet_lift=sheet_lift, pow2_shift=lambda *values: pow2_shift(values))
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FLOATS,
     IDENTITY_ROTATION,
     MINUS_IDENTITY,
     NORM_SLACK,
@@ -26,6 +27,7 @@ from .core import (
     conjugate4,
     finite_angle,
     finite_vector,
+    polar,
     qmul,
     quadruple_from_spinor,
     scaled_residual,
@@ -36,7 +38,6 @@ from .core import (
     wrap_4pi,
 )
 from .rotation_algebra import linear_system_matrix
-from .spinor_maps import FLOATS, polar
 
 # A canonical phase whose chart's component weight is at most this is singular.
 SINGULAR_WEIGHT = 1e-12

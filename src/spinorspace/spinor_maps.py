@@ -27,12 +27,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (
+    FLOATS,
     EtaProjection,
     KSQuadruple,
     Spinor,
     angle_value,
     finite_angle,
-    pow2_shift,
+    polar,
     sheet_lift,
     sign_flag,
     spinor_of,
@@ -45,10 +46,6 @@ _MIN_NORMAL = sys.float_info.min
 _PAST_RANGE = "{}({!r}): the bilinears leave the double range, past 1.8e308"
 
 
-def _pick(cond, a, b):
-    return a if cond else b
-
-
 def _lift_columns(phi, sheet):
     """sheet_lift row by row."""
     return np.where(sheet == -1, sheet_lift(phi, -1), phi)
@@ -56,15 +53,10 @@ def _lift_columns(phi, sheet):
 
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
-# The kernels' namespaces. A branch is a `where` between two values that are
-# safe on both sides. np.arctan2 differs from math.atan2 in the last bit, so
-# COLUMNS calls math.atan2 per element. On columns, a row whose squares, 2 r
-# or N + M overflow raises numpy's overflow warning before it is rescaled.
-FLOATS = SimpleNamespace(
-    sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, isfinite=math.isfinite,
-    ldexp=math.ldexp, all=bool, where=_pick, sheet_lift=sheet_lift,
-    pow2_shift=lambda *values: pow2_shift(values))
-
+# The kernels' namespace on columns (core.FLOATS is the one on floats). A branch is a
+# `where` between two values that are safe on both sides. np.arctan2 differs from
+# math.atan2 in the last bit, so COLUMNS calls math.atan2 per element. On columns, a row
+# whose squares, 2 r or N + M overflow raises numpy's overflow warning before it is rescaled.
 COLUMNS = SimpleNamespace(
     sqrt=np.sqrt, sin=np.sin, cos=np.cos, atan2=lambda y, x: _atan2(y, x).astype(float),
     isfinite=np.isfinite, ldexp=np.ldexp, all=np.all, where=np.where, sheet_lift=_lift_columns,
@@ -105,15 +97,6 @@ class ParabolicPoint:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "phi", angle_value(self.phi, "azimuth phi"))
-
-
-def polar(xp, m1, m2, phi) -> tuple:
-    """Real parts of (m1 e^{-i phi/2}, m2 e^{+i phi/2}), the half-angle phases taken as
-    (cos, -+sin): xi_from_parabolic at (N, M) = (m1, m2), and the last step of
-    every constructor and of gauge_fixing.psi_from_direction."""
-    h = 0.5 * phi
-    c, s = xp.cos(h), xp.sin(h)
-    return m1 * c - 0.0 * -s, m1 * -s + 0.0 * c, m2 * c - 0.0 * s, m2 * s + 0.0 * c
 
 
 def _cartesian(xp, x1, x2, x3, sheet, magnitudes) -> tuple:
