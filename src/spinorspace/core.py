@@ -9,6 +9,7 @@ all operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -66,13 +67,19 @@ class Spinor:
         if not (math.isfinite(c1.real) and math.isfinite(c1.imag)
                 and math.isfinite(c2.real) and math.isfinite(c2.imag)):
             raise ValueError("spinor components must be finite")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+        set1, set2 = _SPINOR_SETTERS
+        set1(self, c1)
+        set2(self, c2)
 
     @property
     def norm_sq(self) -> float:
         return (self.c1.real * self.c1.real + self.c1.imag * self.c1.imag
                 + self.c2.real * self.c2.real + self.c2.imag * self.c2.imag)
+
+
+# A frozen value type sets its checked fields through their slot descriptors;
+# object.__setattr__ would look each one up again, at about 50 ns a field.
+_SPINOR_SETTERS = Spinor.c1.__set__, Spinor.c2.__set__
 
 
 def spinor_of(parts) -> Spinor:
@@ -99,10 +106,11 @@ class KSQuadruple:
         if not (math.isfinite(q4) and math.isfinite(q1)
                 and math.isfinite(q2) and math.isfinite(q3)):
             raise ValueError("quadruple entries must be finite")
-        object.__setattr__(self, "q4", q4)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "q3", q3)
+        set4, set1, set2, set3 = _QUADRUPLE_SETTERS
+        set4(self, q4)
+        set1(self, q1)
+        set2(self, q2)
+        set3(self, q3)
 
     def as_tuple(self) -> tuple:
         return (self.q4, self.q1, self.q2, self.q3)
@@ -115,16 +123,24 @@ class KSQuadruple:
         return self.q4 * self.q4 + self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3
 
 
-def unit4(c4: float, c1: float, c2: float, c3: float) -> tuple:
-    """The normalization of SpinorRotation on floats: (c4, c1, c2, c3) / norm.
+_QUADRUPLE_SETTERS = (KSQuadruple.q4.__set__, KSQuadruple.q1.__set__, KSQuadruple.q2.__set__,
+                      KSQuadruple.q3.__set__)
+
+
+def unit4(xp, c4, c1, c2, c3, who=None) -> tuple:
+    """(c4, c1, c2, c3) / norm: the normalization of SpinorRotation, and of a
+    spinor's real parts for the gauges, which pass their name as who.
 
     A norm off 1 by 1e-6 or more raises ValueError. Gauges and frames chain
     quaternion products through this and qmul on plain tuples, and build a
     SpinorRotation only for the rotation they return.
     """
-    norm = math.sqrt(c4 * c4 + c1 * c1 + c2 * c2 + c3 * c3)
-    if not math.isfinite(norm) or abs(norm - 1.0) >= NORM_SLACK:
-        raise ValueError(f"rotation parameters must be unit norm, got norm {norm!r}")
+    norm = xp.sqrt(c4 * c4 + c1 * c1 + c2 * c2 + c3 * c3)
+    unit = abs(norm - 1.0) < NORM_SLACK
+    if unit is not True and not xp.all(unit):
+        what = "rotation parameters must be unit norm" if who is None else (
+            f"{who} requires a unit spinor")
+        raise ValueError(f"{what}, got norm {norm!r}")
     return (c4 / norm, c1 / norm, c2 / norm, c3 / norm)
 
 
@@ -140,14 +156,14 @@ def qmul(a: tuple, b: tuple) -> tuple:
     )
 
 
-def axis4(delta: float) -> tuple:
+def axis4(xp, delta) -> tuple:
     """The rotation about the third axis, unit4(cos delta, 0, 0, sin delta)."""
-    return unit4(math.cos(delta), 0.0, 0.0, math.sin(delta))
+    return unit4(xp, xp.cos(delta), 0.0, 0.0, xp.sin(delta))
 
 
-def conjugate4(r: tuple) -> tuple:
+def conjugate4(xp, r: tuple) -> tuple:
     """The inverse rotation of a (c4, c1, c2, c3) tuple, unit4(c4, -c1, -c2, -c3)."""
-    return unit4(r[0], -r[1], -r[2], -r[3])
+    return unit4(xp, r[0], -r[1], -r[2], -r[3])
 
 
 def sign_flag(value, name: str) -> int:
@@ -188,11 +204,27 @@ def pow2_scaled(values) -> tuple:
     return tuple(math.ldexp(v, shift) for v in values)
 
 
-# The real-component kernels' namespace on floats; spinor_maps.COLUMNS runs them on columns.
+# The real-component kernels' namespace on floats. A kernel on the scalar path
+# tests a condition as `cond is not True and not xp.all(cond)`: a comparison of
+# floats gives the True singleton, so the float path makes no call.
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, isfinite=math.isfinite,
-    ldexp=math.ldexp, all=bool, where=lambda cond, a, b: a if cond else b,
+    ldexp=math.ldexp, all=bool, where=lambda cond, a, b: a if cond else b, max=max,
     sheet_lift=sheet_lift, pow2_shift=lambda *values: pow2_shift(values))
+
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+# The kernels' namespace on float64 columns, which gives each row the bits of
+# FLOATS. A branch is a `where` between two values that are safe on both sides.
+# np.arctan2 differs from math.atan2 in the last bit, so COLUMNS calls math.atan2
+# per element. On columns, a row whose squares, 2 r or N + M overflow raises
+# numpy's overflow warning before it is rescaled.
+COLUMNS = SimpleNamespace(
+    sqrt=np.sqrt, sin=np.sin, cos=np.cos, atan2=lambda y, x: _atan2(y, x).astype(float),
+    isfinite=np.isfinite, ldexp=np.ldexp, all=np.all, where=np.where,
+    max=lambda *values: functools.reduce(np.maximum, values),
+    sheet_lift=lambda phi, sheet: np.where(sheet == -1, sheet_lift(phi, -1), phi),
+    pow2_shift=lambda *values: -np.frexp(np.max(np.abs(values), axis=0))[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,11 +242,13 @@ class SpinorRotation:
     c3: float
 
     def __post_init__(self):
-        c4, c1, c2, c3 = unit4(float(self.c4), float(self.c1), float(self.c2), float(self.c3))
-        object.__setattr__(self, "c4", c4)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
+        c4, c1, c2, c3 = unit4(FLOATS, float(self.c4), float(self.c1), float(self.c2),
+                               float(self.c3))
+        set4, set1, set2, set3 = _ROTATION_SETTERS
+        set4(self, c4)
+        set1(self, c1)
+        set2(self, c2)
+        set3(self, c3)
 
     def as_tuple(self) -> tuple:
         return (self.c4, self.c1, self.c2, self.c3)
@@ -223,6 +257,9 @@ class SpinorRotation:
     def vec(self) -> np.ndarray:
         return np.array([self.c1, self.c2, self.c3])
 
+
+_ROTATION_SETTERS = (SpinorRotation.c4.__set__, SpinorRotation.c1.__set__,
+                     SpinorRotation.c2.__set__, SpinorRotation.c3.__set__)
 
 IDENTITY_ROTATION = SpinorRotation(1.0, 0.0, 0.0, 0.0)
 MINUS_IDENTITY = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
@@ -266,15 +303,19 @@ def quadruple_from_spinor(s: Spinor) -> KSQuadruple:
     return KSQuadruple(s.c2.imag, s.c1.real, s.c1.imag, s.c2.real)
 
 
+def su2_parts(c4, c1, c2, c3) -> tuple:
+    """The rows of B(c) as real parts: ((c4, -c3, -c2, -c1), (c2, -c1, c4, c3)),
+    that is (B11.real, B11.imag, B12.real, B12.imag) and the same of row 2."""
+    return (c4, -c3, -c2, -c1), (c2, -c1, c4, c3)
+
+
 def su2_matrix(rot: SpinorRotation) -> np.ndarray:
     """The 2x2 complex matrix B(c) = c4 I - i sigma^j c_j.
 
     Entries: [[c4 - i c3, -c2 - i c1], [c2 - i c1, c4 + i c3]]. Unitary with
     det +1 for unit parameters.
     """
-    c4, c1, c2, c3 = rot.as_tuple()
-    return np.array([[complex(c4, -c3), complex(-c2, -c1)],
-                     [complex(c2, -c1), complex(c4, c3)]])
+    return np.array(su2_parts(*rot.as_tuple())).view(complex)
 
 
 def compose(r1: SpinorRotation, r2: SpinorRotation) -> SpinorRotation:

@@ -42,7 +42,9 @@ from .rotation_algebra import linear_system_matrix
 # A canonical phase whose chart's component weight is at most this is singular.
 SINGULAR_WEIGHT = 1e-12
 
-_PLUS_UNDEFINED = "(+)-gauge canonical phase undefined: first component weight"
+# The message of a singular chart, by the sign of the gauge.
+_UNDEFINED = {1: "(+)-gauge canonical phase undefined: first component weight",
+              -1: "(-)-gauge canonical phase undefined: second component weight"}
 
 
 class SingularGaugeError(ValueError):
@@ -52,7 +54,9 @@ class SingularGaugeError(ValueError):
 # Each function builds a value type only for the result it returns. Its
 # intermediate rotations are unit4 tuples, such as core.axis4 and
 # core.conjugate4, normalized wherever the value-type chain it replaces
-# constructed a SpinorRotation, so the bits are those of that chain.
+# constructed a SpinorRotation, so the bits are those of that chain. The
+# kernels take their unit spinors as real parts (u1, u2, u3, u4), floats or
+# columns, and return the raw products that the public functions normalize.
 
 def axis_phase(delta: float) -> SpinorRotation:
     """The rotation (cos delta, 0, 0, sin delta), i.e. B = exp(-i delta sigma^3)."""
@@ -62,15 +66,7 @@ def axis_phase(delta: float) -> SpinorRotation:
 
 def _unit_spinor(psi: Spinor, who: str) -> tuple:
     """The real parts (u1, u2, u3, u4) of psi, divided by its norm."""
-    return _unit_parts(psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag, who)
-
-
-def _unit_parts(u1: float, u2: float, u3: float, u4: float, who: str) -> tuple:
-    """The real parts (u1, u2, u3, u4) of a spinor, divided by its norm."""
-    norm = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4)
-    if abs(norm - 1.0) >= NORM_SLACK:
-        raise ValueError(f"{who} requires a unit spinor, got norm {norm!r}")
-    return u1 / norm, u2 / norm, u3 / norm, u4 / norm
+    return unit4(FLOATS, psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag, who)
 
 
 def _cover_distance(a: float, b: float) -> float:
@@ -122,21 +118,22 @@ def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     with both entries exact in float arithmetic; the phase is applied on top.
     """
     u = _unit_spinor(psi, "gauge_plus")
-    return SpinorRotation(*_gauge_plus4(u, finite_angle(phase, "gauge phase")))
+    return SpinorRotation(*gauge_plus4(FLOATS, u, finite_angle(phase, "gauge phase")))
 
 
 def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     """Closed-form rotation sending psi to (0, e^{+i phase/2}): the (+) gauge of i sigma^2 psi*."""
     u = _unit_spinor(psi, "gauge_minus")
-    return SpinorRotation(*_gauge_plus4(_swap(u), finite_angle(phase, "gauge phase")))
+    return SpinorRotation(*gauge_plus4(FLOATS, swap4(u), finite_angle(phase, "gauge phase")))
 
 
-def _gauge_plus4(u: tuple, phase: float) -> tuple:
+def gauge_plus4(xp, u: tuple, phase) -> tuple:
+    """The raw rotation of gauge_plus for unit parts u."""
     u1, u2, u3, u4 = u
-    return qmul(axis4(0.5 * phase), unit4(u1, u4, -u3, u2))
+    return qmul(axis4(xp, 0.5 * phase), unit4(xp, u1, u4, -u3, u2))
 
 
-def _swap(u: tuple) -> tuple:
+def swap4(u: tuple) -> tuple:
     """The components of i sigma^2 psi* = (psi2*, -psi1*), whose (+) chart is the (-)
     chart of psi: negation is exact, so the (+) kernels give the (-) chart's bits."""
     u1, u2, u3, u4 = u
@@ -163,28 +160,10 @@ def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:
     with s = u1^2 + u2^2. Undefined when psi's first component vanishes
     (direction at the south pole): SingularGaugeError.
     """
-    u = u1, u2, u3, u4 = _unit_spinor(psi, "canonical_phase_plus")
-    s, gamma, rotation = _canonical_plus(u, _PLUS_UNDEFINED)
-    c_vec = np.array([(u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0])
-    return CanonicalGauge(gamma=gamma, vector_parameter=c_vec, rotation=rotation)
-
-
-def _canonical_plus(u: tuple, undefined: str) -> tuple:
-    """The (+) chart weight s, canonical phase gamma and planar rotation of unit u;
-    a singular weight raises SingularGaugeError, its message `undefined` and s."""
-    u1, u2 = u[0], u[1]
-    s = u1 * u1 + u2 * u2
-    if s <= SINGULAR_WEIGHT:
-        raise SingularGaugeError(f"{undefined} {s!r}")
-    gamma = 2.0 * math.atan2(-u2, u1)
-    return s, gamma, SpinorRotation(*_gauge_plus4(u, gamma))
-
-
-def canonical_plus_rotation(n: np.ndarray) -> SpinorRotation:
-    """canonical_phase_plus(psi_from_direction(n)).rotation for a finite float
-    3-vector n, built without a Spinor or a CanonicalGauge on the way."""
-    u = _unit_parts(*_psi_parts(n, 0.0), "canonical_phase_plus")
-    return _canonical_plus(u, _PLUS_UNDEFINED)[2]
+    u = _unit_spinor(psi, "canonical_phase_plus")
+    s, gamma, rotation = canonical4(FLOATS, u, 1)
+    return CanonicalGauge(gamma=gamma, vector_parameter=np.array(planar_chart(u, s, 1)),
+                          rotation=SpinorRotation(*rotation))
 
 
 def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
@@ -194,14 +173,43 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
     with s = u3^2 + u4^2; singular when the direction sits at the north pole.
     This is the (+) construction on i sigma^2 psi*.
     """
-    u = u1, u2, u3, u4 = _unit_spinor(psi, "canonical_phase_minus")
-    w = _swap(u)
-    s, gamma, rotation = _canonical_plus(
-        w, "(-)-gauge canonical phase undefined: second component weight")
-    # The (+) formula on w has these values, but gives +0.0 where this gives
-    # -0.0, as for the direction (1, 0, 0), whose C the CLI prints.
-    c_vec = np.array([-(u1 * u4 - u2 * u3) / s, (u1 * u3 + u2 * u4) / s, 0.0])
-    return CanonicalGauge(gamma=gamma, vector_parameter=c_vec, rotation=rotation)
+    u = _unit_spinor(psi, "canonical_phase_minus")
+    s, gamma, rotation = canonical4(FLOATS, u, -1)
+    return CanonicalGauge(gamma=gamma, vector_parameter=np.array(planar_chart(u, s, -1)),
+                          rotation=SpinorRotation(*rotation))
+
+
+def canonical4(xp, u: tuple, sign: int) -> tuple:
+    """The chart weight s, canonical phase gamma and raw planar rotation of the (+)
+    gauge (sign 1) or (-) gauge (sign -1) of unit parts u; a singular weight raises
+    SingularGaugeError. The (-) gauge is the (+) gauge of swap4(u)."""
+    w = u if sign == 1 else swap4(u)
+    w1, w2 = w[0], w[1]
+    s = w1 * w1 + w2 * w2
+    regular = s > SINGULAR_WEIGHT
+    if regular is not True and not xp.all(regular):
+        raise SingularGaugeError(f"{_UNDEFINED[sign]} {s!r}")
+    gamma = 2.0 * xp.atan2(-w2, w1)
+    return s, gamma, gauge_plus4(xp, w, gamma)
+
+
+def planar_chart(u: tuple, s, sign: int) -> tuple:
+    """The vector parameter C of the canonical (+) gauge (sign 1) or (-) gauge
+    (sign -1) of unit parts u, whose chart weight is s."""
+    u1, u2, u3, u4 = u
+    # Each sign has its own line: the (+) line on swap4(u) has the (-) values,
+    # but gives +0.0 where this gives -0.0, as for the direction (1, 0, 0),
+    # whose C the CLI prints.
+    if sign == 1:
+        return (u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0
+    return -(u1 * u4 - u2 * u3) / s, (u1 * u3 + u2 * u4) / s, 0.0
+
+
+def canonical_plus_rotation(n: np.ndarray) -> SpinorRotation:
+    """canonical_phase_plus(psi_from_direction(n)).rotation for a finite float
+    3-vector n, built without a Spinor or a CanonicalGauge on the way."""
+    u = unit4(FLOATS, *_psi_parts(n, 0.0), "canonical_phase_plus")
+    return SpinorRotation(*canonical4(FLOATS, u, 1)[2])
 
 
 def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
@@ -211,11 +219,16 @@ def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
     parameter quadruple m = (u1, -u4, u3, -u2); the answer is the quaternion
     ratio m' m^{-1}. Equal inputs give the identity exactly.
     """
-    u1, u2, u3, u4 = _unit_spinor(psi, "rotation_between")
-    v1, v2, v3, v4 = _unit_spinor(psi_prime, "rotation_between")
-    m = unit4(u1, -u4, u3, -u2)
-    m_prime = unit4(v1, -v4, v3, -v2)
-    return SpinorRotation(*qmul(m_prime, conjugate4(m)))
+    u = _unit_spinor(psi, "rotation_between")
+    return SpinorRotation(*between4(FLOATS, u, _unit_spinor(psi_prime, "rotation_between")))
+
+
+def between4(xp, u: tuple, v: tuple) -> tuple:
+    """The raw rotation of rotation_between for unit parts u and v."""
+    u1, u2, u3, u4 = u
+    v1, v2, v3, v4 = v
+    m = unit4(xp, u1, -u4, u3, -u2)
+    return qmul(unit4(xp, v1, -v4, v3, -v2), conjugate4(xp, m))
 
 
 def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
@@ -230,13 +243,18 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     q = quadruple_from_spinor(psi)
     if q.norm_sq == 0.0:
         raise ValueError("stabilizer is undefined for the zero spinor")
-    g = linear_system_matrix(q)
-    solved = np.linalg.solve(g, float(sign) * q.as_array())
+    solved = stabilizer_solve(linear_system_matrix(q), q.as_array(), sign)
     expected = np.array([float(sign), 0.0, 0.0, 0.0])
     if scaled_residual(solved, expected) > 1e-9:
         raise ArithmeticError(
             f"stabilizer solve did not land on {sign} * identity: {solved!r}")
     return IDENTITY_ROTATION if sign == 1 else MINUS_IDENTITY
+
+
+def stabilizer_solve(g: np.ndarray, q: np.ndarray, sign) -> np.ndarray:
+    """The c with G c = sign q: G (4, 4) and q (4,), or a stack of systems, G (n, 4, 4)
+    and q (n, 4, 1), which np.linalg.solve solves row for row with the same bits."""
+    return np.linalg.solve(g, float(sign) * q)
 
 
 __all__ = [

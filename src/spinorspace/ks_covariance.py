@@ -16,47 +16,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FLOATS,
     KSQuadruple,
     SpinorRotation,
     axis4,
     conjugate4,
     finite_angle,
     finite_vector,
-    pow2_scaled,
     qmul,
-    scaled_residual,
     unit4,
 )
 from .gauge_fixing import canonical_plus_rotation
-from .rotation_algebra import so3_from_floats, so3_from_rotation, su2_real4
+from .rotation_algebra import so3_entries, so3_from_rotation, su2_real4
 
 DIRECTION_MATCH_TOLERANCE = 1e-9
 
 
-# Internals run on (q4, q1, q2, q3) tuples. A value type is built only for a
-# returned result, and a unit4 (core.axis4 and core.conjugate4 among them)
-# stands wherever the value-type chain built a SpinorRotation. A direction
-# is taken from a unit quadruple normalized once more, as
-# direction_from_ks(normalize_ks(q)) did.
+# Internals run on (q4, q1, q2, q3) tuples, of floats or of columns. A value
+# type is built only for a returned result, and a unit4 (core.axis4 and
+# core.conjugate4 among them) stands wherever the value-type chain built a
+# SpinorRotation. A direction is taken from a unit quadruple normalized once
+# more, as direction_from_ks(normalize_ks(q)) did.
 
-def _unit_ks(q: tuple) -> tuple:
+_MIN_NORMAL, _INF = sys.float_info.min, math.inf
+
+
+def unit_ks(xp, q: tuple) -> tuple:
+    """q divided by its norm; the zero quadruple raises ValueError."""
     q4, q1, q2, q3 = q
     s = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3
-    if not sys.float_info.min <= s < math.inf:
+    normal = (_MIN_NORMAL <= s) & (s < _INF)
+    if normal is not True and not xp.all(normal):
         # The squares overflowed or left the normal range: rerun on q scaled
         # by the power of two that brings the largest entry into [0.5, 1).
-        if not any(q):
+        if not xp.all(normal | (q4 != 0.0) | (q1 != 0.0) | (q2 != 0.0) | (q3 != 0.0)):
             raise ValueError("cannot normalize the zero quadruple")
-        return _unit_ks(pow2_scaled(q))
-    inv = 1.0 / math.sqrt(s)
+        k = xp.where(normal, 0, xp.pow2_shift(*q))
+        # Written out: a generator here would make xp a cell, slower on every call.
+        return unit_ks(xp, (xp.ldexp(q4, k), xp.ldexp(q1, k), xp.ldexp(q2, k), xp.ldexp(q3, k)))
+    inv = 1.0 / xp.sqrt(s)
     return (q4 * inv, q1 * inv, q2 * inv, q3 * inv)
 
 
-def _hat4(q: tuple) -> tuple:
+def hat4(q: tuple) -> tuple:
+    """The involution (q4, q1, -q2, -q3) of hat, on a tuple."""
     return (q[0], q[1], -q[2], -q[3])
 
 
-def _direction4(u: tuple) -> tuple:
+def direction4(u: tuple) -> tuple:
+    """The direction of direction_from_ks on a unit quadruple."""
     q4, q1, q2, q3 = u
     return (
         2.0 * (q1 * q3 + q2 * q4),
@@ -67,12 +75,12 @@ def _direction4(u: tuple) -> tuple:
 
 def normalize_ks(q: KSQuadruple) -> KSQuadruple:
     """The unit quadruple of a nonzero quadruple; q is it times sqrt(q.norm_sq)."""
-    return KSQuadruple(*_unit_ks(q.as_tuple()))
+    return KSQuadruple(*unit_ks(FLOATS, q.as_tuple()))
 
 
 def hat(q: KSQuadruple) -> KSQuadruple:
     """The involution (q4, q1, -q2, -q3); its own inverse."""
-    return KSQuadruple(*_hat4(q.as_tuple()))
+    return KSQuadruple(*hat4(q.as_tuple()))
 
 
 def rotation_from_unit_ks(q: KSQuadruple) -> SpinorRotation:
@@ -92,7 +100,7 @@ def direction_from_ks(q: KSQuadruple) -> np.ndarray:
     the normalized components; equals minus the third column of the
     orthogonal matrix of hat(q).
     """
-    return np.array(_direction4(_unit_ks(q.as_tuple())))
+    return np.array(direction4(unit_ks(FLOATS, q.as_tuple())))
 
 
 def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
@@ -128,14 +136,14 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     singular gauge and raises SingularGaugeError.
     """
     delta = finite_angle(delta, "frame delta")
-    u = _unit_ks(q.as_tuple())
+    u = unit_ks(FLOATS, q.as_tuple())
     a_vec = finite_vector(axis, "frame axis")
     align = canonical_plus_rotation(a_vec)
-    turned = unit4(*qmul(unit4(*_hat4(u)), axis4(delta)))
-    w_rot = unit4(*qmul(turned, align.as_tuple()))
+    turned = unit4(FLOATS, *qmul(unit4(FLOATS, *hat4(u)), axis4(FLOATS, delta)))
+    w_rot = unit4(FLOATS, *qmul(turned, align.as_tuple()))
     return KSFrame(
-        w=KSQuadruple(*_hat4(w_rot)),
-        direction=np.array(_direction4(_unit_ks(u))),
+        w=KSQuadruple(*hat4(w_rot)),
+        direction=np.array(direction4(unit_ks(FLOATS, u))),
         axis=a_vec,
         delta=delta,
         align=align,
@@ -151,16 +159,22 @@ def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> Spinor
     phase, exactly by construction.
     """
     delta = finite_angle(delta, "frame delta")
-    un = _unit_ks(u.as_tuple())
-    wn = _unit_ks(w.as_tuple())
-    mismatch = scaled_residual(_direction4(_unit_ks(un)), _direction4(_unit_ks(wn)))
-    if mismatch > DIRECTION_MATCH_TOLERANCE:
-        raise ValueError(
-            f"quadruples lie over different directions (mismatch {mismatch:.3e})")
-    u_rot = unit4(*_hat4(un))
-    w_rot = unit4(*_hat4(wn))
-    turned = unit4(*qmul(w_rot, axis4(-delta)))
-    return SpinorRotation(*qmul(turned, conjugate4(u_rot)))
+    return SpinorRotation(*symmetry4(FLOATS, u.as_tuple(), w.as_tuple(), delta))
+
+
+def symmetry4(xp, u: tuple, w: tuple, delta) -> tuple:
+    """The raw quaternion product that frame_symmetry normalizes, for quadruples u, w."""
+    un, wn = unit_ks(xp, u), unit_ks(xp, w)
+    a, b = direction4(unit_ks(xp, un)), direction4(unit_ks(xp, wn))
+    # core.scaled_residual of the two directions, written out.
+    mismatch = (xp.max(abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]))
+                / xp.max(1.0, *map(abs, a), *map(abs, b)))
+    match = mismatch <= DIRECTION_MATCH_TOLERANCE
+    if match is not True and not xp.all(match):
+        raise ValueError("quadruples lie over different directions "
+                         f"(mismatch {float(np.max(mismatch)):.3e})")
+    turned = unit4(xp, *qmul(unit4(xp, *hat4(wn)), axis4(xp, -delta)))
+    return qmul(turned, conjugate4(xp, unit4(xp, *hat4(un))))
 
 
 def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
@@ -169,7 +183,7 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
     n' = O(hat w) O(rot) O(hat w)^T n. With rot the frame's align rotation
     and n the frame direction, this lands on the direction of w itself.
     """
-    ow = so3_from_floats(*unit4(*_hat4(_unit_ks(w.as_tuple()))))
+    ow = np.array(so3_entries(*unit4(FLOATS, *hat4(unit_ks(FLOATS, w.as_tuple())))))
     return ow @ (so3_from_rotation(rot) @ (ow.T @ finite_vector(n, "direction")))
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FLOATS,
     KSQuadruple,
     Spinor,
     SpinorRotation,
@@ -23,6 +24,7 @@ from .core import (
     finite_vector,
     pow2_scaled,
     pow2_shift,
+    spinor_of,
 )
 from .spinor_maps import S_BRIDGE
 
@@ -50,24 +52,30 @@ def so3_from_rotation(rot: SpinorRotation) -> np.ndarray:
 
     Satisfies project(B(c) xi).x = O @ project(xi).x for every spinor.
     """
-    return so3_from_floats(rot.c4, rot.c1, rot.c2, rot.c3)
+    return np.array(so3_entries(rot.c4, rot.c1, rot.c2, rot.c3))
 
 
-def so3_from_floats(c4: float, c1: float, c2: float, c3: float) -> np.ndarray:
-    """so3_from_rotation on floats, with K^2 = c c^T - |c|^2 I written out entry by entry."""
-    return np.array([
-        [1.0 - 2.0 * (c2 * c2 + c3 * c3), 2.0 * (c1 * c2 - c4 * c3), 2.0 * (c1 * c3 + c4 * c2)],
-        [2.0 * (c1 * c2 + c4 * c3), 1.0 - 2.0 * (c1 * c1 + c3 * c3), 2.0 * (c2 * c3 - c4 * c1)],
-        [2.0 * (c1 * c3 - c4 * c2), 2.0 * (c2 * c3 + c4 * c1), 1.0 - 2.0 * (c1 * c1 + c2 * c2)],
-    ])
+def so3_entries(c4, c1, c2, c3) -> tuple:
+    """The rows of so3_from_rotation, with K^2 = c c^T - |c|^2 I written out entry by entry."""
+    return (
+        (1.0 - 2.0 * (c2 * c2 + c3 * c3), 2.0 * (c1 * c2 - c4 * c3), 2.0 * (c1 * c3 + c4 * c2)),
+        (2.0 * (c1 * c2 + c4 * c3), 1.0 - 2.0 * (c1 * c1 + c3 * c3), 2.0 * (c2 * c3 - c4 * c1)),
+        (2.0 * (c1 * c3 - c4 * c2), 2.0 * (c2 * c3 + c4 * c1), 1.0 - 2.0 * (c1 * c1 + c2 * c2)),
+    )
 
 
 def vector_parameter(rot: SpinorRotation) -> np.ndarray:
     """Quotient chart C = c / c4 on rotations, defined away from half turns."""
-    if abs(rot.c4) < VECTOR_PARAMETER_LIMIT:
+    return np.array(vector_parameter_entries(FLOATS, *rot.as_tuple()))
+
+
+def vector_parameter_entries(xp, c4, c1, c2, c3) -> tuple:
+    """(c1, c2, c3) / c4 of vector_parameter; ValueError within the limit of a half turn."""
+    chart = abs(c4) >= VECTOR_PARAMETER_LIMIT
+    if chart is not True and not xp.all(chart):
         raise ValueError(
-            f"rotation too close to a half turn for the vector parameter: c4 = {rot.c4!r}")
-    return rot.vec / rot.c4
+            f"rotation too close to a half turn for the vector parameter: c4 = {c4!r}")
+    return c1 / c4, c2 / c4, c3 / c4
 
 
 def _chart_scaled(c: list) -> tuple:
@@ -107,29 +115,42 @@ def so3_from_vector_parameter(C) -> np.ndarray:
 
 
 def extract_so3(matrix: np.ndarray) -> np.ndarray:
-    """Recover the orthogonal matrix of a 2x2 unitary: O_kl = Re tr(sigma^k B sigma^l B^dag) / 2."""
+    """Recover the orthogonal matrix of a 2x2 unitary: O_kl = Re tr(sigma^k B sigma^l B^dag) / 2.
+
+    A stack of unitaries, shape (n, 2, 2), gives the stack of their matrices.
+    """
     b = np.asarray(matrix, dtype=complex)
     # sigma^k_ab B_bc sigma^l_cd (B^dag)_da, with (B^dag)_da = conj(B)_ad.
-    return 0.5 * np.einsum("kab,bc,lcd,ad->kl", PAULI, b, PAULI, b.conj()).real
+    return 0.5 * np.einsum("kab,...bc,lcd,...ad->...kl", PAULI, b, PAULI, b.conj()).real
+
+
+def rotated(c: tuple, z1r, z1i, z2r, z2i) -> tuple:
+    """Real parts of B(c) applied to a spinor's real parts, floats or columns.
+
+    The products are CPython's complex(c4, -c3) * z1 + complex(-c2, -c1) * z2 and
+    complex(c2, -c1) * z1 + complex(c4, c3) * z2, with x - (-c) y written x + c y:
+    IEEE subtraction is the addition of the negation, so the bits are the same.
+    """
+    c4, c1, c2, c3 = c
+    return ((c4 * z1r + c3 * z1i) + (-c2 * z2r + c1 * z2i),
+            (c4 * z1i - c3 * z1r) + (-c2 * z2i - c1 * z2r),
+            (c2 * z1r + c1 * z1i) + (c4 * z2r - c3 * z2i),
+            (c2 * z1i - c1 * z1r) + (c4 * z2i + c3 * z2r))
 
 
 def rotate_spinor(rot: SpinorRotation, s: Spinor) -> Spinor:
     """Apply B(c) to a spinor without forming the matrix."""
-    c4, c1, c2, c3 = rot.as_tuple()
     z1, z2 = s.c1, s.c2
-    return Spinor(complex(c4, -c3) * z1 + complex(-c2, -c1) * z2,
-                  complex(c2, -c1) * z1 + complex(c4, c3) * z2)
+    return spinor_of(rotated(rot.as_tuple(), z1.real, z1.imag, z2.real, z2.imag))
 
 
-def _real4_pattern(c4: float, c1: float, c2: float, c3: float) -> np.ndarray:
-    # Row order (q4', q1', q2', q3'), column order (q4, q1, q2, q3); no unit
-    # constraint so the same pattern can serve as a fitting basis.
-    return np.array([
-        [c4, -c1, c2, c3],
-        [c1, c4, c3, -c2],
-        [-c2, -c3, c4, -c1],
-        [-c3, c2, c1, c4],
-    ])
+def real4_entries(c4, c1, c2, c3) -> tuple:
+    """The rows of su2_real4. Row order (q4', q1', q2', q3'), column order
+    (q4, q1, q2, q3); no unit constraint, so the pattern also serves as a fitting basis."""
+    return ((c4, -c1, c2, c3),
+            (c1, c4, c3, -c2),
+            (-c2, -c3, c4, -c1),
+            (-c3, c2, c1, c4))
 
 
 def su2_real4(rot: SpinorRotation) -> np.ndarray:
@@ -138,7 +159,7 @@ def su2_real4(rot: SpinorRotation) -> np.ndarray:
     Conjugate to B(c) under the component bijection: applying it to the
     quadruple of a spinor matches rotate_spinor on the spinor itself.
     """
-    return _real4_pattern(*rot.as_tuple())
+    return np.array(real4_entries(*rot.as_tuple()))
 
 
 def linear_system_matrix(q: KSQuadruple) -> np.ndarray:
@@ -148,13 +169,15 @@ def linear_system_matrix(q: KSQuadruple) -> np.ndarray:
     the point. Columns are orthogonal with squared norm |q|^2, so G is
     invertible for every nonzero quadruple.
     """
-    q4, q1, q2, q3 = q.as_tuple()
-    return np.array([
-        [q4, -q1, q2, q3],
-        [q1, q4, -q3, q2],
-        [q2, -q3, -q4, -q1],
-        [q3, q2, q1, -q4],
-    ])
+    return np.array(linear_system_entries(*q.as_tuple()))
+
+
+def linear_system_entries(q4, q1, q2, q3) -> tuple:
+    """The rows of linear_system_matrix on the entries of a quadruple, floats or columns."""
+    return ((q4, -q1, q2, q3),
+            (q1, q4, -q3, q2),
+            (q2, -q3, -q4, -q1),
+            (q3, q2, q1, -q4))
 
 
 ELEMENTARY_PLANES = {
@@ -251,7 +274,7 @@ def s_outside_su2_image(target: np.ndarray | None = None) -> NonMembershipCertif
     if target is None:
         target = S_BRIDGE
     target = np.asarray(target, dtype=float)
-    basis = np.column_stack([_real4_pattern(*row).ravel() for row in np.eye(4)])
+    basis = np.column_stack([np.ravel(real4_entries(*row)) for row in np.eye(4)])
     fit, _, _, _ = np.linalg.lstsq(basis, target.ravel(), rcond=None)
     residual = float(np.linalg.norm(basis @ fit - target.ravel()))
     # Pattern entry (0, 2) reads +c2, entry (1, 3) reads -c2.

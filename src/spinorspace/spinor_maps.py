@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (
+    COLUMNS,
     FLOATS,
     EtaProjection,
     KSQuadruple,
@@ -34,7 +34,6 @@ from .core import (
     angle_value,
     finite_angle,
     polar,
-    sheet_lift,
     sign_flag,
     spinor_of,
 )
@@ -43,24 +42,7 @@ INV_SQRT2 = math.sqrt(0.5)
 
 _MIN_NORMAL = sys.float_info.min
 
-_PAST_RANGE = "{}({!r}): the bilinears leave the double range, past 1.8e308"
-
-
-def _lift_columns(phi, sheet):
-    """sheet_lift row by row."""
-    return np.where(sheet == -1, sheet_lift(phi, -1), phi)
-
-
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
-
-# The kernels' namespace on columns (core.FLOATS is the one on floats). A branch is a
-# `where` between two values that are safe on both sides. np.arctan2 differs from
-# math.atan2 in the last bit, so COLUMNS calls math.atan2 per element. On columns, a row
-# whose squares, 2 r or N + M overflow raises numpy's overflow warning before it is rescaled.
-COLUMNS = SimpleNamespace(
-    sqrt=np.sqrt, sin=np.sin, cos=np.cos, atan2=lambda y, x: _atan2(y, x).astype(float),
-    isfinite=np.isfinite, ldexp=np.ldexp, all=np.all, where=np.where, sheet_lift=_lift_columns,
-    pow2_shift=lambda *values: -np.frexp(np.max(np.abs(values), axis=0))[1])
+_PAST_RANGE = "{}({!r}): the {} leave the double range, past 1.8e308"
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,7 +212,7 @@ def project_xi(xi: Spinor):
     try:
         r, *x = xi_bilinears(FLOATS, xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag)
     except OverflowError:
-        raise OverflowError(_PAST_RANGE.format("project_xi", xi)) from None
+        raise OverflowError(_PAST_RANGE.format("project_xi", xi, "bilinears")) from None
     return r, np.array(x)
 
 
@@ -295,9 +277,13 @@ def eta_parabolic(xp, n, m, phi) -> tuple:
 def eta_from_parabolic(p: ParabolicPoint) -> Spinor:
     """eta = ((N - M) e^{-i phi/2}, (N + M) e^{+i phi/2}) / sqrt(2).
 
-    The half-space sign is absorbed by the sign of N - M.
+    The half-space sign is absorbed by the sign of N - M. Where (N + M) / sqrt(2)
+    passes the largest double the spinor has no floats, and ValueError says so.
     """
-    return spinor_of(eta_parabolic(FLOATS, p.N, p.M, p.phi))
+    try:
+        return spinor_of(eta_parabolic(FLOATS, p.N, p.M, p.phi))
+    except ValueError:  # raised by Spinor, for a component that overflowed
+        raise ValueError(_PAST_RANGE.format("eta_from_parabolic", p, "components")) from None
 
 
 def eta_bilinears(xp, h1r, h1i, h2r, h2i) -> tuple:
@@ -330,7 +316,7 @@ def project_eta(eta: Spinor) -> EtaProjection:
     try:
         out = eta_bilinears(FLOATS, eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag)
     except OverflowError:
-        raise OverflowError(_PAST_RANGE.format("project_eta", eta)) from None
+        raise OverflowError(_PAST_RANGE.format("project_eta", eta, "bilinears")) from None
     return EtaProjection(a=np.array(out[:3]), x=np.array(out[3:]))
 
 

@@ -4,12 +4,19 @@ Five suites (hopf, covariance, so4, ks, gauge) draw reproducible random
 samples and measure the worst scaled residual of each identity they cover.
 Each check is declared once, by its decorator `_check(suite, name, share,
 draw)`, and a suite runs its checks in that order. Each check draws all its
-inputs at once and reduces a chunk of samples at once. The checks of the
-spinor_maps closed forms call its kernels on float64 columns
-(spinor_maps.COLUMNS), which give every row the bits of the scalar function.
-The other checks call the library's scalar functions once per sample and
-stack what each sample observes into arrays (`_each`). A report passes when
-every check lands under its threshold, and each check result carries its time.
+inputs at once and reduces a chunk of samples at once.
+
+Most checks call the library's kernels on float64 columns (core.COLUMNS),
+which give every row the bits of the scalar function: the spinor_maps closed
+forms, the rotation products and matrices, the KS frame kernels and the
+gauges. Four checks and a part of a fifth stay per sample: they call the
+scalar API once per sample and stack what each sample observes into arrays
+(`_each`). They are vector_parameter_chart, s_no_su2_preimage,
+left_transport_routes, frame_defining_identities and the O(C) of
+canonical_gauges. Their scalar routes take BLAS-backed steps, such as the
+norm of a 3-vector as a dot, a least-squares fit and 3x3 or 4x4 matrix-vector
+products, whose bits columns cannot match. A report passes when every check
+lands under its threshold, and each check result carries its time.
 The fixture replay path reruns stored golden records through the
 constructors and holds them to the tolerance each record carries.
 """
@@ -24,57 +31,67 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    COLUMNS,
     MINUS_IDENTITY,
     KSQuadruple,
-    Spinor,
     SpinorRotation,
+    axis4,
     compose,
     finite_angle,
-    quadruple_from_spinor,
-    spinor_from_quadruple,
+    qmul,
     su2_matrix,
+    su2_parts,
+    unit4,
     wrap_4pi,
 )
 from . import fixtures as fixture_io
 from .gauge_fixing import (
     SingularGaugeError,
-    axis_phase,
+    between4,
+    canonical4,
     canonical_phase_minus,
     canonical_phase_plus,
-    gauge_minus,
-    gauge_plus,
+    gauge_plus4,
+    planar_chart,
     psi_from_direction,
-    rotation_between,
-    stabilizer_check,
+    stabilizer_solve,
+    swap4,
 )
 from .ks_covariance import (
     build_frame,
+    direction4,
     direction_from_ks,
     frame_symmetry,
     hat,
+    hat4,
     ks_from_rotation,
     left_transport,
     normalize_ks,
     rotated_direction,
     rotation_from_unit_ks,
+    symmetry4,
+    unit_ks,
 )
 from .rotation_algebra import (
     ELEMENTARY_PLANES,
     PAULI,
     elementary_so4,
     extract_so3,
-    rotate_spinor,
+    linear_system_entries,
+    real4_entries,
+    rotated,
     rotation_from_vector_parameter,
     s_factorization_check,
     s_matrix,
     s_outside_su2_image,
+    so3_entries,
     so3_from_rotation,
     so3_from_vector_parameter,
     su2_real4,
     vector_parameter,
+    vector_parameter_entries,
 )
 from .spinor_maps import (
-    COLUMNS,
     cartan_reflected,
     cartesian_columns,
     eta_bilinears,
@@ -86,8 +103,6 @@ from .spinor_maps import (
     hopf_constraint,
     phase_rotated,
     polar,
-    project_eta,
-    project_xi,
     u_to_v_entries,
     xi_bilinears,
     xi_cartesian,
@@ -198,23 +213,30 @@ def _each(fn, *inputs):
     return tuple(map(np.array, zip(*itertools.starmap(fn, rows))))
 
 
-def _as_spinors(s):
-    """The Spinors of (n, 4) storage (c1.real, c1.imag, c2.real, c2.imag)."""
-    return list(itertools.starmap(Spinor, s.view(complex).tolist()))
-
-
-def _pair(s):
-    return s.c1, s.c2
-
-
 def _quadruple(c1r, c1i, c2r, c2i) -> tuple:
     """quadruple_from_spinor on real parts: (q4, q1, q2, q3)."""
     return c2i, c1r, c1i, c2r
 
 
 def _rows(columns) -> np.ndarray:
-    """k columns of n entries as n rows of k; xi's x, for one."""
-    return np.stack(columns, axis=-1)
+    """k columns of n entries (or constants) as n rows of k; xi's x, for one."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
+def _matrices(rows) -> np.ndarray:
+    """A matrix of n-entry columns, row by row, as n C-contiguous matrices: einsum's
+    bits depend on the layout, and a stack of the scalar API's matrices is C-contiguous."""
+    return np.stack([_rows(row) for row in rows], axis=1)
+
+
+def _su2(c) -> np.ndarray:
+    """su2_matrix of each rotation of the columns c, shape (n, 2, 2)."""
+    return _matrices(su2_parts(*c)).view(complex)
+
+
+def _rotation(c) -> tuple:
+    """SpinorRotation(*c) on columns: c normalized."""
+    return unit4(COLUMNS, *c)
 
 
 def _eta_rows(bilinears) -> np.ndarray:
@@ -344,31 +366,27 @@ def _check_phase_invariance(s, alpha):
 
 @_check("covariance", "xi_commuting_square", 1.0, _unit_and_gaussian)
 def _check_xi_commuting_square(c, s):
-    def square(spinor, crow):
-        rot = SpinorRotation(*crow)
-        return (so3_from_rotation(rot), *project_xi(spinor),
-                *project_xi(rotate_spinor(rot, spinor)))
-    o, r0, x0, r1, x1 = _each(square, _as_spinors(s), c)
-    return max(_worst(r0, r1), _worst(x1, _apply(o, x0), 1))
+    rot = _rotation(c.T)
+    r0, *x0 = xi_bilinears(COLUMNS, *s.T)
+    r1, *x1 = xi_bilinears(COLUMNS, *rotated(rot, *s.T))
+    o = _matrices(so3_entries(*rot))
+    return max(_worst(r0, r1), _worst(_rows(x1), _apply(o, _rows(x0)), 1))
 
 
 @_check("covariance", "eta_commuting_square", 1.0, _unit_and_gaussian)
 def _check_eta_commuting_square(c, s):
-    def square(spinor, crow):
-        rot = SpinorRotation(*crow)
-        p0, p1 = project_eta(spinor), project_eta(rotate_spinor(rot, spinor))
-        return so3_from_rotation(rot), p0.x, p0.a, p1.x, p1.a
-    o, x0, a0, x1, a1 = _each(square, _as_spinors(s), c)
-    return max(_worst(x1, _apply(o, x0), 1), _worst(a1, _apply(o, a0), 1))
+    rot = _rotation(c.T)
+    o = _matrices(so3_entries(*rot))
+    p0, p1 = eta_bilinears(COLUMNS, *s.T), eta_bilinears(COLUMNS, *rotated(rot, *s.T))
+    return max(_worst(_rows(p1[3:]), _apply(o, _rows(p0[3:])), 1),
+               _worst(_rows(p1[:3]), _apply(o, _rows(p0[:3])), 1))
 
 
 @_check("covariance", "so3_extraction_orthogonality", 1.0, _units)
 def _check_so3_extraction(c):
-    def both_routes(crow):  # closed form, trace extraction
-        rot = SpinorRotation(*crow)
-        return so3_from_rotation(rot), extract_so3(su2_matrix(rot))
-    o, extracted = _each(both_routes, c)
-    return max(_worst(extracted, o, (1, 2)), _worst(np.linalg.det(o), 1.0),
+    rot = _rotation(c.T)
+    o = _matrices(so3_entries(*rot))  # closed form; trace extraction below
+    return max(_worst(extract_so3(_su2(rot)), o, (1, 2)), _worst(np.linalg.det(o), 1.0),
                _worst(np.einsum("nki,nkj->nij", o, o), np.eye(3), (1, 2)))
 
 
@@ -384,11 +402,11 @@ def _check_vector_parameter_chart(c_vec):
 
 @_check("covariance", "rotation_homomorphisms", 1.0, _two_units)
 def _check_so4_homomorphism(c1, c2):
-    def images(row1, row2):  # su2_real4, then so3_from_rotation, of c1, c2, c1 c2
-        r1, r2 = SpinorRotation(*row1), SpinorRotation(*row2)
-        rots = (r1, r2, compose(r1, r2))
-        return (*map(su2_real4, rots), *map(so3_from_rotation, rots))
-    m1, m2, m12, o1, o2, o12 = _each(images, c1, c2)
+    # su2_real4, then so3_from_rotation, of c1, c2 and c1 c2
+    r1, r2 = _rotation(c1.T), _rotation(c2.T)
+    rots = (r1, r2, _rotation(qmul(r1, r2)))
+    m1, m2, m12 = (_matrices(real4_entries(*r)) for r in rots)
+    o1, o2, o12 = (_matrices(so3_entries(*r)) for r in rots)
     return max(_worst(m12, m1 @ m2, (1, 2)),
                _worst(np.einsum("nki,nkj->nij", m1, m1), np.eye(4), (1, 2)),
                _worst(o12, o1 @ o2, (1, 2)))
@@ -396,12 +414,10 @@ def _check_so4_homomorphism(c1, c2):
 
 @_check("covariance", "so4_spinor_conjugacy", 1.0, _unit_and_gaussian)
 def _check_quadruple_spinor_conjugacy(c, q):
-    def conjugacy(crow, qrow):
-        rot = SpinorRotation(*crow)
-        moved = rotate_spinor(rot, spinor_from_quadruple(KSQuadruple(*qrow)))
-        return su2_real4(rot), quadruple_from_spinor(moved).as_tuple()
-    m, via_spinor = _each(conjugacy, c, q)
-    return _worst(_apply(m, q), via_spinor, 1)
+    rot = _rotation(c.T)
+    q4, q1, q2, q3 = q.T  # spinor_from_quadruple: c1 = q1 + i q2, c2 = q3 + i q4
+    moved = _quadruple(*rotated(rot, q1, q2, q3, q4))
+    return _worst(_apply(_matrices(real4_entries(*rot)), q), _rows(moved), 1)
 
 
 # ----------------------------------------------------------------- so4 suite
@@ -463,10 +479,10 @@ def _check_double_cover(u, s):
     # (r, x) at phi and phi + 2pi: (builder, lift, r x1 x2 x3, sample).
     proj = np.array([[xi_bilinears(COLUMNS, *row) for row in lift[:2]] for lift in lifts])
     flips = [cartesian_columns(xi_cartesian, *(4.0 * u[:, 3:] - 2.0).T, sheet) for sheet in (1, -1)]
-    turned = np.array([_pair(rotate_spinor(MINUS_IDENTITY, t)) for t in _as_spinors(s)])
+    turned = _rows(rotated(MINUS_IDENTITY.as_tuple(), *s.T))
     return max(_worst(lifts[:, 1], -lifts[:, 0]), _worst(lifts[:, 2], lifts[:, 0]),
                _worst(proj[:, 0, 0], proj[:, 1, 0]), _worst(proj[:, 0, 1:], proj[:, 1, 1:], 1),
-               _worst(flips[1], -flips[0]), _worst(turned.view(float), -s),
+               _worst(flips[1], -flips[0]), _worst(turned, -s),
                _worst(so3_from_rotation(MINUS_IDENTITY)[None], np.eye(3), (1, 2)))
 
 
@@ -483,12 +499,11 @@ def _check_cartan_reflection(g):
 
 @_check("ks", "direction_vs_matrix_hat", 1.0, _units)
 def _check_direction_matrix(u):
-    def directions(row):  # direction, third column of O(hat u), hat(hat(u))
-        q = KSQuadruple(*row)
-        return (direction_from_ks(q), so3_from_rotation(rotation_from_unit_ks(hat(q)))[:, 2],
-                hat(hat(q)).as_tuple())
-    n, column, back = _each(directions, u)
-    return max(_worst(n, -column, 1), _worst(_dot(n, n), 1.0), _worst(back, u, 1))
+    q = tuple(u.T)
+    n = _rows(direction4(unit_ks(COLUMNS, q)))
+    # The third column of O(hat u), and hat(hat(u)).
+    column = _rows([row[2] for row in so3_entries(*_rotation(hat4(q)))])
+    return max(_worst(n, -column, 1), _worst(_dot(n, n), 1.0), _worst(_rows(hat4(hat4(q))), u, 1))
 
 
 @_check("ks", "left_transport_routes", 0.3, _two_units)
@@ -534,17 +549,16 @@ def _check_frame_identities(u, axes, delta):
 @_check("ks", "frame_symmetry_transport", 0.1,
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-math.pi, math.pi, size=(n, 2))))
 def _check_frame_symmetry(u, angles):  # angles: the partner's turn beta, the frame's delta
-    def symmetry(urow, beta, delta):  # n, O(c), B(c), B(hat u), D(delta), B(hat w)
-        q = KSQuadruple(*urow)
-        u_rot = rotation_from_unit_ks(hat(q))
-        partner = hat(ks_from_rotation(compose(u_rot, axis_phase(beta))))
-        c = frame_symmetry(q, partner, delta)
-        return (direction_from_ks(q), so3_from_rotation(c),
-                *(su2_matrix(rot) for rot in (c, u_rot, axis_phase(delta),
-                                              rotation_from_unit_ks(hat(partner)))))
-    n, o, b_c, b_u, b_d, b_w = _each(symmetry, u, angles[:, 0], angles[:, 1])
-    lhs = b_c @ b_u @ b_d
-    return max(_worst(_apply(o, n), n, 1), _worst(lhs.view(float), b_w.view(float), (1, 2)))
+    q = tuple(u.T)
+    u_rot = _rotation(hat4(q))
+    beta, delta = angles.T
+    partner = hat4(_rotation(qmul(u_rot, axis4(COLUMNS, beta))))
+    c = _rotation(symmetry4(COLUMNS, q, partner, delta))
+    n = _rows(direction4(unit_ks(COLUMNS, q)))
+    # B(c) B(hat u) D(delta) against B(hat w)
+    lhs = _su2(c) @ _su2(u_rot) @ _su2(axis4(COLUMNS, delta))
+    return max(_worst(_apply(_matrices(so3_entries(*c)), n), n, 1),
+               _worst(lhs.view(float), _su2(_rotation(hat4(partner))).view(float), (1, 2)))
 
 
 _SWEEP = np.arange(16) * (math.pi / 8.0)
@@ -583,12 +597,14 @@ _check("ks", "singular_error_paths", 0.0, lambda rng, n: (_FRAME_ERRORS,))(_all_
 @_check("gauge", "gauge_postconditions", 1.0,
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n)))
 def _check_gauge_postconditions(psi, phase):
-    out = np.array([[_pair(rotate_spinor(gauge(t, p), t)) for gauge in (gauge_plus, gauge_minus)]
-                    for t, p in zip(_as_spinors(psi), phase.tolist())])
-    want = np.zeros_like(out)
+    u = unit4(COLUMNS, *psi.T, "gauge_plus")
+    # B(gauge) psi for the (+) gauge, then the (-) gauge: shape (n, 2, 4).
+    out = np.stack([_rows(rotated(_rotation(gauge_plus4(COLUMNS, w, phase)), *psi.T))
+                    for w in (u, swap4(u))], axis=1)
+    want = np.zeros((len(phase), 2, 2), dtype=complex)
     want[:, 0, 0] = np.exp(-0.5j * phase)
     want[:, 1, 1] = np.exp(0.5j * phase)
-    return _worst(out.view(float), want.view(float))
+    return _worst(out, want.view(float))
 
 
 @_check("gauge", "canonical_gauges", 0.3, _units)
@@ -599,19 +615,22 @@ def _check_canonical_gauges(psi):
     if not keep.any():
         return 0.0
     psi, s_plus, s_minus = psi[keep], s_plus[keep], s_minus[keep]
-
-    def gauges(spinor):  # r, x; per gauge: c3, C, vector_parameter(rotation), O(C)
-        both = canonical_phase_plus(spinor), canonical_phase_minus(spinor)
-        return (*project_xi(spinor), [g.rotation.c3 for g in both],
-                [g.vector_parameter for g in both], [vector_parameter(g.rotation) for g in both],
-                [so3_from_vector_parameter(g.vector_parameter) for g in both])
-    r, x, c3, c_vec, back, o = _each(gauges, _as_spinors(psi))
-    n = x / r[:, None]
+    u = unit4(COLUMNS, *psi.T, "canonical_phase_plus")
+    # Per gauge, (+) then (-): the weight s, the rotation and C; the rotation's c3
+    # must vanish and its vector parameter must be C.
+    gauges = [(canonical4(COLUMNS, u, sign), sign) for sign in (1, -1)]
+    rotations = [_rotation(rotation) for (_, _, rotation), _ in gauges]
+    c_vec = np.stack([_rows(planar_chart(u, s, sign)) for (s, _, _), sign in gauges], axis=1)
+    back = np.stack([_rows(vector_parameter_entries(COLUMNS, *r)) for r in rotations], axis=1)
+    # Per sample: O(C) takes the norm of C as a BLAS dot.
+    (o,) = _each(lambda pair: ([so3_from_vector_parameter(c) for c in pair],), c_vec)
+    r, *x = xi_bilinears(COLUMNS, *psi.T)
+    n = _rows(x) / r[:, None]
     pole = np.array([0.0, 0.0, 1.0])
     cp, cm = _dot(c_vec[:, 0], c_vec[:, 0]), _dot(c_vec[:, 1], c_vec[:, 1])
     # |C|^2 weighted by the component masses is pole-safe where the raw
     # tan(theta/2) magnitude check is not, and covers the full sphere.
-    worst = max(_worst(c3, 0.0),
+    worst = max(_worst(_rows([r[3] for r in rotations]), 0.0),
                 _worst(_apply(o[:, 0], n), pole, 1), _worst(_apply(o[:, 1], n), -pole, 1),
                 _worst(cp * s_plus, s_minus), _worst(cm * s_minus, s_plus))
     theta = np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2])
@@ -626,23 +645,25 @@ def _check_canonical_gauges(psi):
 
 @_check("gauge", "rotation_between_planted", 0.3, _two_units)
 def _check_rotation_between(psi, c):
-    def planted(spinor, crow):  # recovered, planted rotation; target, recovered image
-        rot = SpinorRotation(*crow)
-        target = rotate_spinor(rot, spinor)
-        rec = rotation_between(spinor, target)
-        return rec.as_tuple(), rot.as_tuple(), _pair(target), _pair(rotate_spinor(rec, spinor))
-    got, want, target, back = _each(planted, _as_spinors(psi), c)
+    planted = _rotation(c.T)
+    target = rotated(planted, *psi.T)
+    found = _rotation(between4(COLUMNS, unit4(COLUMNS, *psi.T, "rotation_between"),
+                               unit4(COLUMNS, *target, "rotation_between")))
+    got, want = _rows(found), _rows(planted)
     # Either sign of the planted parameters is the same rotation. Take the one
     # with positive overlap: in a pass it is the nearer sign; a fail can only grow.
     want = want * np.where(_dot(got, want) < 0.0, -1.0, 1.0)[:, None]
-    return max(_worst(got, want, 1), _worst(back.view(float), target.view(float)))
+    return max(_worst(got, want, 1), _worst(_rows(rotated(found, *psi.T)), _rows(target)))
 
 
 @_check("gauge", "stabilizer_exact_identity", 0.1, _units)
 def _check_stabilizer(psi):
-    got = np.array([(stabilizer_check(t, 1).as_tuple(), stabilizer_check(t, -1).as_tuple())
-                    for t in _as_spinors(psi)])
-    return 0.0 if (got == [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]).all() else 1.0
+    q = _rows(_quadruple(*psi.T))
+    g = _matrices(linear_system_entries(*q.T))
+    # stabilizer_check returns the exact +-identity where its solve lands within 1e-9.
+    landed = [_worst(stabilizer_solve(g, q[:, :, None], sign)[:, :, 0], [sign, 0.0, 0.0, 0.0], 1)
+              for sign in (1, -1)]
+    return 0.0 if max(landed) <= 1e-9 else 1.0
 
 
 @_check("gauge", "stabilizer_circle_contrast", 0.0,
@@ -650,13 +671,10 @@ def _check_stabilizer(psi):
 def _check_circle_contrast(sweep):
     # The vector-level small group of the pole is a full circle, the
     # spinor-level one a single point of the sweep.
-    psi = Spinor(1.0 + 0.0j, 0.0 + 0.0j)
-
-    def turn(angle):
-        rot = axis_phase(angle)
-        return extract_so3(su2_matrix(rot)), _pair(rotate_spinor(rot, psi))
-    o, moved = _each(turn, sweep)
-    fixing = np.count_nonzero(np.all(np.abs(moved - [psi.c1, psi.c2]) <= 1e-12, axis=1))
+    rot = axis4(COLUMNS, sweep)  # axis_phase of each angle
+    moved = _rows(rotated(rot, 1.0, 0.0, 0.0, 0.0)).view(complex)  # B psi for psi = (1, 0)
+    fixing = np.count_nonzero(np.all(np.abs(moved - [1.0, 0.0]) <= 1e-12, axis=1))
+    o = extract_so3(_su2(rot))
     return _worst(o[:, :, 2], np.array([0.0, 0.0, 1.0]), 1) if fixing == 1 else math.inf
 
 

@@ -124,3 +124,12 @@ def hard_directions(rng, n):
                           rng.choice([-1.0, 1.0]) * math.cos(2.0 * half)])
         out.append(v / np.linalg.norm(v))
     return out
+
+
+def assert_rows_equal(columns, rows):
+    """Each row of k columns of n entries has the bits of the k floats of that row
+    of rows: a zero of the other sign is a mismatch too."""
+    got = np.ascontiguousarray(np.asarray(columns, dtype=float).T).view(np.uint64)
+    want = np.array(rows, dtype=float).reshape(got.shape).view(np.uint64)
+    bad = np.flatnonzero((got != want).any(axis=1))
+    assert bad.size == 0, f"{bad.size} of {len(got)} rows differ, first at {bad[:5].tolist()}"

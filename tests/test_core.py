@@ -25,7 +25,7 @@ from spinorspace import (
     su2_matrix,
     wrap_4pi,
 )
-from spinorspace.core import pow2_scaled, pow2_shift, qmul, unit4
+from spinorspace.core import FLOATS, pow2_scaled, pow2_shift, qmul, unit4
 
 SQRT2 = math.sqrt(2.0)
 
@@ -251,14 +251,14 @@ def test_unit4_is_the_rotation_normalization():
     for _ in range(1000):
         v = rng.normal(size=4)
         v = (v / np.linalg.norm(v) * (1.0 + rng.uniform(-9e-7, 9e-7))).tolist()
-        assert unit4(*v) == SpinorRotation(*v).as_tuple()
+        assert unit4(FLOATS, *v) == SpinorRotation(*v).as_tuple()
         w = oracles.haar_quadruple(rng).tolist()
         assert compose(SpinorRotation(*v), SpinorRotation(*w)) == SpinorRotation(
-            *qmul(unit4(*v), unit4(*w)))
+            *qmul(unit4(FLOATS, *v), unit4(FLOATS, *w)))
     with pytest.raises(ValueError, match="unit norm, got norm 2.0"):
-        unit4(2.0, 0.0, 0.0, 0.0)
+        unit4(FLOATS, 2.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="unit norm, got norm nan"):
-        unit4(math.nan, 0.0, 0.0, 0.0)
+        unit4(FLOATS, math.nan, 0.0, 0.0, 0.0)
 
 
 def test_pow2_scaled_is_exact():

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import oracles
+from spinorspace import core
+from spinorspace import gauge_fixing as gf
+from spinorspace import ks_covariance as ks
+from spinorspace import rotation_algebra as ra
 from spinorspace import spinor_maps as sm
+from spinorspace.rotation_algebra import rotated
 from spinorspace import (
     KSQuadruple,
     ParabolicPoint,
@@ -454,14 +459,6 @@ def _parts(s):
     return s.c1.real, s.c1.imag, s.c2.real, s.c2.imag
 
 
-def _assert_rows_equal(columns, rows):
-    # Bit patterns, so a zero of the other sign is a mismatch too.
-    got = np.ascontiguousarray(np.asarray(columns, dtype=float).T).view(np.uint64)
-    want = np.array(rows, dtype=float).reshape(got.shape).view(np.uint64)
-    bad = np.flatnonzero((got != want).any(axis=1))
-    assert bad.size == 0, f"{bad.size} of {len(got)} rows differ, first at {bad[:5].tolist()}"
-
-
 def _hard_points(rng):
     """Uniform draws, oracles.hard_directions, axis points with signed zeros,
     the origin, and log-uniform magnitudes 2^-1074 .. 2^1023."""
@@ -500,7 +497,7 @@ def test_cartesian_columns_match_the_scalar_rows(kernel, scalar):
     rows = [_parts(scalar(v, sheet)) for v, sheet in zip(points.tolist(), sheets.tolist())]
     with np.errstate(over="ignore"):  # the squares of the largest points, rescaled after
         columns = sm.cartesian_columns(kernel, *points.T, sheets)
-    _assert_rows_equal(columns, rows)
+    oracles.assert_rows_equal(columns, rows)
 
 
 @pytest.mark.parametrize("point_type, kernel, scalar", [
@@ -524,7 +521,7 @@ def test_polar_columns_match_the_scalar_rows(point_type, kernel, scalar):
     stored = np.array([[getattr(p, f) for f in p.__slots__] for p in points]).T
     with np.errstate(over="ignore"):  # 2 r and N + M of the top rows, taken in halves after
         columns = kernel(sm.COLUMNS, *stored)
-    _assert_rows_equal(columns, [_parts(scalar(p)) for p in points])
+    oracles.assert_rows_equal(columns, [_parts(scalar(p)) for p in points])
 
 
 def test_top_of_range_spherical_and_parabolic_points():
@@ -553,7 +550,7 @@ def test_spinor_columns_match_the_scalar_rows():
     with np.errstate(over="ignore", invalid="ignore"):
         cases = _spinor_cases(s, spinors, quads, alpha, delta)
     for columns, rows in cases:
-        _assert_rows_equal(columns, rows)
+        oracles.assert_rows_equal(columns, rows)
 
 
 def _spinor_cases(s, spinors, quads, alpha, delta):
@@ -609,6 +606,33 @@ def test_kernels_keep_the_bits_of_complex_arithmetic():
         assert _hex(_parts(xi_from_parabolic(p))) == _hex(_parts(Spinor(p.N * em, p.M * ep)))
 
 
+def test_rotation_kernel_keeps_the_bits_of_complex_arithmetic():
+    # rotate_spinor's kernel against CPython's complex products, with every
+    # component drawn from signed zeros and two magnitudes.
+    values = (0.0, -0.0, 1.5, -2.0)
+    grid = np.array(list(itertools.product(values, repeat=8))).T
+    c4, c1, c2, c3, *z = grid
+    rows = []
+    for a4, a1, a2, a3, z1r, z1i, z2r, z2i in grid.T.tolist():
+        z1, z2 = complex(z1r, z1i), complex(z2r, z2i)
+        top = complex(a4, -a3) * z1 + complex(-a2, -a1) * z2
+        bottom = complex(a2, -a1) * z1 + complex(a4, a3) * z2
+        rows.append((top.real, top.imag, bottom.real, bottom.imag))
+    oracles.assert_rows_equal(rotated((c4, c1, c2, c3), *z), rows)
+    for row, want in zip(grid.T.tolist()[::257], rows[::257]):
+        assert _hex(rotated(row[:4], *row[4:])) == _hex(want)
+
+
+def test_eta_from_parabolic_past_the_double_range_names_point_and_limit():
+    # (N + M) / sqrt(2) passes the largest double, though N and M do not.
+    for point in (ParabolicPoint(DBL_MAX, DBL_MAX, 0.0), ParabolicPoint(DBL_MAX, 1e308, 2.0)):
+        with pytest.raises(ValueError) as raised:
+            eta_from_parabolic(point)
+        message = str(raised.value)
+        assert message.startswith(f"eta_from_parabolic({point!r})")
+        assert "double range" in message and "1.8e308" in message
+
+
 def test_projections_raise_past_the_double_range():
     # Bilinears of about 5e599 have no double; both projections say so alike.
     big = Spinor(complex(1e300, 0.0), 0.0j)
@@ -657,11 +681,28 @@ def _is_complex_dtype(node):
     return False
 
 
+# The column code outside spinor_maps: core's kernels and its COLUMNS namespace,
+# and the kernels of rotation_algebra, ks_covariance and gauge_fixing.
+_KERNELS = (core.unit4, core.qmul, core.axis4, core.conjugate4, core.su2_parts, core.polar,
+            ra.so3_entries, ra.real4_entries, ra.linear_system_entries,
+            ra.vector_parameter_entries, ra.rotated, ks.unit_ks, ks.hat4, ks.direction4,
+            ks.symmetry4, gf.gauge_plus4, gf.swap4, gf.canonical4, gf.planar_chart,
+            gf.between4, gf.stabilizer_solve)
+
+
+def _column_code():
+    core_tree = ast.parse(Path(core.__file__).read_text())
+    namespace = [ast.unparse(n) for n in core_tree.body if isinstance(n, ast.Assign)
+                 and {"COLUMNS", "_atan2"} & {_dotted(target) for target in n.targets}]
+    assert len(namespace) == 2
+    return "\n".join([Path(sm.__file__).read_text(), *namespace,
+                      *(inspect.getsource(kernel) for kernel in _KERNELS)])
+
+
 def test_column_code_keeps_to_exact_operations():
     # numpy's atan2, hypot, exp, norm, matmul and complex products differ from
     # Python's in the last bits, so columns would not keep the scalar API's bits.
-    # polar, every constructor's last step, lives in core and is checked with the module.
-    tree = ast.parse(Path(sm.__file__).read_text() + "\n" + inspect.getsource(sm.polar))
+    tree = ast.parse(_column_code())
     assert sorted({_dotted(n) for n in ast.walk(tree)} & _INEXACT) == []
     assert [ast.unparse(n) for n in ast.walk(tree)
             if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)] == []

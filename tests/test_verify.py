@@ -107,7 +107,6 @@ def test_each_passes_lists_as_they_are():
     c1, xs = verify._each(observe, spinors, np.array([0.5, 1.5]))
     assert len(seen) == 2 and all(a is b for a, b in zip(seen, spinors))
     assert c1.tolist() == [1.0, -1.0j] and xs.tolist() == [0.5, 1.5]
-    assert verify._as_spinors(np.array([[1.0, 0.0, 0.0, 2.0]])) == [Spinor(1.0, 2.0j)]
 
 
 def test_each_propagates_a_sample_failure():
@@ -136,14 +135,12 @@ def test_error_path_check_fails_when_a_case_does_not_raise(monkeypatch):
 
 
 def test_double_cover_sign_compares_whole_spinors(monkeypatch):
-    real = verify.rotate_spinor
+    def half_turn_keeps_imaginary_parts(c, z1r, z1i, z2r, z2i):
+        # In the so4 suite only double_cover_sign turns spinors, by the half turn.
+        assert c == (-1.0, 0.0, 0.0, 0.0)
+        return -z1r, z1i, -z2r, z2i
 
-    def half_turn_keeps_imaginary_parts(rot, s):
-        if rot.as_tuple() != (-1.0, 0.0, 0.0, 0.0):
-            return real(rot, s)
-        return Spinor(complex(-s.c1.real, s.c1.imag), complex(-s.c2.real, s.c2.imag))
-
-    monkeypatch.setattr(verify, "rotate_spinor", half_turn_keeps_imaginary_parts)
+    monkeypatch.setattr(verify, "rotated", half_turn_keeps_imaginary_parts)
     result = run_suite("so4", 1000, seed=42).result("double_cover_sign")
     assert not result.passed and result.max_residual == 2.0
 

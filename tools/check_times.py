@@ -3,44 +3,82 @@
 Runs the five suites at the sample counts of tests/test_acceptance.py (10^3
 for covariance, 10^4 for the others) with seed 42, REPEATS times, and prints
 the median CheckResult.elapsed of each check in ms, then each suite's median
-report time and their sum. It needs only the standard library and the
-package (and numpy, which the package imports). Timings are raw wall time,
-so compare trees with alternating runs on one host.
+report time, their sum, and the battery figure: the 41,000 samples of the
+five suites over that sum, in samples per second, which sizes the `battery`
+workload's throughput in-process.
+
+Given two trees, it copies each tree's package into a temporary directory
+under its own name, as tools/scalar_ab.py does, imports both, and runs them
+in turn within each repeat, the side that goes first alternating from repeat
+to repeat. Each row then shows the parent's median, the change's median and
+the speedup: parent over change, and change over parent for the battery
+figure. It needs only the standard library and the package (and numpy,
+which the package imports). Timings are raw wall time.
 
 usage: python tools/check_times.py [SRC_DIR]   (default: the src/ beside tools/)
+       python tools/check_times.py PARENT_SRC CHANGE_SRC
 """
 
 from __future__ import annotations
 
 import statistics
 import sys
+import tempfile
 from pathlib import Path
+
+from scalar_ab import load
 
 ACCEPTANCE = {"hopf": 10_000, "covariance": 1_000, "so4": 10_000, "ks": 10_000, "gauge": 10_000}
 REPEATS = 5
 
 
+def timings(packages) -> list:
+    """Per package, {row: [seconds per repeat]} for each check and each suite."""
+    times = [{} for _ in packages]
+    for repeat in range(REPEATS):
+        order = range(len(packages)) if repeat % 2 == 0 else reversed(range(len(packages)))
+        for side in order:
+            for suite, samples in ACCEPTANCE.items():
+                report = packages[side].run_suite(suite, samples, seed=42)
+                times[side].setdefault(("suite", suite, samples), []).append(report.elapsed)
+                for c in report.checks:
+                    times[side].setdefault((suite, c.name, c.samples), []).append(c.elapsed)
+    return times
+
+
+def report(times) -> None:
+    """Print each check, then each suite, then the suite sum and the battery figure."""
+    medians = [{row: statistics.median(t) for row, t in side.items()} for side in times]
+    rows = sorted(medians[0], key=lambda row: row[0] == "suite")
+    totals = [sum(m[row] for row in rows if row[0] == "suite") for m in medians]
+    if len(medians) == 2:
+        print(f"{'':50s} {'parent':>12s} {'change':>12s} {'speedup':>7s}")
+    lines = [(row, [m[row] for m in medians]) for row in rows]
+    lines.append((("total", "", ""), totals))
+    for (group, name, samples), seconds in lines:
+        cells = "".join(f" {s * 1e3:9.2f} ms" for s in seconds)
+        ratio = f" {seconds[0] / seconds[1]:6.2f}x" if len(seconds) == 2 else ""
+        print(f"{group:10s} {name:32s} {samples!s:>6s}{cells}{ratio}")
+    battery = [sum(ACCEPTANCE.values()) / total for total in totals]
+    ratio = f" {battery[1] / battery[0]:6.2f}x" if len(battery) == 2 else ""
+    print(f"{'battery':10s} {'samples / suite sum':32s} {'':6s}"
+          + "".join(f" {b:9,.0f} /s" for b in battery) + ratio)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    src = Path(args[0]) if args else Path(__file__).resolve().parents[1] / "src"
-    sys.path.insert(0, str(src.resolve()))
-    import spinorspace
-
-    checks, suites = {}, {}
-    for _ in range(REPEATS):
-        for suite, samples in ACCEPTANCE.items():
-            report = spinorspace.run_suite(suite, samples, seed=42)
-            suites.setdefault(suite, []).append(report.elapsed)
-            for c in report.checks:
-                checks.setdefault((suite, c.name, c.samples), []).append(c.elapsed)
-    print(f"package  {Path(spinorspace.__file__).parent}")
-    for (suite, name, samples), times in checks.items():
-        print(f"{suite:10s} {name:32s} {samples:6d} {statistics.median(times) * 1e3:9.2f} ms")
-    for suite, times in suites.items():
-        ms = statistics.median(times) * 1e3
-        print(f"{'suite':10s} {suite:32s} {ACCEPTANCE[suite]:6d} {ms:9.2f} ms")
-    total = sum(statistics.median(times) for times in suites.values())
-    print(f"{'total':10s} {'':32s} {'':6s} {total * 1e3:9.2f} ms")
+    if len(args) > 2:
+        print("usage: python tools/check_times.py [SRC_DIR | PARENT_SRC CHANGE_SRC]",
+              file=sys.stderr)
+        return 2
+    trees = [Path(a) for a in args] or [Path(__file__).resolve().parents[1] / "src"]
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        names = ["spinorspace_parent", "spinorspace_change"] if len(trees) == 2 else ["spinorspace"]
+        packages = [load(tree.resolve(), name, Path(tmp)) for tree, name in zip(trees, names)]
+        for tree in trees:
+            print(f"package  {tree.resolve() / 'spinorspace'}")
+        report(timings(packages))
     return 0
 
 

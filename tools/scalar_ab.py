@@ -3,9 +3,10 @@
 Copies each tree's spinorspace package into a temporary directory under its
 own name (spinorspace_parent, spinorspace_change), imports both into this
 process, and times a fixed list of scalar API calls: in-range and
-out-of-range constructors, both projections, rotate_spinor, SpinorRotation,
-psi_from_direction, the gauges, rotation_between, build_frame,
-frame_symmetry and fixture_record. Each round times every call NUMBER times
+out-of-range constructors, both projections, rotate_spinor,
+so3_from_rotation, SpinorRotation, psi_from_direction, the gauges,
+rotation_between, stabilizer_check, direction_from_ks, build_frame,
+frame_symmetry, rotated_direction and fixture_record. Each round times every call NUMBER times
 on both sides back to back, with garbage collection off, and the side that
 goes first alternates from round to round. For each call it prints the
 median us per call on each side, the change in per cent as the median of
@@ -56,6 +57,7 @@ def calls(ss) -> list:
         ("eta_from_xi", lambda: ss.eta_from_xi(xi)),
         ("u_to_v", lambda: ss.u_to_v(q)),
         ("rotate_spinor", lambda: ss.rotate_spinor(rot, xi)),
+        ("so3_from_rotation", lambda: ss.so3_from_rotation(rot)),
         ("SpinorRotation", lambda: ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)),
         ("psi_from_direction", lambda: ss.psi_from_direction(direction, 0.5)),
         ("gauge_plus", lambda: ss.gauge_plus(psi, 0.3)),
@@ -63,8 +65,11 @@ def calls(ss) -> list:
         ("canonical_phase_plus", lambda: ss.canonical_phase_plus(psi)),
         ("canonical_phase_minus", lambda: ss.canonical_phase_minus(psi)),
         ("rotation_between", lambda: ss.rotation_between(psi, other)),
+        ("stabilizer_check", lambda: ss.stabilizer_check(psi, -1)),
+        ("direction_from_ks", lambda: ss.direction_from_ks(q)),
         ("build_frame", lambda: ss.build_frame(q, (0.0, 0.6, 0.8), 0.4)),
         ("frame_symmetry", lambda: ss.frame_symmetry(q, partner, 0.4)),
+        ("rotated_direction", lambda: ss.rotated_direction(q, rot, direction)),
         ("fixture_record", lambda: ss.fixture_record("spherical", (1.3, 0.8, 2.0), "eta", -1)),
     ]
 
