@@ -55,6 +55,13 @@ def angle_value(phi, name: str = "angle") -> float:
     return wrap_4pi(finite_angle(phi, name))
 
 
+def _slot_setters(cls) -> tuple:
+    """The setters of a slotted class's fields, in field order. A frozen value type
+    sets its checked fields through them: object.__setattr__ would look each one up
+    again, at about 50 ns a field."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
 @dataclass(frozen=True, slots=True)
 class Spinor:
     """Two-component complex spinor (carries xi, eta and Psi alike)."""
@@ -77,9 +84,7 @@ class Spinor:
                 + self.c2.real * self.c2.real + self.c2.imag * self.c2.imag)
 
 
-# A frozen value type sets its checked fields through their slot descriptors;
-# object.__setattr__ would look each one up again, at about 50 ns a field.
-_SPINOR_SETTERS = Spinor.c1.__set__, Spinor.c2.__set__
+_SPINOR_SETTERS = _slot_setters(Spinor)
 
 
 def spinor_of(parts) -> Spinor:
@@ -123,8 +128,7 @@ class KSQuadruple:
         return self.q4 * self.q4 + self.q1 * self.q1 + self.q2 * self.q2 + self.q3 * self.q3
 
 
-_QUADRUPLE_SETTERS = (KSQuadruple.q4.__set__, KSQuadruple.q1.__set__, KSQuadruple.q2.__set__,
-                      KSQuadruple.q3.__set__)
+_QUADRUPLE_SETTERS = _slot_setters(KSQuadruple)
 
 
 def unit4(xp, c4, c1, c2, c3, who=None) -> tuple:
@@ -253,13 +257,8 @@ class SpinorRotation:
     def as_tuple(self) -> tuple:
         return (self.c4, self.c1, self.c2, self.c3)
 
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3])
 
-
-_ROTATION_SETTERS = (SpinorRotation.c4.__set__, SpinorRotation.c1.__set__,
-                     SpinorRotation.c2.__set__, SpinorRotation.c3.__set__)
+_ROTATION_SETTERS = _slot_setters(SpinorRotation)
 
 IDENTITY_ROTATION = SpinorRotation(1.0, 0.0, 0.0, 0.0)
 MINUS_IDENTITY = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
