@@ -15,7 +15,6 @@ from spinorspace import gauge_fixing as gf
 from spinorspace import ks_covariance as ks
 from spinorspace import rotation_algebra as ra
 from spinorspace import spinor_maps as sm
-from spinorspace.rotation_algebra import rotated
 from spinorspace import (
     KSQuadruple,
     ParabolicPoint,
@@ -618,9 +617,9 @@ def test_rotation_kernel_keeps_the_bits_of_complex_arithmetic():
         top = complex(a4, -a3) * z1 + complex(-a2, -a1) * z2
         bottom = complex(a2, -a1) * z1 + complex(a4, a3) * z2
         rows.append((top.real, top.imag, bottom.real, bottom.imag))
-    oracles.assert_rows_equal(rotated((c4, c1, c2, c3), *z), rows)
+    oracles.assert_rows_equal(ra.rotated((c4, c1, c2, c3), *z), rows)
     for row, want in zip(grid.T.tolist()[::257], rows[::257]):
-        assert _hex(rotated(row[:4], *row[4:])) == _hex(want)
+        assert _hex(ra.rotated(row[:4], *row[4:])) == _hex(want)
 
 
 def test_eta_from_parabolic_past_the_double_range_names_point_and_limit():
