@@ -210,25 +210,45 @@ def pow2_scaled(values) -> tuple:
 
 # The real-component kernels' namespace on floats. A kernel on the scalar path
 # tests a condition as `cond is not True and not xp.all(cond)`: a comparison of
-# floats gives the True singleton, so the float path makes no call.
+# floats gives the True singleton, so the float path makes no call. A BLAS step
+# takes the `array` of its parts, and `each` scales every matrix by its own scalar.
 FLOATS = SimpleNamespace(
-    sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, isfinite=math.isfinite,
-    ldexp=math.ldexp, all=bool, where=lambda cond, a, b: a if cond else b, max=max,
-    sheet_lift=sheet_lift, pow2_shift=lambda *values: pow2_shift(values))
+    sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, hypot=math.hypot,
+    isfinite=math.isfinite, ldexp=math.ldexp, all=bool, where=lambda cond, a, b: a if cond else b,
+    max=max, sheet_lift=sheet_lift, pow2_shift=lambda *values: pow2_shift(values),
+    array=np.array, parts=np.ndarray.tolist, each=lambda x: x, dot=np.dot, matvec=np.matmul,
+    matmul=np.matmul)
 
+
+def stacked(parts) -> np.ndarray:
+    """Columns of n entries (or constants) as a C-contiguous (n, k) stack, entry [i, j]
+    parts[j][i], or rows of them as (n, k, l); einsum and BLAS bits depend on the layout."""
+    if isinstance(parts[0], (tuple, list)):
+        return np.stack([stacked(row) for row in parts], axis=1)
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+# The BLAS steps of COLUMNS: numpy runs a product of stacks built by `stacked` as
+# one BLAS call per row, the call of one vector or matrix, so each row has the bits
+# of FLOATS; a written-out sum does not, as BLAS fuses its multiply-adds.
+_ROW_BLAS = dict(dot=lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0],
+                 matvec=lambda m, v: (m @ v[:, :, None])[:, :, 0], matmul=lambda a, b: a @ b)
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 # The kernels' namespace on float64 columns, which gives each row the bits of
 # FLOATS. A branch is a `where` between two values that are safe on both sides.
-# np.arctan2 differs from math.atan2 in the last bit, so COLUMNS calls math.atan2
-# per element. On columns, a row whose squares, 2 r or N + M overflow raises
-# numpy's overflow warning before it is rescaled.
+# np.arctan2 and np.hypot differ from math.atan2 and math.hypot in the last bit,
+# so COLUMNS calls those per element. On columns, a row whose squares, 2 r or
+# N + M overflow raises numpy's overflow warning before it is rescaled.
 COLUMNS = SimpleNamespace(
     sqrt=np.sqrt, sin=np.sin, cos=np.cos, atan2=lambda y, x: _atan2(y, x).astype(float),
-    isfinite=np.isfinite, ldexp=np.ldexp, all=np.all, where=np.where,
-    max=lambda *values: functools.reduce(np.maximum, values),
+    hypot=lambda x, y: _hypot(x, y).astype(float), isfinite=np.isfinite, ldexp=np.ldexp,
+    all=np.all, where=np.where, max=lambda *values: functools.reduce(np.maximum, values),
     sheet_lift=lambda phi, sheet: np.where(sheet == -1, sheet_lift(phi, -1), phi),
-    pow2_shift=lambda *values: -np.frexp(np.max(np.abs(values), axis=0))[1])
+    pow2_shift=lambda *values: -np.frexp(np.max(np.abs(np.broadcast_arrays(*values)), axis=0))[1],
+    array=stacked, parts=lambda a: np.moveaxis(a, 0, -1), each=lambda x: x[:, None, None],
+    **_ROW_BLAS)
 
 
 @dataclass(frozen=True, slots=True)

@@ -153,25 +153,33 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
     return records
 
 
+_ascii = json.encoder.encode_basestring_ascii  # what json.dumps does with a str
+
+
 def dumps_record(value) -> str:
     # Hand-rolled emitter: the stdlib serializer offers no float-format hook,
     # and byte determinism needs one fixed 17-significant-digit rendering.
-    if isinstance(value, bool):
-        raise TypeError("fixture records carry no booleans")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
+    # Exact types first; bool, numpy scalars and subclasses take the isinstance route.
+    kind = type(value)
+    if kind is float:
         if not math.isfinite(value):
             raise ValueError("fixture floats must be finite")
         return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(dumps_record(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{dumps_record(v)}"
-                              for k, v in value.items()) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([dumps_record(v) for v in value]) + "]"
+    if kind is dict:
+        return "{" + ",".join([f"{_ascii(str(k))}:{dumps_record(v)}"
+                               for k, v in value.items()]) + "}"
+    if kind is str:
+        return _ascii(value)
+    if kind is int:
+        return str(value)
+    if isinstance(value, bool):
+        raise TypeError("fixture records carry no booleans")
+    for kinds, plain in (((int, np.integer), int), ((float, np.floating), float), (str, str),
+                         ((list, tuple), list), (dict, dict)):
+        if isinstance(value, kinds):
+            return dumps_record(plain(value))
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 

@@ -22,7 +22,6 @@ from .core import (
     NORM_SLACK,
     Spinor,
     SpinorRotation,
-    angle_value,
     axis4,
     conjugate4,
     finite_angle,
@@ -83,32 +82,29 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
     magnitude is taken in the quotient form rho sqrt(1 / (2 (1 +- n3))),
     which does not cancel near the poles as sqrt((1 -+ n3)/2) does.
     """
-    return spinor_of(_psi_parts(finite_vector(n, "direction"), gamma))
+    return spinor_of(psi_parts(FLOATS, finite_vector(n, "direction"),
+                               finite_angle(gamma, "phase gamma")))
 
 
-def _psi_parts(v: np.ndarray, gamma) -> tuple:
-    """The real parts of psi_from_direction for a finite float 3-vector."""
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) >= NORM_SLACK:
+def psi_parts(xp, v: np.ndarray, gamma) -> tuple:
+    """The real parts of psi_from_direction for finite directions v, a 3-vector or an (n, 3)
+    stack, and finite phases gamma; |v| is np.linalg.norm's, the root of a BLAS dot."""
+    norm = xp.sqrt(xp.dot(v, v))
+    unit = abs(norm - 1.0) < NORM_SLACK
+    if unit is not True and not xp.all(unit):
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-    n1, n2, n3 = (v / norm).tolist()
-    requested = angle_value(gamma, "phase gamma")
-    if n1 == 0.0 and n2 == 0.0:
-        lift = requested
-    else:
-        principal = math.atan2(n2, n1)
-        partner = sheet_lift(principal, -1)
-        lift = principal
-        if _cover_distance(partner, requested) < _cover_distance(principal, requested):
-            lift = partner
-    rho = math.hypot(n1, n2)
-    if n3 >= 0.0:
-        upper = math.sqrt(0.5 * (1.0 + n3))
-        lower = rho * math.sqrt(0.5 / (1.0 + n3))
-    else:
-        lower = math.sqrt(0.5 * (1.0 - n3))
-        upper = rho * math.sqrt(0.5 / (1.0 - n3))
-    return polar(FLOATS, upper, lower, lift)
+    n1, n2, n3 = (part / norm for part in xp.parts(v))
+    requested = wrap_4pi(gamma)
+    principal = xp.atan2(n2, n1)
+    partner = sheet_lift(principal, -1)
+    closer = xp.where(_cover_distance(partner, requested) < _cover_distance(principal, requested),
+                      partner, principal)
+    lift = xp.where((n1 == 0.0) & (n2 == 0.0), requested, closer)
+    # 1 + |n3|: 1 + n3 on the upper half, 1 - n3 on the lower, the sum that does not cancel.
+    plus = 1.0 + abs(n3)
+    big, small = xp.sqrt(0.5 * plus), xp.hypot(n1, n2) * xp.sqrt(0.5 / plus)
+    upper = n3 >= 0.0
+    return polar(xp, xp.where(upper, big, small), xp.where(upper, small, big), lift)
 
 
 def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
@@ -205,11 +201,11 @@ def planar_chart(u: tuple, s, sign: int) -> tuple:
     return -(u1 * u4 - u2 * u3) / s, (u1 * u3 + u2 * u4) / s, 0.0
 
 
-def canonical_plus_rotation(n: np.ndarray) -> SpinorRotation:
-    """canonical_phase_plus(psi_from_direction(n)).rotation for a finite float
-    3-vector n, built without a Spinor or a CanonicalGauge on the way."""
-    u = unit4(FLOATS, *_psi_parts(n, 0.0), "canonical_phase_plus")
-    return SpinorRotation(*canonical4(FLOATS, u, 1)[2])
+def canonical_plus4(xp, n) -> tuple:
+    """The raw rotation of canonical_phase_plus(psi_from_direction(n)) for finite
+    directions n, a 3-vector or an (n, 3) stack."""
+    u = unit4(xp, *psi_parts(xp, n, 0.0), "canonical_phase_plus")
+    return canonical4(xp, u, 1)[2]
 
 
 def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:

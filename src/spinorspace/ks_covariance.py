@@ -26,8 +26,8 @@ from .core import (
     qmul,
     unit4,
 )
-from .gauge_fixing import canonical_plus_rotation
-from .rotation_algebra import so3_entries, so3_from_rotation, su2_real4
+from .gauge_fixing import canonical_plus4
+from .rotation_algebra import real4_entries, so3_entries
 
 DIRECTION_MATCH_TOLERANCE = 1e-9
 
@@ -109,7 +109,12 @@ def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
     Acts by the 4x4 orthogonal realization, equivalently by conjugating the
     hat of q with the rotation on the quaternion side.
     """
-    return KSQuadruple(*(su2_real4(rot) @ q.as_array()).tolist())
+    return KSQuadruple(*transport4(FLOATS, rot.as_tuple(), q.as_tuple()))
+
+
+def transport4(xp, c: tuple, q: tuple) -> tuple:
+    """su2_real4(c) @ q of left_transport, floats or columns: a BLAS mat-vec."""
+    return xp.parts(xp.matvec(xp.array(real4_entries(*c)), xp.array(q)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,18 +141,18 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     singular gauge and raises SingularGaugeError.
     """
     delta = finite_angle(delta, "frame delta")
-    u = unit_ks(FLOATS, q.as_tuple())
     a_vec = finite_vector(axis, "frame axis")
-    align = canonical_plus_rotation(a_vec)
-    turned = unit4(FLOATS, *qmul(unit4(FLOATS, *hat4(u)), axis4(FLOATS, delta)))
-    w_rot = unit4(FLOATS, *qmul(turned, align.as_tuple()))
-    return KSFrame(
-        w=KSQuadruple(*hat4(w_rot)),
-        direction=np.array(direction4(unit_ks(FLOATS, u))),
-        axis=a_vec,
-        delta=delta,
-        align=align,
-    )
+    align = SpinorRotation(*canonical_plus4(FLOATS, a_vec))
+    w, direction = frame4(FLOATS, q.as_tuple(), align.as_tuple(), delta)
+    return KSFrame(w=KSQuadruple(*w), direction=np.array(direction), axis=a_vec, delta=delta,
+                   align=align)
+
+
+def frame4(xp, q: tuple, align: tuple, delta) -> tuple:
+    """build_frame's frame quadruple w and direction of q, its unit align and its turn delta."""
+    u = unit_ks(xp, q)
+    turned = unit4(xp, *qmul(unit4(xp, *hat4(u)), axis4(xp, delta)))
+    return hat4(unit4(xp, *qmul(turned, align))), direction4(unit_ks(xp, u))
 
 
 def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> SpinorRotation:
@@ -183,8 +188,13 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
     n' = O(hat w) O(rot) O(hat w)^T n. With rot the frame's align rotation
     and n the frame direction, this lands on the direction of w itself.
     """
-    ow = np.array(so3_entries(*unit4(FLOATS, *hat4(unit_ks(FLOATS, w.as_tuple())))))
-    return ow @ (so3_from_rotation(rot) @ (ow.T @ finite_vector(n, "direction")))
+    return turned3(FLOATS, w.as_tuple(), rot.as_tuple(), finite_vector(n, "direction"))
+
+
+def turned3(xp, w: tuple, c: tuple, n: np.ndarray) -> np.ndarray:
+    """rotated_direction's O(hat w) O(c) O(hat w)^T n: three BLAS mat-vecs, n (3,) or (n, 3)."""
+    ow = xp.array(so3_entries(*unit4(xp, *hat4(unit_ks(xp, w)))))
+    return xp.matvec(ow, xp.matvec(xp.array(so3_entries(*c)), xp.matvec(ow.swapaxes(-1, -2), n)))
 
 
 __all__ = [

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    COLUMNS,
     FLOATS,
     KSQuadruple,
     Spinor,
@@ -23,7 +24,6 @@ from .core import (
     finite_angle,
     finite_vector,
     pow2_scaled,
-    pow2_shift,
     spinor_of,
 )
 from .spinor_maps import S_BRIDGE
@@ -37,14 +37,6 @@ PAULI = np.array([
 # Rotations within 1e-9 of a half turn have no vector parameter; reject them
 # rather than return an exploding quotient.
 VECTOR_PARAMETER_LIMIT = 1e-9
-
-
-def _cross_matrix(v) -> np.ndarray:
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
 
 
 def so3_from_rotation(rot: SpinorRotation) -> np.ndarray:
@@ -78,40 +70,42 @@ def vector_parameter_entries(xp, c4, c1, c2, c3) -> tuple:
     return c1 / c4, c2 / c4, c3 / c4
 
 
-def _chart_scaled(c: list) -> tuple:
-    """(t, C', t^2 + |C'|^2) for (t, C') = 2^k (1, C), the one scale of both charts.
-
-    k is 0 while every |C_i| < 2, so small C keeps every bit; otherwise 2^k
-    takes the largest entry into [1, 2), and the sum of squares cannot
-    overflow. Both charts are homogeneous in (1, C), so they are unchanged.
-    """
-    shift = pow2_shift((1.0, *c)) + 1
-    t, *scaled = (math.ldexp(v, shift) for v in (1.0, *c))
-    v = np.array(scaled)
-    return t, scaled, t * t + float(v @ v)
+def chart_scaled(xp, c1, c2, c3) -> tuple:
+    """(t, C', t^2 + |C'|^2) for (t, C') = 2^k (1, C), the one scale of both charts,
+    floats or columns; |C'|^2 is a BLAS dot. k is 0 while every |C_i| < 2, so small C
+    keeps every bit; otherwise 2^k takes the largest entry into [1, 2), and the sum of
+    squares cannot overflow. Both charts are homogeneous in (1, C), so they are unchanged."""
+    shift = xp.pow2_shift(1.0, c1, c2, c3) + 1
+    t, *scaled = (xp.ldexp(v, shift) for v in (1.0, c1, c2, c3))
+    v = xp.array(scaled)
+    return t, scaled, t * t + xp.dot(v, v)
 
 
 def rotation_from_vector_parameter(C) -> SpinorRotation:
-    """Inverse chart, fixing the c4 > 0 representative: c4 = 1 / sqrt(1 + |C|^2), c = c4 C.
+    """Inverse chart, fixing the c4 > 0 representative: c4 = 1 / sqrt(1 + |C|^2), c = c4 C."""
+    return SpinorRotation(*chart4(FLOATS, *finite_vector(C, "vector parameter").tolist()))
 
-    c4 is evaluated as t / sqrt(t^2 + |C'|^2) on the (t, C') of _chart_scaled.
-    """
-    c = finite_vector(C, "vector parameter").tolist()
-    t, _, norm_sq = _chart_scaled(c)
-    c4 = t / math.sqrt(norm_sq)
-    return SpinorRotation(c4, c4 * c[0], c4 * c[1], c4 * c[2])
+
+def chart4(xp, c1, c2, c3) -> tuple:
+    """The raw rotation of rotation_from_vector_parameter, floats or columns: c4 is
+    t / sqrt(t^2 + |C'|^2) on the (t, C') of chart_scaled."""
+    t, _, norm_sq = chart_scaled(xp, c1, c2, c3)
+    c4 = t / xp.sqrt(norm_sq)
+    return c4, c4 * c1, c4 * c2, c4 * c3
 
 
 def so3_from_vector_parameter(C) -> np.ndarray:
-    """O = I + 2 (K_C + K_C^2) / (1 + |C|^2), bypassing the unit quadruple.
+    """O = I + 2 (K_C + K_C^2) / (1 + |C|^2), bypassing the unit quadruple."""
+    return chart_so3(FLOATS, *finite_vector(C, "vector parameter").tolist())
 
-    Evaluated as I + 2 (t K_C' + K_C'^2) / (t^2 + |C'|^2) on the (t, C') of
-    _chart_scaled: the same matrix at every magnitude of C.
-    """
-    t, scaled, norm_sq = _chart_scaled(finite_vector(C, "vector parameter").tolist())
-    k = _cross_matrix(scaled)  # from floats: indexing an array costs more
+
+def chart_so3(xp, c1, c2, c3) -> np.ndarray:
+    """so3_from_vector_parameter of floats, or of columns as an (n, 3, 3) stack: I + 2 (t K'
+    + K'^2) / (t^2 + |C'|^2) on the (t, C') of chart_scaled, K'^2 a BLAS product."""
+    t, (k1, k2, k3), norm_sq = chart_scaled(xp, c1, c2, c3)
+    k = xp.array(((0.0, -k3, k2), (k3, 0.0, -k1), (-k2, k1, 0.0)))
     # 2 K' K', not 2 (K' K'): a subnormal C_i C_j keeps its last bit.
-    return np.eye(3) + (2.0 * t * k + (2.0 * k) @ k) / norm_sq
+    return np.eye(3) + (xp.each(2.0 * t) * k + xp.matmul(2.0 * k, k)) / xp.each(norm_sq)
 
 
 def extract_so3(matrix: np.ndarray) -> np.ndarray:
@@ -199,15 +193,16 @@ def elementary_so4(label: str, angle: float) -> np.ndarray:
     if label not in ELEMENTARY_PLANES:
         raise ValueError(
             f"unknown plane label {label!r}; valid labels: {sorted(ELEMENTARY_PLANES)}")
-    i, j = ELEMENTARY_PLANES[label]
+    return plane_so4(FLOATS, *ELEMENTARY_PLANES[label], finite_angle(angle, "plane angle"))
+
+
+def plane_so4(xp, i: int, j: int, angle) -> np.ndarray:
+    """elementary_so4 of the index pair (i, j) at an angle, or at a column of angles
+    as an (n, 4, 4) stack."""
     pi, pj = i % 4, j % 4  # positions in the (q4, q1, q2, q3) storage order
-    angle = finite_angle(angle, "plane angle")
-    c, s = math.cos(angle), math.sin(angle)
-    out = np.eye(4)
-    out[pi, pi] = c
-    out[pi, pj] = -s
-    out[pj, pi] = s
-    out[pj, pj] = c
+    c, s = xp.cos(angle), xp.sin(angle)
+    out = np.array(np.broadcast_to(np.eye(4), np.shape(angle) + (4, 4)))
+    out[..., (pi, pi, pj, pj), (pi, pj, pi, pj)] = np.stack([c, -s, s, c], axis=-1)
     return out
 
 
@@ -274,18 +269,29 @@ def s_outside_su2_image(target: np.ndarray | None = None) -> NonMembershipCertif
     if target is None:
         target = S_BRIDGE
     target = np.asarray(target, dtype=float)
-    basis = np.column_stack([np.ravel(real4_entries(*row)) for row in np.eye(4)])
-    fit, _, _, _ = np.linalg.lstsq(basis, target.ravel(), rcond=None)
-    residual = float(np.linalg.norm(basis @ fit - target.ravel()))
+    fit, residual = real4_fit(target)
     # Pattern entry (0, 2) reads +c2, entry (1, 3) reads -c2.
     return NonMembershipCertificate(
         target=target,
-        best_fit=fit,
-        residual=residual,
+        best_fit=fit[0],
+        residual=float(residual[0]),
         parameter="c2",
         witness_entries=((0, 2), (1, 3)),
         implied_values=(float(target[0, 2]), float(-target[1, 3])),
     )
+
+
+# The 16 entries of su2_real4 as a linear map of (c4, c1, c2, c3).
+_REAL4_BASIS = np.column_stack([np.ravel(real4_entries(*row)) for row in np.eye(4)])
+
+
+def real4_fit(targets: np.ndarray) -> tuple:
+    """The least-squares su2_real4 parameters (n, 4) and Frobenius residuals (n,) of a 4x4
+    target (n = 1) or a stack of n: one lstsq with n right-hand sides, each a single fit's."""
+    flat = np.reshape(targets, (-1, 16))
+    fit = np.ascontiguousarray(np.linalg.lstsq(_REAL4_BASIS, flat.T, rcond=None)[0].T)
+    gap = COLUMNS.matvec(np.broadcast_to(_REAL4_BASIS, (len(fit), 16, 4)), fit) - flat
+    return fit, np.sqrt(COLUMNS.dot(gap, gap))
 
 
 def rotation_from_axis_angle(axis, angle: float) -> SpinorRotation:

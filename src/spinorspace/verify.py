@@ -6,24 +6,20 @@ Each check is declared once, by its decorator `_check(suite, name, share,
 draw)`, and a suite runs its checks in that order. Each check draws all its
 inputs at once and reduces a chunk of samples at once.
 
-Most checks call the library's kernels on float64 columns (core.COLUMNS),
-which give every row the bits of the scalar function: the spinor_maps closed
-forms, the rotation products and matrices, the KS frame kernels and the
-gauges. Four checks and a part of a fifth stay per sample: they call the
-scalar API once per sample and stack what each sample observes into arrays
-(`_each`). They are vector_parameter_chart, s_no_su2_preimage,
-left_transport_routes, frame_defining_identities and the O(C) of
-canonical_gauges. Their scalar routes take BLAS-backed steps, such as the
-norm of a 3-vector as a dot, a least-squares fit and 3x3 or 4x4 matrix-vector
-products, whose bits columns cannot match. A report passes when every check
-lands under its threshold, and each check result carries its time.
+Every check calls the library's kernels on float64 columns (core.COLUMNS),
+which give every row the bits of the scalar function. Where the scalar route
+takes a BLAS or LAPACK step (the norm of a 3-vector as a dot, 3x3 and 4x4
+matrix products, a least-squares fit), the column route takes it as one stacked
+numpy call: numpy runs the BLAS kernel of a single call on each row of a
+C-contiguous stack, and lstsq with n right-hand sides fits each as it fits one.
+A report passes when every check lands under its threshold, and each check
+result carries its time.
 The fixture replay path reruns stored golden records through the
 constructors and holds them to the tolerance each record carries.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -34,12 +30,10 @@ from .core import (
     COLUMNS,
     MINUS_IDENTITY,
     KSQuadruple,
-    SpinorRotation,
     axis4,
-    compose,
     finite_angle,
     qmul,
-    su2_matrix,
+    stacked,
     su2_parts,
     unit4,
     wrap_4pi,
@@ -51,6 +45,7 @@ from .gauge_fixing import (
     canonical4,
     canonical_phase_minus,
     canonical_phase_plus,
+    canonical_plus4,
     gauge_plus4,
     planar_chart,
     psi_from_direction,
@@ -60,35 +55,31 @@ from .gauge_fixing import (
 from .ks_covariance import (
     build_frame,
     direction4,
-    direction_from_ks,
+    frame4,
     frame_symmetry,
-    hat,
     hat4,
-    ks_from_rotation,
-    left_transport,
     normalize_ks,
-    rotated_direction,
-    rotation_from_unit_ks,
     symmetry4,
+    transport4,
+    turned3,
     unit_ks,
 )
 from .rotation_algebra import (
     ELEMENTARY_PLANES,
     PAULI,
-    elementary_so4,
+    chart4,
+    chart_so3,
     extract_so3,
     linear_system_entries,
+    plane_so4,
     real4_entries,
+    real4_fit,
     rotated,
-    rotation_from_vector_parameter,
     s_factorization_check,
     s_matrix,
     s_outside_su2_image,
     so3_entries,
     so3_from_rotation,
-    so3_from_vector_parameter,
-    su2_real4,
-    vector_parameter,
     vector_parameter_entries,
 )
 from .spinor_maps import (
@@ -204,34 +195,14 @@ def _check(suite, name, share, draw):
     return register
 
 
-def _each(fn, *inputs):
-    """Call fn on each sample of a chunk and stack each of its outputs into one array.
-
-    Array inputs give their rows as Python values; lists pass as they are.
-    """
-    rows = zip(*(a.tolist() if isinstance(a, np.ndarray) else a for a in inputs))
-    return tuple(map(np.array, zip(*itertools.starmap(fn, rows))))
-
-
 def _quadruple(c1r, c1i, c2r, c2i) -> tuple:
     """quadruple_from_spinor on real parts: (q4, q1, q2, q3)."""
     return c2i, c1r, c1i, c2r
 
 
-def _rows(columns) -> np.ndarray:
-    """k columns of n entries (or constants) as n rows of k; xi's x, for one."""
-    return np.stack(np.broadcast_arrays(*columns), axis=-1)
-
-
-def _matrices(rows) -> np.ndarray:
-    """A matrix of n-entry columns, row by row, as n C-contiguous matrices: einsum's
-    bits depend on the layout, and a stack of the scalar API's matrices is C-contiguous."""
-    return np.stack([_rows(row) for row in rows], axis=1)
-
-
 def _su2(c) -> np.ndarray:
     """su2_matrix of each rotation of the columns c, shape (n, 2, 2)."""
-    return _matrices(su2_parts(*c)).view(complex)
+    return stacked(su2_parts(*c)).view(complex)
 
 
 def _rotation(c) -> tuple:
@@ -241,7 +212,7 @@ def _rotation(c) -> tuple:
 
 def _eta_rows(bilinears) -> np.ndarray:
     """The (a, x) columns of an eta projection as n rows of two 3-vectors, shape (n, 2, 3)."""
-    return _rows(bilinears).reshape(-1, 2, 3)
+    return stacked(bilinears).reshape(-1, 2, 3)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -304,7 +275,7 @@ def _check_construct_project(v, sheets):
     p = _eta_rows(eta_bilinears(COLUMNS, *eta))
     q4, q1, q2, q3 = _quadruple(*eta)
     norm_sq = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3  # as KSQuadruple.norm_sq adds them
-    x = _rows(x)
+    x = stacked(x)
     return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))),
                _worst([hopf_constraint(*_quadruple(*xi)), hopf_constraint(q4, q1, q2, q3)], 0.0),
                _worst(p[:, 1], v, 1), _hopf_norms(r, x, p[:, 1], p[:, 0], norm_sq))
@@ -322,7 +293,7 @@ def _hopf_norms(r, x, px, pa, norm_sq):
 def _check_hopf_norm_general(s):
     r, *x = xi_bilinears(COLUMNS, *s.T)
     p = _eta_rows(eta_bilinears(COLUMNS, *s.T))
-    return _hopf_norms(r, _rows(x), p[:, 1], p[:, 0], _dot(s, s))
+    return _hopf_norms(r, stacked(x), p[:, 1], p[:, 0], _dot(s, s))
 
 
 @_check("hopf", "eta_projection_dual_route", 0.1, _spinors)
@@ -359,7 +330,7 @@ def _check_coordinate_agreement(r, theta, phi):
 def _check_phase_invariance(s, alpha):
     r0, *x0 = xi_bilinears(COLUMNS, *s.T)
     r1, *x1 = xi_bilinears(COLUMNS, *phase_rotated(COLUMNS, alpha, *s.T))
-    return max(_worst(r0, r1), _worst(_rows(x0), _rows(x1), 1))
+    return max(_worst(r0, r1), _worst(stacked(x0), stacked(x1), 1))
 
 
 # ---------------------------------------------------------- covariance suite
@@ -369,23 +340,23 @@ def _check_xi_commuting_square(c, s):
     rot = _rotation(c.T)
     r0, *x0 = xi_bilinears(COLUMNS, *s.T)
     r1, *x1 = xi_bilinears(COLUMNS, *rotated(rot, *s.T))
-    o = _matrices(so3_entries(*rot))
-    return max(_worst(r0, r1), _worst(_rows(x1), _apply(o, _rows(x0)), 1))
+    o = stacked(so3_entries(*rot))
+    return max(_worst(r0, r1), _worst(stacked(x1), _apply(o, stacked(x0)), 1))
 
 
 @_check("covariance", "eta_commuting_square", 1.0, _unit_and_gaussian)
 def _check_eta_commuting_square(c, s):
     rot = _rotation(c.T)
-    o = _matrices(so3_entries(*rot))
+    o = stacked(so3_entries(*rot))
     p0, p1 = eta_bilinears(COLUMNS, *s.T), eta_bilinears(COLUMNS, *rotated(rot, *s.T))
-    return max(_worst(_rows(p1[3:]), _apply(o, _rows(p0[3:])), 1),
-               _worst(_rows(p1[:3]), _apply(o, _rows(p0[:3])), 1))
+    return max(_worst(stacked(p1[3:]), _apply(o, stacked(p0[3:])), 1),
+               _worst(stacked(p1[:3]), _apply(o, stacked(p0[:3])), 1))
 
 
 @_check("covariance", "so3_extraction_orthogonality", 1.0, _units)
 def _check_so3_extraction(c):
     rot = _rotation(c.T)
-    o = _matrices(so3_entries(*rot))  # closed form; trace extraction below
+    o = stacked(so3_entries(*rot))  # closed form; trace extraction below
     return max(_worst(extract_so3(_su2(rot)), o, (1, 2)), _worst(np.linalg.det(o), 1.0),
                _worst(np.einsum("nki,nkj->nij", o, o), np.eye(3), (1, 2)))
 
@@ -393,11 +364,10 @@ def _check_so3_extraction(c):
 @_check("covariance", "vector_parameter_chart", 0.5,
         lambda rng, n: (rng.normal(size=(n, 3)) * 1.5,))
 def _check_vector_parameter_chart(c_vec):
-    def chart(row):  # C back, O from C directly, O through the quadruple
-        rot = rotation_from_vector_parameter(row)
-        return vector_parameter(rot), so3_from_vector_parameter(row), so3_from_rotation(rot)
-    back, direct, via = _each(chart, c_vec)
-    return max(_worst(back, c_vec, 1), _worst(direct, via, (1, 2)))
+    # C back, then O from C directly against O through the quadruple.
+    rot = _rotation(chart4(COLUMNS, *c_vec.T))
+    return max(_worst(stacked(vector_parameter_entries(COLUMNS, *rot)), c_vec, 1),
+               _worst(chart_so3(COLUMNS, *c_vec.T), stacked(so3_entries(*rot)), (1, 2)))
 
 
 @_check("covariance", "rotation_homomorphisms", 1.0, _two_units)
@@ -405,8 +375,8 @@ def _check_so4_homomorphism(c1, c2):
     # su2_real4, then so3_from_rotation, of c1, c2 and c1 c2
     r1, r2 = _rotation(c1.T), _rotation(c2.T)
     rots = (r1, r2, _rotation(qmul(r1, r2)))
-    m1, m2, m12 = (_matrices(real4_entries(*r)) for r in rots)
-    o1, o2, o12 = (_matrices(so3_entries(*r)) for r in rots)
+    m1, m2, m12 = (stacked(real4_entries(*r)) for r in rots)
+    o1, o2, o12 = (stacked(so3_entries(*r)) for r in rots)
     return max(_worst(m12, m1 @ m2, (1, 2)),
                _worst(np.einsum("nki,nkj->nij", m1, m1), np.eye(4), (1, 2)),
                _worst(o12, o1 @ o2, (1, 2)))
@@ -417,7 +387,7 @@ def _check_quadruple_spinor_conjugacy(c, q):
     rot = _rotation(c.T)
     q4, q1, q2, q3 = q.T  # spinor_from_quadruple: c1 = q1 + i q2, c2 = q3 + i q4
     moved = _quadruple(*rotated(rot, q1, q2, q3, q4))
-    return _worst(_apply(_matrices(real4_entries(*rot)), q), _rows(moved), 1)
+    return _worst(_apply(stacked(real4_entries(*rot)), q), stacked(moved), 1)
 
 
 # ----------------------------------------------------------------- so4 suite
@@ -429,11 +399,8 @@ def _check_bridge_involution(s):
 
 @_check("so4", "bridge_quadruple_route", 1.0, _spinors)
 def _check_bridge_quadruple_route(s):  # S U against the quadruple of eta_from_xi
-    return _worst(_rows(u_to_v_entries(*_quadruple(*s.T))),
-                  _rows(_quadruple(*eta_of_xi(*s.T))), 1)
-
-
-_PLANE_LABELS = tuple(ELEMENTARY_PLANES)
+    return _worst(stacked(u_to_v_entries(*_quadruple(*s.T))),
+                  stacked(_quadruple(*eta_of_xi(*s.T))), 1)
 
 
 # The fixed S properties are the same in every chunk, so the max is unchanged.
@@ -441,8 +408,9 @@ _PLANE_LABELS = tuple(ELEMENTARY_PLANES)
 def _check_s_properties(u):
     s = s_matrix()
     scan = s_factorization_check()
-    e = np.array([elementary_so4(_PLANE_LABELS[min(int(6.0 * ub), 5)], 2.0 * math.pi * ua - math.pi)
-                  for ua, ub in u.tolist()])
+    plane, angle = np.minimum((6.0 * u[:, 1]).astype(int), 5), 2.0 * math.pi * u[:, 0] - math.pi
+    e = np.concatenate([plane_so4(COLUMNS, *pair, angle[plane == k])
+                        for k, pair in enumerate(ELEMENTARY_PLANES.values())])
     return max(_worst((s.T @ s)[None], np.eye(4), (1, 2)), _worst(np.linalg.det(s), 1.0),
                scan.best_residual, _worst(scan.best_angles, math.pi / 4.0),
                _worst(np.einsum("nki,nkj->nij", e, e), np.eye(4), (1, 2)),
@@ -452,11 +420,7 @@ def _check_s_properties(u):
 @_check("so4", "s_no_su2_preimage", 0.02, _units)
 def _check_s_non_membership(c):
     cert = s_outside_su2_image()
-
-    def refit(crow):
-        fit = s_outside_su2_image(su2_real4(SpinorRotation(*crow)))
-        return fit.best_fit, fit.residual
-    fitted, residual = _each(refit, c)
+    fitted, residual = real4_fit(stacked(real4_entries(*_rotation(c.T))))
     # The fit gap has a closed-form value sqrt(2); landing there implies the
     # certificate's ">0.1" margin with room to spare, which a fail reports as inf.
     gap = _worst(cert.residual, math.sqrt(2.0)) if cert.residual > 0.1 else math.inf
@@ -479,7 +443,7 @@ def _check_double_cover(u, s):
     # (r, x) at phi and phi + 2pi: (builder, lift, r x1 x2 x3, sample).
     proj = np.array([[xi_bilinears(COLUMNS, *row) for row in lift[:2]] for lift in lifts])
     flips = [cartesian_columns(xi_cartesian, *(4.0 * u[:, 3:] - 2.0).T, sheet) for sheet in (1, -1)]
-    turned = _rows(rotated(MINUS_IDENTITY.as_tuple(), *s.T))
+    turned = stacked(rotated(MINUS_IDENTITY.as_tuple(), *s.T))
     return max(_worst(lifts[:, 1], -lifts[:, 0]), _worst(lifts[:, 2], lifts[:, 0]),
                _worst(proj[:, 0, 0], proj[:, 1, 0]), _worst(proj[:, 0, 1:], proj[:, 1, 1:], 1),
                _worst(flips[1], -flips[0]), _worst(turned, -s),
@@ -492,7 +456,7 @@ def _check_cartan_reflection(g):
     reflected = cartan_reflected(np.where(g[:, 4] < 0.0, -1.0, 1.0), *s)
     (r0, *x0), (r1, *x1) = xi_bilinears(COLUMNS, *s), xi_bilinears(COLUMNS, *reflected)
     p0, p1 = _eta_rows(eta_bilinears(COLUMNS, *s)), _eta_rows(eta_bilinears(COLUMNS, *reflected))
-    return max(_worst(r0, r1), _worst(_rows(x0), _rows(x1), 1), _worst(p1, -p0, 2))
+    return max(_worst(r0, r1), _worst(stacked(x0), stacked(x1), 1), _worst(p1, -p0, 2))
 
 
 # ------------------------------------------------------------------ ks suite
@@ -500,23 +464,21 @@ def _check_cartan_reflection(g):
 @_check("ks", "direction_vs_matrix_hat", 1.0, _units)
 def _check_direction_matrix(u):
     q = tuple(u.T)
-    n = _rows(direction4(unit_ks(COLUMNS, q)))
+    n = stacked(direction4(unit_ks(COLUMNS, q)))
     # The third column of O(hat u), and hat(hat(u)).
-    column = _rows([row[2] for row in so3_entries(*_rotation(hat4(q)))])
-    return max(_worst(n, -column, 1), _worst(_dot(n, n), 1.0), _worst(_rows(hat4(hat4(q))), u, 1))
+    column = stacked([row[2] for row in so3_entries(*_rotation(hat4(q)))])
+    return max(_worst(n, -column, 1), _worst(_dot(n, n), 1.0), _worst(stacked(hat4(hat4(q))), u, 1))
 
 
 @_check("ks", "left_transport_routes", 0.3, _two_units)
 def _check_left_transport(c, u):
-    def routes(crow, urow):
-        rot, q = SpinorRotation(*crow), KSQuadruple(*urow)
-        moved = left_transport(rot, q)
-        product = hat(ks_from_rotation(compose(rot, rotation_from_unit_ks(hat(q)))))
-        return (moved.as_tuple(), product.as_tuple(), direction_from_ks(moved),
-                direction_from_ks(q), so3_from_rotation(rot))
-    moved, product, n_moved, n, o = _each(routes, c, u)
+    rot, q = _rotation(c.T), tuple(u.T)
+    moved = transport4(COLUMNS, rot, q)
+    n_moved, n = (stacked(direction4(unit_ks(COLUMNS, p))) for p in (moved, q))
+    # The 4x4 action against hat(rot hat(q)), on the quaternion side.
+    moved, product = stacked(moved), stacked(hat4(_rotation(qmul(rot, _rotation(hat4(q))))))
     return max(_worst(moved, product, 1), _worst(_dot(moved, moved), _dot(u, u)),
-               _worst(n_moved, _apply(o, n), 1))
+               _worst(n_moved, _apply(stacked(so3_entries(*rot)), n), 1))
 
 
 def _frame_draw(rng, n):
@@ -532,13 +494,12 @@ def _frame_draw(rng, n):
 
 @_check("ks", "frame_defining_identities", 0.1, _frame_draw)
 def _check_frame_identities(u, axes, delta):
-    def frame_of(urow, axis, turn):  # B(hat w), O(hat w), n, rotated n', direction of w
-        frame = build_frame(KSQuadruple(*urow), axis, turn)
-        w_rot = rotation_from_unit_ks(hat(frame.w))
-        return (su2_matrix(w_rot), so3_from_rotation(w_rot), frame.direction,
-                rotated_direction(frame.w, frame.align, frame.direction),
-                direction_from_ks(frame.w))
-    b_w, o_w, n, n_prime, n_w = _each(frame_of, u, axes, delta)
+    align = _rotation(canonical_plus4(COLUMNS, axes))
+    w, n = frame4(COLUMNS, tuple(u.T), align, delta)
+    w_rot = _rotation(hat4(w))
+    # B(hat w), O(hat w), n, rotated n', direction of w
+    b_w, o_w, n = _su2(w_rot), stacked(so3_entries(*w_rot)), stacked(n)
+    n_prime, n_w = turned3(COLUMNS, w, align, n), stacked(direction4(unit_ks(COLUMNS, w)))
     third = np.broadcast_to(PAULI[2], b_w.shape)
     return max(_worst(_conjugate(b_w, _sigma(axes)), (-_sigma(n)).view(float), (1, 2)),
                _worst(axes, -np.einsum("nkl,nk->nl", o_w, n), 1),
@@ -554,10 +515,10 @@ def _check_frame_symmetry(u, angles):  # angles: the partner's turn beta, the fr
     beta, delta = angles.T
     partner = hat4(_rotation(qmul(u_rot, axis4(COLUMNS, beta))))
     c = _rotation(symmetry4(COLUMNS, q, partner, delta))
-    n = _rows(direction4(unit_ks(COLUMNS, q)))
+    n = stacked(direction4(unit_ks(COLUMNS, q)))
     # B(c) B(hat u) D(delta) against B(hat w)
     lhs = _su2(c) @ _su2(u_rot) @ _su2(axis4(COLUMNS, delta))
-    return max(_worst(_apply(_matrices(so3_entries(*c)), n), n, 1),
+    return max(_worst(_apply(stacked(so3_entries(*c)), n), n, 1),
                _worst(lhs.view(float), _su2(_rotation(hat4(partner))).view(float), (1, 2)))
 
 
@@ -599,7 +560,7 @@ _check("ks", "singular_error_paths", 0.0, lambda rng, n: (_FRAME_ERRORS,))(_all_
 def _check_gauge_postconditions(psi, phase):
     u = unit4(COLUMNS, *psi.T, "gauge_plus")
     # B(gauge) psi for the (+) gauge, then the (-) gauge: shape (n, 2, 4).
-    out = np.stack([_rows(rotated(_rotation(gauge_plus4(COLUMNS, w, phase)), *psi.T))
+    out = np.stack([stacked(rotated(_rotation(gauge_plus4(COLUMNS, w, phase)), *psi.T))
                     for w in (u, swap4(u))], axis=1)
     want = np.zeros((len(phase), 2, 2), dtype=complex)
     want[:, 0, 0] = np.exp(-0.5j * phase)
@@ -620,17 +581,16 @@ def _check_canonical_gauges(psi):
     # must vanish and its vector parameter must be C.
     gauges = [(canonical4(COLUMNS, u, sign), sign) for sign in (1, -1)]
     rotations = [_rotation(rotation) for (_, _, rotation), _ in gauges]
-    c_vec = np.stack([_rows(planar_chart(u, s, sign)) for (s, _, _), sign in gauges], axis=1)
-    back = np.stack([_rows(vector_parameter_entries(COLUMNS, *r)) for r in rotations], axis=1)
-    # Per sample: O(C) takes the norm of C as a BLAS dot.
-    (o,) = _each(lambda pair: ([so3_from_vector_parameter(c) for c in pair],), c_vec)
+    c_vec = np.stack([stacked(planar_chart(u, s, sign)) for (s, _, _), sign in gauges], axis=1)
+    back = np.stack([stacked(vector_parameter_entries(COLUMNS, *r)) for r in rotations], axis=1)
+    o = np.stack([chart_so3(COLUMNS, *c_vec[:, i].T) for i in (0, 1)], axis=1)
     r, *x = xi_bilinears(COLUMNS, *psi.T)
-    n = _rows(x) / r[:, None]
+    n = stacked(x) / r[:, None]
     pole = np.array([0.0, 0.0, 1.0])
     cp, cm = _dot(c_vec[:, 0], c_vec[:, 0]), _dot(c_vec[:, 1], c_vec[:, 1])
     # |C|^2 weighted by the component masses is pole-safe where the raw
     # tan(theta/2) magnitude check is not, and covers the full sphere.
-    worst = max(_worst(_rows([r[3] for r in rotations]), 0.0),
+    worst = max(_worst(stacked([r[3] for r in rotations]), 0.0),
                 _worst(_apply(o[:, 0], n), pole, 1), _worst(_apply(o[:, 1], n), -pole, 1),
                 _worst(cp * s_plus, s_minus), _worst(cm * s_minus, s_plus))
     theta = np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2])
@@ -649,17 +609,17 @@ def _check_rotation_between(psi, c):
     target = rotated(planted, *psi.T)
     found = _rotation(between4(COLUMNS, unit4(COLUMNS, *psi.T, "rotation_between"),
                                unit4(COLUMNS, *target, "rotation_between")))
-    got, want = _rows(found), _rows(planted)
+    got, want = stacked(found), stacked(planted)
     # Either sign of the planted parameters is the same rotation. Take the one
     # with positive overlap: in a pass it is the nearer sign; a fail can only grow.
     want = want * np.where(_dot(got, want) < 0.0, -1.0, 1.0)[:, None]
-    return max(_worst(got, want, 1), _worst(_rows(rotated(found, *psi.T)), _rows(target)))
+    return max(_worst(got, want, 1), _worst(stacked(rotated(found, *psi.T)), stacked(target)))
 
 
 @_check("gauge", "stabilizer_exact_identity", 0.1, _units)
 def _check_stabilizer(psi):
-    q = _rows(_quadruple(*psi.T))
-    g = _matrices(linear_system_entries(*q.T))
+    q = stacked(_quadruple(*psi.T))
+    g = stacked(linear_system_entries(*q.T))
     # stabilizer_check returns the exact +-identity where its solve lands within 1e-9.
     landed = [_worst(stabilizer_solve(g, q[:, :, None], sign)[:, :, 0], [sign, 0.0, 0.0, 0.0], 1)
               for sign in (1, -1)]
@@ -672,7 +632,7 @@ def _check_circle_contrast(sweep):
     # The vector-level small group of the pole is a full circle, the
     # spinor-level one a single point of the sweep.
     rot = axis4(COLUMNS, sweep)  # axis_phase of each angle
-    moved = _rows(rotated(rot, 1.0, 0.0, 0.0, 0.0)).view(complex)  # B psi for psi = (1, 0)
+    moved = stacked(rotated(rot, 1.0, 0.0, 0.0, 0.0)).view(complex)  # B psi for psi = (1, 0)
     fixing = np.count_nonzero(np.all(np.abs(moved - [1.0, 0.0]) <= 1e-12, axis=1))
     o = extract_so3(_su2(rot))
     return _worst(o[:, :, 2], np.array([0.0, 0.0, 1.0]), 1) if fixing == 1 else math.inf

@@ -2,7 +2,8 @@
 
 Each kernel runs on Python floats behind the scalar API and on float64 columns
 in the verification suites. Every row of a column call must have the bits of
-the scalar function on that row, signs of zeros included.
+the scalar function on that row, signs of zeros included. That holds for the
+kernels that take a BLAS or LAPACK step too, which take it on stacks.
 """
 
 import math
@@ -12,36 +13,45 @@ import pytest
 
 import oracles
 from spinorspace import (
+    VECTOR_PARAMETER_LIMIT,
     KSQuadruple,
     SingularGaugeError,
     Spinor,
     SpinorRotation,
     axis_phase,
+    build_frame,
     canonical_phase_minus,
     canonical_phase_plus,
     compose,
     conjugate,
     direction_from_ks,
+    elementary_so4,
     extract_so3,
     frame_symmetry,
     gauge_minus,
     gauge_plus,
     hat,
     ks_from_rotation,
+    left_transport,
     normalize_ks,
     psi_from_direction,
     rotate_spinor,
+    rotated_direction,
     rotation_between,
     rotation_from_unit_ks,
+    rotation_from_vector_parameter,
+    s_outside_su2_image,
     so3_from_rotation,
+    so3_from_vector_parameter,
     su2_matrix,
     su2_real4,
     vector_parameter,
+    verify,
 )
 from spinorspace import gauge_fixing as gf
 from spinorspace import ks_covariance as ks
 from spinorspace import rotation_algebra as ra
-from spinorspace.core import COLUMNS, axis4, conjugate4, qmul, su2_parts, unit4
+from spinorspace.core import COLUMNS, axis4, conjugate4, qmul, stacked, su2_parts, unit4
 
 rows_equal = oracles.assert_rows_equal
 
@@ -126,6 +136,13 @@ def test_stacked_extraction_and_solve_keep_the_single_bits():
                    [np.linalg.solve(m, float(sign) * row) for m, row in zip(g, q)])
 
 
+def test_plane_rotation_columns_keep_the_scalar_bits():
+    angle = _phases(np.random.default_rng(76), 400)
+    for label, pair in ra.ELEMENTARY_PLANES.items():
+        rows_equal(ra.plane_so4(COLUMNS, *pair, angle).reshape(-1, 16).T,
+                   [elementary_so4(label, a).ravel() for a in angle.tolist()])
+
+
 def _quadruples(rng):
     """Unit rows, Gaussian rows, rows whose squares leave the normal range or
     overflow, and signed zeros."""
@@ -199,3 +216,130 @@ def test_canonical_gauge_columns_keep_the_scalar_bits(sign, scalar):
                 *unit4(COLUMNS, *rotation)), rows)
     with pytest.raises(SingularGaugeError):
         gf.canonical4(COLUMNS, unit4(COLUMNS, *psi.T), sign)
+
+
+def _chart_rows(rng):
+    """Vector parameters: Gaussian, on both sides of the pow2_shift boundary |C_i| = 2,
+    tiny (1e-300 and subnormal) and huge (1e150), with signed zeros, and |C| from 3e8
+    to 3e9, where c4 crosses the limit of the vector parameter."""
+    edge = np.array([2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 4.0), 0.0, -0.0])
+    boundary = rng.choice(edge, size=(100, 3)) * rng.choice([-1.0, 1.0], size=(100, 3))
+    tiny = rng.normal(size=(60, 3)) * np.array([[1e-300], [5e-324]]).repeat(30, axis=0)
+    zeros = [[a, b, c] for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0, 1.5)]
+    g = rng.normal(size=(100, 3))
+    g /= np.sqrt(np.sum(g * g, axis=1, keepdims=True))
+    limit = g * 10.0 ** rng.uniform(8.5, 9.5, (100, 1))
+    return np.concatenate([rng.normal(size=(300, 3)) * 1.5, boundary, tiny,
+                           rng.normal(size=(60, 3)) * 1e150, zeros, limit])
+
+
+def test_vector_parameter_charts_keep_the_scalar_bits():
+    c = _chart_rows(np.random.default_rng(71))
+    rows = c.tolist()
+    rot = unit4(COLUMNS, *ra.chart4(COLUMNS, *c.T))
+    rows_equal(rot, [rotation_from_vector_parameter(v).as_tuple() for v in rows])
+    rows_equal(ra.chart_so3(COLUMNS, *c.T).reshape(-1, 9).T,
+               [so3_from_vector_parameter(v).ravel() for v in rows])
+    # Back to C where the rotation is on the chart; the rows past its limit raise.
+    chart = np.abs(rot[0]) >= VECTOR_PARAMETER_LIMIT
+    assert 0 < chart.sum() < len(c)
+    rows_equal(ra.vector_parameter_entries(COLUMNS, *(part[chart] for part in rot)),
+               [vector_parameter(rotation_from_vector_parameter(v))
+                for v, keep in zip(rows, chart) if keep])
+    with pytest.raises(ValueError, match="half turn"):
+        ra.vector_parameter_entries(COLUMNS, *rot)
+
+
+def _directions(rng):
+    """oracles.hard_directions, then the poles with every sign of zero."""
+    zeros = (0.0, -0.0)
+    return np.array(oracles.hard_directions(rng, 600)
+                    + [[a, b, c] for a in zeros for b in zeros for c in (1.0, -1.0)])
+
+
+def test_direction_spinor_columns_keep_the_scalar_bits():
+    rng = np.random.default_rng(72)
+    n = _directions(rng)
+    gamma = _phases(rng, len(n))
+    rows_equal(gf.psi_parts(COLUMNS, n, gamma),
+               [_parts(psi_from_direction(v, g)) for v, g in zip(n, gamma.tolist())])
+    with pytest.raises(ValueError, match="unit vector"):
+        gf.psi_parts(COLUMNS, n * np.linspace(1.0, 2.0, len(n))[:, None], gamma)
+
+
+def test_frame_columns_keep_the_scalar_bits():
+    rng = np.random.default_rng(73)
+    q = _quadruples(rng)
+    axes, delta = _directions(rng), _phases(rng, len(q))
+    axes = axes[rng.integers(0, len(axes), len(q))]
+    frames, kept = [], []
+    for i, (row, axis, turn) in enumerate(zip(q.tolist(), axes, delta.tolist())):
+        try:
+            frames.append(build_frame(KSQuadruple(*row), axis, turn))
+        except SingularGaugeError:  # the axes at the south pole
+            continue
+        kept.append(i)
+    assert len(kept) > len(q) // 2
+    align = unit4(COLUMNS, *gf.canonical_plus4(COLUMNS, axes[kept]))
+    with np.errstate(over="ignore", under="ignore"):  # the rows rescaled after
+        w, n = ks.frame4(COLUMNS, tuple(q[kept].T), align, delta[kept])
+    rows_equal(align, [f.align.as_tuple() for f in frames])
+    rows_equal(w, [f.w.as_tuple() for f in frames])
+    rows_equal(n, [f.direction for f in frames])
+    with pytest.raises(SingularGaugeError):
+        gf.canonical_plus4(COLUMNS, axes)
+
+
+def test_transport_columns_keep_the_scalar_bits():
+    rng = np.random.default_rng(74)
+    c = _unit_rows(rng)
+    # Tiny to huge quadruples, subnormal entries included, short of overflow.
+    q = np.ldexp(rng.normal(size=(len(c), 4)), rng.integers(-1074, 1000, size=(len(c), 1)))
+    v = rng.normal(size=(len(c), 3)) * 10.0 ** rng.uniform(-200.0, 200.0, (len(c), 1))
+    rots = [SpinorRotation(*row) for row in c.tolist()]
+    quads = [KSQuadruple(*row) for row in q.tolist()]
+    rot = unit4(COLUMNS, *c.T)
+    rows_equal(ks.transport4(COLUMNS, rot, tuple(q.T)),
+               [left_transport(r, t).as_tuple() for r, t in zip(rots, quads)])
+    with np.errstate(over="ignore", under="ignore"):  # the rows rescaled after
+        turned = ks.turned3(COLUMNS, tuple(q.T), rot, v)
+    rows_equal(turned.T, [rotated_direction(t, r, d) for t, r, d in zip(quads, rots, v)])
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_stacked_fit_keeps_the_single_fit_bits(seed):
+    # The rotations that s_no_su2_preimage draws at 10^5 samples, fitted a chunk at
+    # a time as the check fits them, against one lstsq per sample as the
+    # certificate of a single target once took it.
+    suite = verify._SUITES["so4"]
+    index = [name for name, *_ in suite].index("s_no_su2_preimage")
+    _, share, draw, _ = suite[index]
+    (c,) = draw(np.random.default_rng([seed, index]), int(100_000 * share))
+    basis = np.column_stack([np.ravel(ra.real4_entries(*row)) for row in np.eye(4)])
+    for start in range(0, len(c), verify._CHUNK):
+        chunk = c[start:start + verify._CHUNK]
+        fit, residual = ra.real4_fit(stacked(ra.real4_entries(*unit4(COLUMNS, *chunk.T))))
+        single = []
+        for row in chunk.tolist():
+            target = su2_real4(SpinorRotation(*row)).ravel()
+            best = np.linalg.lstsq(basis, target, rcond=None)[0]
+            single.append((*best, float(np.linalg.norm(basis @ best - target))))
+        rows_equal((*fit.T, residual), single)
+        cert = [s_outside_su2_image(su2_real4(SpinorRotation(*row))) for row in chunk.tolist()]
+        rows_equal((*fit.T, residual), [(*t.best_fit, t.residual) for t in cert])
+
+
+def test_stacks_are_c_contiguous():
+    rng = np.random.default_rng(75)
+    g = rng.normal(size=(40, 8))
+    columns = tuple(g[:, ::2].T)  # strided columns, as the draws' .T gives them
+    for parts, shape in ((columns, (40, 4)), (columns[:3], (40, 3)),
+                         (ra.so3_entries(*columns), (40, 3, 3)),
+                         (ra.real4_entries(*columns), (40, 4, 4)),
+                         (((0.0, columns[0]), (columns[1], 1.0)), (40, 2, 2))):
+        stack = stacked(parts)
+        assert stack.shape == shape and stack.flags.c_contiguous
+    # Each row of a stack holds its columns' entries.
+    assert (stacked(columns) == g[:, ::2]).all()
+    assert (COLUMNS.parts(stacked(ra.so3_entries(*columns)))
+            == np.array(ra.so3_entries(*columns))).all()

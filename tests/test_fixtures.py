@@ -85,6 +85,24 @@ def test_dumps_record_rejects_bad_values():
         dumps_record({"bad": object()})
 
 
+def test_dumps_record_gives_subclasses_and_numpy_scalars_the_same_bytes():
+    class Name(str):
+        pass
+
+    class Row(list):
+        pass
+
+    plain = {"a": [1.5, -0.0, 7, "\u00e9\n\"x"], "b": (2, 3.25)}
+    mixed = {Name("a"): Row([np.float64(1.5), np.float64(-0.0), np.int64(7), Name("\u00e9\n\"x")]),
+             "b": (np.int32(2), np.float32(3.25))}
+    want = '{"a":[1.5,-0,7,' + json.dumps("\u00e9\n\"x") + '],"b":[2,3.25]}'
+    assert dumps_record(plain) == dumps_record(mixed) == want
+    with pytest.raises(ValueError):
+        dumps_record([np.float64("nan")])
+    with pytest.raises(TypeError):
+        dumps_record([np.bool_(True)])
+
+
 def test_write_load_round_trip(tmp_path):
     records = generate_fixtures(21, seed=5)
     path = tmp_path / "fixtures.jsonl"

@@ -28,7 +28,8 @@ from spinorspace import (
     vector_parameter,
 )
 from spinorspace import gauge_fixing
-from spinorspace.gauge_fixing import SINGULAR_WEIGHT, canonical_plus_rotation
+from spinorspace.core import FLOATS
+from spinorspace.gauge_fixing import SINGULAR_WEIGHT, canonical_plus4
 
 INV_SQRT2 = math.sqrt(0.5)
 POLE = np.array([0.0, 0.0, 1.0])
@@ -121,7 +122,7 @@ def _direction_bits(directions, gammas):
     out = []
     for n in directions:
         try:
-            out.append([v.hex() for v in canonical_plus_rotation(n).as_tuple()])
+            out.append([v.hex() for v in SpinorRotation(*canonical_plus4(FLOATS, n)).as_tuple()])
         except SingularGaugeError as error:
             out.append(str(error))
         for gamma in gammas:

@@ -650,7 +650,8 @@ def test_projections_past_the_double_range_name_input_and_limit():
         assert "double range" in message and "1.8e308" in message
 
 
-_INEXACT = {"np.arctan2", "np.hypot", "np.exp", "np.linalg.norm", "np.matmul"}
+_INEXACT = {"np.arctan2", "np.hypot", "np.exp", "np.linalg.norm", "np.linalg.lstsq", "np.matmul",
+            "np.dot", "np.einsum"}
 
 
 def _dotted(node):
@@ -681,26 +682,32 @@ def _is_complex_dtype(node):
 
 
 # The column code outside spinor_maps: core's kernels and its COLUMNS namespace,
-# and the kernels of rotation_algebra, ks_covariance and gauge_fixing.
+# and the kernels of rotation_algebra, ks_covariance and gauge_fixing. Their BLAS
+# and LAPACK steps are named functions outside this set: the namespaces' dot,
+# matvec and matmul, and rotation_algebra.real4_fit.
 _KERNELS = (core.unit4, core.qmul, core.axis4, core.conjugate4, core.su2_parts, core.polar,
-            ra.so3_entries, ra.real4_entries, ra.linear_system_entries,
-            ra.vector_parameter_entries, ra.rotated, ks.unit_ks, ks.hat4, ks.direction4,
-            ks.symmetry4, gf.gauge_plus4, gf.swap4, gf.canonical4, gf.planar_chart,
-            gf.between4, gf.stabilizer_solve)
+            core.stacked, ra.so3_entries, ra.real4_entries, ra.linear_system_entries,
+            ra.vector_parameter_entries, ra.chart_scaled, ra.chart4, ra.chart_so3, ra.plane_so4,
+            ra.rotated,
+            ks.unit_ks, ks.hat4, ks.direction4, ks.symmetry4, ks.transport4, ks.frame4,
+            ks.turned3, gf.psi_parts, gf.gauge_plus4, gf.swap4, gf.canonical4, gf.canonical_plus4,
+            gf.planar_chart, gf.between4, gf.stabilizer_solve)
 
 
 def _column_code():
     core_tree = ast.parse(Path(core.__file__).read_text())
     namespace = [ast.unparse(n) for n in core_tree.body if isinstance(n, ast.Assign)
-                 and {"COLUMNS", "_atan2"} & {_dotted(target) for target in n.targets}]
-    assert len(namespace) == 2
+                 and {"COLUMNS", "_atan2", "_hypot"} & {_dotted(target) for target in n.targets}]
+    assert len(namespace) == 3
     return "\n".join([Path(sm.__file__).read_text(), *namespace,
                       *(inspect.getsource(kernel) for kernel in _KERNELS)])
 
 
 def test_column_code_keeps_to_exact_operations():
-    # numpy's atan2, hypot, exp, norm, matmul and complex products differ from
-    # Python's in the last bits, so columns would not keep the scalar API's bits.
+    # numpy's atan2, hypot, exp and complex products differ from Python's in the
+    # last bits, and einsum and written-out sums from BLAS. A kernel takes its BLAS
+    # steps through its namespace, which stacks them on columns, and calls no dot,
+    # matmul, norm or lstsq of its own: columns would not keep the scalar API's bits.
     tree = ast.parse(_column_code())
     assert sorted({_dotted(n) for n in ast.walk(tree)} & _INEXACT) == []
     assert [ast.unparse(n) for n in ast.walk(tree)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from spinorspace import KSQuadruple, Spinor, normalize_ks, run_suite, scaled_residual, verify
+from spinorspace import (KSQuadruple, SingularGaugeError, SpinorRotation, build_frame,
+                         direction_from_ks, normalize_ks, run_suite, scaled_residual, verify)
 from spinorspace.verify import SUITE_NAMES, _worst
 
 # (suite, check, samples at 10^4, samples at 10^3); every threshold is the
@@ -81,41 +82,31 @@ def test_worst_fails_on_nan():
     assert _worst(np.array([0.0, math.nan]), 0.0) == math.inf
 
 
-def test_each_stacks_every_output_position():
-    def observe(x, v, label):
-        m = np.outer(v, v) + x
-        return x * x, np.array(v) * x, m, (complex(x, 1.0), complex(-x, label))
-    xs = np.array([0.5, -1.25, 3.0])
-    vs = np.arange(9.0).reshape(3, 3)
-    labels = [1, 2, 3]
-    squares, scaled, matrices, pairs = verify._each(observe, xs, vs, labels)
-    want = (np.empty(3), np.empty((3, 3)), np.empty((3, 3, 3)), np.empty((3, 2), dtype=complex))
-    for i, (x, v, label) in enumerate(zip(xs.tolist(), vs.tolist(), labels)):
-        want[0][i], want[1][i], want[2][i], want[3][i] = observe(x, v, label)
-    for got, expect in zip((squares, scaled, matrices, pairs), want):
-        assert got.dtype == expect.dtype and got.shape == expect.shape
-        assert (got == expect).all()
+def _frame_rows():
+    u = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 1.0, 0.0, 0.0], [0.6, 0.0, 0.8, 0.0]])
+    return u, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, 0.0, 0.8]]), np.zeros(3)
 
 
-def test_each_passes_lists_as_they_are():
-    spinors = [Spinor(1.0, 2.0j), Spinor(-1.0j, 0.5)]
-    seen = []
+# One bad row among good ones, the error its scalar route raises, and the check.
+_RAISING_ROWS = [
+    (_frame_rows, SingularGaugeError, lambda u, axes, delta:
+     build_frame(KSQuadruple(*u[1]), axes[1], delta[1]), verify._check_frame_identities),
+    (lambda: (np.eye(4), np.array([[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.5] * 4, [0.0] * 4])),
+     ValueError, lambda c, u: direction_from_ks(KSQuadruple(*u[1])), verify._check_left_transport),
+    (lambda: (np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]),), ValueError,
+     lambda c: SpinorRotation(*c[1]), verify._check_s_non_membership),
+]
 
-    def observe(spinor, x):
-        seen.append(spinor)
-        return spinor.c1, x
-    c1, xs = verify._each(observe, spinors, np.array([0.5, 1.5]))
-    assert len(seen) == 2 and all(a is b for a, b in zip(seen, spinors))
-    assert c1.tolist() == [1.0, -1.0j] and xs.tolist() == [0.5, 1.5]
 
-
-def test_each_propagates_a_sample_failure():
-    def observe(x):
-        if x < 0.0:
-            raise ZeroDivisionError("negative sample")
-        return x,
-    with pytest.raises(ZeroDivisionError, match="negative sample"):
-        verify._each(observe, np.array([1.0, -1.0, 2.0]))
+@pytest.mark.parametrize("rows, error, scalar, check", _RAISING_ROWS,
+                         ids=["frame_axis_at_the_south_pole", "transport_zero_quadruple",
+                              "fit_off_unit_rotation"])
+def test_stacked_check_raises_where_a_row_raises(rows, error, scalar, check):
+    # The stacked checks raise out of a row that the scalar API rejects.
+    with pytest.raises(error):
+        scalar(*rows())
+    with pytest.raises(error):
+        check(*rows())
 
 
 def test_suite_runs_repeat_exactly():

@@ -3,8 +3,11 @@
 Runs the five suites at the sample counts of tests/test_acceptance.py (10^3
 for covariance, 10^4 for the others) with seed 42, REPEATS times, and prints
 the median CheckResult.elapsed of each check in ms, then each suite's median
-report time, their sum, and the battery figure: the 41,000 samples of the
-five suites over that sum, in samples per second, which sizes the `battery`
+report time, and the median over the repeats of the five suites' summed time.
+Each row shows its fastest and slowest repeat beside the median, so the spread
+of the host's speed is on the page: a change smaller than that spread is not
+resolved. The last row is the battery figure: the 41,000 samples of the five
+suites over the median sum, in samples per second, which sizes the `battery`
 workload's throughput in-process.
 
 Given two trees, it copies each tree's package into a temporary directory
@@ -47,22 +50,28 @@ def timings(packages) -> list:
 
 
 def report(times) -> None:
-    """Print each check, then each suite, then the suite sum and the battery figure."""
-    medians = [{row: statistics.median(t) for row, t in side.items()} for side in times]
-    rows = sorted(medians[0], key=lambda row: row[0] == "suite")
-    totals = [sum(m[row] for row in rows if row[0] == "suite") for m in medians]
-    if len(medians) == 2:
-        print(f"{'':50s} {'parent':>12s} {'change':>12s} {'speedup':>7s}")
-    lines = [(row, [m[row] for m in medians]) for row in rows]
-    lines.append((("total", "", ""), totals))
-    for (group, name, samples), seconds in lines:
-        cells = "".join(f" {s * 1e3:9.2f} ms" for s in seconds)
-        ratio = f" {seconds[0] / seconds[1]:6.2f}x" if len(seconds) == 2 else ""
+    """Print each check, then each suite, then the suite sum and the battery figure;
+    each time as its median [fastest, slowest] over the repeats."""
+    for side in times:
+        suites = [t for row, t in side.items() if row[0] == "suite"]
+        side[("total", "", "")] = [sum(repeat) for repeat in zip(*suites)]
+    rows = sorted(times[0], key=lambda row: ("suite", "total").index(row[0]) + 1
+                  if row[0] in ("suite", "total") else 0)
+    if len(times) == 2:
+        print(f"{'':50s} {'parent ms [min, max]':>27s} {'change ms [min, max]':>27s}"
+              f" {'speedup':>7s}")
+    for group, name, samples in rows:
+        seconds = [side[(group, name, samples)] for side in times]
+        medians = [statistics.median(t) for t in seconds]
+        cells = "".join(f" {m * 1e3:9.2f} [{min(t) * 1e3:7.2f},{max(t) * 1e3:7.2f}]"
+                        for m, t in zip(medians, seconds))
+        ratio = f" {medians[0] / medians[1]:6.2f}x" if len(medians) == 2 else ""
         print(f"{group:10s} {name:32s} {samples!s:>6s}{cells}{ratio}")
-    battery = [sum(ACCEPTANCE.values()) / total for total in totals]
+    battery = [sum(ACCEPTANCE.values()) / statistics.median(side[("total", "", "")])
+               for side in times]
     ratio = f" {battery[1] / battery[0]:6.2f}x" if len(battery) == 2 else ""
-    print(f"{'battery':10s} {'samples / suite sum':32s} {'':6s}"
-          + "".join(f" {b:9,.0f} /s" for b in battery) + ratio)
+    print(f"{'battery':10s} {'samples / median suite sum':32s} {'':6s}"
+          + "".join(f" {b:17,.0f} /s    " for b in battery) + ratio)
 
 
 def main(argv=None) -> int:

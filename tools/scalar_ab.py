@@ -4,9 +4,10 @@ Copies each tree's spinorspace package into a temporary directory under its
 own name (spinorspace_parent, spinorspace_change), imports both into this
 process, and times a fixed list of scalar API calls: in-range and
 out-of-range constructors, both projections, rotate_spinor,
-so3_from_rotation, SpinorRotation, psi_from_direction, the gauges,
-rotation_between, stabilizer_check, direction_from_ks, build_frame,
-frame_symmetry, rotated_direction and fixture_record. Each round times every call NUMBER times
+so3_from_rotation, so3_from_vector_parameter, SpinorRotation,
+psi_from_direction, the gauges, rotation_between, stabilizer_check,
+direction_from_ks, build_frame, frame_symmetry, left_transport,
+rotated_direction and fixture_record. Each round times every call NUMBER times
 on both sides back to back, with garbage collection off, and the side that
 goes first alternates from round to round. For each call it prints the
 median us per call on each side, the change in per cent as the median of
@@ -58,6 +59,7 @@ def calls(ss) -> list:
         ("u_to_v", lambda: ss.u_to_v(q)),
         ("rotate_spinor", lambda: ss.rotate_spinor(rot, xi)),
         ("so3_from_rotation", lambda: ss.so3_from_rotation(rot)),
+        ("so3_from_vector_parameter", lambda: ss.so3_from_vector_parameter(point)),
         ("SpinorRotation", lambda: ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)),
         ("psi_from_direction", lambda: ss.psi_from_direction(direction, 0.5)),
         ("gauge_plus", lambda: ss.gauge_plus(psi, 0.3)),
@@ -69,6 +71,7 @@ def calls(ss) -> list:
         ("direction_from_ks", lambda: ss.direction_from_ks(q)),
         ("build_frame", lambda: ss.build_frame(q, (0.0, 0.6, 0.8), 0.4)),
         ("frame_symmetry", lambda: ss.frame_symmetry(q, partner, 0.4)),
+        ("left_transport", lambda: ss.left_transport(rot, q)),
         ("rotated_direction", lambda: ss.rotated_direction(q, rot, direction)),
         ("fixture_record", lambda: ss.fixture_record("spherical", (1.3, 0.8, 2.0), "eta", -1)),
     ]
