@@ -25,6 +25,7 @@ from .core import (
     finite_vector,
     pow2_scaled,
     spinor_of,
+    stacked,
 )
 from .spinor_maps import S_BRIDGE
 
@@ -193,17 +194,17 @@ def elementary_so4(label: str, angle: float) -> np.ndarray:
     if label not in ELEMENTARY_PLANES:
         raise ValueError(
             f"unknown plane label {label!r}; valid labels: {sorted(ELEMENTARY_PLANES)}")
-    return plane_so4(FLOATS, *ELEMENTARY_PLANES[label], finite_angle(angle, "plane angle"))
+    return np.array(plane_entries(FLOATS, *ELEMENTARY_PLANES[label],
+                                  finite_angle(angle, "plane angle")))
 
 
-def plane_so4(xp, i: int, j: int, angle) -> np.ndarray:
-    """elementary_so4 of the index pair (i, j) at an angle, or at a column of angles
-    as an (n, 4, 4) stack."""
+def plane_entries(xp, i: int, j: int, angle) -> list:
+    """The rows of elementary_so4 for the index pair (i, j), floats or columns."""
     pi, pj = i % 4, j % 4  # positions in the (q4, q1, q2, q3) storage order
     c, s = xp.cos(angle), xp.sin(angle)
-    out = np.array(np.broadcast_to(np.eye(4), np.shape(angle) + (4, 4)))
-    out[..., (pi, pi, pj, pj), (pi, pj, pi, pj)] = np.stack([c, -s, s, c], axis=-1)
-    return out
+    rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    rows[pi][pi], rows[pi][pj], rows[pj][pi], rows[pj][pj] = c, -s, s, c
+    return rows
 
 
 def s_matrix() -> np.ndarray:
@@ -228,13 +229,12 @@ def s_factorization_check() -> FactorizationScan:
     coordinate pairs, so they commute and the order scanned is the only order
     needed. The winner is (pi/4, pi/4) with residual at rounding level.
     """
-    angles = [k * math.pi / 4.0 for k in range(-3, 5)]
-    scanned = []
-    for b1 in angles:
-        left = elementary_so4("4-2", b1)
-        for b2 in angles:
-            product = left @ elementary_so4("3-1", b2)
-            scanned.append((b1, b2, float(np.max(np.abs(product - S_BRIDGE)))))
+    angles = np.arange(-3, 5) * math.pi / 4.0
+    left, right = (stacked(plane_entries(COLUMNS, *ELEMENTARY_PLANES[label], angles))
+                   for label in ("4-2", "3-1"))
+    gaps = np.max(np.abs(left[:, None] @ right[None] - S_BRIDGE), axis=(2, 3))
+    scanned = [(b1, b2, gap) for b1, row in zip(angles.tolist(), gaps.tolist())
+               for b2, gap in zip(angles.tolist(), row)]
     best = min(scanned, key=lambda row: row[2])  # the first of equal residuals
     return FactorizationScan(best_angles=(best[0], best[1]),
                              best_residual=best[2],

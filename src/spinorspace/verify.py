@@ -6,14 +6,14 @@ Each check is declared once, by its decorator `_check(suite, name, share,
 draw)`, and a suite runs its checks in that order. Each check draws all its
 inputs at once and reduces a chunk of samples at once.
 
-Every check calls the library's kernels on float64 columns (core.COLUMNS),
-which give every row the bits of the scalar function. Where the scalar route
-takes a BLAS or LAPACK step (the norm of a 3-vector as a dot, 3x3 and 4x4
-matrix products, a least-squares fit), the column route takes it as one stacked
-numpy call: numpy runs the BLAS kernel of a single call on each row of a
-C-contiguous stack, and lstsq with n right-hand sides fits each as it fits one.
-A report passes when every check lands under its threshold, and each check
-result carries its time.
+The checks call the library's kernels on float64 columns (core.COLUMNS), which
+give every row the bits of the scalar function; only the fixed cases of the
+error-path checks and the S certificates take the scalar API. A BLAS or LAPACK
+step of a scalar route (a 3-vector's norm as a dot, 3x3 and 4x4 matrix products,
+a least-squares fit) is one stacked numpy call on columns: numpy runs a single
+call's BLAS kernel on each row of a C-contiguous stack, and lstsq with n
+right-hand sides fits each as it fits one. A report passes when every check
+lands under its threshold, and each check result carries its time.
 The fixture replay path reruns stored golden records through the
 constructors and holds them to the tolerance each record carries.
 """
@@ -71,7 +71,7 @@ from .rotation_algebra import (
     chart_so3,
     extract_so3,
     linear_system_entries,
-    plane_so4,
+    plane_entries,
     real4_entries,
     real4_fit,
     rotated,
@@ -409,7 +409,7 @@ def _check_s_properties(u):
     s = s_matrix()
     scan = s_factorization_check()
     plane, angle = np.minimum((6.0 * u[:, 1]).astype(int), 5), 2.0 * math.pi * u[:, 0] - math.pi
-    e = np.concatenate([plane_so4(COLUMNS, *pair, angle[plane == k])
+    e = np.concatenate([stacked(plane_entries(COLUMNS, *pair, angle[plane == k]))
                         for k, pair in enumerate(ELEMENTARY_PLANES.values())])
     return max(_worst((s.T @ s)[None], np.eye(4), (1, 2)), _worst(np.linalg.det(s), 1.0),
                scan.best_residual, _worst(scan.best_angles, math.pi / 4.0),

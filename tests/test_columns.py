@@ -139,7 +139,7 @@ def test_stacked_extraction_and_solve_keep_the_single_bits():
 def test_plane_rotation_columns_keep_the_scalar_bits():
     angle = _phases(np.random.default_rng(76), 400)
     for label, pair in ra.ELEMENTARY_PLANES.items():
-        rows_equal(ra.plane_so4(COLUMNS, *pair, angle).reshape(-1, 16).T,
+        rows_equal(stacked(ra.plane_entries(COLUMNS, *pair, angle)).reshape(-1, 16).T,
                    [elementary_so4(label, a).ravel() for a in angle.tolist()])
 
 
@@ -339,6 +339,7 @@ def test_stacks_are_c_contiguous():
                          (((0.0, columns[0]), (columns[1], 1.0)), (40, 2, 2))):
         stack = stacked(parts)
         assert stack.shape == shape and stack.flags.c_contiguous
+    assert stacked(ra.so3_entries(*np.empty((4, 0)))).shape == (0, 3, 3)  # an empty chunk
     # Each row of a stack holds its columns' entries.
     assert (stacked(columns) == g[:, ::2]).all()
     assert (COLUMNS.parts(stacked(ra.so3_entries(*columns)))

@@ -687,7 +687,7 @@ def _is_complex_dtype(node):
 # matvec and matmul, and rotation_algebra.real4_fit.
 _KERNELS = (core.unit4, core.qmul, core.axis4, core.conjugate4, core.su2_parts, core.polar,
             core.stacked, ra.so3_entries, ra.real4_entries, ra.linear_system_entries,
-            ra.vector_parameter_entries, ra.chart_scaled, ra.chart4, ra.chart_so3, ra.plane_so4,
+            ra.vector_parameter_entries, ra.chart_scaled, ra.chart4, ra.chart_so3, ra.plane_entries,
             ra.rotated,
             ks.unit_ks, ks.hat4, ks.direction4, ks.symmetry4, ks.transport4, ks.frame4,
             ks.turned3, gf.psi_parts, gf.gauge_plus4, gf.swap4, gf.canonical4, gf.canonical_plus4,
