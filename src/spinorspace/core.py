@@ -223,9 +223,9 @@ FLOATS = SimpleNamespace(
 def stacked(parts) -> np.ndarray:
     """Columns of n entries (or constants) as a C-contiguous (n, k) stack, entry [i, j]
     parts[j][i], or rows of them as (n, k, l); einsum and BLAS bits depend on the layout."""
-    matrix = isinstance(parts[0], (tuple, list))
-    out = np.stack(np.broadcast_arrays(*(x for row in parts for x in row) if matrix else parts), -1)
-    return out.reshape(*out.shape[:-1], len(parts), len(parts[0])) if matrix else out
+    if isinstance(parts[0], (tuple, list)):  # a row of constants broadcasts too
+        return np.stack(np.broadcast_arrays(*[stacked(row) for row in parts]), axis=1)
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 # The BLAS steps of COLUMNS: numpy runs a product of stacks built by `stacked` as
