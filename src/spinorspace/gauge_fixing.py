@@ -11,6 +11,7 @@ two-spinor alignment and stabilizer problems exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .core import (
     FLOATS,
     IDENTITY_ROTATION,
+    KSQuadruple,
     MINUS_IDENTITY,
     NORM_SLACK,
     Spinor,
@@ -27,6 +29,7 @@ from .core import (
     finite_angle,
     finite_vector,
     polar,
+    pow2_scaled,
     qmul,
     quadruple_from_spinor,
     scaled_residual,
@@ -44,6 +47,8 @@ SINGULAR_WEIGHT = 1e-12
 # The message of a singular chart, by the sign of the gauge.
 _UNDEFINED = {1: "(+)-gauge canonical phase undefined: first component weight",
               -1: "(-)-gauge canonical phase undefined: second component weight"}
+
+_MIN_NORMAL = sys.float_info.min
 
 
 class SingularGaugeError(ValueError):
@@ -237,11 +242,15 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     """
     sign = sign_flag(sign, "sign")
     q = quadruple_from_spinor(psi)
-    if q.norm_sq == 0.0:
-        raise ValueError("stabilizer is undefined for the zero spinor")
+    if not _MIN_NORMAL <= q.norm_sq < math.inf:
+        if not any(q.as_tuple()):
+            raise ValueError("stabilizer is undefined for the zero spinor")
+        # |q|^2 under- or overflows, and so may the solve; G is linear in q, so
+        # the system on q times an exact power of two has the same solution.
+        q = KSQuadruple(*pow2_scaled(q.as_tuple()))
     solved = stabilizer_solve(linear_system_matrix(q), q.as_array(), sign)
     expected = np.array([float(sign), 0.0, 0.0, 0.0])
-    if scaled_residual(solved, expected) > 1e-9:
+    if not scaled_residual(solved, expected) <= 1e-9:  # a NaN solve fails too
         raise ArithmeticError(
             f"stabilizer solve did not land on {sign} * identity: {solved!r}")
     return IDENTITY_ROTATION if sign == 1 else MINUS_IDENTITY

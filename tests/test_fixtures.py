@@ -13,6 +13,7 @@ from spinorspace import (
     run_suite,
     write_fixtures,
 )
+from spinorspace.cli import main
 from spinorspace.fixtures import FIXTURE_VERSION, construct, dumps_record, fixture_record
 
 SQRT2 = math.sqrt(2.0)
@@ -148,6 +149,21 @@ def test_replay_survives_serialization(tmp_path):
     assert report.passed
     assert report.samples == 35
     assert report.max_residual == 0.0
+
+
+@pytest.mark.parametrize("system, values, model, r", [
+    ("cartesian", ("1e308", "1e308", "0"), "xi", math.hypot(1e308, 1e308)),
+    ("spherical", ("1.5e308", "1", "0.5"), "eta", 1.5e308)], ids=["cartesian", "spherical"])
+def test_records_at_the_top_of_the_double_range(tmp_path, capsys, system, values, model, r):
+    # |psi|^2 = 2r overflows, while r, the spinor and its projection are finite.
+    record = fixture_record(system, [float(v) for v in values], model)
+    assert math.isclose(record["projection"]["r"], r, rel_tol=1e-15)
+    path = tmp_path / "top.jsonl"
+    write_fixtures([record], path)
+    report = replay_fixtures(load_fixtures(path))
+    assert report.passed and report.max_residual == 0.0
+    assert main(["convert", system, *values, "--model", model]) == 0
+    assert json.loads(capsys.readouterr().out) == load_fixtures(path)[0]
 
 
 def test_replay_catches_tampering():

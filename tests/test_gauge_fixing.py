@@ -306,6 +306,24 @@ def test_stabilizer_check_rejects_a_solve_off_identity(monkeypatch, sign):
         stabilizer_check(Spinor(0.6 + 0.0j, 0.8j), sign)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_stabilizer_check_rejects_a_nan_solve(monkeypatch, sign):
+    # NaN compares false with any bound, so the check must ask for a residual <= it.
+    monkeypatch.setattr(np.linalg, "solve", lambda g, b: math.nan * b)
+    with pytest.raises(ArithmeticError):
+        stabilizer_check(Spinor(0.6 + 0.0j, 0.8j), sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("psi", [Spinor(1e-200 + 0.0j, 0.0j), Spinor(1e-320 + 0.0j, 0.0j),
+                                 Spinor(5e-324j, -0.0j), Spinor(1e308 + 1e308j, -1e308j)],
+                         ids=["tiny", "subnormal", "least", "huge"])
+def test_stabilizer_check_off_the_normal_range(psi, sign):
+    # |psi|^2 underflows to zero below about 1.5e-162, where the spinor is not
+    # zero, and a solve on subnormal entries gives NaN; past 1.3e154 it overflows.
+    assert stabilizer_check(psi, sign) is stabilizer_check(Spinor(1.0 + 0.0j, 0.0j), sign)
+
+
 def test_circle_contrast_at_the_pole():
     # every phase rotation fixes the pole direction; only the trivial one
     # fixes the spinor itself

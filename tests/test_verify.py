@@ -109,6 +109,21 @@ def test_stacked_check_raises_where_a_row_raises(rows, error, scalar, check):
         check(*rows())
 
 
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    # max is exact and the stacked BLAS and LAPACK calls act row by row, so every
+    # worst residual keeps its bits for chunks that split the draws unevenly, and
+    # for one chunk that holds a whole draw.
+    def results(chunk):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        return [(c.name, c.samples, c.max_residual.hex()) for seed in (42, 7)
+                for report in (run_suite(s, 600, seed) for s in SUITE_NAMES)
+                for c in report.checks]
+
+    first = results(37)
+    for chunk in (256, 1024, 10_000):
+        assert results(chunk) == first
+
+
 def test_suite_runs_repeat_exactly():
     first = run_suite("ks", 40, seed=5)
     again = run_suite("ks", 40, seed=5)

@@ -6,16 +6,19 @@ the median CheckResult.elapsed of each check in ms, then each suite's median
 report time, and the median over the repeats of the five suites' summed time.
 Each row shows its fastest and slowest repeat beside the median, so the spread
 of the host's speed is on the page: a change smaller than that spread is not
-resolved. The last row is the battery figure: the 41,000 samples of the five
+resolved. Then comes the battery figure: the 41,000 samples of the five
 suites over the median sum, in samples per second, which sizes the `battery`
-workload's throughput in-process.
+workload's throughput in-process. The last row is the growth of the process's
+peak RSS (ru_maxrss) from before the first repeat to after the last, in MB:
+the memory the suites' arrays take at their largest, beside their time.
 
 Given two trees, it copies each tree's package into a temporary directory
 under its own name, as tools/scalar_ab.py does, imports both, and runs them
 in turn within each repeat, the side that goes first alternating from repeat
 to repeat. Each row then shows the parent's median, the change's median and
 the speedup: parent over change, and change over parent for the battery
-figure. It needs only the standard library and the package (and numpy,
+figure. Both trees share one process and one heap there, so the last row
+says that RSS cannot be attributed to either tree. It needs only the standard library and the package (and numpy,
 which the package imports). Timings are raw wall time.
 
 usage: python tools/check_times.py [SRC_DIR]   (default: the src/ beside tools/)
@@ -24,6 +27,7 @@ usage: python tools/check_times.py [SRC_DIR]   (default: the src/ beside tools/)
 
 from __future__ import annotations
 
+import resource
 import statistics
 import sys
 import tempfile
@@ -35,8 +39,10 @@ ACCEPTANCE = {"hopf": 10_000, "covariance": 1_000, "so4": 10_000, "ks": 10_000, 
 REPEATS = 5
 
 
-def timings(packages) -> list:
-    """Per package, {row: [seconds per repeat]} for each check and each suite."""
+def timings(packages) -> tuple:
+    """Per package, {row: [seconds per repeat]} for each check and each suite;
+    and the growth of the process's peak RSS over the repeats, in MB."""
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     times = [{} for _ in packages]
     for repeat in range(REPEATS):
         order = range(len(packages)) if repeat % 2 == 0 else reversed(range(len(packages)))
@@ -46,12 +52,13 @@ def timings(packages) -> list:
                 times[side].setdefault(("suite", suite, samples), []).append(report.elapsed)
                 for c in report.checks:
                     times[side].setdefault((suite, c.name, c.samples), []).append(c.elapsed)
-    return times
+    return times, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start) / 1024
 
 
-def report(times) -> None:
-    """Print each check, then each suite, then the suite sum and the battery figure;
-    each time as its median [fastest, slowest] over the repeats."""
+def report(times, rss_growth) -> None:
+    """Print each check, then each suite, then the suite sum, the battery figure
+    and the peak-RSS growth; each time as its median [fastest, slowest] over the
+    repeats."""
     for side in times:
         suites = [t for row, t in side.items() if row[0] == "suite"]
         side[("total", "", "")] = [sum(repeat) for repeat in zip(*suites)]
@@ -72,6 +79,9 @@ def report(times) -> None:
     ratio = f" {battery[1] / battery[0]:6.2f}x" if len(battery) == 2 else ""
     print(f"{'battery':10s} {'samples / median suite sum':32s} {'':6s}"
           + "".join(f" {b:17,.0f} /s    " for b in battery) + ratio)
+    rss = (f"{rss_growth:17.2f} MB" if len(times) == 1
+           else "not attributable: both trees share one process")
+    print(f"{'peak RSS':10s} {'growth over the repeats':32s} {'':6s} {rss}")
 
 
 def main(argv=None) -> int:
@@ -87,7 +97,7 @@ def main(argv=None) -> int:
         packages = [load(tree.resolve(), name, Path(tmp)) for tree, name in zip(trees, names)]
         for tree in trees:
             print(f"package  {tree.resolve() / 'spinorspace'}")
-        report(timings(packages))
+        report(*timings(packages))
     return 0
 
 
