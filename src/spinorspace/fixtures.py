@@ -77,8 +77,10 @@ def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
     spinor = construct(system, values, model, sheet)
     q = quadruple_from_spinor(spinor)
     r = 0.5 * spinor.norm_sq
-    if r == math.inf:  # |psi|^2 overflows at the top of the double range, where
-        r = project_xi(spinor)[0]  # the projection takes it on exactly rescaled parts
+    if r == math.inf:
+        # |psi|^2 overflows at the top of the double range; the projection
+        # takes r on exactly rescaled parts.
+        r = project_xi(spinor)[0]
     projection = {"r": r}
     for key, vector in zip(("x", "a"), bilinears(spinor, model)):
         projection[key] = vector.tolist()

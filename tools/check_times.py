@@ -18,8 +18,9 @@ in turn within each repeat, the side that goes first alternating from repeat
 to repeat. Each row then shows the parent's median, the change's median and
 the speedup: parent over change, and change over parent for the battery
 figure. Both trees share one process and one heap there, so the last row
-says that RSS cannot be attributed to either tree. It needs only the standard library and the package (and numpy,
-which the package imports). Timings are raw wall time.
+says that RSS cannot be attributed to either tree. It needs only the
+standard library and the package (and numpy, which the package imports).
+Timings are raw wall time.
 
 usage: python tools/check_times.py [SRC_DIR]   (default: the src/ beside tools/)
        python tools/check_times.py PARENT_SRC CHANGE_SRC
