@@ -7,6 +7,7 @@ Exit codes: 0 success or pass, 1 verification failure or singular gauge,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -99,6 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         "rotate", help="apply a rotation along both the spinor and vector paths")
     rotate.add_argument("rotation", nargs=4, type=float, metavar="C")
     _add_point_arguments(rotate)
+    # argparse reads -1 and -1.5 as values, -1e-3 as an option; no option here looks like a number.
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$", re.IGNORECASE)
     return parser
 
 
@@ -130,7 +135,7 @@ def _cmd_gauge(args) -> int:
     # Scaling by a power of two is exact, so the normalized n is the same at
     # every magnitude of the input.
     n = np.array(pow2_scaled(finite_vector(args.values, "direction").tolist()))
-    norm = float(np.linalg.norm(n))
+    norm = np.linalg.norm(n)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     n /= norm
@@ -166,7 +171,7 @@ def _cmd_rotate(args) -> int:
     o = so3_from_rotation(rot)
     spinor_path = np.concatenate(bilinears(moved, args.model))
     vector_path = np.concatenate([o @ v for v in bilinears(spinor, args.model)])
-    residual = float(scaled_residual(spinor_path, vector_path))
+    residual = scaled_residual(spinor_path, vector_path)
     print(f"rotation c = {_fmt(rot.as_tuple())}")
     print(f"rotated spinor = ({moved.c1!r}, {moved.c2!r})")
     print(f"rotated quadruple = {_fmt(quadruple_from_spinor(moved).as_tuple())}")
@@ -195,6 +200,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # from convert or rotate, the commands that project a point
+        print(f"error: {args.system} point {_fmt(args.values)}: {exc}", file=sys.stderr)
         return 2
 
 

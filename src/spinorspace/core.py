@@ -210,29 +210,21 @@ def pow2_scaled(values) -> tuple:
 
 # The real-component kernels' namespace on floats. A kernel on the scalar path
 # tests a condition as `cond is not True and not xp.all(cond)`: a comparison of
-# floats gives the True singleton, so the float path makes no call. A BLAS step
-# takes the `array` of its parts, and `each` scales every matrix by its own scalar.
+# floats gives the True singleton, so the float path makes no call.
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, hypot=math.hypot,
     isfinite=math.isfinite, ldexp=math.ldexp, all=bool, where=lambda cond, a, b: a if cond else b,
-    max=max, sheet_lift=sheet_lift, pow2_shift=lambda *values: pow2_shift(values),
-    array=np.array, parts=np.ndarray.tolist, each=lambda x: x, dot=np.dot, matvec=np.matmul,
-    matmul=np.matmul)
+    max=max, sheet_lift=sheet_lift, pow2_shift=lambda *values: pow2_shift(values))
 
 
 def stacked(parts) -> np.ndarray:
     """Columns of n entries (or constants) as a C-contiguous (n, k) stack, entry [i, j]
-    parts[j][i], or rows of them as (n, k, l); einsum and BLAS bits depend on the layout."""
+    parts[j][i], or rows of them as (n, k, l)."""
     if isinstance(parts[0], (tuple, list)):  # a row of constants broadcasts too
         return np.stack(np.broadcast_arrays(*[stacked(row) for row in parts]), axis=1)
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
-# The BLAS steps of COLUMNS: numpy runs a product of stacks built by `stacked` as
-# one BLAS call per row, the call of one vector or matrix, so each row has the bits
-# of FLOATS; a written-out sum does not, as BLAS fuses its multiply-adds.
-_ROW_BLAS = dict(dot=lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0],
-                 matvec=lambda m, v: (m @ v[:, :, None])[:, :, 0], matmul=lambda a, b: a @ b)
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
@@ -246,9 +238,7 @@ COLUMNS = SimpleNamespace(
     hypot=lambda x, y: _hypot(x, y).astype(float), isfinite=np.isfinite, ldexp=np.ldexp,
     all=np.all, where=np.where, max=lambda *values: functools.reduce(np.maximum, values),
     sheet_lift=lambda phi, sheet: np.where(sheet == -1, sheet_lift(phi, -1), phi),
-    pow2_shift=lambda *values: -np.frexp(np.max(np.abs(np.broadcast_arrays(*values)), axis=0))[1],
-    array=stacked, parts=lambda a: np.moveaxis(a, 0, -1), each=lambda x: x[:, None, None],
-    **_ROW_BLAS)
+    pow2_shift=lambda *values: -np.frexp(np.max(np.abs(np.broadcast_arrays(*values)), axis=0))[1])
 
 
 @dataclass(frozen=True, slots=True)

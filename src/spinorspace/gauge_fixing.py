@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     FLOATS,
     IDENTITY_ROTATION,
-    KSQuadruple,
     MINUS_IDENTITY,
     NORM_SLACK,
     Spinor,
@@ -39,7 +38,7 @@ from .core import (
     unit4,
     wrap_4pi,
 )
-from .rotation_algebra import linear_system_matrix
+from .rotation_algebra import linear_system_entries
 
 # A canonical phase whose chart's component weight is at most this is singular.
 SINGULAR_WEIGHT = 1e-12
@@ -87,18 +86,17 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
     magnitude is taken in the quotient form rho sqrt(1 / (2 (1 +- n3))),
     which does not cancel near the poles as sqrt((1 -+ n3)/2) does.
     """
-    return spinor_of(psi_parts(FLOATS, finite_vector(n, "direction"),
+    return spinor_of(psi_parts(FLOATS, *finite_vector(n, "direction").tolist(),
                                finite_angle(gamma, "phase gamma")))
 
 
-def psi_parts(xp, v: np.ndarray, gamma) -> tuple:
-    """The real parts of psi_from_direction for finite directions v, a 3-vector or an (n, 3)
-    stack, and finite phases gamma; |v| is np.linalg.norm's, the root of a BLAS dot."""
-    norm = xp.sqrt(xp.dot(v, v))
+def psi_parts(xp, v1, v2, v3, gamma) -> tuple:
+    """The real parts of psi_from_direction((v1, v2, v3), gamma), floats or columns."""
+    norm = xp.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     unit = abs(norm - 1.0) < NORM_SLACK
     if unit is not True and not xp.all(unit):
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-    n1, n2, n3 = (part / norm for part in xp.parts(v))
+    n1, n2, n3 = v1 / norm, v2 / norm, v3 / norm
     requested = wrap_4pi(gamma)
     principal = xp.atan2(n2, n1)
     partner = sheet_lift(principal, -1)
@@ -208,8 +206,8 @@ def planar_chart(u: tuple, s, sign: int) -> tuple:
 
 def canonical_plus4(xp, n) -> tuple:
     """The raw rotation of canonical_phase_plus(psi_from_direction(n)) for finite
-    directions n, a 3-vector or an (n, 3) stack."""
-    u = unit4(xp, *psi_parts(xp, n, 0.0), "canonical_phase_plus")
+    directions n, three components, floats or columns."""
+    u = unit4(xp, *psi_parts(xp, *n, 0.0), "canonical_phase_plus")
     return canonical4(xp, u, 1)[2]
 
 
@@ -241,25 +239,26 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     shared constant per sign.
     """
     sign = sign_flag(sign, "sign")
-    q = quadruple_from_spinor(psi)
-    if not _MIN_NORMAL <= q.norm_sq < math.inf:
-        if not any(q.as_tuple()):
+    q = quadruple_from_spinor(psi).as_tuple()
+    if not _MIN_NORMAL <= psi.norm_sq < math.inf:
+        if not any(q):
             raise ValueError("stabilizer is undefined for the zero spinor")
         # |q|^2 under- or overflows, and so may the solve; G is linear in q, so
         # the system on q times an exact power of two has the same solution.
-        q = KSQuadruple(*pow2_scaled(q.as_tuple()))
-    solved = stabilizer_solve(linear_system_matrix(q), q.as_array(), sign)
-    expected = np.array([float(sign), 0.0, 0.0, 0.0])
-    if not scaled_residual(solved, expected) <= 1e-9:  # a NaN solve fails too
+        q = pow2_scaled(q)
+    solved = stabilizer_solve(q, sign)
+    if not scaled_residual(solved, (sign, 0.0, 0.0, 0.0)) <= 1e-9:  # a NaN solve fails too
         raise ArithmeticError(
             f"stabilizer solve did not land on {sign} * identity: {solved!r}")
     return IDENTITY_ROTATION if sign == 1 else MINUS_IDENTITY
 
 
-def stabilizer_solve(g: np.ndarray, q: np.ndarray, sign) -> np.ndarray:
-    """The c with G c = sign q: G (4, 4) and q (4,), or a stack of systems, G (n, 4, 4)
-    and q (n, 4, 1), which np.linalg.solve solves row for row with the same bits."""
-    return np.linalg.solve(g, float(sign) * q)
+def stabilizer_solve(q: tuple, sign) -> tuple:
+    """c = sign G^T q / |q|^2 solves G c = sign q for the linear_system_entries G of a quadruple
+    q, floats or columns, as G^T G = |q|^2 I; G^T q starts with |q|^2, as G starts with q."""
+    q4, q1, q2, q3 = q
+    gq = [(a * q4 + b * q1) + (c * q2 + d * q3) for a, b, c, d in zip(*linear_system_entries(*q))]
+    return tuple(sign * entry / gq[0] for entry in gq)
 
 
 __all__ = [

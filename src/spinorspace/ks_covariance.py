@@ -109,12 +109,13 @@ def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
     Acts by the 4x4 orthogonal realization, equivalently by conjugating the
     hat of q with the rotation on the quaternion side.
     """
-    return KSQuadruple(*transport4(FLOATS, rot.as_tuple(), q.as_tuple()))
+    return KSQuadruple(*transport4(rot.as_tuple(), q.as_tuple()))
 
 
-def transport4(xp, c: tuple, q: tuple) -> tuple:
-    """su2_real4(c) @ q of left_transport, floats or columns: a BLAS mat-vec."""
-    return xp.parts(xp.matvec(xp.array(real4_entries(*c)), xp.array(q)))
+def transport4(c: tuple, q: tuple) -> tuple:
+    """su2_real4(c) @ q of left_transport, floats or columns, each row summed in pairs."""
+    q4, q1, q2, q3 = q
+    return tuple((a * q4 + b * q1) + (e * q2 + f * q3) for a, b, e, f in real4_entries(*c))
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +143,7 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     """
     delta = finite_angle(delta, "frame delta")
     a_vec = finite_vector(axis, "frame axis")
-    align = SpinorRotation(*canonical_plus4(FLOATS, a_vec))
+    align = SpinorRotation(*canonical_plus4(FLOATS, a_vec.tolist()))
     w, direction = frame4(FLOATS, q.as_tuple(), align.as_tuple(), delta)
     return KSFrame(w=KSQuadruple(*w), direction=np.array(direction), axis=a_vec, delta=delta,
                    align=align)
@@ -188,13 +189,18 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
     n' = O(hat w) O(rot) O(hat w)^T n. With rot the frame's align rotation
     and n the frame direction, this lands on the direction of w itself.
     """
-    return turned3(FLOATS, w.as_tuple(), rot.as_tuple(), finite_vector(n, "direction"))
+    return np.array(turned3(FLOATS, w.as_tuple(), rot.as_tuple(),
+                            finite_vector(n, "direction").tolist()))
 
 
-def turned3(xp, w: tuple, c: tuple, n: np.ndarray) -> np.ndarray:
-    """rotated_direction's O(hat w) O(c) O(hat w)^T n: three BLAS mat-vecs, n (3,) or (n, 3)."""
-    ow = xp.array(so3_entries(*unit4(xp, *hat4(unit_ks(xp, w)))))
-    return xp.matvec(ow, xp.matvec(xp.array(so3_entries(*c)), xp.matvec(ow.swapaxes(-1, -2), n)))
+def turned3(xp, w: tuple, c: tuple, n) -> tuple:
+    """rotated_direction's O(hat w) O(c) O(hat w)^T n, n three components, floats or
+    columns: three mat-vecs, each row summed as a0 n0 + (a1 n1 + a2 n2)."""
+    ow = so3_entries(*unit4(xp, *hat4(unit_ks(xp, w))))
+    for m in (zip(*ow), so3_entries(*c), ow):
+        n1, n2, n3 = n
+        n = tuple(a * n1 + (b * n2 + e * n3) for a, b, e in m)
+    return n
 
 
 __all__ = [

@@ -72,14 +72,12 @@ def vector_parameter_entries(xp, c4, c1, c2, c3) -> tuple:
 
 
 def chart_scaled(xp, c1, c2, c3) -> tuple:
-    """(t, C', t^2 + |C'|^2) for (t, C') = 2^k (1, C), the one scale of both charts,
-    floats or columns; |C'|^2 is a BLAS dot. k is 0 while every |C_i| < 2, so small C
-    keeps every bit; otherwise 2^k takes the largest entry into [1, 2), and the sum of
-    squares cannot overflow. Both charts are homogeneous in (1, C), so they are unchanged."""
+    """(t, C', t^2 + |C'|^2) for (t, C') = 2^k (1, C), the one scale of both charts, floats
+    or columns. k is 0 while every |C_i| < 2, so small C keeps every bit; else 2^k takes the
+    largest entry into [1, 2), where no square overflows. Both charts are homogeneous in (1, C)."""
     shift = xp.pow2_shift(1.0, c1, c2, c3) + 1
-    t, *scaled = (xp.ldexp(v, shift) for v in (1.0, c1, c2, c3))
-    v = xp.array(scaled)
-    return t, scaled, t * t + xp.dot(v, v)
+    t, k1, k2, k3 = (xp.ldexp(v, shift) for v in (1.0, c1, c2, c3))
+    return t, (k1, k2, k3), t * t + (k1 * k1 + k2 * k2 + k3 * k3)
 
 
 def rotation_from_vector_parameter(C) -> SpinorRotation:
@@ -97,16 +95,18 @@ def chart4(xp, c1, c2, c3) -> tuple:
 
 def so3_from_vector_parameter(C) -> np.ndarray:
     """O = I + 2 (K_C + K_C^2) / (1 + |C|^2), bypassing the unit quadruple."""
-    return chart_so3(FLOATS, *finite_vector(C, "vector parameter").tolist())
+    return np.array(chart_so3(FLOATS, *finite_vector(C, "vector parameter").tolist()))
 
 
-def chart_so3(xp, c1, c2, c3) -> np.ndarray:
-    """so3_from_vector_parameter of floats, or of columns as an (n, 3, 3) stack: I + 2 (t K'
-    + K'^2) / (t^2 + |C'|^2) on the (t, C') of chart_scaled, K'^2 a BLAS product."""
-    t, (k1, k2, k3), norm_sq = chart_scaled(xp, c1, c2, c3)
-    k = xp.array(((0.0, -k3, k2), (k3, 0.0, -k1), (-k2, k1, 0.0)))
-    # 2 K' K', not 2 (K' K'): a subnormal C_i C_j keeps its last bit.
-    return np.eye(3) + (xp.each(2.0 * t) * k + xp.matmul(2.0 * k, k)) / xp.each(norm_sq)
+def chart_so3(xp, c1, c2, c3) -> tuple:
+    """The rows of so3_from_vector_parameter, floats or columns: I + 2 (t K' + K'^2) /
+    (t^2 + |C'|^2) on the (t, C') of chart_scaled, K' the cross matrix of C'."""
+    t, (k1, k2, k3), n = chart_scaled(xp, c1, c2, c3)
+    # 2 K'^2 = 2 (C' C'^T - |C'|^2 I) as (2 C'_i) C'_j: a subnormal C_i C_j keeps its last bit.
+    d, a1, a2, a3 = 2.0 * t, 2.0 * k1, 2.0 * k2, 2.0 * k3
+    return ((1.0 - (a2 * k2 + a3 * k3) / n, (a2 * k1 - d * k3) / n, (a3 * k1 + d * k2) / n),
+            ((a1 * k2 + d * k3) / n, 1.0 - (a3 * k3 + a1 * k1) / n, (a3 * k2 - d * k1) / n),
+            ((a1 * k3 - d * k2) / n, (a2 * k3 + d * k1) / n, 1.0 - (a2 * k2 + a1 * k1) / n))
 
 
 def extract_so3(matrix: np.ndarray) -> np.ndarray:
@@ -281,17 +281,18 @@ def s_outside_su2_image(target: np.ndarray | None = None) -> NonMembershipCertif
     )
 
 
-# The 16 entries of su2_real4 as a linear map of (c4, c1, c2, c3).
-_REAL4_BASIS = np.column_stack([np.ravel(real4_entries(*row)) for row in np.eye(4)])
+# Entry (i, j) of su2_real4 is _SIGN[i, j] c_k, k = _PARAM[i, j]; each row holds every c_k once.
+_SIGN, _PARAM = np.sign(real4_entries(1, 2, 3, 4)), abs(np.array(real4_entries(0, 1, 2, 3)))
 
 
 def real4_fit(targets: np.ndarray) -> tuple:
     """The least-squares su2_real4 parameters (n, 4) and Frobenius residuals (n,) of a 4x4
-    target (n = 1) or a stack of n: one lstsq with n right-hand sides, each a single fit's."""
-    flat = np.reshape(targets, (-1, 16))
-    fit = np.ascontiguousarray(np.linalg.lstsq(_REAL4_BASIS, flat.T, rcond=None)[0].T)
-    gap = COLUMNS.matvec(np.broadcast_to(_REAL4_BASIS, (len(fit), 16, 4)), fit) - flat
-    return fit, np.sqrt(COLUMNS.dot(gap, gap))
+    target (n = 1) or a stack of n, each row a single target's: B^T t / 4 for the 16 x 4
+    map B of the pattern, as B^T B = 4 I."""
+    t = np.reshape(targets, (-1, 4, 4)) * _SIGN  # each entry as the c_k it holds
+    rows = np.take_along_axis(t, np.argsort(_PARAM)[None], 2)  # [n, row, k]
+    fit = ((rows[:, 0] + rows[:, 1]) + (rows[:, 2] + rows[:, 3])) / 4.0
+    return fit, np.sqrt(np.sum((fit[:, _PARAM] - t) ** 2, axis=(1, 2)))
 
 
 def rotation_from_axis_angle(axis, angle: float) -> SpinorRotation:

@@ -40,6 +40,30 @@ def test_convert_range_error(capsys):
     assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("convert", "cartesian", "1.7e308", "1.7e308", "1.7e308"),
+    ("convert", "cartesian", "1.7e308", "1.7e308", "1.7e308", "--model", "eta"),
+    ("rotate", "0.5", "0.5", "0.5", "0.5", "cartesian", "1.7e308", "1.7e308", "1.7e308"),
+    ("rotate", "0.5", "0.5", "0.5", "0.5", "cartesian", "1.7e308", "1.7e308", "1.7e308",
+     "--model", "eta"),
+], ids=["convert-xi", "convert-eta", "rotate-xi", "rotate-eta"])
+def test_point_past_the_double_range_is_a_range_error(capsys, argv):
+    # The point is finite, but its radius, about 2.9e308, has no double.
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cartesian point (1.7e+308, 1.7e+308, 1.7e+308): ")
+    assert "1.8e308" in err and "Traceback" not in err
+
+
+def test_negative_exponent_forms_are_values(capsys):
+    code, out, err = run_main(capsys, "convert", "cartesian", "1", "-1e-3", "0",
+                              "--tolerance", "1E-12")
+    assert (code, err) == (0, "")
+    assert out == run_main(capsys, "convert", "cartesian", "1", "-0.001", "0")[1]
+    code, out, err = run_main(capsys, "convert", "cartesian", "1", "-inf", "0")
+    assert code == 2 and "must be finite" in err
+
+
 def test_convert_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["convert", "cylindrical", "0", "0", "1"])
@@ -168,6 +192,22 @@ def test_fixtures_replay_catches_tampering(tmp_path, capsys):
     code, out, _ = run_main(capsys, "verify", "--fixtures", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_fixtures_replay_fails_a_point_past_the_double_range(tmp_path, capsys):
+    # A stored Cartesian record whose radius has no double fails its replay, as a
+    # malformed record does, instead of ending the run in a traceback.
+    path = tmp_path / "golden.jsonl"
+    run_main(capsys, "fixtures", "--count", "8", "--seed", "3", "--out", str(path))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    assert record["system"] == "cartesian"
+    record["values"] = [1.7e308, 1.7e308, 1.7e308]
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_main(capsys, "verify", "--fixtures", str(path))
+    assert (code, err) == (1, "")
+    assert "FAIL" in out and "max residual inf" in out
 
 
 def test_fixtures_replay_fails_a_nan_field(tmp_path, capsys):

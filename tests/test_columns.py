@@ -2,8 +2,7 @@
 
 Each kernel runs on Python floats behind the scalar API and on float64 columns
 in the verification suites. Every row of a column call must have the bits of
-the scalar function on that row, signs of zeros included. That holds for the
-kernels that take a BLAS or LAPACK step too, which take it on stacks.
+the scalar function on that row, signs of zeros included.
 """
 
 import math
@@ -131,9 +130,12 @@ def test_stacked_extraction_and_solve_keep_the_single_bits():
     q = c * rng.uniform(0.5, 2.0, size=(len(c), 1))
     g = np.stack([ra.linear_system_matrix(KSQuadruple(*row)) for row in q.tolist()])
     rows_equal(np.reshape(ra.linear_system_entries(*q.T), (16, -1)), g.reshape(-1, 16))
-    for sign in (1, -1):  # the stack against single systems, as stabilizer_check solves them
-        rows_equal(gf.stabilizer_solve(g, q[:, :, None], sign)[:, :, 0].T,
-                   [np.linalg.solve(m, float(sign) * row) for m, row in zip(g, q)])
+    for sign in (1, -1):  # the columns against single systems, as stabilizer_check solves them
+        solved = gf.stabilizer_solve(tuple(q.T), sign)
+        rows_equal(solved, [gf.stabilizer_solve(tuple(row), sign) for row in q.tolist()])
+        # np.linalg.solve is the independent reference: within 1e-15, scaled.
+        want = [np.linalg.solve(m, float(sign) * row) for m, row in zip(g, q)]
+        assert verify._worst(np.transpose(solved), want, 1) <= 1e-15
 
 
 def test_plane_rotation_columns_keep_the_scalar_bits():
@@ -238,7 +240,7 @@ def test_vector_parameter_charts_keep_the_scalar_bits():
     rows = c.tolist()
     rot = unit4(COLUMNS, *ra.chart4(COLUMNS, *c.T))
     rows_equal(rot, [rotation_from_vector_parameter(v).as_tuple() for v in rows])
-    rows_equal(ra.chart_so3(COLUMNS, *c.T).reshape(-1, 9).T,
+    rows_equal(np.reshape(ra.chart_so3(COLUMNS, *c.T), (9, -1)),
                [so3_from_vector_parameter(v).ravel() for v in rows])
     # Back to C where the rotation is on the chart; the rows past its limit raise.
     chart = np.abs(rot[0]) >= VECTOR_PARAMETER_LIMIT
@@ -261,10 +263,10 @@ def test_direction_spinor_columns_keep_the_scalar_bits():
     rng = np.random.default_rng(72)
     n = _directions(rng)
     gamma = _phases(rng, len(n))
-    rows_equal(gf.psi_parts(COLUMNS, n, gamma),
+    rows_equal(gf.psi_parts(COLUMNS, *n.T, gamma),
                [_parts(psi_from_direction(v, g)) for v, g in zip(n, gamma.tolist())])
     with pytest.raises(ValueError, match="unit vector"):
-        gf.psi_parts(COLUMNS, n * np.linspace(1.0, 2.0, len(n))[:, None], gamma)
+        gf.psi_parts(COLUMNS, *(n * np.linspace(1.0, 2.0, len(n))[:, None]).T, gamma)
 
 
 def test_frame_columns_keep_the_scalar_bits():
@@ -280,14 +282,14 @@ def test_frame_columns_keep_the_scalar_bits():
             continue
         kept.append(i)
     assert len(kept) > len(q) // 2
-    align = unit4(COLUMNS, *gf.canonical_plus4(COLUMNS, axes[kept]))
+    align = unit4(COLUMNS, *gf.canonical_plus4(COLUMNS, axes[kept].T))
     with np.errstate(over="ignore", under="ignore"):  # the rows rescaled after
         w, n = ks.frame4(COLUMNS, tuple(q[kept].T), align, delta[kept])
     rows_equal(align, [f.align.as_tuple() for f in frames])
     rows_equal(w, [f.w.as_tuple() for f in frames])
     rows_equal(n, [f.direction for f in frames])
     with pytest.raises(SingularGaugeError):
-        gf.canonical_plus4(COLUMNS, axes)
+        gf.canonical_plus4(COLUMNS, axes.T)
 
 
 def test_transport_columns_keep_the_scalar_bits():
@@ -299,34 +301,22 @@ def test_transport_columns_keep_the_scalar_bits():
     rots = [SpinorRotation(*row) for row in c.tolist()]
     quads = [KSQuadruple(*row) for row in q.tolist()]
     rot = unit4(COLUMNS, *c.T)
-    rows_equal(ks.transport4(COLUMNS, rot, tuple(q.T)),
+    rows_equal(ks.transport4(rot, tuple(q.T)),
                [left_transport(r, t).as_tuple() for r, t in zip(rots, quads)])
     with np.errstate(over="ignore", under="ignore"):  # the rows rescaled after
-        turned = ks.turned3(COLUMNS, tuple(q.T), rot, v)
-    rows_equal(turned.T, [rotated_direction(t, r, d) for t, r, d in zip(quads, rots, v)])
+        turned = ks.turned3(COLUMNS, tuple(q.T), rot, v.T)
+    rows_equal(turned, [rotated_direction(t, r, d) for t, r, d in zip(quads, rots, v)])
 
 
-@pytest.mark.parametrize("seed", [42, 7])
-def test_stacked_fit_keeps_the_single_fit_bits(seed):
-    # The rotations that s_no_su2_preimage draws at 10^5 samples, fitted a chunk at
-    # a time as the check fits them, against one lstsq per sample as the
-    # certificate of a single target once took it.
-    suite = verify._SUITES["so4"]
-    index = [name for name, *_ in suite].index("s_no_su2_preimage")
-    _, share, draw, _ = suite[index]
-    (c,) = draw(np.random.default_rng([seed, index]), int(100_000 * share))
-    basis = np.column_stack([np.ravel(ra.real4_entries(*row)) for row in np.eye(4)])
-    for start in range(0, len(c), verify._CHUNK):
-        chunk = c[start:start + verify._CHUNK]
-        fit, residual = ra.real4_fit(stacked(ra.real4_entries(*unit4(COLUMNS, *chunk.T))))
-        single = []
-        for row in chunk.tolist():
-            target = su2_real4(SpinorRotation(*row)).ravel()
-            best = np.linalg.lstsq(basis, target, rcond=None)[0]
-            single.append((*best, float(np.linalg.norm(basis @ best - target))))
-        rows_equal((*fit.T, residual), single)
-        cert = [s_outside_su2_image(su2_real4(SpinorRotation(*row))) for row in chunk.tolist()]
-        rows_equal((*fit.T, residual), [(*t.best_fit, t.residual) for t in cert])
+def test_stacked_fit_rows_are_single_fits():
+    # Each row of a stacked fit has the bits of the fit of its one target, which the
+    # certificate takes: su2_real4 members, Gaussian targets, and a stack of one.
+    rng = np.random.default_rng(77)
+    members = stacked(ra.real4_entries(*unit4(COLUMNS, *_unit_rows(rng).T)))
+    for targets in (members, rng.normal(size=(2000, 4, 4)), members[:1]):
+        fit, residual = ra.real4_fit(targets)
+        rows_equal((*fit.T, residual),
+                   [(*t.best_fit, t.residual) for t in map(s_outside_su2_image, targets)])
 
 
 def test_stacks_are_c_contiguous():
@@ -342,5 +332,5 @@ def test_stacks_are_c_contiguous():
     assert stacked(ra.so3_entries(*np.empty((4, 0)))).shape == (0, 3, 3)  # an empty chunk
     # Each row of a stack holds its columns' entries.
     assert (stacked(columns) == g[:, ::2]).all()
-    assert (COLUMNS.parts(stacked(ra.so3_entries(*columns)))
+    assert (np.moveaxis(stacked(ra.so3_entries(*columns)), 0, -1)
             == np.array(ra.so3_entries(*columns))).all()

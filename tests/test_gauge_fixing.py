@@ -18,6 +18,7 @@ from spinorspace import (
     gauge_plus,
     project_xi,
     psi_from_direction,
+    quadruple_from_spinor,
     rotate_spinor,
     rotation_between,
     scaled_residual,
@@ -298,10 +299,22 @@ def test_stabilizer_exact_identity():
         stabilizer_check(Spinor(0.0j, 0.0j))
 
 
+def test_stabilizer_solve_matches_a_linear_solve():
+    # np.linalg.solve of the oracle's action matrix is the independent reference of
+    # sign G^T q / |q|^2: within 1e-15, scaled.
+    rng = np.random.default_rng(66)
+    for scale in 10.0 ** rng.uniform(-3.0, 3.0, 500):
+        psi = Spinor(complex(*rng.normal(size=2) * scale), complex(*rng.normal(size=2) * scale))
+        q = quadruple_from_spinor(psi).as_tuple()
+        for sign in (1, -1):
+            want = np.linalg.solve(oracles.action_matrix(psi), sign * np.array(q))
+            assert scaled_residual(gauge_fixing.stabilizer_solve(q, sign), want) <= 1e-15
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_stabilizer_check_rejects_a_solve_off_identity(monkeypatch, sign):
     # The check must compare the solve with +-identity, not return its constant.
-    monkeypatch.setattr(np.linalg, "solve", lambda g, b: 0.5 * b)
+    monkeypatch.setattr(gauge_fixing, "stabilizer_solve", lambda q, s: [0.5 * s * x for x in q])
     with pytest.raises(ArithmeticError, match=rf"did not land on {sign} \* identity"):
         stabilizer_check(Spinor(0.6 + 0.0j, 0.8j), sign)
 
@@ -309,7 +322,7 @@ def test_stabilizer_check_rejects_a_solve_off_identity(monkeypatch, sign):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_stabilizer_check_rejects_a_nan_solve(monkeypatch, sign):
     # NaN compares false with any bound, so the check must ask for a residual <= it.
-    monkeypatch.setattr(np.linalg, "solve", lambda g, b: math.nan * b)
+    monkeypatch.setattr(gauge_fixing, "stabilizer_solve", lambda q, s: [math.nan * x for x in q])
     with pytest.raises(ArithmeticError):
         stabilizer_check(Spinor(0.6 + 0.0j, 0.8j), sign)
 

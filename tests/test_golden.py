@@ -92,11 +92,11 @@ RESIDUAL_PINS = [
     ("bridge_involution", "0x1.ff56f298e4f31p-52"),
     ("bridge_quadruple_route", "0x1.43eaaf6438254p-52"),
     ("s_orthogonal_factorization", "0x1.0000000000000p-52"),
-    ("s_no_su2_preimage", "0x1.0000000000000p-50"),
+    ("s_no_su2_preimage", "0x1.0000000000000p-53"),
     ("double_cover_sign", "0x1.0000000000000p-49"),
     ("cartan_reflection_parity", "0x0.0p+0"),
     ("direction_vs_matrix_hat", "0x1.7fffffffffff7p-50"),
-    ("left_transport_routes", "0x1.c000000000000p-51"),
+    ("left_transport_routes", "0x1.8000000000000p-51"),
     ("frame_defining_identities", "0x1.2000000000000p-50"),
     ("frame_symmetry_transport", "0x1.0000000000000p-51"),
     ("phase_residual_law", "0x1.f22f0c0b89864p-52"),
