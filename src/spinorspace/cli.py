@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (
     SpinorRotation,
-    finite_angle,
+    finite_tolerance,
     finite_vector,
     pow2_scaled,
     quadruple_from_spinor,
@@ -164,7 +164,7 @@ def _cmd_fixtures(args, parser) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    finite_angle(args.tolerance, "tolerance")
+    finite_tolerance(args.tolerance)
     rot = SpinorRotation(*args.rotation)
     spinor = construct(args.system, args.values, args.model, args.sheet)
     moved = rotate_spinor(rot, spinor)

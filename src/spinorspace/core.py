@@ -28,10 +28,15 @@ def wrap_4pi(angle):
     """Reduce an angle, or each entry of a float64 array, modulo 4pi into (-2pi, 2pi].
 
     The double cover identifies angle with angle + 4pi but keeps angle and
-    angle + 2pi distinct (opposite spinor sheet).
+    angle + 2pi distinct (opposite spinor sheet). Exact: fmod is, and so is the
+    -+4pi shift of a remainder in (2pi, 4pi) or (-4pi, -2pi] (Sterbenz), so an
+    angle in the window comes back unchanged. A float comes back as a float.
     """
-    a = angle % FOUR_PI
-    return a - FOUR_PI * (a > TWO_PI)
+    if type(angle) is float:
+        a = math.fmod(angle, FOUR_PI)
+        return a - FOUR_PI if a > TWO_PI else a + FOUR_PI if a <= -TWO_PI else a
+    a = np.fmod(angle, FOUR_PI)
+    return a - (FOUR_PI * (a > TWO_PI) - FOUR_PI * (a <= -TWO_PI))
 
 
 def finite_angle(phi, name: str) -> float:
@@ -42,9 +47,21 @@ def finite_angle(phi, name: str) -> float:
     return value
 
 
+def finite_tolerance(tolerance) -> float:
+    """float(tolerance); a non-finite one, or a negative one, which no residual
+    can meet, raises ValueError naming it."""
+    value = finite_angle(tolerance, "tolerance")
+    if value < 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {value!r}")
+    return value
+
+
 def finite_vector(v, name: str) -> np.ndarray:
-    """v as a fresh float array; a non-finite entry raises ValueError naming the vector."""
+    """v as a fresh float array of three entries; another shape or a non-finite
+    entry raises ValueError naming the vector."""
     a = np.array(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"{name} must have three entries, got {a.tolist()!r}")
     if not all(map(math.isfinite, a.flat)):
         raise ValueError(f"{name} must be finite, got {a.tolist()!r}")
     return a
@@ -177,11 +194,6 @@ def sign_flag(value, name: str) -> int:
     return int(value)
 
 
-def sheet_lift(phi: float, sheet: int) -> float:
-    """The azimuth phi on a sheet of the double cover: sheet -1 is the phi + 2pi lift."""
-    return wrap_4pi(phi + TWO_PI) if sheet == -1 else phi
-
-
 def polar(xp, m1, m2, phi) -> tuple:
     """Real parts of (m1 e^{-i phi/2}, m2 e^{+i phi/2}), the half-angle phases taken as
     (cos, -+sin): xi_from_parabolic at (N, M) = (m1, m2), and the last step of
@@ -214,7 +226,7 @@ def pow2_scaled(values) -> tuple:
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, hypot=math.hypot,
     isfinite=math.isfinite, ldexp=math.ldexp, all=bool, where=lambda cond, a, b: a if cond else b,
-    max=max, sheet_lift=sheet_lift, pow2_shift=lambda *values: pow2_shift(values))
+    max=max, pow2_shift=lambda *values: pow2_shift(values))
 
 
 def stacked(parts) -> np.ndarray:
@@ -237,7 +249,6 @@ COLUMNS = SimpleNamespace(
     sqrt=np.sqrt, sin=np.sin, cos=np.cos, atan2=lambda y, x: _atan2(y, x).astype(float),
     hypot=lambda x, y: _hypot(x, y).astype(float), isfinite=np.isfinite, ldexp=np.ldexp,
     all=np.all, where=np.where, max=lambda *values: functools.reduce(np.maximum, values),
-    sheet_lift=lambda phi, sheet: np.where(sheet == -1, sheet_lift(phi, -1), phi),
     pow2_shift=lambda *values: -np.frexp(np.max(np.abs(np.broadcast_arrays(*values)), axis=0))[1])
 
 

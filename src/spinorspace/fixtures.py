@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Spinor, finite_angle, quadruple_from_spinor, sheet_lift, sign_flag, wrap_4pi
+from .core import Spinor, finite_tolerance, quadruple_from_spinor, sign_flag, wrap_4pi
 from .gauge_fixing import psi_from_direction
 from .spinor_maps import (
     ParabolicPoint,
@@ -57,10 +57,13 @@ def construct(system: str, values, model: str, sheet: int = 1) -> Spinor:
         maker = xi_from_cartesian if model == "xi" else eta_from_cartesian
         return maker(vals, sheet)
     if system == "spherical":
-        point = SphericalPoint(vals[0], vals[1], sheet_lift(vals[2], sheet))
-        return xi_from_spherical(point) if model == "xi" else eta_from_spherical(point)
-    point = ParabolicPoint(vals[0], vals[1], sheet_lift(vals[2], sheet))
-    return xi_from_parabolic(point) if model == "xi" else eta_from_parabolic(point)
+        point = SphericalPoint(*vals)
+        spinor = xi_from_spherical(point) if model == "xi" else eta_from_spherical(point)
+    else:
+        point = ParabolicPoint(*vals)
+        spinor = xi_from_parabolic(point) if model == "xi" else eta_from_parabolic(point)
+    # Sheet -1, the phi + 2pi lift, is the same spinor negated.
+    return spinor if sheet == 1 else Spinor(-spinor.c1, -spinor.c2)
 
 
 def bilinears(spinor: Spinor, model: str) -> tuple:
@@ -92,7 +95,7 @@ def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
         "spinor": [[spinor.c1.real, spinor.c1.imag], [spinor.c2.real, spinor.c2.imag]],
         "quadruple": list(q.as_tuple()),
         "projection": projection,
-        "meta": {"seed": int(seed), "tolerance": finite_angle(tolerance, "tolerance"),
+        "meta": {"seed": int(seed), "tolerance": finite_tolerance(tolerance),
                  "version": FIXTURE_VERSION},
     }
 
@@ -131,7 +134,7 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
     """Seeded batch of records cycling through systems and models."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    tolerance = finite_angle(tolerance, "tolerance")
+    tolerance = finite_tolerance(tolerance)
     rng = np.random.default_rng(seed)
     records = []
     for index in range(count):

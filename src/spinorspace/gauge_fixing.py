@@ -23,6 +23,7 @@ from .core import (
     NORM_SLACK,
     Spinor,
     SpinorRotation,
+    TWO_PI,
     axis4,
     conjugate4,
     finite_angle,
@@ -32,7 +33,6 @@ from .core import (
     qmul,
     quadruple_from_spinor,
     scaled_residual,
-    sheet_lift,
     sign_flag,
     spinor_of,
     unit4,
@@ -98,16 +98,16 @@ def psi_parts(xp, v1, v2, v3, gamma) -> tuple:
         raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
     n1, n2, n3 = v1 / norm, v2 / norm, v3 / norm
     requested = wrap_4pi(gamma)
-    principal = xp.atan2(n2, n1)
-    partner = sheet_lift(principal, -1)
-    closer = xp.where(_cover_distance(partner, requested) < _cover_distance(principal, requested),
-                      partner, principal)
-    lift = xp.where((n1 == 0.0) & (n2 == 0.0), requested, closer)
+    # The principal azimuth, or on the axis the requested phase itself. Its partner
+    # lift, phase + 2pi, is the same spinor negated, and wins where it is closer.
+    phase = xp.where((n1 == 0.0) & (n2 == 0.0), requested, xp.atan2(n2, n1))
+    sign = xp.where(_cover_distance(phase + TWO_PI, requested) < _cover_distance(phase, requested),
+                    -1.0, 1.0)
     # 1 + |n3|: 1 + n3 on the upper half, 1 - n3 on the lower, the sum that does not cancel.
     plus = 1.0 + abs(n3)
-    big, small = xp.sqrt(0.5 * plus), xp.hypot(n1, n2) * xp.sqrt(0.5 / plus)
+    big, small = sign * xp.sqrt(0.5 * plus), sign * xp.hypot(n1, n2) * xp.sqrt(0.5 / plus)
     upper = n3 >= 0.0
-    return polar(xp, xp.where(upper, big, small), xp.where(upper, small, big), lift)
+    return polar(xp, xp.where(upper, big, small), xp.where(upper, small, big), phase)
 
 
 def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:

@@ -82,12 +82,13 @@ class ParabolicPoint:
 
 
 def _cartesian(xp, x1, x2, x3, sheet, magnitudes) -> tuple:
-    """(m1 e^{-i phi/2}, m2 e^{+i phi/2}) of a Cartesian point other than the
-    origin, on a sheet, with (m1, m2) = magnitudes(xp, x3, rho^2, r)."""
+    """sheet (m1 e^{-i phi/2}, m2 e^{+i phi/2}) of a Cartesian point other than the
+    origin, with (m1, m2) = magnitudes(xp, x3, rho^2, r) and phi the principal
+    azimuth: sheet -1, the phi + 2pi lift, is the same spinor negated, exactly."""
     m1, m2 = _point_magnitudes(xp, x1, x2, x3, magnitudes)
     # The principal azimuth, which is defined as 0 on the axis (rho = 0).
     phi = xp.where((x1 != 0.0) | (x2 != 0.0), xp.atan2(x2, x1), 0.0)
-    return polar(xp, m1, m2, xp.sheet_lift(phi, sheet))
+    return polar(xp, sheet * m1, sheet * m2, phi)
 
 
 def cartesian_columns(kernel, x1, x2, x3, sheet) -> np.ndarray:
@@ -141,6 +142,8 @@ def eta_cartesian(xp, x1, x2, x3, sheet) -> tuple:
 
 def _from_cartesian(v, sheet: int, kernel) -> Spinor:
     sheet = sign_flag(sheet, "sheet")
+    if len(v) != 3:
+        raise ValueError(f"cartesian point must have three entries, got {np.asarray(v).tolist()!r}")
     x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise ValueError(f"cartesian point must be finite, got {[x1, x2, x3]!r}")

@@ -27,7 +27,7 @@ from .core import (
     MINUS_IDENTITY,
     KSQuadruple,
     axis4,
-    finite_angle,
+    finite_tolerance,
     qmul,
     stacked,
     su2_parts,
@@ -649,7 +649,7 @@ def run_suite(suite: str, samples: int = 1000, seed: int = 42,
         raise ValueError(f"unknown suite {suite!r}; valid: {', '.join(SUITE_NAMES)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    finite_angle(tolerance, "tolerance")
+    finite_tolerance(tolerance)
     start = time.perf_counter()
     checks = []
     for index, (name, share, draw, body) in enumerate(_SUITES[suite]):
@@ -672,21 +672,22 @@ def replay_fixtures(records, tolerance: float | None = None) -> VerificationRepo
     """Recompute every stored record and compare against its stored fields.
 
     Each record is held to its own stored tolerance unless an override is
-    given; a non-finite override raises ValueError. Malformed records, a
-    non-finite stored tolerance among them, count as categorical failures.
+    given; a non-finite or negative override raises ValueError. Malformed
+    records, a non-finite or negative stored tolerance among them, count as
+    categorical failures.
     The report's threshold is the override, or else the largest usable stored
     tolerance, or 1e-12 where there is none.
     """
     if tolerance is not None:
-        finite_angle(tolerance, "tolerance")
+        finite_tolerance(tolerance)
     start = time.perf_counter()
     worst = 0.0
     usable = []
     ok = True
     for record in records:
         try:
-            tol = tolerance if tolerance is not None else finite_angle(
-                record["meta"]["tolerance"], "tolerance")
+            tol = tolerance if tolerance is not None else finite_tolerance(
+                record["meta"]["tolerance"])
             usable.append(tol)
             residual = fixture_io.replay_residual(record)
             ok = ok and residual <= tol

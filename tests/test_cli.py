@@ -228,7 +228,8 @@ def test_fixtures_replay_fails_a_nan_field(tmp_path, capsys):
     lambda record: [1, 2, 3],
     lambda record: {**record, "meta": {**record["meta"], "tolerance": "abc"}},
     lambda record: {**record, "meta": {**record["meta"], "tolerance": math.nan}},
-], ids=["no-meta", "list", "text-tolerance", "nan-tolerance"])
+    lambda record: {**record, "meta": {**record["meta"], "tolerance": -1.0}},
+], ids=["no-meta", "list", "text-tolerance", "nan-tolerance", "negative-tolerance"])
 def test_fixtures_replay_fails_a_malformed_line(tmp_path, capsys, line):
     path = tmp_path / "golden.jsonl"
     run_main(capsys, "fixtures", "--count", "8", "--seed", "3", "--out", str(path))
@@ -285,6 +286,24 @@ def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, argv):
     code, out, err = run_main(capsys, *(str(path) if a == "FILE" else a for a in argv))
     assert code == 2 and out == ""
     assert err == f"error: tolerance must be finite, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "1", "--tolerance", "-1"],
+    ["verify", "--suite", "hopf", "--samples", "10", "--tolerance", "-1"],
+    ["verify", "--fixtures", "FILE", "--tolerance", "-1e-3"],
+    ["rotate", "1", "0", "0", "0", "cartesian", "0.3", "-0.4", "0.5", "--tolerance", "-1"],
+    ["convert", "cartesian", "1", "0", "0", "--tolerance", "-1"],
+    ["fixtures", "--count", "2", "--out", "FILE", "--tolerance=-1e-12"],
+], ids=["verify", "verify-suite", "verify-fixtures", "rotate", "convert", "fixtures"])
+def test_negative_tolerance_is_a_usage_error(tmp_path, capsys, argv):
+    # A negative tolerance fails correct output, or writes a record no replay can meet.
+    path = tmp_path / "golden.jsonl"
+    run_main(capsys, "fixtures", "--count", "4", "--out", str(path))
+    value = argv[-1].rpartition("=")[2]
+    code, out, err = run_main(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: tolerance must be nonnegative, got {float(value)!r}\n"
 
 
 def test_missing_subcommand():

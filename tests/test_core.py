@@ -137,6 +137,23 @@ def test_wrap_4pi_on_arrays_matches_each_entry():
     assert np.signbit(got).tolist() == [math.copysign(1.0, a) < 0.0 for a in want]
 
 
+def test_wrap_4pi_is_the_identity_on_its_window():
+    # fmod and the -+4pi shift are exact, so an angle in (-2pi, 2pi] keeps every bit.
+    two_pi = 2.0 * math.pi
+    angles = np.random.default_rng(48).uniform(-two_pi, two_pi, 100_000)
+    edges = [two_pi, np.nextafter(-two_pi, 0.0), math.pi, -math.pi, 0.0, -0.0,
+             1e-300, -1e-300, 5e-324, -5e-324]
+    angles = np.concatenate([angles[angles > -two_pi], edges])
+    scalars = [wrap_4pi(a) for a in angles.tolist()]
+    assert scalars == angles.tolist()
+    assert [math.copysign(1.0, a) for a in scalars] == np.copysign(1.0, angles).tolist()
+    assert {type(a) for a in scalars} == {float}
+    got = wrap_4pi(angles)
+    assert got.tolist() == angles.tolist()
+    assert np.signbit(got).tolist() == np.signbit(angles).tolist()
+    assert wrap_4pi(-1e-300) == -1e-300
+
+
 def test_constructors_reject_nonfinite():
     with pytest.raises(ValueError):
         Spinor(complex(float("nan"), 0.0), 0.0j)
@@ -147,7 +164,7 @@ def test_constructors_reject_nonfinite():
 
 
 def test_angle_value_rejects_nonfinite():
-    # wrap_4pi(inf) is NaN; angle_value must reject it rather than pass it on.
+    # wrap_4pi(inf) has no value; angle_value must reject it rather than pass it on.
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="sweep angle"):
             angle_value(bad, "sweep angle")
@@ -234,6 +251,29 @@ def test_module_exports_make_up_the_package():
 def test_sign_flags_name_the_flag(call, flag):
     with pytest.raises(ValueError, match=rf"^{flag} must be \+1 or -1, got "):
         call()
+
+
+# Each public entry point that takes a 3-vector, with the name its error gives it.
+_VECTOR_ENTRIES = [
+    (spinorspace.xi_from_cartesian, "cartesian point"),
+    (spinorspace.eta_from_cartesian, "cartesian point"),
+    (spinorspace.psi_from_direction, "direction"),
+    (spinorspace.so3_from_vector_parameter, "vector parameter"),
+    (spinorspace.rotation_from_vector_parameter, "vector parameter"),
+    (lambda v: spinorspace.rotation_from_axis_angle(v, 0.3), "rotation axis"),
+    (lambda v: spinorspace.build_frame(_Q, v, 0.4), "frame axis"),
+    (lambda v: spinorspace.rotated_direction(_Q, IDENTITY_ROTATION, v), "direction"),
+]
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], np.array([[1.0, 0.0, 0.0]])],
+                         ids=["two", "four", "row"])
+@pytest.mark.parametrize("call, name", _VECTOR_ENTRIES,
+                         ids=["xi", "eta", "psi", "so3-chart", "chart", "axis-angle", "frame",
+                              "rotated-direction"])
+def test_vectors_of_the_wrong_shape_name_the_input(call, name, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must have three entries, got \["):
+        call(bad)
 
 
 def test_rotation_norm_gate():

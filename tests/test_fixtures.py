@@ -34,6 +34,22 @@ def test_construct_routing():
     assert abs(a.c1 + b.c1) <= 1e-13 and abs(a.c2 + b.c2) <= 1e-13
 
 
+@pytest.mark.parametrize("model", ["xi", "eta"])
+@pytest.mark.parametrize("system, high", [("spherical", math.pi), ("parabolic", 2.0)],
+                         ids=["spherical", "parabolic"])
+def test_sheet_minus_one_is_the_negated_spinor(system, high, model):
+    # Sheet -1, the phi + 2pi lift, negates the sheet +1 spinor bit for bit, at any stored azimuth.
+    rng = np.random.default_rng(17)
+    draws = (rng.uniform(0.0, 3.0, 1500), rng.uniform(0.0, high, 1500),
+             rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 1500))
+    for a, b, phi in zip(*(d.tolist() for d in draws)):
+        plus = construct(system, (a, b, phi), model, sheet=1)
+        minus = construct(system, (a, b, phi), model, sheet=-1)
+        assert (minus.c1, minus.c2) == (-plus.c1, -plus.c2)
+        assert fixture_record(system, (a, b, phi), model, sheet=-1)["spinor"] == [
+            [-plus.c1.real, -plus.c1.imag], [-plus.c2.real, -plus.c2.imag]]
+
+
 def test_construct_errors():
     with pytest.raises(ValueError):
         construct("cylindrical", (1.0, 0.0, 0.0), "xi")
@@ -211,7 +227,9 @@ def _with_tolerance(value):
 @pytest.mark.parametrize("tamper", [
     _without_meta, lambda record: [1, 2, 3], lambda record: "record",
     _with_tolerance("abc"), _with_tolerance(math.nan), _with_tolerance(math.inf),
-], ids=["no-meta", "list", "string", "text-tolerance", "nan-tolerance", "inf-tolerance"])
+    _with_tolerance(-1.0),
+], ids=["no-meta", "list", "string", "text-tolerance", "nan-tolerance", "inf-tolerance",
+        "negative-tolerance"])
 def test_replay_fails_a_malformed_record(tamper):
     records = generate_fixtures(3, seed=19)
     records[1] = tamper(records[1])
@@ -262,6 +280,21 @@ def test_run_suite_arguments():
         run_suite("sympletic")
     with pytest.raises(ValueError):
         run_suite("hopf", samples=0)
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-300, -math.ulp(0.0)])
+def test_negative_tolerances_are_rejected(value):
+    # No residual meets a negative tolerance: the call fails where it is given.
+    records = generate_fixtures(2, seed=19)
+    message = rf"^tolerance must be nonnegative, got {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        run_suite("hopf", samples=1, tolerance=value)
+    with pytest.raises(ValueError, match=message):
+        replay_fixtures(records, tolerance=value)
+    with pytest.raises(ValueError, match=message):
+        fixture_record("cartesian", (0.3, -0.4, 0.5), tolerance=value)
+    with pytest.raises(ValueError, match=message):
+        generate_fixtures(2, seed=19, tolerance=value)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -110,6 +110,17 @@ def test_psi_from_direction_lift_selection():
     assert abs(spun.c1 + 1.0j) <= 1e-15
 
 
+def test_psi_from_direction_partner_lift_negates():
+    # Off the axis, gamma + 2pi selects the other lift: the same spinor negated, bit for bit.
+    rng = np.random.default_rng(64)
+    directions = rng.normal(size=(3000, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    gammas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3000)
+    for n, gamma in zip(directions.tolist(), gammas.tolist()):
+        psi, partner = psi_from_direction(n, gamma), psi_from_direction(n, gamma + 2.0 * math.pi)
+        assert (partner.c1, partner.c2) == (-psi.c1, -psi.c2)
+
+
 def _complex_polar(xp, m1, m2, phi):
     """The direction spinor's phase step as it was written before it shared the
     constructors' polar: half-angle phases and float-by-complex products."""

@@ -26,7 +26,7 @@ def test_fixture_file_bytes(tmp_path):
     path = tmp_path / "golden.jsonl"
     write_fixtures(generate_fixtures(100, seed=1), path)
     assert _sha(path.read_bytes()) == (
-        "bd3827fa2dbb9832c42f6ae95d6ce381aa24f6bf7936cf0042befe9e4aa011a2")
+        "f2e9ace5f89ff21ceb2ea92546c9d2d953ca70c20dff86afceed5686df076c3e")
 
 
 GAUGE_123 = "dda173e74b966f7a8880b3017dd5827460846f70e6e1aebc382684b11730e3c7"
@@ -51,11 +51,11 @@ CLI_PINS = [
      "a2be0dffa35afbfbf6692128887aa04d4ffb200a5633f5f207acd74e3ed6e638", EMPTY),
     (("rotate", "0.6", "0", "0.8", "0", "spherical", "2", "0.75", "2.25",
       "--model", "eta", "--sheet", "-1"), 0,
-     "62c1826ee687966d8edeac81251af8f49745fe31735771eb06f4924332e08e80", EMPTY),
+     "492c120d1efa6ed3dfe2b2d956071e032b577952d9aacc122095d8b30cab43fa", EMPTY),
     (("convert", "cartesian", "0.3", "-1.2", "2.5"), 0,
      "175ddb9cf752e6ec3d1653062e5e578e1485442bba8dfa0c1ddd57dbcab03376", EMPTY),
     (("convert", "spherical", "1", "0.75", "2.25", "--model", "eta", "--sheet", "-1"), 0,
-     "3b95202e719d05e4c5f61d31d03a05aa19e0523c84b4bc0a76cf6af570f961fc", EMPTY),
+     "673247a2101813e5224dc05bfe99b350f6092fa9c1f7673dd0f7e0a42a7f539b", EMPTY),
     (("convert", "parabolic", "1.5", "0.5", "-2"), 0,
      "d1a5d433e7a471a165331e9627e0838a73d790c0617f29418e2989299b779062", EMPTY),
     # range error: colatitude outside [0, pi]
@@ -78,7 +78,7 @@ def test_cli_output_bytes(capsys, argv, code, out_sha, err_sha):
 
 # float.hex of each check's max_residual in run_all(1000, 42), in suite order.
 RESIDUAL_PINS = [
-    ("construct_project_round_trip", "0x1.c86b54a9ee21fp-50"),
+    ("construct_project_round_trip", "0x1.0000000000000p-50"),
     ("hopf_norms_any_spinor", "0x1.0000000000000p-48"),
     ("eta_projection_dual_route", "0x1.f804fe17ebd91p-53"),
     ("coordinate_agreement", "0x1.2c00000000000p-51"),

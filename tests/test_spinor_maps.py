@@ -143,7 +143,7 @@ def test_point_validation():
 
 
 def test_points_reject_nonfinite_azimuth():
-    # wrap_4pi(inf) is NaN, so a non-finite azimuth must be caught before wrapping.
+    # wrap_4pi(inf) has no value, so a non-finite azimuth must be caught before wrapping.
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="azimuth phi"):
             SphericalPoint(1.0, 0.5, bad)
@@ -152,14 +152,17 @@ def test_points_reject_nonfinite_azimuth():
 
 
 def test_sheet_flag_negates():
+    # Sheet -1, the phi + 2pi lift, is the sheet +1 spinor negated, bit for bit.
     rng = np.random.default_rng(21)
-    for _ in range(100):
-        v = tuple(rng.uniform(-2.0, 2.0, size=3))
-        for maker in (xi_from_cartesian, eta_from_cartesian):
-            plus = maker(v, 1)
-            minus = maker(v, -1)
-            assert close(minus.c1, -plus.c1, 1e-14)
-            assert close(minus.c2, -plus.c2, 1e-14)
+    points = np.concatenate([rng.uniform(-2.0, 2.0, size=(2000, 3)), _hard_points(rng)])
+    for kernel, maker in ((sm.xi_cartesian, xi_from_cartesian),
+                          (sm.eta_cartesian, eta_from_cartesian)):
+        for v in points.tolist():
+            plus, minus = maker(v, 1), maker(v, -1)
+            assert (minus.c1, minus.c2) == (-plus.c1, -plus.c2)
+        with np.errstate(over="ignore"):  # the squares of the largest points, rescaled after
+            plus, minus = (sm.cartesian_columns(kernel, *points.T, sheet) for sheet in (1, -1))
+        assert (minus == -plus).all()
 
 
 # -------------------------------------------------------------- projections

@@ -3,11 +3,13 @@
 Copies each tree's spinorspace package into a temporary directory under its
 own name (spinorspace_parent, spinorspace_change), imports both into this
 process, and times a fixed list of scalar API calls: in-range and
-out-of-range constructors, both projections, rotate_spinor,
+out-of-range constructors, a Cartesian constructor on sheet -1, the
+SphericalPoint constructor, both projections, rotate_spinor,
 so3_from_rotation, so3_from_vector_parameter, SpinorRotation,
-psi_from_direction, the gauges, rotation_between, stabilizer_check,
-direction_from_ks, build_frame, frame_symmetry, left_transport,
-rotated_direction and fixture_record. Each round times every call NUMBER times
+psi_from_direction on both of its lifts, the gauges, rotation_between,
+stabilizer_check, direction_from_ks, build_frame, frame_symmetry,
+left_transport, rotated_direction and fixture_record on a spherical and a
+Cartesian point, each on sheet -1. Each round times every call NUMBER times
 on both sides back to back, with garbage collection off, and the side that
 goes first alternates from round to round. For each call it prints the
 median us per call on each side, the change in per cent as the median of
@@ -23,6 +25,7 @@ usage: python tools/scalar_ab.py PARENT_SRC [CHANGE_SRC]
 from __future__ import annotations
 
 import importlib
+import math
 import shutil
 import statistics
 import sys
@@ -46,9 +49,11 @@ def calls(ss) -> list:
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
     return [
         ("xi_from_cartesian", lambda: ss.xi_from_cartesian(point)),
+        ("xi_from_cartesian sheet -1", lambda: ss.xi_from_cartesian(point, -1)),
         ("xi_from_cartesian out of range", lambda: ss.xi_from_cartesian((1e-310, 0.0, 1e-315))),
         ("eta_from_cartesian", lambda: ss.eta_from_cartesian(point, -1)),
         ("eta_from_cartesian out of range", lambda: ss.eta_from_cartesian((1e300, 1e300, -1e300))),
+        ("SphericalPoint", lambda: ss.SphericalPoint(1.3, 0.8, -2.0)),
         ("xi_from_spherical", lambda: ss.xi_from_spherical(spherical)),
         ("eta_from_spherical", lambda: ss.eta_from_spherical(spherical)),
         ("xi_from_parabolic", lambda: ss.xi_from_parabolic(parabolic)),
@@ -62,6 +67,8 @@ def calls(ss) -> list:
         ("so3_from_vector_parameter", lambda: ss.so3_from_vector_parameter(point)),
         ("SpinorRotation", lambda: ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)),
         ("psi_from_direction", lambda: ss.psi_from_direction(direction, 0.5)),
+        ("psi_from_direction partner lift",
+         lambda: ss.psi_from_direction(direction, 0.5 + 2.0 * math.pi)),
         ("gauge_plus", lambda: ss.gauge_plus(psi, 0.3)),
         ("gauge_minus", lambda: ss.gauge_minus(psi, 0.3)),
         ("canonical_phase_plus", lambda: ss.canonical_phase_plus(psi)),
@@ -74,6 +81,7 @@ def calls(ss) -> list:
         ("left_transport", lambda: ss.left_transport(rot, q)),
         ("rotated_direction", lambda: ss.rotated_direction(q, rot, direction)),
         ("fixture_record", lambda: ss.fixture_record("spherical", (1.3, 0.8, 2.0), "eta", -1)),
+        ("fixture_record cartesian -1", lambda: ss.fixture_record("cartesian", point, "xi", -1)),
     ]
 
 
