@@ -114,12 +114,10 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     if args.fixtures is not None:
         reports = [replay_fixtures(load_fixtures(args.fixtures), args.tolerance)]
     else:
-        if args.samples < 1:
-            parser.error("--samples must be >= 1")
         tolerance = 1e-12 if args.tolerance is None else args.tolerance
         if args.suite == "all":
             reports = run_all(args.samples, args.seed, tolerance)
@@ -134,7 +132,7 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_gauge(args) -> int:
     # Scaling by a power of two is exact, so the normalized n is the same at
     # every magnitude of the input.
-    n = np.array(pow2_scaled(finite_vector(args.values, "direction").tolist()))
+    n = np.array(pow2_scaled(finite_vector(args.values, "direction")))
     norm = np.linalg.norm(n)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
@@ -155,9 +153,7 @@ def _cmd_gauge(args) -> int:
     return 0
 
 
-def _cmd_fixtures(args, parser) -> int:
-    if args.count < 0:
-        parser.error("--count must be >= 0")
+def _cmd_fixtures(args) -> int:
     written = write_fixtures(generate_fixtures(args.count, args.seed, args.tolerance), args.out)
     print(f"wrote {written} records to {args.out}")
     return 0
@@ -182,19 +178,14 @@ def _cmd_rotate(args) -> int:
     return 0 if residual <= args.tolerance else 1
 
 
+_COMMANDS = {"convert": _cmd_convert, "verify": _cmd_verify, "gauge": _cmd_gauge,
+             "fixtures": _cmd_fixtures, "rotate": _cmd_rotate}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "convert":
-            return _cmd_convert(args)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        if args.command == "gauge":
-            return _cmd_gauge(args)
-        if args.command == "fixtures":
-            return _cmd_fixtures(args, parser)
-        return _cmd_rotate(args)
+        return _COMMANDS[args.command](args)
     except SingularGaugeError as exc:
         print(f"singular gauge: {exc}", file=sys.stderr)
         return 1

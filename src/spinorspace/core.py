@@ -30,11 +30,17 @@ def wrap_4pi(angle):
     The double cover identifies angle with angle + 4pi but keeps angle and
     angle + 2pi distinct (opposite spinor sheet). Exact: fmod is, and so is the
     -+4pi shift of a remainder in (2pi, 4pi) or (-4pi, -2pi] (Sterbenz), so an
-    angle in the window comes back unchanged. A float comes back as a float.
+    angle in the window comes back unchanged. A float comes back as a float. An
+    infinite or NaN angle has no value on the cover and raises ValueError naming it.
     """
     if type(angle) is float:
+        if not math.isfinite(angle):
+            raise ValueError(f"angle must be finite, got {angle!r}")
         a = math.fmod(angle, FOUR_PI)
         return a - FOUR_PI if a > TWO_PI else a + FOUR_PI if a <= -TWO_PI else a
+    finite = np.isfinite(angle)
+    if not finite.all():
+        raise ValueError(f"angle must be finite, got {np.asarray(angle)[~finite][0].item()!r}")
     a = np.fmod(angle, FOUR_PI)
     return a - (FOUR_PI * (a > TWO_PI) - FOUR_PI * (a <= -TWO_PI))
 
@@ -56,15 +62,19 @@ def finite_tolerance(tolerance) -> float:
     return value
 
 
-def finite_vector(v, name: str) -> np.ndarray:
-    """v as a fresh float array of three entries; another shape or a non-finite
-    entry raises ValueError naming the vector."""
-    a = np.array(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"{name} must have three entries, got {a.tolist()!r}")
-    if not all(map(math.isfinite, a.flat)):
-        raise ValueError(f"{name} must be finite, got {a.tolist()!r}")
-    return a
+def finite_vector(v, name: str) -> tuple:
+    """v as three Python floats, the one reader of three-entry inputs: another shape,
+    an entry that float() refuses or a non-finite entry raises ValueError naming the
+    vector."""
+    entries = v.tolist() if isinstance(v, np.ndarray) else v
+    try:
+        x1, x2, x3 = entries
+        x1, x2, x3 = float(x1), float(x2), float(x3)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must have three entries, got {entries!r}") from None
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        raise ValueError(f"{name} must be finite, got {[x1, x2, x3]!r}")
+    return x1, x2, x3
 
 
 def angle_value(phi, name: str = "angle") -> float:

@@ -86,7 +86,7 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
     magnitude is taken in the quotient form rho sqrt(1 / (2 (1 +- n3))),
     which does not cancel near the poles as sqrt((1 -+ n3)/2) does.
     """
-    return spinor_of(psi_parts(FLOATS, *finite_vector(n, "direction").tolist(),
+    return spinor_of(psi_parts(FLOATS, *finite_vector(n, "direction"),
                                finite_angle(gamma, "phase gamma")))
 
 

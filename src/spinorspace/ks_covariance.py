@@ -143,10 +143,10 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     """
     delta = finite_angle(delta, "frame delta")
     a_vec = finite_vector(axis, "frame axis")
-    align = SpinorRotation(*canonical_plus4(FLOATS, a_vec.tolist()))
+    align = SpinorRotation(*canonical_plus4(FLOATS, a_vec))
     w, direction = frame4(FLOATS, q.as_tuple(), align.as_tuple(), delta)
-    return KSFrame(w=KSQuadruple(*w), direction=np.array(direction), axis=a_vec, delta=delta,
-                   align=align)
+    return KSFrame(w=KSQuadruple(*w), direction=np.array(direction), axis=np.array(a_vec),
+                   delta=delta, align=align)
 
 
 def frame4(xp, q: tuple, align: tuple, delta) -> tuple:
@@ -190,7 +190,7 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
     and n the frame direction, this lands on the direction of w itself.
     """
     return np.array(turned3(FLOATS, w.as_tuple(), rot.as_tuple(),
-                            finite_vector(n, "direction").tolist()))
+                            finite_vector(n, "direction")))
 
 
 def turned3(xp, w: tuple, c: tuple, n) -> tuple:

@@ -82,7 +82,7 @@ def chart_scaled(xp, c1, c2, c3) -> tuple:
 
 def rotation_from_vector_parameter(C) -> SpinorRotation:
     """Inverse chart, fixing the c4 > 0 representative: c4 = 1 / sqrt(1 + |C|^2), c = c4 C."""
-    return SpinorRotation(*chart4(FLOATS, *finite_vector(C, "vector parameter").tolist()))
+    return SpinorRotation(*chart4(FLOATS, *finite_vector(C, "vector parameter")))
 
 
 def chart4(xp, c1, c2, c3) -> tuple:
@@ -95,7 +95,7 @@ def chart4(xp, c1, c2, c3) -> tuple:
 
 def so3_from_vector_parameter(C) -> np.ndarray:
     """O = I + 2 (K_C + K_C^2) / (1 + |C|^2), bypassing the unit quadruple."""
-    return np.array(chart_so3(FLOATS, *finite_vector(C, "vector parameter").tolist()))
+    return np.array(chart_so3(FLOATS, *finite_vector(C, "vector parameter")))
 
 
 def chart_so3(xp, c1, c2, c3) -> tuple:
@@ -298,7 +298,7 @@ def real4_fit(targets: np.ndarray) -> tuple:
 def rotation_from_axis_angle(axis, angle: float) -> SpinorRotation:
     """Unit quadruple (cos(angle/2), sin(angle/2) axis_hat)."""
     # sin(h) / |a| times a is unchanged when a is scaled by a power of two.
-    a = np.array(pow2_scaled(finite_vector(axis, "rotation axis").tolist()))
+    a = np.array(pow2_scaled(finite_vector(axis, "rotation axis")))
     norm = math.sqrt(float(a @ a))
     if norm == 0.0:
         raise ValueError("rotation axis must be nonzero")

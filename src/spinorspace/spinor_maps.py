@@ -33,6 +33,7 @@ from .core import (
     Spinor,
     angle_value,
     finite_angle,
+    finite_vector,
     polar,
     sign_flag,
     spinor_of,
@@ -142,11 +143,7 @@ def eta_cartesian(xp, x1, x2, x3, sheet) -> tuple:
 
 def _from_cartesian(v, sheet: int, kernel) -> Spinor:
     sheet = sign_flag(sheet, "sheet")
-    if len(v) != 3:
-        raise ValueError(f"cartesian point must have three entries, got {np.asarray(v).tolist()!r}")
-    x1, x2, x3 = float(v[0]), float(v[1]), float(v[2])
-    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
-        raise ValueError(f"cartesian point must be finite, got {[x1, x2, x3]!r}")
+    x1, x2, x3 = finite_vector(v, "cartesian point")
     if x1 == x2 == x3 == 0.0:
         return Spinor(0.0j, 0.0j)
     return spinor_of(kernel(FLOATS, x1, x2, x3, sheet))

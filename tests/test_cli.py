@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorspace.cli import main
 
@@ -94,10 +98,9 @@ def test_verify_all_suites(capsys):
         assert f"suite {name}:" in out
 
 
-def test_verify_bad_samples():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--samples", "0"])
-    assert exc.value.code == 2
+def test_verify_bad_samples(capsys):
+    # run_suite rejects the count; the CLI reports the library's message.
+    assert run_main(capsys, "verify", "--samples", "0") == (2, "", "error: samples must be >= 1\n")
 
 
 # --------------------------------------------------------------------- gauge
@@ -166,10 +169,11 @@ def test_fixtures_unwritable_path(tmp_path, capsys):
     assert err.startswith("error:") and str(path) in err
 
 
-def test_fixtures_negative_count(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["fixtures", "--count", "-3", "--out", str(tmp_path / "x.jsonl")])
-    assert exc.value.code == 2
+def test_fixtures_negative_count(tmp_path, capsys):
+    path = tmp_path / "x.jsonl"
+    assert run_main(capsys, "fixtures", "--count", "-3", "--out", str(path)) == (
+        2, "", "error: count must be >= 0\n")
+    assert not path.exists()
 
 
 def test_fixtures_replay_cycle(tmp_path, capsys):
@@ -310,6 +314,56 @@ def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------ argv property test
+
+# Numbers as a user types them: float reprs, with the edges of the double range,
+# signed zeros, subnormals, exponent forms and the non-finite spellings.
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+                     "1e308", "-1e308", "1.7e308", "-1.7e308", "1E-3", "-1e-3", "2.5e+2",
+                     "inf", "-inf", "nan", "-nan", "Infinity"]),
+    st.floats().map(repr))
+
+
+def _options(**choices):
+    """Any subset of the options, each with a value drawn from its strategy."""
+    return st.tuples(*(st.one_of(st.just(()), values.map(lambda v, o=option: (f"--{o}", v)))
+                       for option, values in choices.items())).map(lambda t: sum(t, ()))
+
+
+_POINT = st.tuples(st.sampled_from(["cartesian", "spherical", "parabolic"]),
+                   _NUMBER, _NUMBER, _NUMBER)
+_POINT_OPTIONS = dict(model=st.sampled_from(["xi", "eta"]), sheet=st.sampled_from(["1", "-1"]),
+                      tolerance=_NUMBER)
+_ARGV = st.one_of(
+    st.tuples(st.just(("convert",)), _POINT, _options(**_POINT_OPTIONS)),
+    # Drawn rotations are rarely unit; the fixed ones let rotate reach the point.
+    st.tuples(st.just(("rotate",)),
+              st.one_of(st.sampled_from([("1", "0", "0", "0"), ("0.5", "-0.5", "0.5", "-0.5"),
+                                         ("-0.0", "0.6", "0", "-0.8")]),
+                        st.tuples(*[_NUMBER] * 4)),
+              _POINT, _options(**_POINT_OPTIONS)),
+    st.tuples(st.just(("gauge",)), st.tuples(*[_NUMBER] * 3),
+              _options(sign=st.sampled_from(["plus", "minus"]), gamma=_NUMBER)),
+).map(lambda parts: [a for part in parts for a in part])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_ARGV)
+def test_any_numbers_exit_cleanly(argv):
+    # Every input ends in an exit code, never in a traceback.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv
 
 
 # -------------------------------------------------- module-level determinism

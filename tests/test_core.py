@@ -3,6 +3,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from spinorspace import (
     su2_matrix,
     wrap_4pi,
 )
-from spinorspace.core import FLOATS, pow2_scaled, pow2_shift, qmul, unit4
+from spinorspace.core import FLOATS, finite_vector, pow2_scaled, pow2_shift, qmul, unit4
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,6 +155,16 @@ def test_wrap_4pi_is_the_identity_on_its_window():
     assert wrap_4pi(-1e-300) == -1e-300
 
 
+def test_wrap_4pi_names_a_nonfinite_angle():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"^angle must be finite, got {bad!r}$"):
+            wrap_4pi(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^angle must be finite, got {bad!r}$"):
+                wrap_4pi(np.array([0.5, bad, 1.0]))
+
+
 def test_constructors_reject_nonfinite():
     with pytest.raises(ValueError):
         Spinor(complex(float("nan"), 0.0), 0.0j)
@@ -266,14 +277,32 @@ _VECTOR_ENTRIES = [
 ]
 
 
-@pytest.mark.parametrize("bad", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], np.array([[1.0, 0.0, 0.0]])],
-                         ids=["two", "four", "row"])
+@pytest.mark.parametrize("bad", [
+    [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], np.array([[1.0, 0.0, 0.0]]), np.array([[1.0], [0.0], [0.0]]),
+    [[1.0], [0.0], [0.0]], [[1.0, 2.0], [3.0], 4.0], [1j, 0.0, 0.0],
+], ids=["two", "four", "row", "column", "nested", "ragged", "complex"])
 @pytest.mark.parametrize("call, name", _VECTOR_ENTRIES,
                          ids=["xi", "eta", "psi", "so3-chart", "chart", "axis-angle", "frame",
                               "rotated-direction"])
 def test_vectors_of_the_wrong_shape_name_the_input(call, name, bad):
     with pytest.raises(ValueError, match=rf"^{name} must have three entries, got \["):
         call(bad)
+
+
+def test_finite_vector_reads_three_floats_with_their_bits():
+    # Signed zeros, a subnormal and numpy scalars come back as Python floats, bit for bit.
+    cases = [
+        ((-0.0, 0.0, 5e-324), (-0.0, 0.0, 5e-324)),
+        ([np.float32(0.1), np.int64(-3), -1e308], (float(np.float32(0.1)), -3.0, -1e308)),
+        (np.array([-0.0, -5e-324, 1.7e308]), (-0.0, -5e-324, 1.7e308)),
+        (np.array([0.1, -0.0, 2.0], dtype=np.float32), (float(np.float32(0.1)), -0.0, 2.0)),
+        (np.array([7, -1, 0], dtype=np.int64), (7.0, -1.0, 0.0)),
+    ]
+    for v, want in cases:
+        got = finite_vector(v, "v")
+        assert type(got) is tuple and {type(x) for x in got} == {float}
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
 
 
 def test_rotation_norm_gate():

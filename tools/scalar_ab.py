@@ -5,18 +5,19 @@ own name (spinorspace_parent, spinorspace_change), imports both into this
 process, and times a fixed list of scalar API calls: in-range and
 out-of-range constructors, a Cartesian constructor on sheet -1, the
 SphericalPoint constructor, both projections, rotate_spinor,
-so3_from_rotation, so3_from_vector_parameter, SpinorRotation,
-psi_from_direction on both of its lifts, the gauges, rotation_between,
-stabilizer_check, direction_from_ks, build_frame, frame_symmetry,
-left_transport, rotated_direction and fixture_record on a spherical and a
-Cartesian point, each on sheet -1. Each round times every call NUMBER times
-on both sides back to back, with garbage collection off, and the side that
-goes first alternates from round to round. For each call it prints the
-median us per call on each side, the change in per cent as the median of
-the rounds' change/parent ratios (so drift from round to round cancels),
-and the rounds the change won. It needs only the standard library and the package (and numpy,
-which the package imports). Both sides share one process and one host, so
-drift between separate runs does not enter the comparison.
+so3_from_rotation, so3_from_vector_parameter, rotation_from_vector_parameter,
+rotation_from_axis_angle, SpinorRotation, psi_from_direction on both of its
+lifts, the gauges, rotation_between, stabilizer_check, direction_from_ks,
+build_frame, frame_symmetry, left_transport, rotated_direction and
+fixture_record on a spherical and a Cartesian point, each on sheet -1. Each
+round times every call NUMBER times on both sides back to back, with garbage
+collection off, and the side that goes first alternates from round to round.
+For each call it prints the median us per call on each side, the change in
+per cent as the median of the rounds' change/parent ratios (so drift from
+round to round cancels), and the rounds the change won. It needs only the
+standard library and the package (and numpy, which the package imports).
+Both sides share one process and one host, so drift between separate runs
+does not enter the comparison.
 
 usage: python tools/scalar_ab.py PARENT_SRC [CHANGE_SRC]
        (default CHANGE_SRC: the src/ beside tools/)
@@ -65,6 +66,8 @@ def calls(ss) -> list:
         ("rotate_spinor", lambda: ss.rotate_spinor(rot, xi)),
         ("so3_from_rotation", lambda: ss.so3_from_rotation(rot)),
         ("so3_from_vector_parameter", lambda: ss.so3_from_vector_parameter(point)),
+        ("rotation_from_vector_parameter", lambda: ss.rotation_from_vector_parameter(point)),
+        ("rotation_from_axis_angle", lambda: ss.rotation_from_axis_angle(direction, 0.7)),
         ("SpinorRotation", lambda: ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)),
         ("psi_from_direction", lambda: ss.psi_from_direction(direction, 0.5)),
         ("psi_from_direction partner lift",
