@@ -42,7 +42,10 @@ def construct(system: str, values, model: str, sheet: int = 1) -> Spinor:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
     sheet = sign_flag(sheet, "sheet")
-    vals = [float(v) for v in values]
+    try:
+        vals = [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ValueError(f"{system} values must be real numbers, got {values!r}") from None
     if system == "direction":
         if model != "psi":
             raise ValueError("the direction system carries the psi model only")

@@ -36,6 +36,7 @@ from .core import (
     finite_vector,
     polar,
     sign_flag,
+    slot_setters,
     spinor_of,
 )
 
@@ -46,7 +47,8 @@ _MIN_NORMAL = sys.float_info.min
 _PAST_RANGE = "{}({!r}): the {} leave the double range, past 1.8e308"
 
 
-@dataclass(frozen=True, slots=True)
+# Built as core.Spinor is; the comment there says why.
+@dataclass(frozen=True, slots=True, init=False)
 class SphericalPoint:
     """(r, theta, phi) with r >= 0, theta in [0, pi], phi on the double cover."""
 
@@ -54,18 +56,25 @@ class SphericalPoint:
     theta: float
     phi: float
 
-    def __post_init__(self):
-        r, theta = float(self.r), float(self.theta)
+    def __init__(self, r, theta, phi):
+        self.__post_init__(r, theta, phi)
+
+    def __post_init__(self, r, theta, phi):
+        r, theta = float(r), float(theta)
         if not (math.isfinite(r) and r >= 0.0):
             raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
         if not (0.0 <= theta <= math.pi):
             raise ValueError(f"polar angle must lie in [0, pi], got {theta!r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", angle_value(self.phi, "azimuth phi"))
+        set_r, set_theta, set_phi = _SPHERICAL_SETTERS
+        set_r(self, r)
+        set_theta(self, theta)
+        set_phi(self, angle_value(phi, "azimuth phi"))
 
 
-@dataclass(frozen=True, slots=True)
+_SPHERICAL_SETTERS = slot_setters(SphericalPoint)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ParabolicPoint:
     """(N, M, phi) parabolic parameters, N, M >= 0, phi on the double cover."""
 
@@ -73,13 +82,20 @@ class ParabolicPoint:
     M: float
     phi: float
 
-    def __post_init__(self):
-        N, M = float(self.N), float(self.M)
+    def __init__(self, N, M, phi):
+        self.__post_init__(N, M, phi)
+
+    def __post_init__(self, N, M, phi):
+        N, M = float(N), float(M)
         if not (math.isfinite(N) and N >= 0.0 and math.isfinite(M) and M >= 0.0):
             raise ValueError("parabolic parameters must be finite and nonnegative")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "phi", angle_value(self.phi, "azimuth phi"))
+        set_n, set_m, set_phi = _PARABOLIC_SETTERS
+        set_n(self, N)
+        set_m(self, M)
+        set_phi(self, angle_value(phi, "azimuth phi"))
+
+
+_PARABOLIC_SETTERS = slot_setters(ParabolicPoint)
 
 
 def _cartesian(xp, x1, x2, x3, sheet, magnitudes) -> tuple:

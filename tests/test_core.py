@@ -1,7 +1,10 @@
 import ast
+import copy
+import dataclasses
 import importlib
 import inspect
 import math
+import pickle
 import pkgutil
 import warnings
 from collections import Counter
@@ -15,6 +18,8 @@ import spinorspace
 from spinorspace import (
     IDENTITY_ROTATION,
     KSQuadruple,
+    ParabolicPoint,
+    SphericalPoint,
     Spinor,
     SpinorRotation,
     angle_value,
@@ -172,6 +177,82 @@ def test_constructors_reject_nonfinite():
         KSQuadruple(float("inf"), 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         SpinorRotation(float("nan"), 0.0, 0.0, 0.0)
+
+
+# The five validated value types: Python-float arguments that construction keeps
+# bit for bit, the same values as ints and np.float64 (signed zeros included), a
+# rejected argument list, its message, and a field whose replacement gets that message.
+_VALUE_TYPES = [
+    (Spinor, (complex(1.0, 0.0), complex(-0.0, 0.0)), (1, np.float64(-0.0)),
+     (complex(math.nan, 0.0), 0.0j), r"^spinor components must be finite$", {"c1": math.nan}),
+    (KSQuadruple, (-0.0, 1.0, 0.1, -2.0), (np.float64(-0.0), 1, np.float64(0.1), -2),
+     (0.0, 0.0, 0.0, math.inf), r"^quadruple entries must be finite$", {"q2": math.inf}),
+    (SpinorRotation, (1.0, -0.0, 0.0, -0.0), (1, np.float64(-0.0), 0, np.float64(-0.0)),
+     (2.0, 0.0, 0.0, 0.0), r"^rotation parameters must be unit norm, got norm 2.0$",
+     {"c4": 2.0}),
+    (SphericalPoint, (2.0, 0.0, -0.0), (2, 0, np.float64(-0.0)),
+     (2.0, 4.0, 0.0), r"^polar angle must lie in \[0, pi\], got 4.0$", {"theta": 4.0}),
+    (ParabolicPoint, (0.0, 1.5, -1.0), (0, np.float64(1.5), -1),
+     (1.0, -1.0, 0.0), r"^parabolic parameters must be finite and nonnegative$", {"M": -1.0}),
+]
+
+
+def _field_bits(value) -> list:
+    parts = [value.real, value.imag] if type(value) is complex else [value]
+    return [type(value).__name__] + [p.hex() for p in parts]
+
+
+@pytest.mark.parametrize("cls, args, mixed, bad, message, bad_field", _VALUE_TYPES,
+                         ids=[row[0].__name__ for row in _VALUE_TYPES])
+def test_value_type_contract(monkeypatch, cls, args, mixed, bad, message, bad_field):
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    assert cls.__match_args__ == tuple(names)
+    value = cls(*args)
+    fields = tuple(getattr(value, name) for name in names)
+    assert [_field_bits(v) for v in fields] == [_field_bits(v) for v in args]
+    # Positional and keyword arguments, ints and np.float64 give the same fields,
+    # each a Python float or complex with the bits of the float arguments.
+    for other in (cls(**dict(zip(names, args))), cls(*mixed), cls(**dict(zip(names, mixed)))):
+        assert [_field_bits(getattr(other, name)) for name in names] == [
+            _field_bits(v) for v in fields]
+    with pytest.raises(ValueError, match=message):
+        cls(*bad)
+    # dataclasses.replace goes through the constructor, so it revalidates.
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(value, **bad_field)
+    assert dataclasses.replace(value) == value
+    # What the dataclass machinery generates is unchanged.
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={v!r}" for name, v in zip(names, fields)) + ")"
+    assert value == cls(*args) and value != fields
+    assert hash(value) == hash(fields) == hash(cls(*mixed))
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is cls and repr(twin) == repr(value) and twin == value
+    match value:
+        case cls(first, second):
+            assert (first, second) == fields[:2]
+        case _:
+            pytest.fail("a class pattern does not match")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[0], fields[0])
+    assert not hasattr(value, "__dict__")
+    # The traced benchmark times a value type by wrapping cls.__post_init__: the
+    # wrapper must see exactly one call per construction, rejected ones included.
+    hook = vars(cls)["__post_init__"]
+    seen = []
+
+    def counting(self, *a, **k):
+        seen.append(a)
+        return hook(self, *a, **k)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    assert cls(*args) == value and len(seen) == 1
+    assert cls(**dict(zip(names, mixed))) == value and len(seen) == 2
+    assert dataclasses.replace(value) == value and len(seen) == 3
+    with pytest.raises(ValueError):
+        cls(*bad)
+    assert len(seen) == 4
 
 
 def test_angle_value_rejects_nonfinite():

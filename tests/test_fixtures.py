@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,37 @@ def test_construct_errors():
         construct("direction", (0.0, 0.0, 1.0, 0.0), "xi")
     with pytest.raises(ValueError):
         construct("spherical", (1.0, 0.5), "xi")
+
+
+@pytest.mark.parametrize("system, values, model", [
+    ("spherical", [[1.0], [0.5], [0.2]], "xi"),
+    ("spherical", [1.0, 0.5j, 0.2], "eta"),
+    ("parabolic", [1.0, "abc", 0.2], "xi"),
+    ("cartesian", [0.3, None, 0.5], "eta"),
+    ("direction", [0.0, 0.6, 0.8, [0.5]], "psi"),
+    ("parabolic", 1.0, "eta"),
+], ids=["nested", "complex", "string", "none", "direction", "scalar"])
+def test_records_name_values_that_are_not_real_numbers(system, values, model):
+    message = rf"^{system} values must be real numbers, got {re.escape(repr(values))}$"
+    with pytest.raises(ValueError, match=message):
+        construct(system, values, model)
+    with pytest.raises(ValueError, match=message):
+        fixture_record(system, values, model)
+    good = {"spherical": [1.0, 0.5, 0.2], "parabolic": [1.0, 0.5, 0.2],
+            "cartesian": [0.3, -0.4, 0.5], "direction": [0.0, 0.6, 0.8, 0.5]}[system]
+    record = fixture_record(system, good, model)
+    record["values"] = values
+    report = replay_fixtures([record])
+    assert not report.passed and math.isinf(report.max_residual)
+
+
+def test_point_records_keep_the_points_nonfinite_messages():
+    with pytest.raises(ValueError, match=r"^azimuth phi must be finite, got inf$"):
+        construct("spherical", [1.0, 0.5, math.inf], "xi")
+    with pytest.raises(ValueError, match=r"^radius must be finite and nonnegative, got nan$"):
+        construct("spherical", [math.nan, 0.5, 0.2], "eta")
+    with pytest.raises(ValueError, match=r"^parabolic parameters must be finite and nonnegative$"):
+        construct("parabolic", [1.0, -math.inf, 0.2], "xi")
 
 
 def test_fixture_record_frozen():

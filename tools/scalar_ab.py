@@ -3,13 +3,14 @@
 Copies each tree's spinorspace package into a temporary directory under its
 own name (spinorspace_parent, spinorspace_change), imports both into this
 process, and times a fixed list of scalar API calls: in-range and
-out-of-range constructors, a Cartesian constructor on sheet -1, the
-SphericalPoint constructor, both projections, rotate_spinor,
+out-of-range constructors, a Cartesian constructor on sheet -1, the five
+validated value types (Spinor, KSQuadruple, SpinorRotation, SphericalPoint,
+ParabolicPoint) and core.spinor_of, both projections, rotate_spinor,
 so3_from_rotation, so3_from_vector_parameter, rotation_from_vector_parameter,
-rotation_from_axis_angle, SpinorRotation, psi_from_direction on both of its
-lifts, the gauges, rotation_between, stabilizer_check, direction_from_ks,
-build_frame, frame_symmetry, left_transport, rotated_direction and
-fixture_record on a spherical and a Cartesian point, each on sheet -1. Each
+rotation_from_axis_angle, psi_from_direction on both of its lifts, the
+gauges, rotation_between, stabilizer_check, direction_from_ks, build_frame,
+frame_symmetry, left_transport, rotated_direction and fixture_record on a
+spherical and a Cartesian point, each on sheet -1. Each
 round times every call NUMBER times on both sides back to back, with garbage
 collection off, and the side that goes first alternates from round to round.
 For each call it prints the median us per call on each side, the change in
@@ -54,7 +55,11 @@ def calls(ss) -> list:
         ("xi_from_cartesian out of range", lambda: ss.xi_from_cartesian((1e-310, 0.0, 1e-315))),
         ("eta_from_cartesian", lambda: ss.eta_from_cartesian(point, -1)),
         ("eta_from_cartesian out of range", lambda: ss.eta_from_cartesian((1e300, 1e300, -1e300))),
+        ("Spinor", lambda: ss.Spinor(0.3 - 1.2j, 0.7 + 0.4j)),
+        ("spinor_of", lambda: ss.core.spinor_of((0.3, -1.2, 0.7, 0.4))),
+        ("KSQuadruple", lambda: ss.KSQuadruple(0.4, 0.3, -1.2, 0.7)),
         ("SphericalPoint", lambda: ss.SphericalPoint(1.3, 0.8, -2.0)),
+        ("ParabolicPoint", lambda: ss.ParabolicPoint(0.7, 1.1, -1.0)),
         ("xi_from_spherical", lambda: ss.xi_from_spherical(spherical)),
         ("eta_from_spherical", lambda: ss.eta_from_spherical(spherical)),
         ("xi_from_parabolic", lambda: ss.xi_from_parabolic(parabolic)),
