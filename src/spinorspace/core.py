@@ -340,6 +340,11 @@ def spinor_from_quadruple(q: KSQuadruple) -> Spinor:
     return Spinor(complex(q.q1, q.q2), complex(q.q3, q.q4))
 
 
+def quadruple_parts(c1r, c1i, c2r, c2i) -> tuple:
+    """quadruple_from_spinor on real parts: (q4, q1, q2, q3)."""
+    return c2i, c1r, c1i, c2r
+
+
 def quadruple_from_spinor(s: Spinor) -> KSQuadruple:
     """Exact inverse of spinor_from_quadruple."""
     return KSQuadruple(s.c2.imag, s.c1.real, s.c1.imag, s.c2.real)

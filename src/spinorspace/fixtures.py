@@ -3,18 +3,20 @@
 A record freezes one constructor evaluation: the input coordinates, the
 resulting spinor and quadruple, and the projection back to 3-space. Files
 are UTF-8 newline-delimited JSON, one record per line, with every float
-written at 17 significant digits so doubles survive a round trip and equal
-seeds produce byte-identical files.
+written at 17 significant digits so doubles, -0.0 among them, survive a round
+trip and equal seeds produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from itertools import chain
 
 import numpy as np
 
-from .core import Spinor, finite_tolerance, quadruple_from_spinor, sign_flag, wrap_4pi
+from .core import Spinor, finite_tolerance, quadruple_parts, sign_flag, wrap_4pi
 from .gauge_fixing import psi_from_direction
 from .spinor_maps import (
     ParabolicPoint,
@@ -37,12 +39,19 @@ MODELS = ("xi", "eta", "psi")
 
 def construct(system: str, values, model: str, sheet: int = 1) -> Spinor:
     """Build the spinor a record describes; validation mirrors the constructors."""
+    return _constructed(system, values, model, sheet)[1]
+
+
+def _constructed(system, values, model, sheet) -> tuple:
+    """(the values as floats, the spinor): construct, keeping its one conversion."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; valid: {', '.join(SYSTEMS)}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
     sheet = sign_flag(sheet, "sheet")
     try:
+        if isinstance(values, (str, bytes)):  # a string is not a list of digits
+            raise TypeError
         vals = [float(v) for v in values]
     except (TypeError, ValueError):
         raise ValueError(f"{system} values must be real numbers, got {values!r}") from None
@@ -51,14 +60,14 @@ def construct(system: str, values, model: str, sheet: int = 1) -> Spinor:
             raise ValueError("the direction system carries the psi model only")
         if len(vals) != 4:
             raise ValueError("direction values are (n1, n2, n3, gamma)")
-        return psi_from_direction(vals[:3], vals[3])
+        return vals, psi_from_direction(vals[:3], vals[3])
     if model == "psi":
         raise ValueError("the psi model requires the direction system")
     if len(vals) != 3:
         raise ValueError(f"{system} values are three reals")
     if system == "cartesian":
         maker = xi_from_cartesian if model == "xi" else eta_from_cartesian
-        return maker(vals, sheet)
+        return vals, maker(vals, sheet)
     if system == "spherical":
         point = SphericalPoint(*vals)
         spinor = xi_from_spherical(point) if model == "xi" else eta_from_spherical(point)
@@ -66,7 +75,7 @@ def construct(system: str, values, model: str, sheet: int = 1) -> Spinor:
         point = ParabolicPoint(*vals)
         spinor = xi_from_parabolic(point) if model == "xi" else eta_from_parabolic(point)
     # Sheet -1, the phi + 2pi lift, is the same spinor negated.
-    return spinor if sheet == 1 else Spinor(-spinor.c1, -spinor.c2)
+    return vals, spinor if sheet == 1 else Spinor(-spinor.c1, -spinor.c2)
 
 
 def bilinears(spinor: Spinor, model: str) -> tuple:
@@ -77,60 +86,76 @@ def bilinears(spinor: Spinor, model: str) -> tuple:
     return (project_xi(spinor)[1],)
 
 
-def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
-                   seed: int = 0, tolerance: float = 1e-12) -> dict:
-    """One self-consistent record of a constructor evaluation."""
-    spinor = construct(system, values, model, sheet)
-    q = quadruple_from_spinor(spinor)
+def _computed(system, values, model, sheet) -> tuple:
+    """The numbers a record stores: (values, the spinor's real parts, r, projection vectors)."""
+    vals, spinor = _constructed(system, values, model, sheet)
     r = 0.5 * spinor.norm_sq
     if r == math.inf:
         # |psi|^2 overflows at the top of the double range; the projection
         # takes r on exactly rescaled parts.
         r = project_xi(spinor)[0]
+    parts = (spinor.c1.real, spinor.c1.imag, spinor.c2.real, spinor.c2.imag)
+    return vals, parts, r, bilinears(spinor, model)
+
+
+def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
+                   seed: int = 0, tolerance: float = 1e-12) -> dict:
+    """One self-consistent record of a constructor evaluation."""
+    vals, (c1r, c1i, c2r, c2i), r, vectors = _computed(system, values, model, sheet)
     projection = {"r": r}
-    for key, vector in zip(("x", "a"), bilinears(spinor, model)):
+    for key, vector in zip(("x", "a"), vectors):
         projection[key] = vector.tolist()
     return {
         "system": system,
-        "values": [float(v) for v in values],
+        "values": vals,
         "sheet": int(sheet),
         "model": model,
-        "spinor": [[spinor.c1.real, spinor.c1.imag], [spinor.c2.real, spinor.c2.imag]],
-        "quadruple": list(q.as_tuple()),
+        "spinor": [[c1r, c1i], [c2r, c2i]],
+        "quadruple": list(quadruple_parts(c1r, c1i, c2r, c2i)),
         "projection": projection,
         "meta": {"seed": int(seed), "tolerance": finite_tolerance(tolerance),
                  "version": FIXTURE_VERSION},
     }
 
 
-def _numeric_fields(record: dict) -> list:
-    """The computed numbers of a record, flattened in a fixed order."""
-    projection = record["projection"]
-    return ([v for pair in record["spinor"] for v in pair]
-            + list(record["quadruple"])
-            + [projection["r"]]
-            + list(projection["x"])
-            + list(projection.get("a", [])))
-
-
 def replay_residual(record: dict) -> float:
     """Worst scaled disagreement between a record and its fresh recomputation;
     inf, as for a malformed record, where a stored field is NaN or infinite."""
-    fresh = fixture_record(record["system"], record["values"], record["model"],
-                           record.get("sheet", 1),
-                           record["meta"]["seed"], record["meta"]["tolerance"])
-    stored = _numeric_fields(record)
-    recomputed = _numeric_fields(fresh)
-    if len(stored) != len(recomputed):
-        raise ValueError("record field shapes do not match the recomputation")
-    worst = 0.0
-    for s, f in zip(stored, recomputed):
-        s, f = float(s), float(f)
-        gap = abs(s - f) / max(1.0, abs(s), abs(f))
-        if gap != gap:  # a NaN or infinite field, which max() would skip
-            return math.inf
-        worst = max(worst, gap)
-    return worst
+    return float(replay_residuals([record], strict=True)[0])
+
+
+def replay_residuals(records, strict: bool = False) -> np.ndarray:
+    """replay_residual of each record from one pass over the whole batch: the largest
+    |s - f| / max(1, |s|, |f|) of its stored fields s and their recomputation f, inf
+    where that is NaN. A malformed record raises when strict, else scores inf."""
+    starts, stored, fresh = [], [], []
+    for record in records:
+        starts.append(len(stored))
+        try:
+            meta = record["meta"]
+            _, parts, r, vectors = _computed(record["system"], record["values"],
+                                             record["model"], record.get("sheet", 1))
+            int(meta["seed"])  # the meta checks of fixture_record
+            finite_tolerance(meta["tolerance"])
+            redone = [*parts, *quadruple_parts(*parts), r]
+            for vector in vectors:
+                redone += vector.tolist()
+            projection = record["projection"]
+            kept = list(map(float, [*chain.from_iterable(record["spinor"]), *record["quadruple"],
+                                    projection["r"], *projection["x"], *projection.get("a", ())]))
+            if len(kept) != len(redone):
+                raise ValueError("record field shapes do not match the recomputation")
+        except (KeyError, ValueError, TypeError, OverflowError):
+            if strict:
+                raise
+            kept, redone = [math.nan], [0.0]
+        stored += kept
+        fresh += redone
+    s, f = np.array(stored, dtype=float), np.array(fresh, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, from an infinite field
+        gap = np.abs(s - f) / np.maximum(np.maximum(np.abs(s), np.abs(f)), 1.0)
+    gap[np.isnan(gap)] = math.inf
+    return np.maximum.reduceat(gap, starts)
 
 
 def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> list:
@@ -166,9 +191,55 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
 
 _ascii = json.encoder.encode_basestring_ascii  # what json.dumps does with a str
 
+_RECORD_KEYS = ("system", "values", "sheet", "model", "spinor", "quadruple", "projection", "meta")
+# A record of fixture_record's: V stands for its values, A for an eta record's a, F for a float.
+_TEMPLATE = ('{"system":%s,"values":[V],"sheet":%d,"model":%s,"spinor":[[F,F],[F,F]],'
+             '"quadruple":[F,F,F,F],"projection":{"r":F,"x":[F,F,F]A},'
+             '"meta":{"seed":%d,"tolerance":F,"version":%s}}')
+
+
+def _shape(count: int, a: bool) -> tuple:
+    """The %-template of a record with `count` values, and a vector a or not, the
+    lengths of its seven lists, and the exact type of each part that dumps_record checks."""
+    template = (_TEMPLATE.replace("V", ",".join("F" * count))
+                .replace("A", ',"a":[F,F,F]' if a else "").replace("F", "%.17g"))
+    kinds = tuple({"s": str, "d": int, "g": float}[spec[-1]]
+                  for spec in re.findall(r"%s|%d|%\.17g", template))
+    lengths = (count, 2, 2, 2, 4, 3, 3 * a)
+    return template, lengths, (dict, str, str, str, dict, dict) + (list,) * 7 + kinds
+
+
+# (keys, value count, projection keys, meta keys) -> _shape: 3 or 4 values, with or without a.
+_SHAPES = {(_RECORD_KEYS, count, ("r", "x", "a")[:2 + a], ("seed", "tolerance", "version")):
+           _shape(count, a) for count in (3, 4) for a in (False, True)}
+
 
 def dumps_record(value) -> str:
-    # Hand-rolled emitter: the stdlib serializer offers no float-format hook,
+    """One record as a line of JSON, each float at 17 significant digits, through its
+    shape's template where it has exactly the keys, order and types fixture_record
+    gives; a non-finite float raises ValueError, a bool or an unknown type TypeError."""
+    try:
+        system, values, sheet, model, spinor, quadruple, projection, meta = value.values()
+        template, lengths, kinds = _SHAPES[tuple(value), len(values), tuple(projection),
+                                           tuple(meta)]
+        pair1, pair2 = spinor
+        r, x, a = projection["r"], projection["x"], projection.get("a", [])
+        seed, tolerance, version = meta.values()
+        lists = (values, spinor, pair1, pair2, quadruple, x, a)
+        args = (_ascii(system), *values, sheet, _ascii(model), *pair1, *pair2, *quadruple,
+                r, *x, *a, seed, tolerance, _ascii(version))
+    except (TypeError, ValueError, KeyError, AttributeError):
+        return _dumps(value)
+    if (tuple(map(type, (value, system, model, version, projection, meta, *lists, *args)))
+            != kinds or tuple(map(len, lists)) != lengths):
+        return _dumps(value)
+    text = template % args
+    # A finite float's %.17g has no letter but e; a string holding inf or nan goes the long way.
+    return _dumps(value) if "inf" in text or "nan" in text else text
+
+
+def _dumps(value) -> str:
+    # The generic route of dumps_record: the stdlib serializer offers no float-format hook,
     # and byte determinism needs one fixed 17-significant-digit rendering.
     # Exact types first; bool, numpy scalars and subclasses take the isinstance route.
     kind = type(value)
@@ -177,9 +248,9 @@ def dumps_record(value) -> str:
             raise ValueError("fixture floats must be finite")
         return format(value, ".17g")
     if kind is list or kind is tuple:
-        return "[" + ",".join([dumps_record(v) for v in value]) + "]"
+        return "[" + ",".join([_dumps(v) for v in value]) + "]"
     if kind is dict:
-        return "{" + ",".join([f"{_ascii(str(k))}:{dumps_record(v)}"
+        return "{" + ",".join([f"{_ascii(str(k))}:{_dumps(v)}"
                                for k, v in value.items()]) + "}"
     if kind is str:
         return _ascii(value)
@@ -190,7 +261,7 @@ def dumps_record(value) -> str:
     for kinds, plain in (((int, np.integer), int), ((float, np.floating), float), (str, str),
                          ((list, tuple), list), (dict, dict)):
         if isinstance(value, kinds):
-            return dumps_record(plain(value))
+            return _dumps(plain(value))
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
@@ -202,15 +273,14 @@ def write_fixtures(records, path) -> int:
     return len(records)
 
 
+# json reads -0 as the int 0; it was written for the float -0.0, whose sign an atan2 keeps.
+_DECODER = json.JSONDecoder(parse_int=lambda text: -0.0 if text == "-0" else int(text))
+
+
 def load_fixtures(path) -> list:
     """Parse a newline-delimited fixture file back into record dicts."""
-    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        return [_DECODER.decode(line) for line in map(str.strip, handle) if line]
 
 
 __all__ = [

@@ -29,6 +29,7 @@ from .core import (
     axis4,
     finite_tolerance,
     qmul,
+    quadruple_parts,
     stacked,
     su2_parts,
     unit4,
@@ -192,11 +193,6 @@ def _check(suite, name, share, draw):
     return register
 
 
-def _quadruple(c1r, c1i, c2r, c2i) -> tuple:
-    """quadruple_from_spinor on real parts: (q4, q1, q2, q3)."""
-    return c2i, c1r, c1i, c2r
-
-
 def _su2(c) -> np.ndarray:
     """su2_matrix of each rotation of the columns c, shape (n, 2, 2)."""
     return stacked(su2_parts(*c)).view(complex)
@@ -270,11 +266,12 @@ def _check_construct_project(v, sheets):
     eta = cartesian_columns(eta_cartesian, *v.T, sheets)
     r, *x = xi_bilinears(COLUMNS, *xi)
     p = _eta_rows(eta_bilinears(COLUMNS, *eta))
-    q4, q1, q2, q3 = _quadruple(*eta)
+    q4, q1, q2, q3 = quadruple_parts(*eta)
     norm_sq = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3  # as KSQuadruple.norm_sq adds them
     x = stacked(x)
     return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))),
-               _worst([hopf_constraint(*_quadruple(*xi)), hopf_constraint(q4, q1, q2, q3)], 0.0),
+               _worst([hopf_constraint(*quadruple_parts(*xi)), hopf_constraint(q4, q1, q2, q3)],
+                      0.0),
                _worst(p[:, 1], v, 1), _hopf_norms(r, x, p[:, 1], p[:, 0], norm_sq))
 
 
@@ -296,7 +293,7 @@ def _check_hopf_norm_general(s):
 @_check("hopf", "eta_projection_dual_route", 0.1, _spinors)
 def _check_projection_dual_route(s):
     return _worst(_eta_rows(eta_bilinears(COLUMNS, *s.T)),
-                  _eta_rows(eta_quadruple_bilinears(*_quadruple(*s.T))), 2)
+                  _eta_rows(eta_quadruple_bilinears(*quadruple_parts(*s.T))), 2)
 
 
 def _spherical_draw(rng, n):
@@ -383,7 +380,7 @@ def _check_so4_homomorphism(c1, c2):
 def _check_quadruple_spinor_conjugacy(c, q):
     rot = _rotation(c.T)
     q4, q1, q2, q3 = q.T  # spinor_from_quadruple: c1 = q1 + i q2, c2 = q3 + i q4
-    moved = _quadruple(*rotated(rot, q1, q2, q3, q4))
+    moved = quadruple_parts(*rotated(rot, q1, q2, q3, q4))
     return _worst(_apply(stacked(real4_entries(*rot)), q), stacked(moved), 1)
 
 
@@ -396,8 +393,8 @@ def _check_bridge_involution(s):
 
 @_check("so4", "bridge_quadruple_route", 1.0, _spinors)
 def _check_bridge_quadruple_route(s):  # S U against the quadruple of eta_from_xi
-    return _worst(stacked(u_to_v_entries(*_quadruple(*s.T))),
-                  stacked(_quadruple(*eta_of_xi(*s.T))), 1)
+    return _worst(stacked(u_to_v_entries(*quadruple_parts(*s.T))),
+                  stacked(quadruple_parts(*eta_of_xi(*s.T))), 1)
 
 
 # The fixed S properties are the same in every chunk, so the max is unchanged.
@@ -526,8 +523,8 @@ _SWEEP = np.arange(16) * (math.pi / 8.0)
 def _check_phase_residual_law(v, sheets):
     xi = cartesian_columns(xi_cartesian, *v.T, sheets)[:, :, None]
     # The constraint after each phase of the sweep, one column per phase.
-    moved = hopf_constraint(*_quadruple(*phase_rotated(COLUMNS, _SWEEP, *xi)))
-    q4, q1, q2, q3 = _quadruple(*xi)
+    moved = hopf_constraint(*quadruple_parts(*phase_rotated(COLUMNS, _SWEEP, *xi)))
+    q4, q1, q2, q3 = quadruple_parts(*xi)
     return _worst(moved, np.sin(2.0 * _SWEEP) * (q1 * q3 - q2 * q4)
                   + np.cos(2.0 * _SWEEP) * hopf_constraint(q4, q1, q2, q3))
 
@@ -615,7 +612,7 @@ def _check_rotation_between(psi, c):
 
 @_check("gauge", "stabilizer_exact_identity", 0.1, _units)
 def _check_stabilizer(psi):
-    q = _quadruple(*psi.T)
+    q = quadruple_parts(*psi.T)
     # stabilizer_check returns the exact +-identity where its solve lands within 1e-9.
     landed = [_worst(stacked(stabilizer_solve(q, sign)), [sign, 0.0, 0.0, 0.0], 1)
               for sign in (1, -1)]
@@ -668,6 +665,14 @@ def run_all(samples: int = 1000, seed: int = 42,
     return [run_suite(name, samples, seed, tolerance) for name in SUITE_NAMES]
 
 
+def _own_tolerance(record) -> float:
+    """A record's stored tolerance; -inf, which no residual meets, where it is not usable."""
+    try:
+        return finite_tolerance(record["meta"]["tolerance"])
+    except (KeyError, ValueError, TypeError, OverflowError):
+        return -math.inf
+
+
 def replay_fixtures(records, tolerance: float | None = None) -> VerificationReport:
     """Recompute every stored record and compare against its stored fields.
 
@@ -681,21 +686,13 @@ def replay_fixtures(records, tolerance: float | None = None) -> VerificationRepo
     if tolerance is not None:
         finite_tolerance(tolerance)
     start = time.perf_counter()
-    worst = 0.0
-    usable = []
-    ok = True
-    for record in records:
-        try:
-            tol = tolerance if tolerance is not None else finite_tolerance(
-                record["meta"]["tolerance"])
-            usable.append(tol)
-            residual = fixture_io.replay_residual(record)
-            ok = ok and residual <= tol
-        except (KeyError, ValueError, TypeError, OverflowError):
-            residual, ok = math.inf, False
-        worst = max(worst, residual)
     count = len(records)
-    threshold = tolerance if tolerance is not None else max(usable, default=1e-12)
+    residuals = fixture_io.replay_residuals(records)
+    limits = [tolerance] * count if tolerance is not None else list(map(_own_tolerance, records))
+    ok = bool(np.all(residuals <= limits))
+    worst = float(residuals.max(initial=0.0))
+    threshold = tolerance if tolerance is not None else max(
+        [tol for tol in limits if tol >= 0.0], default=1e-12)
     elapsed = time.perf_counter() - start
     check = CheckResult("fixture_replay", count, worst, threshold, ok, elapsed)
     return VerificationReport(suite="replay", seed=0, samples=count,

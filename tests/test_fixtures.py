@@ -15,7 +15,15 @@ from spinorspace import (
     write_fixtures,
 )
 from spinorspace.cli import main
-from spinorspace.fixtures import FIXTURE_VERSION, construct, dumps_record, fixture_record
+from spinorspace import fixtures
+from spinorspace.fixtures import (
+    FIXTURE_VERSION,
+    _dumps,
+    construct,
+    dumps_record,
+    fixture_record,
+    replay_residuals,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -73,7 +81,9 @@ def test_construct_errors():
     ("cartesian", [0.3, None, 0.5], "eta"),
     ("direction", [0.0, 0.6, 0.8, [0.5]], "psi"),
     ("parabolic", 1.0, "eta"),
-], ids=["nested", "complex", "string", "none", "direction", "scalar"])
+    ("cartesian", "123", "xi"),
+    ("spherical", b"101", "eta"),
+], ids=["nested", "complex", "string", "none", "direction", "scalar", "digits", "bytes"])
 def test_records_name_values_that_are_not_real_numbers(system, values, model):
     message = rf"^{system} values must be real numbers, got {re.escape(repr(values))}$"
     with pytest.raises(ValueError, match=message):
@@ -159,6 +169,120 @@ def test_write_load_round_trip(tmp_path):
     back = load_fixtures(path)
     assert back == json.loads("[" + ",".join(dumps_record(r) for r in records) + "]")
     assert dumps_record(back[0]) == dumps_record(records[0])
+
+
+def test_signed_zeros_survive_a_load(tmp_path, capsys):
+    # The point (-1, -0, 0) has azimuth atan2(-0, -1) = -pi; read back as the
+    # int 0, the -0 would turn it to +pi and negate the spinor's phases.
+    assert main(["convert", "cartesian", "-1", "-0", "0"]) == 0
+    path = tmp_path / "signed.jsonl"
+    path.write_text(capsys.readouterr().out)
+    assert '"values":[-1,-0,0]' in path.read_text()
+    (record,) = load_fixtures(path)
+    assert math.copysign(1.0, record["values"][1]) == -1.0
+    assert replay_residual(record) == 0.0
+    report = replay_fixtures([record])
+    assert report.passed and report.max_residual == 0.0
+    assert main(["verify", "--fixtures", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_writing_a_loaded_file_gives_its_bytes(tmp_path):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_fixtures(generate_fixtures(700, seed=3), first)
+    loaded = load_fixtures(first)
+    write_fixtures(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    # Only -0 reads as a float: the sheet and the seed stay ints.
+    assert {type(r["sheet"]) for r in loaded} == {type(r["meta"]["seed"]) for r in loaded} == {int}
+
+
+@pytest.fixture
+def generic_calls(monkeypatch):
+    """The values that dumps_record's generic route is called on, nested ones included."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return _dumps(value)
+    monkeypatch.setattr(fixtures, "_dumps", counted)
+    return calls
+
+
+def test_template_gives_the_generic_bytes(tmp_path, generic_calls):
+    records = generate_fixtures(700, seed=3)
+    for record in records:
+        text = dumps_record(record)
+        assert generic_calls == []  # the template wrote it
+        assert text == _dumps(record)
+        generic_calls.clear()
+    path = tmp_path / "golden.jsonl"
+    write_fixtures(records, path)
+    for record in load_fixtures(path):  # integral floats read back as ints: the generic route
+        assert dumps_record(record) == _dumps(record)
+
+
+def _eta_record():
+    return fixture_record("cartesian", (0.3, -0.4, 0.5), "eta", sheet=-1, seed=4)
+
+
+def _set(path, value):
+    def change(record):
+        *keys, last = path
+        target = record
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return record
+    return change
+
+
+def _without_a(record):
+    del record["projection"]["a"]
+    return record
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("change, templated", [
+    (_set(["extra"], 1.5), False),
+    (lambda record: dict(reversed(record.items())), False),
+    (lambda record: {**record, "meta": dict(reversed(record["meta"].items()))}, False),
+    (_set(["quadruple", 2], np.float64(0.25)), False),
+    (_set(["values", 0], 3), False),
+    (_set(["meta", "seed"], 4.0), False),
+    (_set(["spinor", 0], (0.5, -0.5)), False),
+    (_set(["spinor"], [[0.5, -0.5, 0.25], [0.125]]), False),
+    (_set(["system"], _Name("cartesian")), False),
+    (_set(["meta", "version"], "inf"), False),
+    (_without_a, True),
+], ids=["extra-key", "reordered", "reordered-meta", "numpy-float", "int-value", "float-seed",
+        "tuple-pair", "regrouped", "str-subclass", "inf-string", "missing-a"])
+def test_records_off_the_template_take_the_generic_route(change, templated, generic_calls):
+    record = change(_eta_record())
+    text = dumps_record(record)
+    assert (generic_calls == []) is templated
+    assert text == _dumps(record)
+
+
+def test_a_bool_sheet_is_refused_as_before(generic_calls):
+    record = _set(["sheet"], True)(_eta_record())
+    with pytest.raises(TypeError, match="booleans"):
+        dumps_record(record)
+    assert generic_calls[0] is record
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", [["values", 2], ["spinor", 1, 0], ["quadruple", 3],
+                                  ["projection", "r"], ["projection", "a", 1],
+                                  ["meta", "tolerance"]],
+                         ids=["values", "spinor", "quadruple", "r", "a", "tolerance"])
+def test_template_records_keep_floats_finite(path, bad):
+    record = _set(path, bad)(_eta_record())
+    with pytest.raises(ValueError, match="^fixture floats must be finite$"):
+        dumps_record(record)
 
 
 def test_generate_fixtures_deterministic(tmp_path):
@@ -290,6 +414,64 @@ def test_replay_fails_a_record_of_the_wrong_shape():
         replay_residual(record)
     report = replay_fixtures([record])
     assert not report.passed and report.max_residual == math.inf
+
+
+def _loop_residual(record):
+    """The per-field replay loop that the batch replaced, kept as the reference."""
+    def fields(r):
+        projection = r["projection"]
+        return ([v for pair in r["spinor"] for v in pair] + list(r["quadruple"])
+                + [projection["r"]] + list(projection["x"]) + list(projection.get("a", [])))
+    fresh = fixture_record(record["system"], record["values"], record["model"],
+                           record.get("sheet", 1), record["meta"]["seed"],
+                           record["meta"]["tolerance"])
+    stored, recomputed = fields(record), fields(fresh)
+    if len(stored) != len(recomputed):
+        raise ValueError("record field shapes do not match the recomputation")
+    worst = 0.0
+    for s, f in zip(map(float, stored), map(float, recomputed)):
+        gap = abs(s - f) / max(1.0, abs(s), abs(f))
+        if gap != gap:
+            return math.inf
+        worst = max(worst, gap)
+    return worst
+
+
+def test_batch_replay_gives_each_record_its_replay_residual():
+    records = generate_fixtures(70, seed=29)
+    records[2]["quadruple"][1] += 1e-6                    # tampered
+    records[4]["spinor"][1][0] *= 1.0 + 1e-14             # tampered within 1e-12
+    records[5]["projection"]["x"][0] = math.nan           # a NaN field
+    records[6]["projection"]["r"] = math.inf              # an infinite field
+    del records[8]["quadruple"]                           # malformed
+    records[10]["projection"]["x"] = records[10]["projection"]["x"][:2]  # wrong shape
+    records[12]["values"] = "123"                         # not real numbers
+    records[13]["meta"]["tolerance"] = 1e-6               # passes only its own tolerance
+    records[13]["projection"]["r"] *= 1.0 + 1e-8
+    rng = np.random.default_rng(31)
+    for record in records[21:]:  # one field each, off by 10^-17 to 10^1 relative
+        pair = record["spinor"][int(rng.integers(0, 2))]
+        pair[int(rng.integers(0, 2))] *= 1.0 + 10.0 ** rng.uniform(-17.0, 1.0)
+    want = []
+    for record in records:
+        try:
+            want.append(_loop_residual(record))
+        except (KeyError, ValueError, TypeError):
+            want.append(math.inf)
+    assert replay_residuals(records).tolist() == want
+    assert [replay_fixtures([r]).max_residual for r in records] == want
+    malformed = [8, 10, 12]
+    assert [replay_residual(r) for i, r in enumerate(records) if i not in malformed] == [
+        w for i, w in enumerate(want) if i not in malformed]
+    assert [i for i, w in enumerate(want) if w == math.inf] == [5, 6] + malformed
+    assert want[2] > 1e-7 and 0.0 < want[4] <= 1e-12 and 1e-12 < want[13] <= 1e-6
+    assert want[:2] + want[14:21] == [0.0] * 9 and sum(w > 0.0 for w in want[21:]) >= 40
+    report = replay_fixtures(records)
+    assert not report.passed and report.max_residual == math.inf
+    report = replay_fixtures(records[:2] + records[3:5] + [records[7], records[13]])
+    assert report.passed and report.max_residual == want[13] and report.tolerance == 1e-6
+    assert not replay_fixtures([records[13]], tolerance=1e-12).passed
+    assert not replay_fixtures([records[0], records[13], records[1]], tolerance=1e-9).passed
 
 
 def test_replay_missing_sheet_defaults():

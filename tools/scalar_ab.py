@@ -9,8 +9,9 @@ ParabolicPoint) and core.spinor_of, both projections, rotate_spinor,
 so3_from_rotation, so3_from_vector_parameter, rotation_from_vector_parameter,
 rotation_from_axis_angle, psi_from_direction on both of its lifts, the
 gauges, rotation_between, stabilizer_check, direction_from_ks, build_frame,
-frame_symmetry, left_transport, rotated_direction and fixture_record on a
-spherical and a Cartesian point, each on sheet -1. Each
+frame_symmetry, left_transport, rotated_direction, fixture_record on a
+spherical and a Cartesian point, each on sheet -1, and fixtures.dumps_record
+and replay_residual on one generated eta record. Each
 round times every call NUMBER times on both sides back to back, with garbage
 collection off, and the side that goes first alternates from round to round.
 For each call it prints the median us per call on each side, the change in
@@ -49,6 +50,7 @@ def calls(ss) -> list:
     rot = ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)
     direction = (0.6, 0.0, 0.8)
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
+    record = ss.generate_fixtures(2, seed=3)[1]  # a Cartesian eta record
     return [
         ("xi_from_cartesian", lambda: ss.xi_from_cartesian(point)),
         ("xi_from_cartesian sheet -1", lambda: ss.xi_from_cartesian(point, -1)),
@@ -90,6 +92,8 @@ def calls(ss) -> list:
         ("rotated_direction", lambda: ss.rotated_direction(q, rot, direction)),
         ("fixture_record", lambda: ss.fixture_record("spherical", (1.3, 0.8, 2.0), "eta", -1)),
         ("fixture_record cartesian -1", lambda: ss.fixture_record("cartesian", point, "xi", -1)),
+        ("dumps_record", lambda: ss.fixtures.dumps_record(record)),
+        ("replay_residual", lambda: ss.replay_residual(record)),
     ]
 
 
