@@ -54,8 +54,10 @@ def finite_angle(phi, name: str) -> float:
 
 
 def finite_tolerance(tolerance) -> float:
-    """float(tolerance); a non-finite one, or a negative one, which no residual
-    can meet, raises ValueError naming it."""
+    """float(tolerance); a str, bytes or bool, a non-finite one, or a negative one,
+    which no residual can meet, raises ValueError naming it."""
+    if isinstance(tolerance, (str, bytes, bool)):
+        raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
     value = finite_angle(tolerance, "tolerance")
     if value < 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {value!r}")
@@ -208,8 +210,8 @@ def conjugate4(xp, r: tuple) -> tuple:
 
 
 def sign_flag(value, name: str) -> int:
-    """int(value) for a +1/-1 flag such as a sheet; anything else raises ValueError naming it."""
-    if value not in (1, -1):
+    """int(value) for a +1/-1 flag such as a sheet; anything else, True too, raises ValueError."""
+    if value not in (1, -1) or value is True:
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
     return int(value)
 

@@ -5,6 +5,10 @@ resulting spinor and quadruple, and the projection back to 3-space. Files
 are UTF-8 newline-delimited JSON, one record per line, with every float
 written at 17 significant digits so doubles, -0.0 among them, survive a round
 trip and equal seeds produce byte-identical files.
+
+dumps_record is the one writer, through each record shape's %-template. A part whose type
+is not its slot's is converted by the slot's kind: an int or a numpy real by float(), a numpy
+integer by int(), a tuple or an array as a list. A bool or a non-record raises TypeError.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ def _constructed(system, values, model, sheet) -> tuple:
         raise ValueError(f"unknown model {model!r}; valid: {', '.join(MODELS)}")
     sheet = sign_flag(sheet, "sheet")
     try:
-        if isinstance(values, (str, bytes)):  # a string is not a list of digits
+        if isinstance(values, bytes):  # bytes iterate as ints, not as a list of digits
             raise TypeError
-        vals = [float(v) for v in values]
+        vals = _floats(values)
     except (TypeError, ValueError):
         raise ValueError(f"{system} values must be real numbers, got {values!r}") from None
     if system == "direction":
@@ -105,17 +109,11 @@ def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
     projection = {"r": r}
     for key, vector in zip(("x", "a"), vectors):
         projection[key] = vector.tolist()
-    return {
-        "system": system,
-        "values": vals,
-        "sheet": int(sheet),
-        "model": model,
-        "spinor": [[c1r, c1i], [c2r, c2i]],
-        "quadruple": list(quadruple_parts(c1r, c1i, c2r, c2i)),
-        "projection": projection,
-        "meta": {"seed": int(seed), "tolerance": finite_tolerance(tolerance),
-                 "version": FIXTURE_VERSION},
-    }
+    return {"system": system, "values": vals, "sheet": int(sheet), "model": model,
+            "spinor": [[c1r, c1i], [c2r, c2i]],
+            "quadruple": list(quadruple_parts(c1r, c1i, c2r, c2i)), "projection": projection,
+            "meta": {"seed": _seed(seed), "tolerance": finite_tolerance(tolerance),
+                     "version": FIXTURE_VERSION}}
 
 
 def replay_residual(record: dict) -> float:
@@ -135,14 +133,14 @@ def replay_residuals(records, strict: bool = False) -> np.ndarray:
             meta = record["meta"]
             _, parts, r, vectors = _computed(record["system"], record["values"],
                                              record["model"], record.get("sheet", 1))
-            int(meta["seed"])  # the meta checks of fixture_record
+            _seed(meta["seed"])  # the meta checks of fixture_record
             finite_tolerance(meta["tolerance"])
             redone = [*parts, *quadruple_parts(*parts), r]
             for vector in vectors:
                 redone += vector.tolist()
             projection = record["projection"]
-            kept = list(map(float, [*chain.from_iterable(record["spinor"]), *record["quadruple"],
-                                    projection["r"], *projection["x"], *projection.get("a", ())]))
+            kept = _floats([*chain.from_iterable(record["spinor"]), *record["quadruple"],
+                            projection["r"], *projection["x"], *projection.get("a", ())])
             if len(kept) != len(redone):
                 raise ValueError("record field shapes do not match the recomputation")
         except (KeyError, ValueError, TypeError, OverflowError):
@@ -199,70 +197,69 @@ _TEMPLATE = ('{"system":%s,"values":[V],"sheet":%d,"model":%s,"spinor":[[F,F],[F
 
 
 def _shape(count: int, a: bool) -> tuple:
-    """The %-template of a record with `count` values, and a vector a or not, the
-    lengths of its seven lists, and the exact type of each part that dumps_record checks."""
+    """The %-template of a record with `count` values, and a vector a or not, and the
+    exact type that dumps_record checks in each of its slots."""
     template = (_TEMPLATE.replace("V", ",".join("F" * count))
                 .replace("A", ',"a":[F,F,F]' if a else "").replace("F", "%.17g"))
     kinds = tuple({"s": str, "d": int, "g": float}[spec[-1]]
                   for spec in re.findall(r"%s|%d|%\.17g", template))
-    lengths = (count, 2, 2, 2, 4, 3, 3 * a)
-    return template, lengths, (dict, str, str, str, dict, dict) + (list,) * 7 + kinds
+    return template, kinds
 
 
-# (keys, value count, projection keys, meta keys) -> _shape: 3 or 4 values, with or without a.
-_SHAPES = {(_RECORD_KEYS, count, ("r", "x", "a")[:2 + a], ("seed", "tolerance", "version")):
-           _shape(count, a) for count in (3, 4) for a in (False, True)}
+_TAKES = {float: (int, float, np.integer, np.floating), int: (int, np.integer)}
 
 
-def dumps_record(value) -> str:
-    """One record as a line of JSON, each float at 17 significant digits, through its
-    shape's template where it has exactly the keys, order and types fixture_record
-    gives; a non-finite float raises ValueError, a bool or an unknown type TypeError."""
+def _slot(kind, part):
+    """part as its float or int slot's kind (a string slot holds _ascii's str); else TypeError."""
+    if isinstance(part, (bool, np.bool_)):
+        raise TypeError("fixture records carry no booleans")
+    if not isinstance(part, _TAKES[kind]):
+        raise TypeError(f"not a fixture record: {type(part).__name__} in place of {kind.__name__}")
+    return kind(part)
+
+
+def _floats(fields) -> list:
+    """fields as floats by a float slot's rule; one type-set test passes all floats and ints."""
+    if {float, int}.issuperset(map(type, fields)):
+        return list(map(float, fields))
+    return [_slot(float, field) for field in fields]
+
+
+def _seed(seed) -> int:
+    """int(seed) for an int or a numpy integer; anything else, a bool too, raises ValueError."""
+    if type(seed) is bool or not isinstance(seed, _TAKES[int]):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
+# (keys, list lengths, projection keys, meta keys) -> _shape: 3 or 4 values, with or without a.
+_SHAPES = {(_RECORD_KEYS, (count, 2, 2, 4, 3, 3 * a), ("r", "x", "a")[:2 + a],
+            ("seed", "tolerance", "version")): _shape(count, a)
+           for count in (3, 4) for a in (False, True)}
+
+
+def dumps_record(record) -> str:
+    """One fixture record as a line of JSON; a non-finite float raises ValueError."""
     try:
-        system, values, sheet, model, spinor, quadruple, projection, meta = value.values()
-        template, lengths, kinds = _SHAPES[tuple(value), len(values), tuple(projection),
-                                           tuple(meta)]
+        system, values, sheet, model, spinor, quadruple, projection, meta = record.values()
         pair1, pair2 = spinor
         r, x, a = projection["r"], projection["x"], projection.get("a", [])
         seed, tolerance, version = meta.values()
-        lists = (values, spinor, pair1, pair2, quadruple, x, a)
-        args = (_ascii(system), *values, sheet, _ascii(model), *pair1, *pair2, *quadruple,
-                r, *x, *a, seed, tolerance, _ascii(version))
+        lengths = tuple(map(len, (values, pair1, pair2, quadruple, x, a)))
+        template, kinds = _SHAPES[tuple(record), lengths, tuple(projection), tuple(meta)]
+        parts = (_ascii(system), *values, sheet, _ascii(model), *pair1, *pair2, *quadruple, r,
+                 *x, *a, seed, tolerance, _ascii(version))
     except (TypeError, ValueError, KeyError, AttributeError):
-        return _dumps(value)
-    if (tuple(map(type, (value, system, model, version, projection, meta, *lists, *args)))
-            != kinds or tuple(map(len, lists)) != lengths):
-        return _dumps(value)
-    text = template % args
-    # A finite float's %.17g has no letter but e; a string holding inf or nan goes the long way.
-    return _dumps(value) if "inf" in text or "nan" in text else text
-
-
-def _dumps(value) -> str:
-    # The generic route of dumps_record: the stdlib serializer offers no float-format hook,
-    # and byte determinism needs one fixed 17-significant-digit rendering.
-    # Exact types first; bool, numpy scalars and subclasses take the isinstance route.
-    kind = type(value)
-    if kind is float:
-        if not math.isfinite(value):
-            raise ValueError("fixture floats must be finite")
-        return format(value, ".17g")
-    if kind is list or kind is tuple:
-        return "[" + ",".join([_dumps(v) for v in value]) + "]"
-    if kind is dict:
-        return "{" + ",".join([f"{_ascii(str(k))}:{_dumps(v)}"
-                               for k, v in value.items()]) + "}"
-    if kind is str:
-        return _ascii(value)
-    if kind is int:
-        return str(value)
-    if isinstance(value, bool):
-        raise TypeError("fixture records carry no booleans")
-    for kinds, plain in (((int, np.integer), int), ((float, np.floating), float), (str, str),
-                         ((list, tuple), list), (dict, dict)):
-        if isinstance(value, kinds):
-            return _dumps(plain(value))
-    raise TypeError(f"cannot encode {type(value).__name__}")
+        raise TypeError("not a fixture record") from None
+    if tuple(map(type, parts)) != kinds:
+        parts = tuple([part if type(part) is kind else _slot(kind, part)
+                       for kind, part in zip(kinds, parts)])
+    text = template % parts
+    # A finite float's %.17g has no letter but e; only a string may hold inf or nan.
+    if ("inf" in text or "nan" in text) and not all(
+            math.isfinite(part) for kind, part in zip(kinds, parts) if kind is float):
+        raise ValueError("fixture floats must be finite")
+    return text
 
 
 def write_fixtures(records, path) -> int:

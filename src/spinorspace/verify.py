@@ -646,7 +646,7 @@ def run_suite(suite: str, samples: int = 1000, seed: int = 42,
         raise ValueError(f"unknown suite {suite!r}; valid: {', '.join(SUITE_NAMES)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    finite_tolerance(tolerance)
+    tolerance = finite_tolerance(tolerance)
     start = time.perf_counter()
     checks = []
     for index, (name, share, draw, body) in enumerate(_SUITES[suite]):
@@ -684,7 +684,7 @@ def replay_fixtures(records, tolerance: float | None = None) -> VerificationRepo
     tolerance, or 1e-12 where there is none.
     """
     if tolerance is not None:
-        finite_tolerance(tolerance)
+        tolerance = finite_tolerance(tolerance)
     start = time.perf_counter()
     count = len(records)
     residuals = fixture_io.replay_residuals(records)

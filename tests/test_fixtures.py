@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from spinorspace import (
     generate_fixtures,
@@ -15,10 +17,9 @@ from spinorspace import (
     write_fixtures,
 )
 from spinorspace.cli import main
-from spinorspace import fixtures
 from spinorspace.fixtures import (
     FIXTURE_VERSION,
-    _dumps,
+    MODELS,
     construct,
     dumps_record,
     fixture_record,
@@ -83,7 +84,10 @@ def test_construct_errors():
     ("parabolic", 1.0, "eta"),
     ("cartesian", "123", "xi"),
     ("spherical", b"101", "eta"),
-], ids=["nested", "complex", "string", "none", "direction", "scalar", "digits", "bytes"])
+    ("cartesian", ["0.3", "-0.4", "0.5"], "xi"),
+    ("parabolic", [1.0, True, 0.2], "eta"),
+], ids=["nested", "complex", "string", "none", "direction", "scalar", "digits", "bytes",
+        "numeric-strings", "bool"])
 def test_records_name_values_that_are_not_real_numbers(system, values, model):
     message = rf"^{system} values must be real numbers, got {re.escape(repr(values))}$"
     with pytest.raises(ValueError, match=message):
@@ -124,6 +128,36 @@ def test_fixture_record_frozen():
 
 # ------------------------------------------------------------- serialization
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value) -> str:
+    """The generic recursive emitter that dumps_record replaced, kept as the reference:
+    JSON with each float at 17 significant digits, numpy scalars and subclasses written
+    as their plain values, a non-finite float a ValueError and a bool a TypeError."""
+    kind = type(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError("fixture floats must be finite")
+        return format(value, ".17g")
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_dumps(v) for v in value]) + "]"
+    if kind is dict:
+        return "{" + ",".join([f"{_ascii(str(k))}:{_dumps(v)}"
+                               for k, v in value.items()]) + "}"
+    if kind is str:
+        return _ascii(value)
+    if kind is int:
+        return str(value)
+    if isinstance(value, bool):
+        raise TypeError("fixture records carry no booleans")
+    for kinds, plain in (((int, np.integer), int), ((float, np.floating), float), (str, str),
+                         ((list, tuple), list), (dict, dict)):
+        if isinstance(value, kinds):
+            return _dumps(plain(value))
+    raise TypeError(f"cannot encode {type(value).__name__}")
+
+
 def test_dumps_record_rendering():
     rec = fixture_record("cartesian", (0.0, 0.0, 1.0), "xi")
     text = dumps_record(rec)
@@ -134,32 +168,55 @@ def test_dumps_record_rendering():
 
 
 def test_dumps_record_rejects_bad_values():
-    with pytest.raises(TypeError):
-        dumps_record({"flag": True})
-    with pytest.raises(ValueError):
-        dumps_record({"bad": math.inf})
-    with pytest.raises(ValueError):
-        dumps_record({"bad": math.nan})
-    with pytest.raises(TypeError):
-        dumps_record({"bad": object()})
+    # A dict that is not a record raises TypeError, whatever it holds.
+    for value in [{"flag": True}, {"bad": math.inf}, {"bad": math.nan},
+                  {"a": [1.5, -0.0, 7, "x"]}, [1.5], "record", None, 1.5]:
+        with pytest.raises(TypeError, match="^not a fixture record$"):
+            dumps_record(value)
+
+
+class _Name(str):
+    pass
+
+
+class _Row(list):
+    pass
+
+
+class _Record(dict):
+    pass
 
 
 def test_dumps_record_gives_subclasses_and_numpy_scalars_the_same_bytes():
-    class Name(str):
-        pass
+    # and tuples, arrays and ints too: each part goes through float(), int() or its str text.
+    plain = fixture_record("cartesian", (1.0, -0.0, 0.5), "eta", sheet=-1, seed=7)
+    projection = plain["projection"]
+    mixed = _Record(
+        system=_Name("cartesian"), values=(1, np.float32(-0.0), np.float64(0.5)),
+        sheet=np.int64(-1), model=_Name("eta"),
+        spinor=_Row(tuple(map(np.float64, pair)) for pair in plain["spinor"]),
+        quadruple=tuple(plain["quadruple"]),
+        projection={"r": np.float64(projection["r"]), "x": list(np.array(projection["x"])),
+                    "a": _Row(projection["a"])},
+        meta={"seed": np.int32(7), "tolerance": np.float64(1e-12),
+              "version": _Name(FIXTURE_VERSION)})
+    assert dumps_record(mixed) == dumps_record(plain) == _dumps(mixed)
+    mixed["projection"]["x"] = np.array(projection["x"])  # which the reference refused
+    assert dumps_record(mixed) == dumps_record(plain)
+    mixed["quadruple"] = (np.float64("nan"), *plain["quadruple"][1:])
+    with pytest.raises(ValueError, match="^fixture floats must be finite$"):
+        dumps_record(mixed)
+    mixed["sheet"] = np.bool_(True)
+    with pytest.raises(TypeError, match="^fixture records carry no booleans$"):
+        dumps_record(mixed)
 
-    class Row(list):
-        pass
 
-    plain = {"a": [1.5, -0.0, 7, "\u00e9\n\"x"], "b": (2, 3.25)}
-    mixed = {Name("a"): Row([np.float64(1.5), np.float64(-0.0), np.int64(7), Name("\u00e9\n\"x")]),
-             "b": (np.int32(2), np.float32(3.25))}
-    want = '{"a":[1.5,-0,7,' + json.dumps("\u00e9\n\"x") + '],"b":[2,3.25]}'
-    assert dumps_record(plain) == dumps_record(mixed) == want
-    with pytest.raises(ValueError):
-        dumps_record([np.float64("nan")])
-    with pytest.raises(TypeError):
-        dumps_record([np.bool_(True)])
+def test_large_ints_in_float_slots_are_written_as_their_floats():
+    # The reference wrote an int by str(); a float slot writes float(int) at 17 digits.
+    record = fixture_record("cartesian", (0.3, -0.4, 0.5), "xi")
+    record["values"] = [10**17, 2**53 + 1, -(10**16)]
+    assert '"values":[1e+17,9007199254740992,-10000000000000000]' in dumps_record(record)
+    assert _dumps(record) != dumps_record(record)
 
 
 def test_write_load_round_trip(tmp_path):
@@ -197,28 +254,16 @@ def test_writing_a_loaded_file_gives_its_bytes(tmp_path):
     assert {type(r["sheet"]) for r in loaded} == {type(r["meta"]["seed"]) for r in loaded} == {int}
 
 
-@pytest.fixture
-def generic_calls(monkeypatch):
-    """The values that dumps_record's generic route is called on, nested ones included."""
-    calls = []
-
-    def counted(value):
-        calls.append(value)
-        return _dumps(value)
-    monkeypatch.setattr(fixtures, "_dumps", counted)
-    return calls
-
-
-def test_template_gives_the_generic_bytes(tmp_path, generic_calls):
+def test_template_gives_the_generic_bytes(tmp_path):
     records = generate_fixtures(700, seed=3)
-    for record in records:
-        text = dumps_record(record)
-        assert generic_calls == []  # the template wrote it
-        assert text == _dumps(record)
-        generic_calls.clear()
     path = tmp_path / "golden.jsonl"
     write_fixtures(records, path)
-    for record in load_fixtures(path):  # integral floats read back as ints: the generic route
+    loaded = load_fixtures(path)
+    # An integral float reads back as an int: an eta record's a, written [0,...], fills
+    # its float slots with ints.
+    with_ints = [r for r in loaded if int in map(type, r["projection"].get("a", ()))]
+    assert len(with_ints) == 79
+    for record in records + loaded:
         assert dumps_record(record) == _dumps(record)
 
 
@@ -242,36 +287,41 @@ def _without_a(record):
     return record
 
 
-class _Name(str):
-    pass
-
-
-@pytest.mark.parametrize("change, templated", [
+@pytest.mark.parametrize("change, written", [
     (_set(["extra"], 1.5), False),
     (lambda record: dict(reversed(record.items())), False),
     (lambda record: {**record, "meta": dict(reversed(record["meta"].items()))}, False),
-    (_set(["quadruple", 2], np.float64(0.25)), False),
-    (_set(["values", 0], 3), False),
+    (_set(["quadruple", 2], np.float64(0.25)), True),
+    (_set(["values", 0], 3), True),
     (_set(["meta", "seed"], 4.0), False),
-    (_set(["spinor", 0], (0.5, -0.5)), False),
+    (_set(["spinor", 0], (0.5, -0.5)), True),
     (_set(["spinor"], [[0.5, -0.5, 0.25], [0.125]]), False),
-    (_set(["system"], _Name("cartesian")), False),
-    (_set(["meta", "version"], "inf"), False),
+    (_set(["system"], _Name("cartesian")), True),
+    (_set(["meta", "version"], "inf"), True),
     (_without_a, True),
+    (_set(["meta", "seed"], np.int64(4)), True),
+    (_set(["model"], "nan"), True),
+    (_set(["values"], "abc"), False),
+    (_set(["quadruple", 1], "0.5"), False),
+    (_set(["system"], b"cartesian"), False),
 ], ids=["extra-key", "reordered", "reordered-meta", "numpy-float", "int-value", "float-seed",
-        "tuple-pair", "regrouped", "str-subclass", "inf-string", "missing-a"])
-def test_records_off_the_template_take_the_generic_route(change, templated, generic_calls):
+        "tuple-pair", "regrouped", "str-subclass", "inf-string", "missing-a", "numpy-seed",
+        "nan-string", "string-values", "string-field", "bytes-system"])
+def test_records_off_the_template_take_the_generic_route(change, written):
+    # Off the template's exact types there is no second route: a record's part is converted
+    # by its slot's kind, to the generic emitter's bytes, and anything else is refused.
     record = change(_eta_record())
-    text = dumps_record(record)
-    assert (generic_calls == []) is templated
-    assert text == _dumps(record)
+    if written:
+        assert dumps_record(record) == _dumps(record)
+    else:
+        with pytest.raises(TypeError, match="^not a fixture record"):
+            dumps_record(record)
 
 
-def test_a_bool_sheet_is_refused_as_before(generic_calls):
-    record = _set(["sheet"], True)(_eta_record())
-    with pytest.raises(TypeError, match="booleans"):
-        dumps_record(record)
-    assert generic_calls[0] is record
+def test_a_bool_sheet_is_refused_as_before():
+    for path in [["sheet"], ["values", 1], ["meta", "seed"]]:
+        with pytest.raises(TypeError, match="^fixture records carry no booleans$"):
+            dumps_record(_set(path, True)(_eta_record()))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -283,6 +333,42 @@ def test_template_records_keep_floats_finite(path, bad):
     record = _set(path, bad)(_eta_record())
     with pytest.raises(ValueError, match="^fixture floats must be finite$"):
         dumps_record(record)
+
+
+# Finite doubles across the whole range: signed zeros, subnormals, 1e+-300 and the extremes.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+          1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+_REAL = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+_NONNEGATIVE = _REAL.map(abs)
+_POLAR = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, math.pi]),
+                   st.floats(0.0, math.pi))
+_DIRECTION = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda n: math.hypot(*n) > 1e-3).map(lambda n: [v / math.hypot(*n) for v in n])
+_RECORD_ARGS = st.one_of(
+    st.tuples(st.just("cartesian"), st.tuples(_REAL, _REAL, _REAL), st.sampled_from(MODELS[:2])),
+    st.tuples(st.just("spherical"), st.tuples(_NONNEGATIVE, _POLAR, _REAL),
+              st.sampled_from(MODELS[:2])),
+    st.tuples(st.just("parabolic"), st.tuples(_NONNEGATIVE, _NONNEGATIVE, _REAL),
+              st.sampled_from(MODELS[:2])),
+    st.tuples(st.just("direction"), st.tuples(_DIRECTION, _REAL).map(lambda d: [*d[0], d[1]]),
+              st.just("psi")))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_RECORD_ARGS, st.sampled_from([1, -1]), st.integers(0, 2**63), _NONNEGATIVE)
+def test_one_writer_over_the_double_range(tmp_path_factory, args, sheet, seed, tolerance):
+    try:
+        record = fixture_record(*args, sheet=sheet, seed=seed, tolerance=tolerance)
+    except (ValueError, OverflowError):  # a point off its domain or past the double range
+        reject()
+    text = dumps_record(record)
+    assert text == _dumps(record)
+    assert json.loads(text) == record
+    path = tmp_path_factory.mktemp("records") / "one.jsonl"
+    write_fixtures([record], path)
+    again = path.parent / "again.jsonl"
+    write_fixtures(load_fixtures(path), again)
+    assert again.read_text() == path.read_text() == text + "\n"
 
 
 def test_generate_fixtures_deterministic(tmp_path):
@@ -487,6 +573,61 @@ def test_replay_tolerance_override():
     assert replay_fixtures(records, tolerance=1e-6).passed
 
 
+@pytest.mark.parametrize("path, value", [
+    (["spinor", 0, 0], repr(SQRT2)), (["quadruple", 1], repr(SQRT2).encode()),
+    (["spinor", 1, 0], False), (["projection", "x", 1], "0"), (["values", 2], "1"),
+    (["values", 0], False), (["sheet"], True),
+], ids=["str-spinor", "bytes-quadruple", "bool-spinor", "str-x", "str-value", "bool-value",
+        "bool-sheet"])
+def test_replay_does_not_read_strings_or_bools_as_numbers(path, value):
+    # Each stored field is the string or bool of the number it held: float() would read it.
+    record = _set(path, value)(fixture_record("cartesian", (0.0, 0.0, 1.0), "xi"))
+    assert replay_residuals([record]).tolist() == [math.inf]
+    report = replay_fixtures([record])
+    assert not report.passed and report.max_residual == math.inf
+    with pytest.raises((TypeError, ValueError)):
+        replay_residual(record)
+
+
+def test_replay_reads_ints_and_numpy_reals_as_their_floats():
+    record = fixture_record("cartesian", (0.0, 0.0, 1.0), "xi")
+    record["values"] = [0, np.float32(0.0), np.int64(1)]
+    record["spinor"][0][0] = np.float64(SQRT2)
+    record["quadruple"] = [0, np.float64(SQRT2), np.int8(0), 0]
+    record["meta"]["seed"] = np.uint8(3)
+    assert replay_residual(record) == 0.0
+    assert replay_fixtures([record]).passed
+
+
+@pytest.mark.parametrize("seed", [1.5, 7.0, "7", True, np.bool_(False), None],
+                         ids=["fraction", "integral-float", "string", "true", "numpy-bool",
+                              "none"])
+def test_seeds_that_are_not_integers_are_rejected(seed):
+    message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        fixture_record("cartesian", (0.3, -0.4, 0.5), seed=seed)
+    record = fixture_record("cartesian", (0.3, -0.4, 0.5))
+    record["meta"]["seed"] = seed
+    assert replay_residuals([record]).tolist() == [math.inf]
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        replay_residual(record)
+
+
+def test_numpy_integer_seeds_are_taken():
+    record = fixture_record("cartesian", (0.3, -0.4, 0.5), seed=np.int64(7))
+    assert type(record["meta"]["seed"]) is int and record["meta"]["seed"] == 7
+    assert generate_fixtures(1, seed=np.uint16(7)) == generate_fixtures(1, seed=7)
+
+
+@pytest.mark.parametrize("system, values, model", [
+    ("cartesian", (0.3, -0.4, 0.5), "eta"), ("spherical", (1.0, 1.0, 0.5), "xi")])
+def test_a_bool_sheet_is_not_a_sign(system, values, model):
+    with pytest.raises(ValueError, match=r"^sheet must be \+1 or -1, got True$"):
+        fixture_record(system, values, model, sheet=True)
+    with pytest.raises(ValueError, match=r"^sheet must be \+1 or -1, got True$"):
+        construct(system, values, model, sheet=True)
+
+
 # ------------------------------------------------------------------- suites
 
 def test_run_suite_arguments():
@@ -524,6 +665,33 @@ def test_non_finite_tolerances_are_rejected(value):
         generate_fixtures(1, tolerance=value)
     with pytest.raises(ValueError, match="tolerance must be finite"):
         generate_fixtures(0, tolerance=value)
+
+
+@pytest.mark.parametrize("value", ["1e-3", b"1e-3", True, False],
+                         ids=["str", "bytes", "true", "false"])
+def test_tolerances_that_are_not_real_numbers_are_rejected(value):
+    # float() reads each of these as a number; none of them is a tolerance.
+    records = generate_fixtures(2, seed=19)
+    message = rf"^tolerance must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        run_suite("hopf", samples=10, tolerance=value)
+    with pytest.raises(ValueError, match=message):
+        replay_fixtures(records, tolerance=value)
+    with pytest.raises(ValueError, match=message):
+        fixture_record("cartesian", (0.3, -0.4, 0.5), tolerance=value)
+    with pytest.raises(ValueError, match=message):
+        generate_fixtures(1, tolerance=value)
+    records[1]["meta"]["tolerance"] = value
+    report = replay_fixtures(records)
+    assert not report.passed and report.max_residual == math.inf
+
+
+def test_reports_hold_residuals_to_the_float_of_the_tolerance():
+    report = run_suite("hopf", samples=10, tolerance=0)
+    assert type(report.tolerance) is float
+    assert all(type(check.threshold) is float for check in report.checks)
+    report = replay_fixtures(generate_fixtures(3, seed=19), tolerance=np.float32(0.25))
+    assert type(report.tolerance) is float and report.tolerance == 0.25 and report.passed
 
 
 def test_run_suite_small_smoke():

@@ -10,8 +10,10 @@ so3_from_rotation, so3_from_vector_parameter, rotation_from_vector_parameter,
 rotation_from_axis_angle, psi_from_direction on both of its lifts, the
 gauges, rotation_between, stabilizer_check, direction_from_ks, build_frame,
 frame_symmetry, left_transport, rotated_direction, fixture_record on a
-spherical and a Cartesian point, each on sheet -1, and fixtures.dumps_record
-and replay_residual on one generated eta record. Each
+spherical and a Cartesian point, each on sheet -1, fixtures.dumps_record
+and replay_residual on one generated eta record, and fixtures.dumps_record on
+a loaded parabolic eta record, whose vector a holds the int 0 that load reads
+back for the float 0.0, so the writer converts it in its float slot. Each
 round times every call NUMBER times on both sides back to back, with garbage
 collection off, and the side that goes first alternates from round to round.
 For each call it prints the median us per call on each side, the change in
@@ -51,6 +53,11 @@ def calls(ss) -> list:
     direction = (0.6, 0.0, 0.8)
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
     record = ss.generate_fixtures(2, seed=3)[1]  # a Cartesian eta record
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "loaded.jsonl"
+        ss.write_fixtures(ss.generate_fixtures(20, seed=3)[19:], path)  # a parabolic eta record
+        (loaded,) = ss.load_fixtures(path)
+    assert type(loaded["projection"]["a"][2]) is int  # written 0, read back as the int 0
     return [
         ("xi_from_cartesian", lambda: ss.xi_from_cartesian(point)),
         ("xi_from_cartesian sheet -1", lambda: ss.xi_from_cartesian(point, -1)),
@@ -93,6 +100,7 @@ def calls(ss) -> list:
         ("fixture_record", lambda: ss.fixture_record("spherical", (1.3, 0.8, 2.0), "eta", -1)),
         ("fixture_record cartesian -1", lambda: ss.fixture_record("cartesian", point, "xi", -1)),
         ("dumps_record", lambda: ss.fixtures.dumps_record(record)),
+        ("dumps_record loaded", lambda: ss.fixtures.dumps_record(loaded)),
         ("replay_residual", lambda: ss.replay_residual(record)),
     ]
 
