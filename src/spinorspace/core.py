@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
+MIN_NORMAL = sys.float_info.min  # the smallest positive normal double
 
 # Norm deviation absorbed silently by normalizing constructors; anything worse
 # is treated as a logic error in the caller.
@@ -62,6 +64,16 @@ def finite_tolerance(tolerance) -> float:
     if value < 0.0:
         raise ValueError(f"tolerance must be nonnegative, got {value!r}")
     return value
+
+
+def integer_value(value, name: str) -> int:
+    """int(value) for an int or a numpy integer, the one reader of integer inputs: a bool
+    (numpy's too), a float, a string or anything else raises ValueError naming it."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def finite_vector(v, name: str) -> tuple:
@@ -170,20 +182,19 @@ class KSQuadruple:
 _QUADRUPLE_SETTERS = slot_setters(KSQuadruple)
 
 
-def unit4(xp, c4, c1, c2, c3, who=None) -> tuple:
-    """(c4, c1, c2, c3) / norm: the normalization of SpinorRotation, and of a
-    spinor's real parts for the gauges, which pass their name as who.
+def unit4(xp, c4, c1, c2, c3, who="rotation parameters must be unit norm") -> tuple:
+    """(c4, c1, c2, c3) / norm, the one unit-norm check: of SpinorRotation, a spinor's
+    real parts for the gauges, and psi_from_direction's direction with a zero c3.
 
-    A norm off 1 by 1e-6 or more raises ValueError. Gauges and frames chain
+    A norm off 1 by NORM_SLACK or more raises ValueError(f"{who}, got norm ..."): who
+    names the input, as in "direction must be a unit vector". Gauges and frames chain
     quaternion products through this and qmul on plain tuples, and build a
     SpinorRotation only for the rotation they return.
     """
     norm = xp.sqrt(c4 * c4 + c1 * c1 + c2 * c2 + c3 * c3)
     unit = abs(norm - 1.0) < NORM_SLACK
     if unit is not True and not xp.all(unit):
-        what = "rotation parameters must be unit norm" if who is None else (
-            f"{who} requires a unit spinor")
-        raise ValueError(f"{what}, got norm {norm!r}")
+        raise ValueError(f"{who}, got norm {norm!r}")
     return (c4 / norm, c1 / norm, c2 / norm, c3 / norm)
 
 
@@ -210,10 +221,14 @@ def conjugate4(xp, r: tuple) -> tuple:
 
 
 def sign_flag(value, name: str) -> int:
-    """int(value) for a +1/-1 flag such as a sheet; anything else, True too, raises ValueError."""
-    if value not in (1, -1) or value is True:
+    """The integer_value +1 or -1 of a flag such as a sheet; anything else raises ValueError."""
+    try:
+        flag = integer_value(value, name)
+    except ValueError:
+        flag = 0
+    if flag not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
-    return int(value)
+    return flag
 
 
 def polar(xp, m1, m2, phi) -> tuple:

@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Spinor, finite_tolerance, quadruple_parts, sign_flag, wrap_4pi
+from .core import Spinor, finite_tolerance, integer_value, quadruple_parts, sign_flag, wrap_4pi
 from .gauge_fixing import psi_from_direction
 from .spinor_maps import (
     ParabolicPoint,
@@ -112,29 +112,30 @@ def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
     return {"system": system, "values": vals, "sheet": int(sheet), "model": model,
             "spinor": [[c1r, c1i], [c2r, c2i]],
             "quadruple": list(quadruple_parts(c1r, c1i, c2r, c2i)), "projection": projection,
-            "meta": {"seed": _seed(seed), "tolerance": finite_tolerance(tolerance),
+            "meta": {"seed": integer_value(seed, "seed"), "tolerance": finite_tolerance(tolerance),
                      "version": FIXTURE_VERSION}}
 
 
 def replay_residual(record: dict) -> float:
     """Worst scaled disagreement between a record and its fresh recomputation;
     inf, as for a malformed record, where a stored field is NaN or infinite."""
-    return float(replay_residuals([record], strict=True)[0])
+    return float(replay_residuals([record], strict=True)[0][0])
 
 
-def replay_residuals(records, strict: bool = False) -> np.ndarray:
-    """replay_residual of each record from one pass over the whole batch: the largest
-    |s - f| / max(1, |s|, |f|) of its stored fields s and their recomputation f, inf
-    where that is NaN. A malformed record raises when strict, else scores inf."""
-    starts, stored, fresh = [], [], []
+def replay_residuals(records, strict: bool = False) -> tuple:
+    """An array of each record's replay_residual from one pass over the whole batch, the
+    largest |s - f| / max(1, |s|, |f|) of its stored fields s and their recomputation f
+    (inf where NaN), and a list of their checked stored tolerances. A malformed record
+    raises when strict, else scores inf with tolerance -inf."""
+    starts, stored, fresh, tolerances = [], [], [], []
     for record in records:
         starts.append(len(stored))
         try:
             meta = record["meta"]
             _, parts, r, vectors = _computed(record["system"], record["values"],
                                              record["model"], record.get("sheet", 1))
-            _seed(meta["seed"])  # the meta checks of fixture_record
-            finite_tolerance(meta["tolerance"])
+            integer_value(meta["seed"], "seed")  # the meta checks of fixture_record
+            tolerance = finite_tolerance(meta["tolerance"])
             redone = [*parts, *quadruple_parts(*parts), r]
             for vector in vectors:
                 redone += vector.tolist()
@@ -146,18 +147,20 @@ def replay_residuals(records, strict: bool = False) -> np.ndarray:
         except (KeyError, ValueError, TypeError, OverflowError):
             if strict:
                 raise
-            kept, redone = [math.nan], [0.0]
+            kept, redone, tolerance = [math.nan], [0.0], -math.inf
         stored += kept
         fresh += redone
+        tolerances.append(tolerance)
     s, f = np.array(stored, dtype=float), np.array(fresh, dtype=float)
     with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, from an infinite field
         gap = np.abs(s - f) / np.maximum(np.maximum(np.abs(s), np.abs(f)), 1.0)
     gap[np.isnan(gap)] = math.inf
-    return np.maximum.reduceat(gap, starts)
+    return np.maximum.reduceat(gap, starts), tolerances
 
 
 def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> list:
     """Seeded batch of records cycling through systems and models."""
+    count, seed = integer_value(count, "count"), integer_value(seed, "seed")
     if count < 0:
         raise ValueError("count must be >= 0")
     tolerance = finite_tolerance(tolerance)
@@ -223,13 +226,6 @@ def _floats(fields) -> list:
     if {float, int}.issuperset(map(type, fields)):
         return list(map(float, fields))
     return [_slot(float, field) for field in fields]
-
-
-def _seed(seed) -> int:
-    """int(seed) for an int or a numpy integer; anything else, a bool too, raises ValueError."""
-    if type(seed) is bool or not isinstance(seed, _TAKES[int]):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
 
 
 # (keys, list lengths, projection keys, meta keys) -> _shape: 3 or 4 values, with or without a.

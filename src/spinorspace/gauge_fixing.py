@@ -11,7 +11,6 @@ two-spinor alignment and stabilizer problems exactly.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .core import (
     FLOATS,
     IDENTITY_ROTATION,
     MINUS_IDENTITY,
-    NORM_SLACK,
+    MIN_NORMAL,
     Spinor,
     SpinorRotation,
     TWO_PI,
@@ -47,8 +46,6 @@ SINGULAR_WEIGHT = 1e-12
 _UNDEFINED = {1: "(+)-gauge canonical phase undefined: first component weight",
               -1: "(-)-gauge canonical phase undefined: second component weight"}
 
-_MIN_NORMAL = sys.float_info.min
-
 
 class SingularGaugeError(ValueError):
     """Raised when a requested gauge is undefined at the given direction."""
@@ -68,7 +65,7 @@ def axis_phase(delta: float) -> SpinorRotation:
 
 
 def _unit_spinor(psi: Spinor, who: str) -> tuple:
-    """The real parts (u1, u2, u3, u4) of psi, divided by its norm."""
+    """The real parts (u1, u2, u3, u4) of psi, divided by its norm; who names a non-unit psi."""
     return unit4(FLOATS, psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag, who)
 
 
@@ -92,11 +89,7 @@ def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
 
 def psi_parts(xp, v1, v2, v3, gamma) -> tuple:
     """The real parts of psi_from_direction((v1, v2, v3), gamma), floats or columns."""
-    norm = xp.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    unit = abs(norm - 1.0) < NORM_SLACK
-    if unit is not True and not xp.all(unit):
-        raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
-    n1, n2, n3 = v1 / norm, v2 / norm, v3 / norm
+    n1, n2, n3, _ = unit4(xp, v1, v2, v3, 0.0, "direction must be a unit vector")
     requested = wrap_4pi(gamma)
     # The principal azimuth, or on the axis the requested phase itself. Its partner
     # lift, phase + 2pi, is the same spinor negated, and wins where it is closer.
@@ -116,13 +109,13 @@ def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     The underlying aligner a = (u1, u4, -u3, u2) satisfies B(a) psi = (1, 0)
     with both entries exact in float arithmetic; the phase is applied on top.
     """
-    u = _unit_spinor(psi, "gauge_plus")
+    u = _unit_spinor(psi, "gauge_plus requires a unit spinor")
     return SpinorRotation(*gauge_plus4(FLOATS, u, finite_angle(phase, "gauge phase")))
 
 
 def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     """Closed-form rotation sending psi to (0, e^{+i phase/2}): the (+) gauge of i sigma^2 psi*."""
-    u = _unit_spinor(psi, "gauge_minus")
+    u = _unit_spinor(psi, "gauge_minus requires a unit spinor")
     return SpinorRotation(*gauge_plus4(FLOATS, swap4(u), finite_angle(phase, "gauge phase")))
 
 
@@ -159,10 +152,7 @@ def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:
     with s = u1^2 + u2^2. Undefined when psi's first component vanishes
     (direction at the south pole): SingularGaugeError.
     """
-    u = _unit_spinor(psi, "canonical_phase_plus")
-    s, gamma, rotation = canonical4(FLOATS, u, 1)
-    return CanonicalGauge(gamma=gamma, vector_parameter=np.array(planar_chart(u, s, 1)),
-                          rotation=SpinorRotation(*rotation))
+    return _canonical(psi, 1, "canonical_phase_plus requires a unit spinor")
 
 
 def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
@@ -172,9 +162,14 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
     with s = u3^2 + u4^2; singular when the direction sits at the north pole.
     This is the (+) construction on i sigma^2 psi*.
     """
-    u = _unit_spinor(psi, "canonical_phase_minus")
-    s, gamma, rotation = canonical4(FLOATS, u, -1)
-    return CanonicalGauge(gamma=gamma, vector_parameter=np.array(planar_chart(u, s, -1)),
+    return _canonical(psi, -1, "canonical_phase_minus requires a unit spinor")
+
+
+def _canonical(psi: Spinor, sign: int, who: str) -> CanonicalGauge:
+    """The canonical (+) gauge (sign 1) or (-) gauge (sign -1) of psi."""
+    u = _unit_spinor(psi, who)
+    s, gamma, rotation = canonical4(FLOATS, u, sign)
+    return CanonicalGauge(gamma=gamma, vector_parameter=np.array(planar_chart(u, s, sign)),
                           rotation=SpinorRotation(*rotation))
 
 
@@ -207,7 +202,7 @@ def planar_chart(u: tuple, s, sign: int) -> tuple:
 def canonical_plus4(xp, n) -> tuple:
     """The raw rotation of canonical_phase_plus(psi_from_direction(n)) for finite
     directions n, three components, floats or columns."""
-    u = unit4(xp, *psi_parts(xp, *n, 0.0), "canonical_phase_plus")
+    u = unit4(xp, *psi_parts(xp, *n, 0.0), "canonical_phase_plus requires a unit spinor")
     return canonical4(xp, u, 1)[2]
 
 
@@ -218,8 +213,8 @@ def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
     parameter quadruple m = (u1, -u4, u3, -u2); the answer is the quaternion
     ratio m' m^{-1}. Equal inputs give the identity exactly.
     """
-    u = _unit_spinor(psi, "rotation_between")
-    return SpinorRotation(*between4(FLOATS, u, _unit_spinor(psi_prime, "rotation_between")))
+    who = "rotation_between requires a unit spinor"
+    return SpinorRotation(*between4(FLOATS, _unit_spinor(psi, who), _unit_spinor(psi_prime, who)))
 
 
 def between4(xp, u: tuple, v: tuple) -> tuple:
@@ -240,7 +235,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     """
     sign = sign_flag(sign, "sign")
     q = quadruple_from_spinor(psi).as_tuple()
-    if not _MIN_NORMAL <= psi.norm_sq < math.inf:
+    if not MIN_NORMAL <= psi.norm_sq < math.inf:
         if not any(q):
             raise ValueError("stabilizer is undefined for the zero spinor")
         # |q|^2 under- or overflows, and so may the solve; G is linear in q, so

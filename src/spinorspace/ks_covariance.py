@@ -10,13 +10,13 @@ Frames over a common direction are related by an explicit stabilizer element.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     FLOATS,
+    MIN_NORMAL,
     KSQuadruple,
     SpinorRotation,
     axis4,
@@ -38,14 +38,12 @@ DIRECTION_MATCH_TOLERANCE = 1e-9
 # SpinorRotation. A direction is taken from a unit quadruple normalized once
 # more, as direction_from_ks(normalize_ks(q)) did.
 
-_MIN_NORMAL, _INF = sys.float_info.min, math.inf
-
 
 def unit_ks(xp, q: tuple) -> tuple:
     """q divided by its norm; the zero quadruple raises ValueError."""
     q4, q1, q2, q3 = q
     s = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3
-    normal = (_MIN_NORMAL <= s) & (s < _INF)
+    normal = (MIN_NORMAL <= s) & (s < math.inf)
     if normal is not True and not xp.all(normal):
         # The squares overflowed or left the normal range: rerun on q scaled
         # by the power of two that brings the largest entry into [0.5, 1).
@@ -149,11 +147,16 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
                    delta=delta, align=align)
 
 
+def turn4(xp, u: tuple, delta) -> tuple:
+    """The unit rotation hat(u) D(delta) of a unit quadruple u, D the axis phase: the
+    frame rotation of u before its align, at delta in frame4 and at -delta in symmetry4."""
+    return unit4(xp, *qmul(unit4(xp, *hat4(u)), axis4(xp, delta)))
+
+
 def frame4(xp, q: tuple, align: tuple, delta) -> tuple:
     """build_frame's frame quadruple w and direction of q, its unit align and its turn delta."""
     u = unit_ks(xp, q)
-    turned = unit4(xp, *qmul(unit4(xp, *hat4(u)), axis4(xp, delta)))
-    return hat4(unit4(xp, *qmul(turned, align))), direction4(unit_ks(xp, u))
+    return hat4(unit4(xp, *qmul(turn4(xp, u, delta), align))), direction4(unit_ks(xp, u))
 
 
 def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> SpinorRotation:
@@ -179,8 +182,7 @@ def symmetry4(xp, u: tuple, w: tuple, delta) -> tuple:
     if match is not True and not xp.all(match):
         raise ValueError("quadruples lie over different directions "
                          f"(mismatch {float(np.max(mismatch)):.3e})")
-    turned = unit4(xp, *qmul(unit4(xp, *hat4(wn)), axis4(xp, -delta)))
-    return qmul(turned, conjugate4(xp, unit4(xp, *hat4(un))))
+    return qmul(turn4(xp, wn, -delta), conjugate4(xp, unit4(xp, *hat4(un))))
 
 
 def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:

@@ -20,7 +20,6 @@ math's; atan2 is math's, element by element.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .core import (
     COLUMNS,
     FLOATS,
+    MIN_NORMAL,
     EtaProjection,
     KSQuadruple,
     Spinor,
@@ -41,8 +41,6 @@ from .core import (
 )
 
 INV_SQRT2 = math.sqrt(0.5)
-
-_MIN_NORMAL = sys.float_info.min
 
 _PAST_RANGE = "{}({!r}): the {} leave the double range, past 1.8e308"
 
@@ -123,7 +121,7 @@ def _point_magnitudes(xp, x1, x2, x3, magnitudes) -> tuple:
     range they are rerun on the point times 4^k, 2^k times the true ones, and unscaled."""
     rho_sq = x1 * x1 + x2 * x2
     r_sq = rho_sq + x3 * x3
-    normal = (_MIN_NORMAL <= r_sq) & (r_sq < math.inf)
+    normal = (MIN_NORMAL <= r_sq) & (r_sq < math.inf)
     if xp.all(normal):
         return magnitudes(xp, x3, rho_sq, xp.sqrt(r_sq))
     k = xp.where(normal, 0, xp.pow2_shift(x1, x2, x3) // 2)
@@ -340,7 +338,7 @@ def eta_quadruple_bilinears(v4, v1, v2, v3) -> tuple:
     """(a1, a2, a3, x1, x2, x3) of eta_quadruple_projection on the entries (V4, V1, V2, V3)."""
     return (v1 * v2 - v3 * v4,
             0.5 * (v1 * v1 - v2 * v2 + v3 * v3 - v4 * v4),
-            -(v1 * v4 + v2 * v3),
+            -hopf_constraint(v4, v1, v2, v3),
             0.5 * (v2 * v2 + v3 * v3 - v1 * v1 - v4 * v4),
             v1 * v2 + v3 * v4,
             v1 * v3 - v2 * v4)

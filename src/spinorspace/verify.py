@@ -28,6 +28,7 @@ from .core import (
     KSQuadruple,
     axis4,
     finite_tolerance,
+    integer_value,
     qmul,
     quadruple_parts,
     stacked,
@@ -552,7 +553,7 @@ _check("ks", "singular_error_paths", 0.0, lambda rng, n: (_FRAME_ERRORS,))(_all_
 @_check("gauge", "gauge_postconditions", 1.0,
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n)))
 def _check_gauge_postconditions(psi, phase):
-    u = unit4(COLUMNS, *psi.T, "gauge_plus")
+    u = unit4(COLUMNS, *psi.T, "gauge_plus requires a unit spinor")
     # B(gauge) psi for the (+) gauge, then the (-) gauge: shape (n, 2, 4).
     out = np.stack([stacked(rotated(_rotation(gauge_plus4(COLUMNS, w, phase)), *psi.T))
                     for w in (u, swap4(u))], axis=1)
@@ -570,7 +571,7 @@ def _check_canonical_gauges(psi):
     if not keep.any():
         return 0.0
     psi, s_plus, s_minus = psi[keep], s_plus[keep], s_minus[keep]
-    u = unit4(COLUMNS, *psi.T, "canonical_phase_plus")
+    u = unit4(COLUMNS, *psi.T, "canonical_phase_plus requires a unit spinor")
     # Per gauge, (+) then (-): the weight s, the rotation and C; the rotation's c3
     # must vanish and its vector parameter must be C.
     gauges = [(canonical4(COLUMNS, u, sign), sign) for sign in (1, -1)]
@@ -601,8 +602,8 @@ def _check_canonical_gauges(psi):
 def _check_rotation_between(psi, c):
     planted = _rotation(c.T)
     target = rotated(planted, *psi.T)
-    found = _rotation(between4(COLUMNS, unit4(COLUMNS, *psi.T, "rotation_between"),
-                               unit4(COLUMNS, *target, "rotation_between")))
+    who = "rotation_between requires a unit spinor"
+    found = _rotation(between4(COLUMNS, unit4(COLUMNS, *psi.T, who), unit4(COLUMNS, *target, who)))
     got, want = stacked(found), stacked(planted)
     # Either sign of the planted parameters is the same rotation. Take the one
     # with positive overlap: in a pass it is the nearer sign; a fail can only grow.
@@ -644,6 +645,7 @@ def run_suite(suite: str, samples: int = 1000, seed: int = 42,
     """Run one named suite; check i draws its share of samples, at least one, from [seed, i]."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; valid: {', '.join(SUITE_NAMES)}")
+    samples, seed = integer_value(samples, "samples"), integer_value(seed, "seed")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     tolerance = finite_tolerance(tolerance)
@@ -665,14 +667,6 @@ def run_all(samples: int = 1000, seed: int = 42,
     return [run_suite(name, samples, seed, tolerance) for name in SUITE_NAMES]
 
 
-def _own_tolerance(record) -> float:
-    """A record's stored tolerance; -inf, which no residual meets, where it is not usable."""
-    try:
-        return finite_tolerance(record["meta"]["tolerance"])
-    except (KeyError, ValueError, TypeError, OverflowError):
-        return -math.inf
-
-
 def replay_fixtures(records, tolerance: float | None = None) -> VerificationReport:
     """Recompute every stored record and compare against its stored fields.
 
@@ -680,19 +674,18 @@ def replay_fixtures(records, tolerance: float | None = None) -> VerificationRepo
     given; a non-finite or negative override raises ValueError. Malformed
     records, a non-finite or negative stored tolerance among them, count as
     categorical failures.
-    The report's threshold is the override, or else the largest usable stored
-    tolerance, or 1e-12 where there is none.
+    The report's threshold is the override, or else the largest stored
+    tolerance of a well-formed record, or 1e-12 where there is none.
     """
     if tolerance is not None:
         tolerance = finite_tolerance(tolerance)
     start = time.perf_counter()
     count = len(records)
-    residuals = fixture_io.replay_residuals(records)
-    limits = [tolerance] * count if tolerance is not None else list(map(_own_tolerance, records))
-    ok = bool(np.all(residuals <= limits))
+    residuals, stored = fixture_io.replay_residuals(records)
+    ok = bool(np.all(residuals <= (stored if tolerance is None else tolerance)))
     worst = float(residuals.max(initial=0.0))
     threshold = tolerance if tolerance is not None else max(
-        [tol for tol in limits if tol >= 0.0], default=1e-12)
+        [tol for tol in stored if tol >= 0.0], default=1e-12)
     elapsed = time.perf_counter() - start
     check = CheckResult("fixture_replay", count, worst, threshold, ok, elapsed)
     return VerificationReport(suite="replay", seed=0, samples=count,

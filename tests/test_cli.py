@@ -169,6 +169,36 @@ def test_fixtures_unwritable_path(tmp_path, capsys):
     assert err.startswith("error:") and str(path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "2.5"], ["verify", "--samples", "true"], ["verify", "--seed", "1.5"],
+    ["fixtures", "--count", "2.5"], ["fixtures", "--seed", "1.5"],
+    ["convert", "cartesian", "1", "0", "0", "--sheet", "-1.0"],
+    ["convert", "cartesian", "1", "0", "0", "--seed", "1.5"],
+], ids=["samples-float", "samples-word", "verify-seed", "count", "fixtures-seed", "sheet",
+        "convert-seed"])
+def test_non_integer_arguments_are_usage_errors(tmp_path, capsys, argv):
+    # argparse reads each of these with int(), before the library sees it: exit 2.
+    if argv[0] == "fixtures":
+        argv = [*argv, "--out", str(tmp_path / "x.jsonl")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["convert", "cartesian", "0.3", "-0.4", "0.5", "--sheet", "-1", "--seed", "7"], 0),
+    (["verify", "--suite", "hopf", "--samples", "3", "--seed", "7"], 0),
+    (["verify", "--suite", "hopf", "--samples", "0"], 2),
+    (["fixtures", "--count", "-1"], 2),
+], ids=["convert", "verify", "verify-no-samples", "fixtures-negative"])
+def test_integer_arguments_keep_their_exit_codes(tmp_path, capsys, argv, code):
+    if argv[0] == "fixtures":
+        argv = [*argv, "--out", str(tmp_path / "x.jsonl")]
+    assert main(argv) == code
+
+
 def test_fixtures_negative_count(tmp_path, capsys):
     path = tmp_path / "x.jsonl"
     assert run_main(capsys, "fixtures", "--count", "-3", "--out", str(path)) == (

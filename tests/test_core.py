@@ -6,6 +6,7 @@ import inspect
 import math
 import pickle
 import pkgutil
+import re
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -31,7 +32,9 @@ from spinorspace import (
     su2_matrix,
     wrap_4pi,
 )
-from spinorspace.core import FLOATS, finite_vector, pow2_scaled, pow2_shift, qmul, unit4
+from spinorspace.core import (FLOATS, MINUS_IDENTITY, finite_vector, integer_value, pow2_scaled,
+                              pow2_shift, qmul, unit4)
+from spinorspace.fixtures import fixture_record
 
 SQRT2 = math.sqrt(2.0)
 
@@ -342,6 +345,69 @@ def test_module_exports_make_up_the_package():
 ], ids=["sheet", "delta", "sign"])
 def test_sign_flags_name_the_flag(call, flag):
     with pytest.raises(ValueError, match=rf"^{flag} must be \+1 or -1, got "):
+        call()
+
+
+@pytest.mark.parametrize("call, flag, value", [
+    (lambda v: spinorspace.xi_from_cartesian((1.0, 2.0, 3.0), v), "sheet", np.True_),
+    (lambda v: spinorspace.xi_from_cartesian((1.0, 2.0, 3.0), v), "sheet", -1.0),
+    (lambda v: spinorspace.eta_from_cartesian((1.0, 2.0, 3.0), v), "sheet", 1.0),
+    (lambda v: fixture_record("cartesian", (0.3, -0.4, 0.5), "xi", v), "sheet", np.True_),
+    (lambda v: fixture_record("spherical", (1.0, 0.5, 0.2), "eta", v), "sheet", -1.0),
+    (lambda v: fixture_record("cartesian", (0.3, -0.4, 0.5), "eta", v), "sheet", 1.0),
+    (lambda v: spinorspace.cartan_reflect(Spinor(1.0, 0.0), v), "delta", np.True_),
+    (lambda v: spinorspace.stabilizer_check(Spinor(1.0, 0.0), v), "sign", 1.0),
+], ids=["xi-numpy-bool", "xi-minus-float", "eta-plus-float", "record-numpy-bool",
+        "record-minus-float", "record-plus-float", "delta-numpy-bool", "sign-float"])
+def test_sign_flags_are_integers(call, flag, value):
+    # A numpy bool or a float is no more a sign than True is.
+    message = rf"^{flag} must be \+1 or -1, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+def test_numpy_integer_flags_are_taken():
+    for sheet in (1, -1):
+        for maker in (spinorspace.xi_from_cartesian, spinorspace.eta_from_cartesian):
+            assert maker((0.3, -0.4, 0.5), np.int64(sheet)) == maker((0.3, -0.4, 0.5), sheet)
+        record = fixture_record("cartesian", (0.3, -0.4, 0.5), "xi", np.int8(sheet))
+        assert type(record["sheet"]) is int and record["sheet"] == sheet
+    psi = Spinor(0.6, 0.8j)
+    assert spinorspace.cartan_reflect(psi, np.int32(-1)) == spinorspace.cartan_reflect(psi, -1)
+    assert spinorspace.stabilizer_check(psi, np.int64(-1)) is MINUS_IDENTITY
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 1.0, 2.5, "7", b"7", None, 1 + 0j],
+                         ids=["true", "false", "numpy-bool", "integral-float", "float", "str",
+                              "bytes", "none", "complex"])
+def test_integer_value_refuses_what_is_not_an_integer(value):
+    message = rf"^count must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        integer_value(value, "count")
+
+
+def test_integer_value_takes_ints_and_numpy_integers():
+    for value in (0, -3, 2**70, np.int64(-3), np.uint8(200), np.int8(-1)):
+        got = integer_value(value, "count")
+        assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpinorRotation(2.0, 0.0, 0.0, 0.0), "rotation parameters must be unit norm"),
+    (lambda: spinorspace.psi_from_direction((2.0, 0.0, 0.0)), "direction must be a unit vector"),
+    (lambda: spinorspace.gauge_plus(Spinor(2.0, 0.0)), "gauge_plus requires a unit spinor"),
+    (lambda: spinorspace.gauge_minus(Spinor(2.0, 0.0)), "gauge_minus requires a unit spinor"),
+    (lambda: spinorspace.canonical_phase_plus(Spinor(2.0, 0.0)),
+     "canonical_phase_plus requires a unit spinor"),
+    (lambda: spinorspace.canonical_phase_minus(Spinor(2.0, 0.0)),
+     "canonical_phase_minus requires a unit spinor"),
+    (lambda: spinorspace.rotation_between(Spinor(1.0, 0.0), Spinor(2.0, 0.0)),
+     "rotation_between requires a unit spinor"),
+], ids=["rotation", "direction", "gauge-plus", "gauge-minus", "canonical-plus",
+        "canonical-minus", "between"])
+def test_unit_norm_checks_name_the_input(call, message):
+    # One check, core.unit4, behind every message.
+    with pytest.raises(ValueError, match=rf"^{message}, got norm 2.0$"):
         call()
 
 

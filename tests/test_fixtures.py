@@ -16,7 +16,10 @@ from spinorspace import (
     run_suite,
     write_fixtures,
 )
+from spinorspace import fixtures as fixtures_module
+from spinorspace import verify as verify_module
 from spinorspace.cli import main
+from spinorspace.core import finite_tolerance
 from spinorspace.fixtures import (
     FIXTURE_VERSION,
     MODELS,
@@ -493,6 +496,44 @@ def test_replay_threshold_is_the_largest_usable_tolerance(tolerances, threshold)
     assert f"threshold {threshold:.1e}" in report.lines()[1]
 
 
+def test_replay_residuals_return_each_checked_tolerance():
+    records = generate_fixtures(3, seed=19, tolerance=1e-9)
+    records[1]["meta"]["tolerance"] = 0
+    records[2]["values"] = "abc"
+    residuals, tolerances = replay_residuals(records)
+    assert residuals.tolist() == [0.0, 0.0, math.inf]
+    assert tolerances == [1e-9, 0.0, -math.inf]
+    assert replay_residuals([])[1] == []
+
+
+def test_a_malformed_record_adds_nothing_to_the_threshold():
+    # Contract: the threshold is the largest stored tolerance of a well-formed
+    # record. A malformed record's own tolerance is not read, however usable.
+    records = generate_fixtures(2, seed=19)
+    records[1]["meta"]["tolerance"] = 1e-3
+    records[1]["values"] = [1.0, 2.0]
+    report = replay_fixtures(records)
+    assert not report.passed and report.max_residual == math.inf
+    assert report.tolerance == report.checks[0].threshold == 1e-12
+
+
+def test_replay_checks_each_stored_tolerance_once(tmp_path, monkeypatch):
+    path = tmp_path / "f.jsonl"
+    write_fixtures(generate_fixtures(35, seed=11), path)
+    records = load_fixtures(path)
+    calls = []
+
+    def counted(tolerance):
+        calls.append(tolerance)
+        return finite_tolerance(tolerance)
+
+    for module in (fixtures_module, verify_module):
+        monkeypatch.setattr(module, "finite_tolerance", counted)
+    report = replay_fixtures(records)
+    assert report.passed and report.samples == 35
+    assert len(calls) == 35
+
+
 def test_replay_fails_a_record_of_the_wrong_shape():
     record = fixture_record("cartesian", (0.3, -0.4, 0.5), "xi")
     record["projection"]["x"] = record["projection"]["x"][:2]
@@ -544,7 +585,7 @@ def test_batch_replay_gives_each_record_its_replay_residual():
             want.append(_loop_residual(record))
         except (KeyError, ValueError, TypeError):
             want.append(math.inf)
-    assert replay_residuals(records).tolist() == want
+    assert replay_residuals(records)[0].tolist() == want
     assert [replay_fixtures([r]).max_residual for r in records] == want
     malformed = [8, 10, 12]
     assert [replay_residual(r) for i, r in enumerate(records) if i not in malformed] == [
@@ -582,7 +623,7 @@ def test_replay_tolerance_override():
 def test_replay_does_not_read_strings_or_bools_as_numbers(path, value):
     # Each stored field is the string or bool of the number it held: float() would read it.
     record = _set(path, value)(fixture_record("cartesian", (0.0, 0.0, 1.0), "xi"))
-    assert replay_residuals([record]).tolist() == [math.inf]
+    assert replay_residuals([record])[0].tolist() == [math.inf]
     report = replay_fixtures([record])
     assert not report.passed and report.max_residual == math.inf
     with pytest.raises((TypeError, ValueError)):
@@ -608,7 +649,7 @@ def test_seeds_that_are_not_integers_are_rejected(seed):
         fixture_record("cartesian", (0.3, -0.4, 0.5), seed=seed)
     record = fixture_record("cartesian", (0.3, -0.4, 0.5))
     record["meta"]["seed"] = seed
-    assert replay_residuals([record]).tolist() == [math.inf]
+    assert replay_residuals([record])[0].tolist() == [math.inf]
     with pytest.raises(ValueError, match="^seed must be an integer"):
         replay_residual(record)
 
@@ -617,6 +658,30 @@ def test_numpy_integer_seeds_are_taken():
     record = fixture_record("cartesian", (0.3, -0.4, 0.5), seed=np.int64(7))
     assert type(record["meta"]["seed"]) is int and record["meta"]["seed"] == 7
     assert generate_fixtures(1, seed=np.uint16(7)) == generate_fixtures(1, seed=7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_suite("hopf", 2.5), "samples must be an integer, got 2.5"),
+    (lambda: run_suite("hopf", True), "samples must be an integer, got True"),
+    (lambda: run_suite("hopf", "10"), "samples must be an integer, got '10'"),
+    (lambda: run_suite("hopf", 10, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: generate_fixtures(2.5), "count must be an integer, got 2.5"),
+    (lambda: generate_fixtures(True), "count must be an integer, got True"),
+    (lambda: generate_fixtures(3, 1.5), "seed must be an integer, got 1.5"),
+], ids=["samples-float", "samples-bool", "samples-str", "suite-seed-float", "count-float",
+        "count-bool", "fixtures-seed-float"])
+def test_counts_and_seeds_that_are_not_integers_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integer_counts_are_taken():
+    report, want = run_suite("hopf", np.int64(10), np.int32(7)), run_suite("hopf", 10, 7)
+    assert (report.samples, report.seed) == (10, 7)
+    assert type(report.samples) is int and type(report.seed) is int
+    assert [(c.samples, c.max_residual) for c in report.checks] == [
+        (c.samples, c.max_residual) for c in want.checks]
+    assert generate_fixtures(np.int64(3), np.uint8(5)) == generate_fixtures(3, 5)
 
 
 @pytest.mark.parametrize("system, values, model", [
