@@ -66,14 +66,17 @@ def finite_tolerance(tolerance) -> float:
     return value
 
 
-def integer_value(value, name: str) -> int:
+def integer_value(value, name: str, least: int | None = None) -> int:
     """int(value) for an int or a numpy integer, the one reader of integer inputs: a bool
-    (numpy's too), a float, a string or anything else raises ValueError naming it."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    (numpy's too), a float, a string or anything else raises ValueError naming it, and
+    so does a value below `least` (a seed below 0, a sample count below 1)."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 def finite_vector(v, name: str) -> tuple:

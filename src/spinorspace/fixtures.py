@@ -112,8 +112,8 @@ def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
     return {"system": system, "values": vals, "sheet": int(sheet), "model": model,
             "spinor": [[c1r, c1i], [c2r, c2i]],
             "quadruple": list(quadruple_parts(c1r, c1i, c2r, c2i)), "projection": projection,
-            "meta": {"seed": integer_value(seed, "seed"), "tolerance": finite_tolerance(tolerance),
-                     "version": FIXTURE_VERSION}}
+            "meta": {"seed": integer_value(seed, "seed", 0),
+                     "tolerance": finite_tolerance(tolerance), "version": FIXTURE_VERSION}}
 
 
 def replay_residual(record: dict) -> float:
@@ -134,7 +134,7 @@ def replay_residuals(records, strict: bool = False) -> tuple:
             meta = record["meta"]
             _, parts, r, vectors = _computed(record["system"], record["values"],
                                              record["model"], record.get("sheet", 1))
-            integer_value(meta["seed"], "seed")  # the meta checks of fixture_record
+            integer_value(meta["seed"], "seed", 0)  # the meta checks of fixture_record
             tolerance = finite_tolerance(meta["tolerance"])
             redone = [*parts, *quadruple_parts(*parts), r]
             for vector in vectors:
@@ -160,9 +160,7 @@ def replay_residuals(records, strict: bool = False) -> tuple:
 
 def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> list:
     """Seeded batch of records cycling through systems and models."""
-    count, seed = integer_value(count, "count"), integer_value(seed, "seed")
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count, seed = integer_value(count, "count", 0), integer_value(seed, "seed", 0)
     tolerance = finite_tolerance(tolerance)
     rng = np.random.default_rng(seed)
     records = []

@@ -199,6 +199,19 @@ def test_integer_arguments_keep_their_exit_codes(tmp_path, capsys, argv, code):
     assert main(argv) == code
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "hopf", "--samples", "5", "--seed", "-3"],
+    ["verify", "--seed", "-3"],
+    ["fixtures", "--count", "2", "--seed", "-1"],
+    ["convert", "cartesian", "1", "0", "0", "--seed", "-1"],
+], ids=["verify-suite", "verify-all", "fixtures", "convert"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "fixtures":
+        argv = [*argv, "--out", str(tmp_path / "x.jsonl")]
+    assert run_main(capsys, *argv) == (2, "", "error: seed must be >= 0\n")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_fixtures_negative_count(tmp_path, capsys):
     path = tmp_path / "x.jsonl"
     assert run_main(capsys, "fixtures", "--count", "-3", "--out", str(path)) == (
@@ -263,7 +276,9 @@ def test_fixtures_replay_fails_a_nan_field(tmp_path, capsys):
     lambda record: {**record, "meta": {**record["meta"], "tolerance": "abc"}},
     lambda record: {**record, "meta": {**record["meta"], "tolerance": math.nan}},
     lambda record: {**record, "meta": {**record["meta"], "tolerance": -1.0}},
-], ids=["no-meta", "list", "text-tolerance", "nan-tolerance", "negative-tolerance"])
+    lambda record: {**record, "meta": {**record["meta"], "seed": -1}},
+], ids=["no-meta", "list", "text-tolerance", "nan-tolerance", "negative-tolerance",
+        "negative-seed"])
 def test_fixtures_replay_fails_a_malformed_line(tmp_path, capsys, line):
     path = tmp_path / "golden.jsonl"
     run_main(capsys, "fixtures", "--count", "8", "--seed", "3", "--out", str(path))

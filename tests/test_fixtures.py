@@ -675,6 +675,31 @@ def test_counts_and_seeds_that_are_not_integers_are_refused_by_name(call, messag
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_suite("hopf", 10, -1),
+    lambda: generate_fixtures(2, -1),
+    lambda: fixture_record("cartesian", (1, 0, 0), seed=-1),
+    lambda: fixture_record("cartesian", (1, 0, 0), seed=np.int64(-3)),
+], ids=["suite", "fixtures", "record", "record-numpy"])
+def test_negative_seeds_are_refused_by_name(call):
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        call()
+
+
+def test_seed_zero_is_taken():
+    assert run_suite("hopf", 10, 0).seed == 0
+    assert [r["meta"]["seed"] for r in generate_fixtures(2, 0)] == [0, 0]
+
+
+def test_a_stored_negative_seed_replays_as_malformed():
+    record = fixture_record("cartesian", (0.3, -0.4, 0.5))
+    record["meta"]["seed"] = -1
+    assert replay_residuals([record])[0].tolist() == [math.inf]
+    assert not replay_fixtures([record]).passed
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        replay_residual(record)
+
+
 def test_numpy_integer_counts_are_taken():
     report, want = run_suite("hopf", np.int64(10), np.int32(7)), run_suite("hopf", 10, 7)
     assert (report.samples, report.seed) == (10, 7)

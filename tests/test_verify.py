@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinorspace import (KSQuadruple, SingularGaugeError, SpinorRotation, build_frame,
                          direction_from_ks, normalize_ks, run_suite, scaled_residual, verify)
@@ -80,6 +83,81 @@ def test_worst_granularity_is_not_coarser():
 
 def test_worst_fails_on_nan():
     assert _worst(np.array([0.0, math.nan]), 0.0) == math.inf
+
+
+def _worst_in_place(lhs, rhs, axis=None):
+    # The reference: _worst's formula with numpy's max taken over `axis` in place.
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    gap = np.abs(lhs - rhs)
+    size = np.maximum(np.abs(lhs), np.abs(rhs))
+    if axis is not None:
+        gap, size = gap.max(axis=axis), size.max(axis=axis)
+    worst = float(np.max(gap / np.maximum(size, 1.0), initial=0.0))
+    return math.inf if math.isnan(worst) else worst
+
+
+def test_worst_groups_entries_by_sample_on_leading_axes():
+    # A large entry scales only its own sample: grouping the flat entries of
+    # (1, 3, 2) in threes would put (1e6, 0.5) in one group and read 5e-07.
+    lhs, rhs = np.zeros((1, 3, 2)), np.zeros((1, 3, 2))
+    lhs[0, 0, 0] = rhs[0, 0, 0] = 1e6
+    lhs[0, 0, 1] = 0.5
+    assert _worst(lhs, rhs, 1) == _worst_in_place(lhs, rhs, 1) == 0.5
+
+
+# Each (shape, axis) as the checks call _worst, the reduced axes trailing or not.
+_WORST_SHAPES = [((40, 3), 1), ((40, 3, 3), (1, 2)), ((40, 4, 4), (1, 2)), ((40, 2, 3), 2),
+                 ((4, 3, 40), 1), ((40, 2, 4), (1, 2)), ((3, 40, 2), (0, 2)), ((40, 3), -1),
+                 ((0, 3), 1), ((0, 4, 4), (1, 2)), ((0, 2, 3), 2), ((4, 3, 0), 1)]
+# Entries planted in the reduced entries of the first sample, and their negations
+# in its other side.
+_SPECIALS = {"finite": [], "nan": [math.nan], "inf": [math.inf], "-inf": [-math.inf],
+             "signed-zeros": [0.0, -0.0], "inf-nan": [math.inf, math.nan]}
+
+
+def _plant(a, axis, values):
+    axes = (axis,) if isinstance(axis, int) else axis
+    front = np.moveaxis(a, axes, range(len(axes)))  # a view: writes land in a
+    for j, value in enumerate(values):
+        front[np.unravel_index(j, front.shape[:len(axes)]) + (0,) * (a.ndim - len(axes))] = value
+
+
+@pytest.mark.parametrize("special", _SPECIALS.values(), ids=_SPECIALS.keys())
+@pytest.mark.parametrize("shape, axis", _WORST_SHAPES, ids=str)
+def test_worst_takes_the_in_place_max_over_any_axes(shape, axis, special):
+    rng = np.random.default_rng(23)
+    lhs = _batch(rng, shape)
+    rhs = lhs + _batch(rng, shape) * 10.0 ** rng.integers(-16, 1, size=shape)
+    if lhs.size:
+        _plant(lhs, axis, special)
+        _plant(rhs, axis, [-v for v in special])
+    with np.errstate(invalid="ignore"):
+        assert _worst(lhs, rhs, axis) == _worst_in_place(lhs, rhs, axis)
+        assert _worst(lhs, 0.0, axis) == _worst_in_place(lhs, 0.0, axis)
+
+
+# Finite entries around the unit floor of the scale, far above it and at the edges
+# of the doubles; the other side differs from them by a gap that is often 0.
+_ENTRIES = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1e6, -1e6, 5e-324, 1.7e308])
+_GAPS = st.sampled_from([0.0, 1e-9, 0.5]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data(), hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=4),
+       st.sampled_from([None, math.nan, math.inf, -math.inf]))
+def test_worst_matches_the_in_place_max_on_any_batch(data, shape, special):
+    ndim = len(shape)
+    axis = data.draw(st.none() | st.integers(-ndim, ndim - 1) | st.lists(
+        st.integers(0, ndim - 1), min_size=1, max_size=ndim, unique=True).map(tuple))
+    axes = () if axis is None else (axis,) if isinstance(axis, int) else axis
+    shape = tuple(max(n, 1) if a in axes or a - ndim in axes else n for a, n in enumerate(shape))
+    # fill=nothing() draws every entry, where hypothesis would repeat one fill value.
+    lhs = data.draw(hnp.arrays(float, shape, elements=_ENTRIES, fill=st.nothing()))
+    rhs = lhs + data.draw(hnp.arrays(float, shape, elements=_GAPS, fill=st.nothing()))
+    if special is not None and lhs.size:
+        lhs.flat[data.draw(st.integers(0, lhs.size - 1))] = special
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _worst(lhs, rhs, axis) == _worst_in_place(lhs, rhs, axis)
 
 
 def _frame_rows():
