@@ -338,21 +338,22 @@ class EtaProjection:
 def scaled_residual(lhs, rhs) -> float:
     """Magnitude-scaled disagreement: max|lhs - rhs| / max(1, |lhs|, |rhs|).
 
-    Accepts scalars or array-likes.
+    Accepts scalars or array-likes; two tuples of Python floats of one length skip numpy.
     """
-    left = np.asarray(lhs, dtype=float)
-    right = np.asarray(rhs, dtype=float)
-    if not left.size:
-        return 0.0
-    if left.shape != right.shape:
-        left, right = np.broadcast_arrays(left, right)
+    if not (type(lhs) is tuple and type(rhs) is tuple and len(lhs) == len(rhs)
+            and set(map(type, lhs + rhs)) == {float}):
+        left, right = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        if not left.size:
+            return 0.0
+        if left.shape != right.shape:
+            left, right = np.broadcast_arrays(left, right)
+        lhs, rhs = left.ravel().tolist(), right.ravel().tolist()
     # Python floats: callers pass a handful of entries, where numpy's
     # per-reduction overhead would dominate.
-    a, b = left.ravel().tolist(), right.ravel().tolist()
-    gaps = [abs(x - y) for x, y in zip(a, b)]
+    gaps = [abs(x - y) for x, y in zip(lhs, rhs)]
     if math.isnan(sum(gaps)):
         return math.nan
-    return max(gaps) / max(1.0, max(map(abs, a)), max(map(abs, b)))
+    return max(gaps) / max(1.0, max(map(abs, lhs)), max(map(abs, rhs)))
 
 
 def spinor_from_quadruple(q: KSQuadruple) -> Spinor:

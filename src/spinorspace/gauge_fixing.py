@@ -30,14 +30,13 @@ from .core import (
     polar,
     pow2_scaled,
     qmul,
-    quadruple_from_spinor,
+    quadruple_parts,
     scaled_residual,
     sign_flag,
     spinor_of,
     unit4,
     wrap_4pi,
 )
-from .rotation_algebra import linear_system_entries
 
 # A canonical phase whose chart's component weight is at most this is singular.
 SINGULAR_WEIGHT = 1e-12
@@ -234,7 +233,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     shared constant per sign.
     """
     sign = sign_flag(sign, "sign")
-    q = quadruple_from_spinor(psi).as_tuple()
+    q = quadruple_parts(psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag)
     if not MIN_NORMAL <= psi.norm_sq < math.inf:
         if not any(q):
             raise ValueError("stabilizer is undefined for the zero spinor")
@@ -242,7 +241,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
         # the system on q times an exact power of two has the same solution.
         q = pow2_scaled(q)
     solved = stabilizer_solve(q, sign)
-    if not scaled_residual(solved, (sign, 0.0, 0.0, 0.0)) <= 1e-9:  # a NaN solve fails too
+    if not scaled_residual(solved, (float(sign), 0.0, 0.0, 0.0)) <= 1e-9:  # a NaN solve fails too
         raise ArithmeticError(
             f"stabilizer solve did not land on {sign} * identity: {solved!r}")
     return IDENTITY_ROTATION if sign == 1 else MINUS_IDENTITY
@@ -250,10 +249,14 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
 
 def stabilizer_solve(q: tuple, sign) -> tuple:
     """c = sign G^T q / |q|^2 solves G c = sign q for the linear_system_entries G of a quadruple
-    q, floats or columns, as G^T G = |q|^2 I; G^T q starts with |q|^2, as G starts with q."""
+    q, floats or columns, as G^T G = |q|^2 I; G^T q starts with |q|^2, as G starts with q.
+    Written out: entry j is column j of G times q, as (a q4 + b q1) + (c q2 + d q3)."""
     q4, q1, q2, q3 = q
-    gq = [(a * q4 + b * q1) + (c * q2 + d * q3) for a, b, c, d in zip(*linear_system_entries(*q))]
-    return tuple(sign * entry / gq[0] for entry in gq)
+    g0 = (q4 * q4 + q1 * q1) + (q2 * q2 + q3 * q3)
+    g1 = (-q1 * q4 + q4 * q1) + (-q3 * q2 + q2 * q3)
+    g2 = (q2 * q4 + -q3 * q1) + (-q4 * q2 + q1 * q3)
+    g3 = (q3 * q4 + q2 * q1) + (-q1 * q2 + -q4 * q3)
+    return sign * g0 / g0, sign * g1 / g0, sign * g2 / g0, sign * g3 / g0
 
 
 __all__ = [

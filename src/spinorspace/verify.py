@@ -162,18 +162,22 @@ def _worst(lhs, rhs, axis=None) -> float:
 
     With axis None every entry is scaled on its own; otherwise each sample's
     entries over `axis` (an int or a tuple, any axes) share one scale, as in
-    core.scaled_residual. An empty batch gives 0, a NaN inf. The k reduced entries
-    go to the front of a C-contiguous copy: numpy then takes k - 1 elementwise
-    maxima of whole rows, where in place or on a strided view it loops per sample.
+    core.scaled_residual. An empty batch gives 0, a NaN inf. Where the trailing axis
+    is kept, numpy's max in place takes elementwise maxima of whole rows. Otherwise
+    the k reduced entries go to the front of a C-contiguous copy, whose max is k - 1
+    such maxima, where in place or on a strided view numpy loops per sample.
     """
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     gap = np.abs(lhs - rhs)
     size = np.maximum(np.abs(lhs), np.abs(rhs))
     if axis is not None:
         axes = (axis,) if isinstance(axis, int) else axis
-        k = math.prod(gap.shape[a] for a in axes)
-        gap, size = (np.ascontiguousarray(np.moveaxis(a, axes, range(len(axes))))
-                     .reshape(k, -1).max(axis=0) for a in (gap, size))
+        if gap.ndim - 1 not in [i % gap.ndim for i in axes]:
+            gap, size = gap.max(axis=axes), size.max(axis=axes)
+        else:
+            k = math.prod(gap.shape[a] for a in axes)
+            gap, size = (np.ascontiguousarray(np.moveaxis(a, axes, range(len(axes))))
+                         .reshape(k, -1).max(axis=0) for a in (gap, size))
     worst = float(np.max(gap / np.maximum(size, 1.0), initial=0.0))
     return math.inf if math.isnan(worst) else worst
 

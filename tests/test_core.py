@@ -509,3 +509,37 @@ def test_tolerance_and_scaled_residual():
     assert scaled_residual(np.array([1.0, 2.0]), 1.0) == 0.5
     assert math.isnan(scaled_residual([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
     assert math.isnan(scaled_residual([math.inf, 0.0], [1.0, 0.0]))
+
+
+# Pairs of tuples: the tuple path takes those of Python floats of one length.
+_TUPLE_PAIRS = {
+    "floats": ((1.0, 2.0, -3.0), (1.0, 2.5, -3.0)),
+    "large": ((3e300, -1e300), (1e300, 1e300)),
+    "nan first": ((math.nan, 0.0), (1.0, 0.0)),
+    "nan last": ((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, math.nan)),
+    "inf": ((1.0, math.inf), (1.0, 1.0)),
+    "-inf both": ((-math.inf,), (-math.inf,)),
+    "signed zeros": ((0.0, -0.0), (-0.0, 0.0)),
+    "ints": ((1, 2.0), (1.0, 2)),
+    "bool": ((True, 0.0), (1.0, 0.0)),
+    "numpy floats": ((np.float64(1.5), 0.0), (1.0, 0.0)),
+    "broadcast": ((1.0,), (1.0, 3.0)),
+    "length mismatch": ((1.0, 2.0), (1.0, 2.0, 3.0)),
+    "empty": ((), ()),
+}
+
+
+@pytest.mark.parametrize("lhs, rhs", _TUPLE_PAIRS.values(), ids=_TUPLE_PAIRS.keys())
+def test_scaled_residual_scores_tuples_as_arrays(lhs, rhs):
+    def score(a, b):
+        try:
+            return scaled_residual(a, b).hex()
+        except ValueError as exc:
+            return type(exc)
+    assert score(lhs, rhs) == score(np.array(lhs, dtype=float), np.array(rhs, dtype=float))
+
+
+def test_scaled_residual_scores_float_tuples_without_numpy(monkeypatch):
+    monkeypatch.setattr(spinorspace.core, "np", None)
+    assert scaled_residual((1.0, 2.0), (1.0, 2.5)) == 0.2
+    assert math.isnan(scaled_residual((1.0, 0.0), (1.0, math.nan)))

@@ -339,6 +339,21 @@ def test_stabilizer_check_rejects_a_nan_solve(monkeypatch, sign):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", range(4))
+def test_stabilizer_check_rejects_one_nonfinite_entry(monkeypatch, entry, bad, sign):
+    # The solve is exact but for one entry. The builtin max(1.0, nan) is 1.0, so a
+    # residual taken with max alone passes a NaN anywhere but in the first entry.
+    def solve(q, s):
+        solved = [float(s), 0.0, 0.0, 0.0]
+        solved[entry] = bad
+        return tuple(solved)
+    monkeypatch.setattr(gauge_fixing, "stabilizer_solve", solve)
+    with pytest.raises(ArithmeticError, match=rf"did not land on {sign} \* identity"):
+        stabilizer_check(Spinor(0.6 + 0.0j, 0.8j), sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("psi", [Spinor(1e-200 + 0.0j, 0.0j), Spinor(1e-320 + 0.0j, 0.0j),
                                  Spinor(5e-324j, -0.0j), Spinor(1e308 + 1e308j, -1e308j)],
                          ids=["tiny", "subnormal", "least", "huge"])

@@ -2,26 +2,28 @@
 
 Copies each tree's spinorspace package into a temporary directory under its
 own name (spinorspace_parent, spinorspace_change), imports both into this
-process, and times a fixed list of scalar API calls: in-range and
-out-of-range constructors, a Cartesian constructor on sheet -1, the five
-validated value types (Spinor, KSQuadruple, SpinorRotation, SphericalPoint,
-ParabolicPoint) and core.spinor_of, both projections, rotate_spinor,
-so3_from_rotation, so3_from_vector_parameter, rotation_from_vector_parameter,
-rotation_from_axis_angle, psi_from_direction on both of its lifts, the
-gauges, rotation_between, stabilizer_check, direction_from_ks, build_frame,
+process, and times a fixed list of scalar API calls: in-range and out-of-range
+constructors, a Cartesian constructor on sheet -1, the five validated value
+types (Spinor, KSQuadruple, SpinorRotation, SphericalPoint, ParabolicPoint)
+and core.spinor_of, both projections, rotate_spinor, so3_from_rotation,
+so3_from_vector_parameter, rotation_from_vector_parameter,
+rotation_from_axis_angle, psi_from_direction on both of its lifts, the gauges,
+rotation_between, stabilizer_check in range and on a spinor whose |psi|^2
+underflows (its pow2_scaled branch), core.scaled_residual on two tuples of
+four floats (stabilizer_check's call), direction_from_ks, build_frame,
 frame_symmetry, left_transport, rotated_direction, fixture_record on a
-spherical and a Cartesian point, each on sheet -1, fixtures.dumps_record
-and replay_residual on one generated eta record, and fixtures.dumps_record on
-a loaded parabolic eta record, whose vector a holds the int 0 that load reads
+spherical and a Cartesian point, each on sheet -1, fixtures.dumps_record and
+replay_residual on one generated eta record, and fixtures.dumps_record on a
+loaded parabolic eta record, whose vector a holds the int 0 that load reads
 back for the float 0.0, so the writer converts it in its float slot. Each
 round times every call NUMBER times on both sides back to back, with garbage
 collection off, and the side that goes first alternates from round to round.
-For each call it prints the median us per call on each side, the change in
-per cent as the median of the rounds' change/parent ratios (so drift from
-round to round cancels), and the rounds the change won. It needs only the
-standard library and the package (and numpy, which the package imports).
-Both sides share one process and one host, so drift between separate runs
-does not enter the comparison.
+For each call it prints the median us per call on each side, the change in per
+cent as the median of the rounds' change/parent ratios (so drift from round to
+round cancels), and the rounds the change won. It needs only the standard
+library and the package (and numpy, which the package imports). Both sides
+share one process and one host, so drift between separate runs does not enter
+the comparison.
 
 usage: python tools/scalar_ab.py PARENT_SRC [CHANGE_SRC]
        (default CHANGE_SRC: the src/ beside tools/)
@@ -52,6 +54,8 @@ def calls(ss) -> list:
     rot = ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)
     direction = (0.6, 0.0, 0.8)
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
+    tiny = ss.Spinor(3e-170 - 4e-170j, 1e-170 + 2e-170j)  # |psi|^2 underflows to 0
+    solved = (-1.0, 0.0, -2.1e-17, 5.5e-18)
     record = ss.generate_fixtures(2, seed=3)[1]  # a Cartesian eta record
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "loaded.jsonl"
@@ -92,6 +96,8 @@ def calls(ss) -> list:
         ("canonical_phase_minus", lambda: ss.canonical_phase_minus(psi)),
         ("rotation_between", lambda: ss.rotation_between(psi, other)),
         ("stabilizer_check", lambda: ss.stabilizer_check(psi, -1)),
+        ("stabilizer_check off range", lambda: ss.stabilizer_check(tiny, -1)),
+        ("scaled_residual", lambda: ss.scaled_residual(solved, (-1.0, 0.0, 0.0, 0.0))),
         ("direction_from_ks", lambda: ss.direction_from_ks(q)),
         ("build_frame", lambda: ss.build_frame(q, (0.0, 0.6, 0.8), 0.4)),
         ("frame_symmetry", lambda: ss.frame_symmetry(q, partner, 0.4)),
