@@ -9,7 +9,6 @@ all operations are pure functions.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -260,13 +259,63 @@ def pow2_scaled(values) -> tuple:
     return tuple(math.ldexp(v, shift) for v in values)
 
 
+def scaled_residual(lhs, rhs) -> float:
+    """Magnitude-scaled disagreement max|lhs - rhs| / max(1, |lhs|, |rhs|), inf where NaN, of
+    scalars or array-likes; two tuples of Python floats of one length skip numpy."""
+    if not (type(lhs) is tuple and type(rhs) is tuple and len(lhs) == len(rhs)
+            and set(map(type, lhs + rhs)) == {float}):
+        left, right = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        if left.shape != right.shape:
+            left, right = np.broadcast_arrays(left, right)
+        lhs, rhs = left.ravel().tolist(), right.ravel().tolist()
+    return float_residual(lhs, rhs)
+
+
+def float_residual(lhs, rhs) -> float:
+    """scaled_residual of two sequences of Python floats of one length, unchecked, in one loop
+    (no numpy, no max calls): a NaN gap, or an infinite entry, makes total / scale NaN."""
+    gap, total, scale = 0.0, 0.0, 1.0
+    for x, y in zip(lhs, rhs):
+        d, x, y = abs(x - y), abs(x), abs(y)
+        total += d
+        gap = d if d > gap else gap
+        scale = x if x > scale else scale
+        scale = y if y > scale else scale
+    return math.inf if math.isnan(total / scale) else gap / scale
+
+
+def residual_rows(lhs, rhs, axis=None) -> np.ndarray:
+    """Each sample's scaled residual |lhs - rhs| / max(1, |lhs|, |rhs|), NaN scored as inf: each
+    entry is a sample with axis None, else its entries over `axis` (an int or a tuple) share one
+    scale. numpy's max runs in place where the trailing axis is kept, else as k - 1 maxima of the
+    rows of a C-contiguous copy, k reduced entries first: in place numpy would loop per sample."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    gap = np.abs(lhs - rhs)
+    size = np.maximum(np.abs(lhs), np.abs(rhs))
+    if axis is not None:
+        axes = (axis,) if isinstance(axis, int) else axis
+        if gap.ndim - 1 not in [i % gap.ndim for i in axes]:
+            gap, size = gap.max(axis=axes), size.max(axis=axes)
+        else:
+            k = math.prod(gap.shape[a] for a in axes)
+            gap, size = (np.ascontiguousarray(np.moveaxis(a, axes, range(len(axes))))
+                         .reshape(k, -1).max(axis=0) for a in (gap, size))
+    rows = gap / np.maximum(size, 1.0)
+    return np.where(np.isnan(rows), math.inf, rows)
+
+
+def worst_residual(lhs, rhs, axis=None) -> float:
+    """The largest of residual_rows(lhs, rhs, axis); 0 for an empty batch."""
+    return float(np.max(residual_rows(lhs, rhs, axis), initial=0.0))
+
+
 # The real-component kernels' namespace on floats. A kernel on the scalar path
 # tests a condition as `cond is not True and not xp.all(cond)`: a comparison of
 # floats gives the True singleton, so the float path makes no call.
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt, sin=math.sin, cos=math.cos, atan2=math.atan2, hypot=math.hypot,
     isfinite=math.isfinite, ldexp=math.ldexp, all=bool, where=lambda cond, a, b: a if cond else b,
-    max=max, pow2_shift=lambda *values: pow2_shift(values))
+    residual=float_residual, pow2_shift=lambda *values: pow2_shift(values))
 
 
 def stacked(parts) -> np.ndarray:
@@ -288,7 +337,7 @@ _hypot = np.frompyfunc(math.hypot, 2, 1)
 COLUMNS = SimpleNamespace(
     sqrt=np.sqrt, sin=np.sin, cos=np.cos, atan2=lambda y, x: _atan2(y, x).astype(float),
     hypot=lambda x, y: _hypot(x, y).astype(float), isfinite=np.isfinite, ldexp=np.ldexp,
-    all=np.all, where=np.where, max=lambda *values: functools.reduce(np.maximum, values),
+    all=np.all, where=np.where, residual=lambda lhs, rhs: worst_residual(lhs, rhs, 0),
     pow2_shift=lambda *values: -np.frexp(np.max(np.abs(np.broadcast_arrays(*values)), axis=0))[1])
 
 
@@ -333,27 +382,6 @@ class EtaProjection:
 
     a: np.ndarray
     x: np.ndarray
-
-
-def scaled_residual(lhs, rhs) -> float:
-    """Magnitude-scaled disagreement: max|lhs - rhs| / max(1, |lhs|, |rhs|).
-
-    Accepts scalars or array-likes; two tuples of Python floats of one length skip numpy.
-    """
-    if not (type(lhs) is tuple and type(rhs) is tuple and len(lhs) == len(rhs)
-            and set(map(type, lhs + rhs)) == {float}):
-        left, right = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-        if not left.size:
-            return 0.0
-        if left.shape != right.shape:
-            left, right = np.broadcast_arrays(left, right)
-        lhs, rhs = left.ravel().tolist(), right.ravel().tolist()
-    # Python floats: callers pass a handful of entries, where numpy's
-    # per-reduction overhead would dominate.
-    gaps = [abs(x - y) for x, y in zip(lhs, rhs)]
-    if math.isnan(sum(gaps)):
-        return math.nan
-    return max(gaps) / max(1.0, max(map(abs, lhs)), max(map(abs, rhs)))
 
 
 def spinor_from_quadruple(q: KSQuadruple) -> Spinor:

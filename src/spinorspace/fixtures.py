@@ -20,7 +20,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Spinor, finite_tolerance, integer_value, quadruple_parts, sign_flag, wrap_4pi
+from .core import (Spinor, finite_tolerance, integer_value, quadruple_parts, residual_rows,
+                   sign_flag, wrap_4pi)
 from .gauge_fixing import psi_from_direction
 from .spinor_maps import (
     ParabolicPoint,
@@ -151,11 +152,8 @@ def replay_residuals(records, strict: bool = False) -> tuple:
         stored += kept
         fresh += redone
         tolerances.append(tolerance)
-    s, f = np.array(stored, dtype=float), np.array(fresh, dtype=float)
     with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, from an infinite field
-        gap = np.abs(s - f) / np.maximum(np.maximum(np.abs(s), np.abs(f)), 1.0)
-    gap[np.isnan(gap)] = math.inf
-    return np.maximum.reduceat(gap, starts), tolerances
+        return np.maximum.reduceat(residual_rows(stored, fresh), starts), tolerances
 
 
 def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> list:

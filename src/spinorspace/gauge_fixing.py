@@ -27,11 +27,11 @@ from .core import (
     conjugate4,
     finite_angle,
     finite_vector,
+    float_residual,
     polar,
     pow2_scaled,
     qmul,
     quadruple_parts,
-    scaled_residual,
     sign_flag,
     spinor_of,
     unit4,
@@ -241,7 +241,7 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
         # the system on q times an exact power of two has the same solution.
         q = pow2_scaled(q)
     solved = stabilizer_solve(q, sign)
-    if not scaled_residual(solved, (float(sign), 0.0, 0.0, 0.0)) <= 1e-9:  # a NaN solve fails too
+    if not float_residual(solved, (float(sign), 0.0, 0.0, 0.0)) <= 1e-9:  # a NaN solve fails too
         raise ArithmeticError(
             f"stabilizer solve did not land on {sign} * identity: {solved!r}")
     return IDENTITY_ROTATION if sign == 1 else MINUS_IDENTITY

@@ -180,13 +180,9 @@ def symmetry4(xp, u: tuple, w: tuple, delta) -> tuple:
     """The raw quaternion product that frame_symmetry normalizes, for quadruples u, w."""
     un, wn = unit_ks(xp, u), unit_ks(xp, w)
     a, b = direction4(unit_ks(xp, un)), direction4(unit_ks(xp, wn))
-    # core.scaled_residual of the two directions, written out.
-    mismatch = (xp.max(abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]))
-                / xp.max(1.0, *map(abs, a), *map(abs, b)))
-    match = mismatch <= DIRECTION_MATCH_TOLERANCE
-    if match is not True and not xp.all(match):
-        raise ValueError("quadruples lie over different directions "
-                         f"(mismatch {float(np.max(mismatch)):.3e})")
+    mismatch = xp.residual(a, b)
+    if not mismatch <= DIRECTION_MATCH_TOLERANCE:
+        raise ValueError(f"quadruples lie over different directions (mismatch {mismatch:.3e})")
     return qmul(turn4(xp, wn, -delta), conjugate4(xp, unit4(xp, *hat4(un))))
 
 

@@ -35,6 +35,8 @@ from .core import (
     finite_angle,
     finite_vector,
     polar,
+    pow2_scaled,
+    pow2_shift,
     sign_flag,
     slot_setters,
     spinor_of,
@@ -349,9 +351,20 @@ def eta_quadruple_projection(q: KSQuadruple) -> EtaProjection:
 
     x = (V2^2 + V3^2 - V1^2 - V4^2)/2 ... V1 V3 - V2 V4 and
     a = (V1 V2 - V3 V4, (V1^2 - V2^2 + V3^2 - V4^2)/2, -(V1 V4 + V2 V3)),
-    an arithmetic route independent of project_eta's complex products.
+    an arithmetic route independent of project_eta's complex products. An entry whose
+    squares overflow is rerun on the entries times 2^k and unscaled by 2^-2k, as in
+    _rescaled; one past the double range raises OverflowError.
     """
-    out = eta_quadruple_bilinears(q.q4, q.q1, q.q2, q.q3)
+    v = q.as_tuple()
+    out = eta_quadruple_bilinears(*v)
+    if not all(map(math.isfinite, out)):
+        k = pow2_shift(v)
+        try:
+            out = [b if math.isfinite(b) else math.ldexp(c, -2 * k)
+                   for b, c in zip(out, eta_quadruple_bilinears(*pow2_scaled(v)))]
+        except OverflowError:
+            raise OverflowError(_PAST_RANGE.format("eta_quadruple_projection", q,
+                                                   "bilinears")) from None
     return EtaProjection(a=np.array(out[:3]), x=np.array(out[3:]))
 
 

@@ -34,6 +34,7 @@ from .core import (
     stacked,
     su2_parts,
     unit4,
+    worst_residual as _worst,
     wrap_4pi,
 )
 from . import fixtures as fixture_io
@@ -155,31 +156,6 @@ class VerificationReport:
 # 1024 is where a sweep of suite time against peak RSS bends: smaller chunks pay
 # numpy's fixed cost per call, larger ones only add memory (ROADMAP item 8, kept on purpose).
 _CHUNK = 1024
-
-
-def _worst(lhs, rhs, axis=None) -> float:
-    """Largest scaled residual |lhs - rhs| / max(1, |lhs|, |rhs|) of a batch.
-
-    With axis None every entry is scaled on its own; otherwise each sample's
-    entries over `axis` (an int or a tuple, any axes) share one scale, as in
-    core.scaled_residual. An empty batch gives 0, a NaN inf. Where the trailing axis
-    is kept, numpy's max in place takes elementwise maxima of whole rows. Otherwise
-    the k reduced entries go to the front of a C-contiguous copy, whose max is k - 1
-    such maxima, where in place or on a strided view numpy loops per sample.
-    """
-    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    gap = np.abs(lhs - rhs)
-    size = np.maximum(np.abs(lhs), np.abs(rhs))
-    if axis is not None:
-        axes = (axis,) if isinstance(axis, int) else axis
-        if gap.ndim - 1 not in [i % gap.ndim for i in axes]:
-            gap, size = gap.max(axis=axes), size.max(axis=axes)
-        else:
-            k = math.prod(gap.shape[a] for a in axes)
-            gap, size = (np.ascontiguousarray(np.moveaxis(a, axes, range(len(axes))))
-                         .reshape(k, -1).max(axis=0) for a in (gap, size))
-    worst = float(np.max(gap / np.maximum(size, 1.0), initial=0.0))
-    return math.inf if math.isnan(worst) else worst
 
 
 def _chunked(body, inputs) -> float:

@@ -323,6 +323,23 @@ def test_no_module_imports_private_names(path):
     assert private == []
 
 
+def _scale_floors(path) -> list:
+    """The max or maximum calls of a module with the float 1.0 among their arguments:
+    max(1.0, ...) and np.maximum(..., 1.0), the floor of a residual's scale."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("max", "maximum")
+            and any(isinstance(arg, ast.Constant) and arg.value == 1.0
+                    and type(arg.value) is float for arg in node.args)]
+
+
+def test_only_core_forms_the_residual_scale_floor():
+    # One owner for the scaled residual: every other module calls core's forms.
+    floors = {path.stem: _scale_floors(path)
+              for path in sorted(Path(spinorspace.__file__).parent.glob("*.py"))}
+    assert [stem for stem, calls in floors.items() if calls] == ["core"]
+
+
 def test_module_exports_make_up_the_package():
     # The package star-imports its modules, so their __all__ lists must not
     # overlap, and together they are its public names.
@@ -507,9 +524,16 @@ def test_tolerance_and_scaled_residual():
     assert scaled_residual(np.zeros(3), np.zeros(3)) == 0.0
     assert scaled_residual(np.zeros(0), np.zeros(0)) == 0.0
     assert scaled_residual(np.array([1.0, 2.0]), 1.0) == 0.5
-    assert math.isnan(scaled_residual([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
-    assert math.isnan(scaled_residual([math.inf, 0.0], [1.0, 0.0]))
+    assert scaled_residual([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]) == math.inf
+    assert scaled_residual([math.inf, 0.0], [1.0, 0.0]) == math.inf
 
+
+
+def test_scaled_residual_broadcasts_an_empty_side_as_numpy_does():
+    # An empty batch scores 0 only where numpy broadcasts the other side to it.
+    assert scaled_residual(np.zeros(0), 1.0) == scaled_residual([1.0], []) == 0.0
+    with pytest.raises(ValueError, match="broadcast"):
+        scaled_residual([], [1.0, 2.0])
 
 # Pairs of tuples: the tuple path takes those of Python floats of one length.
 _TUPLE_PAIRS = {
@@ -542,4 +566,4 @@ def test_scaled_residual_scores_tuples_as_arrays(lhs, rhs):
 def test_scaled_residual_scores_float_tuples_without_numpy(monkeypatch):
     monkeypatch.setattr(spinorspace.core, "np", None)
     assert scaled_residual((1.0, 2.0), (1.0, 2.5)) == 0.2
-    assert math.isnan(scaled_residual((1.0, 0.0), (1.0, math.nan)))
+    assert scaled_residual((1.0, 0.0), (1.0, math.nan)) == math.inf

@@ -1,4 +1,5 @@
-"""The written-out kernels keep the bits of the comprehension forms they replaced.
+"""The written-out kernels keep the bits of the comprehension forms they replaced,
+and core's scaled residual keeps the bits of the module copies it replaced.
 
 stabilizer_solve, transport4 and turned3 are written out entry by entry. The
 references below are their comprehension forms, kept as they were. Both run on
@@ -6,13 +7,22 @@ floats and on columns, and their results are compared as int64 bit patterns,
 so that a signed zero, a subnormal or a NaN from an overflow counts. Each sum
 keeps its grouping: a regrouped row moves bits on about 3 in 10 random
 draws, and no residual bound sees that.
+
+symmetry4's direction mismatch and replay_residuals' formula were written out
+in their modules; the references below are those copies, kept as they were.
+Where a copy gave NaN, core scores inf.
 """
+
+import functools
+import math
+from itertools import chain
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorspace.core import COLUMNS, FLOATS, unit4
+from spinorspace.core import COLUMNS, FLOATS, residual_rows, unit4
+from spinorspace.fixtures import generate_fixtures, replay_residuals
 from spinorspace.gauge_fixing import stabilizer_solve
 from spinorspace.ks_covariance import hat4, transport4, turned3, unit_ks
 from spinorspace.rotation_algebra import linear_system_entries, real4_entries, so3_entries
@@ -37,6 +47,22 @@ def turned3_reference(xp, w, c, n):
     return n
 
 
+def mismatch_reference(maximum, a, b):
+    """symmetry4's written-out scaled residual of two directions; maximum is the
+    builtin max on floats and numpy's elementwise maximum on columns."""
+    return (maximum(abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]))
+            / maximum(1.0, *map(abs, a), *map(abs, b)))
+
+
+def replay_reference(stored, fresh, starts):
+    """replay_residuals' written-out scores of the stored fields against their recomputation."""
+    s, f = np.array(stored, dtype=float), np.array(fresh, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, from an infinite field
+        gap = np.abs(s - f) / np.maximum(np.maximum(np.abs(s), np.abs(f)), 1.0)
+    gap[np.isnan(gap)] = math.inf
+    return np.maximum.reduceat(gap, starts)
+
+
 def outcome(kernel, *args):
     """The int64 bit patterns of each entry of kernel(*args), or the type of what it raised."""
     try:
@@ -55,6 +81,7 @@ _ENTRY = st.sampled_from(_EDGES) | st.floats(-2.0, 2.0) | st.floats(allow_nan=Fa
 _QUAD = st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY)
 _TRIPLE = st.tuples(_ENTRY, _ENTRY, _ENTRY)
 _PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+_FEWER = settings(_PROPERTY, max_examples=100)  # the residual pins: one formula, few branches
 
 
 def _columns(rows) -> tuple:
@@ -87,3 +114,72 @@ def test_turned3_keeps_the_bits_of_its_comprehension(rows):
         assert outcome(turned3, FLOATS, w, c, n) == outcome(turned3_reference, FLOATS, w, c, n)
     w, c, n = (_columns(part) for part in zip(*rows))
     assert outcome(turned3, COLUMNS, w, c, n) == outcome(turned3_reference, COLUMNS, w, c, n)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _columns_maximum(*values):
+    return functools.reduce(np.maximum, values)
+
+
+@_FEWER
+@given(st.lists(st.tuples(_TRIPLE, _TRIPLE), min_size=1, max_size=6))
+def test_residual_keeps_the_bits_of_the_symmetry4_mismatch(rows):
+    # On floats the copy took the builtin max, which skips a NaN gap; the directions
+    # symmetry4 compares are finite, and so are these entries.
+    for a, b in rows:
+        assert FLOATS.residual(a, b).hex() == mismatch_reference(max, a, b).hex()
+
+
+_INFINITE = st.sampled_from([math.inf, -math.inf])
+
+
+@_FEWER
+@given(st.lists(st.tuples(*[_ENTRY | _INFINITE] * 6), min_size=1, max_size=6))
+def test_column_residual_keeps_the_bits_of_the_symmetry4_mismatch(rows):
+    a, b = _columns([row[:3] for row in rows]), _columns([row[3:] for row in rows])
+    with np.errstate(invalid="ignore"):
+        want = mismatch_reference(_columns_maximum, a, b)
+        got = residual_rows(a, b, 0)
+        worst = COLUMNS.residual(a, b)
+    want = np.where(np.isnan(want), math.inf, want)
+    assert _bits(got) == _bits(want)
+    assert worst.hex() == float(want.max()).hex()
+
+
+_RECORDS = generate_fixtures(35, 1)
+
+
+def _fields(record) -> list:
+    """The stored fields of a record, in the order replay scores them."""
+    projection = record["projection"]
+    return [*chain.from_iterable(record["spinor"]), *record["quadruple"], projection["r"],
+            *projection["x"], *projection.get("a", ())]
+
+
+def _with_fields(record, fields) -> dict:
+    """record with its stored fields replaced by fields, in _fields' order."""
+    projection = {"r": fields[8], "x": fields[9:12]}
+    if "a" in record["projection"]:
+        projection["a"] = fields[12:15]
+    return {**record, "spinor": [fields[0:2], fields[2:4]], "quadruple": fields[4:8],
+            "projection": projection}
+
+
+@_FEWER
+@given(st.lists(st.tuples(st.integers(0, len(_RECORDS) - 1), st.integers(0, 14),
+                          st.sampled_from(_EDGES + [math.inf, -math.inf, math.nan])
+                          | st.floats(-2.0, 2.0)), max_size=8))
+def test_replay_keeps_the_bits_of_its_formula(edits):
+    # Each edit sets one stored field of one of the 35 records perfbench replays; a
+    # generated record's fields are its recomputation, so fresh is the unedited batch.
+    fresh = [_fields(record) for record in _RECORDS]
+    stored = [list(fields) for fields in fresh]
+    for index, field, value in edits:
+        stored[index][field % len(stored[index])] = value
+    starts = np.cumsum([0] + [len(fields) for fields in fresh[:-1]])
+    got, _ = replay_residuals([_with_fields(r, f) for r, f in zip(_RECORDS, stored)], strict=True)
+    want = replay_reference([*chain.from_iterable(stored)], [*chain.from_iterable(fresh)], starts)
+    assert _bits(got) == _bits(want)

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from spinorspace import (
     project_xi,
     quadruple_from_spinor,
     scaled_residual,
+    spinor_from_quadruple,
     u_to_v,
     xi_constraint_residual,
     xi_from_cartesian,
@@ -230,6 +232,45 @@ def test_eta_quadruple_projection_routes():
         assert scaled_residual(via_complex.a, via_real.a) <= 1e-13
         assert scaled_residual(via_complex.x, via_real.x) <= 1e-13
 
+
+def test_eta_quadruple_projection_rescales_overflowing_squares():
+    # V1^2 + V4^2 = 2e308 overflows where x1 = -1e308 does not; project_eta rescales the same.
+    q = KSQuadruple(1e154, 1e154, 0.0, 0.0)
+    p, want = eta_quadruple_projection(q), project_eta(spinor_from_quadruple(q))
+    assert p.x.tolist() == want.x.tolist() and p.a.tolist() == want.a.tolist()
+    assert p.x[0] == -1e308
+    with pytest.raises(OverflowError, match=r"^eta_quadruple_projection\(KSQuadruple\(q4=1e\+200"
+                                            r".*bilinears leave the double range"):
+        eta_quadruple_projection(KSQuadruple(1e200, 1e200, 0.0, 0.0))
+
+
+def test_eta_quadruple_projection_is_finite_over_the_double_range():
+    # Log-uniform magnitudes from 1e-300 to 1e300, and from 1e152 to 2e154, where squares
+    # overflow and the bilinears need not: every result is finite and agrees with
+    # project_eta, or both routes raise OverflowError.
+    rng = np.random.default_rng(73)
+    mags = np.concatenate([rng.uniform(-300.0, 300.0, (2000, 4)),
+                           rng.uniform(152.0, 154.3, (500, 4))])
+    rows = rng.choice([-1.0, 1.0], size=mags.shape) * 10.0 ** mags
+    outcomes = Counter()
+    for row in rows.tolist():
+        q = KSQuadruple(*row)
+        try:
+            want = project_eta(spinor_from_quadruple(q))
+        except OverflowError:
+            outcomes["raised"] += 1
+            with pytest.raises(OverflowError):
+                eta_quadruple_projection(q)
+            continue
+        p, kernel = eta_quadruple_projection(q), sm.eta_quadruple_bilinears(*row)
+        assert np.isfinite(p.a).all() and np.isfinite(p.x).all()
+        assert scaled_residual((*p.a, *p.x), (*want.a, *want.x)) <= 1e-15
+        if all(map(math.isfinite, kernel)):  # in range: the kernel's bits
+            assert [v.hex() for v in (*p.a, *p.x)] == [v.hex() for v in kernel]
+            outcomes["in range"] += 1
+        else:
+            outcomes["rescaled"] += 1
+    assert min(outcomes["raised"], outcomes["rescaled"], outcomes["in range"]) >= 50
 
 def test_constraint_residuals_frozen():
     q = quadruple_from_spinor(xi_from_cartesian((3.0, 4.0, 5.0)))
@@ -548,7 +589,9 @@ def test_spinor_columns_match_the_scalar_rows():
     alpha[:3] = (0.0, -0.0, math.pi)
     delta = np.where(np.arange(len(s)) % 2 == 0, 1.0, -1.0)
     # The spinors near 1.85e154 overflow their squares: the projections rescale
-    # them, and the quadruple route and the constraint overflow as the scalars do.
+    # them, and the quadruple kernel and the constraint overflow as their scalar rows
+    # do. eta_quadruple_projection rescales those rows after the kernel, and keeps its
+    # bits on every other row (test_eta_quadruple_projection_is_finite_over_the_double_range).
     with np.errstate(over="ignore", invalid="ignore"):
         cases = _spinor_cases(s, spinors, quads, alpha, delta)
     for columns, rows in cases:
@@ -561,7 +604,7 @@ def _spinor_cases(s, spinors, quads, alpha, delta):
         (sm.xi_bilinears(sm.COLUMNS, *s.T), [(r, *x) for r, x in map(project_xi, spinors)]),
         (sm.eta_bilinears(sm.COLUMNS, *s.T), [(*p.a, *p.x) for p in map(project_eta, spinors)]),
         (sm.eta_quadruple_bilinears(*q),
-         [(*p.a, *p.x) for p in map(eta_quadruple_projection, quads)]),
+         [sm.eta_quadruple_bilinears(*t.as_tuple()) for t in quads]),
         (sm.eta_of_xi(*s.T), [_parts(eta_from_xi(t)) for t in spinors]),
         (sm.xi_of_eta(*s.T), [_parts(xi_from_eta(t)) for t in spinors]),
         (sm.u_to_v_entries(*q), [u_to_v(t).as_tuple() for t in quads]),
