@@ -1,5 +1,6 @@
-"""Byte and bit pins: sha256 of the fixture file and of CLI output, and the
-float.hex of every check's worst residual in run_all(1000, 42).
+"""Byte and bit pins: sha256 of the fixture file, of CLI output and of the edges
+rows of tools/same_bits.py, and the float.hex of every check's worst residual in
+run_all(1000, 42).
 
 The digests were taken from the library before its gauges and frames moved
 onto float-tuple kernels, so they hold every later change to the same bytes.
@@ -8,10 +9,13 @@ CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
+import spinorspace
 from spinorspace import generate_fixtures, run_all, write_fixtures
 from spinorspace.cli import main
 
@@ -27,6 +31,22 @@ def test_fixture_file_bytes(tmp_path):
     write_fixtures(generate_fixtures(100, seed=1), path)
     assert _sha(path.read_bytes()) == (
         "f2e9ace5f89ff21ceb2ea92546c9d2d953ca70c20dff86afceed5686df076c3e")
+
+
+def _same_bits():
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_bits.py"
+    spec = importlib.util.spec_from_file_location("same_bits", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_edges_rows_bytes():
+    # Every public spinor_maps function and psi_from_direction on the edges corpus:
+    # +-0, subnormals, the top of the range and the pole, axis and equator bands.
+    same_bits = _same_bits()
+    assert _sha(same_bits.edges_text(spinorspace).encode()) == (
+        "0bb133039b20269b6913e49c3a03f462dc5d121dd028ffb832fad5bf0ef042f7")
 
 
 GAUGE_123 = "dda173e74b966f7a8880b3017dd5827460846f70e6e1aebc382684b11730e3c7"
