@@ -235,11 +235,12 @@ def sign_flag(value, name: str) -> int:
 
 def polar(xp, m1, m2, phi) -> tuple:
     """Real parts of (m1 e^{-i phi/2}, m2 e^{+i phi/2}), the half-angle phases taken as
-    (cos, -+sin): xi_from_parabolic at (N, M) = (m1, m2), and the last step of
-    every spinor_maps constructor and of gauge_fixing.psi_from_direction."""
+    (cos, -+sin), each part the one product m c or m (-+s): xi_from_parabolic at
+    (N, M) = (m1, m2), and the last step of every spinor_maps constructor and of
+    gauge_fixing.psi_from_direction."""
     h = 0.5 * phi
     c, s = xp.cos(h), xp.sin(h)
-    return m1 * c - 0.0 * -s, m1 * -s + 0.0 * c, m2 * c - 0.0 * s, m2 * s + 0.0 * c
+    return m1 * c, m1 * -s, m2 * c, m2 * s
 
 
 def pow2_shift(values) -> int:

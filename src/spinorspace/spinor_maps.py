@@ -10,11 +10,12 @@ on Python floats or on float64 columns. A spinor is its real parts
 (c1.real, c1.imag, c2.real, c2.imag). Kernels that need more than arithmetic
 take a namespace first: FLOATS behind the public functions, or COLUMNS,
 which gives a row of columns the same bits as the public function on that
-row. Every complex product is written out as CPython forms it,
-(ar br - ai bi, ar bi + ai br), with a real factor m taken as (m, 0.0), so
-signs of zeros match too. On columns numpy supplies only arithmetic, sqrt,
-frexp/ldexp and sin/cos, whose rows tests/test_spinor_maps.py holds equal to
-math's; atan2 is math's, element by element.
+row. Each real part is the product or sum that defines it: a real or an
+imaginary factor multiplies only the parts it meets, without the 0.0 terms of
+CPython's complex product, so the sign of a zero follows those terms and an
+overflow stays in the part where it happens. On columns numpy supplies only
+arithmetic, sqrt, frexp/ldexp and sin/cos, whose rows tests/test_spinor_maps.py
+holds equal to math's; atan2 is math's, element by element.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .core import (
     finite_angle,
     finite_vector,
     polar,
-    pow2_scaled,
-    pow2_shift,
     sign_flag,
     slot_setters,
     spinor_of,
@@ -203,20 +202,22 @@ def xi_bilinears(xp, c1r, c1i, c2r, c2i) -> tuple:
     """(r, x1, x2, x3) of project_xi on a spinor's real parts."""
     n1 = c1r * c1r + c1i * c1i
     n2 = c2r * c2r + c2i * c2i
-    r = 0.5 * (n1 + n2)
-    finite = xp.isfinite(r)
-    if not xp.all(finite):
-        return _rescaled(xp, xi_bilinears, finite, (c1r, c1i, c2r, c2i))
-    # x1 + i x2 = conj(c1) c2
-    return r, c1r * c2r - -c1i * c2i, c1r * c2i + -c1i * c2r, 0.5 * (n1 - n2)
+    # x1 + i x2 = conj(c1) c2; |x| <= r, so every entry is finite where r is.
+    out = 0.5 * (n1 + n2), c1r * c2r + c1i * c2i, c1r * c2i - c1i * c2r, 0.5 * (n1 - n2)
+    if not xp.all(xp.isfinite(out[0])):
+        return _rescaled(xp, xi_bilinears, out, (c1r, c1i, c2r, c2i))
+    return out
 
 
-def _rescaled(xp, bilinears, finite, parts) -> tuple:
-    """bilinears of parts, rerun on parts times 2^k and unscaled by 2^-2k where
-    not finite, with k the exact scale that takes a row's largest part into
-    [0.5, 1): the spinors at the top of the double range, whose squares overflow."""
-    k = xp.where(finite, 0, xp.pow2_shift(*parts))
-    return tuple(xp.ldexp(b, -2 * k) for b in bilinears(xp, *(xp.ldexp(p, k) for p in parts)))
+def _rescaled(xp, bilinears, first, parts) -> tuple:
+    """first, the bilinears of parts, with each entry that is not finite rerun on parts
+    times 2^k and unscaled by 2^-2k, k the exact scale that takes a row's largest part
+    into [0.5, 1): the spinors at the top of the double range, whose squares overflow.
+    The bilinears only add, subtract and multiply, so a finite entry saw no overflow
+    and keeps its bits; the rerun would only lose its small terms to underflow."""
+    k = xp.pow2_shift(*parts)
+    again = bilinears(xp, *(xp.ldexp(p, k) for p in parts))
+    return tuple(xp.where(xp.isfinite(b), b, xp.ldexp(c, -2 * k)) for b, c in zip(first, again))
 
 
 def project_xi(xi: Spinor):
@@ -307,18 +308,14 @@ def eta_bilinears(xp, h1r, h1i, h2r, h2i) -> tuple:
     sq1r, sq1i = h1r * h1r - h1i * h1i, h1r * h1i + h1i * h1r
     sq2r, sq2i = h2r * h2r - h2i * h2i, h2r * h2i + h2i * h2r
     dr, di = sq1r - sq2r, sq1i - sq2i
-    sr, si = sq1r + sq2r, sq1i + sq2i
     pr, pi = h1r * h2r - h1i * h2i, h1r * h2i + h1i * h2r
     # w1 = (-i/2)(h1^2 - h2^2), w2 = (1/2)(h1^2 + h2^2), w3 = i h1 h2
-    w1r, w1i = 0.0 * dr - -0.5 * di, 0.0 * di + -0.5 * dr
-    w2r, w2i = 0.5 * sr - 0.0 * si, 0.5 * si + 0.0 * sr
-    w3r, w3i = 0.0 * pr - 1.0 * pi, 0.0 * pi + 1.0 * pr
-    # 0 w is +-0 for a finite w and NaN for any other, so the sum is finite
-    # exactly where all six are.
-    finite = xp.isfinite(0.0 * w1r + 0.0 * w1i + 0.0 * w2r + 0.0 * w2i + 0.0 * w3r + 0.0 * w3i)
-    if not xp.all(finite):
-        return _rescaled(xp, eta_bilinears, finite, (h1r, h1i, h2r, h2i))
-    return w1r, w2r, w3r, w1i, w2i, w3i
+    out = 0.5 * di, 0.5 * (sq1r + sq2r), -pi, -0.5 * dr, 0.5 * (sq1i + sq2i), pr
+    # The sum is not finite where an entry is not; where it overflows on six finite
+    # entries, _rescaled keeps them all.
+    if not xp.all(xp.isfinite(sum(out))):
+        return _rescaled(xp, eta_bilinears, out, (h1r, h1i, h2r, h2i))
+    return out
 
 
 def project_eta(eta: Spinor) -> EtaProjection:
@@ -352,16 +349,14 @@ def eta_quadruple_projection(q: KSQuadruple) -> EtaProjection:
     x = (V2^2 + V3^2 - V1^2 - V4^2)/2 ... V1 V3 - V2 V4 and
     a = (V1 V2 - V3 V4, (V1^2 - V2^2 + V3^2 - V4^2)/2, -(V1 V4 + V2 V3)),
     an arithmetic route independent of project_eta's complex products. An entry whose
-    squares overflow is rerun on the entries times 2^k and unscaled by 2^-2k, as in
-    _rescaled; one past the double range raises OverflowError.
+    squares overflow is rerun through _rescaled, as in project_eta; one past the double
+    range raises OverflowError.
     """
     v = q.as_tuple()
     out = eta_quadruple_bilinears(*v)
     if not all(map(math.isfinite, out)):
-        k = pow2_shift(v)
         try:
-            out = [b if math.isfinite(b) else math.ldexp(c, -2 * k)
-                   for b, c in zip(out, eta_quadruple_bilinears(*pow2_scaled(v)))]
+            out = _rescaled(FLOATS, lambda xp, *u: eta_quadruple_bilinears(*u), out, v)
         except OverflowError:
             raise OverflowError(_PAST_RANGE.format("eta_quadruple_projection", q,
                                                    "bilinears")) from None
@@ -374,9 +369,9 @@ def eta_of_xi(c1r, c1i, c2r, c2i) -> tuple:
 
 
 def _over_sqrt2(ar, ai, br, bi) -> tuple:
-    """(a, b) times the real INV_SQRT2, that is times (INV_SQRT2, 0.0)."""
+    """The real parts of (a, b) times the real INV_SQRT2, part by part."""
     k = INV_SQRT2
-    return ar * k - ai * 0.0, ar * 0.0 + ai * k, br * k - bi * 0.0, br * 0.0 + bi * k
+    return ar * k, ai * k, br * k, bi * k
 
 
 def eta_from_xi(xi: Spinor) -> Spinor:
@@ -415,9 +410,8 @@ def u_to_v(q: KSQuadruple) -> KSQuadruple:
 
 
 def cartan_reflected(delta, c1r, c1i, c2r, c2i) -> tuple:
-    """Real parts of cartan_reflect: (0.0, delta) times each component, delta +-1.0."""
-    return (0.0 * c1r - delta * c1i, 0.0 * c1i + delta * c1r,
-            0.0 * c2r - delta * c2i, 0.0 * c2i + delta * c2r)
+    """Real parts of cartan_reflect: i delta times each component, delta +-1.0."""
+    return -delta * c1i, delta * c1r, -delta * c2i, delta * c2r
 
 
 def cartan_reflect(s: Spinor, delta: int = 1) -> Spinor:

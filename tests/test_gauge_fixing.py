@@ -130,31 +130,47 @@ def _complex_polar(xp, m1, m2, phi):
     return z1.real, z1.imag, z2.real, z2.imag
 
 
-def _direction_bits(directions, gammas):
+def _own_polar(xp, m1, m2, phi):
+    """The same step with each part its own product, m cos or m (-+sin): no 0.0 terms."""
+    h = 0.5 * phi
+    c, s = math.cos(h), math.sin(h)
+    return m1 * c, -(m1 * s), m2 * c, m2 * s
+
+
+def _direction_outputs(directions, gammas):
     out = []
     for n in directions:
         try:
-            out.append([v.hex() for v in SpinorRotation(*canonical_plus4(FLOATS, n)).as_tuple()])
+            out.append(SpinorRotation(*canonical_plus4(FLOATS, n)).as_tuple())
         except SingularGaugeError as error:
             out.append(str(error))
         for gamma in gammas:
             p = psi_from_direction(n, gamma)
-            out.append([v.hex() for v in (p.c1.real, p.c1.imag, p.c2.real, p.c2.imag)])
+            out.append((p.c1.real, p.c1.imag, p.c2.real, p.c2.imag))
     return out
 
 
+def _hexes(outputs):
+    return [o if isinstance(o, str) else [v.hex() for v in o] for o in outputs]
+
+
 def test_direction_spinor_keeps_the_bits_of_the_complex_product(monkeypatch):
+    # == to the complex products, with the signs of zeros of the own-term products.
     rng = np.random.default_rng(62)
     zeros = (0.0, -0.0)
     directions = oracles.hard_directions(rng, 1500)
     directions += [np.array([a, b, c]) for a in zeros for b in zeros for c in (1.0, -1.0)]
     turn = 2.0 * math.pi
     gammas = [0.0, -0.0, turn, -turn, *rng.uniform(-2.0 * turn, 2.0 * turn, 6).tolist()]
-    got = _direction_bits(directions, gammas)
+    got = _direction_outputs(directions, gammas)
     monkeypatch.setattr(gauge_fixing, "polar", _complex_polar)
-    want = _direction_bits(directions, gammas)
+    want = _direction_outputs(directions, gammas)
     bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
     assert len(got) == 1508 * 11 and bad == [], f"{len(bad)} outputs differ, first at {bad[:5]}"
+    monkeypatch.setattr(gauge_fixing, "polar", _own_polar)
+    want = _hexes(_direction_outputs(directions, gammas))
+    bad = [i for i, (a, b) in enumerate(zip(_hexes(got), want)) if a != b]
+    assert bad == [], f"{len(bad)} outputs differ in their bits, first at {bad[:5]}"
 
 
 # ------------------------------------------------------------ gauge rotations

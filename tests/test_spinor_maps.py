@@ -621,34 +621,48 @@ def _hex(values):
 
 
 def test_kernels_keep_the_bits_of_complex_arithmetic():
-    # The closed forms again in Python's complex arithmetic, on components full
-    # of signed zeros, where a product that is not written out as CPython forms
-    # it shows in the sign of a zero.
+    # The closed forms again in Python's complex arithmetic, on components full of
+    # signed zeros: each output is == to it. Its float-by-complex products add
+    # 0.0 terms, so the signs of zeros are pinned to the own-term formulas, in
+    # which a real or imaginary factor multiplies only the parts it meets.
     values = (0.0, -0.0, 1.5, -2.0)
+    k = INV_SQRT2
     for a, b, c, d in itertools.product(values, repeat=4):
         h1, h2 = complex(a, b), complex(c, d)
         s = Spinor(h1, h2)
         w = (complex(0.0, -0.5) * (h1 * h1 - h2 * h2), 0.5 * (h1 * h1 + h2 * h2),
              complex(0.0, 1.0) * (h1 * h2))
+        dif, tot, prod = h1 * h1 - h2 * h2, h1 * h1 + h2 * h2, h1 * h2
+        own = [0.5 * dif.imag, 0.5 * tot.real, -prod.imag, -0.5 * dif.real, 0.5 * tot.imag,
+               prod.real]
         p = project_eta(s)
-        assert _hex([*p.a, *p.x]) == _hex([z.real for z in w] + [z.imag for z in w])
+        assert [*p.a, *p.x] == [z.real for z in w] + [z.imag for z in w]
+        assert _hex([*p.a, *p.x]) == _hex(own)
         cross = h1.conjugate() * h2
         assert _hex(project_xi(s)[1][:2]) == _hex([cross.real, cross.imag])
-        k = INV_SQRT2
-        pairs = [(eta_from_xi(s), (h1 - h2.conjugate()) * k, (h2 + h1.conjugate()) * k),
-                 (xi_from_eta(s), (h1 + h2.conjugate()) * k, (h2 - h1.conjugate()) * k)]
-        pairs += [(cartan_reflect(s, delta), complex(0.0, delta) * h1, complex(0.0, delta) * h2)
-                  for delta in (1, -1)]
+        bridges = [(eta_from_xi(s), (h1 - h2.conjugate()) * k, (h2 + h1.conjugate()) * k),
+                   (xi_from_eta(s), (h1 + h2.conjugate()) * k, (h2 - h1.conjugate()) * k)]
+        for got, z1, z2 in bridges:
+            assert _parts(got) == (z1.real, z1.imag, z2.real, z2.imag)
+        own_bridges = [(a - c) * k, (b + d) * k, (c + a) * k, (d - b) * k,
+                       (a + c) * k, (b - d) * k, (c - a) * k, (d + b) * k]
+        assert _hex(_parts(bridges[0][0]) + _parts(bridges[1][0])) == _hex(own_bridges)
+        for delta in (1, -1):
+            got = _parts(cartan_reflect(s, delta))
+            z1, z2 = complex(0.0, delta) * h1, complex(0.0, delta) * h2
+            assert got == (z1.real, z1.imag, z2.real, z2.imag)
+            assert _hex(got) == _hex([-delta * b, delta * a, -delta * d, delta * c])
         for alpha in (0.0, -0.0, 0.5 * math.pi, math.pi, -1.0):
             phase = cmath.exp(complex(0.0, alpha))
-            pairs.append((phase_rotate(s, alpha), phase * h1, phase * h2))
-        for got, z1, z2 in pairs:
-            assert _hex(_parts(got)) == _hex([z1.real, z1.imag, z2.real, z2.imag])
+            z1, z2 = phase * h1, phase * h2
+            assert _hex(_parts(phase_rotate(s, alpha))) == _hex([z1.real, z1.imag, z2.real, z2.imag])
     for n, m, phi in itertools.product((0.0, -0.0, 1.5), (0.0, 2.0), (0.0, -0.0, 2.0, -3.0, 7.0)):
         p = ParabolicPoint(n, m, phi)
         h = 0.5 * p.phi
         em, ep = complex(math.cos(h), -math.sin(h)), complex(math.cos(h), math.sin(h))
-        assert _hex(_parts(xi_from_parabolic(p))) == _hex(_parts(Spinor(p.N * em, p.M * ep)))
+        got = _parts(xi_from_parabolic(p))
+        assert got == _parts(Spinor(p.N * em, p.M * ep))
+        assert _hex(got) == _hex([p.N * em.real, p.N * em.imag, p.M * ep.real, p.M * ep.imag])
 
 
 def test_rotation_kernel_keeps_the_bits_of_complex_arithmetic():
