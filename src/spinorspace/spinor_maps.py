@@ -240,8 +240,9 @@ def hopf_constraint(q4, q1, q2, q3):
 
 def xi_constraint_residual(q: KSQuadruple) -> float:
     """The Hopf constraint of both models: U1 U4 + U2 U3 on a U (xi) quadruple,
-    V1 V4 + V2 V3 = -a3 on a V (eta) one; identically zero on constructor outputs."""
-    return hopf_constraint(q.q4, q.q1, q.q2, q.q3)
+    V1 V4 + V2 V3 = -a3 on a V (eta) one; identically zero on constructor outputs.
+    Past the double range it raises OverflowError, as eta_quadruple_projection does."""
+    return _entries_in_range("xi_constraint_residual", lambda *v: (hopf_constraint(*v),), q)[0]
 
 
 def phase_rotated(xp, alpha, c1r, c1i, c2r, c2i) -> tuple:
@@ -352,15 +353,21 @@ def eta_quadruple_projection(q: KSQuadruple) -> EtaProjection:
     squares overflow is rerun through _rescaled, as in project_eta; one past the double
     range raises OverflowError.
     """
-    v = q.as_tuple()
-    out = eta_quadruple_bilinears(*v)
-    if not all(map(math.isfinite, out)):
-        try:
-            out = _rescaled(FLOATS, lambda xp, *u: eta_quadruple_bilinears(*u), out, v)
-        except OverflowError:
-            raise OverflowError(_PAST_RANGE.format("eta_quadruple_projection", q,
-                                                   "bilinears")) from None
+    out = _entries_in_range("eta_quadruple_projection", eta_quadruple_bilinears, q)
     return EtaProjection(a=np.array(out[:3]), x=np.array(out[3:]))
+
+
+def _entries_in_range(name, bilinears, q: KSQuadruple) -> tuple:
+    """bilinears(*q.as_tuple()), each entry that is not finite rerun through _rescaled;
+    one past the double range raises OverflowError naming the function `name`."""
+    v = q.as_tuple()
+    out = bilinears(*v)
+    if all(map(math.isfinite, out)):
+        return out
+    try:
+        return _rescaled(FLOATS, lambda xp, *u: bilinears(*u), out, v)
+    except OverflowError:
+        raise OverflowError(_PAST_RANGE.format(name, q, "bilinears")) from None
 
 
 def eta_of_xi(c1r, c1i, c2r, c2i) -> tuple:
@@ -376,8 +383,25 @@ def _over_sqrt2(ar, ai, br, bi) -> tuple:
 
 def eta_from_xi(xi: Spinor) -> Spinor:
     """eta = (xi - i sigma^2 xi*) / sqrt(2), componentwise
-    ((xi1 - xi2*)/sqrt(2), (xi2 + xi1*)/sqrt(2))."""
-    return spinor_of(eta_of_xi(xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag))
+    ((xi1 - xi2*)/sqrt(2), (xi2 + xi1*)/sqrt(2)). Past the double range it raises
+    ValueError, as eta_from_parabolic does."""
+    try:
+        return spinor_of(eta_of_xi(xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag))
+    except ValueError:  # raised by Spinor, for a sum that overflowed
+        return _halved("eta_from_xi", eta_of_xi, xi)
+
+
+def _halved(name, bridge, s: Spinor) -> Spinor:
+    """The spinor of bridge's parts of s where a sum overflowed: each part that is not
+    finite is rerun on the halved parts and doubled, as eta_parabolic takes N + M; one
+    past the double range raises ValueError naming the function `name`."""
+    parts = s.c1.real, s.c1.imag, s.c2.real, s.c2.imag
+    halves = bridge(*(0.5 * p for p in parts))
+    try:
+        return spinor_of([b if math.isfinite(b) else 2.0 * h
+                          for b, h in zip(bridge(*parts), halves)])
+    except ValueError:
+        raise ValueError(_PAST_RANGE.format(name, s, "components")) from None
 
 
 def xi_of_eta(h1r, h1i, h2r, h2i) -> tuple:
@@ -386,8 +410,12 @@ def xi_of_eta(h1r, h1i, h2r, h2i) -> tuple:
 
 
 def xi_from_eta(eta: Spinor) -> Spinor:
-    """Inverse of eta_from_xi: xi = ((eta1 + eta2*)/sqrt(2), (eta2 - eta1*)/sqrt(2))."""
-    return spinor_of(xi_of_eta(eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag))
+    """Inverse of eta_from_xi: xi = ((eta1 + eta2*)/sqrt(2), (eta2 - eta1*)/sqrt(2)).
+    Past the double range it raises ValueError, as eta_from_xi does."""
+    try:
+        return spinor_of(xi_of_eta(eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag))
+    except ValueError:  # raised by Spinor, for a sum that overflowed
+        return _halved("xi_from_eta", xi_of_eta, eta)
 
 
 def u_to_v_entries(q4, q1, q2, q3) -> tuple:

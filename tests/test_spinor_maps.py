@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from spinorspace import (
     eta_from_spherical,
     eta_from_xi,
     eta_quadruple_projection,
+    generate_fixtures,
     phase_rotate,
     project_eta,
     project_xi,
@@ -44,6 +46,8 @@ from spinorspace import (
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = math.sqrt(0.5)
 DBL_MAX = sys.float_info.max
+MIN_NORMAL = sys.float_info.min
+TINY = math.ulp(0.0)
 
 
 def close(z, w, tol=1e-15):
@@ -271,6 +275,131 @@ def test_eta_quadruple_projection_is_finite_over_the_double_range():
         else:
             outcomes["rescaled"] += 1
     assert min(outcomes["raised"], outcomes["rescaled"], outcomes["in range"]) >= 50
+
+def test_top_of_range_keeps_the_entries_that_did_not_overflow():
+    # c1's square overflows, but x2 = c1r c2i and a3 = -c1r c2i are small doubles.
+    s = Spinor(1.5e154, 1e-200j)
+    small = 1.5e154 * 1e-200
+    r, x = project_xi(s)
+    assert x[1] == small and r == pytest.approx(1.125e308, rel=1e-15)
+    p, q = project_eta(s), eta_quadruple_projection(quadruple_from_spinor(s))
+    assert p.a[2] == q.a[2] == -small
+    assert [v.hex() for v in (*p.a, *p.x)] == [v.hex() for v in (*q.a, *q.x)]
+
+
+def _top_band(rng, n):
+    """n spinors' real parts: one in [1.34e154, 1.9e154], whose square overflows, the
+    other three log-uniform over 1e-300..1e154, all with random signs."""
+    parts = 10.0 ** rng.uniform(-300.0, 154.0, (n, 4))
+    parts[np.arange(n), rng.integers(0, 4, n)] = rng.uniform(1.34e154, 1.9e154, n)
+    return parts * rng.choice([-1.0, 1.0], size=(n, 4))
+
+
+def _fixed(x):
+    """The double x times 2^2150 as an exact integer: the scale at which the bilinears
+    of doubles times 2^1075, halved, are integers."""
+    n, d = x.as_integer_ratio()
+    return n << (2151 - d.bit_length())
+
+
+def _exact_projections(c1r, c1i, c2r, c2i):
+    """project_xi, project_eta (also eta_quadruple_projection) and the constraint of the
+    quadruple_from_spinor, each entry exact, times 2^2150, as an integer."""
+    a, b, c, d = (_fixed(x) >> 1075 for x in (c1r, c1i, c2r, c2i))
+    n1, n2 = a * a + b * b, c * c + d * d
+    xi = ((n1 + n2) >> 1, a * c + b * d, a * d - b * c, (n1 - n2) >> 1)
+    eta = (a * b - c * d, (a * a - b * b + c * c - d * d) >> 1, -(a * d + b * c),
+           (c * c - d * d - a * a + b * b) >> 1, a * b + c * d, a * c - b * d)
+    return xi, eta, eta, (a * d + b * c,)
+
+
+def test_top_of_range_projections_against_exact_values():
+    # Each entry against its exact value: no entry returned as 0.0 whose exact value is
+    # at least 2^-1074, a relative error of at most 1e-15 where the exact value is a
+    # normal double, and OverflowError where an entry is past the largest double.
+    wrong_zeros, worst, outcomes = Counter(), Counter(), Counter()
+    for row in _top_band(np.random.default_rng(26), 3000).tolist():
+        s = Spinor(complex(row[0], row[1]), complex(row[2], row[3]))
+        q = quadruple_from_spinor(s)
+        calls = {"project_xi": lambda: (lambda r, x: (r, *x))(*project_xi(s)),
+                 "project_eta": lambda: (lambda p: (*p.a, *p.x))(project_eta(s)),
+                 "eta_quadruple_projection":
+                     lambda: (lambda p: (*p.a, *p.x))(eta_quadruple_projection(q)),
+                 "xi_constraint_residual": lambda: (xi_constraint_residual(q),)}
+        for (name, call), exact in zip(calls.items(), _exact_projections(*row)):
+            if max(map(abs, exact)) > _fixed(DBL_MAX):
+                with pytest.raises(OverflowError, match=f"^{name}\\("):
+                    call()
+                outcomes[name, "raised"] += 1
+                continue
+            outcomes[name, "returned"] += 1
+            for got, want in zip(call(), exact):
+                if got == 0.0 and abs(want) >= _fixed(TINY):
+                    wrong_zeros[name] += 1
+                elif abs(want) >= _fixed(MIN_NORMAL):
+                    worst[name] = max(worst[name], abs(_fixed(got) - want) / abs(want))
+    assert wrong_zeros == Counter()
+    assert max(worst.values()) <= 1e-15, worst
+    # The top of the band passes the range: (1.9e154)^2 / 2 > 1.8e308.
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 7, outcomes
+
+
+def test_both_eta_routes_give_the_same_vanishing_a3():
+    # project_eta's a3 = -(h1r h2i + h1i h2r) and the quadruple route's -(V1 V4 + V2 V3)
+    # are the same sum: a vanishing a3 has one sign on both routes.
+    vanishing = []
+    for record in generate_fixtures(700, 3):
+        if record["model"] == "eta":
+            (c1r, c1i), (c2r, c2i) = record["spinor"]
+            s = Spinor(complex(c1r, c1i), complex(c2r, c2i))
+            a3 = project_eta(s).a[2]
+            if a3 == 0.0:
+                other = eta_quadruple_projection(quadruple_from_spinor(s)).a[2]
+                vanishing.append((a3.hex(), other.hex()))
+    assert len(vanishing) == 162
+    assert [a for a, _ in vanishing] == [b for _, b in vanishing]
+
+
+def test_constraint_reruns_what_overflowed_and_raises_past_the_range():
+    # U1 U4 = inf and U2 U3 = -inf: the exact value is 0.
+    assert xi_constraint_residual(KSQuadruple(1e200, 1e200, -1e200, 1e200)) == 0.0
+    # 1e400 is past the largest double.
+    with pytest.raises(OverflowError, match=r"^xi_constraint_residual\(KSQuadruple\(q4=1e\+200"
+                                            r".*leave the double range, past 1.8e308$"):
+        xi_constraint_residual(KSQuadruple(1e200, 1e200, 1e-200, 1e-200))
+
+
+def test_bridges_at_the_top_of_the_range_against_exact_values():
+    # The sums of two parts near 1e308 overflow where their quotients by sqrt(2) need
+    # not: each part against (sum) INV_SQRT2 exact, or ValueError past the range.
+    for bridge, s in ((eta_from_xi, Spinor(1.2e308, -1.2e308)),
+                      (xi_from_eta, Spinor(1.2e308, 1.2e308))):
+        out = bridge(s)
+        assert out.c1.real == pytest.approx(1.2e308 * SQRT2, rel=1e-15) and out.c2 == 0.0
+    rng = np.random.default_rng(27)
+    parts = rng.uniform(0.5e308, DBL_MAX, (400, 4)) * rng.choice([-1.0, 1.0], size=(400, 4))
+    parts[:100, 1:] = rng.uniform(-1.0, 1.0, (100, 3))
+    outcomes = Counter()
+    k = Fraction(INV_SQRT2)
+    for a, b, c, d in parts.tolist():
+        s = Spinor(complex(a, b), complex(c, d))
+        x = list(map(Fraction, (a, b, c, d)))
+        for name, bridge, signs in (("eta_from_xi", eta_from_xi, (-1, 1, 1, -1)),
+                                    ("xi_from_eta", xi_from_eta, (1, -1, -1, 1))):
+            # eta = ((a - c, b + d), (c + a, d - b)) k; xi = ((a + c, b - d), (c - a, d + b)) k
+            first, second = (x[0], x[1], x[2], x[3]), (x[2], x[3], x[0], x[1])
+            exact = [(p + sign * q) * k for p, q, sign in zip(first, second, signs)]
+            if max(map(abs, exact)) > DBL_MAX:
+                with pytest.raises(ValueError, match=f"^{name}\\(Spinor.*components leave"):
+                    bridge(s)
+                outcomes[name, "raised"] += 1
+                continue
+            got = _parts(bridge(s))
+            outcomes[name, "returned"] += 1
+            for g, e in zip(got, exact):
+                assert abs(Fraction(g) - e) <= 1e-15 * abs(e) or abs(e) < MIN_NORMAL
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 4, outcomes
+
 
 def test_constraint_residuals_frozen():
     q = quadruple_from_spinor(xi_from_cartesian((3.0, 4.0, 5.0)))
@@ -590,8 +719,9 @@ def test_spinor_columns_match_the_scalar_rows():
     delta = np.where(np.arange(len(s)) % 2 == 0, 1.0, -1.0)
     # The spinors near 1.85e154 overflow their squares: the projections rescale
     # them, and the quadruple kernel and the constraint overflow as their scalar rows
-    # do. eta_quadruple_projection rescales those rows after the kernel, and keeps its
-    # bits on every other row (test_eta_quadruple_projection_is_finite_over_the_double_range).
+    # do. eta_quadruple_projection and xi_constraint_residual rescale those rows after
+    # the kernel, and keep its bits on every other row
+    # (test_eta_quadruple_projection_is_finite_over_the_double_range).
     with np.errstate(over="ignore", invalid="ignore"):
         cases = _spinor_cases(s, spinors, quads, alpha, delta)
     for columns, rows in cases:
@@ -612,7 +742,7 @@ def _spinor_cases(s, spinors, quads, alpha, delta):
          [_parts(phase_rotate(t, a)) for t, a in zip(spinors, alpha.tolist())]),
         (sm.cartan_reflected(delta, *s.T),
          [_parts(cartan_reflect(t, int(d))) for t, d in zip(spinors, delta.tolist())]),
-        ([sm.hopf_constraint(*q)], [(xi_constraint_residual(t),) for t in quads]),
+        ([sm.hopf_constraint(*q)], [(sm.hopf_constraint(*t.as_tuple()),) for t in quads]),
     ]
 
 
@@ -655,7 +785,8 @@ def test_kernels_keep_the_bits_of_complex_arithmetic():
         for alpha in (0.0, -0.0, 0.5 * math.pi, math.pi, -1.0):
             phase = cmath.exp(complex(0.0, alpha))
             z1, z2 = phase * h1, phase * h2
-            assert _hex(_parts(phase_rotate(s, alpha))) == _hex([z1.real, z1.imag, z2.real, z2.imag])
+            got = _parts(phase_rotate(s, alpha))
+            assert _hex(got) == _hex([z1.real, z1.imag, z2.real, z2.imag])
     for n, m, phi in itertools.product((0.0, -0.0, 1.5), (0.0, 2.0), (0.0, -0.0, 2.0, -3.0, 7.0)):
         p = ParabolicPoint(n, m, phi)
         h = 0.5 * p.phi
