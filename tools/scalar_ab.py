@@ -5,7 +5,11 @@ own name (spinorspace_parent, spinorspace_change), imports both into this
 process, and times a fixed list of scalar API calls: in-range and out-of-range
 constructors, a Cartesian constructor on sheet -1, the five validated value
 types (Spinor, KSQuadruple, SpinorRotation, SphericalPoint, ParabolicPoint)
-and core.spinor_of, both projections, rotate_spinor, so3_from_rotation,
+and core.spinor_of, both projections in range and on a spinor whose square
+overflows (their rerun of the entries that overflowed), eta_quadruple_projection,
+xi_constraint_residual, eta_from_xi in range and on a spinor whose sums
+overflow (its halved rerun; a parent tree that raises there is timed
+raising), u_to_v, rotate_spinor, so3_from_rotation,
 so3_from_vector_parameter, rotation_from_vector_parameter,
 rotation_from_axis_angle, psi_from_direction on both of its lifts, the gauges,
 rotation_between, stabilizer_check in range and on a spinor whose |psi|^2
@@ -16,8 +20,8 @@ frame_symmetry, left_transport, rotated_direction, fixture_record on a
 spherical and a Cartesian point, each on sheet -1, fixtures.dumps_record and
 replay_residual on one generated eta record, fixtures.replay_residuals on the
 35 records of generate_fixtures(35, 1), the batch the fixtures op replays, and
-fixtures.dumps_record on a loaded parabolic eta record, whose vector a holds
-the int 0 that load reads back for the float 0.0, so the writer converts it in
+fixtures.dumps_record on a loaded parabolic eta record whose a3 is set to the
+int 0, the value load reads back for a float 0.0, so the writer converts it in
 its float slot. Each round times every call NUMBER times on both sides back to
 back (a call on a batch NUMBER // its records times), with garbage collection
 off, and the side that goes first alternates from round to round. For each
@@ -61,6 +65,8 @@ def calls(ss) -> list:
     direction = (0.6, 0.0, 0.8)
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
     tiny = ss.Spinor(3e-170 - 4e-170j, 1e-170 + 2e-170j)  # |psi|^2 underflows to 0
+    top = ss.Spinor(1.5e154, 1e-200j)  # |c1|^2 overflows, x2 = 1.5e-46 does not
+    huge = ss.Spinor(1.2e308, -1.2e308)  # c1 - c2 overflows, (c1 - c2) / sqrt(2) does not
     solved = (-1.0, 0.0, -2.1e-17, 5.5e-18)
     record = ss.generate_fixtures(2, seed=3)[1]  # a Cartesian eta record
     batch = ss.generate_fixtures(BATCHES["replay_residuals"], 1)
@@ -68,7 +74,7 @@ def calls(ss) -> list:
         path = Path(tmp) / "loaded.jsonl"
         ss.write_fixtures(ss.generate_fixtures(20, seed=3)[19:], path)  # a parabolic eta record
         (loaded,) = ss.load_fixtures(path)
-    assert type(loaded["projection"]["a"][2]) is int  # written 0, read back as the int 0
+    loaded["projection"]["a"][2] = 0  # the int that load reads back for a written 0
     return [
         ("xi_from_cartesian", lambda: ss.xi_from_cartesian(point)),
         ("xi_from_cartesian sheet -1", lambda: ss.xi_from_cartesian(point, -1)),
@@ -86,7 +92,12 @@ def calls(ss) -> list:
         ("eta_from_parabolic", lambda: ss.eta_from_parabolic(parabolic)),
         ("project_xi", lambda: ss.project_xi(xi)),
         ("project_eta", lambda: ss.project_eta(eta)),
+        ("project_xi top of range", lambda: ss.project_xi(top)),
+        ("project_eta top of range", lambda: ss.project_eta(top)),
+        ("eta_quadruple_projection", lambda: ss.eta_quadruple_projection(q)),
+        ("xi_constraint_residual", lambda: ss.xi_constraint_residual(q)),
         ("eta_from_xi", lambda: ss.eta_from_xi(xi)),
+        ("eta_from_xi off range", lambda: _or_error(ss.eta_from_xi, huge)),
         ("u_to_v", lambda: ss.u_to_v(q)),
         ("rotate_spinor", lambda: ss.rotate_spinor(rot, xi)),
         ("so3_from_rotation", lambda: ss.so3_from_rotation(rot)),
@@ -117,6 +128,15 @@ def calls(ss) -> list:
         ("replay_residual", lambda: ss.replay_residual(record)),
         ("replay_residuals", lambda: ss.fixtures.replay_residuals(batch)),
     ]
+
+
+def _or_error(function, argument):
+    """function(argument), or the ValueError it raises: a parent tree may raise where
+    the change returns."""
+    try:
+        return function(argument)
+    except ValueError as error:
+        return error
 
 
 def load(src: Path, name: str, into: Path):
