@@ -313,6 +313,15 @@ def _exact_projections(c1r, c1i, c2r, c2i):
     return xi, eta, eta, (a * d + b * c,)
 
 
+def _entries(out):
+    """The floats of a projection or a residual: (r, *x), (*a, *x) or (residual,)."""
+    if isinstance(out, float):
+        return (out,)
+    if isinstance(out, tuple):
+        return (out[0], *out[1])
+    return (*out.a, *out.x)
+
+
 def test_top_of_range_projections_against_exact_values():
     # Each entry against its exact value: no entry returned as 0.0 whose exact value is
     # at least 2^-1074, a relative error of at most 1e-15 where the exact value is a
@@ -321,19 +330,17 @@ def test_top_of_range_projections_against_exact_values():
     for row in _top_band(np.random.default_rng(26), 3000).tolist():
         s = Spinor(complex(row[0], row[1]), complex(row[2], row[3]))
         q = quadruple_from_spinor(s)
-        calls = {"project_xi": lambda: (lambda r, x: (r, *x))(*project_xi(s)),
-                 "project_eta": lambda: (lambda p: (*p.a, *p.x))(project_eta(s)),
-                 "eta_quadruple_projection":
-                     lambda: (lambda p: (*p.a, *p.x))(eta_quadruple_projection(q)),
-                 "xi_constraint_residual": lambda: (xi_constraint_residual(q),)}
-        for (name, call), exact in zip(calls.items(), _exact_projections(*row)):
+        calls = [(project_xi, s), (project_eta, s), (eta_quadruple_projection, q),
+                 (xi_constraint_residual, q)]
+        for (function, argument), exact in zip(calls, _exact_projections(*row)):
+            name = function.__name__
             if max(map(abs, exact)) > _fixed(DBL_MAX):
                 with pytest.raises(OverflowError, match=f"^{name}\\("):
-                    call()
+                    function(argument)
                 outcomes[name, "raised"] += 1
                 continue
             outcomes[name, "returned"] += 1
-            for got, want in zip(call(), exact):
+            for got, want in zip(_entries(function(argument)), exact):
                 if got == 0.0 and abs(want) >= _fixed(TINY):
                     wrong_zeros[name] += 1
                 elif abs(want) >= _fixed(MIN_NORMAL):
