@@ -190,8 +190,8 @@ def _out_text(out) -> str:
     return out if isinstance(out, str) else " ".join(x.hex() for x in out)
 
 
-def edges_text(ss) -> str:
-    return "".join(f"{name} {inputs} -> {_out_text(out)}\n" for name, inputs, out in edge_rows(ss))
+def edges_text(rows: list) -> str:
+    return "".join(f"{name} {inputs} -> {_out_text(out)}\n" for name, inputs, out in rows)
 
 
 def moved_rows(parent_rows: list, rows: list) -> Counter:
@@ -199,8 +199,7 @@ def moved_rows(parent_rows: list, rows: list) -> Counter:
     counts = Counter()
     for (name, inputs, old), (_, _, new) in zip(parent_rows, rows):
         if _out_text(old) != _out_text(new):
-            kind = "==" if (not isinstance(old, str) and not isinstance(new, str)
-                            and old == new) else "value"
+            kind = "==" if old == new else "value"  # outputs equal, or an exception name
             counts[name, kind] += 1
             print(f"moved {name} {inputs}: {_out_text(old)} -> {_out_text(new)} [{kind}]")
     return counts
@@ -221,7 +220,7 @@ def main(argv=None) -> int:
     outputs = {"run_all": run_all_text(spinorspace).encode(),
                "fixtures": fixtures_bytes(spinorspace),
                "help": help_text(cli).encode(),
-               "edges": edges_text(spinorspace).encode()}
+               "edges": edges_text(rows).encode()}
     print(f"package  {Path(spinorspace.__file__).parent}")
     for name, data in outputs.items():
         print(f"{name:8s} {hashlib.sha256(data).hexdigest()}")
