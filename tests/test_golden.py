@@ -1,11 +1,10 @@
 """Byte and bit pins: sha256 of the fixture file, of CLI output and of the edges
-rows of tools/same_bits.py, and the float.hex of every check's worst residual in
+rows of tools/same_bits.py (the spinor maps, rotations, gauges and frames at the
+edges of the double range), and the float.hex of every check's worst residual in
 run_all(1000, 42).
 
-The digests were taken from the library before its gauges and frames moved
-onto float-tuple kernels, so they hold every later change to the same bytes.
 A change that moves an output bit on purpose re-pins here and says why in
-CHANGES.md.
+CHANGES.md; tools/same_bits.py --parent PARENT_SRC lists the edges rows that moved.
 """
 
 import hashlib
@@ -43,10 +42,12 @@ def _same_bits():
 
 def test_edges_rows_bytes():
     # Every public spinor_maps function and psi_from_direction on the edges corpus:
-    # +-0, subnormals, the top of the range and the pole, axis and equator bands.
+    # +-0, subnormals, the top of the range and the pole, axis and equator bands;
+    # the rotations, gauges and frames on its unit spinors, on chart weights either
+    # side of SINGULAR_WEIGHT and on rotations either side of VECTOR_PARAMETER_LIMIT.
     same_bits = _same_bits()
     assert _sha(same_bits.edges_text(same_bits.edge_rows(spinorspace)).encode()) == (
-        "f16b0456e402df81ddee71da6e7d98780ce87ecc623ff4dcb45041262b1ecd0a")
+        "20d3a3a2424aebeaa3b68fb2933b37218e373d881374e13119616cc413e0d92a")
 
 
 GAUGE_123 = "dda173e74b966f7a8880b3017dd5827460846f70e6e1aebc382684b11730e3c7"

@@ -5,10 +5,11 @@
              float.hex, one line per check
   fixtures   the file that write_fixtures makes of generate_fixtures(700, seed=3)
   help       the --help text of the CLI and of each of its subcommands
-  edges      every public spinor_maps function and psi_from_direction on a fixed
-             corpus at the edges of the double range (edge_inputs), one line a
-             call: the function, its inputs as float.hex, and each output as
-             float.hex or the name of the exception it raised
+  edges      every public spinor_maps function, the rotations, the gauges and
+             the frames on a fixed corpus at the edges of the double range
+             (edge_inputs), one line a call: the function, its inputs as
+             float.hex, and each output as float.hex or the name of the
+             exception it raised
 
 Run it on two source trees and compare the lines; it needs only the standard
 library and the package (and numpy, which the package imports). With --parent,
@@ -47,6 +48,11 @@ EDGE_VALUES = (0.0, -0.0, TINY, -(MIN_NORMAL - TINY), MIN_NORMAL, -1.5, -1.2e308
 TOP_BAND = (1.34e154, 1.9e154)
 EDGE_SAMPLES = 300
 ANGLES = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, 3.0)
+# Chart weights |psi_1|^2 drawn log-uniform here straddle gauge_fixing.SINGULAR_WEIGHT,
+# 1e-12, and rotations with |c4| drawn here straddle rotation_algebra.VECTOR_PARAMETER_LIMIT,
+# 1e-9: the exponent ranges of both draws.
+CHART_WEIGHTS = (-14.0, -10.0)
+HALF_TURN_C4 = (-11.0, -7.0)
 
 
 def run_all_text(spinorspace) -> str:
@@ -109,9 +115,51 @@ def edge_directions() -> dict:
             "equator": (np.where(side[2], half - eps[2], half + eps[2]), phi)}
 
 
+def _unit(v) -> tuple:
+    """v divided by its norm, taken on v divided by its largest magnitude; () for zero."""
+    big = max(abs(x) for x in v)
+    if big == 0.0:
+        return ()
+    v = [x / big for x in v]
+    norm = math.sqrt(sum(x * x for x in v))
+    return tuple(x / norm for x in v)
+
+
+def chart_inputs(rng) -> tuple:
+    """Unit spinors and unit directions at a chart weight log-uniform over CHART_WEIGHTS
+    from either pole: the (+) weight |psi_1|^2 at the south pole, the (-) weight at the
+    north; and unit rotations with |c4| log-uniform over HALF_TURN_C4."""
+    w = 10.0 ** rng.uniform(*CHART_WEIGHTS, EDGE_SAMPLES)
+    a, b, phi = rng.uniform(-math.pi, math.pi, (3, EDGE_SAMPLES))
+    small, big = np.sqrt(w), np.sqrt(1.0 - w)
+    south = np.stack([small * np.cos(a), small * np.sin(a), big * np.cos(b), big * np.sin(b)], 1)
+    rho = 2.0 * small * big
+    plane = np.stack([rho * np.cos(phi), rho * np.sin(phi)], 1)
+    spinors = south.tolist() + south[:, [2, 3, 0, 1]].tolist()
+    directions = (np.column_stack([plane, 2.0 * w - 1.0]).tolist()
+                  + np.column_stack([plane, 1.0 - 2.0 * w]).tolist())
+    c4 = _signed(rng, rng.uniform(*HALF_TURN_C4, EDGE_SAMPLES))
+    axis = rng.normal(size=(EDGE_SAMPLES, 3))
+    axis *= (np.sqrt(1.0 - c4 * c4) / np.sqrt(np.sum(axis * axis, axis=1)))[:, None]
+    return spinors, directions, np.column_stack([c4, axis]).tolist()
+
+
+def partner(v, beta: float, scale: float) -> tuple:
+    """The quadruple of spinor entries v turned by beta about its frame's axis, times
+    scale: hat(hat(q) D(beta)) for the quadruple q of v, as spinor entries, so it lies
+    over the direction of v."""
+    q4, q1, q2, q3 = v[3], v[0], v[1], v[2]
+    c, s = math.cos(beta), math.sin(beta)
+    # hat(q) = (q4, q1, -q2, -q3) times (c, 0, 0, s), then hat again.
+    r4, r1, r2, r3 = q4 * c + q3 * s, q1 * c - q2 * s, -q2 * c - q1 * s, q4 * s - q3 * c
+    return scale * r1, -scale * r2, -scale * r3, scale * r4
+
+
 def edge_inputs() -> dict:
     """The corpus: {kind: [input tuple, ...]} for points, spinors (real parts, also read
-    as quadruples), spherical and parabolic points, and unit directions with a phase."""
+    as quadruples), spherical and parabolic points, unit directions with a phase, unit
+    spinors, rotations and the argument tuples of the gauges, rotations and frames,
+    which concatenate those."""
     points, spinors = edge_tuples(3), edge_tuples(4)
     points, spinors = sum(points.values(), []), sum(spinors.values(), [])
     spherical = [(abs(r), t, p) for r in EDGE_VALUES + (1e308, 2.0 ** 1023)
@@ -132,21 +180,47 @@ def edge_inputs() -> dict:
         r = 10.0 ** rng.uniform(-300.0, 300.0, len(theta))
         spherical += np.stack([r, theta, phi], axis=1).tolist()
         parabolic += np.stack([r * ch, r * sh, phi], axis=1).tolist()
+    chart, chart_directions, half_turns = chart_inputs(rng)
+    # The edge spinors and the bands normalized, and the chart-weight spinors.
+    units = [tuple(u) for u in dict.fromkeys(map(_unit, spinors)) if u] + chart
+    rotations = units + half_turns
+    axes = [v[:3] for v in directions] + chart_directions
+    angles = list(ANGLES) + rng.uniform(-4.0 * math.pi, 4.0 * math.pi, len(spinors)).tolist()
+    cycle = lambda values: itertools.cycle(map(tuple, values))
+    pairs = lambda first, second: [tuple(a) + b for a, b in zip(first, cycle(second))]
     return {"point": points, "spinor": spinors, "spherical": spherical,
-            "parabolic": parabolic, "direction": directions}
+            "parabolic": parabolic, "direction": directions, "unit": units,
+            "rotation": rotations, "angle": [(a,) for a in angles + list(EDGE_VALUES)],
+            "unit pair": pairs(units, units[1:] + units[:1]),
+            "unit phase": pairs(units, [(a,) for a in angles]),
+            "rotation pair": pairs(rotations, rotations[1:] + rotations[:1]),
+            "rotation spinor": pairs(rotations, spinors),
+            "axis angle": pairs(points, [(a,) for a in angles]),
+            "frame": pairs(spinors, [(a,) for a in angles]),
+            "frame axis": [v + (a,) for v, a in zip(pairs(spinors, axes), itertools.cycle(angles))],
+            "partner": [tuple(v) + partner(v, b, 10.0 ** k) + (a,) for v, b, k, a in zip(
+                spinors, angles[::-1], itertools.cycle(range(-3, 4)), angles)],
+            "turned": [v + tuple(n) for v, n in zip(pairs(spinors, rotations), cycle(points))]}
 
 
 def _flat(out) -> tuple:
     """The floats of a public function's result."""
     if isinstance(out, float):
         return (out,)
+    if isinstance(out, np.ndarray):  # a vector, or a matrix row by row
+        return tuple(out.ravel().tolist())
     if isinstance(out, tuple):  # project_xi's (r, x)
         return (out[0], *out[1].tolist())
+    if hasattr(out, "gamma"):  # CanonicalGauge
+        return (out.gamma, *_flat(out.vector_parameter), *out.rotation.as_tuple())
+    if hasattr(out, "align"):  # KSFrame
+        return (*out.w.as_tuple(), *_flat(out.direction), *_flat(out.axis), out.delta,
+                *out.align.as_tuple())
+    if hasattr(out, "as_tuple"):  # KSQuadruple, SpinorRotation
+        return out.as_tuple()
     if hasattr(out, "c1"):
         return (out.c1.real, out.c1.imag, out.c2.real, out.c2.imag)
-    if hasattr(out, "a"):
-        return (*out.a.tolist(), *out.x.tolist())
-    return out.as_tuple()
+    return (*out.a.tolist(), *out.x.tolist())
 
 
 def edge_calls(ss) -> list:
@@ -169,6 +243,36 @@ def edge_calls(ss) -> list:
         calls.append((name, "spinor", lambda v, f=getattr(ss, name): f(quadruple(v))))
     calls.append(("psi_from_direction", "direction",
                   lambda v: ss.psi_from_direction(v[:3], v[3])))
+    rotation = lambda v: ss.SpinorRotation(*v)
+    calls += [("rotate_spinor", "rotation spinor",
+               lambda v: ss.rotate_spinor(rotation(v[:4]), spinor(v[4:]))),
+              ("compose", "rotation pair", lambda v: ss.compose(rotation(v[:4]), rotation(v[4:]))),
+              ("axis_phase", "angle", lambda v: ss.axis_phase(v[0])),
+              ("rotation_from_axis_angle", "axis angle",
+               lambda v: ss.rotation_from_axis_angle(v[:3], v[3]))]
+    for name in ("so3_from_rotation", "conjugate", "vector_parameter"):
+        calls.append((name, "rotation", lambda v, f=getattr(ss, name): f(rotation(v))))
+    for name in ("rotation_from_vector_parameter", "so3_from_vector_parameter"):
+        calls.append((name, "point", getattr(ss, name)))
+    for name in ("gauge_plus", "gauge_minus"):
+        calls.append((name, "unit phase", lambda v, f=getattr(ss, name): f(spinor(v[:4]), v[4])))
+    for name in ("canonical_phase_plus", "canonical_phase_minus"):
+        calls.append((name, "unit", lambda v, f=getattr(ss, name): f(spinor(v))))
+    calls.append(("rotation_between", "unit pair",
+                  lambda v: ss.rotation_between(spinor(v[:4]), spinor(v[4:]))))
+    calls += [(f"stabilizer_check {sign:+d}", "spinor",
+               lambda v, sign=sign: ss.stabilizer_check(spinor(v), sign)) for sign in (1, -1)]
+    for name in ("normalize_ks", "direction_from_ks"):
+        calls.append((name, "spinor", lambda v, f=getattr(ss, name): f(quadruple(v))))
+    calls += [("left_transport", "rotation spinor",
+               lambda v: ss.left_transport(rotation(v[:4]), quadruple(v[4:]))),
+              ("build_frame", "frame", lambda v: ss.build_frame(quadruple(v[:4]), delta=v[4])),
+              ("build_frame axis", "frame axis",
+               lambda v: ss.build_frame(quadruple(v[:4]), v[4:7], v[7])),
+              ("frame_symmetry", "partner",
+               lambda v: ss.frame_symmetry(quadruple(v[:4]), quadruple(v[4:8]), v[8])),
+              ("rotated_direction", "turned",
+               lambda v: ss.rotated_direction(quadruple(v[:4]), rotation(v[4:8]), v[8:]))]
     return calls
 
 
