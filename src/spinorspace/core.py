@@ -190,8 +190,11 @@ def unit4(xp, c4, c1, c2, c3, who="rotation parameters must be unit norm") -> tu
 
     A norm off 1 by NORM_SLACK or more raises ValueError(f"{who}, got norm ..."): who
     names the input, as in "direction must be a unit vector". Gauges and frames chain
-    quaternion products through this and qmul on plain tuples, and build a
-    SpinorRotation only for the rotation they return.
+    quaternion products through qmul on plain tuples; a product or negation of unit
+    quaternions is unit, so a chain normalizes only where an input enters, where a
+    value type is returned (a SpinorRotation normalizes itself, a KSQuadruple does
+    not), and before a quadratic map such as ks_covariance.direction4 or
+    rotation_algebra.so3_entries, whose output's norm error is about twice its input's.
     """
     norm = xp.sqrt(c4 * c4 + c1 * c1 + c2 * c2 + c3 * c3)
     unit = abs(norm - 1.0) < NORM_SLACK
@@ -213,13 +216,13 @@ def qmul(a: tuple, b: tuple) -> tuple:
 
 
 def axis4(xp, delta) -> tuple:
-    """The rotation about the third axis, unit4(cos delta, 0, 0, sin delta)."""
-    return unit4(xp, xp.cos(delta), 0.0, 0.0, xp.sin(delta))
+    """The rotation (cos delta, 0, 0, sin delta) about the third axis."""
+    return xp.cos(delta), 0.0, 0.0, xp.sin(delta)
 
 
-def conjugate4(xp, r: tuple) -> tuple:
-    """The inverse rotation of a (c4, c1, c2, c3) tuple, unit4(c4, -c1, -c2, -c3)."""
-    return unit4(xp, r[0], -r[1], -r[2], -r[3])
+def conjugate4(r: tuple) -> tuple:
+    """The inverse (c4, -c1, -c2, -c3) of a (c4, c1, c2, c3) tuple."""
+    return r[0], -r[1], -r[2], -r[3]
 
 
 def sign_flag(value, name: str) -> int:

@@ -50,12 +50,10 @@ class SingularGaugeError(ValueError):
     """Raised when a requested gauge is undefined at the given direction."""
 
 
-# Each function builds a value type only for the result it returns. Its
-# intermediate rotations are unit4 tuples, such as core.axis4 and
-# core.conjugate4, normalized wherever the value-type chain it replaces
-# constructed a SpinorRotation, so the bits are those of that chain. The
-# kernels take their unit spinors as real parts (u1, u2, u3, u4), floats or
-# columns, and return the raw products that the public functions normalize.
+# Each function builds a value type only for the result it returns; core.unit4
+# states where a chain normalizes. The kernels take their unit spinors as real
+# parts (u1, u2, u3, u4), floats or columns, and return the raw products that
+# the public functions normalize.
 
 def axis_phase(delta: float) -> SpinorRotation:
     """The rotation (cos delta, 0, 0, sin delta), i.e. B = exp(-i delta sigma^3)."""
@@ -121,7 +119,7 @@ def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
 def gauge_plus4(xp, u: tuple, phase) -> tuple:
     """The raw rotation of gauge_plus for unit parts u."""
     u1, u2, u3, u4 = u
-    return qmul(axis4(xp, 0.5 * phase), unit4(xp, u1, u4, -u3, u2))
+    return qmul(axis4(xp, 0.5 * phase), (u1, u4, -u3, u2))
 
 
 def swap4(u: tuple) -> tuple:
@@ -201,8 +199,7 @@ def planar_chart(u: tuple, s, sign: int) -> tuple:
 def canonical_plus4(xp, n) -> tuple:
     """The raw rotation of canonical_phase_plus(psi_from_direction(n)) for finite
     directions n, three components, floats or columns."""
-    u = unit4(xp, *psi_parts(xp, *n, 0.0), "canonical_phase_plus requires a unit spinor")
-    return canonical4(xp, u, 1)[2]
+    return canonical4(xp, psi_parts(xp, *n, 0.0), 1)[2]
 
 
 def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
@@ -220,8 +217,7 @@ def between4(xp, u: tuple, v: tuple) -> tuple:
     """The raw rotation of rotation_between for unit parts u and v."""
     u1, u2, u3, u4 = u
     v1, v2, v3, v4 = v
-    m = unit4(xp, u1, -u4, u3, -u2)
-    return qmul(unit4(xp, v1, -v4, v3, -v2), conjugate4(xp, m))
+    return qmul((v1, -v4, v3, -v2), conjugate4((u1, -u4, u3, -u2)))
 
 
 def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:

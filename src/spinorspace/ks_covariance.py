@@ -33,10 +33,8 @@ DIRECTION_MATCH_TOLERANCE = 1e-9
 
 
 # Internals run on (q4, q1, q2, q3) tuples, of floats or of columns. A value
-# type is built only for a returned result, and a unit4 (core.axis4 and
-# core.conjugate4 among them) stands wherever the value-type chain built a
-# SpinorRotation. A direction is taken from a unit quadruple normalized once
-# more, as direction_from_ks(normalize_ks(q)) did.
+# type is built only for a returned result; core.unit4 states where a chain
+# normalizes.
 
 
 def unit_ks(xp, q: tuple) -> tuple:
@@ -155,7 +153,7 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
 def turn4(xp, u: tuple, delta) -> tuple:
     """The unit rotation hat(u) D(delta) of a unit quadruple u, D the axis phase: the
     frame rotation of u before its align, at delta in frame4 and at -delta in symmetry4."""
-    return unit4(xp, *qmul(unit4(xp, *hat4(u)), axis4(xp, delta)))
+    return qmul(hat4(u), axis4(xp, delta))
 
 
 def frame4(xp, q: tuple, align: tuple, delta) -> tuple:
@@ -179,11 +177,10 @@ def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> Spinor
 def symmetry4(xp, u: tuple, w: tuple, delta) -> tuple:
     """The raw quaternion product that frame_symmetry normalizes, for quadruples u, w."""
     un, wn = unit_ks(xp, u), unit_ks(xp, w)
-    a, b = direction4(unit_ks(xp, un)), direction4(unit_ks(xp, wn))
-    mismatch = xp.residual(a, b)
+    mismatch = xp.residual(direction4(un), direction4(wn))
     if not mismatch <= DIRECTION_MATCH_TOLERANCE:
         raise ValueError(f"quadruples lie over different directions (mismatch {mismatch:.3e})")
-    return qmul(turn4(xp, wn, -delta), conjugate4(xp, unit4(xp, *hat4(un))))
+    return qmul(turn4(xp, wn, -delta), conjugate4(hat4(un)))
 
 
 def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:

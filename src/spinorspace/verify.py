@@ -610,7 +610,7 @@ def _check_stabilizer(psi):
 def _check_circle_contrast(sweep):
     # The vector-level small group of the pole is a full circle, the
     # spinor-level one a single point of the sweep.
-    rot = axis4(COLUMNS, sweep)  # axis_phase of each angle
+    rot = axis4(COLUMNS, sweep)  # the axis rotation of each angle
     moved = stacked(rotated(rot, 1.0, 0.0, 0.0, 0.0)).view(complex)  # B psi for psi = (1, 0)
     fixing = np.count_nonzero(np.all(np.abs(moved - [1.0, 0.0]) <= 1e-12, axis=1))
     o = extract_so3(_su2(rot))

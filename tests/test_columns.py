@@ -90,11 +90,13 @@ def test_rotation_kernels_keep_the_scalar_bits():
     others = [SpinorRotation(*row) for row in d.tolist()]
     r, r_other = unit4(COLUMNS, *c.T), unit4(COLUMNS, *d.T)
     rows_equal(r, [rot.as_tuple() for rot in rots])
-    rows_equal(conjugate4(COLUMNS, r), [conjugate(rot).as_tuple() for rot in rots])
+    # conjugate and axis_phase return a SpinorRotation, which normalizes its kernel's tuple.
+    rows_equal(unit4(COLUMNS, *conjugate4(r)), [conjugate(rot).as_tuple() for rot in rots])
     rows_equal(unit4(COLUMNS, *qmul(r, r_other)),
                [compose(a, b).as_tuple() for a, b in zip(rots, others)])
     phase = _phases(rng, len(c))
-    rows_equal(axis4(COLUMNS, phase), [axis_phase(p).as_tuple() for p in phase.tolist()])
+    rows_equal(unit4(COLUMNS, *axis4(COLUMNS, phase)),
+               [axis_phase(p).as_tuple() for p in phase.tolist()])
     # Each matrix as the row of its entries.
     rows_equal(np.reshape(ra.so3_entries(*r), (9, -1)),
                [so3_from_rotation(rot).ravel() for rot in rots])
