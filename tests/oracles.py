@@ -126,6 +126,13 @@ def hard_directions(rng, n):
     return out
 
 
+def close_to_chain(got, want):
+    """Two unit quadruples (value types with as_tuple) within 2^-51 entry by entry: the
+    library normalizes a gauge or frame chain once, where a value-type composition
+    normalizes every intermediate SpinorRotation."""
+    return np.max(np.abs(np.subtract(got.as_tuple(), want.as_tuple()))) <= 2.0 ** -51
+
+
 def assert_rows_equal(columns, rows):
     """Each row of k columns of n entries has the bits of the k floats of that row
     of rows: a zero of the other sign is a mismatch too."""

@@ -433,21 +433,16 @@ def _composed_between(psi, psi_prime):
     return compose(SpinorRotation(v1, -v4, v3, -v2), conjugate(SpinorRotation(u1, -u4, u3, -u2)))
 
 
-def _close(got, want):
-    # Within 2^-51 scaled: the library normalizes each chain once (core.unit4), where
-    # the compositions below normalize every intermediate SpinorRotation.
-    return scaled_residual(got.as_tuple(), want.as_tuple()) <= 2.0 ** -51
-
-
 def test_gauges_equal_their_value_type_compositions():
     rng = np.random.default_rng(70)
+    close = oracles.close_to_chain
     singular = 0
     for n in oracles.hard_directions(rng, 1000):
         psi = psi_from_direction(n, float(rng.uniform(-20.0, 20.0)))
         other = random_unit_spinor(rng)
         phase = float(rng.uniform(-20.0, 20.0))
-        assert _close(gauge_plus(psi, phase), _composed_gauge_plus(psi, phase))
-        assert _close(gauge_minus(psi, phase), _composed_gauge_minus(psi, phase))
+        assert close(gauge_plus(psi, phase), _composed_gauge_plus(psi, phase))
+        assert close(gauge_minus(psi, phase), _composed_gauge_minus(psi, phase))
         for sign, canonical in ((1, canonical_phase_plus), (-1, canonical_phase_minus)):
             want = _composed_canonical(psi, sign)
             if want is SingularGaugeError:
@@ -458,13 +453,13 @@ def test_gauges_equal_their_value_type_compositions():
             got = canonical(psi)
             # gamma and C are read off psi's parts, bit for bit
             assert (got.gamma, got.vector_parameter.tolist()) == want[:2]
-            assert _close(got.rotation, want[2])
-        assert _close(rotation_between(psi, other), _composed_between(psi, other))
-        assert _close(rotation_between(other, psi), _composed_between(other, psi))
+            assert close(got.rotation, want[2])
+        assert close(rotation_between(psi, other), _composed_between(psi, other))
+        assert close(rotation_between(other, psi), _composed_between(other, psi))
         # m' m^-1 with m' = m is the identity exactly; the composition, which
         # normalizes m and its conjugate apart, need not be
         assert rotation_between(psi, psi) == IDENTITY_ROTATION
-        assert _close(rotation_between(psi, psi), _composed_between(psi, psi))
+        assert close(rotation_between(psi, psi), _composed_between(psi, psi))
         for sign in (1, -1):
             assert stabilizer_check(psi, sign) == SpinorRotation(float(sign), 0.0, 0.0, 0.0)
     # the chart-weight third straddles the 1e-12 guard

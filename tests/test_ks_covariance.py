@@ -337,16 +337,11 @@ def _composed_rotated(w, rot, n, matvec=_matvec):
     return np.array(matvec(ow, matvec(so3_from_rotation(rot), matvec(ow.T, list(n)))))
 
 
-def _close(got, want):
-    # Within 2^-51 scaled: the library normalizes each chain once (core.unit4), where
-    # the compositions below normalize every intermediate SpinorRotation.
-    return scaled_residual(got.as_tuple(), want.as_tuple()) <= 2.0 ** -51
-
-
 def test_frames_equal_their_value_type_compositions():
     # normalize_ks, the directions, the singular split and rotated_direction bit for
-    # bit; the frame quadruple, its align and frame_symmetry within _close.
+    # bit; the frame quadruple, its align and frame_symmetry within oracles.close_to_chain.
     rng = np.random.default_rng(71)
+    close = oracles.close_to_chain
     singular, worst = 0, 0.0
     for n in oracles.hard_directions(rng, 1000):
         q = KSQuadruple(*(10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=4)))
@@ -362,13 +357,13 @@ def test_frames_equal_their_value_type_compositions():
             continue
         f = build_frame(q, n, delta)
         assert f.direction.tolist() == want[1]
-        assert _close(f.w, want[0]) and _close(f.align, want[2])
+        assert close(f.w, want[0]) and close(f.align, want[2])
         # a partner over the direction of q, at another scale
         turned = compose(rotation_from_unit_ks(hat(normalize_ks(q))),
                          axis_phase(float(rng.uniform(-math.pi, math.pi))))
         partner = KSQuadruple(*(10.0 ** rng.uniform(-3.0, 3.0)
                                 * hat(ks_from_rotation(turned)).as_array()))
-        assert _close(frame_symmetry(q, partner, delta), _composed_symmetry(q, partner, delta))
+        assert close(frame_symmetry(q, partner, delta), _composed_symmetry(q, partner, delta))
         rot = SpinorRotation(*oracles.haar_quadruple(rng))
         assert np.array_equal(rotated_direction(f.w, rot, n), _composed_rotated(f.w, rot, n))
         assert np.array_equal(rotated_direction(q, f.align, f.direction),

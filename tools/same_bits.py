@@ -48,9 +48,9 @@ EDGE_VALUES = (0.0, -0.0, TINY, -(MIN_NORMAL - TINY), MIN_NORMAL, -1.5, -1.2e308
 TOP_BAND = (1.34e154, 1.9e154)
 EDGE_SAMPLES = 300
 ANGLES = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, 3.0)
-# Chart weights |psi_1|^2 drawn log-uniform here straddle gauge_fixing.SINGULAR_WEIGHT,
-# 1e-12, and rotations with |c4| drawn here straddle rotation_algebra.VECTOR_PARAMETER_LIMIT,
-# 1e-9: the exponent ranges of both draws.
+# Exponent ranges of two log-uniform draws: chart weights |psi_1|^2 either side of
+# gauge_fixing.SINGULAR_WEIGHT (1e-12), and rotations' |c4| either side of
+# rotation_algebra.VECTOR_PARAMETER_LIMIT (1e-9).
 CHART_WEIGHTS = (-14.0, -10.0)
 HALF_TURN_C4 = (-11.0, -7.0)
 
@@ -182,7 +182,7 @@ def edge_inputs() -> dict:
         parabolic += np.stack([r * ch, r * sh, phi], axis=1).tolist()
     chart, chart_directions, half_turns = chart_inputs(rng)
     # The edge spinors and the bands normalized, and the chart-weight spinors.
-    units = [tuple(u) for u in dict.fromkeys(map(_unit, spinors)) if u] + chart
+    units = [u for u in dict.fromkeys(map(_unit, spinors)) if u] + chart
     rotations = units + half_turns
     axes = [v[:3] for v in directions] + chart_directions
     angles = list(ANGLES) + rng.uniform(-4.0 * math.pi, 4.0 * math.pi, len(spinors)).tolist()
