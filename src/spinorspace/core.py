@@ -425,7 +425,7 @@ def compose(r1: SpinorRotation, r2: SpinorRotation) -> SpinorRotation:
 
 def conjugate(rot: SpinorRotation) -> SpinorRotation:
     """Inverse rotation (c4, -c)."""
-    return SpinorRotation(rot.c4, -rot.c1, -rot.c2, -rot.c3)
+    return SpinorRotation(*conjugate4(rot.as_tuple()))
 
 
 __all__ = [

@@ -22,7 +22,6 @@ from .core import (
     MIN_NORMAL,
     Spinor,
     SpinorRotation,
-    TWO_PI,
     axis4,
     conjugate4,
     finite_angle,
@@ -57,17 +56,12 @@ class SingularGaugeError(ValueError):
 
 def axis_phase(delta: float) -> SpinorRotation:
     """The rotation (cos delta, 0, 0, sin delta), i.e. B = exp(-i delta sigma^3)."""
-    delta = finite_angle(delta, "axis phase delta")
-    return SpinorRotation(math.cos(delta), 0.0, 0.0, math.sin(delta))
+    return SpinorRotation(*axis4(FLOATS, finite_angle(delta, "axis phase delta")))
 
 
 def _unit_spinor(psi: Spinor, who: str) -> tuple:
     """The real parts (u1, u2, u3, u4) of psi, divided by its norm; who names a non-unit psi."""
     return unit4(FLOATS, psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag, who)
-
-
-def _cover_distance(a: float, b: float) -> float:
-    return abs(wrap_4pi(a - b))
 
 
 def psi_from_direction(n, gamma: float = 0.0) -> Spinor:
@@ -89,10 +83,10 @@ def psi_parts(xp, v1, v2, v3, gamma) -> tuple:
     n1, n2, n3, _ = unit4(xp, v1, v2, v3, 0.0, "direction must be a unit vector")
     requested = wrap_4pi(gamma)
     # The principal azimuth, or on the axis the requested phase itself. Its partner
-    # lift, phase + 2pi, is the same spinor negated, and wins where it is closer.
+    # lift, phase + 2pi, is the same spinor negated, and is the closer one on the 4pi
+    # cover where phase lies more than pi from the request.
     phase = xp.where((n1 == 0.0) & (n2 == 0.0), requested, xp.atan2(n2, n1))
-    sign = xp.where(_cover_distance(phase + TWO_PI, requested) < _cover_distance(phase, requested),
-                    -1.0, 1.0)
+    sign = xp.where(abs(wrap_4pi(phase - requested)) > math.pi, -1.0, 1.0)
     # 1 + |n3|: 1 + n3 on the upper half, 1 - n3 on the lower, the sum that does not cancel.
     plus = 1.0 + abs(n3)
     big, small = sign * xp.sqrt(0.5 * plus), sign * xp.hypot(n1, n2) * xp.sqrt(0.5 / plus)

@@ -24,10 +24,11 @@ from .core import (
     finite_angle,
     finite_vector,
     qmul,
+    quadruple_parts,
     unit4,
 )
 from .gauge_fixing import canonical_plus4
-from .rotation_algebra import so3_entries
+from .rotation_algebra import rotated, so3_entries
 
 DIRECTION_MATCH_TOLERANCE = 1e-9
 
@@ -102,21 +103,10 @@ def direction_from_ks(q: KSQuadruple) -> np.ndarray:
 def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
     """Move a quadruple with a rotation; norm is preserved exactly in theory.
 
-    Acts by the 4x4 orthogonal realization, equivalently by conjugating the
-    hat of q with the rotation on the quaternion side.
+    B(rot) on the spinor c1 = q1 + i q2, c2 = q3 + i q4 of q, read back as a
+    quadruple: the 4x4 orthogonal realization su2_real4(rot) @ q.
     """
-    return KSQuadruple(*transport4(rot.as_tuple(), q.as_tuple()))
-
-
-def transport4(c: tuple, q: tuple) -> tuple:
-    """su2_real4(c) @ q of left_transport, floats or columns: each row (a, b, e, f) of
-    real4_entries written out as (a q4 + b q1) + (e q2 + f q3)."""
-    c4, c1, c2, c3 = c
-    q4, q1, q2, q3 = q
-    return ((c4 * q4 + -c1 * q1) + (c2 * q2 + c3 * q3),
-            (c1 * q4 + c4 * q1) + (c3 * q2 + -c2 * q3),
-            (-c2 * q4 + -c3 * q1) + (c4 * q2 + -c1 * q3),
-            (-c3 * q4 + c2 * q1) + (c1 * q2 + c4 * q3))
+    return KSQuadruple(*quadruple_parts(*rotated(rot.as_tuple(), q.q1, q.q2, q.q3, q.q4)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,17 +185,14 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
 
 def turned3(xp, w: tuple, c: tuple, n) -> tuple:
     """rotated_direction's O(hat w) O(c) O(hat w)^T n, n three components, floats or
-    columns: three mat-vecs written out, each row summed as a0 n0 + (a1 n1 + a2 n2)."""
-    (o11, o12, o13), (o21, o22, o23), (o31, o32, o33) = so3_entries(
-        *unit4(xp, *hat4(unit_ks(xp, w))))
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = so3_entries(*c)
+    columns: O(h c h^-1) n for h = hat w, as O(a) O(b) = O(ab) and O(a)^T = O(a^-1).
+    The mat-vec is written out, each row summed as a0 n0 + (a1 n1 + a2 n2)."""
+    h = hat4(unit_ks(xp, w))
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = so3_entries(
+        *unit4(xp, *qmul(qmul(h, c), conjugate4(h))))
     n1, n2, n3 = n
-    m1, m2, m3 = (o11 * n1 + (o21 * n2 + o31 * n3), o12 * n1 + (o22 * n2 + o32 * n3),
-                  o13 * n1 + (o23 * n2 + o33 * n3))
-    t1, t2, t3 = (r11 * m1 + (r12 * m2 + r13 * m3), r21 * m1 + (r22 * m2 + r23 * m3),
-                  r31 * m1 + (r32 * m2 + r33 * m3))
-    return (o11 * t1 + (o12 * t2 + o13 * t3), o21 * t1 + (o22 * t2 + o23 * t3),
-            o31 * t1 + (o32 * t2 + o33 * t3))
+    return (a11 * n1 + (a12 * n2 + a13 * n3), a21 * n1 + (a22 * n2 + a23 * n3),
+            a31 * n1 + (a32 * n2 + a33 * n3))
 
 
 __all__ = [

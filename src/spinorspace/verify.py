@@ -59,7 +59,6 @@ from .ks_covariance import (
     hat4,
     normalize_ks,
     symmetry4,
-    transport4,
     turned3,
     unit_ks,
 )
@@ -453,7 +452,8 @@ def _check_direction_matrix(u):
 @_check("ks", "left_transport_routes", 0.3, _two_units)
 def _check_left_transport(c, u):
     rot, q = _rotation(c.T), u.T
-    moved = transport4(rot, q)
+    q4, q1, q2, q3 = q
+    moved = quadruple_parts(*rotated(rot, q1, q2, q3, q4))
     n_moved, n = (stacked(direction4(unit_ks(COLUMNS, p))) for p in (moved, q))
     # The 4x4 action against hat(rot hat(q)), on the quaternion side.
     moved, product = stacked(moved), stacked(hat4(_rotation(qmul(rot, _rotation(hat4(q))))))

@@ -34,6 +34,7 @@ from spinorspace import (
     left_transport,
     normalize_ks,
     psi_from_direction,
+    quadruple_from_spinor,
     rotate_spinor,
     rotated_direction,
     rotation_between,
@@ -42,6 +43,7 @@ from spinorspace import (
     s_outside_su2_image,
     so3_from_rotation,
     so3_from_vector_parameter,
+    spinor_from_quadruple,
     su2_matrix,
     su2_real4,
     vector_parameter,
@@ -50,7 +52,8 @@ from spinorspace import (
 from spinorspace import gauge_fixing as gf
 from spinorspace import ks_covariance as ks
 from spinorspace import rotation_algebra as ra
-from spinorspace.core import COLUMNS, axis4, conjugate4, qmul, stacked, su2_parts, unit4
+from spinorspace.core import (COLUMNS, axis4, conjugate4, qmul, quadruple_parts, stacked,
+                              su2_parts, unit4)
 
 rows_equal = oracles.assert_rows_equal
 
@@ -294,6 +297,19 @@ def test_frame_columns_keep_the_scalar_bits():
         gf.canonical_plus4(COLUMNS, axes.T)
 
 
+def test_left_transport_is_the_spinor_rotation():
+    # B(rot) on the spinor of q, read back as a quadruple, bit for bit: Haar
+    # rotations and the quadruples of the transport draw below.
+    rng = np.random.default_rng(75)
+    c = np.array([oracles.haar_quadruple(rng) for _ in range(1000)])
+    q = np.ldexp(rng.normal(size=(len(c), 4)), rng.integers(-1074, 1000, size=(len(c), 1)))
+    for row, quad in zip(c.tolist(), q.tolist()):
+        rot, t = SpinorRotation(*row), KSQuadruple(*quad)
+        want = quadruple_from_spinor(rotate_spinor(rot, spinor_from_quadruple(t)))
+        assert [x.hex() for x in left_transport(rot, t).as_tuple()] == [
+            x.hex() for x in want.as_tuple()]
+
+
 def test_transport_columns_keep_the_scalar_bits():
     rng = np.random.default_rng(74)
     c = _unit_rows(rng)
@@ -303,7 +319,8 @@ def test_transport_columns_keep_the_scalar_bits():
     rots = [SpinorRotation(*row) for row in c.tolist()]
     quads = [KSQuadruple(*row) for row in q.tolist()]
     rot = unit4(COLUMNS, *c.T)
-    rows_equal(ks.transport4(rot, tuple(q.T)),
+    q4, q1, q2, q3 = q.T  # the spinor c1 = q1 + i q2, c2 = q3 + i q4
+    rows_equal(quadruple_parts(*ra.rotated(rot, q1, q2, q3, q4)),
                [left_transport(r, t).as_tuple() for r, t in zip(rots, quads)])
     with np.errstate(over="ignore", under="ignore"):  # the rows rescaled after
         turned = ks.turned3(COLUMNS, tuple(q.T), rot, v.T)

@@ -1,8 +1,8 @@
 """The written-out kernels keep the bits of the comprehension forms they replaced,
 and core's scaled residual keeps the bits of the module copies it replaced.
 
-stabilizer_solve, transport4 and turned3 are written out entry by entry. The
-references below are their comprehension forms, kept as they were. Both run on
+stabilizer_solve and turned3 are written out entry by entry. The references
+below are their comprehension forms. Both run on
 floats and on columns, and their results are compared as int64 bit patterns,
 so that a signed zero, a subnormal or a NaN from an overflow counts. Each sum
 keeps its grouping: a regrouped row moves bits on about 3 in 10 random
@@ -21,11 +21,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorspace.core import COLUMNS, FLOATS, residual_rows, unit4
+from spinorspace.core import COLUMNS, FLOATS, conjugate4, qmul, residual_rows, unit4
 from spinorspace.fixtures import generate_fixtures, replay_residuals
 from spinorspace.gauge_fixing import stabilizer_solve
-from spinorspace.ks_covariance import hat4, transport4, turned3, unit_ks
-from spinorspace.rotation_algebra import linear_system_entries, real4_entries, so3_entries
+from spinorspace.ks_covariance import hat4, turned3, unit_ks
+from spinorspace.rotation_algebra import linear_system_entries, so3_entries
 
 
 def stabilizer_solve_reference(q, sign):
@@ -34,17 +34,11 @@ def stabilizer_solve_reference(q, sign):
     return tuple(sign * entry / gq[0] for entry in gq)
 
 
-def transport4_reference(c, q):
-    q4, q1, q2, q3 = q
-    return tuple((a * q4 + b * q1) + (e * q2 + f * q3) for a, b, e, f in real4_entries(*c))
-
-
 def turned3_reference(xp, w, c, n):
-    ow = so3_entries(*unit4(xp, *hat4(unit_ks(xp, w))))
-    for m in (zip(*ow), so3_entries(*c), ow):
-        n1, n2, n3 = n
-        n = tuple(a * n1 + (b * n2 + e * n3) for a, b, e in m)
-    return n
+    h = hat4(unit_ks(xp, w))
+    n1, n2, n3 = n
+    return tuple(a * n1 + (b * n2 + e * n3)
+                 for a, b, e in so3_entries(*unit4(xp, *qmul(qmul(h, c), conjugate4(h)))))
 
 
 def mismatch_reference(maximum, a, b):
@@ -96,15 +90,6 @@ def test_stabilizer_solve_keeps_the_bits_of_its_comprehension(rows, sign):
         assert outcome(stabilizer_solve, q, sign) == outcome(stabilizer_solve_reference, q, sign)
     q = _columns(rows)
     assert outcome(stabilizer_solve, q, sign) == outcome(stabilizer_solve_reference, q, sign)
-
-
-@_PROPERTY
-@given(st.lists(st.tuples(_QUAD, _QUAD), min_size=1, max_size=6))
-def test_transport4_keeps_the_bits_of_its_comprehension(rows):
-    for c, q in rows:
-        assert outcome(transport4, c, q) == outcome(transport4_reference, c, q)
-    c, q = (_columns(part) for part in zip(*rows))
-    assert outcome(transport4, c, q) == outcome(transport4_reference, c, q)
 
 
 @_PROPERTY

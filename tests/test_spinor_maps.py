@@ -885,7 +885,7 @@ _KERNELS = (core.unit4, core.qmul, core.axis4, core.conjugate4, core.su2_parts, 
             core.stacked, ra.so3_entries, ra.real4_entries, ra.linear_system_entries,
             ra.vector_parameter_entries, ra.chart_scaled, ra.chart4, ra.chart_so3, ra.plane_entries,
             ra.rotated, ra.real4_fit,
-            ks.unit_ks, ks.hat4, ks.direction4, ks.symmetry4, ks.transport4, ks.frame4,
+            ks.unit_ks, ks.hat4, ks.direction4, ks.symmetry4, ks.frame4,
             ks.turned3, gf.psi_parts, gf.gauge_plus4, gf.swap4, gf.canonical4,
             gf.canonical_plus4, gf.planar_chart, gf.between4, gf.stabilizer_solve)
 
