@@ -186,7 +186,9 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
 def turned3(xp, w: tuple, c: tuple, n) -> tuple:
     """rotated_direction's O(hat w) O(c) O(hat w)^T n, n three components, floats or
     columns: O(h c h^-1) n for h = hat w, as O(a) O(b) = O(ab) and O(a)^T = O(a^-1).
-    The mat-vec is written out, each row summed as a0 n0 + (a1 n1 + a2 n2)."""
+    c is a rotation's unit quadruple: h c h^-1 has c's norm, and unit4 raises
+    ValueError where it is off 1 by NORM_SLACK or more. The mat-vec is written out,
+    each row summed as a0 n0 + (a1 n1 + a2 n2)."""
     h = hat4(unit_ks(xp, w))
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = so3_entries(
         *unit4(xp, *qmul(qmul(h, c), conjugate4(h))))

@@ -297,19 +297,6 @@ def test_frame_columns_keep_the_scalar_bits():
         gf.canonical_plus4(COLUMNS, axes.T)
 
 
-def test_left_transport_is_the_spinor_rotation():
-    # B(rot) on the spinor of q, read back as a quadruple, bit for bit: Haar
-    # rotations and the quadruples of the transport draw below.
-    rng = np.random.default_rng(75)
-    c = np.array([oracles.haar_quadruple(rng) for _ in range(1000)])
-    q = np.ldexp(rng.normal(size=(len(c), 4)), rng.integers(-1074, 1000, size=(len(c), 1)))
-    for row, quad in zip(c.tolist(), q.tolist()):
-        rot, t = SpinorRotation(*row), KSQuadruple(*quad)
-        want = quadruple_from_spinor(rotate_spinor(rot, spinor_from_quadruple(t)))
-        assert [x.hex() for x in left_transport(rot, t).as_tuple()] == [
-            x.hex() for x in want.as_tuple()]
-
-
 def test_transport_columns_keep_the_scalar_bits():
     rng = np.random.default_rng(74)
     c = _unit_rows(rng)
@@ -320,8 +307,11 @@ def test_transport_columns_keep_the_scalar_bits():
     quads = [KSQuadruple(*row) for row in q.tolist()]
     rot = unit4(COLUMNS, *c.T)
     q4, q1, q2, q3 = q.T  # the spinor c1 = q1 + i q2, c2 = q3 + i q4
-    rows_equal(quadruple_parts(*ra.rotated(rot, q1, q2, q3, q4)),
-               [left_transport(r, t).as_tuple() for r, t in zip(rots, quads)])
+    moved = quadruple_parts(*ra.rotated(rot, q1, q2, q3, q4))
+    rows_equal(moved, [left_transport(r, t).as_tuple() for r, t in zip(rots, quads)])
+    # left_transport is B(rot) on the spinor of q, read back as a quadruple
+    rows_equal(moved, [quadruple_from_spinor(rotate_spinor(r, spinor_from_quadruple(t)))
+                       .as_tuple() for r, t in zip(rots, quads)])
     with np.errstate(over="ignore", under="ignore"):  # the rows rescaled after
         turned = ks.turned3(COLUMNS, tuple(q.T), rot, v.T)
     rows_equal(turned, [rotated_direction(t, r, d) for t, r, d in zip(quads, rots, v)])

@@ -6,7 +6,8 @@ below are their comprehension forms. Both run on
 floats and on columns, and their results are compared as int64 bit patterns,
 so that a signed zero, a subnormal or a NaN from an overflow counts. Each sum
 keeps its grouping: a regrouped row moves bits on about 3 in 10 random
-draws, and no residual bound sees that.
+draws, and no residual bound sees that. turned3 takes a rotation's unit
+quadruple, so its c is drawn unit; its w and n take the edge entries.
 
 symmetry4's direction mismatch and replay_residuals' formula were written out
 in their modules; the references below are those copies, kept as they were.
@@ -74,6 +75,14 @@ _ENTRY = st.sampled_from(_EDGES) | st.floats(-2.0, 2.0) | st.floats(allow_nan=Fa
                                                                    allow_infinity=False)
 _QUAD = st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY)
 _TRIPLE = st.tuples(_ENTRY, _ENTRY, _ENTRY)
+# Unit quadruples: the axes with signed zeros, and draws divided by their norm,
+# then moved off unit norm by up to 9e-7, inside core.NORM_SLACK.
+_UNIT = (st.sampled_from([(1.0, 0.0, -0.0, 0.0), (-0.0, -1.0, 0.0, 0.0), (0.0, -0.0, 1.0, -0.0),
+                          (-0.0, 0.0, 0.0, -1.0), (0.5, -0.5, 0.5, 0.5)])
+         | st.builds(lambda q, e: tuple(x / math.hypot(*q) * (1.0 + e) for x in q),
+                     st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY).filter(
+                         lambda q: 1e-300 < math.hypot(*q) < math.inf),
+                     st.floats(-9e-7, 9e-7)))
 _PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 _FEWER = settings(_PROPERTY, max_examples=100)  # the residual pins: one formula, few branches
 
@@ -92,13 +101,23 @@ def test_stabilizer_solve_keeps_the_bits_of_its_comprehension(rows, sign):
     assert outcome(stabilizer_solve, q, sign) == outcome(stabilizer_solve_reference, q, sign)
 
 
-@_PROPERTY
-@given(st.lists(st.tuples(_QUAD, _QUAD, _TRIPLE), min_size=1, max_size=6))
-def test_turned3_keeps_the_bits_of_its_comprehension(rows):
-    for w, c, n in rows:
-        assert outcome(turned3, FLOATS, w, c, n) == outcome(turned3_reference, FLOATS, w, c, n)
-    w, c, n = (_columns(part) for part in zip(*rows))
-    assert outcome(turned3, COLUMNS, w, c, n) == outcome(turned3_reference, COLUMNS, w, c, n)
+def test_turned3_keeps_the_bits_of_its_comprehension():
+    returned = {"floats": [], "columns": []}  # per call, whether it gave values or raised
+
+    @_PROPERTY
+    @given(st.lists(st.tuples(_QUAD, _UNIT, _TRIPLE), min_size=1, max_size=6))
+    def check(rows):
+        calls = [("floats", FLOATS, row) for row in rows]
+        calls.append(("columns", COLUMNS, tuple(_columns(part) for part in zip(*rows))))
+        for name, xp, (w, c, n) in calls:
+            got = outcome(turned3, xp, w, c, n)
+            assert got == outcome(turned3_reference, xp, w, c, n)
+            returned[name].append(isinstance(got, list))
+
+    check()
+    # Only a zero w raises: the bits are compared on nearly every row and column call.
+    for name, values in returned.items():
+        assert sum(values) > 0.9 * len(values), (name, sum(values), len(values))
 
 
 def _bits(values) -> list:

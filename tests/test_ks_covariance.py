@@ -337,13 +337,10 @@ def _composed_symmetry(u, w, delta):
 def test_frames_equal_their_value_type_compositions():
     # normalize_ks, the directions and the singular split bit for bit; the frame
     # quadruple, its align and frame_symmetry within oracles.close_to_chain;
-    # rotated_direction against the 50-digit reference.
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 50
+    # rotated_direction against the 50-digit reference, last, as it needs mpmath.
     rng = np.random.default_rng(71)
     close = oracles.close_to_chain
-    singular, worst = 0, 0.0
+    singular, turns = 0, []
     for n in oracles.hard_directions(rng, 1000):
         q = KSQuadruple(*(10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=4)))
         delta = float(rng.uniform(-20.0, 20.0))
@@ -365,12 +362,13 @@ def test_frames_equal_their_value_type_compositions():
         partner = KSQuadruple(*(10.0 ** rng.uniform(-3.0, 3.0)
                                 * hat(ks_from_rotation(turned)).as_array()))
         assert close(frame_symmetry(q, partner, delta), _composed_symmetry(q, partner, delta))
-        rot = SpinorRotation(*oracles.haar_quadruple(rng))
-        worst = max(worst, _error(mp, rotated_direction(f.w, rot, n),
-                                  _rotated_exact(mp, f.w, rot, n)))
-    assert worst <= 1e-15
+        turns.append((f.w, SpinorRotation(*oracles.haar_quadruple(rng)), n))
     # axes at the (+) chart's singular weight: about a sixth of the draws
     assert 50 < singular < 300
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    assert max(_error(mp, rotated_direction(w, rot, n), _rotated_exact(mp, w, rot, n))
+               for w, rot, n in turns) <= 1e-15
 
 
 def test_frame_axis_is_a_copy():
