@@ -265,14 +265,11 @@ def pow2_scaled(values) -> tuple:
 
 def scaled_residual(lhs, rhs) -> float:
     """Magnitude-scaled disagreement max|lhs - rhs| / max(1, |lhs|, |rhs|), inf where NaN, of
-    scalars or array-likes; two tuples of Python floats of one length skip numpy."""
-    if not (type(lhs) is tuple and type(rhs) is tuple and len(lhs) == len(rhs)
-            and set(map(type, lhs + rhs)) == {float}):
-        left, right = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-        if left.shape != right.shape:
-            left, right = np.broadcast_arrays(left, right)
-        lhs, rhs = left.ravel().tolist(), right.ravel().tolist()
-    return float_residual(lhs, rhs)
+    scalars or array-likes."""
+    left, right = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    if left.shape != right.shape:
+        left, right = np.broadcast_arrays(left, right)
+    return float_residual(left.ravel().tolist(), right.ravel().tolist())
 
 
 def float_residual(lhs, rhs) -> float:

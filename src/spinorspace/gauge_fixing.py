@@ -223,12 +223,12 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
     shared constant per sign.
     """
     sign = sign_flag(sign, "sign")
-    q = quadruple_parts(psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag)
-    if not MIN_NORMAL <= psi.norm_sq < math.inf:
+    q4, q1, q2, q3 = q = quadruple_parts(psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag)
+    # |q|^2 in stabilizer_solve's order: where it under- or overflows, so does the solve. G
+    # is linear in q, so the system on q times an exact power of two has the same solution.
+    if not MIN_NORMAL <= (q4 * q4 + q1 * q1) + (q2 * q2 + q3 * q3) < math.inf:
         if not any(q):
             raise ValueError("stabilizer is undefined for the zero spinor")
-        # |q|^2 under- or overflows, and so may the solve; G is linear in q, so
-        # the system on q times an exact power of two has the same solution.
         q = pow2_scaled(q)
     solved = stabilizer_solve(q, sign)
     if not float_residual(solved, (float(sign), 0.0, 0.0, 0.0)) <= 1e-9:  # a NaN solve fails too
@@ -240,7 +240,11 @@ def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:
 def stabilizer_solve(q: tuple, sign) -> tuple:
     """c = sign G^T q / |q|^2 solves G c = sign q for the linear_system_entries G of a quadruple
     q, floats or columns, as G^T G = |q|^2 I; G^T q starts with |q|^2, as G starts with q.
-    Written out: entry j is column j of G times q, as (a q4 + b q1) + (c q2 + d q3)."""
+    Written out: entry j is column j of G times q, as (a q4 + b q1) + (c q2 + d q3).
+    Entries 1-3 cancel exactly while the products are finite: each is s + (-s) for one
+    rounded sum s, as x y = y x and rounding is symmetric in IEEE arithmetic. With
+    |q|^2 / |q|^2 = 1, the solve misses +-identity only where |q|^2 underflows to 0 or
+    overflows to inf."""
     q4, q1, q2, q3 = q
     g0 = (q4 * q4 + q1 * q1) + (q2 * q2 + q3 * q3)
     g1 = (-q1 * q4 + q4 * q1) + (-q3 * q2 + q2 * q3)

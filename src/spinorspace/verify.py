@@ -64,7 +64,6 @@ from .ks_covariance import (
 )
 from .rotation_algebra import (
     ELEMENTARY_PLANES,
-    PAULI,
     chart4,
     chart_so3,
     extract_so3,
@@ -205,16 +204,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("nkl,nl->nk", m, v)
-
-
-def _sigma(v: np.ndarray) -> np.ndarray:
-    """v . sigma for a batch of 3-vectors, shape (N, 2, 2)."""
-    return np.einsum("nj,jab->nab", v, PAULI)
-
-
-def _conjugate(b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """b m b^dag for batches of 2x2 matrices, as real (N, 2, 4) storage."""
-    return np.einsum("nab,nbc,ndc->nad", b, m, b.conj()).view(float)
 
 
 # Input draws: each returns every sample's inputs as a tuple of arrays.
@@ -477,13 +466,13 @@ def _check_frame_identities(u, axes, delta):
     align = _rotation(canonical_plus4(COLUMNS, axes.T))
     w, n = frame4(COLUMNS, u.T, align, delta)
     w_rot = _rotation(hat4(w))
-    # rotated n', direction of w, B(hat w), O(hat w), n
+    # rotated n', direction of w, O(hat w) by the trace map and by its closed form, n
     n_prime, n_w = stacked(turned3(COLUMNS, w, align, n)), stacked(direction4(unit_ks(COLUMNS, w)))
-    b_w, o_w, n = _su2(w_rot), stacked(so3_entries(*w_rot)), stacked(n)
-    third = np.broadcast_to(PAULI[2], b_w.shape)
-    return max(_worst(_conjugate(b_w, _sigma(axes)), (-_sigma(n)).view(float), (1, 2)),
+    e_w, o_w, n = extract_so3(_su2(w_rot)), stacked(so3_entries(*w_rot)), stacked(n)
+    # B (v.sigma) B^dag = (O v).sigma: B (A.sigma) B^dag = -n.sigma, B sigma^3 B^dag = -n'.sigma
+    return max(_worst(_apply(e_w, axes), -n, 1),
                _worst(axes, -np.einsum("nkl,nk->nl", o_w, n), 1),
-               _worst(_conjugate(b_w, third), (-_sigma(n_prime)).view(float), (1, 2)),
+               _worst(e_w[:, :, 2], -n_prime, 1),
                _worst(n_prime, n_w, 1))
 
 

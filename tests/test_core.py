@@ -535,7 +535,7 @@ def test_scaled_residual_broadcasts_an_empty_side_as_numpy_does():
     with pytest.raises(ValueError, match="broadcast"):
         scaled_residual([], [1.0, 2.0])
 
-# Pairs of tuples: the tuple path takes those of Python floats of one length.
+# Pairs of tuples, of Python floats and of other numbers: each scores as its arrays do.
 _TUPLE_PAIRS = {
     "floats": ((1.0, 2.0, -3.0), (1.0, 2.5, -3.0)),
     "large": ((3e300, -1e300), (1e300, 1e300)),
@@ -561,9 +561,3 @@ def test_scaled_residual_scores_tuples_as_arrays(lhs, rhs):
         except ValueError as exc:
             return type(exc)
     assert score(lhs, rhs) == score(np.array(lhs, dtype=float), np.array(rhs, dtype=float))
-
-
-def test_scaled_residual_scores_float_tuples_without_numpy(monkeypatch):
-    monkeypatch.setattr(spinorspace.core, "np", None)
-    assert scaled_residual((1.0, 2.0), (1.0, 2.5)) == 0.2
-    assert scaled_residual((1.0, 0.0), (1.0, math.nan)) == math.inf

@@ -372,11 +372,15 @@ def test_stabilizer_check_rejects_one_nonfinite_entry(monkeypatch, entry, bad, s
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("psi", [Spinor(1e-200 + 0.0j, 0.0j), Spinor(1e-320 + 0.0j, 0.0j),
-                                 Spinor(5e-324j, -0.0j), Spinor(1e308 + 1e308j, -1e308j)],
-                         ids=["tiny", "subnormal", "least", "huge"])
+                                 Spinor(5e-324j, -0.0j), Spinor(1e308 + 1e308j, -1e308j),
+                                 Spinor(7.244872018900139e+153 + 7.075222611182035e+153j,
+                                        7.407922093219855e+153 + 4.727055973752906e+153j)],
+                         ids=["tiny", "subnormal", "least", "huge", "top"])
 def test_stabilizer_check_off_the_normal_range(psi, sign):
     # |psi|^2 underflows to zero below about 1.5e-162, where the spinor is not
     # zero, and a solve on subnormal entries gives NaN; past 1.3e154 it overflows.
+    # At "top", |psi|^2 summed left to right is the largest double, but the
+    # solve's (q4^2 + q1^2) + (q2^2 + q3^2) rounds to inf.
     assert stabilizer_check(psi, sign) is stabilizer_check(Spinor(1.0 + 0.0j, 0.0j), sign)
 
 

@@ -229,6 +229,20 @@ def test_double_cover_sign_compares_whole_spinors(monkeypatch):
     assert not result.passed and result.max_residual == 2.0
 
 
+def test_frame_identities_catch_a_planted_frame_fault(monkeypatch):
+    u, axes, delta = verify._frame_draw(np.random.default_rng(29), 200)
+    assert verify._check_frame_identities(u, axes, delta) < 1e-14
+    real_frame4 = verify.frame4
+    # The frame quadruple built without its aligning rotation.
+    monkeypatch.setattr(verify, "frame4",
+                        lambda xp, q, align, d: real_frame4(xp, q, (1.0, 0.0, 0.0, 0.0), d))
+    assert verify._check_frame_identities(u, axes, delta) > 1e-3
+    monkeypatch.undo()
+    # n' left where it was, not turned by the frame.
+    monkeypatch.setattr(verify, "turned3", lambda xp, w, c, n: n)
+    assert verify._check_frame_identities(u, axes, delta) > 1e-3
+
+
 def test_canonical_gauges_with_every_sample_singular():
     # Both spinors lie inside the constructors' singular guard: nothing to compare.
     psi = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])

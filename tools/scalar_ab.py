@@ -12,10 +12,12 @@ overflow (its halved rerun; a parent tree that raises there is timed
 raising), u_to_v, rotate_spinor, so3_from_rotation,
 so3_from_vector_parameter, rotation_from_vector_parameter,
 rotation_from_axis_angle, psi_from_direction on both of its lifts, the gauges,
-rotation_between, stabilizer_check in range and on a spinor whose |psi|^2
-underflows (its pow2_scaled branch), core.scaled_residual on two tuples of
-four floats (stabilizer_check's score, with the type check that stabilizer_check
-skips), direction_from_ks, build_frame,
+rotation_between, stabilizer_check in range, on a spinor whose |psi|^2
+underflows (its pow2_scaled branch) and on one whose solve's |q|^2 rounds to
+inf at the top of the range (a parent tree that raises there is timed
+raising), core.scaled_residual on two tuples of four floats (through numpy,
+as it scores any tuple; stabilizer_check scores its solve with
+core.float_residual), direction_from_ks, build_frame,
 frame_symmetry, left_transport, rotated_direction, fixture_record on a
 spherical and a Cartesian point, each on sheet -1, fixtures.dumps_record and
 replay_residual on one generated eta record, fixtures.replay_residuals on the
@@ -65,6 +67,9 @@ def calls(ss) -> list:
     direction = (0.6, 0.0, 0.8)
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
     tiny = ss.Spinor(3e-170 - 4e-170j, 1e-170 + 2e-170j)  # |psi|^2 underflows to 0
+    # |psi|^2 is the largest double, and the solve's (q4^2 + q1^2) + (q2^2 + q3^2) is inf
+    last = ss.Spinor(7.244872018900139e+153 + 7.075222611182035e+153j,
+                     7.407922093219855e+153 + 4.727055973752906e+153j)
     top = ss.Spinor(1.5e154, 1e-200j)  # |c1|^2 overflows, x2 = 1.5e-46 does not
     huge = ss.Spinor(1.2e308, -1.2e308)  # c1 - c2 overflows, (c1 - c2) / sqrt(2) does not
     solved = (-1.0, 0.0, -2.1e-17, 5.5e-18)
@@ -115,7 +120,8 @@ def calls(ss) -> list:
         ("rotation_between", lambda: ss.rotation_between(psi, other)),
         ("stabilizer_check", lambda: ss.stabilizer_check(psi, -1)),
         ("stabilizer_check off range", lambda: ss.stabilizer_check(tiny, -1)),
-        ("scaled_residual", lambda: ss.scaled_residual(solved, (-1.0, 0.0, 0.0, 0.0))),
+        ("stabilizer_check top of range", lambda: _or_error(ss.stabilizer_check, last)),
+        ("scaled_residual tuples", lambda: ss.scaled_residual(solved, (-1.0, 0.0, 0.0, 0.0))),
         ("direction_from_ks", lambda: ss.direction_from_ks(q)),
         ("build_frame", lambda: ss.build_frame(q, (0.0, 0.6, 0.8), 0.4)),
         ("frame_symmetry", lambda: ss.frame_symmetry(q, partner, 0.4)),
@@ -131,11 +137,11 @@ def calls(ss) -> list:
 
 
 def _or_error(function, argument):
-    """function(argument), or the ValueError it raises: a parent tree may raise where
-    the change returns."""
+    """function(argument), or the ValueError or ArithmeticError it raises: a parent tree
+    may raise where the change returns."""
     try:
         return function(argument)
-    except ValueError as error:
+    except (ValueError, ArithmeticError) as error:
         return error
 
 
