@@ -23,7 +23,6 @@ from .core import (
     Spinor,
     SpinorRotation,
     axis4,
-    conjugate4,
     finite_angle,
     finite_vector,
     float_residual,
@@ -158,36 +157,26 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
 
 def _canonical(psi: Spinor, sign: int, who: str) -> CanonicalGauge:
     """The canonical (+) gauge (sign 1) or (-) gauge (sign -1) of psi."""
-    u = _unit_spinor(psi, who)
-    s, gamma, rotation = canonical4(FLOATS, u, sign)
-    return CanonicalGauge(gamma=gamma, vector_parameter=np.array(planar_chart(u, s, sign)),
+    gamma, c_vec, rotation = canonical4(FLOATS, _unit_spinor(psi, who), sign)
+    return CanonicalGauge(gamma=gamma, vector_parameter=np.array(c_vec),
                           rotation=SpinorRotation(*rotation))
 
 
 def canonical4(xp, u: tuple, sign: int) -> tuple:
-    """The chart weight s, canonical phase gamma and raw planar rotation of the (+)
-    gauge (sign 1) or (-) gauge (sign -1) of unit parts u; a singular weight raises
-    SingularGaugeError. The (-) gauge is the (+) gauge of swap4(u)."""
-    w = u if sign == 1 else swap4(u)
-    w1, w2 = w[0], w[1]
+    """The canonical phase gamma, vector parameter C and raw planar rotation of the (+)
+    gauge (sign 1) or (-) gauge (sign -1) of unit parts u, from w = u or w = swap4(u); a
+    singular chart weight s = w1^2 + w2^2 raises SingularGaugeError. The rotation is
+    gauge_plus4(xp, w, gamma) multiplied out: cos and sin of gamma / 2 are (w1, -w2) / sqrt(s),
+    and qmul((w1, 0, 0, -w2), (w1, w4, -w3, w2)) = (s, n1, n2, w1 w2 - w1 w2) is the rotation
+    times sqrt(s), so c3 is exactly 0, and C = (n1, n2, 0) / s."""
+    w1, w2, w3, w4 = u if sign == 1 else swap4(u)
     s = w1 * w1 + w2 * w2
     regular = s > SINGULAR_WEIGHT
     if regular is not True and not xp.all(regular):
         raise SingularGaugeError(f"{_UNDEFINED[sign]} {s!r}")
-    gamma = 2.0 * xp.atan2(-w2, w1)
-    return s, gamma, gauge_plus4(xp, w, gamma)
-
-
-def planar_chart(u: tuple, s, sign: int) -> tuple:
-    """The vector parameter C of the canonical (+) gauge (sign 1) or (-) gauge
-    (sign -1) of unit parts u, whose chart weight is s."""
-    u1, u2, u3, u4 = u
-    # Each sign has its own line: the (+) line on swap4(u) has the (-) values,
-    # but gives +0.0 where this gives -0.0, as for the direction (1, 0, 0),
-    # whose C the CLI prints.
-    if sign == 1:
-        return (u1 * u4 - u2 * u3) / s, -(u1 * u3 + u2 * u4) / s, 0.0
-    return -(u1 * u4 - u2 * u3) / s, (u1 * u3 + u2 * u4) / s, 0.0
+    n1, n2 = w1 * w4 - w2 * w3, -(w1 * w3 + w2 * w4)
+    root = xp.sqrt(s)
+    return 2.0 * xp.atan2(-w2, w1), (n1 / s, n2 / s, 0.0), (root, n1 / root, n2 / root, 0.0)
 
 
 def canonical_plus4(xp, n) -> tuple:
@@ -208,10 +197,11 @@ def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
 
 
 def between4(xp, u: tuple, v: tuple) -> tuple:
-    """The raw rotation of rotation_between for unit parts u and v."""
+    """The raw rotation of rotation_between for unit parts u and v: m' m^{-1}, with
+    m^{-1} = (u1, u4, -u3, u2)."""
     u1, u2, u3, u4 = u
     v1, v2, v3, v4 = v
-    return qmul((v1, -v4, v3, -v2), conjugate4((u1, -u4, u3, -u2)))
+    return qmul((v1, -v4, v3, -v2), (u1, u4, -u3, u2))
 
 
 def stabilizer_check(psi: Spinor, sign: int = 1) -> SpinorRotation:

@@ -99,7 +99,7 @@ _PARABOLIC_SETTERS = slot_setters(ParabolicPoint)
 
 def _cartesian(xp, x1, x2, x3, sheet, magnitudes) -> tuple:
     """sheet (m1 e^{-i phi/2}, m2 e^{+i phi/2}) of a Cartesian point other than the
-    origin, with (m1, m2) = magnitudes(xp, x3, rho^2, r) and phi the principal
+    origin, with (m1, m2) = magnitudes(xp, x1, x2, x3, rho^2, r) and phi the principal
     azimuth: sheet -1, the phi + 2pi lift, is the same spinor negated, exactly."""
     m1, m2 = _point_magnitudes(xp, x1, x2, x3, magnitudes)
     # The principal azimuth, which is defined as 0 on the axis (rho = 0).
@@ -118,28 +118,34 @@ def cartesian_columns(kernel, x1, x2, x3, sheet) -> np.ndarray:
 
 
 def _point_magnitudes(xp, x1, x2, x3, magnitudes) -> tuple:
-    """magnitudes(xp, x3, rho^2, r) of a nonzero point. Where r^2 leaves the normal
+    """magnitudes(xp, x1, x2, x3, rho^2, r) of a nonzero point. Where r^2 leaves the normal
     range they are rerun on the point times 4^k, 2^k times the true ones, and unscaled."""
     rho_sq = x1 * x1 + x2 * x2
     r_sq = rho_sq + x3 * x3
     normal = (MIN_NORMAL <= r_sq) & (r_sq < math.inf)
     if xp.all(normal):
-        return magnitudes(xp, x3, rho_sq, xp.sqrt(r_sq))
+        return magnitudes(xp, x1, x2, x3, rho_sq, xp.sqrt(r_sq))
     k = xp.where(normal, 0, xp.pow2_shift(x1, x2, x3) // 2)
     e = 2 * k
     m1, m2 = _point_magnitudes(xp, xp.ldexp(x1, e), xp.ldexp(x2, e), xp.ldexp(x3, e), magnitudes)
     return xp.ldexp(m1, -k), xp.ldexp(m2, -k)
 
 
-def _xi_magnitudes(xp, x3, rho_sq, r) -> tuple:
+def _xi_magnitudes(xp, x1, x2, x3, rho_sq, r) -> tuple:
     # r - |x3| cancels near the axis; the quotient form rho^2 / (r + |x3|)
     # is the same number without the cancellation.
     big = r + abs(x3)
     root, quotient = xp.sqrt(big), xp.sqrt(rho_sq / big)
+    normal = rho_sq >= MIN_NORMAL
+    if normal is not True and not xp.all(normal):
+        # rho^2 under the normal range has lost bits: take it on (x1, x2) times 2^k.
+        k = xp.pow2_shift(x1, x2)
+        x1, x2 = xp.ldexp(x1, k), xp.ldexp(x2, k)
+        quotient = xp.where(normal, quotient, xp.ldexp(xp.sqrt((x1 * x1 + x2 * x2) / big), -k))
     return xp.where(x3 >= 0.0, (root, quotient), (quotient, root))
 
 
-def _eta_magnitudes(xp, x3, rho_sq, r) -> tuple:
+def _eta_magnitudes(xp, x1, x2, x3, rho_sq, r) -> tuple:
     # sigma sqrt(r - rho) = x3 / sqrt(r + rho): same value, sign included,
     # no cancellation near the equator plane.
     outer = xp.sqrt(r + xp.sqrt(rho_sq))

@@ -46,7 +46,6 @@ from .gauge_fixing import (
     canonical_phase_plus,
     canonical_plus4,
     gauge_plus4,
-    planar_chart,
     psi_from_direction,
     stabilizer_solve,
     swap4,
@@ -546,11 +545,11 @@ def _check_canonical_gauges(psi):
         return 0.0
     psi, s_plus, s_minus = psi[keep], s_plus[keep], s_minus[keep]
     u = unit4(COLUMNS, *psi.T, "canonical_phase_plus requires a unit spinor")
-    # Per gauge, (+) then (-): the weight s, the rotation and C; the rotation's c3
-    # must vanish and its vector parameter must be C.
-    gauges = [(canonical4(COLUMNS, u, sign), sign) for sign in (1, -1)]
-    rotations = [_rotation(rotation) for (_, _, rotation), _ in gauges]
-    c_vec = np.stack([stacked(planar_chart(u, s, sign)) for (s, _, _), sign in gauges], axis=1)
+    # Per gauge, (+) then (-): the rotation and C; the rotation's c3 must vanish
+    # and its vector parameter must be C.
+    gauges = [canonical4(COLUMNS, u, sign) for sign in (1, -1)]
+    rotations = [_rotation(rotation) for *_, rotation in gauges]
+    c_vec = np.stack([stacked(c) for _, c, _ in gauges], axis=1)
     back = np.stack([stacked(vector_parameter_entries(COLUMNS, *r)) for r in rotations], axis=1)
     o = [stacked(chart_so3(COLUMNS, *c_vec[:, i].T)) for i in (0, 1)]
     r, *x = xi_bilinears(COLUMNS, *psi.T)

@@ -218,9 +218,8 @@ def test_canonical_gauge_columns_keep_the_scalar_bits(sign, scalar):
         kept.append(i)
     assert len(kept) > len(psi) // 2
     u = unit4(COLUMNS, *psi[kept].T, "canonical_phase_plus")
-    s, gamma, rotation = gf.canonical4(COLUMNS, u, sign)
-    rows_equal((gamma, *np.broadcast_arrays(*gf.planar_chart(u, s, sign)),
-                *unit4(COLUMNS, *rotation)), rows)
+    gamma, c_vec, rotation = gf.canonical4(COLUMNS, u, sign)
+    rows_equal((gamma, *np.broadcast_arrays(*c_vec), *unit4(COLUMNS, *rotation)), rows)
     with pytest.raises(SingularGaugeError):
         gf.canonical4(COLUMNS, unit4(COLUMNS, *psi.T), sign)
 

@@ -272,6 +272,44 @@ def test_canonical_gauges_singular_at_their_pole():
         canonical_phase_minus(Spinor(1.0 + 0.0j, 0.0j))
 
 
+def _canonical_gauges(directions):
+    """(sign, psi, gauge) of each canonical gauge that is defined at the directions."""
+    out = []
+    for n in directions:
+        psi = psi_from_direction(n)
+        for sign, gauge in ((1, canonical_phase_plus), (-1, canonical_phase_minus)):
+            try:
+                out.append((sign, psi, gauge(psi)))
+            except SingularGaugeError:
+                pass
+    return out
+
+
+def test_canonical_rotations_are_exactly_planar():
+    gauges = _canonical_gauges(oracles.hard_directions(np.random.default_rng(1), 3000))
+    assert len(gauges) > 4000
+    assert [g.rotation.c3 for _, _, g in gauges if g.rotation.c3 != 0.0] == []
+
+
+def test_canonical_rotations_against_a_50_digit_reference():
+    # The exact canonical rotation of psi / |psi|: with w = u, or swap4(u) for the (-)
+    # gauge, it is (s, w1 w4 - w2 w3, -(w1 w3 + w2 w4), 0) / sqrt(s), s = w1^2 + w2^2.
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    gauges = _canonical_gauges(oracles.hard_directions(np.random.default_rng(2), 600))
+    errors = []
+    for sign, psi, g in gauges:
+        u = [mp.mpf(x) for x in (psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag)]
+        norm = mp.sqrt(sum(x * x for x in u))
+        w1, w2, w3, w4 = (x / norm for x in (u if sign == 1 else (u[2], -u[3], -u[0], u[1])))
+        root = mp.sqrt(w1 * w1 + w2 * w2)
+        exact = (root * root, w1 * w4 - w2 * w3, -(w1 * w3 + w2 * w4), 0)
+        errors += [float(abs(got - want / root))
+                   for got, want in zip(g.rotation.as_tuple(), exact)]
+    assert max(errors) <= 2.0 ** -51
+    assert float(np.sqrt(np.mean(np.square(errors)))) <= 5e-17
+
+
 # ----------------------------------------------------------- alignment solver
 
 def test_rotation_between_frozen():

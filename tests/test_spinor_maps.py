@@ -171,6 +171,47 @@ def test_sheet_flag_negates():
         assert (minus == -plus).all()
 
 
+def test_xi_keeps_rho_where_its_square_underflows():
+    # r^2 is normal at both points, but rho^2 is not: 1e-400 underflows to 0, and
+    # 2e-320 is subnormal, with five of its digits gone.
+    s = xi_from_cartesian((1e-200, 0.0, 1.0))
+    assert s.c2 == 7.071067811865475e-201
+    assert project_xi(s)[1][0] == 1e-200
+    x1, x2, _ = project_xi(xi_from_cartesian((1e-160, 1e-160, 1.0)))[1]
+    assert abs(x1 / 1e-160 - 1.0) <= 4e-16 and abs(x2 / 1e-160 - 1.0) <= 4e-16
+
+
+def test_xi_small_magnitude_against_exact_values_below_the_normal_rho_squared():
+    # rho log-uniform over 1e-323..1e-154, where rho^2 underflows or goes subnormal,
+    # and |x3| over 1e-150..1e150, where r^2 is normal. The component that carries rho,
+    # c2 for x3 >= 0 and c1 below, against sqrt(rho^2 / (r + |x3|)) e^{-+i phi/2} at
+    # 60 digits, relative to that magnitude where it is a normal double.
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 60
+    rng = np.random.default_rng(71)
+    worst, compared = 0.0, 0
+    for _ in range(3000):
+        rho = 10.0 ** rng.uniform(-323.0, -154.0)
+        azimuth = rng.uniform(-math.pi, math.pi)
+        x1, x2 = rho * math.cos(azimuth), rho * math.sin(azimuth)
+        x3 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-150.0, 150.0)
+        if x1 == x2 == 0.0:
+            continue
+        a, b, c = (mp.mpf(x) for x in (x1, x2, x3))
+        rho_sq = a * a + b * b
+        small = mp.sqrt(rho_sq / (mp.sqrt(rho_sq + c * c) + abs(c)))
+        if small < MIN_NORMAL:
+            continue
+        half = mp.atan2(b, a) / 2
+        s = xi_from_cartesian((x1, x2, x3))
+        got, sign = (s.c2, 1) if x3 >= 0.0 else (s.c1, -1)
+        worst = max(worst, float(max(abs(got.real - small * mp.cos(half)),
+                                     abs(got.imag - sign * small * mp.sin(half))) / small))
+        compared += 1
+    assert compared >= 1500
+    assert worst <= 2.0 ** -50, worst
+
+
 # -------------------------------------------------------------- projections
 
 def test_project_xi_frozen():
@@ -605,6 +646,35 @@ def test_bridge_consistency_with_projections():
         assert scaled_residual(p_direct.a, p_bridged.a) <= 1e-13
 
 
+def _sheets(system, rng):
+    """The xi and eta constructors of a coordinate system and their arguments at one
+    random point, once per sheet: the sheet flag, or the azimuth and its 2pi lift."""
+    if system == "cartesian":
+        v = tuple(rng.uniform(-2.0, 2.0, size=3))
+        return xi_from_cartesian, eta_from_cartesian, [(v, 1), (v, -1)]
+    phi = rng.uniform(-math.pi, math.pi)
+    if system == "spherical":
+        point, first = SphericalPoint, (rng.uniform(0.0, 2.0), rng.uniform(0.0, math.pi))
+        makers = xi_from_spherical, eta_from_spherical
+    else:
+        point, first = ParabolicPoint, tuple(rng.uniform(0.0, 2.0, size=2))
+        makers = xi_from_parabolic, eta_from_parabolic
+    return (*makers, [(point(*first, phi + lift),) for lift in (0.0, 2.0 * math.pi)])
+
+
+@pytest.mark.parametrize("system", ["cartesian", "spherical", "parabolic"])
+def test_bridge_carries_each_xi_constructor_to_its_eta_constructor(system):
+    # eta_from_xi(xi_from_X(p)) is eta_from_X(p) as spinors, on both sheets.
+    rng = np.random.default_rng(24)
+    worst = 0.0
+    for _ in range(1000):
+        xi_maker, eta_maker, sheets = _sheets(system, rng)
+        for args in sheets:
+            worst = max(worst, scaled_residual(_parts(eta_from_xi(xi_maker(*args))),
+                                               _parts(eta_maker(*args))))
+    assert worst <= 2.0 ** -49, worst
+
+
 def test_s_bridge_is_the_literal_bridge_matrix():
     # The matrix rotation_algebra reads, built from u_to_v_entries, bit for bit.
     literal = INV_SQRT2 * np.array([
@@ -640,7 +710,8 @@ def _parts(s):
 
 def _hard_points(rng):
     """Uniform draws, oracles.hard_directions, axis points with signed zeros,
-    the origin, and log-uniform magnitudes 2^-1074 .. 2^1023."""
+    the origin, log-uniform magnitudes 2^-1074 .. 2^1023, the top of the range,
+    and points whose rho^2 leaves the normal range where r^2 does not."""
     points = list(rng.uniform(-2.0, 2.0, size=(400, 3)))
     points += oracles.hard_directions(rng, 300)
     zeros = (0.0, -0.0)
@@ -651,6 +722,9 @@ def _hard_points(rng):
     points += list(np.ldexp(d, rng.integers(-1074, 1024, size=(600, 1))))
     points += [np.array(v) for v in ((1.7e308, 0.0, 0.0), (1e308, 1e308, 0.0),
                                      (-1e308, 0.0, -1e308))]
+    # rho^2 under the normal range where r^2 is normal.
+    points += [np.array(v) for v in ((1e-200, 0.0, 1.0), (1e-160, -1e-160, -1.0),
+                                     (-5e-324, -0.0, 3.0), (-2e-170, 7e-180, 1e100))]
     return np.array(points)
 
 
@@ -887,7 +961,7 @@ _KERNELS = (core.unit4, core.qmul, core.axis4, core.conjugate4, core.su2_parts, 
             ra.rotated, ra.real4_fit,
             ks.unit_ks, ks.hat4, ks.direction4, ks.symmetry4, ks.frame4,
             ks.turned3, gf.psi_parts, gf.gauge_plus4, gf.swap4, gf.canonical4,
-            gf.canonical_plus4, gf.planar_chart, gf.between4, gf.stabilizer_solve)
+            gf.canonical_plus4, gf.between4, gf.stabilizer_solve)
 
 
 def _column_code():

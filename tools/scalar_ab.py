@@ -3,7 +3,9 @@
 Copies each tree's spinorspace package into a temporary directory under its
 own name (spinorspace_parent, spinorspace_change), imports both into this
 process, and times a fixed list of scalar API calls: in-range and out-of-range
-constructors, a Cartesian constructor on sheet -1, the five validated value
+constructors, a Cartesian constructor on sheet -1, xi_from_cartesian at
+(1e-200, 0, 1), whose rho^2 underflows where r^2 does not (its rescaled
+quotient), the five validated value
 types (Spinor, KSQuadruple, SpinorRotation, SphericalPoint, ParabolicPoint)
 and core.spinor_of, both projections in range and on a spinor whose square
 overflows (their rerun of the entries that overflowed), eta_quadruple_projection,
@@ -84,6 +86,7 @@ def calls(ss) -> list:
         ("xi_from_cartesian", lambda: ss.xi_from_cartesian(point)),
         ("xi_from_cartesian sheet -1", lambda: ss.xi_from_cartesian(point, -1)),
         ("xi_from_cartesian out of range", lambda: ss.xi_from_cartesian((1e-310, 0.0, 1e-315))),
+        ("xi_from_cartesian rho underflow", lambda: ss.xi_from_cartesian((1e-200, 0.0, 1.0))),
         ("eta_from_cartesian", lambda: ss.eta_from_cartesian(point, -1)),
         ("eta_from_cartesian out of range", lambda: ss.eta_from_cartesian((1e300, 1e300, -1e300))),
         ("Spinor", lambda: ss.Spinor(0.3 - 1.2j, 0.7 + 0.4j)),
