@@ -29,12 +29,6 @@ from .core import (
 )
 from .spinor_maps import S_BRIDGE
 
-PAULI = np.array([
-    [[0.0, 1.0], [1.0, 0.0]],
-    [[0.0, -1.0j], [1.0j, 0.0]],
-    [[1.0, 0.0], [0.0, -1.0]],
-], dtype=complex)
-
 # Rotations within 1e-9 of a half turn have no vector parameter; reject them
 # rather than return an exploding quotient.
 VECTOR_PARAMETER_LIMIT = 1e-9
@@ -57,13 +51,63 @@ def so3_entries(c4, c1, c2, c3) -> tuple:
     )
 
 
+def trace_so3_entries(b11r, b11i, b12r, b12i, b21r, b21i, b22r, b22i) -> tuple:
+    """The rows of extract_so3 on the real parts of B, floats or columns.
+
+    Of the 16 terms sigma^k_ab B_bc sigma^l_cd conj(B_ad) of each entry, the 4 with nonzero
+    Pauli factors are +-Re or +-Im of B_x conj(B_y): r_xy = Re, i_xy = Im. Each entry sums
+    them in (a, b, c, d) order from 0.0, then halves, as the einsum over the Pauli matrices
+    does into its zero-filled output, so both give the same bits, signed zeros included.
+    """
+    r11_11 = b11r * b11r + b11i * b11i
+    r12_12 = b12r * b12r + b12i * b12i
+    r21_21 = b21r * b21r + b21i * b21i
+    r22_22 = b22r * b22r + b22i * b22i
+    r11_12 = b11r * b12r + b11i * b12i
+    r11_21 = b11r * b21r + b11i * b21i
+    r11_22 = b11r * b22r + b11i * b22i
+    r12_21 = b12r * b21r + b12i * b21i
+    r12_22 = b12r * b22r + b12i * b22i
+    r21_22 = b21r * b22r + b21i * b22i
+    i11_12 = b11i * b12r - b11r * b12i
+    i11_21 = b11i * b21r - b11r * b21i
+    i11_22 = b11i * b22r - b11r * b22i
+    i12_21 = b12i * b21r - b12r * b21i
+    i12_22 = b12i * b22r - b12r * b22i
+    i21_22 = b21i * b22r - b21r * b22i
+    return ((0.5 * ((((0.0 + r12_21) + r11_22) + r11_22) + r12_21),
+             0.5 * ((((0.0 - i12_21) + i11_22) + i11_22) - i12_21),
+             0.5 * ((((0.0 + r11_21) - r12_22) + r11_21) - r12_22)),
+            (0.5 * ((((0.0 - i12_21) - i11_22) - i11_22) - i12_21),
+             0.5 * ((((0.0 - r12_21) + r11_22) + r11_22) - r12_21),
+             0.5 * ((((0.0 - i11_21) + i12_22) - i11_21) + i12_22)),
+            (0.5 * ((((0.0 + r11_12) + r11_12) - r21_22) - r21_22),
+             0.5 * ((((0.0 + i11_12) + i11_12) - i21_22) - i21_22),
+             0.5 * ((((0.0 + r11_11) - r12_12) - r21_21) + r22_22)))
+
+
+def extract_so3(matrix: np.ndarray) -> np.ndarray:
+    """Recover the orthogonal matrix of a 2x2 unitary: O_kl = Re tr(sigma^k B sigma^l B^dag) / 2.
+
+    A stack of unitaries, shape (..., 2, 2), gives the stack of their matrices.
+    """
+    b = np.ascontiguousarray(matrix, dtype=complex)
+    if b.shape[-2:] != (2, 2):
+        raise ValueError(f"extract_so3 takes 2x2 matrices, got shape {b.shape}")
+    if b.ndim == 2:
+        return np.array(trace_so3_entries(*b.view(float).ravel().tolist()))
+    columns = np.ascontiguousarray(b.reshape(-1, 4).view(float).T)
+    return stacked(trace_so3_entries(*columns)).reshape(b.shape[:-2] + (3, 3))
+
+
 def vector_parameter(rot: SpinorRotation) -> np.ndarray:
     """Quotient chart C = c / c4 on rotations, defined away from half turns."""
     return np.array(vector_parameter_entries(FLOATS, *rot.as_tuple()))
 
 
 def vector_parameter_entries(xp, c4, c1, c2, c3) -> tuple:
-    """(c1, c2, c3) / c4 of vector_parameter; ValueError within the limit of a half turn."""
+    """(c1, c2, c3) / c4 of vector_parameter; ValueError where |c4| < VECTOR_PARAMETER_LIMIT,
+    within the limit of a half turn. |c4| equal to the limit is inside the chart."""
     chart = abs(c4) >= VECTOR_PARAMETER_LIMIT
     if chart is not True and not xp.all(chart):
         raise ValueError(
@@ -107,16 +151,6 @@ def chart_so3(xp, c1, c2, c3) -> tuple:
     return ((1.0 - (a2 * k2 + a3 * k3) / n, (a2 * k1 - d * k3) / n, (a3 * k1 + d * k2) / n),
             ((a1 * k2 + d * k3) / n, 1.0 - (a3 * k3 + a1 * k1) / n, (a3 * k2 - d * k1) / n),
             ((a1 * k3 - d * k2) / n, (a2 * k3 + d * k1) / n, 1.0 - (a2 * k2 + a1 * k1) / n))
-
-
-def extract_so3(matrix: np.ndarray) -> np.ndarray:
-    """Recover the orthogonal matrix of a 2x2 unitary: O_kl = Re tr(sigma^k B sigma^l B^dag) / 2.
-
-    A stack of unitaries, shape (n, 2, 2), gives the stack of their matrices.
-    """
-    b = np.asarray(matrix, dtype=complex)
-    # sigma^k_ab B_bc sigma^l_cd (B^dag)_da, with (B^dag)_da = conj(B)_ad.
-    return 0.5 * np.einsum("kab,...bc,lcd,...ad->...kl", PAULI, b, PAULI, b.conj()).real
 
 
 def rotated(c: tuple, z1r, z1i, z2r, z2i) -> tuple:

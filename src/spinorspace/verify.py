@@ -205,6 +205,21 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("nkl,nl->nk", m, v)
 
 
+def _gram(m: np.ndarray) -> np.ndarray:
+    """M^T M of each square M of the stack m, entry (i, j) summed over the rows k of M in
+    order from 0.0 on contiguous columns: the bits of einsum("nki,nkj->nij", m, m)."""
+    r = m.shape[-1]
+    cols = np.ascontiguousarray(m.reshape(len(m), r * r).T).reshape(r, r, -1)  # [k, i]
+    sums = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):  # (j, i) has the bits of (i, j): products commute
+            total = 0.0
+            for k in range(r):
+                total = total + cols[k, i] * cols[k, j]
+            sums[i][j] = sums[j][i] = total
+    return stacked(sums)
+
+
 # Input draws: each returns every sample's inputs as a tuple of arrays.
 
 def _spinors(rng, n):
@@ -325,7 +340,7 @@ def _check_so3_extraction(c):
     rot = _rotation(c.T)
     o = stacked(so3_entries(*rot))  # closed form; trace extraction below
     return max(_worst(extract_so3(_su2(rot)), o, (1, 2)), _worst(np.linalg.det(o), 1.0),
-               _worst(np.einsum("nki,nkj->nij", o, o), np.eye(3), (1, 2)))
+               _worst(_gram(o), np.eye(3), (1, 2)))
 
 
 @_check("covariance", "vector_parameter_chart", 0.5,
@@ -345,7 +360,7 @@ def _check_so4_homomorphism(c1, c2):
     m1, m2, m12 = (stacked(real4_entries(*r)) for r in rots)
     o1, o2, o12 = (stacked(so3_entries(*r)) for r in rots)
     return max(_worst(m12, m1 @ m2, (1, 2)),
-               _worst(np.einsum("nki,nkj->nij", m1, m1), np.eye(4), (1, 2)),
+               _worst(_gram(m1), np.eye(4), (1, 2)),
                _worst(o12, o1 @ o2, (1, 2)))
 
 
@@ -380,7 +395,7 @@ def _check_s_properties(u):
                         for k, pair in enumerate(ELEMENTARY_PLANES.values())])
     return max(_worst((s.T @ s)[None], np.eye(4), (1, 2)), _worst(np.linalg.det(s), 1.0),
                scan.best_residual, _worst(scan.best_angles, math.pi / 4.0),
-               _worst(np.einsum("nki,nkj->nij", e, e), np.eye(4), (1, 2)),
+               _worst(_gram(e), np.eye(4), (1, 2)),
                _worst(np.linalg.det(e), 1.0))
 
 

@@ -13,6 +13,7 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA = (SIGMA1, SIGMA2, SIGMA3)
+PAULI = np.array(SIGMA)
 ID2 = np.eye(2, dtype=complex)
 
 # Probes of the symmetric square: sigma^2 sigma^j for j = 1, 2, 3.
@@ -79,6 +80,13 @@ def so3_of_quadruple(c4, c1, c2, c3):
         for l in range(3):
             out[k, l] = 0.5 * float(np.real(np.trace(SIGMA[k] @ b @ SIGMA[l] @ bdag)))
     return out
+
+
+def so3_of_unitaries(b):
+    """O_kl = Re tr(sigma^k B sigma^l B^dag) / 2 of a 2x2 matrix or a stack (..., 2, 2), as
+    one einsum over the Pauli matrices: sigma^k_ab B_bc sigma^l_cd conj(B)_ad."""
+    b = np.asarray(b, dtype=complex)
+    return 0.5 * np.einsum("kab,...bc,lcd,...ad->...kl", PAULI, b, PAULI, b.conj()).real
 
 
 def su2_with_first_column(s):

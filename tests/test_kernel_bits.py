@@ -12,13 +12,19 @@ quadruple, so its c is drawn unit; its w and n take the edge entries.
 symmetry4's direction mismatch and replay_residuals' formula were written out
 in their modules; the references below are those copies, kept as they were.
 Where a copy gave NaN, core scores inf.
+
+extract_so3 writes the trace map out as trace_so3_entries, and verify's
+Gram products M^T M write out their einsum; the references are the einsums,
+the trace map's in tests/oracles.py.
 """
 
 import functools
+import itertools
 import math
 from itertools import chain
 
 import numpy as np
+import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +32,8 @@ from spinorspace.core import COLUMNS, FLOATS, conjugate4, qmul, residual_rows, u
 from spinorspace.fixtures import generate_fixtures, replay_residuals
 from spinorspace.gauge_fixing import stabilizer_solve
 from spinorspace.ks_covariance import hat4, turned3, unit_ks
-from spinorspace.rotation_algebra import linear_system_entries, so3_entries
+from spinorspace.rotation_algebra import extract_so3, linear_system_entries, so3_entries
+from spinorspace.verify import _gram
 
 
 def stabilizer_solve_reference(q, sign):
@@ -187,3 +194,57 @@ def test_replay_keeps_the_bits_of_its_formula(edits):
     got, _ = replay_residuals([_with_fields(r, f) for r, f in zip(_RECORDS, stored)], strict=True)
     want = replay_reference([*chain.from_iterable(stored)], [*chain.from_iterable(fresh)], starts)
     assert _bits(got) == _bits(want)
+
+
+def _assert_same_bits(got, want):
+    """got and want have one shape and the same int64 bit patterns, entry by entry."""
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"{bad.size} of {want.size} entries differ, first at {bad[:5].tolist()}"
+
+
+def _haar_unitaries(rng, n) -> np.ndarray:
+    """n Haar-random U(2) matrices: Q of complex Gaussians, its columns phased by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _gaussian_su2(rng, n) -> np.ndarray:
+    """B(c) = c4 I - i c.sigma of n Gaussian quadruples c, each normalized."""
+    c = rng.normal(size=(n, 4))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    return c[:, 0, None, None] * oracles.ID2 - 1j * np.einsum("nj,jab->nab", c[:, 1:], oracles.PAULI)
+
+
+def _edge_matrices() -> np.ndarray:
+    """+-I, +-i I, +-sigma^k and +-i sigma^k, B of the turns 2 pi j / 16 about each axis,
+    and every 2x2 matrix whose eight real parts are each 0.0, -0.0, 1.0 or -1.0."""
+    signed = [m for p in (oracles.ID2, *oracles.SIGMA) for m in (p, -p, 1j * p, -1j * p)]
+    sweep = [oracles.b_matrix(math.cos(h), *(math.sin(h) * axis))
+             for h in np.pi * np.arange(16) / 16.0 for axis in np.eye(3)]
+    parts = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0], repeat=8)))
+    return np.concatenate([np.array(signed + sweep), parts.view(complex).reshape(-1, 2, 2)])
+
+
+def test_extract_so3_keeps_the_bits_of_the_einsum():
+    rng = np.random.default_rng(31)
+    for b in (_haar_unitaries(rng, 100_000), _gaussian_su2(rng, 100_000), _edge_matrices()):
+        got = extract_so3(b)
+        _assert_same_bits(got, oracles.so3_of_unitaries(b))
+        for i in range(0, len(b), 97):  # one unitary at a time, on floats
+            _assert_same_bits(extract_so3(b[i]), got[i])
+        _assert_same_bits(extract_so3(b[:800].reshape(8, 100, 2, 2)),
+                          got[:800].reshape(8, 100, 3, 3))
+        strided = b.transpose(0, 2, 1)
+        _assert_same_bits(extract_so3(strided), oracles.so3_of_unitaries(strided))
+
+
+def test_gram_keeps_the_bits_of_the_einsum():
+    rng = np.random.default_rng(32)
+    for r in (3, 4):
+        eye = np.eye(r)
+        edges = np.array([eye, -eye, -0.0 * eye, np.where(eye > 0.0, -0.0, 1.0)])
+        for m in (rng.normal(size=(100_000, r, r)), np.linalg.qr(rng.normal(size=(1000, r, r)))[0],
+                  edges):
+            _assert_same_bits(_gram(m), np.einsum("nki,nkj->nij", m, m))

@@ -30,7 +30,8 @@ from spinorspace import (
     su2_real4,
     vector_parameter,
 )
-from spinorspace.rotation_algebra import real4_fit
+from spinorspace.core import COLUMNS
+from spinorspace.rotation_algebra import real4_fit, vector_parameter_entries
 
 INV_SQRT2 = math.sqrt(0.5)
 SQRT2 = math.sqrt(2.0)
@@ -182,12 +183,37 @@ def test_vector_parameter_chart():
     assert np.isfinite(vector_parameter(big)).all()
 
 
+def test_vector_parameter_takes_the_limit_itself():
+    # |c4| equal to the limit is inside the chart, one ulp below it is not. The
+    # normalization keeps c4 exact: 1 + 1e-18 rounds to 1.
+    rot = SpinorRotation(VECTOR_PARAMETER_LIMIT, 1.0, 0.0, 0.0)
+    assert rot.c4 == VECTOR_PARAMETER_LIMIT
+    quotient = 1.0 / VECTOR_PARAMETER_LIMIT  # 1e9, rounded
+    assert vector_parameter(rot).tolist() == [quotient, 0.0, 0.0]
+    c4 = np.array([VECTOR_PARAMETER_LIMIT, -VECTOR_PARAMETER_LIMIT])
+    got = vector_parameter_entries(COLUMNS, c4, np.ones(2), np.zeros(2), np.zeros(2))
+    assert np.array(got).T.tolist() == [[quotient, 0.0, 0.0], [-quotient, -0.0, -0.0]]
+    below = math.nextafter(VECTOR_PARAMETER_LIMIT, 0.0)
+    with pytest.raises(ValueError):
+        vector_parameter(SpinorRotation(below, 1.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        vector_parameter_entries(COLUMNS, np.array([1.0, -below]), np.ones(2), np.zeros(2),
+                                 np.zeros(2))
+
+
 def test_extract_so3_dual_route():
     assert scaled_residual(extract_so3(np.eye(2, dtype=complex)), np.eye(3)) <= 1e-15
     rng = np.random.default_rng(34)
     for _ in range(300):
         r = random_rotation(rng)
         assert scaled_residual(extract_so3(su2_matrix(r)), so3_from_rotation(r)) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (2,), (2, 4), ()])
+def test_extract_so3_rejects_other_shapes(shape):
+    # A stack of 3x3 matrices has a multiple of 4 entries too: it must not be read as 2x2s.
+    with pytest.raises(ValueError):
+        extract_so3(np.zeros(shape))
 
 
 # ------------------------------------------------------------- spinor action

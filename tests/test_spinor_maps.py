@@ -956,9 +956,9 @@ def _is_complex_dtype(node):
 # The column code outside spinor_maps: core's kernels and its COLUMNS namespace,
 # and the kernels of rotation_algebra, ks_covariance and gauge_fixing.
 _KERNELS = (core.unit4, core.qmul, core.axis4, core.conjugate4, core.su2_parts, core.polar,
-            core.stacked, ra.so3_entries, ra.real4_entries, ra.linear_system_entries,
-            ra.vector_parameter_entries, ra.chart_scaled, ra.chart4, ra.chart_so3, ra.plane_entries,
-            ra.rotated, ra.real4_fit,
+            core.stacked, ra.so3_entries, ra.trace_so3_entries, ra.real4_entries,
+            ra.linear_system_entries, ra.vector_parameter_entries, ra.chart_scaled, ra.chart4,
+            ra.chart_so3, ra.plane_entries, ra.rotated, ra.real4_fit,
             ks.unit_ks, ks.hat4, ks.direction4, ks.symmetry4, ks.frame4,
             ks.turned3, gf.psi_parts, gf.gauge_plus4, gf.swap4, gf.canonical4,
             gf.canonical_plus4, gf.between4, gf.stabilizer_solve)

@@ -4,6 +4,10 @@ Runs the five suites at the sample counts of tests/test_acceptance.py (10^3
 for covariance, 10^4 for the others) with seed 42, REPEATS times, and prints
 the median CheckResult.elapsed of each check in ms, then each suite's median
 report time, and the median over the repeats of the five suites' summed time.
+Then each suite's time per nominal sample in us, and per repeat the median and
+the largest of these over the five suites: the figures behind perfbench
+`battery`'s latency_p50_us and latency_p99_us, which take them over each suite's
+median time.
 Each row shows its fastest and slowest repeat beside the median, so the spread
 of the host's speed is on the page: a change smaller than that spread is not
 resolved. Then comes the battery figure: the 41,000 samples of the five
@@ -57,9 +61,9 @@ def timings(packages) -> tuple:
 
 
 def report(times, rss_growth) -> None:
-    """Print each check, then each suite, then the suite sum, the battery figure
-    and the peak-RSS growth; each time as its median [fastest, slowest] over the
-    repeats."""
+    """Print each check, then each suite, then the suite sum, each suite's us per
+    sample with their p50 and p99, the battery figure and the peak-RSS growth; each
+    time as its median [fastest, slowest] over the repeats."""
     for side in times:
         suites = [t for row, t in side.items() if row[0] == "suite"]
         side[("total", "", "")] = [sum(repeat) for repeat in zip(*suites)]
@@ -69,12 +73,15 @@ def report(times, rss_growth) -> None:
         print(f"{'':50s} {'parent ms [min, max]':>27s} {'change ms [min, max]':>27s}"
               f" {'speedup':>7s}")
     for group, name, samples in rows:
-        seconds = [side[(group, name, samples)] for side in times]
-        medians = [statistics.median(t) for t in seconds]
-        cells = "".join(f" {m * 1e3:9.2f} [{min(t) * 1e3:7.2f},{max(t) * 1e3:7.2f}]"
-                        for m, t in zip(medians, seconds))
-        ratio = f" {medians[0] / medians[1]:6.2f}x" if len(medians) == 2 else ""
-        print(f"{group:10s} {name:32s} {samples!s:>6s}{cells}{ratio}")
+        _row(group, name, samples, [[t * 1e3 for t in side[(group, name, samples)]]
+                                    for side in times])
+    per_sample = [{suite: [t / n * 1e6 for t in side[("suite", suite, n)]]
+                   for suite, n in ACCEPTANCE.items()} for side in times]
+    for suite, n in ACCEPTANCE.items():
+        _row("us/sample", suite, n, [side[suite] for side in per_sample])
+    for label, pick in (("p50", statistics.median), ("p99", max)):
+        _row("us/sample", f"{label}: {pick.__name__} of the suites", "",
+             [[pick(repeat) for repeat in zip(*side.values())] for side in per_sample])
     battery = [sum(ACCEPTANCE.values()) / statistics.median(side[("total", "", "")])
                for side in times]
     ratio = f" {battery[1] / battery[0]:6.2f}x" if len(battery) == 2 else ""
@@ -83,6 +90,14 @@ def report(times, rss_growth) -> None:
     rss = (f"{rss_growth:17.2f} MB" if len(times) == 1
            else "not attributable: both trees share one process")
     print(f"{'peak RSS':10s} {'growth over the repeats':32s} {'':6s} {rss}")
+
+
+def _row(group, name, samples, values) -> None:
+    """Print one row: each side's median [fastest, slowest] of values, then the speedup."""
+    medians = [statistics.median(v) for v in values]
+    cells = "".join(f" {m:9.2f} [{min(v):7.2f},{max(v):7.2f}]" for m, v in zip(medians, values))
+    ratio = f" {medians[0] / medians[1]:6.2f}x" if len(medians) == 2 else ""
+    print(f"{group:10s} {name:32s} {samples!s:>6s}{cells}{ratio}")
 
 
 def main(argv=None) -> int:

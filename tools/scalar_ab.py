@@ -11,7 +11,8 @@ and core.spinor_of, both projections in range and on a spinor whose square
 overflows (their rerun of the entries that overflowed), eta_quadruple_projection,
 xi_constraint_residual, eta_from_xi in range and on a spinor whose sums
 overflow (its halved rerun; a parent tree that raises there is timed
-raising), u_to_v, rotate_spinor, so3_from_rotation,
+raising), u_to_v, rotate_spinor, so3_from_rotation, extract_so3 on one
+unitary (su2_matrix of a rotation),
 so3_from_vector_parameter, rotation_from_vector_parameter,
 rotation_from_axis_angle, psi_from_direction on both of its lifts, the gauges,
 rotation_between, stabilizer_check in range, on a spinor whose |psi|^2
@@ -66,6 +67,7 @@ def calls(ss) -> list:
     q = ss.quadruple_from_spinor(xi)
     partner = ss.quadruple_from_spinor(ss.phase_rotate(xi, 0.9))
     rot = ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)
+    unitary = ss.su2_matrix(ss.rotation_from_axis_angle(point, 0.9))
     direction = (0.6, 0.0, 0.8)
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
     tiny = ss.Spinor(3e-170 - 4e-170j, 1e-170 + 2e-170j)  # |psi|^2 underflows to 0
@@ -109,6 +111,7 @@ def calls(ss) -> list:
         ("u_to_v", lambda: ss.u_to_v(q)),
         ("rotate_spinor", lambda: ss.rotate_spinor(rot, xi)),
         ("so3_from_rotation", lambda: ss.so3_from_rotation(rot)),
+        ("extract_so3", lambda: ss.extract_so3(unitary)),
         ("so3_from_vector_parameter", lambda: ss.so3_from_vector_parameter(point)),
         ("rotation_from_vector_parameter", lambda: ss.rotation_from_vector_parameter(point)),
         ("rotation_from_axis_angle", lambda: ss.rotation_from_axis_angle(direction, 0.7)),
