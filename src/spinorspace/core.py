@@ -189,7 +189,9 @@ def unit4(xp, c4, c1, c2, c3, who="rotation parameters must be unit norm") -> tu
     real parts for the gauges, and psi_from_direction's direction with a zero c3.
 
     A norm off 1 by NORM_SLACK or more raises ValueError(f"{who}, got norm ..."): who
-    names the input, as in "direction must be a unit vector". Gauges and frames chain
+    names the input, as in "direction must be a unit vector". No norm is off by NORM_SLACK
+    itself: within [0.5, 2], |norm - 1| is exact (Sterbenz) and a multiple of 2^-53, which
+    NORM_SLACK (0x1.0c6f7a0b5ed8dp-20) is not, so < and <= agree. Gauges and frames chain
     quaternion products through qmul on plain tuples; a product or negation of unit
     quaternions is unit, so a chain normalizes only where an input enters, where a
     value type is returned (a SpinorRotation normalizes itself, a KSQuadruple does

@@ -165,7 +165,8 @@ def _canonical(psi: Spinor, sign: int, who: str) -> CanonicalGauge:
 def canonical4(xp, u: tuple, sign: int) -> tuple:
     """The canonical phase gamma, vector parameter C and raw planar rotation of the (+)
     gauge (sign 1) or (-) gauge (sign -1) of unit parts u, from w = u or w = swap4(u); a
-    singular chart weight s = w1^2 + w2^2 raises SingularGaugeError. The rotation is
+    chart weight s = w1^2 + w2^2 at or below SINGULAR_WEIGHT (the threshold itself
+    included) raises SingularGaugeError. The rotation is
     gauge_plus4(xp, w, gamma) multiplied out: cos and sin of gamma / 2 are (w1, -w2) / sqrt(s),
     and qmul((w1, 0, 0, -w2), (w1, w4, -w3, w2)) = (s, n1, n2, w1 w2 - w1 w2) is the rotation
     times sqrt(s), so c3 is exactly 0, and C = (n1, n2, 0) / s."""

@@ -165,7 +165,8 @@ def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> Spinor
 
 
 def symmetry4(xp, u: tuple, w: tuple, delta) -> tuple:
-    """The raw quaternion product that frame_symmetry normalizes, for quadruples u, w."""
+    """The raw quaternion product that frame_symmetry normalizes, for quadruples u, w. A
+    direction mismatch equal to DIRECTION_MATCH_TOLERANCE still matches; beyond it raises."""
     un, wn = unit_ks(xp, u), unit_ks(xp, w)
     mismatch = xp.residual(direction4(un), direction4(wn))
     if not mismatch <= DIRECTION_MATCH_TOLERANCE:

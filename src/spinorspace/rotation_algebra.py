@@ -52,38 +52,26 @@ def so3_entries(c4, c1, c2, c3) -> tuple:
 
 
 def trace_so3_entries(b11r, b11i, b12r, b12i, b21r, b21i, b22r, b22i) -> tuple:
-    """The rows of extract_so3 on the real parts of B, floats or columns.
-
-    Of the 16 terms sigma^k_ab B_bc sigma^l_cd conj(B_ad) of each entry, the 4 with nonzero
-    Pauli factors are +-Re or +-Im of B_x conj(B_y): r_xy = Re, i_xy = Im. Each entry sums
-    them in (a, b, c, d) order from 0.0, then halves, as the einsum over the Pauli matrices
-    does into its zero-filled output, so both give the same bits, signed zeros included.
-    """
-    r11_11 = b11r * b11r + b11i * b11i
-    r12_12 = b12r * b12r + b12i * b12i
-    r21_21 = b21r * b21r + b21i * b21i
-    r22_22 = b22r * b22r + b22i * b22i
-    r11_12 = b11r * b12r + b11i * b12i
-    r11_21 = b11r * b21r + b11i * b21i
+    """The rows of extract_so3 on the real parts of B, floats or columns: the sums that
+    Re tr(sigma^k B sigma^l B^dag) / 2 reduces to, in r_xy = Re and i_xy = Im of
+    B_x conj(B_y), with (3, 3) as ((|B11|^2 + |B22|^2) - (|B12|^2 + |B21|^2)) / 2."""
     r11_22 = b11r * b22r + b11i * b22i
     r12_21 = b12r * b21r + b12i * b21i
+    r11_21 = b11r * b21r + b11i * b21i
     r12_22 = b12r * b22r + b12i * b22i
+    r11_12 = b11r * b12r + b11i * b12i
     r21_22 = b21r * b22r + b21i * b22i
-    i11_12 = b11i * b12r - b11r * b12i
-    i11_21 = b11i * b21r - b11r * b21i
     i11_22 = b11i * b22r - b11r * b22i
     i12_21 = b12i * b21r - b12r * b21i
+    i11_21 = b11i * b21r - b11r * b21i
     i12_22 = b12i * b22r - b12r * b22i
+    i11_12 = b11i * b12r - b11r * b12i
     i21_22 = b21i * b22r - b21r * b22i
-    return ((0.5 * ((((0.0 + r12_21) + r11_22) + r11_22) + r12_21),
-             0.5 * ((((0.0 - i12_21) + i11_22) + i11_22) - i12_21),
-             0.5 * ((((0.0 + r11_21) - r12_22) + r11_21) - r12_22)),
-            (0.5 * ((((0.0 - i12_21) - i11_22) - i11_22) - i12_21),
-             0.5 * ((((0.0 - r12_21) + r11_22) + r11_22) - r12_21),
-             0.5 * ((((0.0 - i11_21) + i12_22) - i11_21) + i12_22)),
-            (0.5 * ((((0.0 + r11_12) + r11_12) - r21_22) - r21_22),
-             0.5 * ((((0.0 + i11_12) + i11_12) - i21_22) - i21_22),
-             0.5 * ((((0.0 + r11_11) - r12_12) - r21_21) + r22_22)))
+    outer = (b11r * b11r + b11i * b11i) + (b22r * b22r + b22i * b22i)
+    inner = (b12r * b12r + b12i * b12i) + (b21r * b21r + b21i * b21i)
+    return ((r12_21 + r11_22, i11_22 - i12_21, r11_21 - r12_22),
+            (-i12_21 - i11_22, r11_22 - r12_21, i12_22 - i11_21),
+            (r11_12 - r21_22, i11_12 - i21_22, 0.5 * (outer - inner)))
 
 
 def extract_so3(matrix: np.ndarray) -> np.ndarray:

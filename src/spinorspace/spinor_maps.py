@@ -118,8 +118,9 @@ def cartesian_columns(kernel, x1, x2, x3, sheet) -> np.ndarray:
 
 
 def _point_magnitudes(xp, x1, x2, x3, magnitudes) -> tuple:
-    """magnitudes(xp, x1, x2, x3, rho^2, r) of a nonzero point. Where r^2 leaves the normal
-    range they are rerun on the point times 4^k, 2^k times the true ones, and unscaled."""
+    """magnitudes(xp, x1, x2, x3, rho^2, r) of a nonzero point. Where r^2 is below MIN_NORMAL
+    or infinite they are rerun on the point times 4^k, 2^k times the true ones, and unscaled;
+    r^2 equal to MIN_NORMAL is normal and takes no rerun."""
     rho_sq = x1 * x1 + x2 * x2
     r_sq = rho_sq + x3 * x3
     normal = (MIN_NORMAL <= r_sq) & (r_sq < math.inf)
@@ -138,7 +139,8 @@ def _xi_magnitudes(xp, x1, x2, x3, rho_sq, r) -> tuple:
     root, quotient = xp.sqrt(big), xp.sqrt(rho_sq / big)
     normal = rho_sq >= MIN_NORMAL
     if normal is not True and not xp.all(normal):
-        # rho^2 under the normal range has lost bits: take it on (x1, x2) times 2^k.
+        # rho^2 below MIN_NORMAL has lost bits: take it on (x1, x2) times 2^k. rho^2
+        # equal to MIN_NORMAL is normal and keeps the direct quotient.
         k = xp.pow2_shift(x1, x2)
         x1, x2 = xp.ldexp(x1, k), xp.ldexp(x2, k)
         quotient = xp.where(normal, quotient, xp.ldexp(xp.sqrt((x1 * x1 + x2 * x2) / big), -k))
@@ -312,8 +314,8 @@ def eta_from_parabolic(p: ParabolicPoint) -> Spinor:
 
 def eta_bilinears(xp, h1r, h1i, h2r, h2i) -> tuple:
     """(a1, a2, a3, x1, x2, x3) of project_eta on a spinor's real parts."""
-    sq1r, sq1i = h1r * h1r - h1i * h1i, h1r * h1i + h1i * h1r
-    sq2r, sq2i = h2r * h2r - h2i * h2i, h2r * h2i + h2i * h2r
+    sq1r, sq1i = h1r * h1r - h1i * h1i, 2.0 * (h1r * h1i)
+    sq2r, sq2i = h2r * h2r - h2i * h2i, 2.0 * (h2r * h2i)
     dr, di = sq1r - sq2r, sq1i - sq2i
     pr, pi = h1r * h2r - h1i * h2i, h1r * h2i + h1i * h2r
     # w1 = (-i/2)(h1^2 - h2^2), w2 = (1/2)(h1^2 + h2^2), w3 = i h1 h2

@@ -30,7 +30,7 @@ from spinorspace import (
     vector_parameter,
 )
 from spinorspace import gauge_fixing
-from spinorspace.core import FLOATS
+from spinorspace.core import COLUMNS, FLOATS
 from spinorspace.gauge_fixing import SINGULAR_WEIGHT, canonical_plus4
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -270,6 +270,21 @@ def test_canonical_gauges_singular_at_their_pole():
         canonical_phase_plus(Spinor(0.0j, 1.0 + 0.0j))
     with pytest.raises(SingularGaugeError):
         canonical_phase_minus(Spinor(1.0 + 0.0j, 0.0j))
+
+
+def test_canonical_weight_equal_to_the_threshold_is_singular():
+    # 1e-6 squares to exactly SINGULAR_WEIGHT. At the kernel: canonical_phase_plus
+    # renormalizes this spinor, which moves its weight off the threshold.
+    u = (1e-6, 0.0, math.sqrt(1.0 - 1e-12), 0.0)
+    assert u[0] * u[0] == SINGULAR_WEIGHT
+    with pytest.raises(SingularGaugeError):
+        gauge_fixing.canonical4(FLOATS, u, 1)
+    regular = (0.6, 0.0, 0.8, 0.0)
+    with pytest.raises(SingularGaugeError):
+        gauge_fixing.canonical4(COLUMNS, tuple(np.array(row) for row in zip(u, regular)), 1)
+    above = (math.nextafter(1e-6, 1.0), *u[1:])
+    assert above[0] * above[0] > SINGULAR_WEIGHT
+    assert gauge_fixing.canonical4(FLOATS, above, 1)[2][3] == 0.0
 
 
 def _canonical_gauges(directions):

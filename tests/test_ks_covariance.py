@@ -29,6 +29,8 @@ from spinorspace import (
     spinor_from_quadruple,
     su2_matrix,
 )
+from spinorspace.core import COLUMNS, FLOATS
+from spinorspace.ks_covariance import DIRECTION_MATCH_TOLERANCE, symmetry4
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -293,6 +295,20 @@ def test_frame_symmetry_same_quadruple_is_identity():
 def test_frame_symmetry_direction_mismatch():
     with pytest.raises(ValueError):
         frame_symmetry(KSQuadruple(1.0, 0.0, 0.0, 0.0), KSQuadruple(0.0, 1.0, 0.0, 0.0))
+
+
+def test_frame_symmetry_takes_the_tolerance_itself():
+    # Over (0, 0, 1) and (1e-9, 0, 1), a mismatch of exactly DIRECTION_MATCH_TOLERANCE,
+    # which still matches, on floats and on columns.
+    u, w = (0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, float.fromhex("0x1.12e0be826d695p-31"))
+    a, b = direction_from_ks(KSQuadruple(*u)), direction_from_ks(KSQuadruple(*w))
+    assert (a.tolist(), b.tolist()) == ([0.0, 0.0, 1.0], [1e-9, 0.0, 1.0])
+    assert FLOATS.residual(a.tolist(), b.tolist()) == DIRECTION_MATCH_TOLERANCE
+    rot = frame_symmetry(KSQuadruple(*u), KSQuadruple(*w))
+    columns = symmetry4(COLUMNS, tuple(np.array([x]) for x in u),
+                        tuple(np.array([x]) for x in w), 0.0)
+    assert SpinorRotation(*(float(c[0]) for c in columns)) == rot
+    assert scaled_residual(np.array(rot.as_tuple()), np.array([1.0, 0.0, 5e-10, 0.0])) <= 1e-15
 
 
 def test_frame_of_spinor_round_trip():

@@ -181,6 +181,26 @@ def test_xi_keeps_rho_where_its_square_underflows():
     assert abs(x1 / 1e-160 - 1.0) <= 4e-16 and abs(x2 / 1e-160 - 1.0) <= 4e-16
 
 
+def test_squares_equal_to_min_normal_take_no_rerun():
+    # rho^2 and r^2 equal to MIN_NORMAL are normal, on floats and on columns. At these
+    # points the reruns would move bits, as the direct quotient or squares are subnormal.
+    x = 2.0 ** -511  # rho^2 = MIN_NORMAL, and with x3 = 3, r + |x3| = 6
+    assert x * x == MIN_NORMAL
+    quotient = math.sqrt(MIN_NORMAL / 6.0)
+    assert xi_from_cartesian((x, 0.0, 3.0)).c2 == quotient
+    parts = sm.xi_cartesian(core.COLUMNS, np.array([x]), np.array([0.0]), np.array([3.0]), 1)
+    assert _hex(np.ravel(parts[2:])) == _hex([quotient, 0.0])
+    p = tuple(map(float.fromhex, ("-0x1.6a12f4da8bd49p-512", "0x1.0c7261b60bbb4p-513",
+                                  "-0x1.50333550d75aap-512")))
+    rho_sq = p[0] * p[0] + p[1] * p[1]
+    assert rho_sq + p[2] * p[2] == MIN_NORMAL
+    for magnitudes in (sm._xi_magnitudes, sm._eta_magnitudes):
+        want = _hex(magnitudes(core.FLOATS, *p, rho_sq, math.sqrt(MIN_NORMAL)))
+        assert _hex(sm._point_magnitudes(core.FLOATS, *p, magnitudes)) == want
+        columns = [np.array([v]) for v in p]
+        assert _hex(np.ravel(sm._point_magnitudes(core.COLUMNS, *columns, magnitudes))) == want
+
+
 def test_xi_small_magnitude_against_exact_values_below_the_normal_rho_squared():
     # rho log-uniform over 1e-323..1e-154, where rho^2 underflows or goes subnormal,
     # and |x3| over 1e-150..1e150, where r^2 is normal. The component that carries rho,
@@ -982,6 +1002,10 @@ def test_column_code_keeps_to_exact_operations():
     assert sorted({_dotted(n) for n in ast.walk(tree)} & _INEXACT) == []
     assert [ast.unparse(n) for n in ast.walk(tree)
             if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)] == []
+    # No sum starts from a literal zero, as an einsum's zero-filled output does.
+    assert [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.BinOp)
+            and any(type(v) is ast.Constant and type(v.value) is float and v.value == 0.0
+                    for v in (n.left, n.right))] == []
     # Complex values are built only where a Spinor is returned, never on columns.
     spinor_api = {id(n) for f in ast.walk(tree)
                   if isinstance(f, ast.FunctionDef) and _dotted(f.returns) == "Spinor"
