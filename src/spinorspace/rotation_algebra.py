@@ -265,14 +265,13 @@ def s_factorization_check() -> FactorizationScan:
 
 @dataclass(frozen=True, slots=True)
 class NonMembershipCertificate:
-    """Proof data that a 4x4 matrix is not of the su2_real4 pattern.
+    """Proof data that the bridge matrix S is not of the su2_real4 pattern.
 
     best_fit is the unconstrained least-squares parameter quadruple,
     residual the Frobenius distance at that optimum, and the two witness
     entries pin incompatible values of one parameter.
     """
 
-    target: np.ndarray
     best_fit: np.ndarray
     residual: float
     parameter: str
@@ -280,7 +279,7 @@ class NonMembershipCertificate:
     implied_values: tuple
 
 
-def s_outside_su2_image(target: np.ndarray | None = None) -> NonMembershipCertificate:
+def s_outside_su2_image() -> NonMembershipCertificate:
     """Least-squares certificate that the bridge matrix has no SU(2) preimage.
 
     The 16 pattern entries are linear in (c4, c1, c2, c3) with orthogonal
@@ -288,18 +287,14 @@ def s_outside_su2_image(target: np.ndarray | None = None) -> NonMembershipCertif
     the pattern. For S the entries (0, 2) and (1, 3) demand c2 = -1/sqrt(2)
     and c2 = +1/sqrt(2) at once, leaving Frobenius residual sqrt(2).
     """
-    if target is None:
-        target = S_BRIDGE
-    target = np.asarray(target, dtype=float)
-    fit, residual = real4_fit(target)
+    fit, residual = real4_fit(S_BRIDGE)
     # Pattern entry (0, 2) reads +c2, entry (1, 3) reads -c2.
     return NonMembershipCertificate(
-        target=target,
         best_fit=fit[0],
         residual=float(residual[0]),
         parameter="c2",
         witness_entries=((0, 2), (1, 3)),
-        implied_values=(float(target[0, 2]), float(-target[1, 3])),
+        implied_values=(float(S_BRIDGE[0, 2]), float(-S_BRIDGE[1, 3])),
     )
 
 

@@ -65,7 +65,6 @@ from .rotation_algebra import (
     ELEMENTARY_PLANES,
     chart4,
     chart_so3,
-    extract_so3,
     plane_entries,
     real4_entries,
     real4_fit,
@@ -75,6 +74,7 @@ from .rotation_algebra import (
     s_outside_su2_image,
     so3_entries,
     so3_from_rotation,
+    trace_so3_entries,
     vector_parameter_entries,
 )
 from .spinor_maps import (
@@ -176,9 +176,12 @@ def _check(suite, name, share, draw):
     return register
 
 
-def _su2(c) -> np.ndarray:
-    """su2_matrix of each rotation of the columns c, shape (n, 2, 2)."""
-    return stacked(su2_parts(*c)).view(complex)
+def _traced_so3(c) -> np.ndarray:
+    """O(B) of each rotation of the columns c, traced on B's real parts: shape (n, 3, 3)."""
+    return stacked(trace_so3_entries(*sum(su2_parts(*c), ())))
+
+
+_UP = (1.0, 0.0, 0.0, 0.0)  # the spinor (1, 0): B applied to it is B's first column
 
 
 def _rotation(c) -> tuple:
@@ -339,7 +342,7 @@ def _check_eta_commuting_square(c, s):
 def _check_so3_extraction(c):
     rot = _rotation(c.T)
     o = stacked(so3_entries(*rot))  # closed form; trace extraction below
-    return max(_worst(extract_so3(_su2(rot)), o, (1, 2)), _worst(np.linalg.det(o), 1.0),
+    return max(_worst(_traced_so3(rot), o, (1, 2)), _worst(np.linalg.det(o), 1.0),
                _worst(_gram(o), np.eye(3), (1, 2)))
 
 
@@ -482,7 +485,7 @@ def _check_frame_identities(u, axes, delta):
     w_rot = _rotation(hat4(w))
     # rotated n', direction of w, O(hat w) by the trace map and by its closed form, n
     n_prime, n_w = stacked(turned3(COLUMNS, w, align, n)), stacked(direction4(unit_ks(COLUMNS, w)))
-    e_w, o_w, n = extract_so3(_su2(w_rot)), stacked(so3_entries(*w_rot)), stacked(n)
+    e_w, o_w, n = _traced_so3(w_rot), stacked(so3_entries(*w_rot)), stacked(n)
     # B (v.sigma) B^dag = (O v).sigma: B (A.sigma) B^dag = -n.sigma, B sigma^3 B^dag = -n'.sigma
     return max(_worst(_apply(e_w, axes), -n, 1),
                _worst(axes, -np.einsum("nkl,nk->nl", o_w, n), 1),
@@ -493,16 +496,15 @@ def _check_frame_identities(u, axes, delta):
 @_check("ks", "frame_symmetry_transport", 0.1,
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-math.pi, math.pi, size=(n, 2))))
 def _check_frame_symmetry(u, angles):  # angles: the partner's turn beta, the frame's delta
-    q = u.T
+    q, (beta, delta) = u.T, angles.T
     u_rot = _rotation(hat4(q))
-    beta, delta = angles.T
     partner = hat4(_rotation(qmul(u_rot, axis4(COLUMNS, beta))))
     c = _rotation(symmetry4(COLUMNS, q, partner, delta))
     n = stacked(direction4(unit_ks(COLUMNS, q)))
-    # B(c) B(hat u) D(delta) against B(hat w)
-    lhs = _su2(c) @ _su2(u_rot) @ _su2(axis4(COLUMNS, delta))
+    # B(c) B(hat u) D(delta) against B(hat w) by first columns, which fix an SU(2) matrix
+    lhs = rotated(c, *rotated(u_rot, *rotated(axis4(COLUMNS, delta), *_UP)))
     return max(_worst(_apply(stacked(so3_entries(*c)), n), n, 1),
-               _worst(lhs.view(float), _su2(_rotation(hat4(partner))).view(float), (1, 2)))
+               _worst(lhs, rotated(_rotation(hat4(partner)), *_UP), 0))
 
 
 _SWEEP = np.arange(16) * (math.pi / 8.0)
@@ -545,10 +547,9 @@ def _check_gauge_postconditions(psi, phase):
     # B(gauge) psi for the (+) gauge, then the (-) gauge: shape (n, 2, 4).
     out = np.stack([stacked(rotated(_rotation(gauge_plus4(COLUMNS, w, phase)), *psi.T))
                     for w in (u, swap4(u))], axis=1)
-    want = np.zeros((len(phase), 2, 2), dtype=complex)
-    want[:, 0, 0] = np.exp(-0.5j * phase)
-    want[:, 1, 1] = np.exp(0.5j * phase)
-    return _worst(out, want.view(float))
+    want, c, s = np.zeros_like(out), np.cos(0.5 * phase), np.sin(0.5 * phase)
+    want[:, 0, 0], want[:, 0, 1], want[:, 1, 2], want[:, 1, 3] = c, -s, c, s  # exp(-+i phase / 2)
+    return _worst(out, want)
 
 
 @_check("gauge", "canonical_gauges", 0.3, _units)
@@ -612,12 +613,10 @@ def _check_stabilizer(psi):
         lambda rng, n: (2.0 * math.pi * np.arange(16) / 16.0,))
 def _check_circle_contrast(sweep):
     # The vector-level small group of the pole is a full circle, the
-    # spinor-level one a single point of the sweep.
+    # spinor-level one a single point of the sweep, where B (1, 0) = (1, 0).
     rot = axis4(COLUMNS, sweep)  # the axis rotation of each angle
-    moved = stacked(rotated(rot, 1.0, 0.0, 0.0, 0.0)).view(complex)  # B psi for psi = (1, 0)
-    fixing = np.count_nonzero(np.all(np.abs(moved - [1.0, 0.0]) <= 1e-12, axis=1))
-    o = extract_so3(_su2(rot))
-    return _worst(o[:, :, 2], np.array([0.0, 0.0, 1.0]), 1) if fixing == 1 else math.inf
+    fixing = np.count_nonzero(np.all(np.abs(stacked(rotated(rot, *_UP)) - _UP) <= 1e-12, axis=1))
+    return _worst(_traced_so3(rot)[:, :, 2], [0.0, 0.0, 1.0], 1) if fixing == 1 else math.inf
 
 
 _GAUGE_ERRORS = (

@@ -71,17 +71,6 @@ def rodrigues(axis, angle):
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def so3_of_quadruple(c4, c1, c2, c3):
-    """O_kl = Re tr(sigma^k B sigma^l B^dag) / 2, traced entry by entry."""
-    b = b_matrix(c4, c1, c2, c3)
-    bdag = b.conj().T
-    out = np.empty((3, 3))
-    for k in range(3):
-        for l in range(3):
-            out[k, l] = 0.5 * float(np.real(np.trace(SIGMA[k] @ b @ SIGMA[l] @ bdag)))
-    return out
-
-
 def so3_of_unitaries(b):
     """O_kl = Re tr(sigma^k B sigma^l B^dag) / 2 of a 2x2 matrix or a stack (..., 2, 2), as
     one einsum over the Pauli matrices: sigma^k_ab B_bc sigma^l_cd conj(B)_ad."""

@@ -40,7 +40,6 @@ from spinorspace import (
     rotation_between,
     rotation_from_unit_ks,
     rotation_from_vector_parameter,
-    s_outside_su2_image,
     so3_from_rotation,
     so3_from_vector_parameter,
     spinor_from_quadruple,
@@ -317,14 +316,14 @@ def test_transport_columns_keep_the_scalar_bits():
 
 
 def test_stacked_fit_rows_are_single_fits():
-    # Each row of a stacked fit has the bits of the fit of its one target, which the
-    # certificate takes: su2_real4 members, Gaussian targets, and a stack of one.
+    # Each row of a stacked fit has the bits of the fit of its one target, as the
+    # certificate of S takes it: su2_real4 members, Gaussian targets, and a stack of one.
     rng = np.random.default_rng(77)
     members = stacked(ra.real4_entries(*unit4(COLUMNS, *_unit_rows(rng).T)))
     for targets in (members, rng.normal(size=(2000, 4, 4)), members[:1]):
         fit, residual = ra.real4_fit(targets)
         rows_equal((*fit.T, residual),
-                   [(*t.best_fit, t.residual) for t in map(s_outside_su2_image, targets)])
+                   [(*f[0], r[0]) for f, r in map(ra.real4_fit, targets)])
 
 
 def test_stacks_are_c_contiguous():

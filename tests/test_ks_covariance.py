@@ -123,7 +123,7 @@ def test_direction_is_minus_third_column_of_hat():
         assert abs(float(n @ n) - 1.0) <= 1e-14
         # independent route through the trace-form orthogonal matrix
         h = hat(u)
-        o = oracles.so3_of_quadruple(h.q4, h.q1, h.q2, h.q3)
+        o = oracles.so3_of_unitaries(oracles.b_matrix(h.q4, h.q1, h.q2, h.q3))
         assert scaled_residual(n, -o[:, 2]) <= 1e-13
         # and through the pseudovector projection of the quadruple's spinor
         from spinorspace import project_xi

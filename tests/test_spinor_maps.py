@@ -17,6 +17,7 @@ from spinorspace import gauge_fixing as gf
 from spinorspace import ks_covariance as ks
 from spinorspace import rotation_algebra as ra
 from spinorspace import spinor_maps as sm
+from spinorspace import verify
 from spinorspace import (
     KSQuadruple,
     ParabolicPoint,
@@ -1012,3 +1013,12 @@ def test_column_code_keeps_to_exact_operations():
                   for n in ast.walk(f)}
     assert [ast.unparse(n) for n in ast.walk(tree)
             if id(n) not in spinor_api and _is_complex_dtype(n)] == []
+
+
+def test_verify_carries_no_complex_values():
+    # The checks hold B as the kernels' real columns: no imaginary literal, complex
+    # dtype or view, and no complex SU(2) stack through extract_so3 or su2_matrix.
+    tree = ast.parse(Path(verify.__file__).read_text())
+    assert [ast.unparse(n) for n in ast.walk(tree) if _is_complex_dtype(n)] == []
+    assert [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and (_dotted(n.func) or "").split(".")[-1] in {"extract_so3", "su2_matrix"}] == []

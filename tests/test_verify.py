@@ -243,6 +243,19 @@ def test_frame_identities_catch_a_planted_frame_fault(monkeypatch):
     assert verify._check_frame_identities(u, axes, delta) > 1e-3
 
 
+def test_frame_symmetry_catches_a_turn_taken_the_wrong_way(monkeypatch):
+    # O(hat w D hat u^-1) n = n for any turn D, so only the B half of the check sees
+    # its sign. The check's own draw of 1000 samples.
+    index, (*_, draw, body) = next((i, c) for i, c in enumerate(verify._SUITES["ks"])
+                                   if c[0] == "frame_symmetry_transport")
+    inputs = draw(np.random.default_rng([42, index]), 1000)
+    assert body(*inputs) < 1e-14
+    real = verify.symmetry4
+    # turn4(xp, wn, delta) in place of turn4(xp, wn, -delta).
+    monkeypatch.setattr(verify, "symmetry4", lambda xp, u, w, delta: real(xp, u, w, -delta))
+    assert body(*inputs) > 1e-3
+
+
 def test_canonical_gauges_with_every_sample_singular():
     # Both spinors lie inside the constructors' singular guard: nothing to compare.
     psi = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
@@ -251,13 +264,9 @@ def test_canonical_gauges_with_every_sample_singular():
 
 def test_s_no_su2_preimage_needs_the_certificate_margin(monkeypatch):
     real = verify.s_outside_su2_image
-
-    def no_margin(*target):
-        # Only the certificate of S itself loses its margin; the refits stay real.
-        cert = real(*target)
-        return cert if target else dataclasses.replace(cert, residual=0.1)
-
-    monkeypatch.setattr(verify, "s_outside_su2_image", no_margin)
+    # The certificate of S without its margin.
+    monkeypatch.setattr(verify, "s_outside_su2_image",
+                        lambda: dataclasses.replace(real(), residual=0.1))
     # Check 3 of so4 at 1000 samples: seed [0, 3] and 20 samples.
     result = run_suite("so4", 1000, seed=0).result("s_no_su2_preimage")
     assert result.samples == 20
