@@ -47,17 +47,21 @@ def wrap_4pi(angle):
 
 
 def finite_angle(phi, name: str) -> float:
-    """float(phi), unwrapped; a non-finite value raises ValueError naming the angle."""
-    value = float(phi)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    """float(phi), unwrapped; a str or bytes, which float() would parse, or a non-finite
+    value raises ValueError naming the angle. A float comes back as it is."""
+    if type(phi) is not float:
+        if isinstance(phi, (str, bytes)):
+            raise ValueError(f"{name} must be a real number, got {phi!r}")
+        phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"{name} must be finite, got {phi!r}")
+    return phi
 
 
 def finite_tolerance(tolerance) -> float:
     """float(tolerance); a str, bytes or bool, a non-finite one, or a negative one,
     which no residual can meet, raises ValueError naming it."""
-    if isinstance(tolerance, (str, bytes, bool)):
+    if isinstance(tolerance, bool):
         raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
     value = finite_angle(tolerance, "tolerance")
     if value < 0.0:
@@ -79,15 +83,18 @@ def integer_value(value, name: str, least: int | None = None) -> int:
 
 
 def finite_vector(v, name: str) -> tuple:
-    """v as three Python floats, the one reader of three-entry inputs: another shape,
-    an entry that float() refuses or a non-finite entry raises ValueError naming the
-    vector."""
-    entries = v.tolist() if isinstance(v, np.ndarray) else v
+    """v as three Python floats, the one reader of three-entry inputs: another shape, a
+    str or bytes (whose characters or byte codes would unpack as entries), an entry that
+    float() refuses or a non-finite entry raises ValueError naming the vector."""
+    if type(v) is not tuple:
+        if isinstance(v, (str, bytes)):
+            raise ValueError(f"{name} must have three entries, got {v!r}")
+        v = v.tolist() if isinstance(v, np.ndarray) else v
     try:
-        x1, x2, x3 = entries
+        x1, x2, x3 = v
         x1, x2, x3 = float(x1), float(x2), float(x3)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must have three entries, got {entries!r}") from None
+        raise ValueError(f"{name} must have three entries, got {v!r}") from None
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise ValueError(f"{name} must be finite, got {[x1, x2, x3]!r}")
     return x1, x2, x3
@@ -108,7 +115,11 @@ def slot_setters(cls) -> tuple:
 # The five validated value types (these three and spinor_maps' two points) take a
 # hand-written __init__ that hands its arguments to __post_init__, which converts,
 # validates and sets each field once. The hook keeps its dataclass name because the
-# benchmark's traced run times a value type by wrapping __post_init__.
+# benchmark's traced run times a value type by wrapping __post_init__, so a class call
+# runs it. The library builds the first three through spinor_of, quadruple_of and
+# rotation_of, which bypass the hook: they run its check and set the same fields from
+# Python floats, without its float() or complex(), so a site whose parts may be numpy
+# scalars keeps the class call. A builder unpacks its parts: a starred call is not inlined.
 @dataclass(frozen=True, slots=True, init=False)
 class Spinor:
     """Two-component complex spinor (carries xi, eta and Psi alike)."""
@@ -121,9 +132,7 @@ class Spinor:
 
     def __post_init__(self, c1, c2):
         c1, c2 = complex(c1), complex(c2)
-        if not (math.isfinite(c1.real) and math.isfinite(c1.imag)
-                and math.isfinite(c2.real) and math.isfinite(c2.imag)):
-            raise ValueError("spinor components must be finite")
+        _check_spinor(c1.real, c1.imag, c2.real, c2.imag)
         set1, set2 = _SPINOR_SETTERS
         set1(self, c1)
         set2(self, c2)
@@ -137,10 +146,23 @@ class Spinor:
 _SPINOR_SETTERS = slot_setters(Spinor)
 
 
+def _check_spinor(c1r, c1i, c2r, c2i) -> None:
+    """The one check of a Spinor, on its real parts; the hook sets the complex values it
+    has, spinor_of the ones it forms, so unlike _set_quadruple this sets nothing."""
+    if not (math.isfinite(c1r) and math.isfinite(c1i)
+            and math.isfinite(c2r) and math.isfinite(c2i)):
+        raise ValueError("spinor components must be finite")
+
+
 def spinor_of(parts) -> Spinor:
     """The Spinor with the real parts (c1.real, c1.imag, c2.real, c2.imag)."""
     c1r, c1i, c2r, c2i = parts
-    return Spinor(complex(c1r, c1i), complex(c2r, c2i))
+    _check_spinor(c1r, c1i, c2r, c2i)
+    s = object.__new__(Spinor)
+    set1, set2 = _SPINOR_SETTERS
+    set1(s, complex(c1r, c1i))
+    set2(s, complex(c2r, c2i))
+    return s
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -160,15 +182,7 @@ class KSQuadruple:
         self.__post_init__(q4, q1, q2, q3)
 
     def __post_init__(self, q4, q1, q2, q3):
-        q4, q1, q2, q3 = float(q4), float(q1), float(q2), float(q3)
-        if not (math.isfinite(q4) and math.isfinite(q1)
-                and math.isfinite(q2) and math.isfinite(q3)):
-            raise ValueError("quadruple entries must be finite")
-        set4, set1, set2, set3 = _QUADRUPLE_SETTERS
-        set4(self, q4)
-        set1(self, q1)
-        set2(self, q2)
-        set3(self, q3)
+        _set_quadruple(self, float(q4), float(q1), float(q2), float(q3))
 
     def as_tuple(self) -> tuple:
         return (self.q4, self.q1, self.q2, self.q3)
@@ -182,6 +196,24 @@ class KSQuadruple:
 
 
 _QUADRUPLE_SETTERS = slot_setters(KSQuadruple)
+
+
+def _set_quadruple(q: KSQuadruple, q4, q1, q2, q3) -> KSQuadruple:
+    """q with the entries (q4, q1, q2, q3), the one check of a KSQuadruple's fields."""
+    if not (math.isfinite(q4) and math.isfinite(q1) and math.isfinite(q2) and math.isfinite(q3)):
+        raise ValueError("quadruple entries must be finite")
+    set4, set1, set2, set3 = _QUADRUPLE_SETTERS
+    set4(q, q4)
+    set1(q, q1)
+    set2(q, q2)
+    set3(q, q3)
+    return q
+
+
+def quadruple_of(parts) -> KSQuadruple:
+    """The KSQuadruple with the entries (q4, q1, q2, q3)."""
+    q4, q1, q2, q3 = parts
+    return _set_quadruple(object.__new__(KSQuadruple), q4, q1, q2, q3)
 
 
 def unit4(xp, c4, c1, c2, c3, who="rotation parameters must be unit norm") -> tuple:
@@ -362,12 +394,7 @@ class SpinorRotation:
         self.__post_init__(c4, c1, c2, c3)
 
     def __post_init__(self, c4, c1, c2, c3):
-        c4, c1, c2, c3 = unit4(FLOATS, float(c4), float(c1), float(c2), float(c3))
-        set4, set1, set2, set3 = _ROTATION_SETTERS
-        set4(self, c4)
-        set1(self, c1)
-        set2(self, c2)
-        set3(self, c3)
+        _set_rotation(self, float(c4), float(c1), float(c2), float(c3))
 
     def as_tuple(self) -> tuple:
         return (self.c4, self.c1, self.c2, self.c3)
@@ -375,21 +402,49 @@ class SpinorRotation:
 
 _ROTATION_SETTERS = slot_setters(SpinorRotation)
 
+
+def _set_rotation(r: SpinorRotation, c4, c1, c2, c3) -> SpinorRotation:
+    """r with the parameters (c4, c1, c2, c3) normalized by unit4, which checks them."""
+    c4, c1, c2, c3 = unit4(FLOATS, c4, c1, c2, c3)
+    set4, set1, set2, set3 = _ROTATION_SETTERS
+    set4(r, c4)
+    set1(r, c1)
+    set2(r, c2)
+    set3(r, c3)
+    return r
+
+
+def rotation_of(parts) -> SpinorRotation:
+    """The SpinorRotation of the parameters (c4, c1, c2, c3)."""
+    c4, c1, c2, c3 = parts
+    return _set_rotation(object.__new__(SpinorRotation), c4, c1, c2, c3)
+
+
 IDENTITY_ROTATION = SpinorRotation(1.0, 0.0, 0.0, 0.0)
 MINUS_IDENTITY = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
+# The hot result types set their slots as the value types do; a frozen dataclass's own
+# __init__ sets each field through object.__setattr__.
+@dataclass(frozen=True, slots=True, init=False)
 class EtaProjection:
     """Vector-model projection: component j of the decomposition is a_j + i x_j."""
 
     a: np.ndarray
     x: np.ndarray
 
+    def __init__(self, a, x):
+        set_a, set_x = _ETA_PROJECTION_SETTERS
+        set_a(self, a)
+        set_x(self, x)
+
+
+_ETA_PROJECTION_SETTERS = slot_setters(EtaProjection)
+
 
 def spinor_from_quadruple(q: KSQuadruple) -> Spinor:
     """Exact bijection: c1 = q1 + i q2, c2 = q3 + i q4."""
-    return Spinor(complex(q.q1, q.q2), complex(q.q3, q.q4))
+    return spinor_of((q.q1, q.q2, q.q3, q.q4))
 
 
 def quadruple_parts(c1r, c1i, c2r, c2i) -> tuple:
@@ -399,7 +454,7 @@ def quadruple_parts(c1r, c1i, c2r, c2i) -> tuple:
 
 def quadruple_from_spinor(s: Spinor) -> KSQuadruple:
     """Exact inverse of spinor_from_quadruple."""
-    return KSQuadruple(s.c2.imag, s.c1.real, s.c1.imag, s.c2.real)
+    return quadruple_of((s.c2.imag, s.c1.real, s.c1.imag, s.c2.real))
 
 
 def su2_parts(c4, c1, c2, c3) -> tuple:
@@ -419,12 +474,12 @@ def su2_matrix(rot: SpinorRotation) -> np.ndarray:
 
 def compose(r1: SpinorRotation, r2: SpinorRotation) -> SpinorRotation:
     """Quaternion product matching su2_matrix(r1) @ su2_matrix(r2)."""
-    return SpinorRotation(*qmul(r1.as_tuple(), r2.as_tuple()))
+    return rotation_of(qmul(r1.as_tuple(), r2.as_tuple()))
 
 
 def conjugate(rot: SpinorRotation) -> SpinorRotation:
     """Inverse rotation (c4, -c)."""
-    return SpinorRotation(*conjugate4(rot.as_tuple()))
+    return rotation_of(conjugate4(rot.as_tuple()))
 
 
 __all__ = [

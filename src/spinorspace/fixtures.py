@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .core import (Spinor, finite_tolerance, integer_value, quadruple_parts, residual_rows,
-                   sign_flag, wrap_4pi)
+                   sign_flag, spinor_of, wrap_4pi)
 from .gauge_fixing import psi_from_direction
 from .spinor_maps import (
     ParabolicPoint,
@@ -80,7 +80,8 @@ def _constructed(system, values, model, sheet) -> tuple:
         point = ParabolicPoint(*vals)
         spinor = xi_from_parabolic(point) if model == "xi" else eta_from_parabolic(point)
     # Sheet -1, the phi + 2pi lift, is the same spinor negated.
-    return vals, spinor if sheet == 1 else Spinor(-spinor.c1, -spinor.c2)
+    return vals, spinor if sheet == 1 else spinor_of(
+        (-spinor.c1.real, -spinor.c1.imag, -spinor.c2.real, -spinor.c2.imag))
 
 
 def bilinears(spinor: Spinor, model: str) -> tuple:

@@ -30,7 +30,9 @@ from .core import (
     pow2_scaled,
     qmul,
     quadruple_parts,
+    rotation_of,
     sign_flag,
+    slot_setters,
     spinor_of,
     unit4,
     wrap_4pi,
@@ -55,7 +57,7 @@ class SingularGaugeError(ValueError):
 
 def axis_phase(delta: float) -> SpinorRotation:
     """The rotation (cos delta, 0, 0, sin delta), i.e. B = exp(-i delta sigma^3)."""
-    return SpinorRotation(*axis4(FLOATS, finite_angle(delta, "axis phase delta")))
+    return rotation_of(axis4(FLOATS, finite_angle(delta, "axis phase delta")))
 
 
 def _unit_spinor(psi: Spinor, who: str) -> tuple:
@@ -100,13 +102,13 @@ def gauge_plus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     with both entries exact in float arithmetic; the phase is applied on top.
     """
     u = _unit_spinor(psi, "gauge_plus requires a unit spinor")
-    return SpinorRotation(*gauge_plus4(FLOATS, u, finite_angle(phase, "gauge phase")))
+    return rotation_of(gauge_plus4(FLOATS, u, finite_angle(phase, "gauge phase")))
 
 
 def gauge_minus(psi: Spinor, phase: float = 0.0) -> SpinorRotation:
     """Closed-form rotation sending psi to (0, e^{+i phase/2}): the (+) gauge of i sigma^2 psi*."""
     u = _unit_spinor(psi, "gauge_minus requires a unit spinor")
-    return SpinorRotation(*gauge_plus4(FLOATS, swap4(u), finite_angle(phase, "gauge phase")))
+    return rotation_of(gauge_plus4(FLOATS, swap4(u), finite_angle(phase, "gauge phase")))
 
 
 def gauge_plus4(xp, u: tuple, phase) -> tuple:
@@ -122,7 +124,7 @@ def swap4(u: tuple) -> tuple:
     return u3, -u4, -u1, u2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CanonicalGauge:
     """A distinguished gauge: its rotation has vanishing third parameter.
 
@@ -133,6 +135,15 @@ class CanonicalGauge:
     gamma: float
     vector_parameter: np.ndarray
     rotation: SpinorRotation
+
+    def __init__(self, gamma, vector_parameter, rotation):
+        set_gamma, set_vector_parameter, set_rotation = _CANONICAL_SETTERS
+        set_gamma(self, gamma)
+        set_vector_parameter(self, vector_parameter)
+        set_rotation(self, rotation)
+
+
+_CANONICAL_SETTERS = slot_setters(CanonicalGauge)
 
 
 def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:
@@ -158,8 +169,7 @@ def canonical_phase_minus(psi: Spinor) -> CanonicalGauge:
 def _canonical(psi: Spinor, sign: int, who: str) -> CanonicalGauge:
     """The canonical (+) gauge (sign 1) or (-) gauge (sign -1) of psi."""
     gamma, c_vec, rotation = canonical4(FLOATS, _unit_spinor(psi, who), sign)
-    return CanonicalGauge(gamma=gamma, vector_parameter=np.array(c_vec),
-                          rotation=SpinorRotation(*rotation))
+    return CanonicalGauge(gamma, np.array(c_vec), rotation_of(rotation))
 
 
 def canonical4(xp, u: tuple, sign: int) -> tuple:
@@ -194,7 +204,7 @@ def rotation_between(psi: Spinor, psi_prime: Spinor) -> SpinorRotation:
     ratio m' m^{-1}. Equal inputs give the identity exactly.
     """
     who = "rotation_between requires a unit spinor"
-    return SpinorRotation(*between4(FLOATS, _unit_spinor(psi, who), _unit_spinor(psi_prime, who)))
+    return rotation_of(between4(FLOATS, _unit_spinor(psi, who), _unit_spinor(psi_prime, who)))
 
 
 def between4(xp, u: tuple, v: tuple) -> tuple:

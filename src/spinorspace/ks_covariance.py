@@ -24,7 +24,10 @@ from .core import (
     finite_angle,
     finite_vector,
     qmul,
+    quadruple_of,
     quadruple_parts,
+    rotation_of,
+    slot_setters,
     unit4,
 )
 from .gauge_fixing import canonical_plus4
@@ -72,22 +75,22 @@ def direction4(u: tuple) -> tuple:
 
 def normalize_ks(q: KSQuadruple) -> KSQuadruple:
     """The unit quadruple of a nonzero quadruple; q is it times sqrt(q.norm_sq)."""
-    return KSQuadruple(*unit_ks(FLOATS, q.as_tuple()))
+    return quadruple_of(unit_ks(FLOATS, q.as_tuple()))
 
 
 def hat(q: KSQuadruple) -> KSQuadruple:
     """The involution (q4, q1, -q2, -q3); its own inverse."""
-    return KSQuadruple(*hat4(q.as_tuple()))
+    return quadruple_of(hat4(q.as_tuple()))
 
 
 def rotation_from_unit_ks(q: KSQuadruple) -> SpinorRotation:
     """Read a unit quadruple as a rotation parameter; the storage orders agree."""
-    return SpinorRotation(q.q4, q.q1, q.q2, q.q3)
+    return rotation_of(q.as_tuple())
 
 
 def ks_from_rotation(rot: SpinorRotation) -> KSQuadruple:
     """Inverse of rotation_from_unit_ks."""
-    return KSQuadruple(rot.c4, rot.c1, rot.c2, rot.c3)
+    return quadruple_of(rot.as_tuple())
 
 
 def direction_from_ks(q: KSQuadruple) -> np.ndarray:
@@ -106,10 +109,10 @@ def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
     B(rot) on the spinor c1 = q1 + i q2, c2 = q3 + i q4 of q, read back as a
     quadruple: the 4x4 orthogonal realization su2_real4(rot) @ q.
     """
-    return KSQuadruple(*quadruple_parts(*rotated(rot.as_tuple(), q.q1, q.q2, q.q3, q.q4)))
+    return quadruple_of(quadruple_parts(*rotated(rot.as_tuple(), q.q1, q.q2, q.q3, q.q4)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KSFrame:
     """Frame quadruple w for a direction, with its construction data.
 
@@ -124,6 +127,17 @@ class KSFrame:
     delta: float
     align: SpinorRotation
 
+    def __init__(self, w, direction, axis, delta, align):
+        set_w, set_direction, set_axis, set_delta, set_align = _FRAME_SETTERS
+        set_w(self, w)
+        set_direction(self, direction)
+        set_axis(self, axis)
+        set_delta(self, delta)
+        set_align(self, align)
+
+
+_FRAME_SETTERS = slot_setters(KSFrame)
+
 
 def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSFrame:
     """Construct the frame quadruple of a nonzero KS quadruple.
@@ -134,10 +148,9 @@ def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSF
     """
     delta = finite_angle(delta, "frame delta")
     a_vec = finite_vector(axis, "frame axis")
-    align = SpinorRotation(*canonical_plus4(FLOATS, a_vec))
+    align = rotation_of(canonical_plus4(FLOATS, a_vec))
     w, direction = frame4(FLOATS, q.as_tuple(), align.as_tuple(), delta)
-    return KSFrame(w=KSQuadruple(*w), direction=np.array(direction), axis=np.array(a_vec),
-                   delta=delta, align=align)
+    return KSFrame(quadruple_of(w), np.array(direction), np.array(a_vec), delta, align)
 
 
 def turn4(xp, u: tuple, delta) -> tuple:
@@ -161,7 +174,7 @@ def frame_symmetry(u: KSQuadruple, w: KSQuadruple, delta: float = 0.0) -> Spinor
     phase, exactly by construction.
     """
     delta = finite_angle(delta, "frame delta")
-    return SpinorRotation(*symmetry4(FLOATS, u.as_tuple(), w.as_tuple(), delta))
+    return rotation_of(symmetry4(FLOATS, u.as_tuple(), w.as_tuple(), delta))
 
 
 def symmetry4(xp, u: tuple, w: tuple, delta) -> tuple:

@@ -24,6 +24,7 @@ from .core import (
     finite_angle,
     finite_vector,
     pow2_scaled,
+    rotation_of,
     spinor_of,
     stacked,
 )
@@ -114,7 +115,7 @@ def chart_scaled(xp, c1, c2, c3) -> tuple:
 
 def rotation_from_vector_parameter(C) -> SpinorRotation:
     """Inverse chart, fixing the c4 > 0 representative: c4 = 1 / sqrt(1 + |C|^2), c = c4 C."""
-    return SpinorRotation(*chart4(FLOATS, *finite_vector(C, "vector parameter")))
+    return rotation_of(chart4(FLOATS, *finite_vector(C, "vector parameter")))
 
 
 def chart4(xp, c1, c2, c3) -> tuple:

@@ -36,6 +36,7 @@ from .core import (
     finite_angle,
     finite_vector,
     polar,
+    quadruple_of,
     sign_flag,
     slot_setters,
     spinor_of,
@@ -339,7 +340,7 @@ def project_eta(eta: Spinor) -> EtaProjection:
         out = eta_bilinears(FLOATS, eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag)
     except OverflowError:
         raise OverflowError(_PAST_RANGE.format("project_eta", eta, "bilinears")) from None
-    return EtaProjection(a=np.array(out[:3]), x=np.array(out[3:]))
+    return EtaProjection(np.array(out[:3]), np.array(out[3:]))
 
 
 def eta_quadruple_bilinears(v4, v1, v2, v3) -> tuple:
@@ -362,7 +363,7 @@ def eta_quadruple_projection(q: KSQuadruple) -> EtaProjection:
     range raises OverflowError.
     """
     out = _entries_in_range("eta_quadruple_projection", eta_quadruple_bilinears, q)
-    return EtaProjection(a=np.array(out[:3]), x=np.array(out[3:]))
+    return EtaProjection(np.array(out[:3]), np.array(out[3:]))
 
 
 def _entries_in_range(name, bilinears, q: KSQuadruple) -> tuple:
@@ -442,7 +443,7 @@ def u_to_v(q: KSQuadruple) -> KSQuadruple:
 
     Norm-preserving; agrees with eta_from_xi through the quadruple bijection.
     """
-    return KSQuadruple(*u_to_v_entries(q.q4, q.q1, q.q2, q.q3))
+    return quadruple_of(u_to_v_entries(q.q4, q.q1, q.q2, q.q3))
 
 
 def cartan_reflected(delta, c1r, c1i, c2r, c2i) -> tuple:

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import spinorspace
@@ -32,9 +34,12 @@ from spinorspace import (
     su2_matrix,
     wrap_4pi,
 )
-from spinorspace.core import (FLOATS, MINUS_IDENTITY, finite_vector, integer_value, pow2_scaled,
-                              pow2_shift, qmul, unit4)
-from spinorspace.fixtures import fixture_record
+from spinorspace.core import (FLOATS, MINUS_IDENTITY, EtaProjection, finite_vector, integer_value,
+                              pow2_scaled, pow2_shift, qmul, quadruple_of, rotation_of, spinor_of,
+                              unit4)
+from spinorspace.gauge_fixing import CanonicalGauge
+from spinorspace.ks_covariance import KSFrame
+from spinorspace.fixtures import construct, fixture_record
 
 SQRT2 = math.sqrt(2.0)
 
@@ -241,7 +246,8 @@ def test_value_type_contract(monkeypatch, cls, args, mixed, bad, message, bad_fi
         setattr(value, names[0], fields[0])
     assert not hasattr(value, "__dict__")
     # The traced benchmark times a value type by wrapping cls.__post_init__: the
-    # wrapper must see exactly one call per construction, rejected ones included.
+    # wrapper must see exactly one call per class call, rejected ones included. The
+    # library's builders bypass the hook (test_builders_bypass_the_hook).
     hook = vars(cls)["__post_init__"]
     seen = []
 
@@ -270,8 +276,8 @@ _PSI = Spinor(1.0 + 0.0j, 0.0j)
 _Q = KSQuadruple(0.3, 0.5, -0.4, 0.2)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("call, name", [
+# Each public entry point that takes an angle, with the name its error gives it.
+_ANGLE_ENTRIES = [
     (lambda a: spinorspace.phase_rotate(_PSI, a), "phase alpha"),
     (spinorspace.axis_phase, "axis phase delta"),
     (lambda a: spinorspace.gauge_plus(_PSI, a), "gauge phase"),
@@ -280,11 +286,28 @@ _Q = KSQuadruple(0.3, 0.5, -0.4, 0.2)
     (lambda a: spinorspace.frame_symmetry(_Q, _Q, a), "frame delta"),
     (lambda a: spinorspace.rotation_from_axis_angle((0.0, 0.0, 1.0), a), "rotation angle"),
     (lambda a: spinorspace.elementary_so4("2-3", a), "plane angle"),
-], ids=["phase_rotate", "axis_phase", "gauge_plus", "gauge_minus", "build_frame",
-        "frame_symmetry", "rotation_from_axis_angle", "elementary_so4"])
+    (lambda a: spinorspace.psi_from_direction((0.0, 0.0, 1.0), a), "phase gamma"),
+    (lambda a: SphericalPoint(1.0, 0.5, a), "azimuth phi"),
+]
+_ANGLE_IDS = ["phase_rotate", "axis_phase", "gauge_plus", "gauge_minus", "build_frame",
+              "frame_symmetry", "rotation_from_axis_angle", "elementary_so4",
+              "psi_from_direction", "SphericalPoint"]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call, name", _ANGLE_ENTRIES, ids=_ANGLE_IDS)
 def test_angle_parameters_reject_nonfinite(call, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         call(bad)
+
+
+@pytest.mark.parametrize("text", ["0.3", b"0.3", "nan"])
+@pytest.mark.parametrize("call, name", _ANGLE_ENTRIES, ids=_ANGLE_IDS)
+def test_angle_parameters_refuse_strings(call, name, text):
+    # float() parses a str or bytes, so the reader refuses them before it converts.
+    message = f"{name} must be a real number, got {text!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(text)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -453,6 +476,17 @@ def test_vectors_of_the_wrong_shape_name_the_input(call, name, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("text", ["123", b"123", "001", b"0\x00\x01"])
+@pytest.mark.parametrize("call, name", _VECTOR_ENTRIES,
+                         ids=["xi", "eta", "psi", "so3-chart", "chart", "axis-angle", "frame",
+                              "rotated-direction"])
+def test_vectors_refuse_strings(call, name, text):
+    # A 3-character str unpacks into digits that float() parses, and bytes into byte codes.
+    message = f"{name} must have three entries, got {text!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(text)
+
+
 def test_finite_vector_reads_three_floats_with_their_bits():
     # Signed zeros, a subnormal and numpy scalars come back as Python floats, bit for bit.
     cases = [
@@ -561,3 +595,195 @@ def test_scaled_residual_scores_tuples_as_arrays(lhs, rhs):
         except ValueError as exc:
             return type(exc)
     assert score(lhs, rhs) == score(np.array(lhs, dtype=float), np.array(rhs, dtype=float))
+
+
+# ------------------------------------------------- builders and result types
+
+_BUILDERS = {
+    Spinor: (spinor_of, lambda p: Spinor(complex(p[0], p[1]), complex(p[2], p[3]))),
+    KSQuadruple: (quadruple_of, lambda p: KSQuadruple(*p)),
+    SpinorRotation: (rotation_of, lambda p: SpinorRotation(*p)),
+}
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                 1.0, -1.0, 0.5, 1.7976931348623157e308, -1.7976931348623157e308,
+                 math.inf, -math.inf, math.nan]
+_DOUBLES = st.one_of(st.sampled_from(_EDGE_DOUBLES), st.floats())
+# Quadruples of norm 1 to rounding, which a rotation takes, beside any four doubles.
+_UNIT_PARTS = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda p: math.hypot(*p) > 0.0).map(
+    lambda p: tuple(v / math.hypot(*p) for v in p))
+
+
+def _built(make, parts):
+    """The class and each field's type and bits (an int64 view, so signed zeros and NaN
+    payloads count) of make(parts), or the type and message of what it raised."""
+    try:
+        value = make(parts)
+    except Exception as exc:  # the builder must raise what the class call raises
+        return type(exc), str(exc)
+    fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return type(value), [(type(v), np.array([v.real, v.imag] if type(v) is complex else [v],
+                                            dtype=float).view(np.int64).tolist()) for v in fields]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(parts=st.one_of(st.tuples(*[_DOUBLES] * 4), _UNIT_PARTS))
+def test_builders_equal_the_class_call(parts):
+    # Over the whole double range: equal fields bit for bit, the exact class, and the
+    # same exception and message where the class call refuses the parts.
+    for cls, (builder, class_call) in _BUILDERS.items():
+        built = _built(builder, parts)
+        assert built == _built(class_call, parts)
+        assert built[0] is cls or built[0] is ValueError
+
+
+@pytest.mark.parametrize("cls", list(_BUILDERS), ids=lambda cls: cls.__name__)
+def test_builders_bypass_the_hook(monkeypatch, cls):
+    def hook(self, *args):
+        raise AssertionError("a builder ran the hook")
+    monkeypatch.setattr(cls, "__post_init__", hook)
+    assert type(_BUILDERS[cls][0]((1.0, 0.0, -0.0, 0.0))) is cls
+    with pytest.raises(AssertionError):
+        _BUILDERS[cls][1]((1.0, 0.0, -0.0, 0.0))
+
+
+def _outcome(call):
+    """call()'s value, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # compared between two constructions
+        return type(exc), str(exc)
+
+
+_RESULTS = {
+    EtaProjection: lambda: spinorspace.project_eta(
+        spinorspace.eta_from_cartesian((0.3, -1.2, 0.7))),
+    CanonicalGauge: lambda: spinorspace.canonical_phase_minus(
+        spinorspace.psi_from_direction((0.0, 0.6, 0.8), 0.5)),
+    KSFrame: lambda: spinorspace.build_frame(_Q, (0.0, 0.6, 0.8), 0.4),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RESULTS), ids=lambda cls: cls.__name__)
+def test_result_types_behave_as_keyword_built_ones(cls):
+    # The library builds each result positionally through its slot-setter __init__; a
+    # keyword call on the same field objects must give the same value in every respect.
+    value = _RESULTS[cls]()
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names and cls.__match_args__ == tuple(names)
+    fields = [getattr(value, name) for name in names]
+    twin = cls(**dict(zip(names, fields)))
+    assert type(value) is type(twin) is cls and not hasattr(value, "__dict__")
+    assert all(a is b for a, b in zip(fields, (getattr(twin, name) for name in names)))
+    assert repr(value) == repr(twin) and value == twin and twin == value
+    assert _outcome(lambda: hash(value)) == _outcome(lambda: hash(twin))
+    assert _outcome(lambda: value == cls(*[copy.deepcopy(f) for f in fields])) == _outcome(
+        lambda: twin == cls(*[copy.deepcopy(f) for f in fields]))
+    for other in (value, twin):
+        for copied in (pickle.loads(pickle.dumps(other)), dataclasses.replace(other),
+                       copy.copy(other), copy.deepcopy(other)):
+            assert type(copied) is cls and repr(copied) == repr(value)
+        match other:
+            case cls(first):
+                assert first is fields[0]
+            case _:
+                pytest.fail("a class pattern does not match")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(other, names[0], fields[0])
+    assert dataclasses.replace(value, **{names[-1]: fields[-1]}) == value
+
+
+def _value_fields(result) -> list:
+    """(path, field, its type, the type it must have) of every field of each Spinor,
+    KSQuadruple and SpinorRotation in result, and of a KSFrame's or CanonicalGauge's floats."""
+    if isinstance(result, (KSFrame, CanonicalGauge)):
+        return [(f"{f.name}.{path}", *rest) for f in dataclasses.fields(result)
+                for path, *rest in _value_fields(getattr(result, f.name))]
+    if isinstance(result, (Spinor, KSQuadruple, SpinorRotation)):
+        want = complex if type(result) is Spinor else float
+        return [(f.name, type(getattr(result, f.name)), want) for f in dataclasses.fields(result)]
+    return [("", type(result), float)] if isinstance(result, float) else []
+
+
+def _public_results(v, a) -> dict:
+    """Every public call that returns a value type, or one in a KSFrame or CanonicalGauge,
+    on vectors v(...) and angles a(...) of one numpy kind; the value types they take are
+    class calls on the same kind, and flags are numpy integers."""
+    xi = spinorspace.xi_from_cartesian(v((1, -2, 3)))
+    eta = spinorspace.eta_from_cartesian(v((1, -2, 3)))
+    psi = spinorspace.psi_from_direction(v((0, 1, 0)), a(2))
+    other = spinorspace.psi_from_direction(v((1, 0, 0)), a(-1))
+    q, partner = KSQuadruple(*v((1, 2, -1, 3))), KSQuadruple(*v((3, -2, -1, 1)))
+    rot = SpinorRotation(*v((0, 0, 1, 0)))
+    spherical, parabolic = SphericalPoint(*v((2, 1, 3))), ParabolicPoint(*v((1, 2, -1)))
+    sheet = np.int64(-1)
+    return {
+        "spinor_from_quadruple": spinorspace.spinor_from_quadruple(q),
+        "quadruple_from_spinor": spinorspace.quadruple_from_spinor(xi),
+        "compose": spinorspace.compose(rot, SpinorRotation(*v((0, 1, 0, 0)))),
+        "conjugate": spinorspace.conjugate(rot),
+        "xi_from_cartesian": spinorspace.xi_from_cartesian(v((1, -2, 3)), sheet),
+        "eta_from_cartesian": spinorspace.eta_from_cartesian(v((0, 0, -2)), sheet),
+        "xi_from_spherical": spinorspace.xi_from_spherical(spherical),
+        "eta_from_spherical": spinorspace.eta_from_spherical(spherical),
+        "xi_from_parabolic": spinorspace.xi_from_parabolic(parabolic),
+        "eta_from_parabolic": spinorspace.eta_from_parabolic(parabolic),
+        "phase_rotate": spinorspace.phase_rotate(xi, a(1)),
+        "eta_from_xi": spinorspace.eta_from_xi(xi),
+        "xi_from_eta": spinorspace.xi_from_eta(eta),
+        "u_to_v": spinorspace.u_to_v(q),
+        "cartan_reflect": spinorspace.cartan_reflect(xi, sheet),
+        "rotation_from_vector_parameter": spinorspace.rotation_from_vector_parameter(v((1, -2, 3))),
+        "rotate_spinor": spinorspace.rotate_spinor(rot, xi),
+        "rotation_from_axis_angle": spinorspace.rotation_from_axis_angle(v((1, -2, 3)), a(1)),
+        "axis_phase": spinorspace.axis_phase(a(1)),
+        "psi_from_direction": psi,
+        "gauge_plus": spinorspace.gauge_plus(psi, a(1)),
+        "gauge_minus": spinorspace.gauge_minus(psi, a(1)),
+        "canonical_phase_plus": spinorspace.canonical_phase_plus(psi),
+        "canonical_phase_minus": spinorspace.canonical_phase_minus(psi),
+        "rotation_between": spinorspace.rotation_between(psi, other),
+        "stabilizer_check": spinorspace.stabilizer_check(psi, sheet),
+        "normalize_ks": spinorspace.normalize_ks(q),
+        "hat": spinorspace.hat(q),
+        "rotation_from_unit_ks": spinorspace.rotation_from_unit_ks(KSQuadruple(*v((0, 1, 0, 0)))),
+        "ks_from_rotation": spinorspace.ks_from_rotation(rot),
+        "left_transport": spinorspace.left_transport(rot, q),
+        "build_frame": spinorspace.build_frame(q, v((0, 1, 0)), a(1)),
+        "frame_symmetry": spinorspace.frame_symmetry(q, spinorspace.hat(spinorspace.hat(q)), a(1)),
+        "construct spherical": construct("spherical", v((2, 1, 3)), "eta", sheet),
+        "construct parabolic": construct("parabolic", v((1, 2, -1)), "xi", sheet),
+        "construct cartesian": construct("cartesian", v((1, -2, 3)), "xi", sheet),
+    }
+
+
+_NUMPY_KINDS = {
+    "float64": (lambda t: tuple(map(np.float64, t)), np.float64),
+    "int64": (lambda t: tuple(map(np.int64, t)), np.int64),
+    "array": (lambda t: np.array(t, dtype=float), lambda x: np.array(float(x))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NUMPY_KINDS))
+def test_numpy_inputs_give_exact_python_fields(kind):
+    # A builder takes Python floats only and keeps the types it is given, so a site that
+    # can meet numpy scalars must convert them or keep the class call: every field of a
+    # returned value type is exactly float, or exactly complex for a Spinor.
+    results = _public_results(*_NUMPY_KINDS[kind])
+    fields = [(name, *field) for name, result in results.items() for field in _value_fields(result)]
+    assert {field[0] for field in fields} == set(results)
+    assert [field for field in fields if field[2] is not field[3]] == []
+
+
+def test_value_types_are_built_by_the_builders():
+    # A starred class call is the shape of a construction from computed parts, which the
+    # builders serve; the one left is cli's rotation from argv, which argparse may hand
+    # over as any real numbers.
+    starred = []
+    for path in sorted(Path(spinorspace.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("Spinor", "KSQuadruple", "SpinorRotation")
+                    and any(isinstance(arg, ast.Starred) for arg in node.args)):
+                starred.append(f"{path.stem}: {ast.unparse(node)}")
+    assert starred == ["cli: SpinorRotation(*args.rotation)"]

@@ -122,6 +122,43 @@ def test_psi_from_direction_partner_lift_negates():
         assert (partner.c1, partner.c2) == (-psi.c1, -psi.c2)
 
 
+def _part_bits(psi) -> list:
+    return np.array([psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag]).view(np.int64).tolist()
+
+
+def test_psi_lift_below_is_the_spinor_negated_bit_for_bit():
+    # Off the third axis the phase is the azimuth itself and gamma - 2pi only flips the lift
+    # sign, an exact negation: psi(n, gamma) is -psi(n, gamma - 2pi) bit for bit, signed
+    # zeros included, here on directions in the coordinate planes too.
+    rng = np.random.default_rng(65)
+    directions = rng.normal(size=(18000, 3))
+    directions[np.arange(3000), rng.integers(0, 3, 3000)] = 0.0  # one zero: off the axis
+    directions[3000:4000, 1] = -0.0
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    gammas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 18000)
+    zeros = 0
+    for n, gamma in zip(directions.tolist(), gammas.tolist()):
+        psi = psi_from_direction(n, gamma)
+        lift = psi_from_direction(n, gamma - 2.0 * math.pi)
+        negated = Spinor(-lift.c1, -lift.c2)
+        assert _part_bits(psi) == _part_bits(negated), (n, gamma)
+        zeros += 0.0 in (psi.c1.real, psi.c1.imag, psi.c2.real, psi.c2.imag)
+    assert zeros > 500
+
+
+def test_psi_lift_below_on_the_axis_holds_to_rounding():
+    # On the axis the requested phase is used itself, so gamma - 2pi shifts the half angle
+    # by pi inside cos and sin, which holds only to rounding: each part within 2^-50.
+    rng = np.random.default_rng(66)
+    worst = 0.0
+    for k, gamma in enumerate(rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 20000).tolist()):
+        n = (0.0, 0.0, 1.0 if k % 2 else -1.0)
+        psi, lift = psi_from_direction(n, gamma), psi_from_direction(n, gamma - 2.0 * math.pi)
+        gaps = (psi.c1 + lift.c1, psi.c2 + lift.c2)
+        worst = max(worst, *(abs(g.real) for g in gaps), *(abs(g.imag) for g in gaps))
+    assert 0.0 < worst <= 2.0**-50
+
+
 def _complex_polar(xp, m1, m2, phi):
     """The direction spinor's phase step as it was written before it shared the
     constructors' polar: half-angle phases and float-by-complex products."""
