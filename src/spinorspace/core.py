@@ -46,13 +46,19 @@ def wrap_4pi(angle):
     return a - (FOUR_PI * (a > TWO_PI) - FOUR_PI * (a <= -TWO_PI))
 
 
+def number(x, name: str, kind=float):
+    """kind(x), kind float or complex, the one reader of number inputs: a kind comes back as it
+    is, and a str or bytes, which float() would parse, raises ValueError naming the input."""
+    if isinstance(x, (str, bytes)):
+        raise ValueError(f"{name} must be a {'real' if kind is float else 'complex'} number, "
+                         f"got {x!r}")
+    return kind(x)
+
+
 def finite_angle(phi, name: str) -> float:
-    """float(phi), unwrapped; a str or bytes, which float() would parse, or a non-finite
-    value raises ValueError naming the angle. A float comes back as it is."""
+    """number(phi, name), unwrapped; a non-finite value raises ValueError naming the angle."""
     if type(phi) is not float:
-        if isinstance(phi, (str, bytes)):
-            raise ValueError(f"{name} must be a real number, got {phi!r}")
-        phi = float(phi)
+        phi = number(phi, name)
     if not math.isfinite(phi):
         raise ValueError(f"{name} must be finite, got {phi!r}")
     return phi
@@ -83,18 +89,22 @@ def integer_value(value, name: str, least: int | None = None) -> int:
 
 
 def finite_vector(v, name: str) -> tuple:
-    """v as three Python floats, the one reader of three-entry inputs: another shape, a
-    str or bytes (whose characters or byte codes would unpack as entries), an entry that
-    float() refuses or a non-finite entry raises ValueError naming the vector."""
+    """v as three Python floats, the one reader of three-entry inputs: a wrong shape, a str or
+    bytes (whose characters or byte codes would unpack as entries) or a non-finite entry raises
+    ValueError naming the vector. number reads each entry, as "<name> entry"."""
     if type(v) is not tuple:
         if isinstance(v, (str, bytes)):
             raise ValueError(f"{name} must have three entries, got {v!r}")
         v = v.tolist() if isinstance(v, np.ndarray) else v
     try:
         x1, x2, x3 = v
-        x1, x2, x3 = float(x1), float(x2), float(x3)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must have three entries, got {v!r}") from None
+    if not (type(x1) is type(x2) is type(x3) is float):
+        try:
+            x1, x2, x3 = [number(x, f"{name} entry") for x in (x1, x2, x3)]
+        except TypeError:  # an entry that float() refuses, such as a list or a complex
+            raise ValueError(f"{name} must have three entries, got {v!r}") from None
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise ValueError(f"{name} must be finite, got {[x1, x2, x3]!r}")
     return x1, x2, x3
@@ -112,14 +122,10 @@ def slot_setters(cls) -> tuple:
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
-# The five validated value types (these three and spinor_maps' two points) take a
-# hand-written __init__ that hands its arguments to __post_init__, which converts,
-# validates and sets each field once. The hook keeps its dataclass name because the
-# benchmark's traced run times a value type by wrapping __post_init__, so a class call
-# runs it. The library builds the first three through spinor_of, quadruple_of and
-# rotation_of, which bypass the hook: they run its check and set the same fields from
-# Python floats, without its float() or complex(), so a site whose parts may be numpy
-# scalars keeps the class call. A builder unpacks its parts: a starred call is not inlined.
+# The five validated value types (these three and spinor_maps' two points) have one __init__:
+# number reads the arguments unless all have their field's type, the type's one check runs and
+# the slot setters set the fields. spinor_of, quadruple_of and rotation_of build the first three
+# from computed floats without number; they unpack their parts, as a starred call is not inlined.
 @dataclass(frozen=True, slots=True, init=False)
 class Spinor:
     """Two-component complex spinor (carries xi, eta and Psi alike)."""
@@ -128,10 +134,8 @@ class Spinor:
     c2: complex
 
     def __init__(self, c1, c2):
-        self.__post_init__(c1, c2)
-
-    def __post_init__(self, c1, c2):
-        c1, c2 = complex(c1), complex(c2)
+        if not (type(c1) is type(c2) is complex):
+            c1, c2 = [number(c, "spinor component", complex) for c in (c1, c2)]
         _check_spinor(c1.real, c1.imag, c2.real, c2.imag)
         set1, set2 = _SPINOR_SETTERS
         set1(self, c1)
@@ -147,8 +151,7 @@ _SPINOR_SETTERS = slot_setters(Spinor)
 
 
 def _check_spinor(c1r, c1i, c2r, c2i) -> None:
-    """The one check of a Spinor, on its real parts; the hook sets the complex values it
-    has, spinor_of the ones it forms, so unlike _set_quadruple this sets nothing."""
+    """A Spinor's one check, on its real parts; its caller sets the complex values it holds."""
     if not (math.isfinite(c1r) and math.isfinite(c1i)
             and math.isfinite(c2r) and math.isfinite(c2i)):
         raise ValueError("spinor components must be finite")
@@ -179,10 +182,9 @@ class KSQuadruple:
     q3: float
 
     def __init__(self, q4, q1, q2, q3):
-        self.__post_init__(q4, q1, q2, q3)
-
-    def __post_init__(self, q4, q1, q2, q3):
-        _set_quadruple(self, float(q4), float(q1), float(q2), float(q3))
+        if not (type(q4) is type(q1) is type(q2) is type(q3) is float):
+            q4, q1, q2, q3 = [number(q, "quadruple entry") for q in (q4, q1, q2, q3)]
+        _set_quadruple(self, q4, q1, q2, q3)
 
     def as_tuple(self) -> tuple:
         return (self.q4, self.q1, self.q2, self.q3)
@@ -391,10 +393,9 @@ class SpinorRotation:
     c3: float
 
     def __init__(self, c4, c1, c2, c3):
-        self.__post_init__(c4, c1, c2, c3)
-
-    def __post_init__(self, c4, c1, c2, c3):
-        _set_rotation(self, float(c4), float(c1), float(c2), float(c3))
+        if not (type(c4) is type(c1) is type(c2) is type(c3) is float):
+            c4, c1, c2, c3 = [number(c, "rotation parameter") for c in (c4, c1, c2, c3)]
+        _set_rotation(self, c4, c1, c2, c3)
 
     def as_tuple(self) -> tuple:
         return (self.c4, self.c1, self.c2, self.c3)
@@ -424,9 +425,9 @@ IDENTITY_ROTATION = SpinorRotation(1.0, 0.0, 0.0, 0.0)
 MINUS_IDENTITY = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
 
 
-# The hot result types set their slots as the value types do; a frozen dataclass's own
-# __init__ sets each field through object.__setattr__.
-@dataclass(frozen=True, slots=True, init=False)
+# The hot result types set their slots as the value types do, not through object.__setattr__
+# as a frozen dataclass's own __init__ does. They hold numpy arrays, so == and hash are identity.
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class EtaProjection:
     """Vector-model projection: component j of the decomposition is a_j + i x_j."""
 

@@ -124,7 +124,7 @@ def swap4(u: tuple) -> tuple:
     return u3, -u4, -u1, u2
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class CanonicalGauge:
     """A distinguished gauge: its rotation has vanishing third parameter.
 

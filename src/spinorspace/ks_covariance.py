@@ -112,7 +112,7 @@ def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
     return quadruple_of(quadruple_parts(*rotated(rot.as_tuple(), q.q1, q.q2, q.q3, q.q4)))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class KSFrame:
     """Frame quadruple w for a direction, with its construction data.
 

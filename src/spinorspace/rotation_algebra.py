@@ -316,13 +316,14 @@ def real4_fit(targets: np.ndarray) -> tuple:
 def rotation_from_axis_angle(axis, angle: float) -> SpinorRotation:
     """Unit quadruple (cos(angle/2), sin(angle/2) axis_hat)."""
     # sin(h) / |a| times a is unchanged when a is scaled by a power of two.
-    a = np.array(pow2_scaled(finite_vector(axis, "rotation axis")))
+    parts = pow2_scaled(finite_vector(axis, "rotation axis"))
+    a = np.array(parts)
     norm = math.sqrt(float(a @ a))
     if norm == 0.0:
         raise ValueError("rotation axis must be nonzero")
     h = 0.5 * finite_angle(angle, "rotation angle")
     s = math.sin(h) / norm
-    return SpinorRotation(math.cos(h), s * a[0], s * a[1], s * a[2])
+    return rotation_of((math.cos(h), s * parts[0], s * parts[1], s * parts[2]))
 
 
 __all__ = [

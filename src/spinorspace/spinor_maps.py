@@ -35,6 +35,7 @@ from .core import (
     angle_value,
     finite_angle,
     finite_vector,
+    number,
     polar,
     quadruple_of,
     sign_flag,
@@ -47,7 +48,7 @@ INV_SQRT2 = math.sqrt(0.5)
 _PAST_RANGE = "{}({!r}): the {} leave the double range, past 1.8e308"
 
 
-# Built as core.Spinor is; the comment there says why.
+# One __init__ that reads its arguments and checks them, as core.Spinor's does.
 @dataclass(frozen=True, slots=True, init=False)
 class SphericalPoint:
     """(r, theta, phi) with r >= 0, theta in [0, pi], phi on the double cover."""
@@ -57,10 +58,8 @@ class SphericalPoint:
     phi: float
 
     def __init__(self, r, theta, phi):
-        self.__post_init__(r, theta, phi)
-
-    def __post_init__(self, r, theta, phi):
-        r, theta = float(r), float(theta)
+        if not (type(r) is type(theta) is float):
+            r, theta = number(r, "radius"), number(theta, "polar angle")
         if not (math.isfinite(r) and r >= 0.0):
             raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
         if not (0.0 <= theta <= math.pi):
@@ -83,10 +82,8 @@ class ParabolicPoint:
     phi: float
 
     def __init__(self, N, M, phi):
-        self.__post_init__(N, M, phi)
-
-    def __post_init__(self, N, M, phi):
-        N, M = float(N), float(M)
+        if not (type(N) is type(M) is float):
+            N, M = number(N, "parabolic parameter N"), number(M, "parabolic parameter M")
         if not (math.isfinite(N) and N >= 0.0 and math.isfinite(M) and M >= 0.0):
             raise ValueError("parabolic parameters must be finite and nonnegative")
         set_n, set_m, set_phi = _PARABOLIC_SETTERS
@@ -169,7 +166,7 @@ def _from_cartesian(v, sheet: int, kernel) -> Spinor:
     sheet = sign_flag(sheet, "sheet")
     x1, x2, x3 = finite_vector(v, "cartesian point")
     if x1 == x2 == x3 == 0.0:
-        return Spinor(0.0j, 0.0j)
+        return spinor_of((0.0, 0.0, 0.0, 0.0))
     return spinor_of(kernel(FLOATS, x1, x2, x3, sheet))
 
 

@@ -5,9 +5,10 @@ own name (spinorspace_parent, spinorspace_change), imports both into this
 process, and times a fixed list of scalar API calls: in-range and out-of-range
 constructors, a Cartesian constructor on sheet -1, xi_from_cartesian at
 (1e-200, 0, 1), whose rho^2 underflows where r^2 does not (its rescaled
-quotient), the five validated value
-types (Spinor, KSQuadruple, SpinorRotation, SphericalPoint, ParabolicPoint)
-and core.spinor_of, both projections in range and on a spinor whose square
+quotient), the five validated value types (Spinor, KSQuadruple,
+SpinorRotation, SphericalPoint, ParabolicPoint), KSQuadruple and
+SpinorRotation again on np.float64 parts, which the class call reads through
+core.number, and core.spinor_of, both projections in range and on a spinor whose square
 overflows (their rerun of the entries that overflowed), eta_quadruple_projection,
 xi_constraint_residual, eta_from_xi in range and on a spinor whose sums
 overflow (its halved rerun; a parent tree that raises there is timed
@@ -52,6 +53,8 @@ import tempfile
 import timeit
 from pathlib import Path
 
+import numpy as np
+
 ROUNDS = 25
 NUMBER = 1000
 # Records per call of the rows that score a batch. The single-record replay_residual row
@@ -67,6 +70,8 @@ def calls(ss) -> list:
     q = ss.quadruple_from_spinor(xi)
     partner = ss.quadruple_from_spinor(ss.phase_rotate(xi, 0.9))
     rot = ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)
+    n4, n1, n2, n3 = map(np.float64, (0.4, 0.3, -1.2, 0.7))
+    half = np.float64(0.5)
     unitary = ss.su2_matrix(ss.rotation_from_axis_angle(point, 0.9))
     direction = (0.6, 0.0, 0.8)
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
@@ -94,6 +99,7 @@ def calls(ss) -> list:
         ("Spinor", lambda: ss.Spinor(0.3 - 1.2j, 0.7 + 0.4j)),
         ("spinor_of", lambda: ss.core.spinor_of((0.3, -1.2, 0.7, 0.4))),
         ("KSQuadruple", lambda: ss.KSQuadruple(0.4, 0.3, -1.2, 0.7)),
+        ("KSQuadruple np.float64", lambda: ss.KSQuadruple(n4, n1, n2, n3)),
         ("SphericalPoint", lambda: ss.SphericalPoint(1.3, 0.8, -2.0)),
         ("ParabolicPoint", lambda: ss.ParabolicPoint(0.7, 1.1, -1.0)),
         ("xi_from_spherical", lambda: ss.xi_from_spherical(spherical)),
@@ -116,6 +122,7 @@ def calls(ss) -> list:
         ("rotation_from_vector_parameter", lambda: ss.rotation_from_vector_parameter(point)),
         ("rotation_from_axis_angle", lambda: ss.rotation_from_axis_angle(direction, 0.7)),
         ("SpinorRotation", lambda: ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)),
+        ("SpinorRotation np.float64", lambda: ss.SpinorRotation(half, half, half, half)),
         ("psi_from_direction", lambda: ss.psi_from_direction(direction, 0.5)),
         ("psi_from_direction partner lift",
          lambda: ss.psi_from_direction(direction, 0.5 + 2.0 * math.pi)),
