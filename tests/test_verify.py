@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spinorspace import (KSQuadruple, SingularGaugeError, SpinorRotation, build_frame,
-                         direction_from_ks, normalize_ks, run_suite, scaled_residual, verify)
+                         direction_from_ks, generate_fixtures, normalize_ks, run_suite,
+                         scaled_residual, verify)
 from spinorspace.verify import SUITE_NAMES, _worst
 
 # (suite, check, samples at 10^4, samples at 10^3); every threshold is the
@@ -282,3 +283,22 @@ def test_check_times_fit_in_the_report_time():
             == [dataclasses.replace(c, elapsed=0.0).line() for c in report.checks])
     replay = verify.replay_fixtures([])
     assert replay.checks[0].elapsed == replay.elapsed
+
+
+# Verdict sides: a worst residual equal to its tolerance passes ("at most").
+def test_a_check_whose_worst_equals_its_tolerance_passes():
+    result = run_suite("so4", 1000, 42, tolerance=0.0).result("cartan_reflection_parity")
+    assert (result.max_residual, result.passed) == (0.0, True)
+
+
+def test_a_replay_whose_worst_equals_its_tolerance_passes():
+    report = verify.replay_fixtures(generate_fixtures(35, 1), 0.0)
+    assert (report.checks[0].max_residual, report.passed) == (0.0, True)
+
+
+def test_stabilizer_identity_holds_a_landing_exactly_1e9_off(monkeypatch):
+    psi = np.array([[1.0, 0.0, 0.0, 0.0], [0.6, 0.0, 0.8, 0.0]])
+    for off, want in ((1e-9, 0.0), (np.nextafter(1e-9, 1.0), 1.0)):
+        monkeypatch.setattr(verify, "stabilizer_solve",
+                            lambda q, sign: (sign, np.full(len(q[0]), off), 0.0, 0.0))
+        assert verify._check_stabilizer(psi) == want

@@ -13,7 +13,7 @@
 
 Run it on two source trees and compare the lines; it needs only the standard
 library and the package (and numpy, which the package imports). With --parent,
-it also loads the parent tree's package as tools/scalar_ab.py does, lists each
+it also loads the parent tree's package as tools/ab.py does, lists each
 edges row whose output moved (the function, the inputs, the old and new outputs,
 and "==" where the two compare equal, so only the sign of a zero moved, else
 "value"), and counts the moved rows per function.
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     for name, data in outputs.items():
         print(f"{name:8s} {hashlib.sha256(data).hexdigest()}")
     if args.parent is not None:
-        from scalar_ab import load
+        from ab import load
 
         with tempfile.TemporaryDirectory() as tmp:
             sys.path.insert(0, tmp)

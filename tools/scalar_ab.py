@@ -1,53 +1,27 @@
 """Time the scalar calls of the points, frames and fixtures ops on two source trees.
 
-Copies each tree's spinorspace package into a temporary directory under its
-own name (spinorspace_parent, spinorspace_change), imports both into this
-process, and times a fixed list of scalar API calls: in-range and out-of-range
-constructors, a Cartesian constructor on sheet -1, xi_from_cartesian at
-(1e-200, 0, 1), whose rho^2 underflows where r^2 does not (its rescaled
-quotient), the five validated value types (Spinor, KSQuadruple,
-SpinorRotation, SphericalPoint, ParabolicPoint), KSQuadruple and
-SpinorRotation again on np.float64 parts, which the class call reads through
-core.number, and core.spinor_of, both projections in range and on a spinor whose square
-overflows (their rerun of the entries that overflowed), eta_quadruple_projection,
-xi_constraint_residual, eta_from_xi in range and on a spinor whose sums
-overflow (its halved rerun; a parent tree that raises there is timed
-raising), u_to_v, rotate_spinor, so3_from_rotation, extract_so3 on one
-unitary (su2_matrix of a rotation),
-so3_from_vector_parameter, rotation_from_vector_parameter,
-rotation_from_axis_angle, psi_from_direction on both of its lifts, the gauges,
-rotation_between, stabilizer_check in range, on a spinor whose |psi|^2
-underflows (its pow2_scaled branch) and on one whose solve's |q|^2 rounds to
-inf at the top of the range (a parent tree that raises there is timed
-raising), core.scaled_residual on two tuples of four floats (through numpy,
-as it scores any tuple; stabilizer_check scores its solve with
-core.float_residual), direction_from_ks, build_frame,
-frame_symmetry, left_transport, rotated_direction, fixture_record on a
-spherical and a Cartesian point, each on sheet -1, fixtures.dumps_record and
-replay_residual on one generated eta record, fixtures.replay_residuals on the
-35 records of generate_fixtures(35, 1), the batch the fixtures op replays, and
-fixtures.dumps_record on a loaded parabolic eta record whose a3 is set to the
-int 0, the value load reads back for a float 0.0, so the writer converts it in
-its float slot. Each round times every call NUMBER times on both sides back to
-back (a call on a batch NUMBER // its records times), with garbage collection
-off, and the side that goes first alternates from round to round. For each
-call it prints the median us per call (per record, on a batch) on each side,
-the change in per cent as the median of the rounds' change/parent ratios (so
-drift from round to round cancels), and the rounds the change won. It needs only the standard
-library and the package (and numpy, which the package imports). Both sides
-share one process and one host, so drift between separate runs does not enter
-the comparison.
+`calls` lists them, in range and at the edges the ops reach: the Cartesian
+constructors on both sheets and out of range, and xi_from_cartesian where rho^2
+underflows and r^2 does not; the spherical and parabolic constructors; the five
+value types, KSQuadruple and SpinorRotation again on np.float64 parts, and
+core.spinor_of; both projections in range and where a square overflows;
+eta_quadruple_projection, xi_constraint_residual, eta_from_xi in range and
+where its sums overflow, and u_to_v; the rotations and their SO(3) matrices;
+psi_from_direction on both lifts, the gauges and rotation_between;
+stabilizer_check in range, where |psi|^2 underflows and where its solve's |q|^2
+rounds to inf; core.scaled_residual on two tuples; the frames and transports;
+fixture_record on both sheets; dumps_record and replay_residual on one eta
+record, replay_residuals on the 35-record batch of the fixtures op, and
+dumps_record on a loaded record whose a3 is the int 0 that load reads back for
+0.0. A parent tree that raises where the change returns is timed raising. A
+round's unit of work on a side times each call NUMBER times (a batch NUMBER //
+its records times), in us per call (per record); tools/ab.py does the rest.
 
 usage: python tools/scalar_ab.py PARENT_SRC [CHANGE_SRC]
        (default CHANGE_SRC: the src/ beside tools/)
 """
 
-from __future__ import annotations
-
-import importlib
 import math
-import shutil
-import statistics
 import sys
 import tempfile
 import timeit
@@ -55,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-ROUNDS = 25
+import ab
+
 NUMBER = 1000
 # Records per call of the rows that score a batch. The single-record replay_residual row
 # pays the batch's fixed numpy cost once per record, so it overstates per-record changes.
@@ -70,8 +45,7 @@ def calls(ss) -> list:
     q = ss.quadruple_from_spinor(xi)
     partner = ss.quadruple_from_spinor(ss.phase_rotate(xi, 0.9))
     rot = ss.SpinorRotation(0.5, 0.5, 0.5, 0.5)
-    n4, n1, n2, n3 = map(np.float64, (0.4, 0.3, -1.2, 0.7))
-    half = np.float64(0.5)
+    n4, n1, n2, n3, half = map(np.float64, (0.4, 0.3, -1.2, 0.7, 0.5))
     unitary = ss.su2_matrix(ss.rotation_from_axis_angle(point, 0.9))
     direction = (0.6, 0.0, 0.8)
     psi, other = ss.psi_from_direction(direction, 0.5), ss.psi_from_direction((0.0, 0.6, -0.8))
@@ -150,19 +124,18 @@ def calls(ss) -> list:
 
 
 def _or_error(function, argument):
-    """function(argument), or the ValueError or ArithmeticError it raises: a parent tree
-    may raise where the change returns."""
+    """function(argument), or the ValueError or ArithmeticError a parent tree raises."""
     try:
         return function(argument)
     except (ValueError, ArithmeticError) as error:
         return error
 
 
-def load(src: Path, name: str, into: Path):
-    """The package under src/spinorspace, copied into `into` and imported as `name`."""
-    shutil.copytree(src / "spinorspace", into / name,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(name)
+def unit(package):
+    """One round's unit of work on package: {call: us per call (per record, on a batch)}."""
+    timed = [(name, timeit.Timer(call), BATCHES.get(name, 1)) for name, call in calls(package)]
+    return lambda: {name: timer.timeit(NUMBER // records) / (NUMBER // records * records) * 1e6
+                    for name, timer, records in timed}
 
 
 def main(argv=None) -> int:
@@ -170,32 +143,11 @@ def main(argv=None) -> int:
     if not 1 <= len(args) <= 2:
         print("usage: python tools/scalar_ab.py PARENT_SRC [CHANGE_SRC]", file=sys.stderr)
         return 2
-    change_src = Path(args[1]) if len(args) == 2 else Path(__file__).resolve().parents[1] / "src"
+    change_src = args[1] if len(args) == 2 else Path(__file__).resolve().parents[1] / "src"
     with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        sides = [calls(load(Path(args[0]).resolve(), "spinorspace_parent", Path(tmp))),
-                 calls(load(change_src.resolve(), "spinorspace_change", Path(tmp)))]
-        report(sides)
+        costs = ab.measure([unit(p) for p in ab.sides([args[0], change_src], Path(tmp))], ab.ROUNDS)
+    ab.table("call, us", costs)
     return 0
-
-
-def report(sides: list) -> None:
-    """Time each call of both sides, ROUNDS rounds, and print the table."""
-    times = [[[] for _ in sides[0]] for _ in sides]
-    for round_ in range(ROUNDS):
-        for i, (name, _) in enumerate(sides[0]):
-            records = BATCHES.get(name, 1)
-            for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
-                number = NUMBER // records
-                per_call = timeit.Timer(sides[side][i][1]).timeit(number) / number
-                times[side][i].append(per_call / records * 1e6)
-    print(f"{'call':32s} {'parent us':>10s} {'change us':>10s} {'change':>8s} {'won':>6s}")
-    for i, (name, _) in enumerate(sides[0]):
-        parent, change = (statistics.median(t[i]) for t in times)
-        ratio = statistics.median(c / p for p, c in zip(times[0][i], times[1][i]))
-        won = sum(c < p for p, c in zip(times[0][i], times[1][i]))
-        print(f"{name:32s} {parent:10.2f} {change:10.2f} {100.0 * (ratio - 1.0):+7.1f}% "
-              f"{won:3d}/{ROUNDS}")
 
 
 if __name__ == "__main__":
