@@ -3,8 +3,8 @@
 Everything downstream is built from the value types here: two-component
 complex spinors, real KS quadruples stored in index-4-first order and unit
 quaternion rotation parameters for SU(2). Angles on the 4pi double cover are
-plain floats in the canonical window of wrap_4pi. All values are immutable;
-all operations are pure functions.
+plain floats in the canonical window of wrap_4pi. Values are frozen, checked and compared by
+value; results holding arrays are records compared by identity. Operations are pure functions.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ def angle_value(phi, name: str = "angle") -> float:
 
 
 def slot_setters(cls) -> tuple:
-    """The setters of a slotted class's fields, in field order. A frozen value type
-    sets its checked fields through them: object.__setattr__ would look each one up
-    again, at about 50 ns a field."""
+    """The setters of a slotted class's fields, in field order. The five frozen value
+    types set their checked fields through them: object.__setattr__ would look each
+    one up again, at about 50 ns a field."""
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
@@ -425,22 +425,14 @@ IDENTITY_ROTATION = SpinorRotation(1.0, 0.0, 0.0, 0.0)
 MINUS_IDENTITY = SpinorRotation(-1.0, 0.0, 0.0, 0.0)
 
 
-# The hot result types set their slots as the value types do, not through object.__setattr__
-# as a frozen dataclass's own __init__ does. They hold numpy arrays, so == and hash are identity.
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+# A result that holds numpy arrays is a plain record: its arrays stay writable, so freezing
+# it would guard nothing, and their == is elementwise, so == and hash are identity.
+@dataclass(slots=True, eq=False)
 class EtaProjection:
     """Vector-model projection: component j of the decomposition is a_j + i x_j."""
 
     a: np.ndarray
     x: np.ndarray
-
-    def __init__(self, a, x):
-        set_a, set_x = _ETA_PROJECTION_SETTERS
-        set_a(self, a)
-        set_x(self, x)
-
-
-_ETA_PROJECTION_SETTERS = slot_setters(EtaProjection)
 
 
 def spinor_from_quadruple(q: KSQuadruple) -> Spinor:

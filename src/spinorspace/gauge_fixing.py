@@ -32,7 +32,6 @@ from .core import (
     quadruple_parts,
     rotation_of,
     sign_flag,
-    slot_setters,
     spinor_of,
     unit4,
     wrap_4pi,
@@ -124,7 +123,7 @@ def swap4(u: tuple) -> tuple:
     return u3, -u4, -u1, u2
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(slots=True, eq=False)
 class CanonicalGauge:
     """A distinguished gauge: its rotation has vanishing third parameter.
 
@@ -135,15 +134,6 @@ class CanonicalGauge:
     gamma: float
     vector_parameter: np.ndarray
     rotation: SpinorRotation
-
-    def __init__(self, gamma, vector_parameter, rotation):
-        set_gamma, set_vector_parameter, set_rotation = _CANONICAL_SETTERS
-        set_gamma(self, gamma)
-        set_vector_parameter(self, vector_parameter)
-        set_rotation(self, rotation)
-
-
-_CANONICAL_SETTERS = slot_setters(CanonicalGauge)
 
 
 def canonical_phase_plus(psi: Spinor) -> CanonicalGauge:

@@ -27,7 +27,6 @@ from .core import (
     quadruple_of,
     quadruple_parts,
     rotation_of,
-    slot_setters,
     unit4,
 )
 from .gauge_fixing import canonical_plus4
@@ -112,7 +111,7 @@ def left_transport(rot: SpinorRotation, q: KSQuadruple) -> KSQuadruple:
     return quadruple_of(quadruple_parts(*rotated(rot.as_tuple(), q.q1, q.q2, q.q3, q.q4)))
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(slots=True, eq=False)
 class KSFrame:
     """Frame quadruple w for a direction, with its construction data.
 
@@ -126,17 +125,6 @@ class KSFrame:
     axis: np.ndarray
     delta: float
     align: SpinorRotation
-
-    def __init__(self, w, direction, axis, delta, align):
-        set_w, set_direction, set_axis, set_delta, set_align = _FRAME_SETTERS
-        set_w(self, w)
-        set_direction(self, direction)
-        set_axis(self, axis)
-        set_delta(self, delta)
-        set_align(self, align)
-
-
-_FRAME_SETTERS = slot_setters(KSFrame)
 
 
 def build_frame(q: KSQuadruple, axis=(0.0, 0.0, 1.0), delta: float = 0.0) -> KSFrame:
@@ -191,10 +179,15 @@ def rotated_direction(w: KSQuadruple, rot: SpinorRotation, n) -> np.ndarray:
     """Apply a rotation expressed in the frame of w to a direction.
 
     n' = O(hat w) O(rot) O(hat w)^T n. With rot the frame's align rotation
-    and n the frame direction, this lands on the direction of w itself.
+    and n the frame direction, this lands on the direction of w itself. Where an
+    entry of n' rounds past the largest double, OverflowError names the call.
     """
-    return np.array(turned3(FLOATS, w.as_tuple(), rot.as_tuple(),
-                            finite_vector(n, "direction")))
+    n = finite_vector(n, "direction")
+    x1, x2, x3 = out = turned3(FLOATS, w.as_tuple(), rot.as_tuple(), n)
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        raise OverflowError(f"rotated_direction({w!r}, {rot!r}, {n!r}): the turned "
+                            "components leave the double range, past 1.8e308")
+    return np.array(out)
 
 
 def turned3(xp, w: tuple, c: tuple, n) -> tuple:

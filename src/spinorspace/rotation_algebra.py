@@ -264,7 +264,7 @@ def s_factorization_check() -> FactorizationScan:
                              residuals=tuple(scanned))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class NonMembershipCertificate:
     """Proof data that the bridge matrix S is not of the su2_real4 pattern.
 

@@ -25,16 +25,6 @@ def b_matrix(c4, c1, c2, c3):
     return c4 * ID2 - 1.0j * (c1 * SIGMA1 + c2 * SIGMA2 + c3 * SIGMA3)
 
 
-def quadruple_of_matrix(b):
-    """Read (c4, c1, c2, c3) back off any matrix of the B form."""
-    return np.array([
-        0.5 * (b[0, 0] + b[1, 1]).real,
-        -0.5 * (b[1, 0] + b[0, 1]).imag,
-        0.5 * (b[1, 0] - b[0, 1]).real,
-        -0.5 * (b[0, 0] - b[1, 1]).imag,
-    ])
-
-
 def column(s):
     return np.array([s.c1, s.c2], dtype=complex)
 

@@ -7,6 +7,7 @@ import math
 import pickle
 import pkgutil
 import re
+import typing
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -39,6 +40,7 @@ from spinorspace.core import (FLOATS, MINUS_IDENTITY, EtaProjection, finite_vect
                               unit4)
 from spinorspace.gauge_fixing import CanonicalGauge
 from spinorspace.ks_covariance import KSFrame
+from spinorspace.rotation_algebra import NonMembershipCertificate
 from spinorspace.fixtures import construct, fixture_record
 
 SQRT2 = math.sqrt(2.0)
@@ -674,12 +676,13 @@ _RESULTS = {
     CanonicalGauge: lambda: spinorspace.canonical_phase_minus(
         spinorspace.psi_from_direction((0.0, 0.6, 0.8), 0.5)),
     KSFrame: lambda: spinorspace.build_frame(_Q, (0.0, 0.6, 0.8), 0.4),
+    NonMembershipCertificate: spinorspace.s_outside_su2_image,
 }
 
 
 @pytest.mark.parametrize("cls", list(_RESULTS), ids=lambda cls: cls.__name__)
 def test_result_types_behave_as_keyword_built_ones(cls):
-    # The library builds each result positionally through its slot-setter __init__; a
+    # The library builds each result positionally through the dataclass's own __init__; a
     # keyword call on the same field objects must give the same value in every respect.
     value = _RESULTS[cls]()
     names = [f.name for f in dataclasses.fields(cls)]
@@ -699,8 +702,11 @@ def test_result_types_behave_as_keyword_built_ones(cls):
                 assert first is fields[0]
             case _:
                 pytest.fail("a class pattern does not match")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(other, names[0], fields[0])
+        # A record, not frozen: its arrays were always writable, and so are its fields.
+        marker = object()
+        setattr(other, names[0], marker)
+        assert getattr(other, names[0]) is marker
+        setattr(other, names[0], fields[0])
     assert repr(dataclasses.replace(value, **{names[-1]: fields[-1]})) == repr(value)
 
 
@@ -712,6 +718,24 @@ def test_result_types_compare_by_identity(cls):
     assert type(value) is cls and repr(value) == repr(again)
     assert value == value and value != again and not value == again
     assert len({value, again, value}) == 2 and {value: 1}[value] == 1
+
+
+def test_dataclasses_are_frozen_values_or_array_records():
+    # One rule for every dataclass in the package: a class with a numpy array field is a
+    # plain record, neither frozen nor compared by value, as its arrays stay writable and
+    # their == is elementwise; every other class is a frozen value compared by value.
+    kinds = {}
+    for info in pkgutil.iter_modules(spinorspace.__path__):
+        module = importlib.import_module(f"spinorspace.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and (
+                    cls.__module__ == module.__name__):
+                params = cls.__dataclass_params__
+                kinds[cls.__name__] = (np.ndarray in typing.get_type_hints(cls).values(),
+                                       params.frozen, params.eq)
+    assert {name for name, kind in kinds.items() if kind[0]} >= {cls.__name__ for cls in _RESULTS}
+    assert {name: kind for name, kind in kinds.items()
+            if kind not in ((True, False, False), (False, True, True))} == {}
 
 
 def _value_fields(result) -> list:

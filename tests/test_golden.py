@@ -47,7 +47,27 @@ def test_edges_rows_bytes():
     # side of SINGULAR_WEIGHT and on rotations either side of VECTOR_PARAMETER_LIMIT.
     same_bits = _same_bits()
     assert _sha(same_bits.edges_text(same_bits.edge_rows(spinorspace)).encode()) == (
-        "36aae7406b7f51a15fabc05016a107559f8e30cd99b57973276efc28e4ac7baf")
+        "a733aea81df47d4cfe7397b39b931f755d29655076d06edd04f10b6df7ac5d52")
+
+
+def test_edges_rows_are_finite_or_named_errors():
+    # The contract on the edges corpus, not only its pin: each call returns finite floats,
+    # or raises an ArithmeticError or ValueError whose message names the call or its input,
+    # never the bare message of a math function that overflowed or left its domain.
+    same_bits = _same_bits()
+    corpus = same_bits.edge_inputs()
+    broken = []
+    for name, kind, call in same_bits.edge_calls(spinorspace):
+        for v in corpus[kind]:
+            try:
+                out = same_bits._flat(call(v))
+            except (ArithmeticError, ValueError) as error:
+                if str(error) in ("", "math range error", "math domain error"):
+                    broken.append((name, v, repr(error)))
+                continue
+            if not all(map(math.isfinite, out)):
+                broken.append((name, v, out))
+    assert broken == []
 
 
 GAUGE_123 = "dda173e74b966f7a8880b3017dd5827460846f70e6e1aebc382684b11730e3c7"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +248,18 @@ def test_rotated_direction_against_a_50_digit_reference():
         # with the identity, hat(w) hat(w)^-1 has no vector part, and n comes back as it is
         assert rotated_direction(w, IDENTITY_ROTATION, n).tolist() == list(n)
     assert worst <= 2.0 ** -49
+
+
+def test_rotated_direction_raises_where_an_entry_rounds_past_the_range():
+    # n has norm DBL_MAX, and so has the true result; an entry of the rotation matrix
+    # that rounds an ulp past 1 took its second entry to -inf.
+    big = sys.float_info.max
+    w = KSQuadruple(0.0, 0.0, 0.0, big)
+    rot = SpinorRotation(0.0, -0.7071067811865475, 1.5700924586837754e-16, -0.7071067811865475)
+    with pytest.raises(OverflowError, match=r"^rotated_direction\(KSQuadruple\(q4=0\.0, .*"
+                       r"\(0\.0, 1\.7976931348623157e\+308, 0\.0\)\): the turned components "
+                       r"leave the double range, past 1\.8e308$"):
+        rotated_direction(w, rot, (0.0, big, 0.0))
 
 
 def test_frame_delta_dresses_but_direction_fixed():
