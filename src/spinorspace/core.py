@@ -321,11 +321,8 @@ def float_residual(lhs, rhs) -> float:
     return math.inf if math.isnan(total / scale) else gap / scale
 
 
-def residual_rows(lhs, rhs, axis=None) -> np.ndarray:
-    """Each sample's scaled residual |lhs - rhs| / max(1, |lhs|, |rhs|), NaN scored as inf: each
-    entry is a sample with axis None, else its entries over `axis` (an int or a tuple) share one
-    scale. numpy's max runs in place where the trailing axis is kept, else as k - 1 maxima of the
-    rows of a C-contiguous copy, k reduced entries first: in place numpy would loop per sample."""
+def _scaled_rows(lhs, rhs, axis) -> np.ndarray:
+    """residual_rows before NaN is scored: NaN where a sample's gap or size is NaN."""
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     gap = np.abs(lhs - rhs)
     size = np.maximum(np.abs(lhs), np.abs(rhs))
@@ -337,13 +334,24 @@ def residual_rows(lhs, rhs, axis=None) -> np.ndarray:
             k = math.prod(gap.shape[a] for a in axes)
             gap, size = (np.ascontiguousarray(np.moveaxis(a, axes, range(len(axes))))
                          .reshape(k, -1).max(axis=0) for a in (gap, size))
-    rows = gap / np.maximum(size, 1.0)
+    return gap / np.maximum(size, 1.0)
+
+
+def residual_rows(lhs, rhs, axis=None) -> np.ndarray:
+    """Each sample's scaled residual |lhs - rhs| / max(1, |lhs|, |rhs|), NaN scored as inf: each
+    entry is a sample with axis None, else its entries over `axis` (an int or a tuple) share one
+    scale. numpy's max runs in place where the trailing axis is kept, as on entry-major columns
+    (k, n) or (k, l, n) that the kernels return, else as k - 1 maxima of the rows of a C-contiguous
+    copy, k reduced entries first: in place numpy would loop per sample."""
+    rows = _scaled_rows(lhs, rhs, axis)
     return np.where(np.isnan(rows), math.inf, rows)
 
 
 def worst_residual(lhs, rhs, axis=None) -> float:
-    """The largest of residual_rows(lhs, rhs, axis); 0 for an empty batch."""
-    return float(np.max(residual_rows(lhs, rhs, axis), initial=0.0))
+    """The largest of residual_rows(lhs, rhs, axis), taken before NaN is scored, so that no
+    scored row array is built: inf where a row is NaN; 0 for an empty batch."""
+    worst = float(np.max(_scaled_rows(lhs, rhs, axis), initial=0.0))
+    return math.inf if math.isnan(worst) else worst
 
 
 # The real-component kernels' namespace on floats. A kernel on the scalar path

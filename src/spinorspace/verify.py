@@ -176,9 +176,9 @@ def _check(suite, name, share, draw):
     return register
 
 
-def _traced_so3(c) -> np.ndarray:
-    """O(B) of each rotation of the columns c, traced on B's real parts: shape (n, 3, 3)."""
-    return stacked(trace_so3_entries(*sum(su2_parts(*c), ())))
+def _traced_so3(c) -> tuple:
+    """O(B) of each rotation of the columns c, traced on B's real parts: rows of columns."""
+    return trace_so3_entries(*sum(su2_parts(*c), ()))
 
 
 _UP = (1.0, 0.0, 0.0, 0.0)  # the spinor (1, 0): B applied to it is B's first column
@@ -190,8 +190,8 @@ def _rotation(c) -> tuple:
 
 
 def _eta_rows(bilinears) -> np.ndarray:
-    """The (a, x) columns of an eta projection as n rows of two 3-vectors, shape (n, 2, 3)."""
-    return stacked(bilinears).reshape(-1, 2, 3)
+    """The (a, x) columns of an eta projection as two 3-vectors of columns, shape (2, 3, n)."""
+    return np.reshape(bilinears, (2, 3, -1))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -208,19 +208,19 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("nkl,nl->nk", m, v)
 
 
-def _gram(m: np.ndarray) -> np.ndarray:
-    """M^T M of each square M of the stack m, entry (i, j) summed over the rows k of M in
-    order from 0.0 on contiguous columns: the bits of einsum("nki,nkj->nij", m, m)."""
-    r = m.shape[-1]
-    cols = np.ascontiguousarray(m.reshape(len(m), r * r).T).reshape(r, r, -1)  # [k, i]
+def _gram(m) -> list:
+    """M^T M of each square M of the entry columns m (m[k][i] the column of entry (k, i)) as
+    rows of columns, entry (i, j) summed over the rows k of M in order from 0.0: the bits of
+    einsum("nki,nkj->nij") on the stack of the M."""
+    r = len(m)
     sums = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):  # (j, i) has the bits of (i, j): products commute
             total = 0.0
             for k in range(r):
-                total = total + cols[k, i] * cols[k, j]
+                total = total + m[k][i] * m[k][j]
             sums[i][j] = sums[j][i] = total
-    return stacked(sums)
+    return sums
 
 
 # Input draws: each returns every sample's inputs as a tuple of arrays.
@@ -256,19 +256,19 @@ def _check_construct_project(v, sheets):
     xi = cartesian_columns(xi_cartesian, *v.T, sheets)
     eta = cartesian_columns(eta_cartesian, *v.T, sheets)
     r, *x = xi_bilinears(COLUMNS, *xi)
-    p = _eta_rows(eta_bilinears(COLUMNS, *eta))
+    p = eta_bilinears(COLUMNS, *eta)
     q4, q1, q2, q3 = quadruple_parts(*eta)
     norm_sq = q4 * q4 + q1 * q1 + q2 * q2 + q3 * q3  # as KSQuadruple.norm_sq adds them
-    x = stacked(x)
-    return max(_worst(x, v, 1), _worst(r, np.sqrt(_dot(v, v))),
+    return max(_worst(x, v.T, 0), _worst(r, np.sqrt(_dot(v, v))),
                _worst([hopf_constraint(*quadruple_parts(*xi)), hopf_constraint(q4, q1, q2, q3)],
                       0.0),
-               _worst(p[:, 1], v, 1), _hopf_norms(r, x, p[:, 1], p[:, 0], norm_sq))
+               _worst(p[3:], v.T, 0), _hopf_norms(r, stacked(x), stacked(p), norm_sq))
 
 
-def _hopf_norms(r, x, px, pa, norm_sq):
+def _hopf_norms(r, x, p, norm_sq):
     """Worst of the Hopf-norm identities x.x = r^2 on xi projections (r, x), and
-    |px|^2 = (norm_sq / 2)^2, pa.px = 0, |pa| = |px| on eta projections (px, pa)."""
+    |px|^2 = (norm_sq / 2)^2, pa.px = 0, |pa| = |px| on eta projections p, rows (pa, px)."""
+    pa, px = p[:, :3], p[:, 3:]
     half, pxx = 0.5 * norm_sq, _dot(px, px)
     return max(_worst(_dot(x, x), r * r), _worst(pxx, half * half),
                _worst(_dot(pa, px), 0.0), _worst(_dot(pa, pa), pxx))
@@ -277,14 +277,13 @@ def _hopf_norms(r, x, px, pa, norm_sq):
 @_check("hopf", "hopf_norms_any_spinor", 0.1, _spinors)
 def _check_hopf_norm_general(s):
     r, *x = xi_bilinears(COLUMNS, *s.T)
-    p = _eta_rows(eta_bilinears(COLUMNS, *s.T))
-    return _hopf_norms(r, stacked(x), p[:, 1], p[:, 0], _dot(s, s))
+    return _hopf_norms(r, stacked(x), stacked(eta_bilinears(COLUMNS, *s.T)), _dot(s, s))
 
 
 @_check("hopf", "eta_projection_dual_route", 0.1, _spinors)
 def _check_projection_dual_route(s):
     return _worst(_eta_rows(eta_bilinears(COLUMNS, *s.T)),
-                  _eta_rows(eta_quadruple_bilinears(*quadruple_parts(*s.T))), 2)
+                  _eta_rows(eta_quadruple_bilinears(*quadruple_parts(*s.T))), 1)
 
 
 def _spherical_draw(rng, n):
@@ -315,7 +314,7 @@ def _check_coordinate_agreement(r, theta, phi):
 def _check_phase_invariance(s, alpha):
     r0, *x0 = xi_bilinears(COLUMNS, *s.T)
     r1, *x1 = xi_bilinears(COLUMNS, *phase_rotated(COLUMNS, alpha, *s.T))
-    return max(_worst(r0, r1), _worst(stacked(x0), stacked(x1), 1))
+    return max(_worst(r0, r1), _worst(x0, x1, 0))
 
 
 # ---------------------------------------------------------- covariance suite
@@ -326,7 +325,7 @@ def _check_xi_commuting_square(c, s):
     r0, *x0 = xi_bilinears(COLUMNS, *s.T)
     r1, *x1 = xi_bilinears(COLUMNS, *rotated(rot, *s.T))
     o = stacked(so3_entries(*rot))
-    return max(_worst(r0, r1), _worst(stacked(x1), _apply(o, stacked(x0)), 1))
+    return max(_worst(r0, r1), _worst(x1, _apply(o, stacked(x0)).T, 0))
 
 
 @_check("covariance", "eta_commuting_square", 1.0, _unit_and_gaussian)
@@ -334,16 +333,16 @@ def _check_eta_commuting_square(c, s):
     rot = _rotation(c.T)
     o = stacked(so3_entries(*rot))
     p0, p1 = eta_bilinears(COLUMNS, *s.T), eta_bilinears(COLUMNS, *rotated(rot, *s.T))
-    return max(_worst(stacked(p1[3:]), _apply(o, stacked(p0[3:])), 1),
-               _worst(stacked(p1[:3]), _apply(o, stacked(p0[:3])), 1))
+    return max(_worst(p1[3:], _apply(o, stacked(p0[3:])).T, 0),
+               _worst(p1[:3], _apply(o, stacked(p0[:3])).T, 0))
 
 
 @_check("covariance", "so3_extraction_orthogonality", 1.0, _units)
 def _check_so3_extraction(c):
     rot = _rotation(c.T)
-    o = stacked(so3_entries(*rot))  # closed form; trace extraction below
-    return max(_worst(_traced_so3(rot), o, (1, 2)), _worst(np.linalg.det(o), 1.0),
-               _worst(_gram(o), np.eye(3), (1, 2)))
+    o = so3_entries(*rot)  # closed form; trace extraction below
+    return max(_worst(_traced_so3(rot), o, (0, 1)), _worst(np.linalg.det(stacked(o)), 1.0),
+               _worst(_gram(o), np.eye(3)[..., None], (0, 1)))
 
 
 @_check("covariance", "vector_parameter_chart", 0.5,
@@ -351,8 +350,8 @@ def _check_so3_extraction(c):
 def _check_vector_parameter_chart(c_vec):
     # C back, then O from C directly against O through the quadruple.
     rot = _rotation(chart4(COLUMNS, *c_vec.T))
-    return max(_worst(stacked(vector_parameter_entries(COLUMNS, *rot)), c_vec, 1),
-               _worst(stacked(chart_so3(COLUMNS, *c_vec.T)), stacked(so3_entries(*rot)), (1, 2)))
+    return max(_worst(vector_parameter_entries(COLUMNS, *rot), c_vec.T, 0),
+               _worst(chart_so3(COLUMNS, *c_vec.T), so3_entries(*rot), (0, 1)))
 
 
 @_check("covariance", "rotation_homomorphisms", 1.0, _two_units)
@@ -360,11 +359,11 @@ def _check_so4_homomorphism(c1, c2):
     # su2_real4, then so3_from_rotation, of c1, c2 and c1 c2
     r1, r2 = _rotation(c1.T), _rotation(c2.T)
     rots = (r1, r2, _rotation(qmul(r1, r2)))
-    m1, m2, m12 = (stacked(real4_entries(*r)) for r in rots)
-    o1, o2, o12 = (stacked(so3_entries(*r)) for r in rots)
-    return max(_worst(m12, m1 @ m2, (1, 2)),
-               _worst(_gram(m1), np.eye(4), (1, 2)),
-               _worst(o12, o1 @ o2, (1, 2)))
+    m1, m2, m12 = (real4_entries(*r) for r in rots)
+    o1, o2 = (stacked(so3_entries(*r)) for r in rots[:2])
+    return max(_worst(m12, (stacked(m1) @ stacked(m2)).transpose(1, 2, 0), (0, 1)),
+               _worst(_gram(m1), np.eye(4)[..., None], (0, 1)),
+               _worst(so3_entries(*rots[2]), (o1 @ o2).transpose(1, 2, 0), (0, 1)))
 
 
 @_check("covariance", "so4_spinor_conjugacy", 1.0, _unit_and_gaussian)
@@ -372,7 +371,7 @@ def _check_quadruple_spinor_conjugacy(c, q):
     rot = _rotation(c.T)
     q4, q1, q2, q3 = q.T  # spinor_from_quadruple: c1 = q1 + i q2, c2 = q3 + i q4
     moved = quadruple_parts(*rotated(rot, q1, q2, q3, q4))
-    return _worst(_apply(stacked(real4_entries(*rot)), q), stacked(moved), 1)
+    return _worst(_apply(stacked(real4_entries(*rot)), q).T, moved, 0)
 
 
 # ----------------------------------------------------------------- so4 suite
@@ -384,8 +383,7 @@ def _check_bridge_involution(s):
 
 @_check("so4", "bridge_quadruple_route", 1.0, _spinors)
 def _check_bridge_quadruple_route(s):  # S U against the quadruple of eta_from_xi
-    return _worst(stacked(u_to_v_entries(*quadruple_parts(*s.T))),
-                  stacked(quadruple_parts(*eta_of_xi(*s.T))), 1)
+    return _worst(u_to_v_entries(*quadruple_parts(*s.T)), quadruple_parts(*eta_of_xi(*s.T)), 0)
 
 
 # The fixed S properties are the same in every chunk, so the max is unchanged.
@@ -398,7 +396,7 @@ def _check_s_properties(u):
                         for k, pair in enumerate(ELEMENTARY_PLANES.values())])
     return max(_worst((s.T @ s)[None], np.eye(4), (1, 2)), _worst(np.linalg.det(s), 1.0),
                scan.best_residual, _worst(scan.best_angles, math.pi / 4.0),
-               _worst(_gram(e), np.eye(4), (1, 2)),
+               _worst(_gram(e.transpose(1, 2, 0)), np.eye(4)[..., None], (0, 1)),
                _worst(np.linalg.det(e), 1.0))
 
 
@@ -428,10 +426,10 @@ def _check_double_cover(u, s):
     # (r, x) at phi and phi + 2pi: (builder, lift, r x1 x2 x3, sample).
     proj = np.array([[xi_bilinears(COLUMNS, *row) for row in lift[:2]] for lift in lifts])
     flips = [cartesian_columns(xi_cartesian, *(4.0 * u[:, 3:] - 2.0).T, sheet) for sheet in (1, -1)]
-    turned = stacked(rotated(MINUS_IDENTITY.as_tuple(), *s.T))
+    turned = rotated(MINUS_IDENTITY.as_tuple(), *s.T)
     return max(_worst(lifts[:, 1], -lifts[:, 0]), _worst(lifts[:, 2], lifts[:, 0]),
                _worst(proj[:, 0, 0], proj[:, 1, 0]), _worst(proj[:, 0, 1:], proj[:, 1, 1:], 1),
-               _worst(flips[1], -flips[0]), _worst(turned, -s),
+               _worst(flips[1], -flips[0]), _worst(turned, -s.T),
                _worst(so3_from_rotation(MINUS_IDENTITY)[None], np.eye(3), (1, 2)))
 
 
@@ -441,7 +439,7 @@ def _check_cartan_reflection(g):
     reflected = cartan_reflected(np.where(g[:, 4] < 0.0, -1.0, 1.0), *s)
     (r0, *x0), (r1, *x1) = xi_bilinears(COLUMNS, *s), xi_bilinears(COLUMNS, *reflected)
     p0, p1 = _eta_rows(eta_bilinears(COLUMNS, *s)), _eta_rows(eta_bilinears(COLUMNS, *reflected))
-    return max(_worst(r0, r1), _worst(stacked(x0), stacked(x1), 1), _worst(p1, -p0, 2))
+    return max(_worst(r0, r1), _worst(x0, x1, 0), _worst(p1, -p0, 1))
 
 
 # ------------------------------------------------------------------ ks suite
@@ -449,10 +447,10 @@ def _check_cartan_reflection(g):
 @_check("ks", "direction_vs_matrix_hat", 1.0, _units)
 def _check_direction_matrix(u):
     q = u.T
-    n = stacked(direction4(unit_ks(COLUMNS, q)))
-    # The third column of O(hat u), and hat(hat(u)).
-    column = stacked([row[2] for row in so3_entries(*_rotation(hat4(q)))])
-    return max(_worst(n, -column, 1), _worst(_dot(n, n), 1.0), _worst(stacked(hat4(hat4(q))), u, 1))
+    n = direction4(unit_ks(COLUMNS, q))
+    # Minus the third column of O(hat u), and hat(hat(u)).
+    column, rows = [-row[2] for row in so3_entries(*_rotation(hat4(q)))], stacked(n)
+    return max(_worst(n, column, 0), _worst(_dot(rows, rows), 1.0), _worst(hat4(hat4(q)), q, 0))
 
 
 @_check("ks", "left_transport_routes", 0.3, _two_units)
@@ -460,11 +458,11 @@ def _check_left_transport(c, u):
     rot, q = _rotation(c.T), u.T
     q4, q1, q2, q3 = q
     moved = quadruple_parts(*rotated(rot, q1, q2, q3, q4))
-    n_moved, n = (stacked(direction4(unit_ks(COLUMNS, p))) for p in (moved, q))
+    n_moved, n = (direction4(unit_ks(COLUMNS, p)) for p in (moved, q))
     # The 4x4 action against hat(rot hat(q)), on the quaternion side.
-    moved, product = stacked(moved), stacked(hat4(_rotation(qmul(rot, _rotation(hat4(q))))))
-    return max(_worst(moved, product, 1), _worst(_dot(moved, moved), _dot(u, u)),
-               _worst(n_moved, _apply(stacked(so3_entries(*rot)), n), 1))
+    product, rows = hat4(_rotation(qmul(rot, _rotation(hat4(q))))), stacked(moved)
+    return max(_worst(moved, product, 0), _worst(_dot(rows, rows), _dot(u, u)),
+               _worst(n_moved, _apply(stacked(so3_entries(*rot)), stacked(n)).T, 0))
 
 
 def _frame_draw(rng, n):
@@ -484,13 +482,13 @@ def _check_frame_identities(u, axes, delta):
     w, n = frame4(COLUMNS, u.T, align, delta)
     w_rot = _rotation(hat4(w))
     # rotated n', direction of w, O(hat w) by the trace map and by its closed form, n
-    n_prime, n_w = stacked(turned3(COLUMNS, w, align, n)), stacked(direction4(unit_ks(COLUMNS, w)))
-    e_w, o_w, n = _traced_so3(w_rot), stacked(so3_entries(*w_rot)), stacked(n)
+    n_prime, n_w = turned3(COLUMNS, w, align, n), direction4(unit_ks(COLUMNS, w))
+    e_w, o_w = _traced_so3(w_rot), stacked(so3_entries(*w_rot))
     # B (v.sigma) B^dag = (O v).sigma: B (A.sigma) B^dag = -n.sigma, B sigma^3 B^dag = -n'.sigma
-    return max(_worst(_apply(e_w, axes), -n, 1),
-               _worst(axes, -np.einsum("nkl,nk->nl", o_w, n), 1),
-               _worst(e_w[:, :, 2], -n_prime, 1),
-               _worst(n_prime, n_w, 1))
+    return max(_worst(_apply(stacked(e_w), axes).T, np.negative(n), 0),
+               _worst(axes, -np.einsum("nkl,nk->nl", o_w, stacked(n)), 1),
+               _worst([row[2] for row in e_w], np.negative(n_prime), 0),
+               _worst(n_prime, n_w, 0))
 
 
 @_check("ks", "frame_symmetry_transport", 0.1,
@@ -500,10 +498,10 @@ def _check_frame_symmetry(u, angles):  # angles: the partner's turn beta, the fr
     u_rot = _rotation(hat4(q))
     partner = hat4(_rotation(qmul(u_rot, axis4(COLUMNS, beta))))
     c = _rotation(symmetry4(COLUMNS, q, partner, delta))
-    n = stacked(direction4(unit_ks(COLUMNS, q)))
+    n = direction4(unit_ks(COLUMNS, q))
     # B(c) B(hat u) D(delta) against B(hat w) by first columns, which fix an SU(2) matrix
     lhs = rotated(c, *rotated(u_rot, *rotated(axis4(COLUMNS, delta), *_UP)))
-    return max(_worst(_apply(stacked(so3_entries(*c)), n), n, 1),
+    return max(_worst(_apply(stacked(so3_entries(*c)), stacked(n)).T, n, 0),
                _worst(lhs, rotated(_rotation(hat4(partner)), *_UP), 0))
 
 
@@ -544,11 +542,11 @@ _check("ks", "singular_error_paths", 0.0, lambda rng, n: (_FRAME_ERRORS,))(_all_
         lambda rng, n: (_units(rng, n)[0], rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=n)))
 def _check_gauge_postconditions(psi, phase):
     u = unit4(COLUMNS, *psi.T, "gauge_plus requires a unit spinor")
-    # B(gauge) psi for the (+) gauge, then the (-) gauge: shape (n, 2, 4).
-    out = np.stack([stacked(rotated(_rotation(gauge_plus4(COLUMNS, w, phase)), *psi.T))
-                    for w in (u, swap4(u))], axis=1)
+    # B(gauge) psi for the (+) gauge, then the (-) gauge: shape (2, 4, n).
+    out = np.array([rotated(_rotation(gauge_plus4(COLUMNS, w, phase)), *psi.T)
+                    for w in (u, swap4(u))])
     want, c, s = np.zeros_like(out), np.cos(0.5 * phase), np.sin(0.5 * phase)
-    want[:, 0, 0], want[:, 0, 1], want[:, 1, 2], want[:, 1, 3] = c, -s, c, s  # exp(-+i phase / 2)
+    want[0, 0], want[0, 1], want[1, 2], want[1, 3] = c, -s, c, s  # exp(-+i phase / 2)
     return _worst(out, want)
 
 
@@ -574,7 +572,7 @@ def _check_canonical_gauges(psi):
     cp, cm = _dot(c_vec[:, 0], c_vec[:, 0]), _dot(c_vec[:, 1], c_vec[:, 1])
     # |C|^2 weighted by the component masses is pole-safe where the raw
     # tan(theta/2) magnitude check is not, and covers the full sphere.
-    worst = max(_worst(stacked([r[3] for r in rotations]), 0.0),
+    worst = max(_worst([r[3] for r in rotations], 0.0),
                 _worst(_apply(o[0], n), pole, 1), _worst(_apply(o[1], n), -pole, 1),
                 _worst(cp * s_plus, s_minus), _worst(cm * s_minus, s_plus))
     theta = np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2])
@@ -593,11 +591,11 @@ def _check_rotation_between(psi, c):
     target = rotated(planted, *psi.T)
     who = "rotation_between requires a unit spinor"
     found = _rotation(between4(COLUMNS, unit4(COLUMNS, *psi.T, who), unit4(COLUMNS, *target, who)))
-    got, want = stacked(found), stacked(planted)
     # Either sign of the planted parameters is the same rotation. Take the one
     # with positive overlap: in a pass it is the nearer sign; a fail can only grow.
-    want = want * np.where(_dot(got, want) < 0.0, -1.0, 1.0)[:, None]
-    return max(_worst(got, want, 1), _worst(stacked(rotated(found, *psi.T)), stacked(target)))
+    sign = np.where(_dot(stacked(found), stacked(planted)) < 0.0, -1.0, 1.0)
+    return max(_worst(found, np.multiply(planted, sign), 0),
+               _worst(rotated(found, *psi.T), target))
 
 
 @_check("gauge", "stabilizer_exact_identity", 0.1, _units)
@@ -616,7 +614,8 @@ def _check_circle_contrast(sweep):
     # spinor-level one a single point of the sweep, where B (1, 0) = (1, 0).
     rot = axis4(COLUMNS, sweep)  # the axis rotation of each angle
     fixing = np.count_nonzero(np.all(np.abs(stacked(rotated(rot, *_UP)) - _UP) <= 1e-12, axis=1))
-    return _worst(_traced_so3(rot)[:, :, 2], [0.0, 0.0, 1.0], 1) if fixing == 1 else math.inf
+    return (_worst(stacked(_traced_so3(rot))[:, :, 2], [0.0, 0.0, 1.0], 1) if fixing == 1
+            else math.inf)
 
 
 _GAUGE_ERRORS = (

@@ -36,8 +36,8 @@ from spinorspace import (
     wrap_4pi,
 )
 from spinorspace.core import (FLOATS, MINUS_IDENTITY, EtaProjection, finite_vector, integer_value,
-                              pow2_scaled, pow2_shift, qmul, quadruple_of, rotation_of, spinor_of,
-                              unit4)
+                              pow2_scaled, pow2_shift, qmul, quadruple_of, residual_rows,
+                              rotation_of, spinor_of, stacked, unit4, worst_residual)
 from spinorspace.gauge_fixing import CanonicalGauge
 from spinorspace.ks_covariance import KSFrame
 from spinorspace.rotation_algebra import NonMembershipCertificate
@@ -629,6 +629,91 @@ def test_scaled_residual_scores_tuples_as_arrays(lhs, rhs):
         except ValueError as exc:
             return type(exc)
     assert score(lhs, rhs) == score(np.array(lhs, dtype=float), np.array(rhs, dtype=float))
+
+
+# ------------------------------------------------- entry-major residuals
+
+# Entries a sample of the kernels' outputs: a flat tuple, rows of a 3x3 and of a 4x4.
+_ENTRY_SHAPES = {"flat": (4,), "3x3": (3, 3), "4x4": (4, 4)}
+# (lhs, rhs) planted in one entry of three samples: NaN, +-inf on one side and on both.
+_ROW_SPECIALS = {"finite": None, "nan": (math.nan, 0.5), "inf": (math.inf, 1.0),
+                 "-inf": (-math.inf, -math.inf), "inf both": (math.inf, math.inf),
+                 "signed zeros": (-0.0, 0.0)}
+
+
+def _entry_major(rng, entries, n):
+    shape = entries + (n,)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+
+def _as_columns(a):
+    """a (k, ..., n) as the kernels return it: a tuple (of tuples) of n-columns."""
+    return tuple(_as_columns(row) for row in a) if a.ndim > 2 else tuple(a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 37])
+@pytest.mark.parametrize("special", _ROW_SPECIALS.values(), ids=_ROW_SPECIALS.keys())
+@pytest.mark.parametrize("entries", _ENTRY_SHAPES.values(), ids=_ENTRY_SHAPES.keys())
+def test_entry_major_residuals_keep_the_bits_of_the_stacked_form(entries, special, n):
+    # The entry columns reduced over their leading axes, as tuples or as the transposed
+    # view of a stack, score each sample as the (n, ...) stack does over its trailing axes.
+    rng = np.random.default_rng(41)
+    lhs = _entry_major(rng, entries, n)
+    rhs = lhs + _entry_major(rng, entries, n) * 10.0 ** rng.integers(-16, 0, size=lhs.shape)
+    if special is not None:
+        for sample in range(0, n, 13):
+            corner = (len(entries) - 1,) * len(entries) + (sample,)
+            lhs[corner], rhs[corner] = special
+    leading = tuple(range(len(entries)))
+    lead = leading[0] if len(leading) == 1 else leading
+    trailing = tuple(a + 1 for a in leading)
+    stack_l, stack_r = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (lhs, rhs))
+    with np.errstate(invalid="ignore"):
+        want = residual_rows(stack_l, stack_r, trailing)
+        worst = worst_residual(stack_l, stack_r, trailing)
+        got = [residual_rows(lhs, rhs, lead),
+               residual_rows(_as_columns(lhs), np.moveaxis(stack_r, 0, -1), lead)]
+        worsts = [worst_residual(lhs, rhs, lead),
+                  worst_residual(_as_columns(lhs), np.moveaxis(stack_r, 0, -1), lead)]
+    assert want.shape == (n,)
+    for rows in got:
+        assert rows.shape == (n,) and rows.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert [w.hex() for w in worsts] == [worst.hex()] * 2
+    assert worst.hex() == float(np.max(want, initial=0.0)).hex()
+    assert (worst == math.inf) == (special is not None and special[1] != 0.0 and n > 0)
+
+
+def _stacked_gram(m):
+    """verify._gram as it was on a stack (n, r, r): its columns copied entry-major first."""
+    r = m.shape[-1]
+    cols = np.ascontiguousarray(m.reshape(len(m), r * r).T).reshape(r, r, -1)
+    sums = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            total = 0.0
+            for k in range(r):
+                total = total + cols[k, i] * cols[k, j]
+            sums[i][j] = sums[j][i] = total
+    return stacked(sums)
+
+
+def test_column_gram_keeps_the_bits_of_the_stacked_gram():
+    from spinorspace.rotation_algebra import real4_entries, so3_entries
+    from spinorspace.verify import _gram
+
+    rng = np.random.default_rng(43)
+    unit = rng.normal(size=(4, 500))
+    unit /= np.sqrt(np.sum(unit * unit, axis=0))
+    for entries in (so3_entries(*unit), real4_entries(*unit)):
+        want = _stacked_gram(stacked(entries))
+        assert np.asarray(_gram(entries)).view(np.int64).tolist() == (
+            want.transpose(1, 2, 0).view(np.int64).tolist())
+    edges = np.array([0.0, -0.0, 5e-324, 1e300, -1e300, math.inf, math.nan, 1.0])
+    for r in (3, 4):
+        m = np.concatenate([rng.normal(size=(300, r, r)), rng.choice(edges, size=(300, r, r))])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = np.asarray(_gram(m.transpose(1, 2, 0))), _stacked_gram(m)
+        assert got.view(np.int64).tolist() == want.transpose(1, 2, 0).view(np.int64).tolist()
 
 
 # ------------------------------------------------- builders and result types

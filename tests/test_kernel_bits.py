@@ -281,4 +281,6 @@ def test_gram_keeps_the_bits_of_the_einsum():
         edges = np.array([eye, -eye, -0.0 * eye, np.where(eye > 0.0, -0.0, 1.0)])
         for m in (rng.normal(size=(100_000, r, r)), np.linalg.qr(rng.normal(size=(1000, r, r)))[0],
                   edges):
-            _assert_same_bits(_gram(m), np.einsum("nki,nkj->nij", m, m))
+            # _gram takes and gives entry columns [k][i], here the transposed views of stacks.
+            _assert_same_bits(np.asarray(_gram(m.transpose(1, 2, 0))),
+                              np.einsum("nki,nkj->nij", m, m).transpose(1, 2, 0))

@@ -159,3 +159,48 @@ def test_workload_ab_fails_on_a_planted_kernel_fault(ab, tmp_path, capsys):
     assert workload_ab.main(argv) == 1
     (failed,) = capsys.readouterr().err.splitlines()
     assert failed.startswith("FAILED seed 4 change: ")
+
+
+def test_workload_ab_battery_smoke(ab, monkeypatch, capsys):
+    import workload_ab
+
+    monkeypatch.setattr(workload_ab, "BATTERY_SAMPLES", dict.fromkeys(
+        ("hopf", "covariance", "so4", "ks", "gauge"), 60))
+    argv = [str(SRC), "--workload", "battery", "--seeds", "4", "--rounds", "6"]
+    assert workload_ab.main(argv) == 0
+    out = capsys.readouterr().out
+    (row,) = _rows(out)
+    assert out.startswith("workload battery") and row.startswith("seed 4")
+    assert len(_figures(row)) == 2 and out.splitlines()[-1] == "claim rule over 1 seeds: not met"
+
+
+def test_same_bits_rows_digest_moves_with_a_written_out_dot(ab, monkeypatch, capsys):
+    # The rows line hashes every residual row run_all scores, so a change of the bits of
+    # one route moves it where the pinned worst residuals may not.
+    import hashlib
+
+    import same_bits
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("run_all_text", "help_text"):
+        monkeypatch.setattr(same_bits, name, lambda *_: "")
+    monkeypatch.setattr(same_bits, "fixtures_bytes", lambda *_: b"")
+    monkeypatch.setattr(same_bits, "edge_rows", lambda *_: [])
+    rows_bytes = same_bits.residual_rows_bytes
+    monkeypatch.setattr(same_bits, "residual_rows_bytes", lambda ss: rows_bytes(ss, samples=500))
+    assert same_bits.main([str(SRC)]) == 0
+    digests = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert digests["rows"] == hashlib.sha256(rows_bytes(spinorspace, samples=500)).hexdigest()
+    data = rows_bytes(spinorspace, samples=500)
+    assert all(f"{suite} {name} ".encode() in data
+               for suite, checks in spinorspace.verify._SUITES.items() for name, *_ in checks)
+
+    def written_out(a, b):
+        total = 0.0
+        for i in range(a.shape[-1]):
+            total = total + a[..., i] * b[..., i]
+        return total
+
+    monkeypatch.setattr(spinorspace.verify, "_dot", written_out)
+    assert hashlib.sha256(rows_bytes(spinorspace, samples=500)).hexdigest() != digests["rows"]

@@ -3,6 +3,12 @@
   run_all    the 116 check results of run_all at 10^3 and 10^4 samples with
              seeds 42 and 7: suite, check, sample count and max_residual as
              float.hex, one line per check
+  rows       every residual row that run_all(10000, 42) scores: each call of the
+             verify module's worst residual also takes core.residual_rows of
+             its arguments, under the check that made the call; each check's
+             rows are sorted, so the digest does not depend on their layout,
+             and hashed as float64 bytes after the suite, the check and the
+             number of rows
   fixtures   the file that write_fixtures makes of generate_fixtures(700, seed=3)
   help       the --help text of the CLI and of each of its subcommands
   edges      every public spinor_maps function, the rotations, the gauges and
@@ -63,6 +69,37 @@ def run_all_text(spinorspace) -> str:
                 lines += [f"{report.suite} {c.name} {c.samples} {c.max_residual.hex()}\n"
                           for c in report.checks]
     return "".join(lines)
+
+
+def residual_rows_bytes(spinorspace, samples: int = 10000, seed: int = 42) -> bytes:
+    """The rows line's data: each check's residual rows of run_all(samples, seed), sorted."""
+    verify, core = spinorspace.verify, spinorspace.core
+    rows, suites, worst = {}, dict(verify._SUITES), verify._worst
+
+    def tagged(key, body):
+        found = rows[key] = [np.zeros(0)]
+
+        def scored(lhs, rhs, axis=None):
+            found.append(np.ravel(core.residual_rows(lhs, rhs, axis)))
+            return worst(lhs, rhs, axis)
+
+        def run(*inputs):
+            verify._worst = scored
+            try:
+                return body(*inputs)
+            finally:
+                verify._worst = worst
+        return run
+
+    for suite, checks in suites.items():
+        verify._SUITES[suite] = [(name, share, draw, tagged(f"{suite} {name}", body))
+                                 for name, share, draw, body in checks]
+    try:
+        spinorspace.run_all(samples, seed)
+    finally:
+        verify._SUITES.update(suites)
+    data = {key: np.sort(np.concatenate(found)) for key, found in rows.items()}
+    return b"".join(f"{key} {len(r)}\n".encode() + r.tobytes() for key, r in data.items())
 
 
 def fixtures_bytes(spinorspace) -> bytes:
@@ -322,6 +359,7 @@ def main(argv=None) -> int:
 
     rows = edge_rows(spinorspace)
     outputs = {"run_all": run_all_text(spinorspace).encode(),
+               "rows": residual_rows_bytes(spinorspace),
                "fixtures": fixtures_bytes(spinorspace),
                "help": help_text(cli).encode(),
                "edges": edges_text(rows).encode()}

@@ -6,9 +6,12 @@ one pass of a seed's workload, its cost the sum of its ops' latencies in ms;
 each pass is then scored with the workload's own check, and if any op of any
 side fails it, the tool exits 1. tools/ab.py runs the rounds and prints a row
 a seed; the last line applies its claim rule. `fixtures` covers the in-process
-batches only: the cold CLI spawns stay with perfbench.
+batches only: the cold CLI spawns stay with perfbench. A `battery` unit is one
+run_pass of perfbench's own Battery at BATTERY_SAMPLES, its cost the sum of
+that pass's raw_times (each suite's wall time, calibration probes left out).
 
-usage: python tools/workload_ab.py PARENT_SRC [CHANGE_SRC] --workload points|frames|fixtures
+usage: python tools/workload_ab.py PARENT_SRC [CHANGE_SRC]
+                                   --workload points|frames|fixtures|battery
                                    [--seeds 1 2 3] [--rounds 60]
        (default CHANGE_SRC: the src/ beside tools/)
 """
@@ -22,6 +25,7 @@ from pathlib import Path
 import ab
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BATTERY_SAMPLES = None  # suite -> samples of a battery pass; None: the acceptance counts
 
 
 def workloads_for(package):
@@ -52,11 +56,18 @@ def timed_pass(workload, tally) -> float:
     return float(latency_ns.sum()) * workload.ops_per_pass / len(latency_ns) / 1e6
 
 
+def battery_pass(battery, tally) -> float:
+    """One Battery.run_pass: the sum of its suites' raw times in ms; it scores into tally."""
+    battery.run_pass(tally)
+    return sum(times[-1] for times in battery.raw_times.values()) * 1e3
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path, nargs="?", default=PERFBENCH.parent / "src")
-    parser.add_argument("--workload", required=True, choices=("points", "frames", "fixtures"))
+    parser.add_argument("--workload", required=True,
+                        choices=("points", "frames", "fixtures", "battery"))
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--rounds", type=int, default=ab.ROUNDS)
     args = parser.parse_args(argv)
@@ -68,11 +79,16 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             units = []
             for side, module in zip(ab.SIDES, modules):
-                workload = module.WORKLOADS[args.workload](seed, Path(tempfile.mkdtemp(dir=tmp)))
-                if args.workload == "fixtures":
-                    workload.cold_stdout.add(workload._convert_in_process()[1])
                 tally = tallies[f"seed {seed} {side}"] = module.Tally()
-                units.append(lambda w=workload, t=tally: {f"seed {seed}": timed_pass(w, t)})
+                if args.workload == "battery":
+                    battery = module.Battery(seed, BATTERY_SAMPLES)
+                    units.append(lambda b=battery, t=tally: {f"seed {seed}": battery_pass(b, t)})
+                else:
+                    workload = module.WORKLOADS[args.workload](
+                        seed, Path(tempfile.mkdtemp(dir=tmp)))
+                    if args.workload == "fixtures":
+                        workload.cold_stdout.add(workload._convert_in_process()[1])
+                    units.append(lambda w=workload, t=tally: {f"seed {seed}": timed_pass(w, t)})
             for side, seed_costs in zip(costs, ab.measure(units, args.rounds)):
                 side.update(seed_costs)
     print(f"workload {args.workload}, {args.rounds} rounds a seed")
