@@ -55,6 +55,17 @@ def number(x, name: str, kind=float):
     return kind(x)
 
 
+def numbers(parts: tuple, names: tuple, kind=float) -> list:
+    """[number(x, name, kind) for x, name in zip(parts, names)] in one loop with no call a
+    part, but where a part is a str or bytes: number then refuses it, naming it."""
+    out = []
+    for x in parts:
+        if issubclass(type(x), (str, bytes)):
+            return [number(x, name, kind) for x, name in zip(parts, names)]
+        out.append(kind(x))
+    return out
+
+
 def finite_angle(phi, name: str) -> float:
     """number(phi, name), unwrapped; a non-finite value raises ValueError naming the angle."""
     if type(phi) is not float:
@@ -91,7 +102,7 @@ def integer_value(value, name: str, least: int | None = None) -> int:
 def finite_vector(v, name: str) -> tuple:
     """v as three Python floats, the one reader of three-entry inputs: a wrong shape, a str or
     bytes (whose characters or byte codes would unpack as entries) or a non-finite entry raises
-    ValueError naming the vector. number reads each entry, as "<name> entry"."""
+    ValueError naming the vector. numbers reads the entries, as "<name> entry"."""
     if type(v) is not tuple:
         if isinstance(v, (str, bytes)):
             raise ValueError(f"{name} must have three entries, got {v!r}")
@@ -102,7 +113,7 @@ def finite_vector(v, name: str) -> tuple:
         raise ValueError(f"{name} must have three entries, got {v!r}") from None
     if not (type(x1) is type(x2) is type(x3) is float):
         try:
-            x1, x2, x3 = [number(x, f"{name} entry") for x in (x1, x2, x3)]
+            x1, x2, x3 = numbers((x1, x2, x3), (f"{name} entry",) * 3)
         except TypeError:  # an entry that float() refuses, such as a list or a complex
             raise ValueError(f"{name} must have three entries, got {v!r}") from None
     if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
@@ -123,7 +134,7 @@ def slot_setters(cls) -> tuple:
 
 
 # The five validated value types (these three and spinor_maps' two points) have one __init__:
-# number reads the arguments unless all have their field's type, the type's one check runs and
+# numbers reads the arguments unless all have their field's type, the type's one check runs and
 # the slot setters set the fields. spinor_of, quadruple_of and rotation_of build the first three
 # from computed floats without number; they unpack their parts, as a starred call is not inlined.
 @dataclass(frozen=True, slots=True, init=False)
@@ -135,7 +146,7 @@ class Spinor:
 
     def __init__(self, c1, c2):
         if not (type(c1) is type(c2) is complex):
-            c1, c2 = [number(c, "spinor component", complex) for c in (c1, c2)]
+            c1, c2 = numbers((c1, c2), ("spinor component",) * 2, complex)
         _check_spinor(c1.real, c1.imag, c2.real, c2.imag)
         set1, set2 = _SPINOR_SETTERS
         set1(self, c1)
@@ -183,7 +194,7 @@ class KSQuadruple:
 
     def __init__(self, q4, q1, q2, q3):
         if not (type(q4) is type(q1) is type(q2) is type(q3) is float):
-            q4, q1, q2, q3 = [number(q, "quadruple entry") for q in (q4, q1, q2, q3)]
+            q4, q1, q2, q3 = numbers((q4, q1, q2, q3), ("quadruple entry",) * 4)
         _set_quadruple(self, q4, q1, q2, q3)
 
     def as_tuple(self) -> tuple:
@@ -402,7 +413,7 @@ class SpinorRotation:
 
     def __init__(self, c4, c1, c2, c3):
         if not (type(c4) is type(c1) is type(c2) is type(c3) is float):
-            c4, c1, c2, c3 = [number(c, "rotation parameter") for c in (c4, c1, c2, c3)]
+            c4, c1, c2, c3 = numbers((c4, c1, c2, c3), ("rotation parameter",) * 4)
         _set_rotation(self, c4, c1, c2, c3)
 
     def as_tuple(self) -> tuple:

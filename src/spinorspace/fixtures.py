@@ -20,21 +20,12 @@ from itertools import chain
 
 import numpy as np
 
-from .core import (Spinor, finite_tolerance, integer_value, quadruple_parts, residual_rows,
-                   sign_flag, spinor_of, wrap_4pi)
+from .core import (FLOATS, Spinor, finite_tolerance, integer_value, quadruple_parts,
+                   residual_rows, sign_flag, spinor_of, wrap_4pi)
 from .gauge_fixing import psi_from_direction
-from .spinor_maps import (
-    ParabolicPoint,
-    SphericalPoint,
-    eta_from_cartesian,
-    eta_from_parabolic,
-    eta_from_spherical,
-    project_eta,
-    project_xi,
-    xi_from_cartesian,
-    xi_from_parabolic,
-    xi_from_spherical,
-)
+from .spinor_maps import (PAST_RANGE, ParabolicPoint, SphericalPoint, eta_bilinears,
+                          eta_from_cartesian, eta_from_parabolic, eta_from_spherical, project_xi,
+                          xi_bilinears, xi_from_cartesian, xi_from_parabolic, xi_from_spherical)
 
 FIXTURE_VERSION = "0.1.0"
 
@@ -85,11 +76,15 @@ def _constructed(system, values, model, sheet) -> tuple:
 
 
 def bilinears(spinor: Spinor, model: str) -> tuple:
-    """The projection vectors a record keeps: (x,), or (x, a) for the eta model."""
-    if model == "eta":
-        p = project_eta(spinor)
-        return p.x, p.a
-    return (project_xi(spinor)[1],)
+    """The projection vectors a record keeps, as float tuples: (x,), or (x, a) for the eta
+    model. They are the FLOATS kernels of project_xi and project_eta, with their OverflowError."""
+    kernel = eta_bilinears if model == "eta" else xi_bilinears
+    name = "project_eta" if model == "eta" else "project_xi"
+    try:
+        out = kernel(FLOATS, spinor.c1.real, spinor.c1.imag, spinor.c2.real, spinor.c2.imag)
+    except OverflowError:
+        raise OverflowError(PAST_RANGE.format(name, spinor, "bilinears")) from None
+    return (out[3:], out[:3]) if model == "eta" else (out[1:],)
 
 
 def _computed(system, values, model, sheet) -> tuple:
@@ -107,15 +102,18 @@ def _computed(system, values, model, sheet) -> tuple:
 def fixture_record(system: str, values, model: str = "xi", sheet: int = 1,
                    seed: int = 0, tolerance: float = 1e-12) -> dict:
     """One self-consistent record of a constructor evaluation."""
-    vals, (c1r, c1i, c2r, c2i), r, vectors = _computed(system, values, model, sheet)
-    projection = {"r": r}
-    for key, vector in zip(("x", "a"), vectors):
-        projection[key] = vector.tolist()
+    return _record(system, model, sheet, _computed(system, values, model, sheet),
+                   integer_value(seed, "seed", 0), finite_tolerance(tolerance))
+
+
+def _record(system, model, sheet, computed, seed: int, tolerance: float) -> dict:
+    """fixture_record on its _computed numbers, with seed and tolerance checked."""
+    vals, (c1r, c1i, c2r, c2i), r, vectors = computed
+    projection = dict(zip(("r", "x", "a"), (r, *map(list, vectors))))
     return {"system": system, "values": vals, "sheet": int(sheet), "model": model,
             "spinor": [[c1r, c1i], [c2r, c2i]],
             "quadruple": list(quadruple_parts(c1r, c1i, c2r, c2i)), "projection": projection,
-            "meta": {"seed": integer_value(seed, "seed", 0),
-                     "tolerance": finite_tolerance(tolerance), "version": FIXTURE_VERSION}}
+            "meta": {"seed": seed, "tolerance": tolerance, "version": FIXTURE_VERSION}}
 
 
 def replay_residual(record: dict) -> float:
@@ -140,7 +138,7 @@ def replay_residuals(records, strict: bool = False) -> tuple:
             tolerance = finite_tolerance(meta["tolerance"])
             redone = [*parts, *quadruple_parts(*parts), r]
             for vector in vectors:
-                redone += vector.tolist()
+                redone += vector
             projection = record["projection"]
             kept = _floats([*chain.from_iterable(record["spinor"]), *record["quadruple"],
                             projection["r"], *projection["x"], *projection.get("a", ())])
@@ -168,22 +166,24 @@ def generate_fixtures(count: int, seed: int = 1, tolerance: float = 1e-12) -> li
         kind = index % 7
         system = SYSTEMS[kind // 2]
         sheet = 1
+        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), and np.linalg.norm(n) is
+        # sqrt(n.dot(n)): numpy's own forms, the same bits without its per-call overhead.
         if system == "cartesian":
-            values = rng.uniform(-2.0, 2.0, size=3).tolist()
+            values = (-2.0 + 4.0 * rng.random(3)).tolist()
             sheet = 1 if rng.integers(0, 2) == 0 else -1
         else:
             if system == "spherical":
-                values = [float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, math.pi))]
+                values = [3.0 * rng.random(), math.pi * rng.random()]
             elif system == "parabolic":
-                values = [float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0))]
+                values = [2.0 * rng.random(), 2.0 * rng.random()]
             else:
                 n = rng.normal(size=3)
-                n /= np.linalg.norm(n)
-                values = n.tolist()
+                values = (n / math.sqrt(n.dot(n))).tolist()
             # The last value is the last draw: the azimuth, or a direction's phase.
-            values.append(wrap_4pi(float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))))
+            values.append(wrap_4pi(-2.0 * math.pi + 4.0 * math.pi * rng.random()))
         model = "psi" if system == "direction" else MODELS[kind % 2]
-        records.append(fixture_record(system, values, model, sheet, seed, tolerance))
+        records.append(_record(system, model, sheet, _computed(system, values, model, sheet),
+                               seed, tolerance))
     return records
 
 
@@ -257,10 +257,10 @@ def dumps_record(record) -> str:
 
 def write_fixtures(records, path) -> int:
     """Write records as newline-delimited JSON; returns the record count."""
-    text = "".join(dumps_record(r) + "\n" for r in records)
+    lines = [dumps_record(r) + "\n" for r in records]  # any iterable; a bad record raises here
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    return len(records)
+        handle.write("".join(lines))
+    return len(lines)
 
 
 # json reads -0 as the int 0; it was written for the float -0.0, whose sign an atan2 keeps.

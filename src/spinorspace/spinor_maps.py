@@ -35,7 +35,7 @@ from .core import (
     angle_value,
     finite_angle,
     finite_vector,
-    number,
+    numbers,
     polar,
     quadruple_of,
     sign_flag,
@@ -45,7 +45,8 @@ from .core import (
 
 INV_SQRT2 = math.sqrt(0.5)
 
-_PAST_RANGE = "{}({!r}): the {} leave the double range, past 1.8e308"
+# An error past the double range: the function, its argument and what left the range.
+PAST_RANGE = "{}({!r}): the {} leave the double range, past 1.8e308"
 
 
 # One __init__ that reads its arguments and checks them, as core.Spinor's does.
@@ -59,7 +60,7 @@ class SphericalPoint:
 
     def __init__(self, r, theta, phi):
         if not (type(r) is type(theta) is float):
-            r, theta = number(r, "radius"), number(theta, "polar angle")
+            r, theta = numbers((r, theta), ("radius", "polar angle"))
         if not (math.isfinite(r) and r >= 0.0):
             raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
         if not (0.0 <= theta <= math.pi):
@@ -83,7 +84,7 @@ class ParabolicPoint:
 
     def __init__(self, N, M, phi):
         if not (type(N) is type(M) is float):
-            N, M = number(N, "parabolic parameter N"), number(M, "parabolic parameter M")
+            N, M = numbers((N, M), ("parabolic parameter N", "parabolic parameter M"))
         if not (math.isfinite(N) and N >= 0.0 and math.isfinite(M) and M >= 0.0):
             raise ValueError("parabolic parameters must be finite and nonnegative")
         set_n, set_m, set_phi = _PARABOLIC_SETTERS
@@ -235,7 +236,7 @@ def project_xi(xi: Spinor):
     try:
         r, *x = xi_bilinears(FLOATS, xi.c1.real, xi.c1.imag, xi.c2.real, xi.c2.imag)
     except OverflowError:
-        raise OverflowError(_PAST_RANGE.format("project_xi", xi, "bilinears")) from None
+        raise OverflowError(PAST_RANGE.format("project_xi", xi, "bilinears")) from None
     return r, np.array(x)
 
 
@@ -307,7 +308,7 @@ def eta_from_parabolic(p: ParabolicPoint) -> Spinor:
     try:
         return spinor_of(eta_parabolic(FLOATS, p.N, p.M, p.phi))
     except ValueError:  # raised by Spinor, for a component that overflowed
-        raise ValueError(_PAST_RANGE.format("eta_from_parabolic", p, "components")) from None
+        raise ValueError(PAST_RANGE.format("eta_from_parabolic", p, "components")) from None
 
 
 def eta_bilinears(xp, h1r, h1i, h2r, h2i) -> tuple:
@@ -336,7 +337,7 @@ def project_eta(eta: Spinor) -> EtaProjection:
     try:
         out = eta_bilinears(FLOATS, eta.c1.real, eta.c1.imag, eta.c2.real, eta.c2.imag)
     except OverflowError:
-        raise OverflowError(_PAST_RANGE.format("project_eta", eta, "bilinears")) from None
+        raise OverflowError(PAST_RANGE.format("project_eta", eta, "bilinears")) from None
     return EtaProjection(np.array(out[:3]), np.array(out[3:]))
 
 
@@ -373,7 +374,7 @@ def _entries_in_range(name, bilinears, q: KSQuadruple) -> tuple:
     try:
         return _rescaled(FLOATS, lambda xp, *u: bilinears(*u), out, v)
     except OverflowError:
-        raise OverflowError(_PAST_RANGE.format(name, q, "bilinears")) from None
+        raise OverflowError(PAST_RANGE.format(name, q, "bilinears")) from None
 
 
 def eta_of_xi(c1r, c1i, c2r, c2i) -> tuple:
@@ -407,7 +408,7 @@ def _halved(name, bridge, s: Spinor) -> Spinor:
         return spinor_of([b if math.isfinite(b) else 2.0 * h
                           for b, h in zip(bridge(*parts), halves)])
     except ValueError:
-        raise ValueError(_PAST_RANGE.format(name, s, "components")) from None
+        raise ValueError(PAST_RANGE.format(name, s, "components")) from None
 
 
 def xi_of_eta(h1r, h1i, h2r, h2i) -> tuple:

@@ -269,13 +269,16 @@ _NUMBER_ARGUMENTS = [
                          ids=[f"{row[0].__name__}-{row[2]}" for row in _NUMBER_ARGUMENTS])
 def test_class_calls_read_numbers_through_one_reader(cls, args, at, name):
     # float() and complex() parse a str, and float() bytes: the class call refuses both,
-    # naming the argument. Every other number is kind(part), with its bits.
+    # numpy's subclasses too, naming the argument, whether the other arguments are Python
+    # or numpy numbers. Every other number is kind(part), with its bits.
     kind = complex if cls is Spinor else float
     word = "complex" if cls is Spinor else "real"
-    for text in ("1", b"1", "1+2j"):
+    numpy_args = tuple(map(np.complex128 if cls is Spinor else np.float64, args))
+    for text in ("1", b"1", "1+2j", np.str_("1"), np.bytes_(b"1")):
         message = f"{name} must be a {word} number, got {text!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            cls(*args[:at], text, *args[at + 1:])
+        for others in (args, numpy_args):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cls(*others[:at], text, *others[at + 1:])
     field = dataclasses.fields(cls)[at].name
     for part in (1, np.int64(1), np.float64(1.0), True, np.float64(-0.0)):
         if cls is SpinorRotation and part == 0.0:

@@ -19,7 +19,7 @@ from spinorspace import (
 from spinorspace import fixtures as fixtures_module
 from spinorspace import verify as verify_module
 from spinorspace.cli import main
-from spinorspace.core import finite_tolerance
+from spinorspace.core import finite_tolerance, wrap_4pi
 from spinorspace.fixtures import (
     FIXTURE_VERSION,
     MODELS,
@@ -232,6 +232,21 @@ def test_write_load_round_trip(tmp_path):
     assert dumps_record(back[0]) == dumps_record(records[0])
 
 
+def test_write_fixtures_takes_any_iterable_and_writes_nothing_on_a_bad_record(tmp_path):
+    records = generate_fixtures(9, seed=5)
+    path, again = tmp_path / "listed.jsonl", tmp_path / "generated.jsonl"
+    assert write_fixtures(records, path) == 9
+    assert write_fixtures((r for r in records), again) == 9
+    assert again.read_bytes() == path.read_bytes()
+    assert write_fixtures(iter(()), again) == 0 and again.read_bytes() == b""
+    # A bad record raises before the file is opened, from a list or a generator alike.
+    bad = [*records[:3], {"system": "cartesian"}]
+    for given in (bad, (r for r in bad)):
+        with pytest.raises(TypeError, match="^not a fixture record$"):
+            write_fixtures(given, tmp_path / "bad.jsonl")
+        assert not (tmp_path / "bad.jsonl").exists()
+
+
 def test_signed_zeros_survive_a_load(tmp_path, capsys):
     # The point (-1, -0, 0) has azimuth atan2(-0, -1) = -pi; read back as the
     # int 0, the -0 would turn it to +pi and negate the spinor's phases.
@@ -398,6 +413,59 @@ def test_generate_fixtures_cycles_and_edges():
                      ("parabolic", "xi"), ("parabolic", "eta"),
                      ("direction", "psi")]
     assert kinds == [(r["system"], r["model"]) for r in records[7:]]
+
+
+# Each bounds pair of generate_fixtures' uniform draws, lo + (hi - lo) * rng.random().
+_DRAW_BOUNDS = [(0.0, 3.0), (0.0, math.pi), (0.0, 2.0), (-2.0 * math.pi, 2.0 * math.pi),
+                (-2.0, 2.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**31 - 1])
+def test_generate_fixtures_draws_are_numpys_uniform_and_norm(seed):
+    # generate_fixtures draws through rng.random() and divides by sqrt(n.dot(n)); these are
+    # the forms numpy's uniform and linalg.norm take, so a numpy that changes them fails here.
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(200):
+        for lo, hi in _DRAW_BOUNDS:
+            mine = lo + (hi - lo) * ours.random()
+            assert type(mine) is float and mine.hex() == float(theirs.uniform(lo, hi)).hex()
+        drawn, uniform = -2.0 + 4.0 * ours.random(3), theirs.uniform(-2.0, 2.0, size=3)
+        assert drawn.tobytes() == uniform.tobytes()
+        n, same = ours.normal(size=3), theirs.normal(size=3)
+        assert (n / math.sqrt(n.dot(n))).tobytes() == (same / np.linalg.norm(same)).tobytes()
+
+
+def _parent_generate_fixtures(count, seed):
+    """generate_fixtures as first written: numpy's uniform and linalg.norm, per record."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for index in range(count):
+        kind = index % 7
+        system = ("cartesian", "spherical", "parabolic", "direction")[kind // 2]
+        sheet = 1
+        if system == "cartesian":
+            values = rng.uniform(-2.0, 2.0, size=3).tolist()
+            sheet = 1 if rng.integers(0, 2) == 0 else -1
+        else:
+            if system == "spherical":
+                values = [float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, math.pi))]
+            elif system == "parabolic":
+                values = [float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0))]
+            else:
+                n = rng.normal(size=3)
+                n /= np.linalg.norm(n)
+                values = n.tolist()
+            values.append(wrap_4pi(float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))))
+        model = "psi" if system == "direction" else MODELS[kind % 2]
+        records.append(fixture_record(system, values, model, sheet, seed))
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 3, 13, 2**31 - 1])
+def test_generate_fixtures_is_the_reference_loop(seed):
+    for mine, reference in zip(generate_fixtures(70, seed), _parent_generate_fixtures(70, seed),
+                               strict=True):
+        assert dumps_record(mine) == dumps_record(reference)
 
 
 # -------------------------------------------------------------------- replay

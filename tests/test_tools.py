@@ -143,6 +143,16 @@ def test_workload_ab_smoke(ab, capsys):
     (row,) = _rows(out)
     assert row.startswith("seed 4") and len(_figures(row)) == 2
     assert out.splitlines()[-1] == "claim rule over 1 seeds: not met"
+    # fixtures: the pass row, then its four stages in us a record, from the workload's
+    # last_stages; the claim rule reads the pass rows alone.
+    assert workload_ab.main([str(SRC), "--workload", "fixtures", "--seeds", "4",
+                             "--rounds", "6"]) == 0
+    out = capsys.readouterr().out
+    rows = _rows(out)
+    assert [row[:50].rstrip() for row in rows] == ["seed 4"] + [
+        f"seed 4 {stage} us/record" for stage in ("generate", "write", "load", "replay")]
+    assert all(len(_figures(row)) == 2 for row in rows)
+    assert out.splitlines()[-1] == "claim rule over 1 seeds: not met"
 
 
 def test_workload_ab_fails_on_a_planted_kernel_fault(ab, tmp_path, capsys):

@@ -5,8 +5,10 @@ Loads perfbench/workloads.py (read, never changed) once per side with
 one pass of a seed's workload, its cost the sum of its ops' latencies in ms;
 each pass is then scored with the workload's own check, and if any op of any
 side fails it, the tool exits 1. tools/ab.py runs the rounds and prints a row
-a seed; the last line applies its claim rule. `fixtures` covers the in-process
-batches only: the cold CLI spawns stay with perfbench. A `battery` unit is one
+a seed; the last line applies its claim rule over those rows. `fixtures` covers
+the in-process batches only: the cold CLI spawns stay with perfbench. Beside its
+seed row it prints the pass's generate, write, load and replay times in us a
+record, read from the workload's own last_stages. A `battery` unit is one
 run_pass of perfbench's own Battery at BATTERY_SAMPLES, its cost the sum of
 that pass's raw_times (each suite's wall time, calibration probes left out).
 
@@ -26,6 +28,7 @@ import ab
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BATTERY_SAMPLES = None  # suite -> samples of a battery pass; None: the acceptance counts
+STAGES = ("generate", "write", "load", "replay")  # a fixtures pass's, in last_stages' order
 
 
 def workloads_for(package):
@@ -54,6 +57,14 @@ def timed_pass(workload, tally) -> float:
     workload.check(outputs, tally)
     # A fixtures sample is a batch's time per record; scaled, every workload's sum is its ops'.
     return float(latency_ns.sum()) * workload.ops_per_pass / len(latency_ns) / 1e6
+
+
+def pass_costs(workload, tally, row) -> dict:
+    """One pass: {row: timed_pass}, and for fixtures each stage's us a record, from last_stages."""
+    costs = {row: timed_pass(workload, tally)}
+    for stage, ns in zip(STAGES, getattr(workload, "last_stages", ())):
+        costs[f"{row} {stage} us/record"] = float(ns) / workload.ops_per_pass / 1e3
+    return costs
 
 
 def battery_pass(battery, tally) -> float:
@@ -88,12 +99,14 @@ def main(argv=None) -> int:
                         seed, Path(tempfile.mkdtemp(dir=tmp)))
                     if args.workload == "fixtures":
                         workload.cold_stdout.add(workload._convert_in_process()[1])
-                    units.append(lambda w=workload, t=tally: {f"seed {seed}": timed_pass(w, t)})
+                    units.append(lambda w=workload, t=tally, row=f"seed {seed}":
+                                 pass_costs(w, t, row))
             for side, seed_costs in zip(costs, ab.measure(units, args.rounds)):
                 side.update(seed_costs)
     print(f"workload {args.workload}, {args.rounds} rounds a seed")
-    seeds = ab.table("pass ms", costs)
-    met = len(seeds) >= 3 and all(change[1] > control[2] for change, control in seeds.values())
+    rows = ab.table("pass ms", costs)
+    seeds = [rows[f"seed {seed}"] for seed in args.seeds]
+    met = len(seeds) >= 3 and all(change[1] > control[2] for change, control in seeds)
     print(f"claim rule over {len(seeds)} seeds: {'met' if met else 'not met'}")
     failed = [f"FAILED {name}: {tally.unexpected + tally.known} of {tally.attempted} ops failed"
               " the check" for name, tally in tallies.items() if tally.unexpected or tally.known]
